@@ -15,7 +15,7 @@ from .enforcement import ServiceRequest
 from .ledger import ChainConfig, CorruptChainError, read_chain, replay_chain
 from .netsim import (PROFILES, ScenarioError, ScriptedEventError, Simulation,
                      ac_overhead_ms, run_latency_bench, run_overhead_bench,
-                     run_scenario, summarize, write_measurements_csv,
+                     run_scenario, summarize, summary_rows, write_measurements_csv,
                      write_stage_traces_csv, write_summary_text)
 from .tokens import TokenContract
 from .zones import ZoneContract
@@ -49,15 +49,8 @@ def _write_run_artifacts(out: Path, simulation: Simulation, result, fmt: str) ->
     buffer = io.StringIO()
     if fmt == "csv":
         buffer.write("key,value\n")
-        flat = dict(summary)
-        stage_mean = flat.pop("stage_mean_ms")
-        stage_median = flat.pop("stage_median_ms")
-        for key, value in flat.items():
+        for key, value in summary_rows(summary):
             buffer.write(f"{key},{value}\n")
-        for stage, value in stage_mean.items():
-            buffer.write(f"stage_mean_ms.{stage},{value}\n")
-        for stage, value in stage_median.items():
-            buffer.write(f"stage_median_ms.{stage},{value}\n")
     else:
         write_summary_text(summary, buffer)
     _write(out / ("summary.csv" if fmt == "csv" else "summary.txt"), buffer.getvalue())

@@ -25,9 +25,6 @@ from .zones import NODE_TYPE_NONE, VNodeRecord
 PIPELINE_STAGES = ("identity_auth", "token_fetch", "token_status", "rule_match",
                    "condition_check")
 
-# Token status flags, checked in this order so failure reasons are deterministic.
-STATUS_CHECK_ORDER = ("initialized", "isValid", "issuedate", "expireddate")
-
 
 @dataclass(frozen=True)
 class ServiceRequest:
@@ -62,9 +59,6 @@ class StageTrace:
     def total_ms(self) -> float:
         return sum(r.duration_ms for r in self.records) + self.transport_ms
 
-    def stage_duration(self, stage: str) -> float:
-        return sum(r.duration_ms for r in self.records if r.stage == stage)
-
     def recorded_stages(self) -> tuple[str, ...]:
         return tuple(r.stage for r in self.records)
 
@@ -74,14 +68,10 @@ class Decision:
     granted: bool
     stage: Optional[str] = None      # denial stage, None on grant
     reason: Optional[str] = None
-    matched_rule: Optional[dict] = None
 
     def denial_wire(self, requester: Address) -> dict:
         """Machine-readable denial response."""
         return {"stage": self.stage, "reason": self.reason, "requester": requester.hex}
-
-
-GRANT = Decision(granted=True)
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +132,6 @@ def verify_conditions(rule: dict, now: float,
 @dataclass
 class CacheEntry:
     token: dict
-    cached_at: float
     synced_at: float
 
 
@@ -157,7 +146,6 @@ class TokenCache:
     def __init__(self, block_interval_ms: int):
         self.block_interval_ms = block_interval_ms
         self.entries: dict[Address, CacheEntry] = {}
-        self.last_sync_height = 0
 
     def get(self, subject: Address, now: float) -> Optional[CacheEntry]:
         entry = self.entries.get(subject)
@@ -169,11 +157,7 @@ class TokenCache:
         return entry
 
     def put(self, subject: Address, token: dict, now: float) -> None:
-        self.entries[subject] = CacheEntry(token=token, cached_at=now, synced_at=now)
-
-    def seed(self, subject: Address, token: dict, now: float = 0.0) -> None:
-        """Inject an entry directly (test harness path, bypasses the contract)."""
-        self.put(subject, token, now)
+        self.entries[subject] = CacheEntry(token=token, synced_at=now)
 
     def sync(self, fetch, now: float, height: int) -> int:
         """Refresh every entry from confirmed state; returns replaced-entry count."""
@@ -189,10 +173,8 @@ class TokenCache:
             entry = self.entries[subject]
             if token != entry.token:
                 entry.token = token
-                entry.cached_at = now
                 refreshed += 1
             entry.synced_at = now
-        self.last_sync_height = height
         return refreshed
 
 
@@ -305,7 +287,7 @@ class ServiceProvider:
             return deny("condition_check", reason, self._cost("condition_check")), trace
         passed("condition_check", self._cost("condition_check"))
 
-        return Decision(granted=True, matched_rule=rule), trace
+        return Decision(granted=True), trace
 
     # -- cache synchronization ---------------------------------------------------------
 
@@ -319,16 +301,3 @@ class ServiceProvider:
 
         return self.cache.sync(fetch, now, self.chain.height)
 
-
-def write_stage_traces_csv(rows: list[tuple[int, StageTrace]], stream) -> None:
-    """CSV export: one line per recorded stage, columns fixed."""
-    stream.write("request_id,stage,outcome,duration_ms\n")
-    for request_id, trace in rows:
-        for record in trace.records:
-            stream.write(f"{request_id},{record.stage},{record.outcome},"
-                         f"{_fmt_ms(record.duration_ms)}\n")
-
-
-def _fmt_ms(value: float) -> str:
-    text = f"{value:.6f}".rstrip("0").rstrip(".")
-    return text if text else "0"

@@ -214,12 +214,6 @@ class Block:
 
 
 @dataclass(frozen=True)
-class PendingReceipt:
-    tx_digest: str
-    status: str = "pending"
-
-
-@dataclass(frozen=True)
 class Receipt:
     """Outcome of an applied transaction."""
 
@@ -322,7 +316,8 @@ class Chain:
 
     # -- writes ----------------------------------------------------------------
 
-    def submit_transaction(self, tx: Transaction) -> PendingReceipt:
+    def submit_transaction(self, tx: Transaction) -> str:
+        """Queue ``tx``; returns its digest. Pending until ``get_receipt`` finds it."""
         with self._write_lock:
             if tx.contract not in self._contracts:
                 raise ContractNotFoundError(f"unknown contract {tx.contract!r}")
@@ -333,7 +328,12 @@ class Chain:
                 )
             self._next_nonce[tx.sender] = expected + 1
             self._pending.append(tx)
-            return PendingReceipt(tx.digest)
+            return tx.digest
+
+    def submit(self, sender: Address, contract: str, op: str, args: tuple) -> str:
+        """Queue a call with the sender's next nonce; returns the tx digest."""
+        tx = Transaction(sender, contract, op, args, self.next_nonce(sender))
+        return self.submit_transaction(tx)
 
     def produce_block(self, now: int, force: bool = False) -> Block:
         """Seal the pending pool into a block and apply it to contract state."""
@@ -431,9 +431,6 @@ class Chain:
         """One block per line: height, timestamp, parent, txs, digest."""
         return "".join(canonical_json(block.wire()) + "\n" for block in self._blocks)
 
-    def write_chain(self, stream: io.TextIOBase) -> None:
-        stream.write(self.export_chain_text())
-
     def state_digest(self) -> str:
         return digest_of({
             "contracts": {name: c.dump_state() for name, c in self._contracts.items()},
@@ -442,15 +439,30 @@ class Chain:
 
     def verify_stored_digests(self) -> bool:
         """Recompute every stored block digest; append-only self check."""
-        for i, block in enumerate(self._blocks):
-            expected_parent = ZERO_DIGEST if i == 0 else self._blocks[i - 1].digest
-            if block.parent_digest != expected_parent or block.height != i:
-                return False
-            recomputed = Block.compute_digest(
-                block.height, block.timestamp, block.parent_digest, block.transactions)
-            if recomputed != block.digest:
-                return False
+        try:
+            for i, block in enumerate(self._blocks):
+                _check_block(self._blocks[i - 1] if i else None, block)
+        except CorruptChainError:
+            return False
         return True
+
+
+def _check_block(parent: Optional[Block], block: Block) -> None:
+    """Raise ``CorruptChainError`` unless ``block`` links to ``parent``.
+
+    ``parent`` is None for the genesis block, which must be empty.
+    """
+    if parent is None:
+        if block.height != 0 or block.parent_digest != ZERO_DIGEST or block.transactions:
+            raise CorruptChainError("invalid genesis block")
+    elif block.height != parent.height + 1:
+        raise CorruptChainError(f"height gap: {parent.height} -> {block.height}")
+    elif block.parent_digest != parent.digest:
+        raise CorruptChainError(f"parent digest mismatch at height {block.height}")
+    recomputed = Block.compute_digest(
+        block.height, block.timestamp, block.parent_digest, block.transactions)
+    if recomputed != block.digest:
+        raise CorruptChainError(f"block digest mismatch at height {block.height}")
 
 
 def read_chain(stream: io.TextIOBase) -> list[Block]:
@@ -474,23 +486,10 @@ def replay_chain(config: ChainConfig, blocks: list[Block],
     if not blocks:
         raise CorruptChainError("empty chain: genesis required")
     chain = Chain(config, contract_factory())
-    genesis = blocks[0]
-    if genesis.height != 0 or genesis.parent_digest != ZERO_DIGEST or genesis.transactions:
-        raise CorruptChainError("invalid genesis block")
-    if Block.compute_digest(0, genesis.timestamp, ZERO_DIGEST, ()) != genesis.digest:
-        raise CorruptChainError("genesis digest mismatch")
-    chain._blocks = [genesis]
+    _check_block(None, blocks[0])
+    chain._blocks = [blocks[0]]
     for block in blocks[1:]:
-        parent = chain._blocks[-1]
-        if block.height != parent.height + 1:
-            raise CorruptChainError(
-                f"height gap: {parent.height} -> {block.height}")
-        if block.parent_digest != parent.digest:
-            raise CorruptChainError(f"parent digest mismatch at height {block.height}")
-        recomputed = Block.compute_digest(
-            block.height, block.timestamp, block.parent_digest, block.transactions)
-        if recomputed != block.digest:
-            raise CorruptChainError(f"block digest mismatch at height {block.height}")
+        _check_block(chain._blocks[-1], block)
         for tx in block.transactions:
             chain._apply(Transaction(tx.sender, tx.contract, tx.op, tx.args, tx.nonce),
                          block.height)

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from .address import Address
-from .ledger import Chain, Transaction
+from .ledger import Chain
 from .tokens import AccessRule
 from .zones import NODE_TYPE_NONE
 
@@ -258,11 +258,6 @@ class DomainMaster:
 
     # -- helpers -----------------------------------------------------------------
 
-    def _submit(self, contract: str, op: str, args: tuple) -> str:
-        tx = Transaction(self.address, contract, op, args,
-                         self.chain.next_nonce(self.address))
-        return self.chain.submit_transaction(tx).tx_digest
-
     def owns_zone(self) -> bool:
         zone = self.chain.query_state(self.zone_contract, "get_vzone", (self.zone_id,))
         return zone.master == self.address
@@ -281,8 +276,8 @@ class DomainMaster:
         profile = EntityProfile(request.vid, request.display_name, self.zone_id,
                                 now, dict(request.attributes))
         self.store.upsert(profile)
-        digest = self._submit(self.zone_contract, "join_vzone",
-                              (self.zone_id, request.vid.hex))
+        digest = self.chain.submit(self.address, self.zone_contract, "join_vzone",
+                                   (self.zone_id, request.vid.hex))
         self._pending_joins[request.vid] = digest
         return PendingRegistration(request.vid, digest)
 
@@ -337,8 +332,8 @@ class DomainMaster:
         if not isinstance(decision, AccessDecision):
             raise MasterError("issue_capability requires a grant decision")
         rules_wire = [rule.wire() for rule in decision.granted]
-        digest = self._submit(self.token_contract, "issue_token",
-                              (subject.hex, rules_wire, now, now + decision.validity_ms))
+        digest = self.chain.submit(self.address, self.token_contract, "issue_token",
+                                   (subject.hex, rules_wire, now, now + decision.validity_ms))
         self._pending_issues[subject] = digest
         return PendingIssue(subject, digest)
 
@@ -354,3 +349,41 @@ class DomainMaster:
         if not receipt.ok:
             raise IssuanceRejected(receipt.error or "rejected")
         return IssueReceipt(subject, self.token_contract, receipt.result)
+
+    # -- pending transactions ----------------------------------------------------------
+
+    @property
+    def has_pending(self) -> bool:
+        """True while a submitted join or issuance awaits its block."""
+        return bool(self._pending_joins or self._pending_issues)
+
+    def poll_all(self) -> tuple[list[dict], list[dict]]:
+        """Poll every pending join, then every pending issuance, once.
+
+        Returns ``(registrations, issues)``: one outcome record for each
+        transaction now in a confirmed block, in submission order.
+        Unconfirmed ones stay pending.
+        """
+        registrations: list[dict] = []
+        for vid in list(self._pending_joins):
+            try:
+                ticket = self.poll_registration(vid)
+            except RegistrationFailed as exc:
+                registrations.append({"vid": vid.hex, "status": "rejected",
+                                      "reason": str(exc)})
+                continue
+            if ticket is not None:
+                registrations.append({"vid": vid.hex, "status": "confirmed",
+                                      "group_id": ticket.group_id})
+        issues: list[dict] = []
+        for subject in list(self._pending_issues):
+            try:
+                receipt = self.poll_issue(subject)
+            except IssuanceRejected as exc:
+                issues.append({"subject": subject.hex, "status": "rejected",
+                               "reason": exc.cause})
+                continue
+            if receipt is not None:
+                issues.append({"subject": subject.hex, "status": "confirmed",
+                               "token_id": receipt.token_id})
+        return registrations, issues

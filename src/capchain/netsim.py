@@ -21,14 +21,13 @@ import heapq
 import random
 import statistics
 from dataclasses import dataclass
-from typing import Any, Optional, Union
+from typing import Any, Iterator, Optional, Union
 
-from .address import Address, AddressFactory
+from .address import AddressFactory
 from .enforcement import ServiceProvider, ServiceRequest, StageTrace, PIPELINE_STAGES
-from .ledger import Chain, ChainConfig, Transaction
-from .master import (AccessDecision, DomainMaster, IssuanceRejected, MasterError,
-                     ProfileStore, RegistrationFailed, RegistrationPolicy,
-                     RegistrationRequest)
+from .ledger import Chain, ChainConfig
+from .master import (AccessDecision, DomainMaster, MasterError, ProfileStore,
+                     RegistrationPolicy, RegistrationRequest)
 from .tokens import AccessRule, TokenContract
 from .zones import ZoneContract
 
@@ -282,22 +281,19 @@ class Simulation:
         self.token_contract = TokenContract(self.supervisor.vid, self.zone_contract)
         self.chain = Chain(chain_config, [self.zone_contract, self.token_contract])
 
-    def _submit(self, sender: Address, contract: str, op: str, args: tuple) -> str:
-        tx = Transaction(sender, contract, op, args, self.chain.next_nonce(sender))
-        return self.chain.submit_transaction(tx).tx_digest
-
     def _bootstrap(self) -> None:
         """Allowlist masters, create zones, join configured members; seal at t=0."""
         supervisor = self.supervisor.vid
+        submit = self.chain.submit
         for node in self.nodes.values():
             if node.role == "master":
-                self._submit(supervisor, "vzone", "set_master_allowlist", (node.vid.hex, True))
+                submit(supervisor, "vzone", "set_master_allowlist", (node.vid.hex, True))
         for node in self.nodes.values():
             if node.zone:
-                self._submit(node.vid, "vzone", "create_vzone", (node.zone,))
+                submit(node.vid, "vzone", "create_vzone", (node.zone,))
                 for member in node.members:
-                    self._submit(node.vid, "vzone", "join_vzone",
-                                 (node.zone, self.nodes[member].vid.hex))
+                    submit(node.vid, "vzone", "join_vzone",
+                           (node.zone, self.nodes[member].vid.hex))
         self.chain.produce_block(0, force=True)
 
     def _build_services(self, config: dict) -> None:
@@ -400,30 +396,9 @@ class Simulation:
 
     def _poll_masters(self, result: SimulationResult) -> None:
         for name, master in self.masters.items():
-            for vid in list(master._pending_joins):
-                try:
-                    ticket = master.poll_registration(vid)
-                except RegistrationFailed as exc:
-                    result.registrations.append(
-                        {"vid": vid.hex, "master": name, "status": "rejected",
-                         "reason": str(exc)})
-                    continue
-                if ticket is not None:
-                    result.registrations.append(
-                        {"vid": ticket.vid.hex, "master": name, "status": "confirmed",
-                         "group_id": ticket.group_id})
-            for subject in list(master._pending_issues):
-                try:
-                    receipt = master.poll_issue(subject)
-                except IssuanceRejected as exc:
-                    result.issues.append(
-                        {"subject": subject.hex, "master": name, "status": "rejected",
-                         "reason": exc.cause})
-                    continue
-                if receipt is not None:
-                    result.issues.append(
-                        {"subject": receipt.subject.hex, "master": name,
-                         "status": "confirmed", "token_id": receipt.token_id})
+            registrations, issues = master.poll_all()
+            result.registrations += [dict(r, master=name) for r in registrations]
+            result.issues += [dict(r, master=name) for r in issues]
 
     def _handle_register(self, at: float, payload: dict, result: SimulationResult) -> None:
         master = self.masters[payload["master"]]
@@ -448,42 +423,34 @@ class Simulation:
         else:
             # supervisor-issued tokens go straight to the contract
             sender = self.nodes[master_name].vid
-            self._submit(sender, "captoken", "issue_token",
-                         (subject.hex, [r.wire() for r in rules],
-                          int(at), int(at) + decision.validity_ms))
+            self.chain.submit(sender, "captoken", "issue_token",
+                              (subject.hex, [r.wire() for r in rules],
+                               int(at), int(at) + decision.validity_ms))
 
     def _handle_revocation(self, kind: str, payload: dict) -> None:
         sender = self.nodes[payload.get("master", payload.get("by"))].vid
         subject = self.nodes[payload["subject"]].vid
         if kind == "revoke":
-            self._submit(sender, "captoken", "revoke_token", (subject.hex,))
+            self.chain.submit(sender, "captoken", "revoke_token", (subject.hex,))
         elif kind == "revoke_rules":
-            self._submit(sender, "captoken", "revoke_access_rights",
-                         (subject.hex, list(payload["rules"])))
-        elif kind == "suspend":
-            self._submit(sender, "captoken", "set_token_validity", (subject.hex, False))
+            self.chain.submit(sender, "captoken", "revoke_access_rights",
+                              (subject.hex, list(payload["rules"])))
         else:
-            self._submit(sender, "captoken", "set_token_validity", (subject.hex, True))
+            self.chain.submit(sender, "captoken", "set_token_validity",
+                              (subject.hex, kind == "restore"))
 
     def _handle_request(self, at: float, payload: dict, queue: list,
                         result: SimulationResult) -> None:
         self._request_counter += 1
-        payload = dict(payload, request_id=self._request_counter)
+        payload = dict(payload, request_id=self._request_counter, sent_at=at)
         channel = self.channels[frozenset((payload["requester"], payload["provider"]))]
         if channel.drop_rate and self.rng.random() < channel.drop_rate:
-            measurement = Measurement(
-                request_id=payload["request_id"], at_ms=at,
-                requester=payload["requester"], provider=payload["provider"],
-                method=payload["method"], uri=payload["uri"],
-                outcome="timeout", stage=None, reason="message-dropped",
-                cache_hit=None, block_height=self.chain.height,
-                total_ms=self.timeout_ms)
-            result.measurements.append(measurement)
-            self._check_expectation(payload, measurement, result)
+            self._record(payload, result, "timeout", self.timeout_ms,
+                         reason="message-dropped")
             self._push(queue, at + self.timeout_ms, "complete", {})
             return
         delay = channel.sample_delay(self.rng)
-        self._push(queue, at + delay, "arrival", dict(payload, delay=delay, sent_at=at))
+        self._push(queue, at + delay, "arrival", dict(payload, delay=delay))
 
     def _handle_arrival(self, at: float, payload: dict, result: SimulationResult) -> None:
         provider_node = self.nodes[payload["provider"]]
@@ -500,27 +467,24 @@ class Simulation:
             processing = profile.data_parse + sum(r.duration_ms for r in trace.records)
             if decision.granted:
                 processing += profile.service_handler
-            measurement = Measurement(
-                request_id=payload["request_id"], at_ms=payload["sent_at"],
-                requester=payload["requester"], provider=payload["provider"],
-                method=payload["method"], uri=payload["uri"],
-                outcome="grant" if decision.granted else "deny",
-                stage=decision.stage, reason=decision.reason,
-                cache_hit=trace.cache_hit, block_height=self.chain.height,
-                total_ms=processing + transport, trace=trace)
+            self._record(payload, result, "grant" if decision.granted else "deny",
+                         processing + transport, decision.stage, decision.reason, trace)
         else:
-            measurement = Measurement(
-                request_id=payload["request_id"], at_ms=payload["sent_at"],
-                requester=payload["requester"], provider=payload["provider"],
-                method=payload["method"], uri=payload["uri"],
-                outcome="grant", stage=None, reason=None,
-                cache_hit=None, block_height=self.chain.height,
-                total_ms=profile.data_parse + profile.service_handler + transport)
-        result.measurements.append(measurement)
-        self._check_expectation(payload, measurement, result)
+            self._record(payload, result, "grant",
+                         profile.data_parse + profile.service_handler + transport)
 
-    def _check_expectation(self, payload: dict, measurement: Measurement,
-                           result: SimulationResult) -> None:
+    def _record(self, payload: dict, result: SimulationResult, outcome: str,
+                total_ms: float, stage: Optional[str] = None,
+                reason: Optional[str] = None, trace: Optional[StageTrace] = None) -> None:
+        """Append the request's measurement and check its scripted expectation."""
+        measurement = Measurement(
+            request_id=payload["request_id"], at_ms=payload["sent_at"],
+            requester=payload["requester"], provider=payload["provider"],
+            method=payload["method"], uri=payload["uri"],
+            outcome=outcome, stage=stage, reason=reason,
+            cache_hit=None if trace is None else trace.cache_hit,
+            block_height=self.chain.height, total_ms=total_ms, trace=trace)
+        result.measurements.append(measurement)
         expected = payload.get("expect")
         if expected and measurement.outcome != expected:
             result.expectation_failures.append(
@@ -531,19 +495,14 @@ class Simulation:
     def _drain(self, result: SimulationResult) -> None:
         """Confirm whatever is still pending after the last scripted event."""
         rounds = 0
-        while rounds < 2 and any(m._pending_joins or m._pending_issues
-                                 for m in self.masters.values()):
+        while rounds < 2 and any(m.has_pending for m in self.masters.values()):
             self.chain.produce_next_block()
             self._poll_masters(result)
             rounds += 1
 
 
-def build_topology(config: dict) -> Simulation:
-    return Simulation(config)
-
-
 def run_scenario(config: dict) -> tuple[Simulation, SimulationResult]:
-    simulation = build_topology(config)
+    simulation = Simulation(config)
     return simulation, simulation.run()
 
 
@@ -694,16 +653,20 @@ def ac_overhead_ms(with_ac: list[Measurement], without_ac: list[Measurement]) ->
             - summarize(without_ac)["steady_mean_ms"])
 
 
+def summary_rows(summary: dict) -> Iterator[tuple[str, str]]:
+    """The summary as (key, rendered value) pairs in ``summarize`` order.
+
+    Per-stage mappings flatten to ``<key>.<stage>``; floats go through
+    ``_fmt`` and counts print as integers.
+    """
+    for key, value in summary.items():
+        if isinstance(value, dict):
+            for stage, stage_value in value.items():
+                yield f"{key}.{stage}", _fmt(stage_value)
+        else:
+            yield key, _fmt(value) if isinstance(value, float) else str(value)
+
+
 def write_summary_text(summary: dict, stream) -> None:
-    for key in ("requests", "grants", "denials", "timeouts"):
-        stream.write(f"{key}: {summary[key]}\n")
-    for key in ("mean_total_ms", "median_total_ms", "first_request_ms",
-                "steady_mean_ms", "steady_median_ms"):
-        stream.write(f"{key}: {_fmt(summary[key])}\n")
-    stream.write(f"cache_hits: {summary['cache_hits']}\n")
-    stream.write(f"cache_hit_rate: {_fmt(summary['cache_hit_rate'])}\n")
-    stream.write(f"steady_ac_share: {_fmt(summary['steady_ac_share'])}\n")
-    for stage in PIPELINE_STAGES:
-        stream.write(f"stage_mean_ms.{stage}: {_fmt(summary['stage_mean_ms'][stage])}\n")
-    for stage in PIPELINE_STAGES:
-        stream.write(f"stage_median_ms.{stage}: {_fmt(summary['stage_median_ms'][stage])}\n")
+    for key, value in summary_rows(summary):
+        stream.write(f"{key}: {value}\n")

@@ -34,10 +34,6 @@ class VNodeRecord:
     vzone_id: str
     node_type: int
 
-    @property
-    def is_member(self) -> bool:
-        return self.node_type != NODE_TYPE_NONE
-
 
 class ZoneContract(Contract):
     """State machine for zone creation, revocation, joining and leaving.

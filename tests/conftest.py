@@ -1,15 +1,14 @@
 import pytest
 
 from capchain.address import AddressFactory
-from capchain.ledger import Chain, ChainConfig, Transaction
+from capchain.ledger import Chain, ChainConfig
 from capchain.tokens import TokenContract
 from capchain.zones import ZoneContract
 
 
 def submit(chain, sender, contract, op, args):
     """Build and queue a transaction with the sender's next nonce."""
-    tx = Transaction(sender, contract, op, args, chain.next_nonce(sender))
-    return chain.submit_transaction(tx).tx_digest
+    return chain.submit(sender, contract, op, args)
 
 
 def apply_tx(chain, sender, contract, op, args):

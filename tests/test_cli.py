@@ -1,10 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from capchain.cli import main
 from capchain.netsim import latency_bench_config
 
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 RULE_GET = {"action": "GET", "resource": "/api/data", "conditions": []}
 
 
@@ -82,6 +84,18 @@ class TestScenario:
                      "--format", "csv"]) == 0
         summary = (out_dir / "summary.csv").read_text()
         assert summary.startswith("key,value\n")
+
+    def test_csv_and_text_summaries_give_the_same_rows(self, tmp_path, capsys):
+        # a denial among the requests makes the steady-state mean fractional
+        path = SCENARIOS / "registration_and_revocation.json"
+        for fmt in ("csv", "text"):
+            assert main(["scenario", str(path), "--out", str(tmp_path / fmt),
+                         "--format", fmt]) == 0
+        csv_lines = (tmp_path / "csv" / "summary.csv").read_text().splitlines()
+        text_lines = (tmp_path / "text" / "summary.txt").read_text().splitlines()
+        assert csv_lines[0] == "key,value"
+        assert [tuple(line.split(",")) for line in csv_lines[1:]] == \
+            [tuple(line.split(": ")) for line in text_lines]
 
 
 class TestBench:

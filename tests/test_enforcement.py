@@ -4,8 +4,8 @@ import itertools
 from capchain.address import Address
 from capchain.enforcement import (PIPELINE_STAGES, ServiceProvider, ServiceRequest,
                                   condition_satisfied, match_access_rule,
-                                  verify_conditions, verify_token_status,
-                                  write_stage_traces_csv)
+                                  verify_conditions, verify_token_status)
+from capchain.netsim import Measurement, write_stage_traces_csv
 from capchain.tokens import MS_PER_DAY
 
 from reference_models import oracle_authorize, oracle_status_reason
@@ -400,7 +400,7 @@ class TestEndToEndOracle:
         for token in token_variants:
             provider.cache.entries.clear()
             if token is not None:
-                provider.cache.seed(bench.client, token, now)
+                provider.cache.put(bench.client, token, now)
             decision, trace = provider.authorize(
                 ServiceRequest(bench.client, "GET", "/api/data", now=now))
             outcome, stage, stages = oracle_authorize(
@@ -416,8 +416,11 @@ def test_stage_trace_csv_columns(bench):
     provider = provider_for(bench)
     _, trace = provider.authorize(
         ServiceRequest(bench.client, "GET", "/api/data", now=100))
+    measurement = Measurement(1, 100.0, "client", "provider", "GET", "/api/data",
+                              "grant", None, None, trace.cache_hit, 1,
+                              trace.total_ms, trace)
     out = io.StringIO()
-    write_stage_traces_csv([(1, trace)], out)
+    write_stage_traces_csv([measurement], out)
     lines = out.getvalue().splitlines()
     assert lines[0] == "request_id,stage,outcome,duration_ms"
     assert len(lines) == 1 + len(PIPELINE_STAGES)

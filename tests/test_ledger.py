@@ -44,9 +44,9 @@ class TestSubmit:
     def test_pending_receipt_status(self):
         chain, supervisor, _ = fresh_chain()
         tx = Transaction(supervisor, "vzone", "create_vzone", ("zone-a",), 0)
-        pending = chain.submit_transaction(tx)
-        assert pending.status == "pending"
-        assert pending.tx_digest == tx.digest
+        digest = chain.submit_transaction(tx)
+        assert digest == tx.digest
+        assert chain.get_receipt(digest) is None
 
     def test_duplicate_submission_rejected(self):
         chain, supervisor, _ = fresh_chain()
@@ -168,6 +168,34 @@ class TestQueryState:
         assert zone.master == bench.master
 
 
+def _tamper_first_payload(blocks):
+    """Swap block 1's first call for another; the stored digest stays."""
+    victim = blocks[1]
+    first = victim.transactions[0]
+    forged = Transaction(first.sender, "vzone", "create_vzone", ("evil",),
+                         first.nonce, first.gas_used)
+    blocks[1] = Block(victim.height, victim.timestamp, victim.parent_digest,
+                      (forged,) + victim.transactions[1:], victim.digest)
+    return blocks
+
+
+def _relink_last_block(blocks):
+    """Point the last block at a foreign parent and reseal its own digest."""
+    last = blocks[-1]
+    parent = "ff" * 32
+    blocks[-1] = Block(last.height, last.timestamp, parent, last.transactions,
+                       Block.compute_digest(last.height, last.timestamp, parent,
+                                            last.transactions))
+    return blocks
+
+
+CORRUPTIONS = {
+    "tampered-payload": _tamper_first_payload,
+    "height-gap": lambda blocks: blocks[:1] + blocks[2:],
+    "broken-parent-link": _relink_last_block,
+}
+
+
 class TestReplay:
     def test_replay_empty_chain_yields_genesis_state(self):
         chain, supervisor, _ = fresh_chain()
@@ -221,6 +249,16 @@ class TestReplay:
         with pytest.raises(CorruptChainError):
             replay_chain(bench.chain.config, blocks,
                          zone_contracts_factory(bench.supervisor))
+
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    def test_corruption_fails_replay_and_stored_digest_check(self, bench, corruption):
+        bench.issue_client_token()
+        blocks = CORRUPTIONS[corruption](list(bench.chain.blocks))
+        with pytest.raises(CorruptChainError):
+            replay_chain(bench.chain.config, blocks,
+                         zone_contracts_factory(bench.supervisor))
+        bench.chain._blocks = blocks
+        assert not bench.chain.verify_stored_digests()
 
     def test_export_import_round_trip(self, bench):
         text = bench.chain.export_chain_text()

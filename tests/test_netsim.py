@@ -3,8 +3,8 @@ import io
 import pytest
 
 from capchain.netsim import (PROFILES, PROFILE_DELAYS, ProcessingProfile,
-                             ScenarioError, ScriptedEventError,
-                             ac_overhead_ms, build_topology, latency_bench_config,
+                             ScenarioError, ScriptedEventError, Simulation,
+                             ac_overhead_ms, latency_bench_config,
                              run_latency_bench, run_overhead_bench, run_scenario,
                              summarize, write_measurements_csv,
                              write_stage_traces_csv, write_summary_text)
@@ -38,7 +38,7 @@ def base_config(seed=42, **overrides):
 
 class TestBuildTopology:
     def test_five_node_testbed_builds(self):
-        sim = build_topology(base_config())
+        sim = Simulation(base_config())
         assert len(sim.nodes) == 5
         assert sim.chain.height == 1  # bootstrap block
         assert sim.zone_contract.get_vzone("zone-a").master == \
@@ -49,13 +49,13 @@ class TestBuildTopology:
         config = base_config()
         config["nodes"].append({"name": "master", "role": "client"})
         with pytest.raises(ScenarioError, match="duplicate node name"):
-            build_topology(config)
+            Simulation(config)
 
     def test_channel_referencing_unknown_node_rejected(self):
         config = base_config()
         config["channels"].append({"a": "sat-client", "b": "ghost"})
         with pytest.raises(ScenarioError, match="unknown node"):
-            build_topology(config)
+            Simulation(config)
 
     def test_exactly_one_supervisor_required(self):
         config = base_config()
@@ -63,20 +63,20 @@ class TestBuildTopology:
         del config["nodes"][0]["name"]
         config["nodes"][0]["name"] = "not-supervisor"
         with pytest.raises(ScenarioError, match="supervisor"):
-            build_topology(config)
+            Simulation(config)
 
     def test_seed_required(self):
         config = base_config()
         del config["seed"]
         with pytest.raises(ScenarioError, match="seed"):
-            build_topology(config)
+            Simulation(config)
 
     def test_zone_owned_twice_rejected(self):
         config = base_config()
         config["nodes"].append({"name": "master2", "role": "master",
                                 "zone": "zone-a"})
         with pytest.raises(ScenarioError, match="owned by more than one"):
-            build_topology(config)
+            Simulation(config)
 
 
 class TestRunScenario:
@@ -97,7 +97,7 @@ class TestRunScenario:
             {"at": 100, "op": "request", "requester": "ghost",
              "provider": "sat-provider", "method": "GET", "uri": "/api/data"},
         ])
-        sim = build_topology(config)
+        sim = Simulation(config)
         with pytest.raises(ScriptedEventError, match="event 0"):
             sim.run()
 
@@ -107,7 +107,7 @@ class TestRunScenario:
              "provider": "sat-provider", "method": "GET", "uri": "/api/missing"},
         ])
         with pytest.raises(ScriptedEventError, match="does not serve"):
-            build_topology(config).run()
+            Simulation(config).run()
 
     def test_revocation_denies_after_next_block(self):
         interval = 15000
@@ -232,8 +232,8 @@ class TestDeterminism:
         assert run() == run()
 
     def test_different_seeds_differ_in_addresses(self):
-        sim_a = build_topology(base_config(seed=1))
-        sim_b = build_topology(base_config(seed=2))
+        sim_a = Simulation(base_config(seed=1))
+        sim_b = Simulation(base_config(seed=2))
         assert sim_a.nodes["master"].vid != sim_b.nodes["master"].vid
 
 
@@ -245,6 +245,33 @@ class TestReports:
         header = out.getvalue().splitlines()[0]
         assert header == ("request_id,at_ms,requester,provider,method,uri,"
                           "outcome,stage,reason,cache_hit,block_height,total_ms")
+
+    @pytest.mark.parametrize("case", ["dropped", "unenforced", "denied"])
+    def test_measurement_and_trace_rows_pinned(self, case):
+        request = {"at": 100, "op": "request", "requester": "sat-client",
+                   "provider": "sat-provider", "method": "GET", "uri": "/api/data"}
+        if case == "dropped":
+            config = base_config(timeout_ms=4000, script=[request])
+            config["channels"][0]["drop_rate"] = 0.999999
+        elif case == "unenforced":
+            config = base_config(access_control=False, script=[request])
+        else:  # enforced, no token issued
+            config = base_config(script=[dict(request, at=16000)])
+        expected_row, expected_traces = {
+            "dropped": ("1,100,sat-client,sat-provider,GET,/api/data,"
+                        "timeout,,message-dropped,,1,4000", []),
+            "unenforced": ("1,100,sat-client,sat-provider,GET,/api/data,"
+                           "grant,,,,1,35.5", []),
+            "denied": ("1,16000,sat-client,sat-provider,GET,/api/data,"
+                       "deny,token_fetch,token-absent,false,2,232.5",
+                       ["1,identity_auth,pass,152", "1,token_fetch,fail,60"]),
+        }[case]
+        _, result = run_scenario(config)
+        rows, traces = io.StringIO(), io.StringIO()
+        write_measurements_csv(result.measurements, rows)
+        write_stage_traces_csv(result.measurements, traces)
+        assert rows.getvalue().splitlines()[1:] == [expected_row]
+        assert traces.getvalue().splitlines()[1:] == expected_traces
 
     def test_summary_text_contains_per_stage_breakdown(self):
         _, result = run_latency_bench("satellite", seed=4, requests=10)
