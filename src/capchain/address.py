@@ -26,6 +26,8 @@ class Address:
 
     @classmethod
     def from_hex(cls, text: str) -> "Address":
+        if not isinstance(text, str):
+            raise TypeError(f"address hex must be a string, got {type(text).__name__}")
         if text.startswith("0x") or text.startswith("0X"):
             text = text[2:]
         if len(text) != ADDRESS_LENGTH * 2:

@@ -12,7 +12,7 @@ from typing import Optional
 from .address import Address
 from .encoding import canonical_json
 from .enforcement import ServiceRequest
-from .ledger import ChainConfig, CorruptChainError, read_chain, replay_chain
+from .ledger import ChainConfig, ChainFileError, CorruptChainError, read_chain, replay_chain
 from .netsim import (PROFILES, ScenarioError, ScriptedEventError, Simulation,
                      ac_overhead_ms, run_latency_bench, run_overhead_bench,
                      run_scenario, summarize, summary_rows, write_measurements_csv,
@@ -192,10 +192,13 @@ def run_inspect(path: str, supervisor_hex: Optional[str]) -> int:
     with open(chain_path, encoding="utf-8") as handle:
         try:
             blocks = read_chain(handle)
-        except (json.JSONDecodeError, KeyError) as exc:
+        except (ChainFileError, UnicodeDecodeError) as exc:
             return _fail("invalid-chain-file", str(exc))
     if supervisor_hex:
-        supervisor = Address.from_hex(supervisor_hex)
+        try:
+            supervisor = Address.from_hex(supervisor_hex)
+        except ValueError as exc:
+            return _fail("invalid-supervisor", str(exc))
     else:
         # the bootstrap allowlist transaction is always first and always
         # sent by the supervisor

@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from .address import Address
-from .ledger import Chain
-from .tokens import MS_PER_DAY, ConditionKind
-from .zones import NODE_TYPE_NONE, VNodeRecord
+from .ledger import Chain, LedgerError
+from .tokens import MS_PER_DAY, ConditionKind, TokenContract
+from .zones import NODE_TYPE_NONE, VNodeRecord, ZoneContract
 
 PIPELINE_STAGES = ("identity_auth", "token_fetch", "token_status", "rule_match",
                    "condition_check")
@@ -165,7 +165,7 @@ class TokenCache:
         for subject in list(self.entries):
             try:
                 token = fetch(subject)
-            except Exception:
+            except (OSError, LedgerError):
                 token = None
             if token is None:
                 del self.entries[subject]   # fail-closed: force a re-query next time
@@ -194,12 +194,9 @@ class ServiceProvider:
     """
 
     def __init__(self, address: Address, chain: Chain,
-                 zone_contract: str = "vzone", token_contract: str = "captoken",
                  stage_costs: Optional[Mapping[str, float]] = None):
         self.address = address
         self.chain = chain
-        self.zone_contract = zone_contract
-        self.token_contract = token_contract
         self.stage_costs = dict(stage_costs or {})
         self.cache = TokenCache(chain.config.block_interval_ms)
         self.contract_queries = 0
@@ -210,11 +207,11 @@ class ServiceProvider:
 
     def _query_vnode(self, addr: Address) -> VNodeRecord:
         self.contract_queries += 1
-        return self.chain.query_state(self.zone_contract, "get_vnode", (addr.hex,))
+        return self.chain.query_state(ZoneContract.name, "get_vnode", (addr.hex,))
 
     def refresh_membership(self) -> None:
         self._own_record = self.chain.query_state(
-            self.zone_contract, "get_vnode", (self.address.hex,))
+            ZoneContract.name, "get_vnode", (self.address.hex,))
 
     # -- stage 0: identity authentication -------------------------------------
 
@@ -227,7 +224,7 @@ class ServiceProvider:
         if requester_record.vzone_id != self._own_record.vzone_id:
             return False, "zone-mismatch"
         self.contract_queries += 1
-        zone = self.chain.query_state(self.zone_contract, "get_vzone",
+        zone = self.chain.query_state(ZoneContract.name, "get_vzone",
                                       (self._own_record.vzone_id,))
         if zone.master.is_zero:
             return False, "zone-revoked"
@@ -241,7 +238,7 @@ class ServiceProvider:
         if entry is not None:
             return entry.token, True
         self.contract_queries += 1
-        token = self.chain.query_state(self.token_contract, "get_token", (subject.hex,))
+        token = self.chain.query_state(TokenContract.name, "get_token", (subject.hex,))
         if token is not None:
             self.cache.put(subject, token, now)
         return token, False
@@ -296,7 +293,7 @@ class ServiceProvider:
         self.refresh_membership()
 
         def fetch(subject: Address):
-            return self.chain.query_state(self.token_contract, "get_token",
+            return self.chain.query_state(TokenContract.name, "get_token",
                                           (subject.hex,))
 
         return self.cache.sync(fetch, now, self.chain.height)

@@ -42,7 +42,11 @@ class ContractNotFoundError(LedgerError):
 
 
 class CorruptChainError(LedgerError):
-    """Replayed chain failed digest or height verification."""
+    """A replayed chain differs from what its export claims."""
+
+
+class ChainFileError(LedgerError):
+    """A chain export line is not a block object."""
 
 
 class NoGasRecordedError(LedgerError):
@@ -166,11 +170,11 @@ class Transaction:
     @classmethod
     def from_wire(cls, body: dict) -> "Transaction":
         return cls(
-            sender=Address.from_hex(body["sender"]),
-            contract=body["contract"],
-            op=body["op"],
-            args=tuple(body["args"]),
-            nonce=body["nonce"],
+            sender=Address.from_hex(_field(body, "sender", str)),
+            contract=_field(body, "contract", str),
+            op=_field(body, "op", str),
+            args=tuple(_field(body, "args", list)),
+            nonce=_field(body, "nonce", int),
             gas_used=body.get("gas", 0),
         )
 
@@ -205,12 +209,16 @@ class Block:
     @classmethod
     def from_wire(cls, body: dict) -> "Block":
         return cls(
-            height=body["height"],
-            timestamp=body["timestamp"],
-            parent_digest=body["parent"],
-            transactions=tuple(Transaction.from_wire(t) for t in body["txs"]),
-            digest=body["digest"],
+            height=_field(body, "height", int),
+            timestamp=_field(body, "timestamp", int),
+            parent_digest=_field(body, "parent", str),
+            transactions=tuple(Transaction.from_wire(t) for t in _field(body, "txs", list)),
+            digest=_field(body, "digest", str),
         )
+
+
+#: The empty block every chain starts from.
+GENESIS = Block(0, 0, ZERO_DIGEST, (), Block.compute_digest(0, 0, ZERO_DIGEST, ()))
 
 
 @dataclass(frozen=True)
@@ -238,6 +246,16 @@ class GasEntry:
     gas: int
     fee_etc: Decimal
     fee_usd: Decimal
+
+
+def _field(body: Any, key: str, kind: type) -> Any:
+    """``body[key]`` of a decoded wire object; ``ValueError`` unless it is a ``kind``."""
+    if not isinstance(body, dict) or key not in body:
+        raise ValueError(f"missing {key!r}")
+    value = body[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"{key!r} must be {kind.__name__}, got {type(value).__name__}")
+    return value
 
 
 def _jsonify(value: Any) -> Any:
@@ -269,8 +287,7 @@ class Chain:
         self._receipts: dict[str, Receipt] = {}
         self._gas_log: list[GasEntry] = []
         self._write_lock = threading.Lock()
-        genesis = Block(0, 0, ZERO_DIGEST, (), Block.compute_digest(0, 0, ZERO_DIGEST, ()))
-        self._blocks: list[Block] = [genesis]
+        self._blocks: list[Block] = [GENESIS]
 
     # -- deployment and reads ------------------------------------------------
 
@@ -339,6 +356,9 @@ class Chain:
         """Seal the pending pool into a block and apply it to contract state."""
         with self._write_lock:
             last = self._blocks[-1]
+            if now < last.timestamp:
+                raise IntervalNotElapsedError(
+                    f"block at {now} ms precedes its parent at {last.timestamp} ms")
             due = last.timestamp + self.config.block_interval_ms
             if not force and now < due:
                 raise IntervalNotElapsedError(f"block due at {due} ms, now {now} ms")
@@ -366,18 +386,19 @@ class Chain:
         contract = self._contracts[tx.contract]
         gas = self.config.gas_table.get(tx.op, self.config.default_op_gas)
         tx.gas_used = gas
+        digest = tx.digest
         try:
             result = contract.execute(tx.sender, tx.op, tx.args)
-            receipt = Receipt(tx.digest, tx.sender, tx.op, "ok", result, None, gas, height)
+            receipt = Receipt(digest, tx.sender, tx.op, "ok", result, None, gas, height)
         except ContractRejection as rejection:
-            receipt = Receipt(tx.digest, tx.sender, tx.op, "rejected", None,
+            receipt = Receipt(digest, tx.sender, tx.op, "rejected", None,
                               rejection.code, gas, height)
         except (TypeError, ValueError, KeyError, IndexError):
             # malformed call payloads reject rather than halt production
-            receipt = Receipt(tx.digest, tx.sender, tx.op, "rejected", None,
+            receipt = Receipt(digest, tx.sender, tx.op, "rejected", None,
                               "invalid-args", gas, height)
-        self._receipts[tx.digest] = receipt
-        self._gas_log.append(GasEntry(tx.digest, tx.op, gas, *self._fees(gas)))
+        self._receipts[digest] = receipt
+        self._gas_log.append(GasEntry(digest, tx.op, gas, *self._fees(gas)))
 
     # -- receipts and gas --------------------------------------------------------
 
@@ -440,22 +461,16 @@ class Chain:
     def verify_stored_digests(self) -> bool:
         """Recompute every stored block digest; append-only self check."""
         try:
-            for i, block in enumerate(self._blocks):
-                _check_block(self._blocks[i - 1] if i else None, block)
+            for parent, block in zip(self._blocks, self._blocks[1:]):
+                _check_block(parent, block)
         except CorruptChainError:
             return False
-        return True
+        return self._blocks[0] == GENESIS
 
 
-def _check_block(parent: Optional[Block], block: Block) -> None:
-    """Raise ``CorruptChainError`` unless ``block`` links to ``parent``.
-
-    ``parent`` is None for the genesis block, which must be empty.
-    """
-    if parent is None:
-        if block.height != 0 or block.parent_digest != ZERO_DIGEST or block.transactions:
-            raise CorruptChainError("invalid genesis block")
-    elif block.height != parent.height + 1:
+def _check_block(parent: Block, block: Block) -> None:
+    """Raise ``CorruptChainError`` unless ``block`` links to ``parent``."""
+    if block.height != parent.height + 1:
         raise CorruptChainError(f"height gap: {parent.height} -> {block.height}")
     elif block.parent_digest != parent.digest:
         raise CorruptChainError(f"parent digest mismatch at height {block.height}")
@@ -466,33 +481,39 @@ def _check_block(parent: Optional[Block], block: Block) -> None:
 
 
 def read_chain(stream: io.TextIOBase) -> list[Block]:
+    """Parse a chain export; raises ``ChainFileError`` naming the first bad line."""
     blocks = []
-    for line in stream:
+    for number, line in enumerate(stream, 1):
         line = line.strip()
         if line:
-            blocks.append(Block.from_wire(json.loads(line)))
+            try:
+                blocks.append(Block.from_wire(json.loads(line)))
+            except (ValueError, RecursionError) as exc:  # RecursionError: deep nesting
+                raise ChainFileError(f"line {number}: not a block object: {exc}") from exc
     return blocks
 
 
 def replay_chain(config: ChainConfig, blocks: list[Block],
                  contract_factory: Callable[[], Iterable[Contract]]) -> Chain:
-    """Rebuild contract state by re-applying a chain from genesis.
+    """Rebuild a chain by resubmitting and resealing every block of an export.
 
-    Verifies heights, parent links, and digests as it goes; any
-    discrepancy (including a tampered transaction payload) raises
-    ``CorruptChainError``. The resulting chain's state is byte-identical
-    to the live chain that produced the same history.
+    ``submit_transaction`` and ``produce_block`` enforce the nonce,
+    contract and timestamp rules and re-derive gas; the resealed block
+    must then equal the imported one in every field: height, parent
+    link, timestamp, each transaction with its gas, and digest. Any
+    discrepancy raises ``CorruptChainError``.
     """
-    if not blocks:
-        raise CorruptChainError("empty chain: genesis required")
+    if not blocks or blocks[0] != GENESIS:
+        raise CorruptChainError("chain must start with the genesis block")
     chain = Chain(config, contract_factory())
-    _check_block(None, blocks[0])
-    chain._blocks = [blocks[0]]
     for block in blocks[1:]:
-        _check_block(chain._blocks[-1], block)
-        for tx in block.transactions:
-            chain._apply(Transaction(tx.sender, tx.contract, tx.op, tx.args, tx.nonce),
-                         block.height)
-            chain._next_nonce[tx.sender] = tx.nonce + 1
-        chain._blocks.append(block)
+        try:
+            for tx in block.transactions:
+                chain.submit_transaction(
+                    Transaction(tx.sender, tx.contract, tx.op, tx.args, tx.nonce))
+            sealed = chain.produce_block(block.timestamp, force=True)
+        except LedgerError as exc:
+            raise CorruptChainError(f"invalid block at height {block.height}: {exc}") from exc
+        if sealed != block:
+            raise CorruptChainError(f"block at height {block.height} differs from its replay")
     return chain

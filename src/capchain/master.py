@@ -22,8 +22,8 @@ from typing import Optional, Union
 
 from .address import Address
 from .ledger import Chain
-from .tokens import AccessRule
-from .zones import NODE_TYPE_NONE
+from .tokens import AccessRule, TokenContract
+from .zones import NODE_TYPE_NONE, ZoneContract
 
 
 class MasterError(Exception):
@@ -243,23 +243,20 @@ class DomainMaster:
     def __init__(self, address: Address, zone_id: str, chain: Chain,
                  store: Optional[ProfileStore] = None,
                  registration_policy: Optional[RegistrationPolicy] = None,
-                 policy_rules: tuple[PolicyRule, ...] = (),
-                 zone_contract: str = "vzone", token_contract: str = "captoken"):
+                 policy_rules: tuple[PolicyRule, ...] = ()):
         self.address = address
         self.zone_id = zone_id
         self.chain = chain
         self.store = store or ProfileStore()
         self.registration_policy = registration_policy or RegistrationPolicy()
         self.policy_rules = tuple(policy_rules)
-        self.zone_contract = zone_contract
-        self.token_contract = token_contract
         self._pending_joins: dict[Address, str] = {}     # vid -> tx digest
         self._pending_issues: dict[Address, str] = {}    # subject -> tx digest
 
     # -- helpers -----------------------------------------------------------------
 
     def owns_zone(self) -> bool:
-        zone = self.chain.query_state(self.zone_contract, "get_vzone", (self.zone_id,))
+        zone = self.chain.query_state(ZoneContract.name, "get_vzone", (self.zone_id,))
         return zone.master == self.address
 
     # -- registration ----------------------------------------------------------------
@@ -269,14 +266,14 @@ class DomainMaster:
             raise MasterError(f"master does not own a confirmed zone {self.zone_id!r}")
         if not self.registration_policy.permits(request):
             raise DeniedRegistration(f"policy rejected {request.vid.hex}")
-        record = self.chain.query_state(self.zone_contract, "get_vnode", (request.vid.hex,))
+        record = self.chain.query_state(ZoneContract.name, "get_vnode", (request.vid.hex,))
         if record.node_type != NODE_TYPE_NONE:
             raise DuplicateRegistration(
                 f"{request.vid.hex} already belongs to zone {record.vzone_id!r}")
         profile = EntityProfile(request.vid, request.display_name, self.zone_id,
                                 now, dict(request.attributes))
         self.store.upsert(profile)
-        digest = self.chain.submit(self.address, self.zone_contract, "join_vzone",
+        digest = self.chain.submit(self.address, ZoneContract.name, "join_vzone",
                                    (self.zone_id, request.vid.hex))
         self._pending_joins[request.vid] = digest
         return PendingRegistration(request.vid, digest)
@@ -308,7 +305,7 @@ class DomainMaster:
         profile = self.store.get(subject)
         if profile is None:
             return AccessDenial("unknown-subject")
-        record = self.chain.query_state(self.zone_contract, "get_vnode", (subject.hex,))
+        record = self.chain.query_state(ZoneContract.name, "get_vnode", (subject.hex,))
         if record.node_type == NODE_TYPE_NONE or record.vzone_id != self.zone_id:
             return AccessDenial("not-a-member")
         granted: dict[tuple[str, str], AccessRule] = {}
@@ -332,7 +329,7 @@ class DomainMaster:
         if not isinstance(decision, AccessDecision):
             raise MasterError("issue_capability requires a grant decision")
         rules_wire = [rule.wire() for rule in decision.granted]
-        digest = self.chain.submit(self.address, self.token_contract, "issue_token",
+        digest = self.chain.submit(self.address, TokenContract.name, "issue_token",
                                    (subject.hex, rules_wire, now, now + decision.validity_ms))
         self._pending_issues[subject] = digest
         return PendingIssue(subject, digest)
@@ -348,7 +345,7 @@ class DomainMaster:
         del self._pending_issues[subject]
         if not receipt.ok:
             raise IssuanceRejected(receipt.error or "rejected")
-        return IssueReceipt(subject, self.token_contract, receipt.result)
+        return IssueReceipt(subject, TokenContract.name, receipt.result)
 
     # -- pending transactions ----------------------------------------------------------
 

@@ -190,8 +190,6 @@ class TokenContract(Contract):
     def view(self, op: str, args: tuple = ()):
         if op == "get_token":
             return self.get_token(Address.from_hex(args[0]))
-        if op == "token_count":
-            return len(self._tokens)
         raise ContractRejection("unknown-view", f"token contract has no view {op!r}")
 
     # -- mutations ----------------------------------------------------------------

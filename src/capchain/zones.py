@@ -72,8 +72,6 @@ class ZoneContract(Contract):
             return self.get_vzone(args[0])
         if op == "get_certificate":
             return self.get_certificate(Address.from_hex(args[0]))
-        if op == "is_allowlisted":
-            return Address.from_hex(args[0]) in self._allowlist
         if op == "dangling_followers":
             return self.dangling_followers()
         raise ContractRejection("unknown-view", f"zone contract has no view {op!r}")

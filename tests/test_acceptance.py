@@ -22,7 +22,7 @@ from capchain.netsim import (ac_overhead_ms, latency_bench_config,
 from capchain.tokens import CapabilityToken, canonical_token_json
 from capchain.zones import ZoneContract
 
-from conftest import Bench
+from chainbench import Bench
 from reference_models import (MODEL_OPS, ZERO_HEX, contract_state_view,
                               model_state_view, new_zone_model, oracle_authorize)
 

@@ -22,6 +22,12 @@ def test_zero_address_reserved():
     assert ZERO_ADDRESS.hex == "0x" + "00" * ADDRESS_LENGTH
 
 
+@pytest.mark.parametrize("value", [6, None])
+def test_from_hex_rejects_non_string(value):
+    with pytest.raises(TypeError):
+        Address.from_hex(value)
+
+
 @pytest.mark.parametrize("raw", [b"", b"\x01" * 19, b"\x01" * 21])
 def test_wrong_length_rejected(raw):
     with pytest.raises(ValueError):

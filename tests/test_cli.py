@@ -1,10 +1,15 @@
+import io
 import json
 from pathlib import Path
 
 import pytest
 
 from capchain.cli import main
+from capchain.encoding import canonical_json
+from capchain.ledger import read_chain
 from capchain.netsim import latency_bench_config
+
+from chainbench import change_first_tx, reseal
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 RULE_GET = {"action": "GET", "resource": "/api/data", "conditions": []}
@@ -115,12 +120,37 @@ class TestBench:
         assert "steady_mean_ms: 60.0" in capsys.readouterr().out
 
 
+def demo_chain(tmp_path, capsys):
+    """Path of the chain export written by ``capchain demo --seed 42``."""
+    out_dir = tmp_path / "demo"
+    main(["demo", "--seed", "42", "--out", str(out_dir)])
+    capsys.readouterr()
+    return out_dir / "chain.jsonl"
+
+
+def replace_line(chain_file, index, edit):
+    lines = chain_file.read_text().splitlines()
+    lines[index] = edit(json.loads(lines[index]))
+    chain_file.write_text("\n".join(lines) + "\n")
+
+
+def failure(capsys):
+    return json.loads(capsys.readouterr().err.strip())
+
+
+BAD_BLOCK_LINES = {
+    "not-an-object": lambda body: "[1,2]",
+    "missing-key": lambda body: json.dumps({k: v for k, v in body.items() if k != "digest"}),
+    "non-list-txs": lambda body: json.dumps({**body, "txs": 5}),
+    "bad-sender-hex": lambda body: json.dumps(
+        {**body, "txs": [{**body["txs"][0], "sender": "0x" + "zz" * 20}]}),
+    "deep-nesting": lambda body: "[" * 100_000 + "]" * 100_000,
+}
+
+
 class TestInspect:
     def test_inspect_replays_demo_chain(self, tmp_path, capsys):
-        out_dir = tmp_path / "demo"
-        main(["demo", "--seed", "42", "--out", str(out_dir)])
-        capsys.readouterr()
-        assert main(["inspect", str(out_dir / "chain.jsonl")]) == 0
+        assert main(["inspect", str(demo_chain(tmp_path, capsys))]) == 0
         out = capsys.readouterr().out
         assert "zones:" in out and "tokens:" in out
         assert '"VZoneID": "zone-a"' in out
@@ -129,15 +159,42 @@ class TestInspect:
         assert main(["inspect", str(tmp_path / "nope.jsonl")]) == 1
 
     def test_inspect_detects_corruption(self, tmp_path, capsys):
-        out_dir = tmp_path / "demo"
-        main(["demo", "--seed", "42", "--out", str(out_dir)])
-        capsys.readouterr()
-        chain_file = out_dir / "chain.jsonl"
-        lines = chain_file.read_text().splitlines()
-        body = json.loads(lines[1])
-        body["txs"][0]["args"] = ["tampered"]
-        lines[1] = json.dumps(body)
-        chain_file.write_text("\n".join(lines) + "\n")
+        chain_file = demo_chain(tmp_path, capsys)
+
+        def tamper(body):
+            body["txs"][0]["args"] = ["tampered"]
+            return json.dumps(body)
+
+        replace_line(chain_file, 1, tamper)
         assert main(["inspect", str(chain_file)]) == 1
-        err = json.loads(capsys.readouterr().err.strip())
+        assert failure(capsys)["error"] == "corrupt-chain"
+
+    @pytest.mark.parametrize("case", sorted(BAD_BLOCK_LINES))
+    def test_inspect_rejects_line_that_is_not_a_block(self, tmp_path, capsys, case):
+        chain_file = demo_chain(tmp_path, capsys)
+        replace_line(chain_file, 1, BAD_BLOCK_LINES[case])
+        assert main(["inspect", str(chain_file)]) == 1
+        err = failure(capsys)
+        assert err["error"] == "invalid-chain-file"
+        assert err["detail"].startswith("line 2: ")
+
+    def test_inspect_rejects_file_that_is_not_utf8(self, tmp_path, capsys):
+        chain_file = tmp_path / "chain.jsonl"
+        chain_file.write_bytes(b"\xff\xfe\n")
+        assert main(["inspect", str(chain_file)]) == 1
+        assert failure(capsys)["error"] == "invalid-chain-file"
+
+    def test_inspect_rejects_malformed_supervisor(self, tmp_path, capsys):
+        chain_file = demo_chain(tmp_path, capsys)
+        assert main(["inspect", str(chain_file), "--supervisor", "0x12"]) == 1
+        assert failure(capsys)["error"] == "invalid-supervisor"
+
+    def test_inspect_rejects_resealed_forged_gas(self, tmp_path, capsys):
+        chain_file = demo_chain(tmp_path, capsys)
+        blocks = read_chain(io.StringIO(chain_file.read_text()))
+        blocks = reseal(blocks, 1, change_first_tx(gas_used=1))
+        chain_file.write_text("".join(canonical_json(b.wire()) + "\n" for b in blocks))
+        assert main(["inspect", str(chain_file)]) == 1
+        err = failure(capsys)
         assert err["error"] == "corrupt-chain"
+        assert "height 1" in err["detail"]

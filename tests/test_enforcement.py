@@ -1,6 +1,8 @@
 import io
 import itertools
 
+import pytest
+
 from capchain.address import Address
 from capchain.enforcement import (PIPELINE_STAGES, ServiceProvider, ServiceRequest,
                                   condition_satisfied, match_access_rule,
@@ -368,6 +370,18 @@ class TestCacheSync:
         # the next request falls back to a direct contract query
         token, hit = provider.fetch_or_cache_token(bench.client, now=250)
         assert token is not None and hit is False
+
+    def test_sync_fetch_bug_propagates_instead_of_evicting(self, bench):
+        bench.issue_client_token()
+        provider = provider_for(bench)
+        provider.fetch_or_cache_token(bench.client, now=100)
+
+        def buggy_fetch(subject):
+            raise AttributeError("bug in fetch")
+
+        with pytest.raises(AttributeError):
+            provider.cache.sync(buggy_fetch, now=200, height=bench.chain.height)
+        assert bench.client in provider.cache.entries
 
     def test_cache_transparency_against_direct_query(self, bench):
         bench.issue_client_token()

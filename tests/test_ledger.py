@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import random
 from decimal import Decimal
@@ -14,7 +15,7 @@ from capchain.ledger import (Block, Chain, ChainConfig, ContractNotFoundError,
 from capchain.tokens import TokenContract
 from capchain.zones import NODE_TYPE_NONE, ZoneContract
 
-from conftest import Bench, submit
+from chainbench import Bench, change_first_tx, reseal, submit
 
 
 def fresh_chain(seed=42, block_interval_ms=15000, **config_kwargs):
@@ -114,6 +115,14 @@ class TestProduceBlock:
         block = chain.produce_block(10, force=True)
         assert block.height == 1
 
+    def test_forced_production_refuses_timestamp_before_parent(self):
+        chain, _, _ = fresh_chain(block_interval_ms=15000)
+        chain.produce_block(15000)
+        with pytest.raises(IntervalNotElapsedError):
+            chain.produce_block(14999, force=True)
+        assert chain.height == 1
+        assert chain.produce_block(15000, force=True).height == 2
+
     def test_interval_gate_spans_from_last_block(self):
         chain, _, _ = fresh_chain(block_interval_ms=15000)
         chain.produce_block(15000)
@@ -189,6 +198,16 @@ def _relink_last_block(blocks):
     return blocks
 
 
+RESEALED_CORRUPTIONS = {
+    "forged-gas": change_first_tx(gas_used=1),
+    "nonce-gap": change_first_tx(nonce=99),
+    "unknown-contract": change_first_tx(contract="nope"),
+    "duplicated-tx": lambda block: dataclasses.replace(
+        block, transactions=block.transactions + block.transactions[:1]),
+    "backwards-timestamp": lambda block: dataclasses.replace(block, timestamp=0),
+}
+
+
 CORRUPTIONS = {
     "tampered-payload": _tamper_first_payload,
     "height-gap": lambda blocks: blocks[:1] + blocks[2:],
@@ -259,6 +278,25 @@ class TestReplay:
                          zone_contracts_factory(bench.supervisor))
         bench.chain._blocks = blocks
         assert not bench.chain.verify_stored_digests()
+
+    @pytest.mark.parametrize("corruption", sorted(RESEALED_CORRUPTIONS))
+    def test_resealed_corruption_fails_replay(self, bench, corruption):
+        bench.issue_client_token()
+        blocks = reseal(list(bench.chain.blocks), 2, RESEALED_CORRUPTIONS[corruption])
+        bench.chain._blocks = list(blocks)
+        assert bench.chain.verify_stored_digests()
+        with pytest.raises(CorruptChainError, match="at height 2"):
+            replay_chain(bench.chain.config, blocks,
+                         zone_contracts_factory(bench.supervisor))
+
+    def test_malformed_call_rejects_and_replays(self, bench):
+        receipt = bench.apply(bench.master, "vzone", "join_vzone", (bench.zone_id, 6))
+        assert receipt.error == "invalid-args"
+        blocks = read_chain(io.StringIO(bench.chain.export_chain_text()))
+        replayed = replay_chain(bench.chain.config, blocks,
+                                zone_contracts_factory(bench.supervisor))
+        assert replayed.state_digest() == bench.chain.state_digest()
+        assert replayed.export_chain_text() == bench.chain.export_chain_text()
 
     def test_export_import_round_trip(self, bench):
         text = bench.chain.export_chain_text()
