@@ -137,8 +137,11 @@ def run_scenario_command(path: str, seed: Optional[int], block_interval_ms: Opti
         return _fail("file-not-found", str(config_path))
     try:
         config = json.loads(config_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8; deep nesting
         return _fail("invalid-scenario-file", str(exc))
+    if not isinstance(config, dict):
+        return _fail("invalid-scenario-file",
+                     f"top level must be an object, got {type(config).__name__}")
     if seed is not None:
         config["seed"] = seed
     if block_interval_ms is not None:

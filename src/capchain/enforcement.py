@@ -5,17 +5,17 @@ first failure:
 
     identity_auth -> token_fetch -> token_status -> rule_match -> condition_check
 
-Token data is read from a provider-local cache that is refreshed once
-per block interval; entries that miss a refresh go stale and fall back
-to a direct contract query (fail-closed). Stage durations come from a
-deterministic cost model supplied by the harness, so traces are exactly
-reproducible.
+Token data is read from a provider-local cache that is synced once per
+block interval, refetching only the tokens the contract reports changed;
+entries that miss a sync go stale and fall back to a direct contract
+query (fail-closed). Stage durations come from a deterministic cost
+model supplied by the harness, so traces are exactly reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 from .address import Address
 from .ledger import Chain, LedgerError
@@ -138,14 +138,22 @@ class CacheEntry:
 class TokenCache:
     """Provider-local token store, kept in step with the chain per block.
 
-    An entry is served only while its last refresh is at most one block
+    An entry is served only while its last sync is at most one block
     interval old; anything older is evicted so the next request goes back
     to the contract (fail-closed).
+
+    ``changes(cursor)`` is the token contract's change feed: it returns
+    the latest change number and the subjects whose tokens changed after
+    ``cursor``. ``cursor`` is the last change number a sync completed
+    through; it starts at 0, so the first sync refetches every entry.
     """
 
-    def __init__(self, block_interval_ms: int):
+    def __init__(self, block_interval_ms: int,
+                 changes: Callable[[int], tuple[int, list[Address]]]):
         self.block_interval_ms = block_interval_ms
+        self.changes = changes
         self.entries: dict[Address, CacheEntry] = {}
+        self.cursor = 0
 
     def get(self, subject: Address, now: float) -> Optional[CacheEntry]:
         entry = self.entries.get(subject)
@@ -160,21 +168,34 @@ class TokenCache:
         self.entries[subject] = CacheEntry(token=token, synced_at=now)
 
     def sync(self, fetch, now: float, height: int) -> int:
-        """Refresh every entry from confirmed state; returns replaced-entry count."""
+        """Refetch the entries changed since the last sync; returns replaced-entry count.
+
+        Every other entry is unchanged on the chain and is only marked
+        synced at ``now``. An unreachable change feed leaves nothing to
+        trust, so every entry is evicted (fail-closed) and the cursor stays.
+        """
+        try:
+            latest, changed = self.changes(self.cursor)
+        except (OSError, LedgerError):
+            self.entries.clear()
+            return 0
         refreshed = 0
-        for subject in list(self.entries):
+        for subject in changed:
+            entry = self.entries.get(subject)
+            if entry is None:
+                continue
             try:
                 token = fetch(subject)
             except (OSError, LedgerError):
                 token = None
             if token is None:
                 del self.entries[subject]   # fail-closed: force a re-query next time
-                continue
-            entry = self.entries[subject]
-            if token != entry.token:
+            elif token != entry.token:
                 entry.token = token
                 refreshed += 1
+        for entry in self.entries.values():
             entry.synced_at = now
+        self.cursor = latest
         return refreshed
 
 
@@ -198,7 +219,9 @@ class ServiceProvider:
         self.address = address
         self.chain = chain
         self.stage_costs = dict(stage_costs or {})
-        self.cache = TokenCache(chain.config.block_interval_ms)
+        self.cache = TokenCache(
+            chain.config.block_interval_ms,
+            lambda cursor: chain.query_state(TokenContract.name, "changes_since", (cursor,)))
         self.contract_queries = 0
         self._own_record: VNodeRecord = self._query_vnode(address)
 
@@ -289,7 +312,7 @@ class ServiceProvider:
     # -- cache synchronization ---------------------------------------------------------
 
     def sync_cache(self, now: float) -> int:
-        """Refresh cached tokens from confirmed state; once per block interval."""
+        """Sync cached tokens with confirmed state; once per block interval."""
         self.refresh_membership()
 
         def fetch(subject: Address):

@@ -282,7 +282,7 @@ class Chain:
         self._contracts: dict[str, Contract] = {}
         for contract in contracts:
             self.deploy(contract)
-        self._pending: list[Transaction] = []
+        self._pending: list[tuple[Transaction, str]] = []   # (tx, its digest)
         self._next_nonce: dict[Address, int] = {}
         self._receipts: dict[str, Receipt] = {}
         self._gas_log: list[GasEntry] = []
@@ -315,7 +315,7 @@ class Chain:
         return len(self._pending)
 
     def pending_transactions(self) -> tuple[Transaction, ...]:
-        return tuple(self._pending)
+        return tuple(tx for tx, _ in self._pending)
 
     def next_nonce(self, sender: Address) -> int:
         return self._next_nonce.get(sender, 0)
@@ -344,8 +344,9 @@ class Chain:
                     f"sender {tx.sender.hex} nonce {tx.nonce}, expected {expected}"
                 )
             self._next_nonce[tx.sender] = expected + 1
-            self._pending.append(tx)
-            return tx.digest
+            digest = tx.digest
+            self._pending.append((tx, digest))
+            return digest
 
     def submit(self, sender: Address, contract: str, op: str, args: tuple) -> str:
         """Queue a call with the sender's next nonce; returns the tx digest."""
@@ -364,8 +365,8 @@ class Chain:
                 raise IntervalNotElapsedError(f"block due at {due} ms, now {now} ms")
             applied: list[Transaction] = []
             height = last.height + 1
-            for tx in self._pending:
-                self._apply(tx, height)
+            for tx, digest in self._pending:
+                self._apply(tx, digest, height)
                 applied.append(tx)
             self._pending.clear()
             block = Block(
@@ -382,11 +383,10 @@ class Chain:
         """Produce a block at exactly the next interval boundary."""
         return self.produce_block(self.latest_block.timestamp + self.config.block_interval_ms)
 
-    def _apply(self, tx: Transaction, height: int) -> None:
+    def _apply(self, tx: Transaction, digest: str, height: int) -> None:
         contract = self._contracts[tx.contract]
         gas = self.config.gas_table.get(tx.op, self.config.default_op_gas)
         tx.gas_used = gas
-        digest = tx.digest
         try:
             result = contract.execute(tx.sender, tx.op, tx.args)
             receipt = Receipt(digest, tx.sender, tx.op, "ok", result, None, gas, height)

@@ -162,6 +162,11 @@ class TokenContract(Contract):
     suspend it; issuance additionally requires the subject to be a
     confirmed member of the issuing master's zone. Token ids are globally
     monotone and never reused, including across re-issuance.
+
+    Every mutation also stamps its subject with the next change number,
+    so a reader can ask which subjects changed after a number it saw
+    (``changes_since``) instead of refetching every token it holds. The
+    change index is bookkeeping, not state: it is outside ``dump_state``.
     """
 
     name = "captoken"
@@ -171,6 +176,9 @@ class TokenContract(Contract):
         self._zones = zones
         self._tokens: dict[Address, CapabilityToken] = {}
         self._next_id = 1
+        # subject -> number of its last change, oldest first; one entry per subject
+        self._last_change: dict[Address, int] = {}
+        self._change_number = 0
 
     # -- ledger protocol -------------------------------------------------------
 
@@ -190,6 +198,8 @@ class TokenContract(Contract):
     def view(self, op: str, args: tuple = ()):
         if op == "get_token":
             return self.get_token(Address.from_hex(args[0]))
+        if op == "changes_since":
+            return self.changes_since(args[0])
         raise ContractRejection("unknown-view", f"token contract has no view {op!r}")
 
     # -- mutations ----------------------------------------------------------------
@@ -230,6 +240,7 @@ class TokenContract(Contract):
         )
         self._next_id += 1
         self._tokens[subject] = token
+        self._changed(subject)
         return token.id
 
     def _authorize_revocation(self, sender: Address, token: CapabilityToken) -> None:
@@ -248,6 +259,8 @@ class TokenContract(Contract):
                 if (rule.action.value, rule.resource) not in targets]
         removed = len(token.authorization) - len(kept)
         token.authorization = kept
+        if removed:
+            self._changed(subject)
         return removed > 0
 
     def revoke_token(self, sender: Address, subject: Address) -> bool:
@@ -257,6 +270,7 @@ class TokenContract(Contract):
         self._authorize_revocation(sender, token)
         token.authorization = []
         token.is_valid = False
+        self._changed(subject)
         return True
 
     def set_token_validity(self, sender: Address, subject: Address, valid: bool) -> bool:
@@ -265,7 +279,13 @@ class TokenContract(Contract):
             return False
         self._authorize_revocation(sender, token)
         token.is_valid = valid
+        self._changed(subject)
         return True
+
+    def _changed(self, subject: Address) -> None:
+        self._change_number += 1
+        self._last_change.pop(subject, None)   # reinsert as the newest entry
+        self._last_change[subject] = self._change_number
 
     # -- views -----------------------------------------------------------------------
 
@@ -273,6 +293,19 @@ class TokenContract(Contract):
         """Token wire data for a subject, or None if never issued."""
         token = self._tokens.get(subject)
         return token.wire() if token is not None else None
+
+    def changes_since(self, cursor: int) -> tuple[int, list[Address]]:
+        """The latest change number and the subjects changed after ``cursor``.
+
+        Subjects come newest first, each once. Pass the returned number
+        as the next cursor; cursor 0 names every subject ever changed.
+        """
+        changed = []
+        for subject, number in reversed(self._last_change.items()):
+            if number <= cursor:
+                break
+            changed.append(subject)
+        return self._change_number, changed
 
     def dump_state(self) -> dict:
         return {

@@ -4,7 +4,11 @@ These deliberately share no code with the package: state is plain dicts
 keyed by hex strings, and each operation is a straight-line transcription
 of the zone lifecycle guards. The enforcement oracle evaluates the whole
 decision directly instead of going through a staged pipeline object.
+The token cache reference is the exception: it is the full-refetch sync
+that the change-driven ``TokenCache.sync`` replaced, run on a real cache.
 """
+
+from capchain.ledger import LedgerError
 
 ZERO_HEX = "0x" + "00" * 20
 
@@ -204,3 +208,29 @@ def oracle_policy_decision(matching_rule_grants, requested_keys):
                 seen.add(key)
                 union.append(key)
     return [key for key in union if key in requested_keys]
+
+
+# ---------------------------------------------------------------------------
+# Token cache sync (full refetch)
+# ---------------------------------------------------------------------------
+
+def full_refetch_sync(cache, fetch, now, height):
+    """Refetch every cached token from confirmed state; returns replaced-entry count.
+
+    Same signature as ``TokenCache.sync``, so it can stand in for it.
+    """
+    refreshed = 0
+    for subject in list(cache.entries):
+        try:
+            token = fetch(subject)
+        except (OSError, LedgerError):
+            token = None
+        if token is None:
+            del cache.entries[subject]
+            continue
+        entry = cache.entries[subject]
+        if token != entry.token:
+            entry.token = token
+            refreshed += 1
+        entry.synced_at = now
+    return refreshed

@@ -6,10 +6,12 @@ import pytest
 
 from capchain.cli import main
 from capchain.encoding import canonical_json
+from capchain.enforcement import TokenCache
 from capchain.ledger import read_chain
 from capchain.netsim import latency_bench_config
 
 from chainbench import change_first_tx, reseal
+from reference_models import full_refetch_sync
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 RULE_GET = {"action": "GET", "resource": "/api/data", "conditions": []}
@@ -61,6 +63,18 @@ class TestScenario:
         assert main(["scenario", str(path)]) == 1
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "seed-required"
+
+    @pytest.mark.parametrize("content,seed", [
+        (b"\xff\xfe{}", []),
+        (b"[1,2]", []),
+        (b"[1,2]", ["--seed", "1"]),
+    ], ids=["not-utf8", "list", "list-with-seed"])
+    def test_scenario_file_that_is_not_an_object_fails(self, tmp_path, capsys,
+                                                        content, seed):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(content)
+        assert main(["scenario", str(path), "--out", str(tmp_path / "o"), *seed]) == 1
+        assert failure(capsys)["error"] == "invalid-scenario-file"
 
     def test_failed_expectation_gives_nonzero_exit(self, tmp_path, capsys):
         config = latency_bench_config("ground", seed=3, requests=2)
@@ -198,3 +212,17 @@ class TestInspect:
         err = failure(capsys)
         assert err["error"] == "corrupt-chain"
         assert "height 1" in err["detail"]
+
+
+def test_full_refetch_sync_gives_the_same_artifacts(tmp_path, capsys, monkeypatch):
+    def run(label):
+        out = tmp_path / label
+        assert main(["scenario", str(SCENARIOS / "registration_and_revocation.json"),
+                     "--out", str(out / "scenario")]) == 0
+        assert main(["demo", "--seed", "42", "--out", str(out / "demo")]) == 0
+        files = {f.relative_to(out): f.read_bytes() for f in out.rglob("*") if f.is_file()}
+        return files, capsys.readouterr().out.replace(str(out), "")
+
+    change_driven = run("change-driven")
+    monkeypatch.setattr(TokenCache, "sync", full_refetch_sync)
+    assert run("full-refetch") == change_driven

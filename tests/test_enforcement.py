@@ -2,15 +2,19 @@ import io
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capchain.address import Address
 from capchain.enforcement import (PIPELINE_STAGES, ServiceProvider, ServiceRequest,
-                                  condition_satisfied, match_access_rule,
+                                  TokenCache, condition_satisfied, match_access_rule,
                                   verify_conditions, verify_token_status)
+from capchain.ledger import ContractNotFoundError
 from capchain.netsim import Measurement, write_stage_traces_csv
 from capchain.tokens import MS_PER_DAY
 
-from reference_models import oracle_authorize, oracle_status_reason
+from chainbench import Bench
+from reference_models import full_refetch_sync, oracle_authorize, oracle_status_reason
 
 PAPER_REQUESTER = "0xaa09c6d65908e54bf695748812c51d8f2ceea0f5"
 
@@ -396,6 +400,172 @@ class TestCacheSync:
         later = ServiceRequest(bench.client, "GET", "/api/data", now=250)
         assert provider.authorize(later)[0].granted \
             == direct.authorize(later)[0].granted
+
+
+def fixed_feed(*results):
+    """A change feed that answers (or raises) each of ``results`` in turn."""
+    cursors = []
+
+    def changes(cursor):
+        cursors.append(cursor)
+        result = results[len(cursors) - 1]
+        if isinstance(result, Exception):
+            raise result
+        return result
+
+    return changes, cursors
+
+
+class TestChangeFeed:
+    def test_only_changed_entries_are_refetched(self, bench):
+        a, b = bench.factory.new_addresses(2)
+        changes, cursors = fixed_feed((3, [a]), (3, []))
+        cache = TokenCache(15000, changes)
+        cache.put(a, token_wire(), now=100)
+        cache.put(b, token_wire(), now=100)
+        fetched = []
+
+        def fetch(subject):
+            fetched.append(subject)
+            return token_wire(is_valid=False)
+
+        assert cache.sync(fetch, now=200, height=1) == 1
+        assert cache.sync(fetch, now=300, height=2) == 0
+        assert fetched == [a]
+        assert cursors == [0, 3]
+        assert cache.entries[a].token["isValid"] is False
+        assert cache.entries[b].token == token_wire()
+        assert {e.synced_at for e in cache.entries.values()} == {300}
+
+    @pytest.mark.parametrize("error", [ConnectionError("chain replica unavailable"),
+                                       ContractNotFoundError("unknown contract")])
+    def test_unreachable_feed_evicts_everything(self, bench, error):
+        changes, cursors = fixed_feed(error, (5, []))
+        cache = TokenCache(15000, changes)
+        cache.put(bench.client, token_wire(), now=100)
+        assert cache.sync(lambda subject: token_wire(), now=200, height=1) == 0
+        assert cache.entries == {}
+        cache.sync(lambda subject: token_wire(), now=300, height=2)
+        assert cursors == [0, 0]   # the failed sync did not advance the cursor
+
+    def test_feed_bug_propagates_and_keeps_entries(self, bench):
+        changes, _ = fixed_feed(AttributeError("bug in feed"))
+        cache = TokenCache(15000, changes)
+        cache.put(bench.client, token_wire(), now=100)
+        with pytest.raises(AttributeError):
+            cache.sync(lambda subject: token_wire(), now=200, height=1)
+        assert cache.entries[bench.client].token == token_wire()
+
+    def test_contract_reports_changed_subjects_once_newest_first(self, bench):
+        a, b = bench.factory.new_addresses(2)
+        for subject in (a, b):
+            bench.submit(bench.master, "vzone", "join_vzone", (bench.zone_id, subject.hex))
+        bench.chain.produce_next_block()
+        for subject in (a, b, a):
+            bench.submit(bench.master, "captoken", "issue_token",
+                         (subject.hex, [RULE_GET], 0, 10**12))
+        bench.submit(bench.outsider, "captoken", "revoke_token", (b.hex,))  # rejected
+        bench.submit(bench.master, "captoken", "revoke_access_rights",
+                     (b.hex, [RULE_POST]))                                # removes nothing
+        bench.chain.produce_next_block()
+        assert bench.tokens.changes_since(0) == (3, [a, b])
+        assert bench.tokens.changes_since(1) == (3, [a, b])
+        assert bench.tokens.changes_since(2) == (3, [a])
+        assert bench.tokens.changes_since(3) == (3, [])
+        bench.submit(bench.master, "captoken", "revoke_access_rights", (a.hex, [RULE_GET]))
+        bench.submit(bench.master, "captoken", "set_token_validity", (b.hex, False))
+        bench.submit(bench.master, "captoken", "revoke_token", (a.hex,))
+        bench.chain.produce_next_block()
+        assert bench.tokens.changes_since(3) == (6, [a, b])
+        assert bench.tokens.changes_since(4) == (6, [a, b])
+        assert bench.tokens.changes_since(5) == (6, [a])
+        assert bench.tokens.dump_state().keys() == {"supervisor", "next_id", "tokens"}
+
+
+SUBJECTS = 3
+TOKEN_OPS = ("issue_token", "revoke_access_rights", "revoke_token", "set_token_validity")
+
+
+def token_op_args(op, subject, choice):
+    rule = (RULE_GET, RULE_POST)[choice]
+    if op == "issue_token":
+        return (subject.hex, [rule], 0, 10**12)
+    if op == "revoke_access_rights":
+        return (subject.hex, [rule])
+    if op == "revoke_token":
+        return (subject.hex,)
+    return (subject.hex, bool(choice))
+
+
+subject_sets = st.sets(st.integers(0, SUBJECTS - 1))
+sync_steps = st.lists(st.fixed_dictionaries({
+    # (op, subject, rule or validity, sender); an outsider's op is rejected
+    "ops": st.lists(st.tuples(st.sampled_from(TOKEN_OPS), st.integers(0, SUBJECTS - 1),
+                              st.integers(0, 1),
+                              st.sampled_from(("master", "supervisor", "outsider"))),
+                    max_size=3),
+    # requests read the cache and fill it from the contract on a miss
+    "requests": subject_sets,
+    # "skip": the block is sealed without a sync; a set: those subjects' fetches fail
+    "sync": st.one_of(st.sampled_from(("skip", "ok", "outage")), subject_sets),
+}), min_size=1, max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(steps=sync_steps)
+def test_change_driven_sync_matches_full_refetch(steps):
+    bench = Bench()
+    subjects = [bench.client] + bench.factory.new_addresses(SUBJECTS - 1)
+    for subject in subjects[1:]:
+        bench.submit(bench.master, "vzone", "join_vzone", (bench.zone_id, subject.hex))
+    bench.chain.produce_next_block()
+    outage = []
+
+    def changes(cursor):
+        if outage:
+            raise ConnectionError("chain replica unavailable")
+        return bench.chain.query_state("captoken", "changes_since", (cursor,))
+
+    def fetch(subject):
+        return bench.chain.query_state("captoken", "get_token", (subject.hex,))
+
+    interval = bench.chain.config.block_interval_ms
+    cache, reference = TokenCache(interval, changes), TokenCache(interval, changes)
+    for step in steps:
+        for op, index, choice, sender in step["ops"]:
+            bench.submit(getattr(bench, sender), "captoken", op,
+                         token_op_args(op, subjects[index], choice))
+        now = bench.chain.produce_next_block().timestamp
+        for index in sorted(step["requests"]):
+            subject = subjects[index]
+            entry = cache.get(subject, now)
+            assert entry == reference.get(subject, now)
+            token = fetch(subject) if entry is None else None
+            if token is not None:
+                cache.put(subject, token, now)
+                reference.put(subject, dict(token), now)
+        if step["sync"] == "skip":
+            continue
+        if step["sync"] == "outage":
+            outage.append(True)
+            failing = set(subjects)
+        elif step["sync"] == "ok":
+            failing = set()
+        else:
+            # an unchanged entry is not refetched, so only a changed one can fail
+            _, changed = bench.tokens.changes_since(cache.cursor)
+            failing = {subjects[i] for i in step["sync"]} & set(changed)
+
+        def flaky_fetch(subject):
+            if subject in failing:
+                raise ConnectionError("chain replica unavailable")
+            return fetch(subject)
+
+        height = bench.chain.height
+        assert cache.sync(flaky_fetch, now, height) == \
+            full_refetch_sync(reference, flaky_fetch, now, height)
+        assert cache.entries == reference.entries
+        outage.clear()
 
 
 class TestEndToEndOracle:

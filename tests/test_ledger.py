@@ -49,6 +49,22 @@ class TestSubmit:
         assert digest == tx.digest
         assert chain.get_receipt(digest) is None
 
+    def test_each_transaction_is_hashed_once_from_submit_to_seal(self, monkeypatch):
+        chain, supervisor, _ = fresh_chain()
+        hashed = []
+        digest = Transaction.digest.fget
+
+        def counting(tx):
+            hashed.append(tx.nonce)
+            return digest(tx)
+
+        monkeypatch.setattr(Transaction, "digest", property(counting))
+        digests = [submit(chain, supervisor, "vzone", "create_vzone", (f"zone-{i}",))
+                   for i in range(3)]
+        chain.produce_next_block()
+        assert hashed == [0, 1, 2]
+        assert all(chain.get_receipt(d).ok for d in digests)
+
     def test_duplicate_submission_rejected(self):
         chain, supervisor, _ = fresh_chain()
         tx = Transaction(supervisor, "vzone", "create_vzone", ("zone-a",), 0)
