@@ -13,7 +13,7 @@ from .address import Address
 from .encoding import canonical_json
 from .enforcement import ServiceRequest
 from .ledger import ChainConfig, ChainFileError, CorruptChainError, read_chain, replay_chain
-from .netsim import (PROFILES, ScenarioError, ScriptedEventError, Simulation,
+from .netsim import (PROFILES, ScenarioError, Simulation,
                      ac_overhead_ms, run_latency_bench, run_overhead_bench,
                      run_scenario, summarize, summary_rows, write_measurements_csv,
                      write_stage_traces_csv, write_summary_text)
@@ -150,7 +150,7 @@ def run_scenario_command(path: str, seed: Optional[int], block_interval_ms: Opti
         return _fail("seed-required", "pass --seed or set 'seed' in the scenario file")
     try:
         simulation, result = run_scenario(config)
-    except (ScenarioError, ScriptedEventError) as exc:
+    except ScenarioError as exc:
         return _fail("scenario-error", str(exc))
     directory = _ensure_out(out)
     _write_run_artifacts(directory, simulation, result, fmt)

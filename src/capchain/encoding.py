@@ -4,6 +4,10 @@ Every digest in the ledger and every exported artifact goes through
 ``canonical_json``: sorted keys, compact separators, ASCII-only. Two
 states that serialize to the same bytes are considered identical, so
 determinism of the whole system reduces to determinism of these bytes.
+
+Addresses stay objects inside the process; this encoder is the one
+place that writes them as hex, which is where bytes leave the process
+(transactions, exports, digests).
 """
 
 from __future__ import annotations
@@ -12,12 +16,28 @@ import hashlib
 import json
 from typing import Any
 
+from .address import Address
+
 ZERO_DIGEST = "0" * 64
 
 
+def _encode_address(value: Any) -> str:
+    if isinstance(value, Address):
+        return value.hex
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True,
+                            default=_encode_address)
+
+
 def canonical_json(obj: Any) -> str:
-    """Render ``obj`` as canonical JSON (sorted keys, no insignificant whitespace)."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+    """Render ``obj`` as canonical JSON (sorted keys, no insignificant whitespace).
+
+    An ``Address`` anywhere in ``obj`` is written as its 0x-prefixed hex;
+    any other type JSON lacks raises ``TypeError``.
+    """
+    return _ENCODER.encode(obj)
 
 
 def sha256_hex(data: str | bytes) -> str:

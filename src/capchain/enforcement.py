@@ -230,11 +230,11 @@ class ServiceProvider:
 
     def _query_vnode(self, addr: Address) -> VNodeRecord:
         self.contract_queries += 1
-        return self.chain.query_state(ZoneContract.name, "get_vnode", (addr.hex,))
+        return self.chain.query_state(ZoneContract.name, "get_vnode", (addr,))
 
     def refresh_membership(self) -> None:
         self._own_record = self.chain.query_state(
-            ZoneContract.name, "get_vnode", (self.address.hex,))
+            ZoneContract.name, "get_vnode", (self.address,))
 
     # -- stage 0: identity authentication -------------------------------------
 
@@ -261,7 +261,7 @@ class ServiceProvider:
         if entry is not None:
             return entry.token, True
         self.contract_queries += 1
-        token = self.chain.query_state(TokenContract.name, "get_token", (subject.hex,))
+        token = self.chain.query_state(TokenContract.name, "get_token", (subject,))
         if token is not None:
             self.cache.put(subject, token, now)
         return token, False
@@ -316,8 +316,7 @@ class ServiceProvider:
         self.refresh_membership()
 
         def fetch(subject: Address):
-            return self.chain.query_state(TokenContract.name, "get_token",
-                                          (subject.hex,))
+            return self.chain.query_state(TokenContract.name, "get_token", (subject,))
 
         return self.cache.sync(fetch, now, self.chain.height)
 

@@ -69,8 +69,10 @@ class Contract:
     """A state machine hosted on the chain.
 
     Mutations happen only through ``execute`` during block production;
-    ``view`` must be read-only. ``dump_state`` must be a pure function of
-    the confirmed state so replays can be compared byte-for-byte.
+    ``view`` must be read-only. ``execute`` args are wire data (addresses
+    as hex, as exports carry them); ``view`` args are in-process objects
+    (an ``Address``, never its hex). ``dump_state`` must be a pure
+    function of the confirmed state so replays can be compared byte-for-byte.
     """
 
     name: str = ""
@@ -154,7 +156,7 @@ class Transaction:
             "sender": self.sender.hex,
             "contract": self.contract,
             "op": self.op,
-            "args": _jsonify(self.args),
+            "args": self.args,
             "nonce": self.nonce,
         }
 
@@ -255,17 +257,6 @@ def _field(body: Any, key: str, kind: type) -> Any:
     value = body[key]
     if not isinstance(value, kind) or isinstance(value, bool):
         raise ValueError(f"{key!r} must be {kind.__name__}, got {type(value).__name__}")
-    return value
-
-
-def _jsonify(value: Any) -> Any:
-    """Normalize argument structures to plain JSON types."""
-    if isinstance(value, Address):
-        return value.hex
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonify(v) for k, v in value.items()}
     return value
 
 

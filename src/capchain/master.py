@@ -266,7 +266,7 @@ class DomainMaster:
             raise MasterError(f"master does not own a confirmed zone {self.zone_id!r}")
         if not self.registration_policy.permits(request):
             raise DeniedRegistration(f"policy rejected {request.vid.hex}")
-        record = self.chain.query_state(ZoneContract.name, "get_vnode", (request.vid.hex,))
+        record = self.chain.query_state(ZoneContract.name, "get_vnode", (request.vid,))
         if record.node_type != NODE_TYPE_NONE:
             raise DuplicateRegistration(
                 f"{request.vid.hex} already belongs to zone {record.vzone_id!r}")
@@ -305,7 +305,7 @@ class DomainMaster:
         profile = self.store.get(subject)
         if profile is None:
             return AccessDenial("unknown-subject")
-        record = self.chain.query_state(ZoneContract.name, "get_vnode", (subject.hex,))
+        record = self.chain.query_state(ZoneContract.name, "get_vnode", (subject,))
         if record.node_type == NODE_TYPE_NONE or record.vzone_id != self.zone_id:
             return AccessDenial("not-a-member")
         granted: dict[tuple[str, str], AccessRule] = {}

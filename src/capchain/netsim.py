@@ -38,7 +38,7 @@ class ScenarioError(Exception):
     """Scenario configuration failed validation."""
 
 
-class ScriptedEventError(Exception):
+class ScriptedEventError(ScenarioError):
     """A script event references something the topology does not define."""
 
     def __init__(self, index: int, message: str):
@@ -119,9 +119,12 @@ class ChannelSpec:
 
     def __post_init__(self) -> None:
         delay = self.one_way_delay_ms
-        low = delay[0] if isinstance(delay, tuple) else delay
-        if low < 0:
-            raise ScenarioError(f"channel {self.name!r}: delay must be >= 0")
+        bounds = delay if isinstance(delay, tuple) else (delay, delay)
+        if not (len(bounds) == 2 and type(bounds[0]) in (int, float)
+                and type(bounds[1]) in (int, float) and 0 <= bounds[0] <= bounds[1]):
+            raise ScenarioError(
+                f"channel {self.name!r}: one_way_delay_ms must be a number >= 0 or a "
+                f"range [low, high] with 0 <= low <= high, got {delay!r}")
         if not 0 <= self.drop_rate < 1:
             raise ScenarioError(f"channel {self.name!r}: drop_rate must be in [0, 1)")
 
@@ -171,6 +174,20 @@ class SimulationResult:
     expectation_failures: list[str]
 
 
+def _objects(field: str, items: Any) -> list[dict]:
+    """``items`` if it is a list of objects, else ``ScenarioError`` naming ``field``."""
+    if not isinstance(items, (list, tuple)) or not all(isinstance(i, dict) for i in items):
+        raise ScenarioError(f"config field {field!r} must be a list of objects")
+    return items
+
+
+def _config_number(config: dict, key: str, default: Any, kind: type) -> Any:
+    try:
+        return kind(config.get(key, default))
+    except (TypeError, ValueError, OverflowError) as exc:   # OverflowError: int(inf)
+        raise ScenarioError(f"config field {key!r}: {exc}") from None
+
+
 def _parse_profile(value: Any) -> ProcessingProfile:
     if value is None:
         return PROFILES["none"]
@@ -190,13 +207,15 @@ class Simulation:
         if "seed" not in config:
             raise ScenarioError("config field 'seed' is required")
         self.config = dict(config)
-        self.seed = int(config["seed"])
-        self.block_interval_ms = int(config.get("block_interval_ms", 15000))
+        self.seed = _config_number(config, "seed", None, int)
+        self.block_interval_ms = _config_number(config, "block_interval_ms", 15000, int)
+        if self.block_interval_ms < 1:
+            raise ScenarioError("config field 'block_interval_ms' must be >= 1")
         self.access_control = bool(config.get("access_control", True))
-        self.timeout_ms = float(config.get("timeout_ms", 30000))
+        self.timeout_ms = _config_number(config, "timeout_ms", 30000, float)
         self.rng = random.Random(self.seed ^ 0x6E65747369)  # distinct stream from vids
-        self._build_nodes(config.get("nodes", []))
-        self._build_channels(config.get("channels", []))
+        self._build_nodes(_objects("nodes", config.get("nodes", [])))
+        self._build_channels(_objects("channels", config.get("channels", [])))
         self._build_chain()
         self._bootstrap()
         self._build_services(config)
@@ -260,7 +279,7 @@ class Simulation:
                     raise ScenarioError(f"channel {i}: unknown node {end!r}")
             delay = spec.get("one_way_delay_ms", 0.0)
             if isinstance(delay, list):
-                delay = (float(delay[0]), float(delay[1]))
+                delay = tuple(delay)
             channel = ChannelSpec(
                 name=spec.get("name", f"{a}--{b}"),
                 a=a, b=b,
@@ -332,6 +351,8 @@ class Simulation:
                     raise ScriptedEventError(i, f"unknown node {sender!r}")
                 if event.get("subject") not in self.nodes:
                     raise ScriptedEventError(i, f"unknown node {event.get('subject')!r}")
+                if op in ("issue", "revoke_rules") and not isinstance(event.get("rules"), list):
+                    raise ScriptedEventError(i, f"{op} needs a 'rules' list")
             elif op == "request":
                 requester, provider = event.get("requester"), event.get("provider")
                 for end in (requester, provider):
@@ -359,7 +380,7 @@ class Simulation:
     def run(self, script: Optional[list[dict]] = None) -> SimulationResult:
         if script is None:
             script = self.config.get("script", [])
-        self._validate_script(script)
+        self._validate_script(_objects("script", script))
         result = SimulationResult([], [], [], [])
         queue: list = []
         for i, event in enumerate(script):

@@ -197,7 +197,7 @@ class TokenContract(Contract):
 
     def view(self, op: str, args: tuple = ()):
         if op == "get_token":
-            return self.get_token(Address.from_hex(args[0]))
+            return self.get_token(args[0])
         if op == "changes_since":
             return self.changes_since(args[0])
         raise ContractRejection("unknown-view", f"token contract has no view {op!r}")
@@ -291,6 +291,8 @@ class TokenContract(Contract):
 
     def get_token(self, subject: Address) -> Optional[dict]:
         """Token wire data for a subject, or None if never issued."""
+        if not isinstance(subject, Address):
+            raise TypeError(f"get_token takes an Address, got {type(subject).__name__}")
         token = self._tokens.get(subject)
         return token.wire() if token is not None else None
 

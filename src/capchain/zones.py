@@ -46,8 +46,8 @@ class ZoneContract(Contract):
 
     def __init__(self, supervisor: Address):
         self.supervisor = supervisor
-        self._zones: dict[str, dict] = {}        # zone_id -> {"master": Address, "uid": int}
-        self._nodes: dict[Address, dict] = {}    # address -> {"vzone_id": str, "node_type": int}
+        self._zones: dict[str, VirtualZone] = {}
+        self._nodes: dict[Address, VNodeRecord] = {}
         self._allowlist: set[Address] = set()
 
     # -- ledger protocol -------------------------------------------------------
@@ -67,16 +67,18 @@ class ZoneContract(Contract):
 
     def view(self, op: str, args: tuple = ()):
         if op == "get_vnode":
-            return self.get_vnode(Address.from_hex(args[0]))
+            return self.get_vnode(args[0])
         if op == "get_vzone":
             return self.get_vzone(args[0])
         if op == "get_certificate":
-            return self.get_certificate(Address.from_hex(args[0]))
+            return self.get_certificate(args[0])
         if op == "dangling_followers":
             return self.dangling_followers()
         raise ContractRejection("unknown-view", f"zone contract has no view {op!r}")
 
     # -- mutations (confirmed transactions only) ---------------------------------
+    # Records are frozen: a mutation stores a new one under the same key, which
+    # keeps the key's position, so dump_state's order is the first-write order.
 
     def create_vzone(self, sender: Address, zone_id: str) -> bool:
         if not zone_id:
@@ -84,46 +86,41 @@ class ZoneContract(Contract):
         if sender != self.supervisor and sender not in self._allowlist:
             return False
         zone = self._zones.get(zone_id)
-        if zone is not None and not zone["master"].is_zero:
+        if zone is not None and not zone.master.is_zero:
             return False
-        if zone is None:
-            zone = {"master": ZERO_ADDRESS, "uid": 0}
-            self._zones[zone_id] = zone
-        zone["uid"] += 1
-        zone["master"] = sender
-        self._nodes[sender] = {"vzone_id": zone_id, "node_type": NODE_TYPE_MASTER}
+        uid = zone.uid if zone is not None else 0
+        self._zones[zone_id] = VirtualZone(zone_id, sender, uid + 1)
+        self._nodes[sender] = VNodeRecord(sender, zone_id, NODE_TYPE_MASTER)
         return True
 
     def revoke_vzone(self, sender: Address, zone_id: str) -> bool:
         zone = self._zones.get(zone_id)
-        if zone is None or zone["master"].is_zero:
+        if zone is None or zone.master.is_zero:
             return False
         authorized = sender == self.supervisor or (
-            sender in self._allowlist and zone["master"] == sender)
+            sender in self._allowlist and zone.master == sender)
         if not authorized:
             return False
-        former_master = zone["master"]
-        zone["uid"] += 1
-        zone["master"] = ZERO_ADDRESS
-        self._nodes[former_master] = {"vzone_id": "", "node_type": NODE_TYPE_NONE}
+        self._zones[zone_id] = VirtualZone(zone_id, ZERO_ADDRESS, zone.uid + 1)
+        self._nodes[zone.master] = VNodeRecord(zone.master, "", NODE_TYPE_NONE)
         return True
 
     def join_vzone(self, sender: Address, zone_id: str, node: Address) -> bool:
         if sender != self.supervisor and sender != self._zone_master(zone_id):
             return False
         record = self._nodes.get(node)
-        if record is not None and record["node_type"] != NODE_TYPE_NONE:
+        if record is not None and record.node_type != NODE_TYPE_NONE:
             return False
-        self._nodes[node] = {"vzone_id": zone_id, "node_type": NODE_TYPE_FOLLOWER}
+        self._nodes[node] = VNodeRecord(node, zone_id, NODE_TYPE_FOLLOWER)
         return True
 
     def leave_vzone(self, sender: Address, zone_id: str, node: Address) -> bool:
         if sender != self.supervisor and sender != self._zone_master(zone_id):
             return False
         record = self._nodes.get(node)
-        if record is None or record["node_type"] != NODE_TYPE_FOLLOWER:
+        if record is None or record.node_type != NODE_TYPE_FOLLOWER:
             return False
-        self._nodes[node] = {"vzone_id": "", "node_type": NODE_TYPE_NONE}
+        self._nodes[node] = VNodeRecord(node, "", NODE_TYPE_NONE)
         return True
 
     def set_master_allowlist(self, sender: Address, addr: Address, allowed: bool) -> bool:
@@ -136,22 +133,21 @@ class ZoneContract(Contract):
         return True
 
     # -- views ---------------------------------------------------------------------
+    # Views take Address objects; hex is wire data and is decoded only in execute.
 
     def _zone_master(self, zone_id: str) -> Address:
         zone = self._zones.get(zone_id)
-        return zone["master"] if zone is not None else ZERO_ADDRESS
+        return zone.master if zone is not None else ZERO_ADDRESS
 
     def get_vzone(self, zone_id: str) -> VirtualZone:
         zone = self._zones.get(zone_id)
-        if zone is None:
-            return VirtualZone(zone_id, ZERO_ADDRESS, 0)
-        return VirtualZone(zone_id, zone["master"], zone["uid"])
+        return zone if zone is not None else VirtualZone(zone_id, ZERO_ADDRESS, 0)
 
     def get_vnode(self, addr: Address) -> VNodeRecord:
+        if not isinstance(addr, Address):
+            raise TypeError(f"get_vnode takes an Address, got {type(addr).__name__}")
         record = self._nodes.get(addr)
-        if record is None:
-            return VNodeRecord(addr, "", NODE_TYPE_NONE)
-        return VNodeRecord(addr, record["vzone_id"], record["node_type"])
+        return record if record is not None else VNodeRecord(addr, "", NODE_TYPE_NONE)
 
     def get_certificate(self, addr: Address) -> dict:
         """Authentication certificate for a node, in wire field names."""
@@ -172,20 +168,20 @@ class ZoneContract(Contract):
         """Followers whose zone currently has no master (cleanup aid for operators)."""
         out = []
         for addr, record in self._nodes.items():
-            if record["node_type"] == NODE_TYPE_FOLLOWER:
-                if self._zone_master(record["vzone_id"]).is_zero:
+            if record.node_type == NODE_TYPE_FOLLOWER:
+                if self._zone_master(record.vzone_id).is_zero:
                     out.append(addr.hex)
         return sorted(out)
 
     def dump_state(self) -> dict:
         zones = {
-            zone_id: {"VZoneID": zone_id, "master": zone["master"].hex, "uid": zone["uid"]}
+            zone_id: {"VZoneID": zone_id, "master": zone.master.hex, "uid": zone.uid}
             for zone_id, zone in self._zones.items()
         }
         nodes = {
-            addr.hex: {"vid": addr.hex, "VZoneID": rec["vzone_id"], "node_type": rec["node_type"]}
+            addr.hex: {"vid": addr.hex, "VZoneID": rec.vzone_id, "node_type": rec.node_type}
             for addr, rec in self._nodes.items()
-            if rec["node_type"] != NODE_TYPE_NONE
+            if rec.node_type != NODE_TYPE_NONE
         }
         return {
             "supervisor": self.supervisor.hex,

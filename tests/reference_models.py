@@ -6,8 +6,11 @@ of the zone lifecycle guards. The enforcement oracle evaluates the whole
 decision directly instead of going through a staged pipeline object.
 The token cache reference is the exception: it is the full-refetch sync
 that the change-driven ``TokenCache.sync`` replaced, run on a real cache.
+So is ``reference_jsonify``, the argument walk that turned ``Address``
+objects into hex before encoding, which the encoder's own hook replaced.
 """
 
+from capchain.address import Address
 from capchain.ledger import LedgerError
 
 ZERO_HEX = "0x" + "00" * 20
@@ -234,3 +237,18 @@ def full_refetch_sync(cache, fetch, now, height):
             refreshed += 1
         entry.synced_at = now
     return refreshed
+
+
+# ---------------------------------------------------------------------------
+# Transaction argument normalization (walk before encoding)
+# ---------------------------------------------------------------------------
+
+def reference_jsonify(value):
+    """Normalize argument structures to plain JSON types."""
+    if isinstance(value, Address):
+        return value.hex
+    if isinstance(value, (list, tuple)):
+        return [reference_jsonify(v) for v in value]
+    if isinstance(value, dict):
+        return {k: reference_jsonify(v) for k, v in value.items()}
+    return value

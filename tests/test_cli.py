@@ -76,6 +76,25 @@ class TestScenario:
         assert main(["scenario", str(path), "--out", str(tmp_path / "o"), *seed]) == 1
         assert failure(capsys)["error"] == "invalid-scenario-file"
 
+    @pytest.mark.parametrize("mutate,named", [
+        (lambda c: c["script"][1].pop("rules"), "event 1: issue needs a 'rules' list"),
+        (lambda c: c["channels"][0].update(one_way_delay_ms="3.75"), "one_way_delay_ms"),
+        (lambda c: c.update(nodes={n["name"]: n for n in c["nodes"]}), "'nodes'"),
+        (lambda c: c.update(block_interval_ms=0), "'block_interval_ms' must be >= 1"),
+        (lambda c: c["channels"][0].update(one_way_delay_ms=[5, -1]), "one_way_delay_ms"),
+        (lambda c: c["channels"][0].update(one_way_delay_ms=[5]), "one_way_delay_ms"),
+    ], ids=["issue-without-rules", "string-delay", "nodes-object", "zero-interval",
+            "inverted-delay-range", "one-element-delay-range"])
+    def test_malformed_scenario_field_fails(self, tmp_path, capsys, mutate, named):
+        config = json.loads((SCENARIOS / "registration_and_revocation.json").read_text())
+        mutate(config)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(config))
+        assert main(["scenario", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = failure(capsys)
+        assert err["error"] == "scenario-error"
+        assert named in err["detail"]
+
     def test_failed_expectation_gives_nonzero_exit(self, tmp_path, capsys):
         config = latency_bench_config("ground", seed=3, requests=2)
         config["script"][-1]["expect"] = "deny"  # a granted request

@@ -527,7 +527,7 @@ def test_change_driven_sync_matches_full_refetch(steps):
         return bench.chain.query_state("captoken", "changes_since", (cursor,))
 
     def fetch(subject):
-        return bench.chain.query_state("captoken", "get_token", (subject.hex,))
+        return bench.chain.query_state("captoken", "get_token", (subject,))
 
     interval = bench.chain.config.block_interval_ms
     cache, reference = TokenCache(interval, changes), TokenCache(interval, changes)

@@ -5,9 +5,11 @@ import random
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from capchain.address import AddressFactory
-from capchain.encoding import ZERO_DIGEST
+from capchain.address import Address, AddressFactory
+from capchain.encoding import ZERO_DIGEST, canonical_json, digest_of
 from capchain.ledger import (Block, Chain, ChainConfig, ContractNotFoundError,
                              CorruptChainError, IntervalNotElapsedError,
                              NoGasRecordedError, NonceMismatchError,
@@ -16,6 +18,7 @@ from capchain.tokens import TokenContract
 from capchain.zones import NODE_TYPE_NONE, ZoneContract
 
 from chainbench import Bench, change_first_tx, reseal, submit
+from reference_models import reference_jsonify
 
 
 def fresh_chain(seed=42, block_interval_ms=15000, **config_kwargs):
@@ -170,7 +173,7 @@ class TestProduceBlock:
 class TestQueryState:
     def test_default_vnode_record(self):
         chain, _, factory = fresh_chain()
-        record = chain.query_state("vzone", "get_vnode", (factory.new_address().hex,))
+        record = chain.query_state("vzone", "get_vnode", (factory.new_address(),))
         assert record.node_type == NODE_TYPE_NONE
         assert record.vzone_id == ""
 
@@ -178,10 +181,17 @@ class TestQueryState:
         bench.submit(bench.master, "captoken", "issue_token",
                      (bench.client.hex, [], 0, 10**9))
         assert bench.chain.query_state("captoken", "get_token",
-                                       (bench.client.hex,)) is None
+                                       (bench.client,)) is None
         bench.chain.produce_next_block()
         assert bench.chain.query_state("captoken", "get_token",
-                                       (bench.client.hex,)) is not None
+                                       (bench.client,)) is not None
+
+    @pytest.mark.parametrize("contract,op", [
+        ("vzone", "get_vnode"), ("vzone", "get_certificate"), ("captoken", "get_token")])
+    def test_views_reject_hex_addresses(self, bench, contract, op):
+        # a hex string would miss the Address-keyed state and read as absent
+        with pytest.raises(TypeError, match="takes an Address"):
+            bench.chain.query_state(contract, op, (bench.client.hex,))
 
     def test_unknown_contract_not_found(self):
         chain, _, _ = fresh_chain()
@@ -394,10 +404,10 @@ class TestInvariants:
                      (bench.client.hex, [], 0, 10**9))
         for _ in range(3):
             assert bench.chain.query_state("captoken", "get_token",
-                                           (bench.client.hex,)) is None
+                                           (bench.client,)) is None
         bench.chain.produce_next_block()
         assert bench.chain.query_state("captoken", "get_token",
-                                       (bench.client.hex,)) is not None
+                                       (bench.client,)) is not None
 
     def test_concurrent_submitters_serialize_through_one_queue(self):
         import threading
@@ -431,3 +441,35 @@ class TestInvariants:
         block_gas = sum(tx.gas_used for block in bench.chain.blocks
                         for tx in block.transactions)
         assert bench.chain.gas_summary()["total_gas"] == block_gas
+
+
+addresses = st.binary(min_size=20, max_size=20).map(Address)
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=8), addresses),
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.lists(children, max_size=4).map(tuple),
+                               st.dictionaries(st.text(max_size=8), children, max_size=4)),
+    max_leaves=12)
+
+
+class TestEncoder:
+    @settings(max_examples=200, deadline=None)
+    @given(value=json_values, args=st.lists(json_values, max_size=4).map(tuple),
+           sender=addresses, nonce=st.integers(min_value=0))
+    def test_encoder_matches_reference_walk(self, value, args, sender, nonce):
+        assert canonical_json(value) == canonical_json(reference_jsonify(value))
+        tx = Transaction(sender, "vzone", "join_vzone", args, nonce, gas_used=64733)
+        call = {"sender": sender.hex, "contract": "vzone", "op": "join_vzone",
+                "args": reference_jsonify(args), "nonce": nonce}
+        assert tx.digest == digest_of(call)
+        assert Block.compute_digest(3, 45000, ZERO_DIGEST, [tx]) == digest_of({
+            "height": 3, "timestamp": 45000, "parent": ZERO_DIGEST,
+            "txs": [dict(call, gas=64733)]})
+
+    @pytest.mark.parametrize("value", [{1, 2}, Decimal("1.5"), [Decimal("2")],
+                                       {"rules": ({"days": {0}},)}])
+    def test_types_json_lacks_are_rejected_both_ways(self, value):
+        with pytest.raises(TypeError):
+            canonical_json(value)
+        with pytest.raises(TypeError):
+            canonical_json(reference_jsonify(value))

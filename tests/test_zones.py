@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from capchain.address import AddressFactory, ZERO_ADDRESS
 from capchain.zones import (NODE_TYPE_FOLLOWER, NODE_TYPE_MASTER, NODE_TYPE_NONE,
+                            VirtualZone, VNodeRecord,
                             ZoneContract)
 
 from reference_models import (MODEL_OPS, contract_state_view, model_state_view,
@@ -160,6 +161,32 @@ class TestViewsAndDump:
         zone = zones.get_vzone("nowhere")
         assert zone.master == ZERO_ADDRESS
         assert zone.uid == 0
+
+    def test_records_through_join_leave_revoke_and_recreate(self):
+        supervisor, master, nodes, zones = make_world()
+        node = nodes[0]
+
+        def views():
+            return zones.get_vzone("zone-a"), zones.get_vnode(master), zones.get_vnode(node)
+
+        assert zones.create_vzone(master, "zone-a")
+        assert zones.join_vzone(master, "zone-a", node)
+        assert views() == (VirtualZone("zone-a", master, 1),
+                           VNodeRecord(master, "zone-a", NODE_TYPE_MASTER),
+                           VNodeRecord(node, "zone-a", NODE_TYPE_FOLLOWER))
+        assert zones.leave_vzone(master, "zone-a", node)
+        assert views()[2] == VNodeRecord(node, "", NODE_TYPE_NONE)
+        assert zones.revoke_vzone(master, "zone-a")
+        assert views() == (VirtualZone("zone-a", ZERO_ADDRESS, 2),
+                           VNodeRecord(master, "", NODE_TYPE_NONE),
+                           VNodeRecord(node, "", NODE_TYPE_NONE))
+        assert zones.create_vzone(supervisor, "zone-a")
+        assert zones.join_vzone(supervisor, "zone-a", node)
+        assert views() == (VirtualZone("zone-a", supervisor, 3),
+                           VNodeRecord(master, "", NODE_TYPE_NONE),
+                           VNodeRecord(node, "zone-a", NODE_TYPE_FOLLOWER))
+        assert zones.get_vnode(supervisor) == VNodeRecord(supervisor, "zone-a",
+                                                          NODE_TYPE_MASTER)
 
     def test_certificate_field_names(self):
         _, master, nodes, zones = make_world()
