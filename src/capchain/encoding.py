@@ -8,12 +8,18 @@ determinism of the whole system reduces to determinism of these bytes.
 Addresses stay objects inside the process; this encoder is the one
 place that writes them as hex, which is where bytes leave the process
 (transactions, exports, digests).
+
+The CSV reports keep the ``csv`` module as the one judge of how a cell is
+quoted; ``CsvCells`` asks it once per distinct cell.
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
+from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 from typing import Any
 
 from .address import Address
@@ -40,6 +46,11 @@ def canonical_json(obj: Any) -> str:
     return _ENCODER.encode(obj)
 
 
+#: ``canonical_json`` of a ``str``: the encoder's own string writer, called
+#: directly where a canonical text is assembled from parts.
+canonical_str = encode_basestring_ascii
+
+
 def sha256_hex(data: str | bytes) -> str:
     if isinstance(data, str):
         data = data.encode("utf-8")
@@ -49,3 +60,28 @@ def sha256_hex(data: str | bytes) -> str:
 def digest_of(obj: Any) -> str:
     """SHA-256 over the canonical JSON encoding of ``obj``."""
     return sha256_hex(canonical_json(obj))
+
+
+class CsvCells(dict):
+    """``cells[value]`` is the text ``csv.writer`` writes for ``value`` as one
+    cell of a row, quoted as this interpreter's ``csv`` module quotes it.
+
+    Each distinct string goes through ``csv.writer`` once. The cell is
+    written with an empty cell after it, because ``csv`` quotes an empty
+    field only when it is alone in its row. Values of any other type are
+    written each time and never stored: ``1 == 1.0 == True`` but each
+    writes differently.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._lines: list[str] = []
+        self._writer = csv.writer(SimpleNamespace(write=self._lines.append),
+                                  lineterminator="\n")
+
+    def __missing__(self, value: Any) -> str:
+        self._writer.writerow((value, ""))
+        text = self._lines.pop()[:-2]   # drop the empty cell's ",\n"
+        if type(value) is str:
+            self[value] = text
+        return text

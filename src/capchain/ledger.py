@@ -13,7 +13,6 @@ converted to fees with a configured gas price and ETC/USD rate.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import threading
@@ -22,7 +21,8 @@ from decimal import ROUND_HALF_UP, Decimal
 from typing import Any, Callable, Iterable, Optional
 
 from .address import Address
-from .encoding import ZERO_DIGEST, canonical_json, digest_of
+from .encoding import (ZERO_DIGEST, CsvCells, canonical_json, canonical_str, digest_of,
+                       sha256_hex)
 
 
 class LedgerError(Exception):
@@ -135,13 +135,20 @@ class ChainConfig:
             raise ValueError("eth_price_usd must be nonnegative")
 
 
-@dataclass
+@dataclass(slots=True)
 class Transaction:
     """A contract call queued by a sender.
 
     ``gas_used`` is zero until the transaction is applied in a block.
     The transaction digest covers the submitted call only, not the gas,
     so a digest identifies the same call before and after application.
+
+    The args are encoded once, on first use, and the canonical texts of
+    the call and of its wire form are assembled around that encoding:
+    the keys ``args < contract < gas < nonce < op < sender`` are already
+    in sorted order. The cached text is not an init field, so
+    ``dataclasses.replace`` encodes the new args afresh; args must not be
+    mutated in place once the transaction is submitted.
     """
 
     sender: Address
@@ -150,24 +157,27 @@ class Transaction:
     args: tuple
     nonce: int
     gas_used: int = 0
+    _args_text: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
-    def call_wire(self) -> dict:
-        return {
-            "sender": self.sender.hex,
-            "contract": self.contract,
-            "op": self.op,
-            "args": self.args,
-            "nonce": self.nonce,
-        }
+    def _text(self, gas: str) -> str:
+        args = self._args_text
+        if args is None:
+            args = self._args_text = canonical_json(self.args)
+        return (f'{{"args":{args},"contract":{canonical_str(self.contract)},{gas}'
+                f'"nonce":{self.nonce},"op":{canonical_str(self.op)},'
+                f'"sender":"{self.sender.hex}"}}')
 
-    def wire(self) -> dict:
-        body = self.call_wire()
-        body["gas"] = self.gas_used
-        return body
+    def call_text(self) -> str:
+        """Canonical JSON of the call: sender, contract, op, args, nonce."""
+        return self._text("")
+
+    def wire_text(self) -> str:
+        """Canonical JSON of the call plus its gas, as a block carries it."""
+        return self._text(f'"gas":{self.gas_used},')
 
     @property
     def digest(self) -> str:
-        return digest_of(self.call_wire())
+        return sha256_hex(self.call_text())
 
     @classmethod
     def from_wire(cls, body: dict) -> "Transaction":
@@ -177,8 +187,16 @@ class Transaction:
             op=_field(body, "op", str),
             args=tuple(_field(body, "args", list)),
             nonce=_field(body, "nonce", int),
-            gas_used=body.get("gas", 0),
+            gas_used=_field(body, "gas", int) if "gas" in body else 0,
         )
+
+
+def _block_text(head: str, height: int, timestamp: int, parent_digest: str,
+                transactions: Iterable[Transaction]) -> str:
+    """Canonical JSON of a block body, ``head`` spliced in before ``height``."""
+    txs = ",".join([tx.wire_text() for tx in transactions])
+    return (f'{{{head}"height":{height},"parent":{canonical_str(parent_digest)},'
+            f'"timestamp":{timestamp},"txs":[{txs}]}}')
 
 
 @dataclass(frozen=True)
@@ -192,21 +210,13 @@ class Block:
     @staticmethod
     def compute_digest(height: int, timestamp: int, parent_digest: str,
                        transactions: Iterable[Transaction]) -> str:
-        return digest_of({
-            "height": height,
-            "timestamp": timestamp,
-            "parent": parent_digest,
-            "txs": [tx.wire() for tx in transactions],
-        })
+        """SHA-256 of the body: height, parent, timestamp, txs (no digest key)."""
+        return sha256_hex(_block_text("", height, timestamp, parent_digest, transactions))
 
-    def wire(self) -> dict:
-        return {
-            "height": self.height,
-            "timestamp": self.timestamp,
-            "parent": self.parent_digest,
-            "txs": [tx.wire() for tx in self.transactions],
-            "digest": self.digest,
-        }
+    def wire_text(self) -> str:
+        """The export line: ``digest`` sorts first, so it goes in front of the body."""
+        return _block_text(f'"digest":{canonical_str(self.digest)},', self.height,
+                           self.timestamp, self.parent_digest, self.transactions)
 
     @classmethod
     def from_wire(cls, body: dict) -> "Block":
@@ -426,11 +436,22 @@ class Chain:
         }
 
     def write_gas_report(self, stream: io.TextIOBase) -> None:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(["tx_digest", "op", "gas", "fee_etc", "fee_usd"])
+        """One CSV row per applied transaction; each distinct row tail is formatted once.
+
+        The digest is hex and the numbers print without separators or
+        quotes, so only ``op`` needs the ``csv`` module's quoting.
+        """
+        cells = CsvCells()
+        tails: dict[tuple, str] = {}
+        rows = ["tx_digest,op,gas,fee_etc,fee_usd\n"]
         for entry in self._gas_log:
-            writer.writerow([entry.tx_digest, entry.op, entry.gas,
-                             str(entry.fee_etc), str(entry.fee_usd)])
+            key = (entry.op, entry.gas, entry.fee_etc, entry.fee_usd)
+            tail = tails.get(key)
+            if tail is None:
+                tail = tails[key] = \
+                    f"{cells[entry.op]},{entry.gas!s},{entry.fee_etc!s},{entry.fee_usd!s}\n"
+            rows.append(f"{entry.tx_digest},{tail}")
+        stream.write("".join(rows))
 
     def gas_report_text(self) -> str:
         buffer = io.StringIO()
@@ -441,7 +462,7 @@ class Chain:
 
     def export_chain_text(self) -> str:
         """One block per line: height, timestamp, parent, txs, digest."""
-        return "".join(canonical_json(block.wire()) + "\n" for block in self._blocks)
+        return "\n".join([block.wire_text() for block in self._blocks]) + "\n"
 
     def state_digest(self) -> str:
         return digest_of({

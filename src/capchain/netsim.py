@@ -16,7 +16,6 @@ deterministic function of configuration. A request's total is exactly
 
 from __future__ import annotations
 
-import csv
 import heapq
 import random
 import statistics
@@ -24,6 +23,7 @@ from dataclasses import dataclass
 from typing import Any, Iterator, Optional, Union
 
 from .address import AddressFactory
+from .encoding import CsvCells
 from .enforcement import ServiceProvider, ServiceRequest, StageTrace, PIPELINE_STAGES
 from .ledger import Chain, ChainConfig
 from .master import (AccessDecision, DomainMaster, MasterError, ProfileStore,
@@ -188,16 +188,19 @@ def _config_number(config: dict, key: str, default: Any, kind: type) -> Any:
         raise ScenarioError(f"config field {key!r}: {exc}") from None
 
 
-def _parse_profile(value: Any) -> ProcessingProfile:
+def _parse_profile(node: str, value: Any) -> ProcessingProfile:
     if value is None:
         return PROFILES["none"]
     if isinstance(value, str):
         if value not in PROFILES:
-            raise ScenarioError(f"unknown profile {value!r}")
+            raise ScenarioError(f"node {node!r}: unknown profile {value!r}")
         return PROFILES[value]
     if isinstance(value, dict):
-        return ProcessingProfile(**value)
-    raise ScenarioError(f"profile must be a name or mapping, got {value!r}")
+        try:
+            return ProcessingProfile(**value)
+        except (TypeError, ScenarioError) as exc:   # TypeError: unknown key, cost not a number
+            raise ScenarioError(f"node {node!r}: profile: {exc}") from None
+    raise ScenarioError(f"node {node!r}: profile must be a name or mapping, got {value!r}")
 
 
 class Simulation:
@@ -253,7 +256,7 @@ class Simulation:
                 name=name,
                 role=role,
                 vid=factory.new_address(),
-                profile=_parse_profile(spec.get("profile")),
+                profile=_parse_profile(name, spec.get("profile")),
                 services=tuple(spec.get("services", ())),
                 zone=zone,
                 members=tuple(spec.get("members", ())),
@@ -280,11 +283,15 @@ class Simulation:
             delay = spec.get("one_way_delay_ms", 0.0)
             if isinstance(delay, list):
                 delay = tuple(delay)
+            try:
+                drop_rate = float(spec.get("drop_rate", 0.0))
+            except (TypeError, ValueError) as exc:
+                raise ScenarioError(f"channel {i}: drop_rate: {exc}") from None
             channel = ChannelSpec(
                 name=spec.get("name", f"{a}--{b}"),
                 a=a, b=b,
                 one_way_delay_ms=delay,
-                drop_rate=float(spec.get("drop_rate", 0.0)),
+                drop_rate=drop_rate,
             )
             key = frozenset((a, b))
             if key in self.channels:
@@ -384,7 +391,10 @@ class Simulation:
         result = SimulationResult([], [], [], [])
         queue: list = []
         for i, event in enumerate(script):
-            at = float(event.get("at", 0))
+            try:
+                at = float(event.get("at", 0))
+            except (TypeError, ValueError) as exc:
+                raise ScriptedEventError(i, f"at: {exc}") from None
             self._push(queue, at, event["op"], dict(event, index=i))
         self._push(queue, float(self.block_interval_ms), "block", {})
         while queue:
@@ -436,9 +446,19 @@ class Simulation:
     def _handle_issue(self, at: float, payload: dict, result: SimulationResult) -> None:
         master_name = payload["master"]
         subject = self.nodes[payload["subject"]].vid
-        rules = tuple(AccessRule.from_wire(r) for r in payload["rules"])
-        decision = AccessDecision(granted=rules,
-                                  validity_ms=int(payload.get("validity_ms", 3_600_000)))
+        rules = []
+        for j, rule in enumerate(payload["rules"]):
+            try:
+                rules.append(AccessRule.from_wire(rule))
+            except (TypeError, ValueError, KeyError, AttributeError) as exc:
+                raise ScriptedEventError(
+                    payload["index"],
+                    f"rules[{j}] is not a rule ({type(exc).__name__}: {exc})") from None
+        try:
+            validity_ms = int(payload.get("validity_ms", 3_600_000))
+        except (TypeError, ValueError, OverflowError) as exc:   # OverflowError: int(inf)
+            raise ScriptedEventError(payload["index"], f"validity_ms: {exc}") from None
+        decision = AccessDecision(granted=tuple(rules), validity_ms=validity_ms)
         if master_name in self.masters:
             self.masters[master_name].issue_capability(subject, decision, int(at))
         else:
@@ -604,61 +624,81 @@ MEASUREMENT_COLUMNS = ["request_id", "at_ms", "requester", "provider", "method",
 
 
 def write_measurements_csv(measurements: list[Measurement], stream) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(MEASUREMENT_COLUMNS)
+    """One row per request. String cells are quoted by the ``csv`` module, once
+    per distinct value; ids, heights and ``_fmt`` numbers never need quotes."""
+    cells = CsvCells()
+    rows = [",".join(MEASUREMENT_COLUMNS) + "\n"]
     for m in measurements:
-        writer.writerow([
-            m.request_id, _fmt(m.at_ms), m.requester, m.provider, m.method, m.uri,
-            m.outcome, m.stage or "", m.reason or "",
-            "" if m.cache_hit is None else str(m.cache_hit).lower(),
-            m.block_height, _fmt(m.total_ms),
-        ])
+        hit = "" if m.cache_hit is None else str(m.cache_hit).lower()
+        rows.append(
+            f"{m.request_id},{_fmt(m.at_ms)},{cells[m.requester]},{cells[m.provider]},"
+            f"{cells[m.method]},{cells[m.uri]},{cells[m.outcome]},{cells[m.stage or '']},"
+            f"{cells[m.reason or '']},{hit},{m.block_height},{_fmt(m.total_ms)}\n")
+    stream.write("".join(rows))
 
 
 def write_stage_traces_csv(measurements: list[Measurement], stream) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["request_id", "stage", "outcome", "duration_ms"])
+    """One row per recorded stage; each distinct ``stage,outcome,duration`` tail is
+    formatted once. Stage and outcome names are the pipeline's own, never quoted."""
+    tails: dict[tuple, str] = {}
+    parts = ["request_id,stage,outcome,duration_ms\n"]
+    append = parts.append
     for m in measurements:
         if m.trace is None:
             continue
+        head = f"{m.request_id},"
         for record in m.trace.records:
-            writer.writerow([m.request_id, record.stage, record.outcome,
-                             _fmt(record.duration_ms)])
-
-
-def ac_share(measurement: Measurement) -> Optional[float]:
-    """Fraction of the total spent on authentication plus validation stages."""
-    if measurement.trace is None or measurement.total_ms == 0:
-        return None
-    ac_ms = sum(r.duration_ms for r in measurement.trace.records
-                if r.stage != "token_fetch")
-    return ac_ms / measurement.total_ms
+            duration = record.duration_ms
+            # -0.0 equals 0.0 but prints "-0"; a zero keys on its repr instead
+            key = (record.stage, record.outcome, duration if duration else repr(duration))
+            tail = tails.get(key)
+            if tail is None:
+                tail = tails[key] = f"{record.stage},{record.outcome},{_fmt(duration)}\n"
+            append(head)
+            append(tail)
+    stream.write("".join(parts))
 
 
 def summarize(measurements: list[Measurement]) -> dict:
-    totals = [m.total_ms for m in measurements]
-    steady = totals[1:] if len(totals) > 1 else totals
-    hits = [m for m in measurements if m.cache_hit]
-    flagged = [m for m in measurements if m.cache_hit is not None]
+    """Counts, latency statistics, per-stage statistics and the steady-state
+    access-control share, gathered in one pass over the measurements.
+
+    A request's access-control share is its authentication plus validation
+    stage time (every stage but ``token_fetch``) over its total; the first
+    request and requests without a trace or with a zero total have none.
+    """
+    totals: list[float] = []
+    outcomes: list[str] = []
+    hits = flagged = 0
     per_stage: dict[str, list[float]] = {stage: [] for stage in PIPELINE_STAGES}
+    steady_shares: list[float] = []
     for m in measurements:
+        totals.append(m.total_ms)
+        outcomes.append(m.outcome)
+        if m.cache_hit is not None:
+            flagged += 1
+            hits += bool(m.cache_hit)
         if m.trace is not None:
+            ac_ms: list[float] = []
             for record in m.trace.records:
                 per_stage[record.stage].append(record.duration_ms)
-    steady_shares = [share for m in measurements[1:]
-                     if (share := ac_share(m)) is not None]
+                if record.stage != "token_fetch":
+                    ac_ms.append(record.duration_ms)
+            if m.total_ms and len(totals) > 1:
+                steady_shares.append(sum(ac_ms) / m.total_ms)
+    steady = totals[1:] if len(totals) > 1 else totals
     summary = {
         "requests": len(measurements),
-        "grants": sum(1 for m in measurements if m.outcome == "grant"),
-        "denials": sum(1 for m in measurements if m.outcome == "deny"),
-        "timeouts": sum(1 for m in measurements if m.outcome == "timeout"),
+        "grants": outcomes.count("grant"),
+        "denials": outcomes.count("deny"),
+        "timeouts": outcomes.count("timeout"),
         "mean_total_ms": statistics.fmean(totals) if totals else 0.0,
         "median_total_ms": statistics.median(totals) if totals else 0.0,
         "first_request_ms": totals[0] if totals else 0.0,
         "steady_mean_ms": statistics.fmean(steady) if steady else 0.0,
         "steady_median_ms": statistics.median(steady) if steady else 0.0,
-        "cache_hits": len(hits),
-        "cache_hit_rate": len(hits) / len(flagged) if flagged else 0.0,
+        "cache_hits": hits,
+        "cache_hit_rate": hits / flagged if flagged else 0.0,
         "steady_ac_share": statistics.fmean(steady_shares) if steady_shares else 0.0,
         "stage_mean_ms": {stage: (statistics.fmean(values) if values else 0.0)
                           for stage, values in per_stage.items()},

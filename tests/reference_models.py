@@ -8,10 +8,19 @@ The token cache reference is the exception: it is the full-refetch sync
 that the change-driven ``TokenCache.sync`` replaced, run on a real cache.
 So is ``reference_jsonify``, the argument walk that turned ``Address``
 objects into hex before encoding, which the encoder's own hook replaced.
+The wire dicts and report writers at the end are the ones the assembled
+texts replaced: dicts handed whole to ``canonical_json``, rows handed
+whole to ``csv.writer``, statistics gathered one list at a time. They
+share ``netsim._fmt``, the one float formatter, with the package.
 """
 
+import csv
+import statistics
+
 from capchain.address import Address
+from capchain.enforcement import PIPELINE_STAGES
 from capchain.ledger import LedgerError
+from capchain.netsim import MEASUREMENT_COLUMNS, _fmt
 
 ZERO_HEX = "0x" + "00" * 20
 
@@ -252,3 +261,114 @@ def reference_jsonify(value):
     if isinstance(value, dict):
         return {k: reference_jsonify(v) for k, v in value.items()}
     return value
+
+
+# ---------------------------------------------------------------------------
+# Ledger wire objects (a dict per transaction and block, encoded whole)
+# ---------------------------------------------------------------------------
+
+def reference_call_wire(tx):
+    """What ``Transaction.digest`` covers: the call without its gas."""
+    return {
+        "sender": tx.sender.hex,
+        "contract": tx.contract,
+        "op": tx.op,
+        "args": tx.args,
+        "nonce": tx.nonce,
+    }
+
+
+def reference_tx_wire(tx):
+    return dict(reference_call_wire(tx), gas=tx.gas_used)
+
+
+def reference_block_body(height, timestamp, parent_digest, transactions):
+    """What a block digest covers: the block without its digest."""
+    return {
+        "height": height,
+        "timestamp": timestamp,
+        "parent": parent_digest,
+        "txs": [reference_tx_wire(tx) for tx in transactions],
+    }
+
+
+def reference_block_wire(block):
+    """A block as its export line carries it."""
+    return dict(reference_block_body(block.height, block.timestamp, block.parent_digest,
+                                     block.transactions), digest=block.digest)
+
+
+# ---------------------------------------------------------------------------
+# Report writers (a csv.writer row per line, one list per statistic)
+# ---------------------------------------------------------------------------
+
+def reference_write_measurements_csv(measurements, stream):
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(MEASUREMENT_COLUMNS)
+    for m in measurements:
+        writer.writerow([
+            m.request_id, _fmt(m.at_ms), m.requester, m.provider, m.method, m.uri,
+            m.outcome, m.stage or "", m.reason or "",
+            "" if m.cache_hit is None else str(m.cache_hit).lower(),
+            m.block_height, _fmt(m.total_ms),
+        ])
+
+
+def reference_write_stage_traces_csv(measurements, stream):
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(["request_id", "stage", "outcome", "duration_ms"])
+    for m in measurements:
+        if m.trace is None:
+            continue
+        for record in m.trace.records:
+            writer.writerow([m.request_id, record.stage, record.outcome,
+                             _fmt(record.duration_ms)])
+
+
+def reference_write_gas_report(entries, stream):
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(["tx_digest", "op", "gas", "fee_etc", "fee_usd"])
+    for entry in entries:
+        writer.writerow([entry.tx_digest, entry.op, entry.gas,
+                         str(entry.fee_etc), str(entry.fee_usd)])
+
+
+def reference_ac_share(measurement):
+    """Fraction of the total spent on authentication plus validation stages."""
+    if measurement.trace is None or measurement.total_ms == 0:
+        return None
+    ac_ms = sum(r.duration_ms for r in measurement.trace.records
+                if r.stage != "token_fetch")
+    return ac_ms / measurement.total_ms
+
+
+def reference_summarize(measurements):
+    totals = [m.total_ms for m in measurements]
+    steady = totals[1:] if len(totals) > 1 else totals
+    hits = [m for m in measurements if m.cache_hit]
+    flagged = [m for m in measurements if m.cache_hit is not None]
+    per_stage = {stage: [] for stage in PIPELINE_STAGES}
+    for m in measurements:
+        if m.trace is not None:
+            for record in m.trace.records:
+                per_stage[record.stage].append(record.duration_ms)
+    steady_shares = [share for m in measurements[1:]
+                     if (share := reference_ac_share(m)) is not None]
+    return {
+        "requests": len(measurements),
+        "grants": sum(1 for m in measurements if m.outcome == "grant"),
+        "denials": sum(1 for m in measurements if m.outcome == "deny"),
+        "timeouts": sum(1 for m in measurements if m.outcome == "timeout"),
+        "mean_total_ms": statistics.fmean(totals) if totals else 0.0,
+        "median_total_ms": statistics.median(totals) if totals else 0.0,
+        "first_request_ms": totals[0] if totals else 0.0,
+        "steady_mean_ms": statistics.fmean(steady) if steady else 0.0,
+        "steady_median_ms": statistics.median(steady) if steady else 0.0,
+        "cache_hits": len(hits),
+        "cache_hit_rate": len(hits) / len(flagged) if flagged else 0.0,
+        "steady_ac_share": statistics.fmean(steady_shares) if steady_shares else 0.0,
+        "stage_mean_ms": {stage: (statistics.fmean(values) if values else 0.0)
+                          for stage, values in per_stage.items()},
+        "stage_median_ms": {stage: (statistics.median(values) if values else 0.0)
+                            for stage, values in per_stage.items()},
+    }

@@ -11,7 +11,7 @@ from capchain.ledger import read_chain
 from capchain.netsim import latency_bench_config
 
 from chainbench import change_first_tx, reseal
-from reference_models import full_refetch_sync
+from reference_models import full_refetch_sync, reference_block_wire
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 RULE_GET = {"action": "GET", "resource": "/api/data", "conditions": []}
@@ -83,8 +83,15 @@ class TestScenario:
         (lambda c: c.update(block_interval_ms=0), "'block_interval_ms' must be >= 1"),
         (lambda c: c["channels"][0].update(one_way_delay_ms=[5, -1]), "one_way_delay_ms"),
         (lambda c: c["channels"][0].update(one_way_delay_ms=[5]), "one_way_delay_ms"),
+        (lambda c: c["script"][1]["rules"][0].update(action="FLY"),
+         "event 1: rules[0] is not a rule (ValueError: 'FLY'"),
+        (lambda c: c["nodes"][3].update(profile={"foo": 1}), "node 'provider': profile: "),
+        (lambda c: c["script"][2].update(at="soon"), "event 2: at: "),
+        (lambda c: c["channels"][0].update(drop_rate="often"), "channel 0: drop_rate: "),
+        (lambda c: c["script"][1].update(validity_ms="forever"), "event 1: validity_ms: "),
     ], ids=["issue-without-rules", "string-delay", "nodes-object", "zero-interval",
-            "inverted-delay-range", "one-element-delay-range"])
+            "inverted-delay-range", "one-element-delay-range", "unknown-action",
+            "unknown-profile-key", "string-at", "string-drop-rate", "string-validity"])
     def test_malformed_scenario_field_fails(self, tmp_path, capsys, mutate, named):
         config = json.loads((SCENARIOS / "registration_and_revocation.json").read_text())
         mutate(config)
@@ -178,6 +185,8 @@ BAD_BLOCK_LINES = {
     "bad-sender-hex": lambda body: json.dumps(
         {**body, "txs": [{**body["txs"][0], "sender": "0x" + "zz" * 20}]}),
     "deep-nesting": lambda body: "[" * 100_000 + "]" * 100_000,
+    "string-gas": lambda body: json.dumps(
+        {**body, "txs": [{**body["txs"][0], "gas": str(body["txs"][0]["gas"])}]}),
 }
 
 
@@ -226,7 +235,8 @@ class TestInspect:
         chain_file = demo_chain(tmp_path, capsys)
         blocks = read_chain(io.StringIO(chain_file.read_text()))
         blocks = reseal(blocks, 1, change_first_tx(gas_used=1))
-        chain_file.write_text("".join(canonical_json(b.wire()) + "\n" for b in blocks))
+        chain_file.write_text("".join(canonical_json(reference_block_wire(b)) + "\n"
+                                       for b in blocks))
         assert main(["inspect", str(chain_file)]) == 1
         err = failure(capsys)
         assert err["error"] == "corrupt-chain"

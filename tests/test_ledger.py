@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capchain.address import Address, AddressFactory
-from capchain.encoding import ZERO_DIGEST, canonical_json, digest_of
+from capchain.encoding import ZERO_DIGEST, canonical_json, digest_of, sha256_hex
 from capchain.ledger import (Block, Chain, ChainConfig, ContractNotFoundError,
                              CorruptChainError, IntervalNotElapsedError,
                              NoGasRecordedError, NonceMismatchError,
@@ -18,7 +18,9 @@ from capchain.tokens import TokenContract
 from capchain.zones import NODE_TYPE_NONE, ZoneContract
 
 from chainbench import Bench, change_first_tx, reseal, submit
-from reference_models import reference_jsonify
+from reference_models import (reference_block_body, reference_block_wire,
+                              reference_call_wire, reference_jsonify, reference_tx_wire,
+                              reference_write_gas_report)
 
 
 def fresh_chain(seed=42, block_interval_ms=15000, **config_kwargs):
@@ -381,6 +383,26 @@ class TestGasAccounting:
         assert summary["total_gas"] == summed_gas
         assert summary["total_fee_usd"] == summed_usd
 
+    @settings(max_examples=100, deadline=None)
+    @given(ops=st.lists(st.tuples(st.sampled_from(["issue_token", "a,b", 'say "hi"', "",
+                                                   "line\nbreak", "cr\r", "é"]),
+                                  st.booleans()), max_size=12),
+           gas_table=st.dictionaries(st.sampled_from(["issue_token", "a,b", ""]),
+                                     st.integers(-10**6, 10**9), max_size=3),
+           prices=st.lists(st.tuples(st.decimals("0", "1E-6", places=12),
+                                     st.decimals("0", "5000", places=2)), min_size=1))
+    def test_gas_report_matches_csv_writer_rows(self, ops, gas_table, prices):
+        chain, supervisor, _ = fresh_chain(gas_table=gas_table)
+        for i, (op, seal) in enumerate(ops):
+            submit(chain, supervisor, "vzone", op, ())
+            if seal:
+                chain.config.gas_price_etc, chain.config.eth_price_usd = prices[i % len(prices)]
+                chain.produce_next_block()
+        chain.produce_next_block()
+        expected = io.StringIO()
+        reference_write_gas_report(chain.gas_entries(), expected)
+        assert chain.gas_report_text() == expected.getvalue()
+
 
 class TestInvariants:
     def test_append_only_digests_verify(self, bench):
@@ -452,6 +474,23 @@ json_values = st.recursive(
     max_leaves=12)
 
 
+# strings that JSON must escape: quotes, backslashes, control and non-ASCII characters
+wire_strings = st.text(st.sampled_from('a"\\/\x00\x1f\n\t\x7fé€\U0001f600'), max_size=6) \
+    | st.text(max_size=6)
+wire_args = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False,
+                                                                 allow_infinity=False),
+              wire_strings, addresses),
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.dictionaries(st.sampled_from(["nonce", "gas", "args", "digest", "txs"])
+                        | wire_strings, children, max_size=3)),
+    max_leaves=10)
+transactions = st.builds(Transaction, sender=addresses, contract=wire_strings, op=wire_strings,
+                         args=st.lists(wire_args, max_size=3).map(tuple),
+                         nonce=st.integers(min_value=0), gas_used=st.integers(min_value=0))
+
+
 class TestEncoder:
     @settings(max_examples=200, deadline=None)
     @given(value=json_values, args=st.lists(json_values, max_size=4).map(tuple),
@@ -465,6 +504,56 @@ class TestEncoder:
         assert Block.compute_digest(3, 45000, ZERO_DIGEST, [tx]) == digest_of({
             "height": 3, "timestamp": 45000, "parent": ZERO_DIGEST,
             "txs": [dict(call, gas=64733)]})
+
+    @settings(max_examples=200, deadline=None)
+    @given(txs=st.lists(transactions, max_size=4), height=st.integers(min_value=0),
+           timestamp=st.integers(min_value=0), parent=wire_strings, digest=wire_strings)
+    def test_assembled_texts_equal_reference_encodings(self, txs, height, timestamp,
+                                                       parent, digest):
+        for tx in txs:
+            call = canonical_json(reference_call_wire(tx))
+            assert tx.call_text() == call
+            assert tx.digest == sha256_hex(call)
+            assert tx.wire_text() == canonical_json(reference_tx_wire(tx))
+        assert Block.compute_digest(height, timestamp, parent, txs) == \
+            digest_of(reference_block_body(height, timestamp, parent, txs))
+        block = Block(height, timestamp, parent, tuple(txs), digest)
+        assert block.wire_text() == canonical_json(reference_block_wire(block))
+
+    def test_export_equals_reference_encoding_of_every_block(self, bench):
+        bench.issue_client_token()
+        bench.apply(bench.master, "vzone", "join_vzone", (bench.zone_id, {"nonce": 1}))
+        assert bench.chain.export_chain_text() == "".join(
+            canonical_json(reference_block_wire(block)) + "\n"
+            for block in bench.chain.blocks)
+
+    def test_replaced_args_are_encoded_afresh(self, bench):
+        tx = Transaction(bench.master, "vzone", "create_vzone", ("zone-a",), 0)
+        old_digest, old_wire = tx.digest, tx.wire_text()   # caches the args text
+        new = dataclasses.replace(tx, args=("zone-b",))
+        assert new.digest == sha256_hex(canonical_json(reference_call_wire(new)))
+        assert new.digest != old_digest
+        assert new.wire_text() == old_wire.replace("zone-a", "zone-b")
+
+    def test_resealed_args_change_carries_the_new_args(self, bench):
+        # The live chain's transactions hold their encoded args. A resealed
+        # block must hash and export the replaced args, not the held text:
+        # its export then replays to the changed state, while the same change
+        # under the digest of the old text fails replay.
+        bench.issue_client_token()
+        live = list(bench.chain.blocks)
+        changed = (bench.provider.hex,) + live[2].transactions[0].args[1:]
+        blocks = reseal(list(live), 2, change_first_tx(args=changed))
+        assert blocks[2].digest == digest_of(reference_block_body(
+            2, blocks[2].timestamp, blocks[2].parent_digest, blocks[2].transactions))
+        text = "".join(canonical_json(reference_block_wire(b)) + "\n" for b in blocks)
+        replayed = replay_chain(bench.chain.config, read_chain(io.StringIO(text)),
+                                zone_contracts_factory(bench.supervisor))
+        assert replayed.export_chain_text() == text
+        assert replayed.state_digest() != bench.chain.state_digest()
+        blocks[2] = dataclasses.replace(blocks[2], digest=live[2].digest)
+        with pytest.raises(CorruptChainError, match="at height 2"):
+            replay_chain(bench.chain.config, blocks, zone_contracts_factory(bench.supervisor))
 
     @pytest.mark.parametrize("value", [{1, 2}, Decimal("1.5"), [Decimal("2")],
                                        {"rules": ({"days": {0}},)}])

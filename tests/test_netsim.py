@@ -1,13 +1,21 @@
+import csv
 import io
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from capchain.netsim import (PROFILES, PROFILE_DELAYS, ProcessingProfile,
+from capchain.encoding import CsvCells
+from capchain.enforcement import PIPELINE_STAGES, StageRecord, StageTrace
+from capchain.netsim import (PROFILES, PROFILE_DELAYS, Measurement, ProcessingProfile,
                              ScenarioError, ScriptedEventError, Simulation,
                              ac_overhead_ms, latency_bench_config,
                              run_latency_bench, run_overhead_bench, run_scenario,
                              summarize, write_measurements_csv,
                              write_stage_traces_csv, write_summary_text)
+
+from reference_models import (reference_summarize, reference_write_measurements_csv,
+                              reference_write_stage_traces_csv)
 
 RULE_GET = {"action": "GET", "resource": "/api/data", "conditions": []}
 
@@ -282,3 +290,62 @@ class TestReports:
                       "rule_match", "condition_check"):
             assert f"stage_mean_ms.{stage}:" in text
         assert "steady_mean_ms: 250" in text
+
+
+# cells the csv module must quote (and, on some interpreters, cannot write)
+csv_strings = st.text(st.sampled_from(',"\n\r a\x00é'), max_size=4)
+# include values that _fmt trims to "0" or "-0"
+report_floats = st.sampled_from([0.0, -0.0, 1e-7, -1e-7, 4.9e-7, 5e-7, -4.9e-7, 0.5, 250.0]) \
+    | st.floats(min_value=-1e9, max_value=1e9, allow_nan=False)
+stage_traces = st.builds(
+    StageTrace,
+    records=st.lists(st.builds(StageRecord, st.sampled_from(PIPELINE_STAGES),
+                               st.sampled_from(["pass", "fail"]), report_floats), max_size=5),
+    cache_hit=st.none() | st.booleans())
+measurements = st.builds(
+    Measurement,
+    request_id=st.integers(min_value=0), at_ms=report_floats,
+    requester=csv_strings, provider=csv_strings, method=csv_strings, uri=csv_strings,
+    outcome=st.sampled_from(["grant", "deny", "timeout"]) | csv_strings,
+    stage=st.none() | st.sampled_from(PIPELINE_STAGES), reason=st.none() | csv_strings,
+    cache_hit=st.none() | st.booleans(), block_height=st.integers(min_value=0),
+    total_ms=report_floats, trace=st.none() | stage_traces)
+
+
+def written(write, rows):
+    """What ``write`` puts in a stream, or the type of ``csv.Error`` it raises."""
+    stream = io.StringIO()
+    try:
+        write(rows, stream)
+    except csv.Error as exc:
+        return type(exc)
+    return stream.getvalue()
+
+
+class TestReportWritersMatchReference:
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(measurements, max_size=8))
+    def test_writers_are_byte_equal_to_csv_writer_rows(self, rows):
+        assert written(write_measurements_csv, rows) == \
+            written(reference_write_measurements_csv, rows)
+        assert written(write_stage_traces_csv, rows) == \
+            written(reference_write_stage_traces_csv, rows)
+        # repr tells -0.0 from 0.0 and shows every bit of a float
+        assert repr(summarize(rows)) == repr(reference_summarize(rows))
+        text, expected = io.StringIO(), io.StringIO()
+        write_summary_text(summarize(rows), text)
+        write_summary_text(reference_summarize(rows), expected)
+        assert text.getvalue() == expected.getvalue()
+
+    def test_zero_durations_keep_their_sign(self):
+        records = [StageRecord("token_fetch", "pass", value) for value in (0.0, -0.0, 0, -0.0)]
+        rows = [Measurement(1, 0.0, "c", "p", "GET", "/", "grant", None, None, True, 1, -0.0,
+                            StageTrace(records))]
+        assert written(write_stage_traces_csv, rows) == \
+            written(reference_write_stage_traces_csv, rows)
+        assert written(write_stage_traces_csv, rows).count(",-0\n") == 2
+
+    def test_csv_cells_write_equal_values_of_other_types_apart(self):
+        cells = CsvCells()
+        assert [cells[v] for v in (1, 1.0, True, "1", "a,b", "")] == \
+            ["1", "1.0", "True", "1", '"a,b"', ""]
