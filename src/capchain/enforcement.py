@@ -25,6 +25,17 @@ from .zones import NODE_TYPE_NONE, VNodeRecord, ZoneContract
 PIPELINE_STAGES = ("identity_auth", "token_fetch", "token_status", "rule_match",
                    "condition_check")
 
+#: Cost-model keys and the stage each prices; a token fetch is priced by
+#: whether the cache served it.
+COST_KEYS = {
+    "identity_auth": "identity_auth",
+    "token_fetch_hit": "token_fetch",
+    "token_fetch_miss": "token_fetch",
+    "token_status": "token_status",
+    "rule_match": "rule_match",
+    "condition_check": "condition_check",
+}
+
 
 @dataclass(frozen=True)
 class ServiceRequest:
@@ -72,6 +83,9 @@ class Decision:
     def denial_wire(self, requester: Address) -> dict:
         """Machine-readable denial response."""
         return {"stage": self.stage, "reason": self.reason, "requester": requester.hex}
+
+
+GRANTED = Decision(granted=True)
 
 
 # ---------------------------------------------------------------------------
@@ -206,27 +220,28 @@ class TokenCache:
 class ServiceProvider:
     """One service endpoint enforcing the authorization pipeline.
 
-    ``stage_costs`` maps cost-model keys to milliseconds:
-    ``identity_auth``, ``token_fetch_hit``, ``token_fetch_miss``,
-    ``token_status``, ``rule_match``, ``condition_check``. Missing keys
-    cost zero. Handles one request at a time; the cache is only written
-    between requests (initial fetch aside), so each request sees a
-    coherent token snapshot.
+    ``stage_costs`` maps cost-model keys (``COST_KEYS``) to milliseconds;
+    missing keys cost zero. The costs are fixed, so the pass and fail
+    record of every key is built once and shared by every trace. Handles
+    one request at a time; the cache is only written between requests
+    (initial fetch aside), so each request sees a coherent token snapshot.
     """
 
     def __init__(self, address: Address, chain: Chain,
                  stage_costs: Optional[Mapping[str, float]] = None):
         self.address = address
         self.chain = chain
-        self.stage_costs = dict(stage_costs or {})
+        costs = stage_costs or {}
+        self._passed = {key: StageRecord(stage, "pass", costs.get(key, 0.0))
+                        for key, stage in COST_KEYS.items()}
+        self._failed = {key: StageRecord(stage, "fail", costs.get(key, 0.0))
+                        for key, stage in COST_KEYS.items()}
+        self._denials: dict[tuple[str, str], Decision] = {}
         self.cache = TokenCache(
             chain.config.block_interval_ms,
             lambda cursor: chain.query_state(TokenContract.name, "changes_since", (cursor,)))
         self.contract_queries = 0
         self._own_record: VNodeRecord = self._query_vnode(address)
-
-    def _cost(self, key: str) -> float:
-        return self.stage_costs.get(key, 0.0)
 
     def _query_vnode(self, addr: Address) -> VNodeRecord:
         self.contract_queries += 1
@@ -271,43 +286,46 @@ class ServiceProvider:
     def authorize(self, request: ServiceRequest,
                   transport_ms: float = 0.0) -> tuple[Decision, StageTrace]:
         trace = StageTrace(transport_ms=transport_ms)
-
-        def deny(stage: str, reason: str, duration: float) -> Decision:
-            trace.records.append(StageRecord(stage, "fail", duration))
-            trace.aborted_at = stage
-            return Decision(granted=False, stage=stage, reason=reason)
-
-        def passed(stage: str, duration: float) -> None:
-            trace.records.append(StageRecord(stage, "pass", duration))
-
         ok, reason = self.authenticate(request.requester)
         if not ok:
-            return deny("identity_auth", reason, self._cost("identity_auth")), trace
-        passed("identity_auth", self._cost("identity_auth"))
+            return self._deny(trace, "identity_auth", reason), trace
+        records, passed = trace.records, self._passed
+        records.append(passed["identity_auth"])
 
         token, hit = self.fetch_or_cache_token(request.requester, request.now)
         trace.cache_hit = hit
-        fetch_cost = self._cost("token_fetch_hit" if hit else "token_fetch_miss")
+        fetch = "token_fetch_hit" if hit else "token_fetch_miss"
         if token is None:
-            return deny("token_fetch", "token-absent", fetch_cost), trace
-        passed("token_fetch", fetch_cost)
+            return self._deny(trace, fetch, "token-absent"), trace
+        records.append(passed[fetch])
 
         ok, reason = verify_token_status(token, request.now)
         if not ok:
-            return deny("token_status", reason, self._cost("token_status")), trace
-        passed("token_status", self._cost("token_status"))
+            return self._deny(trace, "token_status", reason), trace
+        records.append(passed["token_status"])
 
         rule = match_access_rule(token, request.method, request.uri)
         if rule is None:
-            return deny("rule_match", "no-matching-rule", self._cost("rule_match")), trace
-        passed("rule_match", self._cost("rule_match"))
+            return self._deny(trace, "rule_match", "no-matching-rule"), trace
+        records.append(passed["rule_match"])
 
         ok, reason = verify_conditions(rule, request.now, request.location_tag)
         if not ok:
-            return deny("condition_check", reason, self._cost("condition_check")), trace
-        passed("condition_check", self._cost("condition_check"))
+            return self._deny(trace, "condition_check", reason), trace
+        records.append(passed["condition_check"])
+        return GRANTED, trace
 
-        return Decision(granted=True), trace
+    def _deny(self, trace: StageTrace, key: str, reason: str) -> Decision:
+        """Record the failed stage priced by cost key ``key``; one shared
+        ``Decision`` per stage and reason."""
+        record = self._failed[key]
+        trace.records.append(record)
+        trace.aborted_at = record.stage
+        decision = self._denials.get((record.stage, reason))
+        if decision is None:
+            decision = self._denials[record.stage, reason] = \
+                Decision(granted=False, stage=record.stage, reason=reason)
+        return decision
 
     # -- cache synchronization ---------------------------------------------------------
 

@@ -17,10 +17,11 @@ deterministic function of configuration. A request's total is exactly
 from __future__ import annotations
 
 import heapq
+import math
 import random
 import statistics
 from dataclasses import dataclass
-from typing import Any, Iterator, Optional, Union
+from typing import Any, Iterator, NamedTuple, Optional, Union
 
 from .address import AddressFactory
 from .encoding import CsvCells
@@ -107,9 +108,12 @@ PROFILE_DELAYS: dict[str, float] = {
 }
 
 
-@dataclass(frozen=True)
-class ChannelSpec:
-    """Point-to-point link with a one-way delay (constant or uniform range)."""
+class ChannelSpec(NamedTuple):
+    """Point-to-point link with a one-way delay (constant or uniform range).
+
+    A tuple, so a topology of thousands of links builds fast; ``checked``
+    is the validating constructor.
+    """
 
     name: str
     a: str
@@ -117,16 +121,22 @@ class ChannelSpec:
     one_way_delay_ms: Union[float, tuple[float, float]] = 0.0
     drop_rate: float = 0.0
 
-    def __post_init__(self) -> None:
-        delay = self.one_way_delay_ms
+    @classmethod
+    def checked(cls, name: str, a: str, b: str, one_way_delay_ms: Any = 0.0,
+                drop_rate: float = 0.0) -> "ChannelSpec":
+        delay = one_way_delay_ms
+        if isinstance(delay, list):
+            delay = tuple(delay)
         bounds = delay if isinstance(delay, tuple) else (delay, delay)
         if not (len(bounds) == 2 and type(bounds[0]) in (int, float)
-                and type(bounds[1]) in (int, float) and 0 <= bounds[0] <= bounds[1]):
+                and type(bounds[1]) in (int, float)
+                and 0 <= bounds[0] <= bounds[1] < math.inf):
             raise ScenarioError(
-                f"channel {self.name!r}: one_way_delay_ms must be a number >= 0 or a "
-                f"range [low, high] with 0 <= low <= high, got {delay!r}")
-        if not 0 <= self.drop_rate < 1:
-            raise ScenarioError(f"channel {self.name!r}: drop_rate must be in [0, 1)")
+                f"channel {name!r}: one_way_delay_ms must be a finite number >= 0 or a "
+                f"range [low, high] with 0 <= low <= high, got {one_way_delay_ms!r}")
+        if not 0 <= drop_rate < 1:
+            raise ScenarioError(f"channel {name!r}: drop_rate must be in [0, 1)")
+        return cls(name, a, b, delay, drop_rate)
 
     def sample_delay(self, rng: random.Random) -> float:
         if isinstance(self.one_way_delay_ms, tuple):
@@ -135,8 +145,14 @@ class ChannelSpec:
         return self.one_way_delay_ms
 
 
-@dataclass(frozen=True)
-class NodeSpec:
+def _link(a: str, b: str) -> tuple[str, str]:
+    """Key of the channel between nodes ``a`` and ``b``: the names in sorted order."""
+    return (a, b) if a <= b else (b, a)
+
+
+class NodeSpec(NamedTuple):
+    """One node of the topology; a tuple, like ``ChannelSpec``, so it builds fast."""
+
     name: str
     role: str
     vid: Address
@@ -188,6 +204,23 @@ def _config_number(config: dict, key: str, default: Any, kind: type) -> Any:
         raise ScenarioError(f"config field {key!r}: {exc}") from None
 
 
+def _text(node: Any, field: str, value: Any) -> str:
+    """``value`` if it is a string without NUL, else ``ScenarioError``: names and
+    URIs reach the CSV reports, whose ``csv`` module cannot write NUL on 3.10."""
+    if not isinstance(value, str) or "\0" in value:
+        raise ScenarioError(
+            f"node {node!r}: {field} must be a string without NUL, got {value!r}")
+    return value
+
+
+def _texts(node: str, field: str, values: Any) -> tuple[str, ...]:
+    if not isinstance(values, (list, tuple)):
+        raise ScenarioError(f"node {node!r}: {field} must be a list, got {values!r}")
+    for value in values:
+        _text(node, field, value)
+    return tuple(values)
+
+
 def _parse_profile(node: str, value: Any) -> ProcessingProfile:
     if value is None:
         return PROFILES["none"]
@@ -216,6 +249,8 @@ class Simulation:
             raise ScenarioError("config field 'block_interval_ms' must be >= 1")
         self.access_control = bool(config.get("access_control", True))
         self.timeout_ms = _config_number(config, "timeout_ms", 30000, float)
+        if not math.isfinite(self.timeout_ms):
+            raise ScenarioError("config field 'timeout_ms' must be a finite number")
         self.rng = random.Random(self.seed ^ 0x6E65747369)  # distinct stream from vids
         self._build_nodes(_objects("nodes", config.get("nodes", [])))
         self._build_channels(_objects("channels", config.get("channels", [])))
@@ -238,12 +273,13 @@ class Simulation:
             name = spec.get("name")
             if not name:
                 raise ScenarioError("node field 'name' is required")
+            _text(name, "name", name)
             if name in self.nodes:
                 raise ScenarioError(f"duplicate node name {name!r}")
             role = spec.get("role", "client")
             if role not in ROLES:
                 raise ScenarioError(f"node {name!r}: unknown role {role!r}")
-            zone = spec.get("zone", "")
+            zone = _text(name, "zone", spec.get("zone", ""))
             if role == "master" and not zone:
                 raise ScenarioError(f"node {name!r}: master role requires a zone")
             if zone:
@@ -252,15 +288,19 @@ class Simulation:
                 if zone in zones_seen:
                     raise ScenarioError(f"zone {zone!r} owned by more than one node")
                 zones_seen.add(zone)
+            services = _texts(name, "services", spec.get("services", ()))
+            for uri in services:
+                if not uri.startswith("/"):
+                    raise ScenarioError(f"node {name!r}: service {uri!r} must start with '/'")
             node = NodeSpec(
                 name=name,
                 role=role,
                 vid=factory.new_address(),
                 profile=_parse_profile(name, spec.get("profile")),
-                services=tuple(spec.get("services", ())),
+                services=services,
                 zone=zone,
-                members=tuple(spec.get("members", ())),
-                location=spec.get("location", ""),
+                members=_texts(name, "members", spec.get("members", ())),
+                location=_text(name, "location", spec.get("location", "")),
             )
             self.nodes[name] = node
             if role == "supervisor":
@@ -274,26 +314,19 @@ class Simulation:
                     raise ScenarioError(f"node {node.name!r}: unknown member {member!r}")
 
     def _build_channels(self, specs: list[dict]) -> None:
-        self.channels: dict[frozenset, ChannelSpec] = {}
+        self.channels: dict[tuple[str, str], ChannelSpec] = {}
         for i, spec in enumerate(specs):
             a, b = spec.get("a"), spec.get("b")
             for end in (a, b):
-                if end not in self.nodes:
+                if not (isinstance(end, str) and end in self.nodes):
                     raise ScenarioError(f"channel {i}: unknown node {end!r}")
-            delay = spec.get("one_way_delay_ms", 0.0)
-            if isinstance(delay, list):
-                delay = tuple(delay)
             try:
                 drop_rate = float(spec.get("drop_rate", 0.0))
             except (TypeError, ValueError) as exc:
                 raise ScenarioError(f"channel {i}: drop_rate: {exc}") from None
-            channel = ChannelSpec(
-                name=spec.get("name", f"{a}--{b}"),
-                a=a, b=b,
-                one_way_delay_ms=delay,
-                drop_rate=drop_rate,
-            )
-            key = frozenset((a, b))
+            channel = ChannelSpec.checked(spec.get("name", f"{a}--{b}"), a, b,
+                                          spec.get("one_way_delay_ms", 0.0), drop_rate)
+            key = _link(a, b)
             if key in self.channels:
                 raise ScenarioError(f"duplicate channel between {a!r} and {b!r}")
             self.channels[key] = channel
@@ -343,87 +376,110 @@ class Simulation:
 
     # -- script handling --------------------------------------------------------------
 
-    def _validate_script(self, script: list[dict]) -> None:
-        for i, event in enumerate(script):
+    def _schedule(self, script: Any) -> list[tuple[float, int, dict]]:
+        """Check every script event against the topology and return the events
+        as ``(at, index, event)`` entries in index order."""
+        nodes = self.nodes
+        entries = []
+        for i, event in enumerate(_objects("script", script)):
             op = event.get("op")
-            if op == "register":
-                for key in ("node", "master"):
-                    if event.get(key) not in self.nodes:
-                        raise ScriptedEventError(i, f"unknown node {event.get(key)!r}")
-                if event["master"] not in self.masters:
-                    raise ScriptedEventError(i, f"{event['master']!r} is not a master")
-            elif op in ("issue", "revoke", "revoke_rules", "suspend", "restore"):
-                sender = event.get("master", event.get("by"))
-                if sender not in self.nodes:
-                    raise ScriptedEventError(i, f"unknown node {sender!r}")
-                if event.get("subject") not in self.nodes:
-                    raise ScriptedEventError(i, f"unknown node {event.get('subject')!r}")
-                if op in ("issue", "revoke_rules") and not isinstance(event.get("rules"), list):
-                    raise ScriptedEventError(i, f"{op} needs a 'rules' list")
-            elif op == "request":
+            if op == "request":
                 requester, provider = event.get("requester"), event.get("provider")
                 for end in (requester, provider):
-                    if end not in self.nodes:
+                    if not (isinstance(end, str) and end in nodes):
                         raise ScriptedEventError(i, f"unknown node {end!r}")
                 if provider not in self.providers:
                     raise ScriptedEventError(i, f"{provider!r} offers no services")
-                if event.get("uri") not in self.nodes[provider].services:
+                if event.get("uri") not in nodes[provider].services:
                     raise ScriptedEventError(
                         i, f"{provider!r} does not serve {event.get('uri')!r}")
                 if event.get("method") not in ("GET", "POST", "PUT", "DELETE"):
                     raise ScriptedEventError(i, f"unknown method {event.get('method')!r}")
-                if frozenset((requester, provider)) not in self.channels:
+                if _link(requester, provider) not in self.channels:
                     raise ScriptedEventError(
                         i, f"no channel between {requester!r} and {provider!r}")
-            elif op == "advance":
-                pass
-            else:
+            elif op == "register":
+                for key in ("node", "master"):
+                    if not (isinstance(event.get(key), str) and event[key] in nodes):
+                        raise ScriptedEventError(i, f"unknown node {event.get(key)!r}")
+                if event["master"] not in self.masters:
+                    raise ScriptedEventError(i, f"{event['master']!r} is not a master")
+            elif op in ("issue", "revoke", "revoke_rules", "suspend", "restore"):
+                for end in (event.get("master", event.get("by")), event.get("subject")):
+                    if not (isinstance(end, str) and end in nodes):
+                        raise ScriptedEventError(i, f"unknown node {end!r}")
+                if op in ("issue", "revoke_rules") and not isinstance(event.get("rules"), list):
+                    raise ScriptedEventError(i, f"{op} needs a 'rules' list")
+            elif op != "advance":
                 raise ScriptedEventError(i, f"unknown op {op!r}")
+            try:
+                at = float(event.get("at", 0))
+            except (TypeError, ValueError, OverflowError) as exc:   # OverflowError: 10**400
+                raise ScriptedEventError(i, f"at: {exc}") from None
+            if not math.isfinite(at):
+                raise ScriptedEventError(i, f"at: must be a finite number, got {at!r}")
+            entries.append((at, i, event))
+        return entries
 
-    def _push(self, queue: list, at: float, kind: str, payload: dict) -> None:
+    def _push(self, queue: list, at: float, kind: str, payload: Any) -> None:
         self._seq += 1
         heapq.heappush(queue, (at, self._seq, kind, payload))
 
     def run(self, script: Optional[list[dict]] = None) -> SimulationResult:
+        """Play the script, producing a block every ``block_interval_ms``.
+
+        Script events run in ``(at, index)`` order, straight from the sorted
+        script. The heap holds only generated events (blocks, request
+        arrivals, timeouts), in push order at equal times, and at equal
+        times a script event runs first. Blocks continue while any event
+        is left.
+        """
         if script is None:
             script = self.config.get("script", [])
-        self._validate_script(_objects("script", script))
+        scheduled = sorted(self._schedule(script))
         result = SimulationResult([], [], [], [])
         queue: list = []
-        for i, event in enumerate(script):
-            try:
-                at = float(event.get("at", 0))
-            except (TypeError, ValueError) as exc:
-                raise ScriptedEventError(i, f"at: {exc}") from None
-            self._push(queue, at, event["op"], dict(event, index=i))
-        self._push(queue, float(self.block_interval_ms), "block", {})
-        while queue:
-            at, _, kind, payload = heapq.heappop(queue)
-            if kind == "block":
-                self._handle_block(at, queue, result)
-            elif kind == "register":
-                self._handle_register(at, payload, result)
-            elif kind == "issue":
-                self._handle_issue(at, payload, result)
-            elif kind in ("revoke", "revoke_rules", "suspend", "restore"):
-                self._handle_revocation(kind, payload)
-            elif kind == "request":
-                self._handle_request(at, payload, queue, result)
-            elif kind == "arrival":
-                self._handle_arrival(at, payload, result)
-            # "advance" and "complete" only extend the horizon
+        self._push(queue, float(self.block_interval_ms), "block", None)
+        pop = heapq.heappop
+        position, count = 0, len(scheduled)
+        while True:
+            if position < count and (not queue or scheduled[position][0] <= queue[0][0]):
+                at, index, event = scheduled[position]
+                position += 1
+                self._handle_script(at, index, event, queue, result)
+            elif queue:
+                at, _, kind, payload = pop(queue)
+                if kind == "block":
+                    self._handle_block(at, result)
+                    if position < count or queue:
+                        self._push(queue, at + self.block_interval_ms, "block", None)
+                elif kind == "arrival":
+                    self._handle_arrival(at, payload, result)
+                # a "complete" only extends the horizon
+            else:
+                break
         self._drain(result)
         return result
 
     # -- event handlers ------------------------------------------------------------------
 
-    def _handle_block(self, at: float, queue: list, result: SimulationResult) -> None:
+    def _handle_script(self, at: float, index: int, event: dict, queue: list,
+                       result: SimulationResult) -> None:
+        op = event["op"]
+        if op == "request":
+            self._handle_request(at, index, event, queue, result)
+        elif op == "register":
+            self._handle_register(at, event, result)
+        elif op == "issue":
+            self._handle_issue(at, index, event)
+        elif op != "advance":   # "advance" only extends the horizon
+            self._handle_revocation(op, event)
+
+    def _handle_block(self, at: float, result: SimulationResult) -> None:
         self.chain.produce_block(int(at))
         for provider in self.providers.values():
             provider.sync_cache(at)
         self._poll_masters(result)
-        if queue:
-            self._push(queue, at + self.block_interval_ms, "block", {})
 
     def _poll_masters(self, result: SimulationResult) -> None:
         for name, master in self.masters.items():
@@ -431,33 +487,32 @@ class Simulation:
             result.registrations += [dict(r, master=name) for r in registrations]
             result.issues += [dict(r, master=name) for r in issues]
 
-    def _handle_register(self, at: float, payload: dict, result: SimulationResult) -> None:
-        master = self.masters[payload["master"]]
-        node = self.nodes[payload["node"]]
+    def _handle_register(self, at: float, event: dict, result: SimulationResult) -> None:
+        master = self.masters[event["master"]]
+        node = self.nodes[event["node"]]
         request = RegistrationRequest(node.vid, node.name,
-                                      dict(payload.get("attributes", {})))
+                                      dict(event.get("attributes", {})))
         try:
             master.register_entity(request, int(at))
         except MasterError as exc:
             result.registrations.append(
-                {"vid": node.vid.hex, "master": payload["master"],
+                {"vid": node.vid.hex, "master": event["master"],
                  "status": "denied", "reason": str(exc)})
 
-    def _handle_issue(self, at: float, payload: dict, result: SimulationResult) -> None:
-        master_name = payload["master"]
-        subject = self.nodes[payload["subject"]].vid
+    def _handle_issue(self, at: float, index: int, event: dict) -> None:
+        master_name = event["master"]
+        subject = self.nodes[event["subject"]].vid
         rules = []
-        for j, rule in enumerate(payload["rules"]):
+        for j, rule in enumerate(event["rules"]):
             try:
                 rules.append(AccessRule.from_wire(rule))
             except (TypeError, ValueError, KeyError, AttributeError) as exc:
                 raise ScriptedEventError(
-                    payload["index"],
-                    f"rules[{j}] is not a rule ({type(exc).__name__}: {exc})") from None
+                    index, f"rules[{j}] is not a rule ({type(exc).__name__}: {exc})") from None
         try:
-            validity_ms = int(payload.get("validity_ms", 3_600_000))
+            validity_ms = int(event.get("validity_ms", 3_600_000))
         except (TypeError, ValueError, OverflowError) as exc:   # OverflowError: int(inf)
-            raise ScriptedEventError(payload["index"], f"validity_ms: {exc}") from None
+            raise ScriptedEventError(index, f"validity_ms: {exc}") from None
         decision = AccessDecision(granted=tuple(rules), validity_ms=validity_ms)
         if master_name in self.masters:
             self.masters[master_name].issue_capability(subject, decision, int(at))
@@ -468,70 +523,76 @@ class Simulation:
                               (subject.hex, [r.wire() for r in rules],
                                int(at), int(at) + decision.validity_ms))
 
-    def _handle_revocation(self, kind: str, payload: dict) -> None:
-        sender = self.nodes[payload.get("master", payload.get("by"))].vid
-        subject = self.nodes[payload["subject"]].vid
+    def _handle_revocation(self, kind: str, event: dict) -> None:
+        sender = self.nodes[event.get("master", event.get("by"))].vid
+        subject = self.nodes[event["subject"]].vid
         if kind == "revoke":
             self.chain.submit(sender, "captoken", "revoke_token", (subject.hex,))
         elif kind == "revoke_rules":
             self.chain.submit(sender, "captoken", "revoke_access_rights",
-                              (subject.hex, list(payload["rules"])))
+                              (subject.hex, list(event["rules"])))
         else:
             self.chain.submit(sender, "captoken", "set_token_validity",
                               (subject.hex, kind == "restore"))
 
-    def _handle_request(self, at: float, payload: dict, queue: list,
+    def _handle_request(self, at: float, index: int, event: dict, queue: list,
                         result: SimulationResult) -> None:
+        """Send the request: it arrives after the channel's delay, or is dropped.
+
+        The in-flight payload is ``(event, index, request_id, sent_at, delay)``;
+        a dropped request has no delay.
+        """
         self._request_counter += 1
-        payload = dict(payload, request_id=self._request_counter, sent_at=at)
-        channel = self.channels[frozenset((payload["requester"], payload["provider"]))]
+        channel = self.channels[_link(event["requester"], event["provider"])]
         if channel.drop_rate and self.rng.random() < channel.drop_rate:
-            self._record(payload, result, "timeout", self.timeout_ms,
-                         reason="message-dropped")
-            self._push(queue, at + self.timeout_ms, "complete", {})
+            self._record((event, index, self._request_counter, at, None), result,
+                         "timeout", self.timeout_ms, reason="message-dropped")
+            self._push(queue, at + self.timeout_ms, "complete", None)
             return
         delay = channel.sample_delay(self.rng)
-        self._push(queue, at + delay, "arrival", dict(payload, delay=delay))
+        self._push(queue, at + delay, "arrival",
+                   (event, index, self._request_counter, at, delay))
 
-    def _handle_arrival(self, at: float, payload: dict, result: SimulationResult) -> None:
-        provider_node = self.nodes[payload["provider"]]
-        requester_node = self.nodes[payload["requester"]]
+    def _handle_arrival(self, at: float, flight: tuple, result: SimulationResult) -> None:
+        event, _, _, _, delay = flight
+        provider_node = self.nodes[event["provider"]]
         profile = provider_node.profile
-        transport = 2 * payload["delay"]
+        transport = 2 * delay
         if self.access_control:
-            provider = self.providers[payload["provider"]]
+            provider = self.providers[event["provider"]]
             request = ServiceRequest(
-                requester=requester_node.vid,
-                method=payload["method"], uri=payload["uri"],
+                requester=self.nodes[event["requester"]].vid,
+                method=event["method"], uri=event["uri"],
                 now=at, location_tag=provider_node.location)
             decision, trace = provider.authorize(request, transport_ms=transport)
             processing = profile.data_parse + sum(r.duration_ms for r in trace.records)
             if decision.granted:
                 processing += profile.service_handler
-            self._record(payload, result, "grant" if decision.granted else "deny",
+            self._record(flight, result, "grant" if decision.granted else "deny",
                          processing + transport, decision.stage, decision.reason, trace)
         else:
-            self._record(payload, result, "grant",
+            self._record(flight, result, "grant",
                          profile.data_parse + profile.service_handler + transport)
 
-    def _record(self, payload: dict, result: SimulationResult, outcome: str,
+    def _record(self, flight: tuple, result: SimulationResult, outcome: str,
                 total_ms: float, stage: Optional[str] = None,
                 reason: Optional[str] = None, trace: Optional[StageTrace] = None) -> None:
         """Append the request's measurement and check its scripted expectation."""
+        event, index, request_id, sent_at, _ = flight
         measurement = Measurement(
-            request_id=payload["request_id"], at_ms=payload["sent_at"],
-            requester=payload["requester"], provider=payload["provider"],
-            method=payload["method"], uri=payload["uri"],
+            request_id=request_id, at_ms=sent_at,
+            requester=event["requester"], provider=event["provider"],
+            method=event["method"], uri=event["uri"],
             outcome=outcome, stage=stage, reason=reason,
             cache_hit=None if trace is None else trace.cache_hit,
             block_height=self.chain.height, total_ms=total_ms, trace=trace)
         result.measurements.append(measurement)
-        expected = payload.get("expect")
-        if expected and measurement.outcome != expected:
+        expected = event.get("expect")
+        if expected and outcome != expected:
             result.expectation_failures.append(
-                f"request {measurement.request_id} (event {payload['index']}): "
-                f"expected {expected}, got {measurement.outcome}"
-                + (f" at {measurement.stage}" if measurement.stage else ""))
+                f"request {request_id} (event {index}): "
+                f"expected {expected}, got {outcome}"
+                + (f" at {stage}" if stage else ""))
 
     def _drain(self, result: SimulationResult) -> None:
         """Confirm whatever is still pending after the last scripted event."""

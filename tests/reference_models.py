@@ -12,15 +12,21 @@ The wire dicts and report writers at the end are the ones the assembled
 texts replaced: dicts handed whole to ``canonical_json``, rows handed
 whole to ``csv.writer``, statistics gathered one list at a time. They
 share ``netsim._fmt``, the one float formatter, with the package.
+Last come the event loop that pushed every script event through the heap
+and the pipeline that built a fresh record and decision per stage, both
+driving the package's own handlers and stage checks.
 """
 
 import csv
+import heapq
 import statistics
 
 from capchain.address import Address
-from capchain.enforcement import PIPELINE_STAGES
+from capchain.enforcement import (PIPELINE_STAGES, Decision, StageRecord, StageTrace,
+                                  match_access_rule, verify_conditions,
+                                  verify_token_status)
 from capchain.ledger import LedgerError
-from capchain.netsim import MEASUREMENT_COLUMNS, _fmt
+from capchain.netsim import MEASUREMENT_COLUMNS, SimulationResult, _fmt
 
 ZERO_HEX = "0x" + "00" * 20
 
@@ -372,3 +378,82 @@ def reference_summarize(measurements):
         "stage_median_ms": {stage: (statistics.median(values) if values else 0.0)
                             for stage, values in per_stage.items()},
     }
+
+
+# ---------------------------------------------------------------------------
+# Event loop (every event through one heap)
+# ---------------------------------------------------------------------------
+
+def reference_run(simulation, script=None):
+    """``Simulation.run`` with script events pushed onto the heap, in index
+    order and ahead of the first block, so ``(at, seq)`` alone orders them."""
+    if script is None:
+        script = simulation.config.get("script", [])
+    result = SimulationResult([], [], [], [])
+    queue = []
+    for at, index, event in simulation._schedule(script):
+        simulation._push(queue, at, event["op"], (index, event))
+    simulation._push(queue, float(simulation.block_interval_ms), "block", None)
+    while queue:
+        at, _, kind, payload = heapq.heappop(queue)
+        if kind == "block":
+            simulation._handle_block(at, result)
+            if queue:
+                simulation._push(queue, at + simulation.block_interval_ms, "block", None)
+        elif kind == "arrival":
+            simulation._handle_arrival(at, payload, result)
+        elif kind != "complete":
+            index, event = payload
+            simulation._handle_script(at, index, event, queue, result)
+    simulation._drain(result)
+    return result
+
+
+# ---------------------------------------------------------------------------
+# Enforcement pipeline (a new record per stage, closures per call)
+# ---------------------------------------------------------------------------
+
+def reference_authorize(provider, stage_costs, request, transport_ms=0.0):
+    """``ServiceProvider.authorize`` pricing each stage from ``stage_costs`` as it
+    runs; missing keys cost zero."""
+    trace = StageTrace(transport_ms=transport_ms)
+
+    def cost(key):
+        return stage_costs.get(key, 0.0)
+
+    def deny(stage, reason, duration):
+        trace.records.append(StageRecord(stage, "fail", duration))
+        trace.aborted_at = stage
+        return Decision(granted=False, stage=stage, reason=reason)
+
+    def passed(stage, duration):
+        trace.records.append(StageRecord(stage, "pass", duration))
+
+    ok, reason = provider.authenticate(request.requester)
+    if not ok:
+        return deny("identity_auth", reason, cost("identity_auth")), trace
+    passed("identity_auth", cost("identity_auth"))
+
+    token, hit = provider.fetch_or_cache_token(request.requester, request.now)
+    trace.cache_hit = hit
+    fetch_cost = cost("token_fetch_hit" if hit else "token_fetch_miss")
+    if token is None:
+        return deny("token_fetch", "token-absent", fetch_cost), trace
+    passed("token_fetch", fetch_cost)
+
+    ok, reason = verify_token_status(token, request.now)
+    if not ok:
+        return deny("token_status", reason, cost("token_status")), trace
+    passed("token_status", cost("token_status"))
+
+    rule = match_access_rule(token, request.method, request.uri)
+    if rule is None:
+        return deny("rule_match", "no-matching-rule", cost("rule_match")), trace
+    passed("rule_match", cost("rule_match"))
+
+    ok, reason = verify_conditions(rule, request.now, request.location_tag)
+    if not ok:
+        return deny("condition_check", reason, cost("condition_check")), trace
+    passed("condition_check", cost("condition_check"))
+
+    return Decision(granted=True), trace

@@ -17,6 +17,27 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 RULE_GET = {"action": "GET", "resource": "/api/data", "conditions": []}
 
 
+def served(uri):
+    """A scenario mutation: the provider serves only ``uri`` and every request asks for it."""
+    def mutate(config):
+        config["nodes"][3]["services"] = [uri]
+        for event in config["script"]:
+            if event["op"] == "request":
+                event["uri"] = uri
+    return mutate
+
+
+def client_named(name):
+    """A scenario mutation: the client node is called ``name`` everywhere."""
+    def mutate(config):
+        config["nodes"][2]["name"] = config["channels"][0]["a"] = name
+        for event in config["script"]:
+            for key in ("node", "subject", "requester"):
+                if event.get(key) == "client":
+                    event[key] = name
+    return mutate
+
+
 class TestDemo:
     def test_demo_prints_four_case_table_and_passes(self, capsys):
         assert main(["demo", "--seed", "42"]) == 0
@@ -89,9 +110,25 @@ class TestScenario:
         (lambda c: c["script"][2].update(at="soon"), "event 2: at: "),
         (lambda c: c["channels"][0].update(drop_rate="often"), "channel 0: drop_rate: "),
         (lambda c: c["script"][1].update(validity_ms="forever"), "event 1: validity_ms: "),
+        # non-finite times would never be reached or have no order
+        (lambda c: c["script"][2].update(at="inf"), "event 2: at: must be a finite number"),
+        (lambda c: c["script"][2].update(at="nan"), "event 2: at: must be a finite number"),
+        (lambda c: c["script"][2].update(at=float("nan")),
+         "event 2: at: must be a finite number"),
+        (lambda c: c["script"][2].update(at=10**400), "event 2: at: "),
+        (lambda c: c["channels"][0].update(one_way_delay_ms=float("inf")), "one_way_delay_ms"),
+        (lambda c: c.update(timeout_ms="inf"), "'timeout_ms' must be a finite number"),
+        # request strings
+        (served(5), "node 'provider': services must be a string without NUL, got 5"),
+        (served("api/data"), "node 'provider': service 'api/data' must start with '/'"),
+        (served("/api/\0data"), "node 'provider': services must be a string without NUL"),
+        (client_named("cli\0ent"), "name must be a string without NUL"),
     ], ids=["issue-without-rules", "string-delay", "nodes-object", "zero-interval",
             "inverted-delay-range", "one-element-delay-range", "unknown-action",
-            "unknown-profile-key", "string-at", "string-drop-rate", "string-validity"])
+            "unknown-profile-key", "string-at", "string-drop-rate", "string-validity",
+            "infinite-at", "nan-string-at", "json-nan-at", "overflowing-at",
+            "infinite-delay", "infinite-timeout", "numeric-service", "relative-service",
+            "nul-in-service", "nul-in-node-name"])
     def test_malformed_scenario_field_fails(self, tmp_path, capsys, mutate, named):
         config = json.loads((SCENARIOS / "registration_and_revocation.json").read_text())
         mutate(config)

@@ -6,15 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capchain.address import Address
-from capchain.enforcement import (PIPELINE_STAGES, ServiceProvider, ServiceRequest,
-                                  TokenCache, condition_satisfied, match_access_rule,
-                                  verify_conditions, verify_token_status)
+from capchain.enforcement import (COST_KEYS, PIPELINE_STAGES, ServiceProvider,
+                                  ServiceRequest, TokenCache, condition_satisfied,
+                                  match_access_rule, verify_conditions, verify_token_status)
 from capchain.ledger import ContractNotFoundError
 from capchain.netsim import Measurement, write_stage_traces_csv
 from capchain.tokens import MS_PER_DAY
 
 from chainbench import Bench
-from reference_models import full_refetch_sync, oracle_authorize, oracle_status_reason
+from reference_models import (full_refetch_sync, oracle_authorize, oracle_status_reason,
+                              reference_authorize)
 
 PAPER_REQUESTER = "0xaa09c6d65908e54bf695748812c51d8f2ceea0f5"
 
@@ -609,3 +610,58 @@ def test_stage_trace_csv_columns(bench):
     assert lines[0] == "request_id,stage,outcome,duration_ms"
     assert len(lines) == 1 + len(PIPELINE_STAGES)
     assert lines[1].startswith("1,identity_auth,pass,")
+
+
+# -- shared stage records against a fresh record per stage ---------------------
+
+cost_values = st.sampled_from([0, 0.0, -0.0, 1, 2.5, 15.625]) \
+    | st.floats(min_value=0, max_value=1e6, allow_nan=False)
+stage_costs = st.dictionaries(st.sampled_from(sorted(COST_KEYS)), cost_values)
+pipeline_requests = st.tuples(
+    st.sampled_from(["client", "outsider", "provider"]),
+    st.sampled_from(["GET", "PUT"]), st.sampled_from(["/api/data", "/other"]),
+    st.sampled_from([100, 2500, 30_000, NOON_MONDAY]), st.sampled_from(["", "orbit"]),
+    st.booleans())   # sync the caches before the request
+token_rules = st.lists(st.sampled_from([
+    RULE_GET, RULE_POST,
+    {"action": "PUT", "resource": "/api/data",
+     "conditions": [{"kind": "location_tag", "tag": "orbit"}]},
+    {"action": "GET", "resource": "/api/data",
+     "conditions": [{"kind": "time_window", "start_ms": 0, "end_ms": 3000}]},
+]), max_size=3)
+
+
+class TestAuthorizeMatchesReference:
+    @settings(max_examples=100, deadline=None)
+    @given(costs=stage_costs, rules=st.none() | token_rules,
+           expires=st.sampled_from([2000, 10**12]), requests=st.lists(pipeline_requests,
+                                                                      max_size=6))
+    def test_shared_records_equal_fresh_records(self, costs, rules, expires, requests):
+        bench = Bench()
+        if rules is not None:
+            bench.issue_client_token(rules=rules, expired_date=expires)
+        provider = ServiceProvider(bench.provider, bench.chain, stage_costs=costs)
+        reference = ServiceProvider(bench.provider, bench.chain, stage_costs=costs)
+        for who, method, uri, now, location, sync in requests:
+            if sync:
+                assert provider.sync_cache(now) == reference.sync_cache(now)
+            request = ServiceRequest(getattr(bench, who), method, uri, now=now,
+                                     location_tag=location)
+            got = provider.authorize(request, transport_ms=7.5)
+            expected = reference_authorize(reference, costs, request, transport_ms=7.5)
+            # repr tells -0.0 from 0.0 and 0 from 0.0
+            assert repr(got) == repr(expected)
+        assert provider.contract_queries == reference.contract_queries
+
+    def test_records_and_decisions_are_shared_between_requests(self, bench):
+        bench.issue_client_token()
+        provider = provider_for(bench)
+        request = ServiceRequest(bench.client, "PUT", "/api/data", now=100)
+        (first, cold), (second, warm) = provider.authorize(request), provider.authorize(request)
+        assert first is second and first.reason == "no-matching-rule"
+        assert cold.records[0] is warm.records[0]
+        assert [r.stage for r in cold.records] == [r.stage for r in warm.records]
+        assert cold.records[1] is not warm.records[1]   # fetch priced by miss, then hit
+        granted, _ = provider.authorize(ServiceRequest(bench.client, "GET", "/api/data", now=100))
+        assert granted is provider.authorize(
+            ServiceRequest(bench.client, "GET", "/api/data", now=200))[0]

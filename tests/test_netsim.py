@@ -2,7 +2,7 @@ import csv
 import io
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from capchain.encoding import CsvCells
@@ -14,7 +14,9 @@ from capchain.netsim import (PROFILES, PROFILE_DELAYS, Measurement, ProcessingPr
                              summarize, write_measurements_csv,
                              write_stage_traces_csv, write_summary_text)
 
-from reference_models import (reference_summarize, reference_write_measurements_csv,
+from harness import render_artifacts
+from reference_models import (reference_run, reference_summarize,
+                              reference_write_measurements_csv,
                               reference_write_stage_traces_csv)
 
 RULE_GET = {"action": "GET", "resource": "/api/data", "conditions": []}
@@ -322,20 +324,35 @@ def written(write, rows):
     return stream.getvalue()
 
 
+def summarized(summarize_rows, rows):
+    """The summary's repr and text, or the type of the ``OverflowError`` raised
+    when generated rows whose stages far exceed their totals overflow ``fmean``."""
+    try:
+        summary = summarize_rows(rows)
+    except OverflowError as exc:
+        return type(exc)
+    text = io.StringIO()
+    write_summary_text(summary, text)
+    # repr tells -0.0 from 0.0 and shows every bit of a float
+    return repr(summary), text.getvalue()
+
+
+def overflowing_share(request_id):
+    return Measurement(request_id, 0.0, "c", "p", "GET", "/", "grant", None, None, None, 0,
+                       3.767623999397665e-300,
+                       StageTrace([StageRecord("identity_auth", "pass", 338651590.0)]))
+
+
 class TestReportWritersMatchReference:
     @settings(max_examples=200, deadline=None)
     @given(rows=st.lists(measurements, max_size=8))
+    @example(rows=[overflowing_share(1), overflowing_share(2), overflowing_share(3)])
     def test_writers_are_byte_equal_to_csv_writer_rows(self, rows):
         assert written(write_measurements_csv, rows) == \
             written(reference_write_measurements_csv, rows)
         assert written(write_stage_traces_csv, rows) == \
             written(reference_write_stage_traces_csv, rows)
-        # repr tells -0.0 from 0.0 and shows every bit of a float
-        assert repr(summarize(rows)) == repr(reference_summarize(rows))
-        text, expected = io.StringIO(), io.StringIO()
-        write_summary_text(summarize(rows), text)
-        write_summary_text(reference_summarize(rows), expected)
-        assert text.getvalue() == expected.getvalue()
+        assert summarized(summarize, rows) == summarized(reference_summarize, rows)
 
     def test_zero_durations_keep_their_sign(self):
         records = [StageRecord("token_fetch", "pass", value) for value in (0.0, -0.0, 0, -0.0)]
@@ -349,3 +366,81 @@ class TestReportWritersMatchReference:
         cells = CsvCells()
         assert [cells[v] for v in (1, 1.0, True, "1", "a,b", "")] == \
             ["1", "1.0", "True", "1", '"a,b"', ""]
+
+
+# -- the event loop against the heap-everything loop it replaced --------------
+
+LOOP_INTERVAL_MS = 1000
+LOOP_RULES = [[RULE_GET],
+              [RULE_GET, {"action": "PUT", "resource": "/api/data", "conditions": [
+                  {"kind": "location_tag", "tag": "orbit"}]}],
+              [{"action": "GET", "resource": "/api/data", "conditions": [
+                  {"kind": "time_window", "start_ms": 0, "end_ms": 2500}]}]]
+# requester/provider pairs with a channel; sat-client--ground-provider drops half
+# its messages, outsider--sat-provider has no delay, so arrivals tie with script times
+LOOP_LINKS = [("sat-client", "sat-provider"), ("sat-client", "ground-provider"),
+              ("outsider", "sat-provider")]
+
+
+def loop_config(script):
+    config = base_config(seed=5, block_interval_ms=LOOP_INTERVAL_MS, timeout_ms=2500,
+                         script=script)
+    config["nodes"][3]["location"] = "orbit"
+    config["nodes"].append({"name": "outsider", "role": "client"})
+    config["channels"][0]["one_way_delay_ms"] = [0.5, 1500.0]
+    config["channels"][1]["drop_rate"] = 0.5
+    config["channels"].append({"a": "outsider", "b": "sat-provider"})
+    return config
+
+
+# block boundaries, ties and both zeros come up often; other times anywhere
+loop_times = st.sampled_from([0, -0.0, 999.5, 1000, 1000.0, 2000, 3000, 3000.25]) \
+    | st.integers(min_value=-500, max_value=6000) \
+    | st.floats(min_value=-500, max_value=6000, allow_nan=False)
+loop_events = st.one_of(
+    st.builds(lambda at, link, method, expect: {
+        "at": at, "op": "request", "requester": link[0], "provider": link[1],
+        "method": method, "uri": "/api/data", "expect": expect},
+        loop_times, st.sampled_from(LOOP_LINKS), st.sampled_from(["GET", "PUT"]),
+        st.sampled_from([None, "grant", "deny"])),
+    st.builds(lambda at, subject, rules, validity: {
+        "at": at, "op": "issue", "master": "master", "subject": subject, "rules": rules,
+        "validity_ms": validity},
+        loop_times, st.sampled_from(["sat-client", "outsider"]), st.sampled_from(LOOP_RULES),
+        st.sampled_from([500, 3000, 86_400_000])),
+    st.builds(lambda at, op: {"at": at, "op": op, "master": "master",
+                              "subject": "sat-client"},
+              loop_times, st.sampled_from(["revoke", "suspend", "restore"])),
+    st.builds(lambda at: {"at": at, "op": "register", "node": "outsider", "master": "master"},
+              loop_times),
+    st.builds(lambda at: {"at": at, "op": "advance"}, loop_times))
+
+
+class TestEventLoopMatchesReference:
+    @settings(max_examples=100, deadline=None)
+    @given(script=st.lists(loop_events, max_size=14))
+    def test_merged_script_and_heap_order_equals_one_heap(self, script):
+        simulation = Simulation(loop_config(script))
+        result = simulation.run()
+        reference = Simulation(loop_config(script))
+        expected = reference_run(reference)
+        # repr tells -0.0 from 0.0 and 1000 from 1000.0
+        assert repr(result) == repr(expected)
+        assert render_artifacts(simulation, result) == render_artifacts(reference, expected)
+        assert simulation.chain.height == reference.chain.height
+
+    def test_script_events_run_before_generated_events_at_the_same_time(self):
+        # the outsider's channel has no delay: its request arrives at 1000, the
+        # time of the first block and of a scripted issue listed after it
+        script = [{"at": 1000, "op": "issue", "master": "master", "subject": "outsider",
+                   "rules": [RULE_GET]},
+                  {"at": 1000, "op": "request", "requester": "outsider",
+                   "provider": "sat-provider", "method": "GET", "uri": "/api/data"},
+                  {"at": 0, "op": "register", "node": "outsider", "master": "master"}]
+        simulation = Simulation(loop_config(script))
+        result = simulation.run()
+        # both script events at 1000 ran before the block at 1000, which confirmed
+        # the registration and the issuance; the arrival at 1000 ran after it
+        assert [(m.at_ms, m.outcome, m.block_height) for m in result.measurements] == \
+            [(1000.0, "grant", 2)]
+        assert repr(result) == repr(reference_run(Simulation(loop_config(script))))
