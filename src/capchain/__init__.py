@@ -8,6 +8,7 @@ Subpackage map:
 - ``tokens``       capability token contract and wire formats
 - ``master``       domain-master registration, policy, issuance
 - ``enforcement``  provider-side authentication and validation pipeline
+- ``scenario``     scenario file parser: typed topology and script events
 - ``netsim``       discrete-event harness, latency model, reports
 - ``cli``          command-line interface
 """

@@ -45,10 +45,6 @@ class ServiceRequest:
     now: float                 # virtual-time ms at evaluation
     location_tag: str = ""
 
-    def __post_init__(self) -> None:
-        if not self.uri.startswith("/"):
-            raise ValueError("request uri must start with '/'")
-
 
 @dataclass(frozen=True)
 class StageRecord:

@@ -13,7 +13,6 @@ confirmed block.
 
 from __future__ import annotations
 
-import csv
 import json
 import sqlite3
 from dataclasses import dataclass, field
@@ -139,21 +138,6 @@ class ProfileStore:
         return EntityProfile(Address.from_hex(row[0]), row[1], row[2], row[3],
                              json.loads(row[4]))
 
-    def all_profiles(self) -> list[EntityProfile]:
-        rows = self._conn.execute(
-            "SELECT vid, display_name, group_id, registered_at, attributes"
-            " FROM profiles ORDER BY vid").fetchall()
-        return [EntityProfile(Address.from_hex(r[0]), r[1], r[2], r[3], json.loads(r[4]))
-                for r in rows]
-
-    def export_csv(self, stream) -> None:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(["vid", "display_name", "group_id", "registered_at", "attributes"])
-        for profile in self.all_profiles():
-            writer.writerow([profile.vid.hex, profile.display_name, profile.group_id,
-                             profile.registered_at,
-                             json.dumps(profile.attributes, sort_keys=True)])
-
     def close(self) -> None:
         self._conn.close()
 
@@ -177,14 +161,6 @@ class RegistrationPolicy:
             return all(request.attributes.get(key) == value
                        for key, value in self.required_attributes)
         raise ValueError(f"unknown registration policy kind {self.kind!r}")
-
-    @classmethod
-    def from_config(cls, body: dict) -> "RegistrationPolicy":
-        return cls(
-            kind=body.get("kind", "allow_all"),
-            vids=frozenset(body.get("vids", ())),
-            required_attributes=tuple(sorted(body.get("required_attributes", {}).items())),
-        )
 
 
 @dataclass(frozen=True)

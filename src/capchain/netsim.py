@@ -17,87 +17,18 @@ deterministic function of configuration. A request's total is exactly
 from __future__ import annotations
 
 import heapq
-import math
 import random
 import statistics
 from dataclasses import dataclass
-from typing import Any, Iterator, NamedTuple, Optional, Union
+from typing import Iterator, Optional
 
-from .address import AddressFactory
 from .encoding import CsvCells
 from .enforcement import ServiceProvider, ServiceRequest, StageTrace, PIPELINE_STAGES
 from .ledger import Chain, ChainConfig
-from .master import (AccessDecision, DomainMaster, MasterError, ProfileStore,
-                     RegistrationPolicy, RegistrationRequest)
-from .tokens import AccessRule, TokenContract
+from .master import AccessDecision, DomainMaster, MasterError, ProfileStore, RegistrationRequest
+from .scenario import Event, Issue, Register, Request, TokenChange, parse_script, parse_topology
+from .tokens import TokenContract
 from .zones import ZoneContract
-
-ROLES = ("supervisor", "master", "satellite", "ground", "client")
-
-
-class ScenarioError(Exception):
-    """Scenario configuration failed validation."""
-
-
-class ScriptedEventError(ScenarioError):
-    """A script event references something the topology does not define."""
-
-    def __init__(self, index: int, message: str):
-        self.index = index
-        super().__init__(f"event {index}: {message}")
-
-
-@dataclass(frozen=True)
-class ProcessingProfile:
-    """Per-stage processing cost in milliseconds for one node class."""
-
-    token_processing: float = 0.0
-    identity_auth: float = 0.0
-    capac_validation: float = 0.0
-    data_parse: float = 0.0
-    service_handler: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name in ("token_processing", "identity_auth", "capac_validation",
-                     "data_parse", "service_handler"):
-            if getattr(self, name) < 0:
-                raise ScenarioError(f"profile cost {name} must be >= 0")
-
-    def stage_costs(self) -> dict[str, float]:
-        """Cost-model keys for the enforcement pipeline.
-
-        Token processing is the contract fetch, so it is charged on cache
-        misses only. Validation cost splits 1/4 status, 1/2 rule matching,
-        1/4 conditions; quarters stay exact in binary floats, so the three
-        parts always sum back to capac_validation.
-        """
-        return {
-            "identity_auth": self.identity_auth,
-            "token_fetch_miss": self.token_processing,
-            "token_fetch_hit": 0.0,
-            "token_status": self.capac_validation / 4,
-            "rule_match": self.capac_validation / 2,
-            "condition_check": self.capac_validation / 4,
-        }
-
-
-# Stage-cost presets. "satellite" and "ground" reproduce the reference
-# per-stage timings (steady-state totals 250 ms and 60 ms); the parse /
-# handler / transport splits cover the remainder the stage arithmetic
-# leaves unattributed. "satellite_query" is the caching experiment pair:
-# 35 ms of plain data service plus 9 ms of cached-token enforcement.
-PROFILES: dict[str, ProcessingProfile] = {
-    "satellite": ProcessingProfile(
-        token_processing=60.0, identity_auth=152.0, capac_validation=62.5,
-        data_parse=10.5, service_handler=15.0),
-    "ground": ProcessingProfile(
-        token_processing=10.0, identity_auth=30.0, capac_validation=12.5,
-        data_parse=4.0, service_handler=6.0),
-    "satellite_query": ProcessingProfile(
-        token_processing=60.0, identity_auth=4.5, capac_validation=4.5,
-        data_parse=10.0, service_handler=15.0),
-    "none": ProcessingProfile(),
-}
 
 #: One-way channel delay paired with each preset (ms).
 PROFILE_DELAYS: dict[str, float] = {
@@ -106,61 +37,6 @@ PROFILE_DELAYS: dict[str, float] = {
     "satellite_query": 5.0,
     "none": 0.0,
 }
-
-
-class ChannelSpec(NamedTuple):
-    """Point-to-point link with a one-way delay (constant or uniform range).
-
-    A tuple, so a topology of thousands of links builds fast; ``checked``
-    is the validating constructor.
-    """
-
-    name: str
-    a: str
-    b: str
-    one_way_delay_ms: Union[float, tuple[float, float]] = 0.0
-    drop_rate: float = 0.0
-
-    @classmethod
-    def checked(cls, name: str, a: str, b: str, one_way_delay_ms: Any = 0.0,
-                drop_rate: float = 0.0) -> "ChannelSpec":
-        delay = one_way_delay_ms
-        if isinstance(delay, list):
-            delay = tuple(delay)
-        bounds = delay if isinstance(delay, tuple) else (delay, delay)
-        if not (len(bounds) == 2 and type(bounds[0]) in (int, float)
-                and type(bounds[1]) in (int, float)
-                and 0 <= bounds[0] <= bounds[1] < math.inf):
-            raise ScenarioError(
-                f"channel {name!r}: one_way_delay_ms must be a finite number >= 0 or a "
-                f"range [low, high] with 0 <= low <= high, got {one_way_delay_ms!r}")
-        if not 0 <= drop_rate < 1:
-            raise ScenarioError(f"channel {name!r}: drop_rate must be in [0, 1)")
-        return cls(name, a, b, delay, drop_rate)
-
-    def sample_delay(self, rng: random.Random) -> float:
-        if isinstance(self.one_way_delay_ms, tuple):
-            low, high = self.one_way_delay_ms
-            return rng.uniform(low, high)
-        return self.one_way_delay_ms
-
-
-def _link(a: str, b: str) -> tuple[str, str]:
-    """Key of the channel between nodes ``a`` and ``b``: the names in sorted order."""
-    return (a, b) if a <= b else (b, a)
-
-
-class NodeSpec(NamedTuple):
-    """One node of the topology; a tuple, like ``ChannelSpec``, so it builds fast."""
-
-    name: str
-    role: str
-    vid: Address
-    profile: ProcessingProfile
-    services: tuple[str, ...] = ()
-    zone: str = ""
-    members: tuple[str, ...] = ()
-    location: str = ""
 
 
 @dataclass
@@ -190,151 +66,27 @@ class SimulationResult:
     expectation_failures: list[str]
 
 
-def _objects(field: str, items: Any) -> list[dict]:
-    """``items`` if it is a list of objects, else ``ScenarioError`` naming ``field``."""
-    if not isinstance(items, (list, tuple)) or not all(isinstance(i, dict) for i in items):
-        raise ScenarioError(f"config field {field!r} must be a list of objects")
-    return items
-
-
-def _config_number(config: dict, key: str, default: Any, kind: type) -> Any:
-    try:
-        return kind(config.get(key, default))
-    except (TypeError, ValueError, OverflowError) as exc:   # OverflowError: int(inf)
-        raise ScenarioError(f"config field {key!r}: {exc}") from None
-
-
-def _text(node: Any, field: str, value: Any) -> str:
-    """``value`` if it is a string without NUL, else ``ScenarioError``: names and
-    URIs reach the CSV reports, whose ``csv`` module cannot write NUL on 3.10."""
-    if not isinstance(value, str) or "\0" in value:
-        raise ScenarioError(
-            f"node {node!r}: {field} must be a string without NUL, got {value!r}")
-    return value
-
-
-def _texts(node: str, field: str, values: Any) -> tuple[str, ...]:
-    if not isinstance(values, (list, tuple)):
-        raise ScenarioError(f"node {node!r}: {field} must be a list, got {values!r}")
-    for value in values:
-        _text(node, field, value)
-    return tuple(values)
-
-
-def _parse_profile(node: str, value: Any) -> ProcessingProfile:
-    if value is None:
-        return PROFILES["none"]
-    if isinstance(value, str):
-        if value not in PROFILES:
-            raise ScenarioError(f"node {node!r}: unknown profile {value!r}")
-        return PROFILES[value]
-    if isinstance(value, dict):
-        try:
-            return ProcessingProfile(**value)
-        except (TypeError, ScenarioError) as exc:   # TypeError: unknown key, cost not a number
-            raise ScenarioError(f"node {node!r}: profile: {exc}") from None
-    raise ScenarioError(f"node {node!r}: profile must be a name or mapping, got {value!r}")
-
-
 class Simulation:
     """A built topology plus the event loop that drives it."""
 
     def __init__(self, config: dict):
-        if "seed" not in config:
-            raise ScenarioError("config field 'seed' is required")
-        self.config = dict(config)
-        self.seed = _config_number(config, "seed", None, int)
-        self.block_interval_ms = _config_number(config, "block_interval_ms", 15000, int)
-        if self.block_interval_ms < 1:
-            raise ScenarioError("config field 'block_interval_ms' must be >= 1")
-        self.access_control = bool(config.get("access_control", True))
-        self.timeout_ms = _config_number(config, "timeout_ms", 30000, float)
-        if not math.isfinite(self.timeout_ms):
-            raise ScenarioError("config field 'timeout_ms' must be a finite number")
-        self.rng = random.Random(self.seed ^ 0x6E65747369)  # distinct stream from vids
-        self._build_nodes(_objects("nodes", config.get("nodes", [])))
-        self._build_channels(_objects("channels", config.get("channels", [])))
+        topology = self.topology = parse_topology(config)
+        self.nodes = topology.nodes
+        self.supervisor = topology.supervisor
+        self._script = config.get("script", [])
+        self.rng = random.Random(topology.seed ^ 0x6E65747369)  # distinct stream from vids
         self._build_chain()
         self._bootstrap()
-        self._build_services(config)
+        self._build_services()
         self._seq = 0
         self._request_counter = 0
 
     # -- topology construction ---------------------------------------------------
 
-    def _build_nodes(self, specs: list[dict]) -> None:
-        if not specs:
-            raise ScenarioError("config field 'nodes' must list at least one node")
-        factory = AddressFactory(self.seed)
-        self.nodes: dict[str, NodeSpec] = {}
-        supervisors = []
-        zones_seen: set[str] = set()
-        for spec in specs:
-            name = spec.get("name")
-            if not name:
-                raise ScenarioError("node field 'name' is required")
-            _text(name, "name", name)
-            if name in self.nodes:
-                raise ScenarioError(f"duplicate node name {name!r}")
-            role = spec.get("role", "client")
-            if role not in ROLES:
-                raise ScenarioError(f"node {name!r}: unknown role {role!r}")
-            zone = _text(name, "zone", spec.get("zone", ""))
-            if role == "master" and not zone:
-                raise ScenarioError(f"node {name!r}: master role requires a zone")
-            if zone:
-                if role not in ("master", "supervisor"):
-                    raise ScenarioError(f"node {name!r}: only masters or the supervisor own zones")
-                if zone in zones_seen:
-                    raise ScenarioError(f"zone {zone!r} owned by more than one node")
-                zones_seen.add(zone)
-            services = _texts(name, "services", spec.get("services", ()))
-            for uri in services:
-                if not uri.startswith("/"):
-                    raise ScenarioError(f"node {name!r}: service {uri!r} must start with '/'")
-            node = NodeSpec(
-                name=name,
-                role=role,
-                vid=factory.new_address(),
-                profile=_parse_profile(name, spec.get("profile")),
-                services=services,
-                zone=zone,
-                members=_texts(name, "members", spec.get("members", ())),
-                location=_text(name, "location", spec.get("location", "")),
-            )
-            self.nodes[name] = node
-            if role == "supervisor":
-                supervisors.append(name)
-        if len(supervisors) != 1:
-            raise ScenarioError(f"exactly one supervisor required, found {len(supervisors)}")
-        self.supervisor = self.nodes[supervisors[0]]
-        for node in self.nodes.values():
-            for member in node.members:
-                if member not in self.nodes:
-                    raise ScenarioError(f"node {node.name!r}: unknown member {member!r}")
-
-    def _build_channels(self, specs: list[dict]) -> None:
-        self.channels: dict[tuple[str, str], ChannelSpec] = {}
-        for i, spec in enumerate(specs):
-            a, b = spec.get("a"), spec.get("b")
-            for end in (a, b):
-                if not (isinstance(end, str) and end in self.nodes):
-                    raise ScenarioError(f"channel {i}: unknown node {end!r}")
-            try:
-                drop_rate = float(spec.get("drop_rate", 0.0))
-            except (TypeError, ValueError) as exc:
-                raise ScenarioError(f"channel {i}: drop_rate: {exc}") from None
-            channel = ChannelSpec.checked(spec.get("name", f"{a}--{b}"), a, b,
-                                          spec.get("one_way_delay_ms", 0.0), drop_rate)
-            key = _link(a, b)
-            if key in self.channels:
-                raise ScenarioError(f"duplicate channel between {a!r} and {b!r}")
-            self.channels[key] = channel
-
     def _build_chain(self) -> None:
         chain_config = ChainConfig(
             supervisor=self.supervisor.vid,
-            block_interval_ms=self.block_interval_ms,
+            block_interval_ms=self.topology.block_interval_ms,
         )
         self.zone_contract = ZoneContract(self.supervisor.vid)
         self.token_contract = TokenContract(self.supervisor.vid, self.zone_contract)
@@ -355,16 +107,14 @@ class Simulation:
                            (node.zone, self.nodes[member].vid.hex))
         self.chain.produce_block(0, force=True)
 
-    def _build_services(self, config: dict) -> None:
+    def _build_services(self) -> None:
         self.masters: dict[str, DomainMaster] = {}
-        registration_policy = RegistrationPolicy.from_config(
-            config.get("registration_policy", {}))
         for node in self.nodes.values():
             if node.role == "master":
                 self.masters[node.name] = DomainMaster(
                     node.vid, node.zone, self.chain,
                     store=ProfileStore(),
-                    registration_policy=registration_policy,
+                    registration_policy=self.topology.registration_policy,
                 )
         self.providers: dict[str, ServiceProvider] = {}
         for node in self.nodes.values():
@@ -374,85 +124,38 @@ class Simulation:
                     stage_costs=node.profile.stage_costs(),
                 )
 
-    # -- script handling --------------------------------------------------------------
+    # -- event loop ---------------------------------------------------------------------
 
-    def _schedule(self, script: Any) -> list[tuple[float, int, dict]]:
-        """Check every script event against the topology and return the events
-        as ``(at, index, event)`` entries in index order."""
-        nodes = self.nodes
-        entries = []
-        for i, event in enumerate(_objects("script", script)):
-            op = event.get("op")
-            if op == "request":
-                requester, provider = event.get("requester"), event.get("provider")
-                for end in (requester, provider):
-                    if not (isinstance(end, str) and end in nodes):
-                        raise ScriptedEventError(i, f"unknown node {end!r}")
-                if provider not in self.providers:
-                    raise ScriptedEventError(i, f"{provider!r} offers no services")
-                if event.get("uri") not in nodes[provider].services:
-                    raise ScriptedEventError(
-                        i, f"{provider!r} does not serve {event.get('uri')!r}")
-                if event.get("method") not in ("GET", "POST", "PUT", "DELETE"):
-                    raise ScriptedEventError(i, f"unknown method {event.get('method')!r}")
-                if _link(requester, provider) not in self.channels:
-                    raise ScriptedEventError(
-                        i, f"no channel between {requester!r} and {provider!r}")
-            elif op == "register":
-                for key in ("node", "master"):
-                    if not (isinstance(event.get(key), str) and event[key] in nodes):
-                        raise ScriptedEventError(i, f"unknown node {event.get(key)!r}")
-                if event["master"] not in self.masters:
-                    raise ScriptedEventError(i, f"{event['master']!r} is not a master")
-            elif op in ("issue", "revoke", "revoke_rules", "suspend", "restore"):
-                for end in (event.get("master", event.get("by")), event.get("subject")):
-                    if not (isinstance(end, str) and end in nodes):
-                        raise ScriptedEventError(i, f"unknown node {end!r}")
-                if op in ("issue", "revoke_rules") and not isinstance(event.get("rules"), list):
-                    raise ScriptedEventError(i, f"{op} needs a 'rules' list")
-            elif op != "advance":
-                raise ScriptedEventError(i, f"unknown op {op!r}")
-            try:
-                at = float(event.get("at", 0))
-            except (TypeError, ValueError, OverflowError) as exc:   # OverflowError: 10**400
-                raise ScriptedEventError(i, f"at: {exc}") from None
-            if not math.isfinite(at):
-                raise ScriptedEventError(i, f"at: must be a finite number, got {at!r}")
-            entries.append((at, i, event))
-        return entries
-
-    def _push(self, queue: list, at: float, kind: str, payload: Any) -> None:
+    def _push(self, queue: list, at: float, kind: str, payload: object) -> None:
         self._seq += 1
         heapq.heappush(queue, (at, self._seq, kind, payload))
 
-    def run(self, script: Optional[list[dict]] = None) -> SimulationResult:
+    def run(self) -> SimulationResult:
         """Play the script, producing a block every ``block_interval_ms``.
 
-        Script events run in ``(at, index)`` order, straight from the sorted
+        Script events run in ``(at, index)`` order, straight from the parsed
         script. The heap holds only generated events (blocks, request
         arrivals, timeouts), in push order at equal times, and at equal
         times a script event runs first. Blocks continue while any event
         is left.
         """
-        if script is None:
-            script = self.config.get("script", [])
-        scheduled = sorted(self._schedule(script))
+        script = parse_script(self._script, self.topology)
         result = SimulationResult([], [], [], [])
         queue: list = []
-        self._push(queue, float(self.block_interval_ms), "block", None)
+        self._push(queue, float(self.topology.block_interval_ms), "block", None)
         pop = heapq.heappop
-        position, count = 0, len(scheduled)
+        position, count = 0, len(script)
         while True:
-            if position < count and (not queue or scheduled[position][0] <= queue[0][0]):
-                at, index, event = scheduled[position]
+            if position < count and (not queue or script[position].at <= queue[0][0]):
+                event = script[position]
                 position += 1
-                self._handle_script(at, index, event, queue, result)
+                self._handle_script(event, queue, result)
             elif queue:
                 at, _, kind, payload = pop(queue)
                 if kind == "block":
                     self._handle_block(at, result)
                     if position < count or queue:
-                        self._push(queue, at + self.block_interval_ms, "block", None)
+                        self._push(queue, at + self.topology.block_interval_ms, "block", None)
                 elif kind == "arrival":
                     self._handle_arrival(at, payload, result)
                 # a "complete" only extends the horizon
@@ -463,17 +166,17 @@ class Simulation:
 
     # -- event handlers ------------------------------------------------------------------
 
-    def _handle_script(self, at: float, index: int, event: dict, queue: list,
-                       result: SimulationResult) -> None:
-        op = event["op"]
-        if op == "request":
-            self._handle_request(at, index, event, queue, result)
-        elif op == "register":
-            self._handle_register(at, event, result)
-        elif op == "issue":
-            self._handle_issue(at, index, event)
-        elif op != "advance":   # "advance" only extends the horizon
-            self._handle_revocation(op, event)
+    def _handle_script(self, event: Event, queue: list, result: SimulationResult) -> None:
+        kind = type(event)
+        if kind is Request:
+            self._handle_request(event, queue, result)
+        elif kind is Register:
+            self._handle_register(event, result)
+        elif kind is Issue:
+            self._handle_issue(event)
+        elif kind is TokenChange:
+            self._handle_token_change(event)
+        # an Advance only extends the horizon
 
     def _handle_block(self, at: float, result: SimulationResult) -> None:
         self.chain.produce_block(int(at))
@@ -487,84 +190,66 @@ class Simulation:
             result.registrations += [dict(r, master=name) for r in registrations]
             result.issues += [dict(r, master=name) for r in issues]
 
-    def _handle_register(self, at: float, event: dict, result: SimulationResult) -> None:
-        master = self.masters[event["master"]]
-        node = self.nodes[event["node"]]
-        request = RegistrationRequest(node.vid, node.name,
-                                      dict(event.get("attributes", {})))
+    def _handle_register(self, event: Register, result: SimulationResult) -> None:
+        node, master = event.node, event.master.name
+        request = RegistrationRequest(node.vid, node.name, event.attributes)
         try:
-            master.register_entity(request, int(at))
+            self.masters[master].register_entity(request, int(event.at))
         except MasterError as exc:
             result.registrations.append(
-                {"vid": node.vid.hex, "master": event["master"],
+                {"vid": node.vid.hex, "master": master,
                  "status": "denied", "reason": str(exc)})
 
-    def _handle_issue(self, at: float, index: int, event: dict) -> None:
-        master_name = event["master"]
-        subject = self.nodes[event["subject"]].vid
-        rules = []
-        for j, rule in enumerate(event["rules"]):
-            try:
-                rules.append(AccessRule.from_wire(rule))
-            except (TypeError, ValueError, KeyError, AttributeError) as exc:
-                raise ScriptedEventError(
-                    index, f"rules[{j}] is not a rule ({type(exc).__name__}: {exc})") from None
-        try:
-            validity_ms = int(event.get("validity_ms", 3_600_000))
-        except (TypeError, ValueError, OverflowError) as exc:   # OverflowError: int(inf)
-            raise ScriptedEventError(index, f"validity_ms: {exc}") from None
-        decision = AccessDecision(granted=tuple(rules), validity_ms=validity_ms)
-        if master_name in self.masters:
-            self.masters[master_name].issue_capability(subject, decision, int(at))
+    def _handle_issue(self, event: Issue) -> None:
+        at, subject = int(event.at), event.subject.vid
+        master = self.masters.get(event.master.name)
+        if master is not None:
+            master.issue_capability(subject, AccessDecision(event.rules, event.validity_ms), at)
         else:
             # supervisor-issued tokens go straight to the contract
-            sender = self.nodes[master_name].vid
-            self.chain.submit(sender, "captoken", "issue_token",
-                              (subject.hex, [r.wire() for r in rules],
-                               int(at), int(at) + decision.validity_ms))
+            self.chain.submit(event.master.vid, "captoken", "issue_token",
+                              (subject.hex, [r.wire() for r in event.rules],
+                               at, at + event.validity_ms))
 
-    def _handle_revocation(self, kind: str, event: dict) -> None:
-        sender = self.nodes[event.get("master", event.get("by"))].vid
-        subject = self.nodes[event["subject"]].vid
-        if kind == "revoke":
-            self.chain.submit(sender, "captoken", "revoke_token", (subject.hex,))
-        elif kind == "revoke_rules":
+    def _handle_token_change(self, event: TokenChange) -> None:
+        sender, subject, op = event.master.vid, event.subject.vid.hex, event.op
+        if op == "revoke":
+            self.chain.submit(sender, "captoken", "revoke_token", (subject,))
+        elif op == "revoke_rules":
             self.chain.submit(sender, "captoken", "revoke_access_rights",
-                              (subject.hex, list(event["rules"])))
+                              (subject, event.rules))
         else:
             self.chain.submit(sender, "captoken", "set_token_validity",
-                              (subject.hex, kind == "restore"))
+                              (subject, op == "restore"))
 
-    def _handle_request(self, at: float, index: int, event: dict, queue: list,
-                        result: SimulationResult) -> None:
+    def _handle_request(self, event: Request, queue: list, result: SimulationResult) -> None:
         """Send the request: it arrives after the channel's delay, or is dropped.
 
-        The in-flight payload is ``(event, index, request_id, sent_at, delay)``;
-        a dropped request has no delay.
+        The in-flight payload is ``(event, request_id, delay)``; a dropped
+        request has no delay.
         """
         self._request_counter += 1
-        channel = self.channels[_link(event["requester"], event["provider"])]
-        if channel.drop_rate and self.rng.random() < channel.drop_rate:
-            self._record((event, index, self._request_counter, at, None), result,
-                         "timeout", self.timeout_ms, reason="message-dropped")
-            self._push(queue, at + self.timeout_ms, "complete", None)
+        delay, drop_rate = event.channel
+        if drop_rate and self.rng.random() < drop_rate:
+            self._record((event, self._request_counter, None), result,
+                         "timeout", self.topology.timeout_ms, reason="message-dropped")
+            self._push(queue, event.at + self.topology.timeout_ms, "complete", None)
             return
-        delay = channel.sample_delay(self.rng)
-        self._push(queue, at + delay, "arrival",
-                   (event, index, self._request_counter, at, delay))
+        if isinstance(delay, tuple):
+            delay = self.rng.uniform(*delay)
+        self._push(queue, event.at + delay, "arrival", (event, self._request_counter, delay))
 
     def _handle_arrival(self, at: float, flight: tuple, result: SimulationResult) -> None:
-        event, _, _, _, delay = flight
-        provider_node = self.nodes[event["provider"]]
+        event, _, delay = flight
+        provider_node = event.provider
         profile = provider_node.profile
         transport = 2 * delay
-        if self.access_control:
-            provider = self.providers[event["provider"]]
+        if self.topology.access_control:
             request = ServiceRequest(
-                requester=self.nodes[event["requester"]].vid,
-                method=event["method"], uri=event["uri"],
+                requester=event.requester.vid, method=event.method, uri=event.uri,
                 now=at, location_tag=provider_node.location)
-            decision, trace = provider.authorize(request, transport_ms=transport)
+            decision, trace = self.providers[provider_node.name].authorize(
+                request, transport_ms=transport)
             processing = profile.data_parse + sum(r.duration_ms for r in trace.records)
             if decision.granted:
                 processing += profile.service_handler
@@ -578,19 +263,19 @@ class Simulation:
                 total_ms: float, stage: Optional[str] = None,
                 reason: Optional[str] = None, trace: Optional[StageTrace] = None) -> None:
         """Append the request's measurement and check its scripted expectation."""
-        event, index, request_id, sent_at, _ = flight
+        event, request_id, _ = flight
         measurement = Measurement(
-            request_id=request_id, at_ms=sent_at,
-            requester=event["requester"], provider=event["provider"],
-            method=event["method"], uri=event["uri"],
+            request_id=request_id, at_ms=event.at,
+            requester=event.requester.name, provider=event.provider.name,
+            method=event.method, uri=event.uri,
             outcome=outcome, stage=stage, reason=reason,
             cache_hit=None if trace is None else trace.cache_hit,
             block_height=self.chain.height, total_ms=total_ms, trace=trace)
         result.measurements.append(measurement)
-        expected = event.get("expect")
+        expected = event.expect
         if expected and outcome != expected:
             result.expectation_failures.append(
-                f"request {request_id} (event {index}): "
+                f"request {request_id} (event {event.index}): "
                 f"expected {expected}, got {outcome}"
                 + (f" at {stage}" if stage else ""))
 
@@ -621,8 +306,6 @@ def latency_bench_config(profile_name: str, seed: int, requests: int = 100,
     interval block; requests then arrive every 150 ms, so the first one
     is a cold cache miss and the rest are hits.
     """
-    if profile_name not in PROFILES:
-        raise ScenarioError(f"unknown profile {profile_name!r}")
     delay = PROFILE_DELAYS[profile_name]
     start = block_interval_ms + 1000
     script: list[dict] = [

@@ -57,8 +57,9 @@ class Condition:
 
     def __post_init__(self) -> None:
         if self.kind == ConditionKind.TIME_WINDOW:
-            if self.start_ms is None or self.end_ms is None or not self.start_ms < self.end_ms:
-                raise ValueError("time_window requires start_ms < end_ms")
+            times = (self.start_ms, self.end_ms)
+            if not all(isinstance(t, (int, float)) for t in times) or not times[0] < times[1]:
+                raise ValueError("time_window requires numbers start_ms < end_ms")
         elif self.kind == ConditionKind.WEEKDAY:
             if not self.days or any(d not in range(7) for d in self.days):
                 raise ValueError("weekday requires a nonempty set of days 0..6")

@@ -27,6 +27,7 @@ from capchain.enforcement import (PIPELINE_STAGES, Decision, StageRecord, StageT
                                   verify_token_status)
 from capchain.ledger import LedgerError
 from capchain.netsim import MEASUREMENT_COLUMNS, SimulationResult, _fmt
+from capchain.scenario import parse_script
 
 ZERO_HEX = "0x" + "00" * 20
 
@@ -384,27 +385,25 @@ def reference_summarize(measurements):
 # Event loop (every event through one heap)
 # ---------------------------------------------------------------------------
 
-def reference_run(simulation, script=None):
+def reference_run(simulation):
     """``Simulation.run`` with script events pushed onto the heap, in index
     order and ahead of the first block, so ``(at, seq)`` alone orders them."""
-    if script is None:
-        script = simulation.config.get("script", [])
     result = SimulationResult([], [], [], [])
     queue = []
-    for at, index, event in simulation._schedule(script):
-        simulation._push(queue, at, event["op"], (index, event))
-    simulation._push(queue, float(simulation.block_interval_ms), "block", None)
+    script = parse_script(simulation._script, simulation.topology)
+    for event in sorted(script, key=lambda event: event.index):
+        simulation._push(queue, event.at, "script", event)
+    simulation._push(queue, float(simulation.topology.block_interval_ms), "block", None)
     while queue:
         at, _, kind, payload = heapq.heappop(queue)
         if kind == "block":
             simulation._handle_block(at, result)
             if queue:
-                simulation._push(queue, at + simulation.block_interval_ms, "block", None)
+                simulation._push(queue, at + simulation.topology.block_interval_ms, "block", None)
         elif kind == "arrival":
             simulation._handle_arrival(at, payload, result)
-        elif kind != "complete":
-            index, event = payload
-            simulation._handle_script(at, index, event, queue, result)
+        elif kind == "script":
+            simulation._handle_script(payload, queue, result)
     simulation._drain(result)
     return result
 

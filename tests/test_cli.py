@@ -1,5 +1,7 @@
+import hashlib
 import io
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -98,37 +100,74 @@ class TestScenario:
         assert failure(capsys)["error"] == "invalid-scenario-file"
 
     @pytest.mark.parametrize("mutate,named", [
-        (lambda c: c["script"][1].pop("rules"), "event 1: issue needs a 'rules' list"),
-        (lambda c: c["channels"][0].update(one_way_delay_ms="3.75"), "one_way_delay_ms"),
-        (lambda c: c.update(nodes={n["name"]: n for n in c["nodes"]}), "'nodes'"),
-        (lambda c: c.update(block_interval_ms=0), "'block_interval_ms' must be >= 1"),
-        (lambda c: c["channels"][0].update(one_way_delay_ms=[5, -1]), "one_way_delay_ms"),
-        (lambda c: c["channels"][0].update(one_way_delay_ms=[5]), "one_way_delay_ms"),
+        (lambda c: c["script"][1].pop("rules"), "script[1].rules: must be a list of rules"),
+        (lambda c: c["channels"][0].update(one_way_delay_ms="3.75"),
+         "channels[0].one_way_delay_ms: must be a number or a range"),
+        (lambda c: c.update(nodes={n["name"]: n for n in c["nodes"]}),
+         "nodes: must be a list of objects"),
+        (lambda c: c.update(block_interval_ms=0), "block_interval_ms: must be >= 1"),
+        (lambda c: c["channels"][0].update(one_way_delay_ms=[5, -1]),
+         "channels[0].one_way_delay_ms: must be a number or a range"),
+        (lambda c: c["channels"][0].update(one_way_delay_ms=[5]),
+         "channels[0].one_way_delay_ms: must be a number or a range"),
         (lambda c: c["script"][1]["rules"][0].update(action="FLY"),
-         "event 1: rules[0] is not a rule (ValueError: 'FLY'"),
-        (lambda c: c["nodes"][3].update(profile={"foo": 1}), "node 'provider': profile: "),
-        (lambda c: c["script"][2].update(at="soon"), "event 2: at: "),
-        (lambda c: c["channels"][0].update(drop_rate="often"), "channel 0: drop_rate: "),
-        (lambda c: c["script"][1].update(validity_ms="forever"), "event 1: validity_ms: "),
+         "script[1].rules[0].action: 'FLY' is not an action"),
+        (lambda c: c["nodes"][3].update(profile={"foo": 1}),
+         "nodes[3].profile.foo: must be a cost"),
+        (lambda c: c["script"][2].update(at="soon"), "script[2].at: could not convert"),
+        (lambda c: c["channels"][0].update(drop_rate="often"),
+         "channels[0].drop_rate: could not convert"),
+        (lambda c: c["script"][1].update(validity_ms="forever"),
+         "script[1].validity_ms: invalid literal for int()"),
         # non-finite times would never be reached or have no order
-        (lambda c: c["script"][2].update(at="inf"), "event 2: at: must be a finite number"),
-        (lambda c: c["script"][2].update(at="nan"), "event 2: at: must be a finite number"),
+        (lambda c: c["script"][2].update(at="inf"), "script[2].at: must be a finite time"),
+        (lambda c: c["script"][2].update(at="nan"), "script[2].at: must be a finite time"),
         (lambda c: c["script"][2].update(at=float("nan")),
-         "event 2: at: must be a finite number"),
-        (lambda c: c["script"][2].update(at=10**400), "event 2: at: "),
-        (lambda c: c["channels"][0].update(one_way_delay_ms=float("inf")), "one_way_delay_ms"),
-        (lambda c: c.update(timeout_ms="inf"), "'timeout_ms' must be a finite number"),
+         "script[2].at: must be a finite time"),
+        (lambda c: c["script"][2].update(at=10**400), "script[2].at: int too large"),
+        (lambda c: c["channels"][0].update(one_way_delay_ms=float("inf")),
+         "channels[0].one_way_delay_ms: must be a number or a range"),
+        (lambda c: c.update(timeout_ms="inf"),
+         "timeout_ms: must be a number from 0 to the horizon"),
+        (lambda c: c.update(timeout_ms=-5), "timeout_ms: must be a number from 0 to the horizon"),
         # request strings
-        (served(5), "node 'provider': services must be a string without NUL, got 5"),
-        (served("api/data"), "node 'provider': service 'api/data' must start with '/'"),
-        (served("/api/\0data"), "node 'provider': services must be a string without NUL"),
-        (client_named("cli\0ent"), "name must be a string without NUL"),
+        (served(5), "nodes[3].services[0]: must be a string without NUL, got 5"),
+        (served("api/data"), "nodes[3].services[0]: must start with '/', got 'api/data'"),
+        (served("/api/\0data"), "nodes[3].services[0]: must be a string without NUL"),
+        (client_named("cli\0ent"), "nodes[2].name: must be a nonempty string without NUL"),
+        # registration policy and registration attributes
+        (lambda c: c.update(registration_policy="allow_all"),
+         "registration_policy: must be an object, got 'allow_all'"),
+        (lambda c: c["registration_policy"].update(kind="allowlist", vids=5),
+         "registration_policy.vids: must be a list of hex strings, got 5"),
+        (lambda c: c["registration_policy"].update(kind="nope"),
+         "registration_policy.kind: must be one of allow_all, allowlist, denylist, attribute"),
+        (lambda c: c["registration_policy"].update(kind="attribute", required_attributes=[1]),
+         "registration_policy.required_attributes: must be an object, got [1]"),
+        (lambda c: c["script"][0].update(attributes="abc"),
+         "script[0].attributes: must be an object, got 'abc'"),
+        (lambda c: c.update(access_control="false"), "access_control: must be true or false"),
+        # a time window that compares strings with the time of day
+        (lambda c: c["script"][1]["rules"][0].update(
+            conditions=[{"kind": "time_window", "start_ms": "0", "end_ms": "5"}]),
+         "script[1].rules[0]: is not a rule (ValueError: time_window requires numbers start_ms"),
+        # rule fields of the wrong type
+        (lambda c: c["script"][1]["rules"][0].update(resource=7),
+         "script[1].rules[0]: is not a rule (AttributeError: "),
+        (lambda c: c["script"][1]["rules"][0].update(conditions=7),
+         "script[1].rules[0]: is not a rule (TypeError: "),
+        # revocations name their sender with "master" only
+        (lambda c: c["script"][5].update(by=c["script"][5].pop("master")),
+         "script[5].master: unknown node None"),
     ], ids=["issue-without-rules", "string-delay", "nodes-object", "zero-interval",
             "inverted-delay-range", "one-element-delay-range", "unknown-action",
             "unknown-profile-key", "string-at", "string-drop-rate", "string-validity",
             "infinite-at", "nan-string-at", "json-nan-at", "overflowing-at",
-            "infinite-delay", "infinite-timeout", "numeric-service", "relative-service",
-            "nul-in-service", "nul-in-node-name"])
+            "infinite-delay", "infinite-timeout", "negative-timeout", "numeric-service",
+            "relative-service", "nul-in-service", "nul-in-node-name", "policy-not-object",
+            "numeric-vids", "unknown-policy-kind", "required-attributes-list",
+            "string-attributes", "string-access-control", "string-time-window",
+            "numeric-resource", "numeric-conditions", "by-alias"])
     def test_malformed_scenario_field_fails(self, tmp_path, capsys, mutate, named):
         config = json.loads((SCENARIOS / "registration_and_revocation.json").read_text())
         mutate(config)
@@ -137,7 +176,35 @@ class TestScenario:
         assert main(["scenario", str(path), "--out", str(tmp_path / "o")]) == 1
         err = failure(capsys)
         assert err["error"] == "scenario-error"
-        assert named in err["detail"]
+        assert err["detail"].startswith(named)
+
+    @pytest.mark.parametrize("mutate,named", [
+        (lambda c: c["script"][6].update(at=1e10),
+         "script[6].at: must be a finite time of at most 1.49997e+09 ms"),
+        (lambda c: c["channels"][0].update(one_way_delay_ms=1e10),
+         "channels[0].one_way_delay_ms: must be a number or a range"),
+        (lambda c: (c.update(timeout_ms=1e10), c["channels"][0].update(drop_rate=0.5)),
+         "timeout_ms: must be a number from 0 to the horizon of 100000 blocks"),
+        # each within the horizon, but a request sent at 1e9 arrives 1e9 later
+        (lambda c: (c["channels"][0].update(one_way_delay_ms=1e9),
+                    c["script"][6].update(at=1e9)),
+         "script[6].at: must be a finite time of at most 5e+08 ms"),
+        (lambda c: c["script"][6].update(at=1e300),
+         "script[6].at: must be a finite time of at most 1.49997e+09 ms"),
+    ], ids=["at", "delay", "timeout", "at-plus-delay", "at-1e300"])
+    def test_time_past_the_horizon_fails_fast(self, tmp_path, capsys, mutate, named):
+        # the horizon is MAX_BLOCKS = 100,000 intervals of 15 s; each of these
+        # once ran for about 666,670 blocks, and 1e300 never ended
+        config = json.loads((SCENARIOS / "registration_and_revocation.json").read_text())
+        mutate(config)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(config))
+        started = time.perf_counter()
+        assert main(["scenario", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert time.perf_counter() - started < 1.0
+        err = failure(capsys)
+        assert err["error"] == "scenario-error"
+        assert err["detail"].startswith(named)
 
     def test_failed_expectation_gives_nonzero_exit(self, tmp_path, capsys):
         config = latency_bench_config("ground", seed=3, requests=2)
@@ -292,3 +359,62 @@ def test_full_refetch_sync_gives_the_same_artifacts(tmp_path, capsys, monkeypatc
     change_driven = run("change-driven")
     monkeypatch.setattr(TokenCache, "sync", full_refetch_sync)
     assert run("full-refetch") == change_driven
+
+
+# sha256 of every file each command writes, as computed before the scenario
+# parser was rewritten; every CLI artifact must stay byte-identical
+CLI_ARTIFACT_SHA256 = {
+    ("scenario", "text"): {
+        "chain.jsonl": "4f455f7fd3f34bd88269cace5ed8eef73af556928d2bb8763054267a69f634a5",
+        "gas_report.csv": "18186644b88a4642541c7d95c1782fad127c5b53782695258a1118a118e51ca4",
+        "measurements.csv": "57942989252a471d57bc228c312231b064dd249fb8a4dccf0ac5f155ae5f4b3a",
+        "stage_traces.csv": "8e5216e92a98f320043ac72bfbc2ffcd2da638d043bc8ddbe62e90829a1cdb3a",
+        "summary.txt": "33c7ac0f84fb4137c908bd934f9fb10cb3944b9e75e490fbfc5c2574fc47b185",
+    },
+    ("scenario", "csv"): {
+        "chain.jsonl": "4f455f7fd3f34bd88269cace5ed8eef73af556928d2bb8763054267a69f634a5",
+        "gas_report.csv": "18186644b88a4642541c7d95c1782fad127c5b53782695258a1118a118e51ca4",
+        "measurements.csv": "57942989252a471d57bc228c312231b064dd249fb8a4dccf0ac5f155ae5f4b3a",
+        "stage_traces.csv": "8e5216e92a98f320043ac72bfbc2ffcd2da638d043bc8ddbe62e90829a1cdb3a",
+        "summary.csv": "740d619f5744adc18bb4acd23a8fd76a6963e506f65b319353d4476b21916837",
+    },
+    ("demo",): {
+        "chain.jsonl": "d804c995317ed168e07c821d4ce7ab22ba5a8f8df56c13bf3b598894933a9e65",
+        "gas_report.csv": "8715bcaa9f1fe702de46767a84538b15f2ed0a533609cf9126c1de64c465473b",
+    },
+    ("bench", "satellite", "text"): {
+        "chain.jsonl": "19892f69d4e925fcf4c31c176d8917deb1b37a2a392d91d2111c6be9f7af0853",
+        "gas_report.csv": "2c2f780e0205539e4fd9e7831f354c75640739b0f1e67626a3dfaac5a08f90ae",
+        "measurements.csv": "3e8ba4f678de385af6c030a0fc28b06e7ba1b8ab4d5f37399b99762fbd336409",
+        "overhead_summary.txt":
+            "50dae4a71abc31f738f428563dcbffc923335a8b6e13c3e44c259abbd1f22abe",
+        "stage_traces.csv": "46380df1d5bcdea5679f2d0c6843961e35e7c951e7fd85e24a013affdcbe033f",
+        "summary.txt": "31ee075bedb887e0738469c74ecc2bfb541310a98a4ffa366d773e7cca4abc68",
+    },
+    ("bench", "ground", "csv"): {
+        "chain.jsonl": "19892f69d4e925fcf4c31c176d8917deb1b37a2a392d91d2111c6be9f7af0853",
+        "gas_report.csv": "2c2f780e0205539e4fd9e7831f354c75640739b0f1e67626a3dfaac5a08f90ae",
+        "measurements.csv": "338441914420dc287ac011ed01fd846ec9c7219304623466946d9639b8aa8a2d",
+        "overhead_summary.txt":
+            "fe584c27b718a2518f70a7fc3e0f02515b9d35f77cf8752947ad689a152286e4",
+        "stage_traces.csv": "4c1b5f90dd5caa4756ff5b464159c24ff84e236064309903d7e24de20dd6069f",
+        "summary.csv": "5a85981e2853df385e4ba40f7dfc8005c9a6c8b06d7a01cad0ad38539bd4bccb",
+    },
+}
+
+
+def cli_command(case, out):
+    if case[0] == "scenario":
+        return ["scenario", str(SCENARIOS / "registration_and_revocation.json"),
+                "--format", case[1], "--out", out]
+    if case[0] == "demo":
+        return ["demo", "--seed", "42", "--out", out]
+    return ["bench", "--seed", "42", "--profile", case[1], "--format", case[2], "--out", out]
+
+
+@pytest.mark.parametrize("case", sorted(CLI_ARTIFACT_SHA256), ids="-".join)
+def test_cli_artifacts_are_pinned(tmp_path, capsys, case):
+    out = tmp_path / "out"
+    assert main(cli_command(case, str(out))) == 0
+    written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
+    assert written == CLI_ARTIFACT_SHA256[case]

@@ -1,4 +1,3 @@
-import io
 import json
 
 import pytest
@@ -232,15 +231,6 @@ class TestProfileStore:
         reopened = ProfileStore(path)
         assert reopened.get(bench.client) == profile
         reopened.close()
-
-    def test_csv_export(self, bench):
-        store = ProfileStore()
-        store.upsert(EntityProfile(bench.client, "c", "zone-a", 1, {"k": "v"}))
-        out = io.StringIO()
-        store.export_csv(out)
-        lines = out.getvalue().splitlines()
-        assert lines[0] == "vid,display_name,group_id,registered_at,attributes"
-        assert bench.client.hex in lines[1]
 
     def test_policy_file_round_trip(self, tmp_path):
         rules = [PolicyRule(match=(("device", "sensor"),), grant=(GET_DATA,),

@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from capchain.encoding import CsvCells
 from capchain.enforcement import PIPELINE_STAGES, StageRecord, StageTrace
-from capchain.netsim import (PROFILES, PROFILE_DELAYS, Measurement, ProcessingProfile,
-                             ScenarioError, ScriptedEventError, Simulation,
+from capchain.netsim import (PROFILE_DELAYS, Measurement, Simulation,
                              ac_overhead_ms, latency_bench_config,
                              run_latency_bench, run_overhead_bench, run_scenario,
                              summarize, write_measurements_csv,
                              write_stage_traces_csv, write_summary_text)
+from capchain.scenario import PROFILES, ScenarioError
 
 from harness import render_artifacts
 from reference_models import (reference_run, reference_summarize,
@@ -108,7 +108,7 @@ class TestRunScenario:
              "provider": "sat-provider", "method": "GET", "uri": "/api/data"},
         ])
         sim = Simulation(config)
-        with pytest.raises(ScriptedEventError, match="event 0"):
+        with pytest.raises(ScenarioError, match=r"^script\[0\]\.requester: unknown node 'ghost'"):
             sim.run()
 
     def test_unserved_resource_fails(self):
@@ -116,7 +116,8 @@ class TestRunScenario:
             {"at": 100, "op": "request", "requester": "sat-client",
              "provider": "sat-provider", "method": "GET", "uri": "/api/missing"},
         ])
-        with pytest.raises(ScriptedEventError, match="does not serve"):
+        with pytest.raises(ScenarioError, match=r"^script\[0\]\.uri: 'sat-provider' "
+                                                r"does not serve '/api/missing'"):
             Simulation(config).run()
 
     def test_revocation_denies_after_next_block(self):
@@ -225,8 +226,11 @@ class TestLatencyModel:
             costs["condition_check"] == profile.capac_validation
 
     def test_negative_profile_cost_rejected(self):
-        with pytest.raises(ScenarioError):
-            ProcessingProfile(identity_auth=-1.0)
+        config = base_config()
+        config["nodes"][3]["profile"] = {"identity_auth": -1.0}
+        with pytest.raises(ScenarioError, match=r"^nodes\[3\]\.profile\.identity_auth: "
+                                                r"must be a cost .* of a number >= 0, got -1.0"):
+            Simulation(config)
 
 
 class TestDeterminism:
