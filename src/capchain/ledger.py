@@ -287,6 +287,7 @@ class Chain:
         self._next_nonce: dict[Address, int] = {}
         self._receipts: dict[str, Receipt] = {}
         self._gas_log: list[GasEntry] = []
+        self._fee_memo: dict[tuple[int, Decimal, Decimal], tuple[Decimal, Decimal]] = {}
         self._write_lock = threading.Lock()
         self._blocks: list[Block] = [GENESIS]
 
@@ -407,11 +408,20 @@ class Chain:
         return self._receipts.get(tx_digest)
 
     def _fees(self, gas: int) -> tuple[Decimal, Decimal]:
-        raw_etc = gas * self.config.gas_price_etc
-        fee_etc = raw_etc.quantize(_ETC_QUANTUM, rounding=ROUND_HALF_UP)
-        fee_usd = (raw_etc * self.config.eth_price_usd).quantize(
-            _USD_QUANTUM, rounding=ROUND_HALF_UP)
-        return fee_etc, fee_usd
+        """The rounded ETC and USD fees of ``gas``, computed once per distinct
+        ``(gas, gas price, ETC price)``: the prices may change between blocks.
+
+        Prices key by value, so ``Decimal("6.40E-9")`` shares the entry of
+        ``6.4E-9`` (the rounded fees are equal) and a ``-0`` price would
+        reuse the fees of ``0``, whose zero would print without its sign."""
+        key = (gas, self.config.gas_price_etc, self.config.eth_price_usd)
+        fees = self._fee_memo.get(key)
+        if fees is None:
+            raw_etc = gas * key[1]
+            fees = self._fee_memo[key] = (
+                raw_etc.quantize(_ETC_QUANTUM, rounding=ROUND_HALF_UP),
+                (raw_etc * key[2]).quantize(_USD_QUANTUM, rounding=ROUND_HALF_UP))
+        return fees
 
     def account_gas(self, tx_digest: str) -> GasEntry:
         receipt = self._receipts.get(tx_digest)

@@ -17,11 +17,13 @@ from typing import Any, NamedTuple, NoReturn, Union
 
 from .address import Address, AddressFactory
 from .master import RegistrationPolicy
-from .tokens import AccessRule, Action
+from .tokens import RULE_ERRORS, AccessRule, Action
 
 ROLES = ("supervisor", "master", "satellite", "ground", "client")
 POLICY_KINDS = ("allow_all", "allowlist", "denylist", "attribute")
 ACTIONS = tuple(action.value for action in Action)
+#: A request's ``expect``: an outcome it must reach, or null (or absent) for none.
+EXPECTS = ("grant", "deny", "timeout", None)
 
 #: How many block intervals a run may span. Blocks are produced until the last
 #: event is due: at the default 15 s interval ``at: 1e9`` writes 66,669 blocks
@@ -290,15 +292,17 @@ def parse_script(script: Any, topology: Topology) -> list[Event]:
         if op == "request":
             requester = _node(nodes, event.get("requester"), path, "requester")
             provider = _node(nodes, event.get("provider"), path, "provider")
-            uri, method = event.get("uri"), event.get("method")
+            uri, method, expect = event.get("uri"), event.get("method"), event.get("expect")
             if uri not in provider.services:
                 _fail(path, "uri", f"{provider.name!r} does not serve {uri!r}")
             if method not in ACTIONS:
                 _fail(path, "method", f"unknown method {method!r}")
+            if expect not in EXPECTS:
+                _fail(path, "expect", f"must be grant, deny, timeout or null, got {expect!r}")
             channel = channels.get(link(requester.name, provider.name))
             if channel is None:
                 _fail(path, "", f"no channel between {requester.name!r} and {provider.name!r}")
-            event = Request(at, i, requester, provider, channel, method, uri, event.get("expect"))
+            event = Request(at, i, requester, provider, channel, method, uri, expect)
         elif op == "register":
             node = _node(nodes, event.get("node"), path, "node")
             master = _node(nodes, event.get("master"), path, "master")
@@ -338,6 +342,6 @@ def _parse_rules(rules: Any, path: str) -> tuple[AccessRule, ...]:
                rule.get("action"))
         try:
             parsed.append(AccessRule.from_wire(rule))
-        except (TypeError, ValueError, KeyError, AttributeError) as exc:
+        except RULE_ERRORS as exc:
             _fail(where, "", f"is not a rule ({type(exc).__name__}: {exc})")
     return tuple(parsed)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import Any, Callable, Optional
 
 from .address import Address
 from .encoding import canonical_json
@@ -39,14 +39,34 @@ class ConditionKind(str, Enum):
     LOCATION_TAG = "location_tag"
 
 
+def _decoder(enum: type[Enum]) -> Callable[[Any], Any]:
+    """``enum(value)`` as one dict lookup; a non-member raises the same
+    ``ValueError`` as the ``Enum`` call, unhashable values included."""
+    members = {member.value: member for member in enum}
+
+    def decode(value: Any) -> Any:
+        try:
+            return members[value]
+        except (KeyError, TypeError):   # TypeError: an unhashable value
+            raise ValueError(f"{value!r} is not a valid {enum.__qualname__}") from None
+
+    return decode
+
+
+decode_action = _decoder(Action)
+decode_condition_kind = _decoder(ConditionKind)
+
+
 @dataclass(frozen=True)
 class Condition:
     """One context constraint.
 
-    time_window: ``start_ms``/``end_ms`` are milliseconds of day, start < end.
-    weekday: ``days`` is a nonempty set of 0..6, with day 0 = Monday of the
-    virtual epoch (virtual time starts on a Monday at midnight).
-    location_tag: ``tag`` is a nonempty provider-side location label.
+    time_window: ``start_ms``/``end_ms`` are milliseconds of day, numbers
+    but not bools, start < end.
+    weekday: ``days`` is a nonempty set of ints 0..6 (no bools, no floats),
+    with day 0 = Monday of the virtual epoch (virtual time starts on a
+    Monday at midnight).
+    location_tag: ``tag`` is a nonempty string, a provider-side location label.
     """
 
     kind: ConditionKind
@@ -58,14 +78,15 @@ class Condition:
     def __post_init__(self) -> None:
         if self.kind == ConditionKind.TIME_WINDOW:
             times = (self.start_ms, self.end_ms)
-            if not all(isinstance(t, (int, float)) for t in times) or not times[0] < times[1]:
+            if not all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in times) \
+                    or not times[0] < times[1]:
                 raise ValueError("time_window requires numbers start_ms < end_ms")
         elif self.kind == ConditionKind.WEEKDAY:
-            if not self.days or any(d not in range(7) for d in self.days):
-                raise ValueError("weekday requires a nonempty set of days 0..6")
+            if not self.days or any(type(d) is not int or not 0 <= d <= 6 for d in self.days):
+                raise ValueError("weekday requires a nonempty set of int days 0..6")
         elif self.kind == ConditionKind.LOCATION_TAG:
-            if not self.tag:
-                raise ValueError("location_tag requires a nonempty tag")
+            if not (isinstance(self.tag, str) and self.tag):
+                raise ValueError("location_tag requires a nonempty string tag")
         else:
             raise ValueError(f"unknown condition kind {self.kind!r}")
 
@@ -78,12 +99,16 @@ class Condition:
 
     @classmethod
     def from_wire(cls, body: dict) -> "Condition":
-        kind = ConditionKind(body["kind"])
+        kind = decode_condition_kind(body["kind"])
         if kind == ConditionKind.TIME_WINDOW:
             return cls(kind, start_ms=body["start_ms"], end_ms=body["end_ms"])
         if kind == ConditionKind.WEEKDAY:
             return cls(kind, days=tuple(body["days"]))
         return cls(kind, tag=body["tag"])
+
+
+#: What ``AccessRule.from_wire`` raises for a body that is not a rule.
+RULE_ERRORS = (TypeError, ValueError, KeyError, AttributeError)
 
 
 @dataclass(frozen=True)
@@ -107,10 +132,16 @@ class AccessRule:
 
     @classmethod
     def from_wire(cls, body: dict) -> "AccessRule":
+        """The rule a wire body names; the one reader of rules for the scenario
+        parser and the token contract. Raises one of ``RULE_ERRORS`` for a
+        body that is not a rule."""
+        conditions = body.get("conditions", [])
+        if not isinstance(conditions, list):
+            raise TypeError(f"conditions must be a list, got {type(conditions).__name__}")
         return cls(
-            action=Action(body["action"]),
+            action=decode_action(body["action"]),
             resource=body["resource"],
-            conditions=tuple(Condition.from_wire(c) for c in body.get("conditions", [])),
+            conditions=tuple(Condition.from_wire(c) for c in conditions),
         )
 
 
@@ -227,7 +258,7 @@ class TokenContract(Contract):
             raise ContractRejection("invalid-dates", "issue date after expiry date")
         try:
             authorization = [AccessRule.from_wire(rule) for rule in rules]
-        except (ValueError, KeyError) as exc:
+        except RULE_ERRORS as exc:
             raise ContractRejection("invalid-rule", str(exc))
         token = CapabilityToken(
             vid=subject,

@@ -12,14 +12,18 @@ The wire dicts and report writers at the end are the ones the assembled
 texts replaced: dicts handed whole to ``canonical_json``, rows handed
 whole to ``csv.writer``, statistics gathered one list at a time. They
 share ``netsim._fmt``, the one float formatter, with the package.
-Last come the event loop that pushed every script event through the heap
+Then come the event loop that pushed every script event through the heap
 and the pipeline that built a fresh record and decision per stage, both
-driving the package's own handlers and stage checks.
+driving the package's own handlers and stage checks. Last are the value
+types that interning and memoising replaced: the frozen-dataclass address
+and the fee computation done afresh for every transaction.
 """
 
 import csv
 import heapq
 import statistics
+from dataclasses import dataclass
+from decimal import ROUND_HALF_UP, Decimal
 
 from capchain.address import Address
 from capchain.enforcement import (PIPELINE_STAGES, Decision, StageRecord, StageTrace,
@@ -456,3 +460,39 @@ def reference_authorize(provider, stage_costs, request, transport_ms=0.0):
     passed("condition_check", cost("condition_check"))
 
     return Decision(granted=True), trace
+
+
+# ---------------------------------------------------------------------------
+# Value types (a dataclass per address, a fee computed per transaction)
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, order=True)
+class ReferenceAddress:
+    """``Address`` as a frozen dataclass: equal by value, any number of objects."""
+
+    raw: bytes
+
+    def __post_init__(self):
+        if not isinstance(self.raw, bytes) or len(self.raw) != 20:
+            raise ValueError("address must be exactly 20 bytes")
+
+    @classmethod
+    def from_hex(cls, text):
+        if not isinstance(text, str):
+            raise TypeError(f"address hex must be a string, got {type(text).__name__}")
+        if text.startswith("0x") or text.startswith("0X"):
+            text = text[2:]
+        if len(text) != 40:
+            raise ValueError(f"address hex must be 40 chars, got {len(text)}")
+        return cls(bytes.fromhex(text))
+
+    @property
+    def hex(self):
+        return "0x" + self.raw.hex()
+
+
+def reference_fees(gas, gas_price_etc, eth_price_usd):
+    """``Chain._fees`` without its memo: two quantizes per call."""
+    raw_etc = gas * gas_price_etc
+    return (raw_etc.quantize(Decimal("1E-7"), rounding=ROUND_HALF_UP),
+            (raw_etc * eth_price_usd).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))

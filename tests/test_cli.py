@@ -1,6 +1,9 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -16,6 +19,7 @@ from chainbench import change_first_tx, reseal
 from reference_models import full_refetch_sync, reference_block_wire
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+SRC = SCENARIOS.parent / "src"
 RULE_GET = {"action": "GET", "resource": "/api/data", "conditions": []}
 
 
@@ -27,6 +31,11 @@ def served(uri):
             if event["op"] == "request":
                 event["uri"] = uri
     return mutate
+
+
+def condition(**fields):
+    """A scenario mutation: the issued rule carries one condition of ``fields``."""
+    return lambda config: config["script"][1]["rules"][0].update(conditions=[fields])
 
 
 def client_named(name):
@@ -159,6 +168,27 @@ class TestScenario:
         # revocations name their sender with "master" only
         (lambda c: c["script"][5].update(by=c["script"][5].pop("master")),
          "script[5].master: unknown node None"),
+        # misspelt or falsy expectations, which failed every request or checked none
+        (lambda c: c["script"][2].update(expect="Grant"),
+         "script[2].expect: must be grant, deny, timeout or null, got 'Grant'"),
+        (lambda c: c["script"][2].update(expect="maybe"), "script[2].expect: must be grant"),
+        (lambda c: c["script"][2].update(expect=0), "script[2].expect: must be grant"),
+        (lambda c: c["script"][2].update(expect=""), "script[2].expect: must be grant"),
+        # rule values the token model misread: a tag never equal to a location,
+        # a float or bool day, a bool time and conditions that read as none
+        (condition(kind="location_tag", tag=5),
+         "script[1].rules[0]: is not a rule (ValueError: location_tag requires a nonempty "
+         "string tag"),
+        (condition(kind="weekday", days=[1.0]),
+         "script[1].rules[0]: is not a rule (ValueError: weekday requires"),
+        (condition(kind="weekday", days=[False]),
+         "script[1].rules[0]: is not a rule (ValueError: weekday requires"),
+        (condition(kind="time_window", start_ms=True, end_ms=5),
+         "script[1].rules[0]: is not a rule (ValueError: time_window requires"),
+        (lambda c: c["script"][1]["rules"][0].update(conditions=""),
+         "script[1].rules[0]: is not a rule (TypeError: conditions must be a list, got str"),
+        (lambda c: c["script"][1]["rules"][0].update(conditions={}),
+         "script[1].rules[0]: is not a rule (TypeError: conditions must be a list, got dict"),
     ], ids=["issue-without-rules", "string-delay", "nodes-object", "zero-interval",
             "inverted-delay-range", "one-element-delay-range", "unknown-action",
             "unknown-profile-key", "string-at", "string-drop-rate", "string-validity",
@@ -167,7 +197,9 @@ class TestScenario:
             "relative-service", "nul-in-service", "nul-in-node-name", "policy-not-object",
             "numeric-vids", "unknown-policy-kind", "required-attributes-list",
             "string-attributes", "string-access-control", "string-time-window",
-            "numeric-resource", "numeric-conditions", "by-alias"])
+            "numeric-resource", "numeric-conditions", "by-alias", "capitalised-expect",
+            "unknown-expect", "zero-expect", "empty-expect", "numeric-tag", "float-day",
+            "bool-day", "bool-start", "string-conditions", "object-conditions"])
     def test_malformed_scenario_field_fails(self, tmp_path, capsys, mutate, named):
         config = json.loads((SCENARIOS / "registration_and_revocation.json").read_text())
         mutate(config)
@@ -205,6 +237,21 @@ class TestScenario:
         err = failure(capsys)
         assert err["error"] == "scenario-error"
         assert err["detail"].startswith(named)
+
+    @pytest.mark.parametrize("expect,code", [(None, 0), ("absent", 0), ("timeout", 1)])
+    def test_expect_may_be_null_absent_or_timeout(self, tmp_path, capsys, expect, code):
+        config = json.loads((SCENARIOS / "registration_and_revocation.json").read_text())
+        if expect == "absent":
+            del config["script"][2]["expect"]
+        else:
+            config["script"][2]["expect"] = expect
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(config))
+        assert main(["scenario", str(path), "--out", str(tmp_path / "o")]) == code
+        if code:   # a granted request expected to time out is a failed expectation
+            err = capsys.readouterr().err.splitlines()
+            assert err[0] == "request 1 (event 2): expected timeout, got grant"
+            assert json.loads(err[-1])["error"] == "scenario-expectations-failed"
 
     def test_failed_expectation_gives_nonzero_exit(self, tmp_path, capsys):
         config = latency_bench_config("ground", seed=3, requests=2)
@@ -418,3 +465,21 @@ def test_cli_artifacts_are_pinned(tmp_path, capsys, case):
     assert main(cli_command(case, str(out))) == 0
     written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
     assert written == CLI_ARTIFACT_SHA256[case]
+
+
+def test_fresh_interpreters_write_identical_artifacts(tmp_path):
+    # Addresses hash by identity and strings by PYTHONHASHSEED, so set and hash
+    # order differ between processes; reruns in one process share both and
+    # cannot show such an order leaking into an artifact.
+    outputs = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / f"out-{hash_seed}"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-m", "capchain.cli", "scenario",
+                        str(SCENARIOS / "registration_and_revocation.json"), "--out", str(out)],
+                       env=env, check=True, capture_output=True)
+        outputs.append({f.name: f.read_bytes() for f in out.iterdir()})
+    assert sorted(outputs[0]) == ["chain.jsonl", "gas_report.csv", "measurements.csv",
+                                  "stage_traces.csv", "summary.txt"]
+    assert outputs[0] == outputs[1]

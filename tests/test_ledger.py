@@ -20,7 +20,7 @@ from capchain.zones import NODE_TYPE_NONE, ZoneContract
 from chainbench import Bench, change_first_tx, reseal, submit
 from reference_models import (reference_block_body, reference_block_wire,
                               reference_call_wire, reference_jsonify, reference_tx_wire,
-                              reference_write_gas_report)
+                              reference_fees, reference_write_gas_report)
 
 
 def fresh_chain(seed=42, block_interval_ms=15000, **config_kwargs):
@@ -357,6 +357,22 @@ class TestGasAccounting:
         receipt = bench.issue_client_token()
         entry = bench.chain.account_gas(receipt.tx_digest)
         assert entry.fee_usd == Decimal("0.00")
+
+    @settings(max_examples=150, deadline=None)
+    @given(calls=st.lists(st.tuples(
+        st.sampled_from([0, 21000, 159544]) | st.integers(-10**6, 10**9),
+        # equal prices written differently, zero, and random prices
+        st.sampled_from([Decimal("6.4E-9"), Decimal("6.40E-9"), Decimal("0")])
+        | st.decimals("-1E-6", "1E-6", places=12),
+        st.sampled_from([Decimal("212.77"), Decimal("212.770"), Decimal("0")])
+        | st.decimals("0", "5000", places=2)), min_size=1, max_size=24))
+    def test_memoised_fees_equal_the_direct_computation(self, calls):
+        chain, _, _ = fresh_chain()
+        for gas, gas_price, eth_price in calls:   # the prices may change between calls
+            chain.config.gas_price_etc, chain.config.eth_price_usd = gas_price, eth_price
+            fees = chain._fees(gas)
+            direct = reference_fees(gas, gas_price, eth_price)
+            assert fees == direct and list(map(str, fees)) == list(map(str, direct))
 
     def test_unapplied_tx_has_no_gas(self, bench):
         digest = bench.submit(bench.master, "captoken", "issue_token",

@@ -1,14 +1,36 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capchain.encoding import canonical_json
 from capchain.ledger import ContractRejection
 from capchain.tokens import (AccessRule, Action, CapabilityToken, Condition,
-                             ConditionKind, canonical_token_json)
+                             ConditionKind, canonical_token_json, decode_action,
+                             decode_condition_kind)
 
 RULE_GET = {"action": "GET", "resource": "/api/data", "conditions": []}
 RULE_POST = {"action": "POST", "resource": "/api/upload", "conditions": []}
+
+
+def rule_with(**fields):
+    return dict(RULE_GET, **fields)
+
+
+# rules the reader once accepted and misread; each is now not a rule
+MISREAD_RULES = {
+    "numeric-tag": rule_with(conditions=[{"kind": "location_tag", "tag": 5}]),
+    "list-tag": rule_with(conditions=[{"kind": "location_tag", "tag": ["lab"]}]),
+    "float-day": rule_with(conditions=[{"kind": "weekday", "days": [1.0]}]),
+    "bool-day": rule_with(conditions=[{"kind": "weekday", "days": [True]}]),
+    "bool-start": rule_with(conditions=[{"kind": "time_window", "start_ms": True,
+                                         "end_ms": 5}]),
+    "bool-end": rule_with(conditions=[{"kind": "time_window", "start_ms": 0,
+                                       "end_ms": True}]),
+    "string-conditions": rule_with(conditions=""),
+    "object-conditions": rule_with(conditions={}),
+}
 
 
 class TestWireFormats:
@@ -35,6 +57,25 @@ class TestWireFormats:
             Condition(ConditionKind.LOCATION_TAG, tag="ground-station-1"),
         ))
         assert AccessRule.from_wire(rule.wire()) == rule
+
+    @pytest.mark.parametrize("enum,decode", [(Action, decode_action),
+                                             (ConditionKind, decode_condition_kind)])
+    @settings(max_examples=200, deadline=None)
+    @given(value=st.one_of(
+        st.sampled_from([*Action, *ConditionKind, *(m.value for m in Action),
+                         *(m.value for m in ConditionKind), "FLY", "get", "", "GET "]),
+        st.text(max_size=12), st.integers(), st.floats(), st.booleans(), st.none(),
+        st.lists(st.sampled_from(["GET", "weekday", 1]), max_size=2),
+        st.dictionaries(st.sampled_from(["GET", "kind"]), st.integers(), max_size=2)))
+    def test_enum_tables_decode_as_the_enum_call(self, enum, decode, value):
+        try:
+            expected = enum(value)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                decode(value)
+            assert str(raised.value) == str(exc)
+        else:
+            assert decode(value) is expected
 
     def test_token_wire_field_names(self, bench):
         bench.issue_client_token(rules=[RULE_GET])
@@ -116,6 +157,14 @@ class TestIssue:
                               (bench.client.hex, [RULE_GET], 100, 50))
         assert receipt.status == "rejected"
         assert receipt.error == "invalid-dates"
+
+    @pytest.mark.parametrize("name", sorted(MISREAD_RULES))
+    def test_misread_rule_rejected(self, bench, name):
+        with pytest.raises((TypeError, ValueError)):
+            AccessRule.from_wire(MISREAD_RULES[name])
+        receipt = bench.apply(bench.master, "captoken", "issue_token",
+                              (bench.client.hex, [MISREAD_RULES[name]], 0, 10**9))
+        assert (receipt.status, receipt.error) == ("rejected", "invalid-rule")
 
     def test_malformed_rule_rejected(self, bench):
         receipt = bench.apply(bench.master, "captoken", "issue_token",
