@@ -15,7 +15,7 @@ model supplied by the harness, so traces are exactly reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, NamedTuple, Optional
 
 from .address import Address
 from .ledger import Chain, LedgerError
@@ -37,8 +37,7 @@ COST_KEYS = {
 }
 
 
-@dataclass(frozen=True)
-class ServiceRequest:
+class ServiceRequest(NamedTuple):
     requester: Address
     method: str                # REST action name: GET/POST/PUT/DELETE
     uri: str                   # Request-URI path
@@ -53,18 +52,18 @@ class StageRecord:
     duration_ms: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class StageTrace:
-    """Per-request record of stage outcomes and durations."""
+    """One path through the pipeline. ``stage_ms`` sums the record durations in
+    stage order; transport is per request and stays out of the trace."""
 
-    records: list[StageRecord] = field(default_factory=list)
-    transport_ms: float = 0.0
+    records: tuple[StageRecord, ...]
     aborted_at: Optional[str] = None
     cache_hit: Optional[bool] = None
+    stage_ms: float = field(init=False)
 
-    @property
-    def total_ms(self) -> float:
-        return sum(r.duration_ms for r in self.records) + self.transport_ms
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "stage_ms", sum(r.duration_ms for r in self.records))
 
     def recorded_stages(self) -> tuple[str, ...]:
         return tuple(r.stage for r in self.records)
@@ -113,15 +112,20 @@ def match_access_rule(token: dict, method: str, uri: str) -> Optional[dict]:
     return None
 
 
+# the condition kinds' wire values, bound once rather than read through the enum per call
+_TIME_WINDOW, _WEEKDAY, _LOCATION_TAG = (
+    ConditionKind.TIME_WINDOW.value, ConditionKind.WEEKDAY.value, ConditionKind.LOCATION_TAG.value)
+
+
 def condition_satisfied(condition: dict, now: float, location_tag: str) -> bool:
     kind = condition["kind"]
-    if kind == ConditionKind.TIME_WINDOW.value:
+    if kind == _TIME_WINDOW:
         ms_of_day = now % MS_PER_DAY
         return condition["start_ms"] <= ms_of_day < condition["end_ms"]
-    if kind == ConditionKind.WEEKDAY.value:
+    if kind == _WEEKDAY:
         day = int(now // MS_PER_DAY) % 7
         return day in condition["days"]
-    if kind == ConditionKind.LOCATION_TAG.value:
+    if kind == _LOCATION_TAG:
         return location_tag == condition["tag"]
     return False
 
@@ -217,9 +221,10 @@ class ServiceProvider:
     """One service endpoint enforcing the authorization pipeline.
 
     ``stage_costs`` maps cost-model keys (``COST_KEYS``) to milliseconds;
-    missing keys cost zero. The costs are fixed, so the pass and fail
-    record of every key is built once and shared by every trace. Handles
-    one request at a time; the cache is only written between requests
+    missing keys cost zero. The costs are fixed, so each path through the
+    pipeline (failing stage and reason, cache hit or miss) has one shared
+    ``(Decision, StageTrace)`` pair; every check still runs on every request.
+    Handles one request at a time; the cache is only written between requests
     (initial fetch aside), so each request sees a coherent token snapshot.
     """
 
@@ -232,7 +237,9 @@ class ServiceProvider:
                         for key, stage in COST_KEYS.items()}
         self._failed = {key: StageRecord(stage, "fail", costs.get(key, 0.0))
                         for key, stage in COST_KEYS.items()}
-        self._denials: dict[tuple[str, str], Decision] = {}
+        self._granted = {hit: (GRANTED, self._path(hit)) for hit in (True, False)}
+        self._denials: dict[tuple[Optional[bool], str, str], tuple[Decision, StageTrace]] = {}
+        self._decisions: dict[Decision, Decision] = {}   # one denial per stage and reason
         self.cache = TokenCache(
             chain.config.block_interval_ms,
             lambda cursor: chain.query_state(TokenContract.name, "changes_since", (cursor,)))
@@ -279,49 +286,51 @@ class ServiceProvider:
 
     # -- full pipeline --------------------------------------------------------------
 
-    def authorize(self, request: ServiceRequest,
-                  transport_ms: float = 0.0) -> tuple[Decision, StageTrace]:
-        trace = StageTrace(transport_ms=transport_ms)
-        ok, reason = self.authenticate(request.requester)
+    def authorize(self, request: ServiceRequest) -> tuple[Decision, StageTrace]:
+        requester, method, uri, now, location_tag = request
+        ok, reason = self.authenticate(requester)
         if not ok:
-            return self._deny(trace, "identity_auth", reason), trace
-        records, passed = trace.records, self._passed
-        records.append(passed["identity_auth"])
+            return self._deny(None, "identity_auth", reason)
 
-        token, hit = self.fetch_or_cache_token(request.requester, request.now)
-        trace.cache_hit = hit
-        fetch = "token_fetch_hit" if hit else "token_fetch_miss"
+        token, hit = self.fetch_or_cache_token(requester, now)
         if token is None:
-            return self._deny(trace, fetch, "token-absent"), trace
-        records.append(passed[fetch])
+            return self._deny(hit, "token_fetch_hit" if hit else "token_fetch_miss",
+                              "token-absent")
 
-        ok, reason = verify_token_status(token, request.now)
+        ok, reason = verify_token_status(token, now)
         if not ok:
-            return self._deny(trace, "token_status", reason), trace
-        records.append(passed["token_status"])
+            return self._deny(hit, "token_status", reason)
 
-        rule = match_access_rule(token, request.method, request.uri)
+        rule = match_access_rule(token, method, uri)
         if rule is None:
-            return self._deny(trace, "rule_match", "no-matching-rule"), trace
-        records.append(passed["rule_match"])
+            return self._deny(hit, "rule_match", "no-matching-rule")
 
-        ok, reason = verify_conditions(rule, request.now, request.location_tag)
+        ok, reason = verify_conditions(rule, now, location_tag)
         if not ok:
-            return self._deny(trace, "condition_check", reason), trace
-        records.append(passed["condition_check"])
-        return GRANTED, trace
+            return self._deny(hit, "condition_check", reason)
+        return self._granted[hit]
 
-    def _deny(self, trace: StageTrace, key: str, reason: str) -> Decision:
-        """Record the failed stage priced by cost key ``key``; one shared
-        ``Decision`` per stage and reason."""
-        record = self._failed[key]
-        trace.records.append(record)
-        trace.aborted_at = record.stage
-        decision = self._denials.get((record.stage, reason))
-        if decision is None:
-            decision = self._denials[record.stage, reason] = \
-                Decision(granted=False, stage=record.stage, reason=reason)
-        return decision
+    def _path(self, hit: Optional[bool], failed: Optional[str] = None) -> StageTrace:
+        """The trace failing at cost key ``failed``, or passing all five stages if None."""
+        keys = ("identity_auth", "token_fetch_hit" if hit else "token_fetch_miss",
+                "token_status", "rule_match", "condition_check")
+        if failed is None:
+            return StageTrace(tuple(self._passed[key] for key in keys), None, hit)
+        passed = keys[:keys.index(failed)]
+        record = self._failed[failed]
+        return StageTrace(tuple(self._passed[key] for key in passed) + (record,),
+                          record.stage, hit)
+
+    def _deny(self, hit: Optional[bool], key: str,
+              reason: str) -> tuple[Decision, StageTrace]:
+        """The shared denial pair of the path failing at cost key ``key``."""
+        pair = self._denials.get((hit, key, reason))
+        if pair is None:
+            trace = self._path(hit, key)
+            decision = Decision(granted=False, stage=trace.aborted_at, reason=reason)
+            pair = self._denials[hit, key, reason] = \
+                (self._decisions.setdefault(decision, decision), trace)
+        return pair
 
     # -- cache synchronization ---------------------------------------------------------
 

@@ -286,7 +286,7 @@ class Chain:
         self._pending: list[tuple[Transaction, str]] = []   # (tx, its digest)
         self._next_nonce: dict[Address, int] = {}
         self._receipts: dict[str, Receipt] = {}
-        self._gas_log: list[GasEntry] = []
+        self._gas_log: dict[str, GasEntry] = {}   # by tx digest, in apply order
         self._fee_memo: dict[tuple[int, Decimal, Decimal], tuple[Decimal, Decimal]] = {}
         self._write_lock = threading.Lock()
         self._blocks: list[Block] = [GENESIS]
@@ -400,7 +400,7 @@ class Chain:
             receipt = Receipt(digest, tx.sender, tx.op, "rejected", None,
                               "invalid-args", gas, height)
         self._receipts[digest] = receipt
-        self._gas_log.append(GasEntry(digest, tx.op, gas, *self._fees(gas)))
+        self._gas_log[digest] = GasEntry(digest, tx.op, gas, *self._fees(gas))
 
     # -- receipts and gas --------------------------------------------------------
 
@@ -424,20 +424,20 @@ class Chain:
         return fees
 
     def account_gas(self, tx_digest: str) -> GasEntry:
-        receipt = self._receipts.get(tx_digest)
-        if receipt is None:
+        """The gas entry logged when the transaction was applied, priced then."""
+        entry = self._gas_log.get(tx_digest)
+        if entry is None:
             raise NoGasRecordedError(f"transaction {tx_digest} not applied in any block")
-        fee_etc, fee_usd = self._fees(receipt.gas_used)
-        return GasEntry(tx_digest, receipt.op, receipt.gas_used, fee_etc, fee_usd)
+        return entry
 
     def gas_entries(self) -> tuple[GasEntry, ...]:
-        return tuple(self._gas_log)
+        return tuple(self._gas_log.values())
 
     def gas_summary(self) -> dict:
         """Scenario totals; USD/ETC totals are sums of the per-tx rounded fees."""
-        total_gas = sum(entry.gas for entry in self._gas_log)
-        total_etc = sum((entry.fee_etc for entry in self._gas_log), Decimal("0"))
-        total_usd = sum((entry.fee_usd for entry in self._gas_log), Decimal("0"))
+        total_gas = sum(entry.gas for entry in self._gas_log.values())
+        total_etc = sum((entry.fee_etc for entry in self._gas_log.values()), Decimal("0"))
+        total_usd = sum((entry.fee_usd for entry in self._gas_log.values()), Decimal("0"))
         return {
             "tx_count": len(self._gas_log),
             "total_gas": total_gas,
@@ -454,7 +454,7 @@ class Chain:
         cells = CsvCells()
         tails: dict[tuple, str] = {}
         rows = ["tx_digest,op,gas,fee_etc,fee_usd\n"]
-        for entry in self._gas_log:
+        for entry in self._gas_log.values():
             key = (entry.op, entry.gas, entry.fee_etc, entry.fee_usd)
             tail = tails.get(key)
             if tail is None:

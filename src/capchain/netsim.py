@@ -20,7 +20,7 @@ import heapq
 import random
 import statistics
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .encoding import CsvCells
 from .enforcement import ServiceProvider, ServiceRequest, StageTrace, PIPELINE_STAGES
@@ -39,9 +39,8 @@ PROFILE_DELAYS: dict[str, float] = {
 }
 
 
-@dataclass
-class Measurement:
-    """One request's outcome with its timing breakdown."""
+class Measurement(NamedTuple):
+    """One request's outcome, its timing breakdown and its provider's shared trace."""
 
     request_id: int
     at_ms: float
@@ -245,12 +244,9 @@ class Simulation:
         profile = provider_node.profile
         transport = 2 * delay
         if self.topology.access_control:
-            request = ServiceRequest(
-                requester=event.requester.vid, method=event.method, uri=event.uri,
-                now=at, location_tag=provider_node.location)
-            decision, trace = self.providers[provider_node.name].authorize(
-                request, transport_ms=transport)
-            processing = profile.data_parse + sum(r.duration_ms for r in trace.records)
+            decision, trace = self.providers[provider_node.name].authorize(ServiceRequest(
+                event.requester.vid, event.method, event.uri, at, provider_node.location))
+            processing = profile.data_parse + trace.stage_ms
             if decision.granted:
                 processing += profile.service_handler
             self._record(flight, result, "grant" if decision.granted else "deny",
@@ -264,14 +260,10 @@ class Simulation:
                 reason: Optional[str] = None, trace: Optional[StageTrace] = None) -> None:
         """Append the request's measurement and check its scripted expectation."""
         event, request_id, _ = flight
-        measurement = Measurement(
-            request_id=request_id, at_ms=event.at,
-            requester=event.requester.name, provider=event.provider.name,
-            method=event.method, uri=event.uri,
-            outcome=outcome, stage=stage, reason=reason,
-            cache_hit=None if trace is None else trace.cache_hit,
-            block_height=self.chain.height, total_ms=total_ms, trace=trace)
-        result.measurements.append(measurement)
+        result.measurements.append(Measurement(
+            request_id, event.at, event.requester.name, event.provider.name, event.method,
+            event.uri, outcome, stage, reason, None if trace is None else trace.cache_hit,
+            self.chain.height, total_ms, trace))
         expected = event.expect
         if expected and outcome != expected:
             result.expectation_failures.append(
@@ -372,34 +364,33 @@ def write_measurements_csv(measurements: list[Measurement], stream) -> None:
     per distinct value; ids, heights and ``_fmt`` numbers never need quotes."""
     cells = CsvCells()
     rows = [",".join(MEASUREMENT_COLUMNS) + "\n"]
-    for m in measurements:
-        hit = "" if m.cache_hit is None else str(m.cache_hit).lower()
+    for (request_id, at_ms, requester, provider, method, uri, outcome, stage, reason,
+         cache_hit, block_height, total_ms, _) in measurements:
+        hit = "" if cache_hit is None else str(cache_hit).lower()
         rows.append(
-            f"{m.request_id},{_fmt(m.at_ms)},{cells[m.requester]},{cells[m.provider]},"
-            f"{cells[m.method]},{cells[m.uri]},{cells[m.outcome]},{cells[m.stage or '']},"
-            f"{cells[m.reason or '']},{hit},{m.block_height},{_fmt(m.total_ms)}\n")
+            f"{request_id},{_fmt(at_ms)},{cells[requester]},{cells[provider]},"
+            f"{cells[method]},{cells[uri]},{cells[outcome]},{cells[stage or '']},"
+            f"{cells[reason or '']},{hit},{block_height},{_fmt(total_ms)}\n")
     stream.write("".join(rows))
 
 
 def write_stage_traces_csv(measurements: list[Measurement], stream) -> None:
-    """One row per recorded stage; each distinct ``stage,outcome,duration`` tail is
+    """One row per recorded stage; the row tails of each distinct trace object are
     formatted once. Stage and outcome names are the pipeline's own, never quoted."""
-    tails: dict[tuple, str] = {}
+    tails: dict[int, tuple[str, ...]] = {}   # by id(trace): the rows keep every trace alive
     parts = ["request_id,stage,outcome,duration_ms\n"]
     append = parts.append
-    for m in measurements:
-        if m.trace is None:
+    for request_id, _, _, _, _, _, _, _, _, _, _, _, trace in measurements:
+        if trace is None:
             continue
-        head = f"{m.request_id},"
-        for record in m.trace.records:
-            duration = record.duration_ms
-            # -0.0 equals 0.0 but prints "-0"; a zero keys on its repr instead
-            key = (record.stage, record.outcome, duration if duration else repr(duration))
-            tail = tails.get(key)
-            if tail is None:
-                tail = tails[key] = f"{record.stage},{record.outcome},{_fmt(duration)}\n"
+        trace_tails = tails.get(id(trace))
+        if trace_tails is None:
+            trace_tails = tails[id(trace)] = tuple(
+                f"{r.stage},{r.outcome},{_fmt(r.duration_ms)}\n" for r in trace.records)
+        if trace_tails:
+            head = f"{request_id},"
             append(head)
-            append(tail)
+            append(head.join(trace_tails))
     stream.write("".join(parts))
 
 
@@ -416,20 +407,20 @@ def summarize(measurements: list[Measurement]) -> dict:
     hits = flagged = 0
     per_stage: dict[str, list[float]] = {stage: [] for stage in PIPELINE_STAGES}
     steady_shares: list[float] = []
-    for m in measurements:
-        totals.append(m.total_ms)
-        outcomes.append(m.outcome)
-        if m.cache_hit is not None:
+    for _, _, _, _, _, _, outcome, _, _, cache_hit, _, total_ms, trace in measurements:
+        totals.append(total_ms)
+        outcomes.append(outcome)
+        if cache_hit is not None:
             flagged += 1
-            hits += bool(m.cache_hit)
-        if m.trace is not None:
+            hits += bool(cache_hit)
+        if trace is not None:
             ac_ms: list[float] = []
-            for record in m.trace.records:
+            for record in trace.records:
                 per_stage[record.stage].append(record.duration_ms)
                 if record.stage != "token_fetch":
                     ac_ms.append(record.duration_ms)
-            if m.total_ms and len(totals) > 1:
-                steady_shares.append(sum(ac_ms) / m.total_ms)
+            if total_ms and len(totals) > 1:
+                steady_shares.append(sum(ac_ms) / total_ms)
     steady = totals[1:] if len(totals) > 1 else totals
     summary = {
         "requests": len(measurements),

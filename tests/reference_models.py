@@ -413,53 +413,53 @@ def reference_run(simulation):
 
 
 # ---------------------------------------------------------------------------
-# Enforcement pipeline (a new record per stage, closures per call)
+# Enforcement pipeline (a new record per stage and a new trace per call)
 # ---------------------------------------------------------------------------
 
-def reference_authorize(provider, stage_costs, request, transport_ms=0.0):
+def reference_authorize(provider, stage_costs, request):
     """``ServiceProvider.authorize`` pricing each stage from ``stage_costs`` as it
-    runs; missing keys cost zero."""
-    trace = StageTrace(transport_ms=transport_ms)
+    runs and building a fresh trace per call; missing keys cost zero."""
+    records = []
+    hit = None
 
     def cost(key):
         return stage_costs.get(key, 0.0)
 
     def deny(stage, reason, duration):
-        trace.records.append(StageRecord(stage, "fail", duration))
-        trace.aborted_at = stage
-        return Decision(granted=False, stage=stage, reason=reason)
+        records.append(StageRecord(stage, "fail", duration))
+        return (Decision(granted=False, stage=stage, reason=reason),
+                StageTrace(tuple(records), aborted_at=stage, cache_hit=hit))
 
     def passed(stage, duration):
-        trace.records.append(StageRecord(stage, "pass", duration))
+        records.append(StageRecord(stage, "pass", duration))
 
     ok, reason = provider.authenticate(request.requester)
     if not ok:
-        return deny("identity_auth", reason, cost("identity_auth")), trace
+        return deny("identity_auth", reason, cost("identity_auth"))
     passed("identity_auth", cost("identity_auth"))
 
     token, hit = provider.fetch_or_cache_token(request.requester, request.now)
-    trace.cache_hit = hit
     fetch_cost = cost("token_fetch_hit" if hit else "token_fetch_miss")
     if token is None:
-        return deny("token_fetch", "token-absent", fetch_cost), trace
+        return deny("token_fetch", "token-absent", fetch_cost)
     passed("token_fetch", fetch_cost)
 
     ok, reason = verify_token_status(token, request.now)
     if not ok:
-        return deny("token_status", reason, cost("token_status")), trace
+        return deny("token_status", reason, cost("token_status"))
     passed("token_status", cost("token_status"))
 
     rule = match_access_rule(token, request.method, request.uri)
     if rule is None:
-        return deny("rule_match", "no-matching-rule", cost("rule_match")), trace
+        return deny("rule_match", "no-matching-rule", cost("rule_match"))
     passed("rule_match", cost("rule_match"))
 
     ok, reason = verify_conditions(rule, request.now, request.location_tag)
     if not ok:
-        return deny("condition_check", reason, cost("condition_check")), trace
+        return deny("condition_check", reason, cost("condition_check"))
     passed("condition_check", cost("condition_check"))
 
-    return Decision(granted=True), trace
+    return Decision(granted=True), StageTrace(tuple(records), cache_hit=hit)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import io
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from capchain.address import Address
@@ -294,17 +294,16 @@ class TestAuthorizePipeline:
                  "token_fetch_hit": 0.0, "token_status": 15.625,
                  "rule_match": 31.25, "condition_check": 15.625}
         provider = provider_for(bench, stage_costs=costs)
+        transport = 10.0   # per request: the trace leaves it to the caller
         _, cold = provider.authorize(
-            ServiceRequest(bench.client, "GET", "/api/data", now=100),
-            transport_ms=10.0)
-        assert cold.total_ms == 152.0 + 60.0 + 62.5 + 10.0
-        assert sum(r.duration_ms for r in cold.records) + cold.transport_ms \
-            == cold.total_ms
+            ServiceRequest(bench.client, "GET", "/api/data", now=100))
+        assert cold.stage_ms == sum(r.duration_ms for r in cold.records)
+        assert cold.stage_ms + transport == 152.0 + 60.0 + 62.5 + 10.0
         _, warm = provider.authorize(
-            ServiceRequest(bench.client, "GET", "/api/data", now=200),
-            transport_ms=10.0)
-        assert warm.total_ms == 152.0 + 62.5 + 10.0
+            ServiceRequest(bench.client, "GET", "/api/data", now=200))
+        assert warm.stage_ms + transport == 152.0 + 62.5 + 10.0
         assert warm.cache_hit is True
+        assert not hasattr(warm, "transport_ms") and not hasattr(warm, "total_ms")
 
     def test_suspend_then_restore_round_trip(self, bench):
         bench.issue_client_token()
@@ -603,7 +602,7 @@ def test_stage_trace_csv_columns(bench):
         ServiceRequest(bench.client, "GET", "/api/data", now=100))
     measurement = Measurement(1, 100.0, "client", "provider", "GET", "/api/data",
                               "grant", None, None, trace.cache_hit, 1,
-                              trace.total_ms, trace)
+                              trace.stage_ms, trace)
     out = io.StringIO()
     write_stage_traces_csv([measurement], out)
     lines = out.getvalue().splitlines()
@@ -636,6 +635,10 @@ class TestAuthorizeMatchesReference:
     @given(costs=stage_costs, rules=st.none() | token_rules,
            expires=st.sampled_from([2000, 10**12]), requests=st.lists(pipeline_requests,
                                                                       max_size=6))
+    # in stage order the grant path sums to 0.6000000000000001, in reverse to 0.6
+    @example(costs={"identity_auth": 0.1, "token_fetch_miss": 0.2, "token_status": 0.3},
+             rules=[RULE_GET], expires=10**12,
+             requests=[("client", "GET", "/api/data", 100, "", False)])
     def test_shared_records_equal_fresh_records(self, costs, rules, expires, requests):
         bench = Bench()
         if rules is not None:
@@ -647,10 +650,12 @@ class TestAuthorizeMatchesReference:
                 assert provider.sync_cache(now) == reference.sync_cache(now)
             request = ServiceRequest(getattr(bench, who), method, uri, now=now,
                                      location_tag=location)
-            got = provider.authorize(request, transport_ms=7.5)
-            expected = reference_authorize(reference, costs, request, transport_ms=7.5)
+            got = provider.authorize(request)
+            expected = reference_authorize(reference, costs, request)
             # repr tells -0.0 from 0.0 and 0 from 0.0
             assert repr(got) == repr(expected)
+            assert repr(got[1].stage_ms) == repr(
+                sum(record.duration_ms for record in expected[1].records))
         assert provider.contract_queries == reference.contract_queries
 
     def test_records_and_decisions_are_shared_between_requests(self, bench):
@@ -662,6 +667,18 @@ class TestAuthorizeMatchesReference:
         assert cold.records[0] is warm.records[0]
         assert [r.stage for r in cold.records] == [r.stage for r in warm.records]
         assert cold.records[1] is not warm.records[1]   # fetch priced by miss, then hit
-        granted, _ = provider.authorize(ServiceRequest(bench.client, "GET", "/api/data", now=100))
-        assert granted is provider.authorize(
-            ServiceRequest(bench.client, "GET", "/api/data", now=200))[0]
+        # two requests on one path get the very same pair; hit and miss paths do not
+        assert cold is not warm and (cold.cache_hit, warm.cache_hit) == (False, True)
+        later, third = provider.authorize(
+            ServiceRequest(bench.client, "PUT", "/api/data", now=300))
+        assert later is first and third is warm
+        grant = provider.authorize(ServiceRequest(bench.client, "GET", "/api/data", now=100))
+        again = provider.authorize(ServiceRequest(bench.client, "GET", "/api/data", now=200))
+        assert grant[0].granted and grant[0] is again[0] and grant[1] is again[1]
+        provider.cache.entries.clear()
+        cold_grant = provider.authorize(
+            ServiceRequest(bench.client, "GET", "/api/data", now=250))
+        assert cold_grant[0] is grant[0] and cold_grant[1] is not grant[1]
+        assert cold_grant[1].cache_hit is False and grant[1].cache_hit is True
+        assert provider.authorize(
+            ServiceRequest(bench.client, "GET", "/api/data", now=260))[1] is grant[1]

@@ -374,6 +374,13 @@ class TestGasAccounting:
             direct = reference_fees(gas, gas_price, eth_price)
             assert fees == direct and list(map(str, fees)) == list(map(str, direct))
 
+    def test_account_gas_keeps_the_prices_in_force_when_applied(self, bench):
+        receipt = bench.issue_client_token()
+        bench.chain.config.eth_price_usd = Decimal("1000")
+        [logged] = [e for e in bench.chain.gas_entries() if e.tx_digest == receipt.tx_digest]
+        assert bench.chain.account_gas(receipt.tx_digest) == logged
+        assert logged.fee_usd == Decimal("0.22")
+
     def test_unapplied_tx_has_no_gas(self, bench):
         digest = bench.submit(bench.master, "captoken", "issue_token",
                               (bench.client.hex, [], 0, 10**9))
