@@ -18,7 +18,7 @@ import json
 import threading
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 from .address import Address
 from .encoding import (ZERO_DIGEST, CsvCells, canonical_json, canonical_str, digest_of,
@@ -233,31 +233,27 @@ class Block:
 GENESIS = Block(0, 0, ZERO_DIGEST, (), Block.compute_digest(0, 0, ZERO_DIGEST, ()))
 
 
-@dataclass(frozen=True)
-class Receipt:
-    """Outcome of an applied transaction."""
+class Receipt(NamedTuple):
+    """The one record of an applied transaction: its outcome and its gas.
+
+    ``status`` is ``"ok"`` with the contract's ``result``, or
+    ``"rejected"`` with the rejection code in ``error``. A rejected
+    transaction still pays its gas. The fees are ``gas`` priced at the
+    gas and ETC prices in force when the transaction was applied.
+    """
 
     tx_digest: str
-    sender: Address
     op: str
     status: str  # "ok" | "rejected"
     result: Any
     error: Optional[str]
-    gas_used: int
-    block_height: int
+    gas: int
+    fee_etc: Decimal
+    fee_usd: Decimal
 
     @property
     def ok(self) -> bool:
         return self.status == "ok"
-
-
-@dataclass(frozen=True)
-class GasEntry:
-    tx_digest: str
-    op: str
-    gas: int
-    fee_etc: Decimal
-    fee_usd: Decimal
 
 
 def _field(body: Any, key: str, kind: type) -> Any:
@@ -285,8 +281,7 @@ class Chain:
             self.deploy(contract)
         self._pending: list[tuple[Transaction, str]] = []   # (tx, its digest)
         self._next_nonce: dict[Address, int] = {}
-        self._receipts: dict[str, Receipt] = {}
-        self._gas_log: dict[str, GasEntry] = {}   # by tx digest, in apply order
+        self._receipts: dict[str, Receipt] = {}   # by tx digest, in apply order
         self._fee_memo: dict[tuple[int, Decimal, Decimal], tuple[Decimal, Decimal]] = {}
         self._write_lock = threading.Lock()
         self._blocks: list[Block] = [GENESIS]
@@ -368,7 +363,7 @@ class Chain:
             applied: list[Transaction] = []
             height = last.height + 1
             for tx, digest in self._pending:
-                self._apply(tx, digest, height)
+                self._apply(tx, digest)
                 applied.append(tx)
             self._pending.clear()
             block = Block(
@@ -385,22 +380,21 @@ class Chain:
         """Produce a block at exactly the next interval boundary."""
         return self.produce_block(self.latest_block.timestamp + self.config.block_interval_ms)
 
-    def _apply(self, tx: Transaction, digest: str, height: int) -> None:
+    def _apply(self, tx: Transaction, digest: str) -> None:
         contract = self._contracts[tx.contract]
         gas = self.config.gas_table.get(tx.op, self.config.default_op_gas)
         tx.gas_used = gas
+        status, result, error = "ok", None, None
         try:
             result = contract.execute(tx.sender, tx.op, tx.args)
-            receipt = Receipt(digest, tx.sender, tx.op, "ok", result, None, gas, height)
         except ContractRejection as rejection:
-            receipt = Receipt(digest, tx.sender, tx.op, "rejected", None,
-                              rejection.code, gas, height)
+            status, error = "rejected", rejection.code
         except (TypeError, ValueError, KeyError, IndexError):
             # malformed call payloads reject rather than halt production
-            receipt = Receipt(digest, tx.sender, tx.op, "rejected", None,
-                              "invalid-args", gas, height)
-        self._receipts[digest] = receipt
-        self._gas_log[digest] = GasEntry(digest, tx.op, gas, *self._fees(gas))
+            status, error = "rejected", "invalid-args"
+        fee_etc, fee_usd = self._fees(gas)
+        self._receipts[digest] = Receipt(digest, tx.op, status, result, error, gas,
+                                         fee_etc, fee_usd)
 
     # -- receipts and gas --------------------------------------------------------
 
@@ -412,55 +406,56 @@ class Chain:
         ``(gas, gas price, ETC price)``: the prices may change between blocks.
 
         Prices key by value, so ``Decimal("6.40E-9")`` shares the entry of
-        ``6.4E-9`` (the rounded fees are equal) and a ``-0`` price would
-        reuse the fees of ``0``, whose zero would print without its sign."""
+        ``6.4E-9`` and a ``-0`` price that of ``0``. Their rounded fees are
+        equal and print alike, because a fee that rounds to zero is unsigned:
+        ``0E-7``, never ``-0E-7``."""
         key = (gas, self.config.gas_price_etc, self.config.eth_price_usd)
         fees = self._fee_memo.get(key)
         if fees is None:
             raw_etc = gas * key[1]
-            fees = self._fee_memo[key] = (
-                raw_etc.quantize(_ETC_QUANTUM, rounding=ROUND_HALF_UP),
-                (raw_etc * key[2]).quantize(_USD_QUANTUM, rounding=ROUND_HALF_UP))
+            fee_etc = raw_etc.quantize(_ETC_QUANTUM, rounding=ROUND_HALF_UP)
+            fee_usd = (raw_etc * key[2]).quantize(_USD_QUANTUM, rounding=ROUND_HALF_UP)
+            fees = self._fee_memo[key] = (fee_etc or fee_etc.copy_abs(),
+                                          fee_usd or fee_usd.copy_abs())
         return fees
 
-    def account_gas(self, tx_digest: str) -> GasEntry:
-        """The gas entry logged when the transaction was applied, priced then."""
-        entry = self._gas_log.get(tx_digest)
-        if entry is None:
+    def account_gas(self, tx_digest: str) -> Receipt:
+        """The receipt of an applied transaction, its fees priced when it was applied."""
+        receipt = self._receipts.get(tx_digest)
+        if receipt is None:
             raise NoGasRecordedError(f"transaction {tx_digest} not applied in any block")
-        return entry
+        return receipt
 
-    def gas_entries(self) -> tuple[GasEntry, ...]:
-        return tuple(self._gas_log.values())
+    def gas_entries(self) -> tuple[Receipt, ...]:
+        return tuple(self._receipts.values())
 
     def gas_summary(self) -> dict:
         """Scenario totals; USD/ETC totals are sums of the per-tx rounded fees."""
-        total_gas = sum(entry.gas for entry in self._gas_log.values())
-        total_etc = sum((entry.fee_etc for entry in self._gas_log.values()), Decimal("0"))
-        total_usd = sum((entry.fee_usd for entry in self._gas_log.values()), Decimal("0"))
+        receipts = self._receipts.values()
         return {
-            "tx_count": len(self._gas_log),
-            "total_gas": total_gas,
-            "total_fee_etc": total_etc,
-            "total_fee_usd": total_usd,
+            "tx_count": len(receipts),
+            "total_gas": sum(receipt.gas for receipt in receipts),
+            "total_fee_etc": sum((receipt.fee_etc for receipt in receipts), Decimal("0")),
+            "total_fee_usd": sum((receipt.fee_usd for receipt in receipts), Decimal("0")),
         }
 
     def write_gas_report(self, stream: io.TextIOBase) -> None:
         """One CSV row per applied transaction; each distinct row tail is formatted once.
 
         The digest is hex and the numbers print without separators or
-        quotes, so only ``op`` needs the ``csv`` module's quoting.
+        quotes, so only ``op`` needs the ``csv`` module's quoting. Fees
+        equal in value print alike: ``_fees`` fixes their exponent and
+        writes zero unsigned.
         """
         cells = CsvCells()
         tails: dict[tuple, str] = {}
         rows = ["tx_digest,op,gas,fee_etc,fee_usd\n"]
-        for entry in self._gas_log.values():
-            key = (entry.op, entry.gas, entry.fee_etc, entry.fee_usd)
+        for tx_digest, op, _, _, _, gas, fee_etc, fee_usd in self._receipts.values():
+            key = (op, gas, fee_etc, fee_usd)
             tail = tails.get(key)
             if tail is None:
-                tail = tails[key] = \
-                    f"{cells[entry.op]},{entry.gas!s},{entry.fee_etc!s},{entry.fee_usd!s}\n"
-            rows.append(f"{entry.tx_digest},{tail}")
+                tail = tails[key] = f"{cells[op]},{gas!s},{fee_etc!s},{fee_usd!s}\n"
+            rows.append(f"{tx_digest},{tail}")
         stream.write("".join(rows))
 
     def gas_report_text(self) -> str:

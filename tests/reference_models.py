@@ -14,13 +14,16 @@ whole to ``csv.writer``, statistics gathered one list at a time. They
 share ``netsim._fmt``, the one float formatter, with the package.
 Then come the event loop that pushed every script event through the heap
 and the pipeline that built a fresh record and decision per stage, both
-driving the package's own handlers and stage checks. Last are the value
+driving the package's own handlers and stage checks. Then come the value
 types that interning and memoising replaced: the frozen-dataclass address
-and the fee computation done afresh for every transaction.
+and the fee computation done afresh for every transaction. Last is the
+chain that stored two frozen records per transaction, a receipt and a gas
+entry, before ``Receipt`` carried the gas and fees itself.
 """
 
 import csv
 import heapq
+import io
 import statistics
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
@@ -29,7 +32,7 @@ from capchain.address import Address
 from capchain.enforcement import (PIPELINE_STAGES, Decision, StageRecord, StageTrace,
                                   match_access_rule, verify_conditions,
                                   verify_token_status)
-from capchain.ledger import LedgerError
+from capchain.ledger import Chain, ContractRejection, LedgerError, NoGasRecordedError
 from capchain.netsim import MEASUREMENT_COLUMNS, SimulationResult, _fmt
 from capchain.scenario import parse_script
 
@@ -492,7 +495,94 @@ class ReferenceAddress:
 
 
 def reference_fees(gas, gas_price_etc, eth_price_usd):
-    """``Chain._fees`` without its memo: two quantizes per call."""
+    """``Chain._fees`` without its memo: two quantizes per call, zero unsigned."""
     raw_etc = gas * gas_price_etc
-    return (raw_etc.quantize(Decimal("1E-7"), rounding=ROUND_HALF_UP),
-            (raw_etc * eth_price_usd).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
+    fee_etc = raw_etc.quantize(Decimal("1E-7"), rounding=ROUND_HALF_UP)
+    fee_usd = (raw_etc * eth_price_usd).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP)
+    if fee_etc == 0:
+        fee_etc = Decimal("0E-7")
+    if fee_usd == 0:
+        fee_usd = Decimal("0.00")
+    return fee_etc, fee_usd
+
+
+# ---------------------------------------------------------------------------
+# Two records per transaction (a receipt and a gas entry in two dicts)
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ReferenceReceipt:
+    tx_digest: str
+    sender: Address
+    op: str
+    status: str
+    result: object
+    error: object
+    gas_used: int
+    block_height: int
+
+    @property
+    def ok(self):
+        return self.status == "ok"
+
+
+@dataclass(frozen=True)
+class ReferenceGasEntry:
+    tx_digest: str
+    op: str
+    gas: int
+    fee_etc: Decimal
+    fee_usd: Decimal
+
+
+class ReferenceChain(Chain):
+    """``Chain`` applying each transaction into a receipt and a separate gas
+    entry, each dict keyed by digest; the fees are computed afresh and the
+    gas report is written by ``csv.writer``."""
+
+    def __init__(self, config, contracts=()):
+        super().__init__(config, contracts)
+        self._gas_log = {}
+
+    def _apply(self, tx, digest):
+        height = self.height + 1   # the block being sealed
+        contract = self._contracts[tx.contract]
+        gas = self.config.gas_table.get(tx.op, self.config.default_op_gas)
+        tx.gas_used = gas
+        try:
+            result = contract.execute(tx.sender, tx.op, tx.args)
+            receipt = ReferenceReceipt(digest, tx.sender, tx.op, "ok", result, None, gas,
+                                       height)
+        except ContractRejection as rejection:
+            receipt = ReferenceReceipt(digest, tx.sender, tx.op, "rejected", None,
+                                       rejection.code, gas, height)
+        except (TypeError, ValueError, KeyError, IndexError):
+            receipt = ReferenceReceipt(digest, tx.sender, tx.op, "rejected", None,
+                                       "invalid-args", gas, height)
+        self._receipts[digest] = receipt
+        self._gas_log[digest] = ReferenceGasEntry(
+            digest, tx.op, gas,
+            *reference_fees(gas, self.config.gas_price_etc, self.config.eth_price_usd))
+
+    def account_gas(self, tx_digest):
+        entry = self._gas_log.get(tx_digest)
+        if entry is None:
+            raise NoGasRecordedError(f"transaction {tx_digest} not applied in any block")
+        return entry
+
+    def gas_entries(self):
+        return tuple(self._gas_log.values())
+
+    def gas_summary(self):
+        entries = self._gas_log.values()
+        return {
+            "tx_count": len(entries),
+            "total_gas": sum(entry.gas for entry in entries),
+            "total_fee_etc": sum((entry.fee_etc for entry in entries), Decimal("0")),
+            "total_fee_usd": sum((entry.fee_usd for entry in entries), Decimal("0")),
+        }
+
+    def gas_report_text(self):
+        buffer = io.StringIO()
+        reference_write_gas_report(self.gas_entries(), buffer)
+        return buffer.getvalue()

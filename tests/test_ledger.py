@@ -5,20 +5,21 @@ import random
 from decimal import Decimal
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from capchain.address import Address, AddressFactory
 from capchain.encoding import ZERO_DIGEST, canonical_json, digest_of, sha256_hex
-from capchain.ledger import (Block, Chain, ChainConfig, ContractNotFoundError,
-                             CorruptChainError, IntervalNotElapsedError,
-                             NoGasRecordedError, NonceMismatchError,
-                             Transaction, read_chain, replay_chain)
+from capchain.ledger import (DEFAULT_GAS_TABLE, Block, Chain, ChainConfig,
+                             ContractNotFoundError, CorruptChainError,
+                             IntervalNotElapsedError, NoGasRecordedError,
+                             NonceMismatchError, Receipt, Transaction, read_chain,
+                             replay_chain)
 from capchain.tokens import TokenContract
 from capchain.zones import NODE_TYPE_NONE, ZoneContract
 
 from chainbench import Bench, change_first_tx, reseal, submit
-from reference_models import (reference_block_body, reference_block_wire,
+from reference_models import (ReferenceChain, reference_block_body, reference_block_wire,
                               reference_call_wire, reference_jsonify, reference_tx_wire,
                               reference_fees, reference_write_gas_report)
 
@@ -361,11 +362,13 @@ class TestGasAccounting:
     @settings(max_examples=150, deadline=None)
     @given(calls=st.lists(st.tuples(
         st.sampled_from([0, 21000, 159544]) | st.integers(-10**6, 10**9),
-        # equal prices written differently, zero, and random prices
-        st.sampled_from([Decimal("6.4E-9"), Decimal("6.40E-9"), Decimal("0")])
+        # equal prices written differently, signed zeros, and random prices
+        st.sampled_from([Decimal("6.4E-9"), Decimal("6.40E-9"), Decimal("0"), Decimal("-0")])
         | st.decimals("-1E-6", "1E-6", places=12),
-        st.sampled_from([Decimal("212.77"), Decimal("212.770"), Decimal("0")])
+        st.sampled_from([Decimal("212.77"), Decimal("212.770"), Decimal("0"), Decimal("-0")])
         | st.decimals("0", "5000", places=2)), min_size=1, max_size=24))
+    @example(calls=[(21000, Decimal("-0"), Decimal("212.77")),
+                    (21000, Decimal("0"), Decimal("212.77"))])
     def test_memoised_fees_equal_the_direct_computation(self, calls):
         chain, _, _ = fresh_chain()
         for gas, gas_price, eth_price in calls:   # the prices may change between calls
@@ -380,6 +383,24 @@ class TestGasAccounting:
         [logged] = [e for e in bench.chain.gas_entries() if e.tx_digest == receipt.tx_digest]
         assert bench.chain.account_gas(receipt.tx_digest) == logged
         assert logged.fee_usd == Decimal("0.22")
+
+    def test_a_rejected_revoke_has_one_receipt_priced_when_applied(self, bench):
+        bench.issue_client_token()
+        other = bench.factory.new_address()
+        bench.apply(bench.supervisor, "vzone", "set_master_allowlist", (other.hex, True))
+        bench.apply(other, "vzone", "create_vzone", ("zone-b",))
+        receipt = bench.apply(other, "captoken", "revoke_token", (bench.client.hex,))
+        bench.chain.config.gas_price_etc = Decimal("1E-6")   # prices after the fact
+        bench.chain.config.eth_price_usd = Decimal("1000")
+        assert receipt == Receipt(receipt.tx_digest, "revoke_token", "rejected", None,
+                                  "unauthorized", 31877, Decimal("0.0002040"),
+                                  Decimal("0.04"))
+        assert [r for r in bench.chain.gas_entries() if r.tx_digest == receipt.tx_digest] \
+            == [receipt]
+        assert bench.chain.account_gas(receipt.tx_digest) is receipt
+        pending = bench.submit(other, "captoken", "revoke_token", (bench.client.hex,))
+        with pytest.raises(NoGasRecordedError):
+            bench.chain.account_gas(pending)
 
     def test_unapplied_tx_has_no_gas(self, bench):
         digest = bench.submit(bench.master, "captoken", "issue_token",
@@ -425,6 +446,85 @@ class TestGasAccounting:
         expected = io.StringIO()
         reference_write_gas_report(chain.gas_entries(), expected)
         assert chain.gas_report_text() == expected.getvalue()
+
+
+ACTORS = AddressFactory(77).new_addresses(5)   # ACTORS[0] is the supervisor
+actor_hex = st.sampled_from([actor.hex for actor in ACTORS])
+zone_ids = st.sampled_from(["zone-a", "zone-b"])
+rule_lists = st.sampled_from([[], [{"action": "GET", "resource": "/api/data",
+                                    "conditions": []}], [{"action": "FLY"}]])
+chain_calls = st.one_of(
+    st.tuples(st.just("vzone"), st.just("set_master_allowlist"),
+              st.tuples(actor_hex, st.booleans())),
+    st.tuples(st.just("vzone"), st.sampled_from(["create_vzone", "revoke_vzone"]),
+              st.tuples(zone_ids)),
+    st.tuples(st.just("vzone"), st.sampled_from(["join_vzone", "leave_vzone"]),
+              st.tuples(zone_ids, actor_hex)),
+    st.tuples(st.just("captoken"), st.just("issue_token"),
+              st.tuples(actor_hex, rule_lists, st.just(0), st.sampled_from([0, -1, 10**9]))),
+    st.tuples(st.just("captoken"), st.just("revoke_token"), st.tuples(actor_hex)),
+    st.tuples(st.just("captoken"), st.just("set_token_validity"),
+              st.tuples(actor_hex, st.booleans())),
+    # ops missing from the gas table, then malformed args
+    st.tuples(st.sampled_from(["vzone", "captoken"]), st.sampled_from(["mint", ""]),
+              st.just(())),
+    st.tuples(st.just("vzone"), st.just("join_vzone"), st.tuples(zone_ids, st.just(6))),
+    st.tuples(st.just("captoken"), st.sampled_from(["issue_token", "revoke_token"]),
+              st.sampled_from([(), ("not-hex",)])),
+)
+# equal prices written differently, and prices whose fees round to a signed zero
+price_changes = st.tuples(
+    st.sampled_from([Decimal("6.4E-9"), Decimal("6.40E-9"), Decimal("0"), Decimal("-0"),
+                     Decimal("1E-12"), Decimal("-1E-12")])
+    | st.decimals("-1E-6", "1E-6", places=12),
+    st.sampled_from([Decimal("212.77"), Decimal("0"), Decimal("-0")])
+    | st.decimals("0", "5000", places=2))
+
+
+class TestReceiptMatchesTwoRecordReference:
+    """One receipt per transaction against the receipt-plus-gas-entry chain."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(steps=st.lists(st.tuples(st.just("tx"), st.integers(0, len(ACTORS) - 1),
+                                    chain_calls)
+                          | st.tuples(st.just("seal"), price_changes), max_size=30),
+           dropped=st.sets(st.sampled_from(sorted(DEFAULT_GAS_TABLE))))
+    @example(steps=[("tx", 0, ("vzone", "mint", ())),
+                    ("seal", (Decimal("1E-12"), Decimal("212.77"))),
+                    ("tx", 0, ("vzone", "mint", ())),
+                    ("seal", (Decimal("-1E-12"), Decimal("0")))], dropped=set())
+    def test_receipts_fees_and_report_equal_the_reference(self, steps, dropped):
+        gas_table = {op: gas for op, gas in DEFAULT_GAS_TABLE.items() if op not in dropped}
+        chains = []
+        for build in (Chain, ReferenceChain):
+            config = ChainConfig(supervisor=ACTORS[0], gas_table=dict(gas_table))
+            chains.append(build(config, zone_contracts_factory(ACTORS[0])()))
+        chain, reference = chains
+        for step in steps + [("seal", None)]:
+            for each in chains:
+                if step[0] == "tx":
+                    each.submit(ACTORS[step[1]], *step[2])
+                else:
+                    if step[1] is not None:
+                        each.config.gas_price_etc, each.config.eth_price_usd = step[1]
+                    each.produce_next_block()
+        assert chain.export_chain_text() == reference.export_chain_text()
+        for block in chain.blocks:
+            for tx in block.transactions:
+                receipt, expected = chain.get_receipt(tx.digest), reference.get_receipt(tx.digest)
+                entry = reference.account_gas(tx.digest)
+                assert chain.account_gas(tx.digest) is receipt
+                assert (receipt.status, receipt.error, receipt.result, receipt.ok) == \
+                    (expected.status, expected.error, expected.result, expected.ok)
+                assert receipt.gas == expected.gas_used == entry.gas
+                assert (str(receipt.fee_etc), str(receipt.fee_usd)) == \
+                    (str(entry.fee_etc), str(entry.fee_usd))
+
+        def rows(entries):
+            return [(e.tx_digest, e.op, e.gas, str(e.fee_etc), str(e.fee_usd)) for e in entries]
+        assert rows(chain.gas_entries()) == rows(reference.gas_entries())
+        assert chain.gas_summary() == reference.gas_summary()
+        assert chain.gas_report_text() == reference.gas_report_text()
 
 
 class TestInvariants:
