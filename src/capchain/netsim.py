@@ -145,10 +145,13 @@ class Simulation:
         pop = heapq.heappop
         position, count = 0, len(script)
         while True:
-            if position < count and (not queue or script[position].at <= queue[0][0]):
+            if position < count and (not queue or script[position][0] <= queue[0][0]):
                 event = script[position]
                 position += 1
-                self._handle_script(event, queue, result)
+                if event.__class__ is Request:
+                    self._handle_request(event, queue, result)
+                else:
+                    self._handle_script(event, result)
             elif queue:
                 at, _, kind, payload = pop(queue)
                 if kind == "block":
@@ -165,11 +168,10 @@ class Simulation:
 
     # -- event handlers ------------------------------------------------------------------
 
-    def _handle_script(self, event: Event, queue: list, result: SimulationResult) -> None:
+    def _handle_script(self, event: Event, result: SimulationResult) -> None:
+        """Run a script event other than a ``Request``, which ``run`` sends itself."""
         kind = type(event)
-        if kind is Request:
-            self._handle_request(event, queue, result)
-        elif kind is Register:
+        if kind is Register:
             self._handle_register(event, result)
         elif kind is Issue:
             self._handle_issue(event)
@@ -244,8 +246,10 @@ class Simulation:
         profile = provider_node.profile
         transport = 2 * delay
         if self.topology.access_control:
-            decision, trace = self.providers[provider_node.name].authorize(ServiceRequest(
-                event.requester.vid, event.method, event.uri, at, provider_node.location))
+            # tuple.__new__ skips the named tuple's generated __new__ and its frame
+            decision, trace = self.providers[provider_node.name].authorize(tuple.__new__(
+                ServiceRequest, (event.requester.vid, event.method, event.uri, at,
+                                 provider_node.location)))
             processing = profile.data_parse + trace.stage_ms
             if decision.granted:
                 processing += profile.service_handler
@@ -260,10 +264,10 @@ class Simulation:
                 reason: Optional[str] = None, trace: Optional[StageTrace] = None) -> None:
         """Append the request's measurement and check its scripted expectation."""
         event, request_id, _ = flight
-        result.measurements.append(Measurement(
+        result.measurements.append(tuple.__new__(Measurement, (
             request_id, event.at, event.requester.name, event.provider.name, event.method,
             event.uri, outcome, stage, reason, None if trace is None else trace.cache_hit,
-            self.chain.height, total_ms, trace))
+            self.chain.height, total_ms, trace)))
         expected = event.expect
         if expected and outcome != expected:
             result.expectation_failures.append(

@@ -4,7 +4,8 @@
 channels; ``parse_script`` reads the timed events and resolves the nodes
 and channel each names. Every error names its JSON path, e.g.
 ``script[1].rules[0].action: 'FLY' is not an action``. Unknown keys are
-ignored; numbers convert as ``int()`` and ``float()`` do, so ``"15000"`` works.
+ignored; numbers convert as ``int()`` and ``float()`` do, so ``"15000"`` works,
+but a JSON boolean is not a number.
 """
 
 from __future__ import annotations
@@ -121,17 +122,24 @@ Advance = namedtuple("Advance", "at index")
 Event = Union[Request, Register, Issue, TokenChange, Advance]
 
 
-def _fail(path: str, key: str, reason: str) -> NoReturn:
+def _fail(path: Union[str, int], key: str, reason: str) -> NoReturn:
+    """Raise ``path.key: reason``. An int path is the index of a script event,
+    so the script checks build their ``script[i]`` text only when one fails."""
+    if isinstance(path, int):
+        path = f"script[{path}]"
     raise ScenarioError(f"{path}.{key}: {reason}" if path and key else f"{path}{key}: {reason}")
 
 
-def _check(ok: Any, path: str, key: str, reason: str, *args: Any) -> None:
+def _check(ok: Any, path: Union[str, int], key: str, reason: str, *args: Any) -> None:
     """``_fail`` unless ``ok``; per-node and per-request checks are inline ``if``s."""
     if not ok:
         _fail(path, key, reason % args)
 
 
-def _number(value: Any, kind: type, path: str, key: str) -> Any:
+def _number(value: Any, kind: type, path: Union[str, int], key: str) -> Any:
+    """``kind(value)``; a JSON boolean is not a number, though ``int(True)`` is 1."""
+    if value.__class__ is bool:
+        _fail(path, key, f"must be a number, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:   # OverflowError: int(inf)
@@ -162,7 +170,7 @@ def _texts(values: Any, path: str, key: str) -> tuple[str, ...]:
     return tuple(values)
 
 
-def _node(nodes: dict[str, NodeSpec], value: Any, path: str, key: str) -> NodeSpec:
+def _node(nodes: dict[str, NodeSpec], value: Any, path: Union[str, int], key: str) -> NodeSpec:
     if not (isinstance(value, str) and value in nodes):
         _fail(path, key, f"unknown node {value!r}")
     return nodes[value]
@@ -207,7 +215,7 @@ def _parse_profile(value: Any, path: str) -> ProcessingProfile:
     _check(isinstance(value, dict), path, "profile",
            "must be a preset (%s) or an object of costs, got %r", ", ".join(PROFILES), value)
     for cost, ms in value.items():
-        _check(cost in COSTS and isinstance(ms, (int, float)) and not ms < 0, path,
+        _check(cost in COSTS and type(ms) in (int, float) and not ms < 0, path,
                f"profile.{cost}", "must be a cost (%s) of a number >= 0, got %r",
                ", ".join(COSTS), ms)
     return ProcessingProfile(**value)
@@ -279,69 +287,77 @@ def _parse_channels(specs: Any, nodes: dict[str, NodeSpec], horizon: float
 
 
 def parse_script(script: Any, topology: Topology) -> list[Event]:
-    """The script's events in the order they run: by ``at``, then by index."""
+    """The script's events in the order they run: by ``at``, then by index. A request
+    is a few dict reads and one positional tuple; ``_fail`` takes the index ``i``."""
     nodes, channels, latest = topology.nodes, topology.channels, topology.latest_at_ms
+    new = tuple.__new__   # a named tuple from its fields in order, without its __new__
     events: list[Event] = []
     for i, event in enumerate(_objects(script, "script")):
-        path = f"script[{i}]"
-        at = _number(event.get("at", 0), float, path, "at")
+        at = _number(event.get("at", 0), float, i, "at")
         if not -math.inf < at <= latest:   # NaN fails too
-            _fail(path, "at", f"must be a finite time of at most {latest:g} ms (the horizon "
+            _fail(i, "at", f"must be a finite time of at most {latest:g} ms (the horizon "
                   f"of {MAX_BLOCKS} blocks less the longest wait), got {at!r}")
         op = event.get("op")
         if op == "request":
-            requester = _node(nodes, event.get("requester"), path, "requester")
-            provider = _node(nodes, event.get("provider"), path, "provider")
+            a, b = event.get("requester"), event.get("provider")
+            try:
+                requester = nodes[a]
+            except (KeyError, TypeError):   # TypeError: an unhashable name
+                _fail(i, "requester", f"unknown node {a!r}")
+            try:
+                provider = nodes[b]
+            except (KeyError, TypeError):
+                _fail(i, "provider", f"unknown node {b!r}")
             uri, method, expect = event.get("uri"), event.get("method"), event.get("expect")
             if uri not in provider.services:
-                _fail(path, "uri", f"{provider.name!r} does not serve {uri!r}")
+                _fail(i, "uri", f"{provider.name!r} does not serve {uri!r}")
             if method not in ACTIONS:
-                _fail(path, "method", f"unknown method {method!r}")
+                _fail(i, "method", f"unknown method {method!r}")
             if expect not in EXPECTS:
-                _fail(path, "expect", f"must be grant, deny, timeout or null, got {expect!r}")
-            channel = channels.get(link(requester.name, provider.name))
+                _fail(i, "expect", f"must be grant, deny, timeout or null, got {expect!r}")
+            channel = channels.get(link(a, b))
             if channel is None:
-                _fail(path, "", f"no channel between {requester.name!r} and {provider.name!r}")
-            event = Request(at, i, requester, provider, channel, method, uri, expect)
+                _fail(i, "", f"no channel between {requester.name!r} and {provider.name!r}")
+            event = new(Request, (at, i, requester, provider, channel, method, uri, expect))
         elif op == "register":
-            node = _node(nodes, event.get("node"), path, "node")
-            master = _node(nodes, event.get("master"), path, "master")
+            node = _node(nodes, event.get("node"), i, "node")
+            master = _node(nodes, event.get("master"), i, "master")
             attributes = event.get("attributes", {})
-            _check(master.role == "master", path, "master", "%r is not a master", master.name)
-            _check(isinstance(attributes, dict), path, "attributes",
+            _check(master.role == "master", i, "master", "%r is not a master", master.name)
+            _check(isinstance(attributes, dict), i, "attributes",
                    "must be an object, got %r", attributes)
-            event = Register(at, i, node, master, attributes)
+            event = new(Register, (at, i, node, master, attributes))
         elif op in ("issue", "revoke", "revoke_rules", "suspend", "restore"):
-            master = _node(nodes, event.get("master"), path, "master")
-            subject = _node(nodes, event.get("subject"), path, "subject")
+            master = _node(nodes, event.get("master"), i, "master")
+            subject = _node(nodes, event.get("subject"), i, "subject")
             rules = event.get("rules")
             if op == "issue":
-                validity = _number(event.get("validity_ms", 3_600_000), int, path, "validity_ms")
-                event = Issue(at, i, master, subject, _parse_rules(rules, path), validity)
+                validity = _number(event.get("validity_ms", 3_600_000), int, i, "validity_ms")
+                event = new(Issue, (at, i, master, subject, _parse_rules(rules, i), validity))
             else:
-                _check(op != "revoke_rules" or isinstance(rules, list), path, "rules",
+                _check(op != "revoke_rules" or isinstance(rules, list), i, "rules",
                        "must be a list, got %r", rules)
-                event = TokenChange(at, i, op, master, subject,
-                                    rules if op == "revoke_rules" else None)
+                event = new(TokenChange, (at, i, op, master, subject,
+                                          rules if op == "revoke_rules" else None))
         else:
-            _check(op == "advance", path, "op", "unknown op %r", op)
-            event = Advance(at, i)
+            _check(op == "advance", i, "op", "unknown op %r", op)
+            event = new(Advance, (at, i))
         events.append(event)
     events.sort(key=itemgetter(0))   # stable: equal times keep index order
     return events
 
 
-def _parse_rules(rules: Any, path: str) -> tuple[AccessRule, ...]:
-    """The rules as the token contract reads them, through ``AccessRule.from_wire``."""
-    _check(isinstance(rules, list), path, "rules", "must be a list of rules, got %r", rules)
+def _parse_rules(rules: Any, i: int) -> tuple[AccessRule, ...]:
+    """Event ``i``'s rules as the token contract reads them, by ``AccessRule.from_wire``."""
+    _check(isinstance(rules, list), i, "rules", "must be a list of rules, got %r", rules)
     parsed = []
     for j, rule in enumerate(rules):
-        where = f"{path}.rules[{j}]"
-        _check(isinstance(rule, dict), where, "", "must be an object, got %r", rule)
-        _check(rule.get("action") in ACTIONS, where, "action", "%r is not an action",
-               rule.get("action"))
+        if not isinstance(rule, dict):
+            _fail(f"script[{i}].rules[{j}]", "", f"must be an object, got {rule!r}")
+        if rule.get("action") not in ACTIONS:
+            _fail(f"script[{i}].rules[{j}]", "action", f"{rule.get('action')!r} is not an action")
         try:
             parsed.append(AccessRule.from_wire(rule))
         except RULE_ERRORS as exc:
-            _fail(where, "", f"is not a rule ({type(exc).__name__}: {exc})")
+            _fail(f"script[{i}].rules[{j}]", "", f"is not a rule ({type(exc).__name__}: {exc})")
     return tuple(parsed)

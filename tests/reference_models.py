@@ -12,9 +12,11 @@ The wire dicts and report writers at the end are the ones the assembled
 texts replaced: dicts handed whole to ``canonical_json``, rows handed
 whole to ``csv.writer``, statistics gathered one list at a time. They
 share ``netsim._fmt``, the one float formatter, with the package.
-Then come the event loop that pushed every script event through the heap
-and the pipeline that built a fresh record and decision per stage, both
-driving the package's own handlers and stage checks. Then come the value
+Then come the script parser that formatted every event's path and checked
+its nodes through helpers, and the event loop that pushed every script
+event through the heap and built each request's records by keyword, and
+the pipeline that built a fresh record and decision per stage; they share
+the package's check helpers, handlers and stage checks. Then come the value
 types that interning and memoising replaced: the frozen-dataclass address
 and the fee computation done afresh for every transaction. Last is the
 chain that stored two frozen records per transaction, a receipt and a gas
@@ -24,17 +26,20 @@ entry, before ``Receipt`` carried the gas and fees itself.
 import csv
 import heapq
 import io
+import math
 import statistics
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
 from capchain.address import Address
-from capchain.enforcement import (PIPELINE_STAGES, Decision, StageRecord, StageTrace,
-                                  match_access_rule, verify_conditions,
+from capchain.enforcement import (PIPELINE_STAGES, Decision, ServiceRequest, StageRecord,
+                                  StageTrace, match_access_rule, verify_conditions,
                                   verify_token_status)
 from capchain.ledger import Chain, ContractRejection, LedgerError, NoGasRecordedError
-from capchain.netsim import MEASUREMENT_COLUMNS, SimulationResult, _fmt
-from capchain.scenario import parse_script
+from capchain.netsim import MEASUREMENT_COLUMNS, Measurement, SimulationResult, _fmt
+from capchain.scenario import (ACTIONS, EXPECTS, MAX_BLOCKS, RULE_ERRORS, AccessRule, Advance,
+                               Issue, Register, Request, TokenChange, _check, _fail, _node,
+                               _number, _objects, link)
 
 ZERO_HEX = "0x" + "00" * 20
 
@@ -389,15 +394,92 @@ def reference_summarize(measurements):
 
 
 # ---------------------------------------------------------------------------
-# Event loop (every event through one heap)
+# Script parser (a path text per event, nodes checked through ``_node``)
+# ---------------------------------------------------------------------------
+
+def reference_parse_script(script, topology):
+    """``scenario.parse_script`` formatting ``script[i]`` for every event and
+    every rule, looking up nodes through ``_node`` and building each event
+    through its named tuple's constructor."""
+    nodes, channels, latest = topology.nodes, topology.channels, topology.latest_at_ms
+    events = []
+    for i, event in enumerate(_objects(script, "script")):
+        path = f"script[{i}]"
+        at = _number(event.get("at", 0), float, path, "at")
+        if not -math.inf < at <= latest:   # NaN fails too
+            _fail(path, "at", f"must be a finite time of at most {latest:g} ms (the horizon "
+                  f"of {MAX_BLOCKS} blocks less the longest wait), got {at!r}")
+        op = event.get("op")
+        if op == "request":
+            requester = _node(nodes, event.get("requester"), path, "requester")
+            provider = _node(nodes, event.get("provider"), path, "provider")
+            uri, method, expect = event.get("uri"), event.get("method"), event.get("expect")
+            if uri not in provider.services:
+                _fail(path, "uri", f"{provider.name!r} does not serve {uri!r}")
+            if method not in ACTIONS:
+                _fail(path, "method", f"unknown method {method!r}")
+            if expect not in EXPECTS:
+                _fail(path, "expect", f"must be grant, deny, timeout or null, got {expect!r}")
+            channel = channels.get(link(requester.name, provider.name))
+            if channel is None:
+                _fail(path, "", f"no channel between {requester.name!r} and {provider.name!r}")
+            event = Request(at, i, requester, provider, channel, method, uri, expect)
+        elif op == "register":
+            node = _node(nodes, event.get("node"), path, "node")
+            master = _node(nodes, event.get("master"), path, "master")
+            attributes = event.get("attributes", {})
+            _check(master.role == "master", path, "master", "%r is not a master", master.name)
+            _check(isinstance(attributes, dict), path, "attributes",
+                   "must be an object, got %r", attributes)
+            event = Register(at, i, node, master, attributes)
+        elif op in ("issue", "revoke", "revoke_rules", "suspend", "restore"):
+            master = _node(nodes, event.get("master"), path, "master")
+            subject = _node(nodes, event.get("subject"), path, "subject")
+            rules = event.get("rules")
+            if op == "issue":
+                validity = _number(event.get("validity_ms", 3_600_000), int, path, "validity_ms")
+                event = Issue(at, i, master, subject, _reference_parse_rules(rules, path),
+                              validity)
+            else:
+                _check(op != "revoke_rules" or isinstance(rules, list), path, "rules",
+                       "must be a list, got %r", rules)
+                event = TokenChange(at, i, op, master, subject,
+                                    rules if op == "revoke_rules" else None)
+        else:
+            _check(op == "advance", path, "op", "unknown op %r", op)
+            event = Advance(at, i)
+        events.append(event)
+    events.sort(key=lambda event: event.at)   # stable: equal times keep index order
+    return events
+
+
+def _reference_parse_rules(rules, path):
+    _check(isinstance(rules, list), path, "rules", "must be a list of rules, got %r", rules)
+    parsed = []
+    for j, rule in enumerate(rules):
+        where = f"{path}.rules[{j}]"
+        _check(isinstance(rule, dict), where, "", "must be an object, got %r", rule)
+        _check(rule.get("action") in ACTIONS, where, "action", "%r is not an action",
+               rule.get("action"))
+        try:
+            parsed.append(AccessRule.from_wire(rule))
+        except RULE_ERRORS as exc:
+            _fail(where, "", f"is not a rule ({type(exc).__name__}: {exc})")
+    return tuple(parsed)
+
+
+# ---------------------------------------------------------------------------
+# Event loop (every event through one heap, records built by keyword)
 # ---------------------------------------------------------------------------
 
 def reference_run(simulation):
-    """``Simulation.run`` with script events pushed onto the heap, in index
-    order and ahead of the first block, so ``(at, seq)`` alone orders them."""
+    """``Simulation.run`` with the script read by ``reference_parse_script`` and
+    pushed onto the heap, in index order and ahead of the first block, so
+    ``(at, seq)`` alone orders them; requests go through the keyword-built
+    records below."""
     result = SimulationResult([], [], [], [])
     queue = []
-    script = parse_script(simulation._script, simulation.topology)
+    script = reference_parse_script(simulation._script, simulation.topology)
     for event in sorted(script, key=lambda event: event.index):
         simulation._push(queue, event.at, "script", event)
     simulation._push(queue, float(simulation.topology.block_interval_ms), "block", None)
@@ -408,11 +490,59 @@ def reference_run(simulation):
             if queue:
                 simulation._push(queue, at + simulation.topology.block_interval_ms, "block", None)
         elif kind == "arrival":
-            simulation._handle_arrival(at, payload, result)
+            _reference_arrival(simulation, at, payload, result)
+        elif kind == "script" and type(payload) is Request:
+            _reference_request(simulation, payload, queue, result)
         elif kind == "script":
-            simulation._handle_script(payload, queue, result)
+            simulation._handle_script(payload, result)
     simulation._drain(result)
     return result
+
+
+def _reference_request(simulation, event, queue, result):
+    simulation._request_counter += 1
+    delay, drop_rate = event.channel
+    timeout_ms = simulation.topology.timeout_ms
+    if drop_rate and simulation.rng.random() < drop_rate:
+        _reference_record(simulation, event, simulation._request_counter, result,
+                          "timeout", timeout_ms, reason="message-dropped")
+        simulation._push(queue, event.at + timeout_ms, "complete", None)
+        return
+    if isinstance(delay, tuple):
+        delay = simulation.rng.uniform(*delay)
+    simulation._push(queue, event.at + delay, "arrival",
+                     (event, simulation._request_counter, delay))
+
+
+def _reference_arrival(simulation, at, flight, result):
+    event, request_id, delay = flight
+    profile = event.provider.profile
+    if not simulation.topology.access_control:
+        _reference_record(simulation, event, request_id, result, "grant",
+                          profile.data_parse + profile.service_handler + 2 * delay)
+        return
+    request = ServiceRequest(requester=event.requester.vid, method=event.method,
+                             uri=event.uri, now=at, location_tag=event.provider.location)
+    decision, trace = simulation.providers[event.provider.name].authorize(request)
+    processing = profile.data_parse + trace.stage_ms
+    if decision.granted:
+        processing += profile.service_handler
+    _reference_record(simulation, event, request_id, result,
+                      "grant" if decision.granted else "deny", processing + 2 * delay,
+                      stage=decision.stage, reason=decision.reason, trace=trace)
+
+
+def _reference_record(simulation, event, request_id, result, outcome, total_ms,
+                      stage=None, reason=None, trace=None):
+    result.measurements.append(Measurement(
+        request_id=request_id, at_ms=event.at, requester=event.requester.name,
+        provider=event.provider.name, method=event.method, uri=event.uri, outcome=outcome,
+        stage=stage, reason=reason, cache_hit=None if trace is None else trace.cache_hit,
+        block_height=simulation.chain.height, total_ms=total_ms, trace=trace))
+    if event.expect and outcome != event.expect:
+        result.expectation_failures.append(
+            f"request {request_id} (event {event.index}): expected {event.expect}, "
+            f"got {outcome}" + (f" at {stage}" if stage else ""))
 
 
 # ---------------------------------------------------------------------------

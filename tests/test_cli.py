@@ -189,6 +189,19 @@ class TestScenario:
          "script[1].rules[0]: is not a rule (TypeError: conditions must be a list, got str"),
         (lambda c: c["script"][1]["rules"][0].update(conditions={}),
          "script[1].rules[0]: is not a rule (TypeError: conditions must be a list, got dict"),
+        # JSON booleans, which int() and float() read as 1 and 0: a request moved
+        # to 1 ms, a 1 ms token, 1 ms blocks, a 1 ms stage cost
+        (lambda c: c["script"][2].update(at=True), "script[2].at: must be a number, got True"),
+        (lambda c: c["script"][1].update(validity_ms=True),
+         "script[1].validity_ms: must be a number, got True"),
+        (lambda c: c.update(seed=True), "seed: must be a number, got True"),
+        (lambda c: c.update(timeout_ms=True), "timeout_ms: must be a number, got True"),
+        (lambda c: c["channels"][0].update(drop_rate=False),
+         "channels[0].drop_rate: must be a number, got False"),
+        (lambda c: c.update(block_interval_ms=True),
+         "block_interval_ms: must be a number, got True"),
+        (lambda c: c["nodes"][3].update(profile={"identity_auth": True}),
+         "nodes[3].profile.identity_auth: must be a cost"),
     ], ids=["issue-without-rules", "string-delay", "nodes-object", "zero-interval",
             "inverted-delay-range", "one-element-delay-range", "unknown-action",
             "unknown-profile-key", "string-at", "string-drop-rate", "string-validity",
@@ -199,7 +212,9 @@ class TestScenario:
             "string-attributes", "string-access-control", "string-time-window",
             "numeric-resource", "numeric-conditions", "by-alias", "capitalised-expect",
             "unknown-expect", "zero-expect", "empty-expect", "numeric-tag", "float-day",
-            "bool-day", "bool-start", "string-conditions", "object-conditions"])
+            "bool-day", "bool-start", "string-conditions", "object-conditions", "bool-at",
+            "bool-validity", "bool-seed", "bool-timeout", "bool-drop-rate", "bool-interval",
+            "bool-cost"])
     def test_malformed_scenario_field_fails(self, tmp_path, capsys, mutate, named):
         config = json.loads((SCENARIOS / "registration_and_revocation.json").read_text())
         mutate(config)

@@ -3,7 +3,8 @@
 Mutations of the sample scenario and of the benchmark workloads (at a small
 scale) must either run and write the artifacts, or exit 1 with exactly one
 ``{"error","detail"}`` line; a ``scenario-error`` detail starts with the JSON
-path of the field at fault. The CLI never raises.
+path of the field at fault. The CLI never raises. The same mutations drive
+``parse_script`` against ``reference_parse_script``, the parser it replaced.
 """
 
 import contextlib
@@ -14,11 +15,14 @@ import re
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capchain.cli import main
+from capchain.scenario import ScenarioError, parse_script, parse_topology
 
+from reference_models import reference_parse_script
 from workloads import WORKLOADS
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -119,3 +123,52 @@ def test_unmutated_bases_run():
     for config in BASES:
         code, lines, written = run_cli(copy.deepcopy(config))
         assert (code, lines, written) == (0, [], sorted(ARTIFACTS))
+
+
+def reversed_names(config):
+    """The config with every node name spelt backwards, so that a requester that
+    sorted before its provider may now sort after it (channels key by sorted pair)."""
+    for node in config["nodes"]:
+        node["name"] = node["name"][::-1]
+        node["members"] = [member[::-1] for member in node.get("members", [])]
+    for channel in config["channels"]:
+        channel["a"], channel["b"] = channel["a"][::-1], channel["b"][::-1]
+    for event in config["script"]:
+        for key in ("requester", "provider", "node", "master", "subject"):
+            if key in event:
+                event[key] = event[key][::-1]
+
+
+def parsed(parse, script, topology):
+    """``repr`` of the events (it tells ``-0.0`` from ``0.0``), or the error message."""
+    try:
+        return repr(parse(script, topology))
+    except ScenarioError as exc:
+        return f"ScenarioError: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(base=st.sampled_from(["sample"] + sorted(WORKLOADS)), seed=st.integers(0, 2**16),
+       scale=st.sampled_from([0.01, 0.02, 0.05]), reverse=st.booleans(),
+       count=st.integers(0, 2), data=st.data())
+def test_parse_script_equals_reference_on_mutated_scripts(base, seed, scale, reverse, count,
+                                                          data):
+    config = copy.deepcopy(BASES[0]) if base == "sample" else \
+        WORKLOADS[base](seed, scale=scale)
+    if reverse:
+        reversed_names(config)
+    topology = parse_topology(config)
+    view = {"script": config["script"]}   # every mutation lands in the script
+    for _ in range(count):
+        mutate(view, data)
+    script = view.get("script", [])
+    assert parsed(parse_script, script, topology) == \
+        parsed(reference_parse_script, script, topology)
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_parse_script_equals_reference_on_full_workloads(name):
+    config = WORKLOADS[name](7, scale=1)
+    topology = parse_topology(config)
+    assert repr(parse_script(config["script"], topology)) == \
+        repr(reference_parse_script(config["script"], topology))
