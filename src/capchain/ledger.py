@@ -307,13 +307,6 @@ class Chain:
     def height(self) -> int:
         return self._blocks[-1].height
 
-    @property
-    def pending_count(self) -> int:
-        return len(self._pending)
-
-    def pending_transactions(self) -> tuple[Transaction, ...]:
-        return tuple(tx for tx, _ in self._pending)
-
     def next_nonce(self, sender: Address) -> int:
         return self._next_nonce.get(sender, 0)
 
@@ -428,16 +421,6 @@ class Chain:
 
     def gas_entries(self) -> tuple[Receipt, ...]:
         return tuple(self._receipts.values())
-
-    def gas_summary(self) -> dict:
-        """Scenario totals; USD/ETC totals are sums of the per-tx rounded fees."""
-        receipts = self._receipts.values()
-        return {
-            "tx_count": len(receipts),
-            "total_gas": sum(receipt.gas for receipt in receipts),
-            "total_fee_etc": sum((receipt.fee_etc for receipt in receipts), Decimal("0")),
-            "total_fee_usd": sum((receipt.fee_usd for receipt in receipts), Decimal("0")),
-        }
 
     def write_gas_report(self, stream: io.TextIOBase) -> None:
         """One CSV row per applied transaction; each distinct row tail is formatted once.

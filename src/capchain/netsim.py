@@ -25,7 +25,7 @@ from typing import Iterator, NamedTuple, Optional
 from .encoding import CsvCells
 from .enforcement import ServiceProvider, ServiceRequest, StageTrace, PIPELINE_STAGES
 from .ledger import Chain, ChainConfig
-from .master import AccessDecision, DomainMaster, MasterError, ProfileStore, RegistrationRequest
+from .master import DomainMaster, MasterError, RegistrationRequest
 from .scenario import Event, Issue, Register, Request, TokenChange, parse_script, parse_topology
 from .tokens import TokenContract
 from .zones import ZoneContract
@@ -112,7 +112,6 @@ class Simulation:
             if node.role == "master":
                 self.masters[node.name] = DomainMaster(
                     node.vid, node.zone, self.chain,
-                    store=ProfileStore(),
                     registration_policy=self.topology.registration_policy,
                 )
         self.providers: dict[str, ServiceProvider] = {}
@@ -195,7 +194,7 @@ class Simulation:
         node, master = event.node, event.master.name
         request = RegistrationRequest(node.vid, node.name, event.attributes)
         try:
-            self.masters[master].register_entity(request, int(event.at))
+            self.masters[master].register_entity(request)
         except MasterError as exc:
             result.registrations.append(
                 {"vid": node.vid.hex, "master": master,
@@ -205,7 +204,7 @@ class Simulation:
         at, subject = int(event.at), event.subject.vid
         master = self.masters.get(event.master.name)
         if master is not None:
-            master.issue_capability(subject, AccessDecision(event.rules, event.validity_ms), at)
+            master.issue_capability(subject, event.rules, event.validity_ms, at)
         else:
             # supervisor-issued tokens go straight to the contract
             self.chain.submit(event.master.vid, "captoken", "issue_token",

@@ -333,6 +333,7 @@ def parse_script(script: Any, topology: Topology) -> list[Event]:
             rules = event.get("rules")
             if op == "issue":
                 validity = _number(event.get("validity_ms", 3_600_000), int, i, "validity_ms")
+                _check(validity >= 0, i, "validity_ms", "must be >= 0, got %r", validity)
                 event = new(Issue, (at, i, master, subject, _parse_rules(rules, i), validity))
             else:
                 _check(op != "revoke_rules" or isinstance(rules, list), i, "rules",

@@ -222,26 +222,6 @@ def oracle_status_reason(token, now):
 
 
 # ---------------------------------------------------------------------------
-# Policy-decision oracle (set algebra over explicit enumerations)
-# ---------------------------------------------------------------------------
-
-def oracle_policy_decision(matching_rule_grants, requested_keys):
-    """Union of grants from matching rules, cut to the requested keys.
-
-    ``matching_rule_grants`` is a list of grant-key lists (action, resource)
-    in rule order; first occurrence wins for duplicates.
-    """
-    union = []
-    seen = set()
-    for grants in matching_rule_grants:
-        for key in grants:
-            if key not in seen:
-                seen.add(key)
-                union.append(key)
-    return [key for key in union if key in requested_keys]
-
-
-# ---------------------------------------------------------------------------
 # Token cache sync (full refetch)
 # ---------------------------------------------------------------------------
 
@@ -438,6 +418,7 @@ def reference_parse_script(script, topology):
             rules = event.get("rules")
             if op == "issue":
                 validity = _number(event.get("validity_ms", 3_600_000), int, path, "validity_ms")
+                _check(validity >= 0, path, "validity_ms", "must be >= 0, got %r", validity)
                 event = Issue(at, i, master, subject, _reference_parse_rules(rules, path),
                               validity)
             else:
@@ -702,15 +683,6 @@ class ReferenceChain(Chain):
 
     def gas_entries(self):
         return tuple(self._gas_log.values())
-
-    def gas_summary(self):
-        entries = self._gas_log.values()
-        return {
-            "tx_count": len(entries),
-            "total_gas": sum(entry.gas for entry in entries),
-            "total_fee_etc": sum((entry.fee_etc for entry in entries), Decimal("0")),
-            "total_fee_usd": sum((entry.fee_usd for entry in entries), Decimal("0")),
-        }
 
     def gas_report_text(self):
         buffer = io.StringIO()

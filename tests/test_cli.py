@@ -128,6 +128,9 @@ class TestScenario:
          "channels[0].drop_rate: could not convert"),
         (lambda c: c["script"][1].update(validity_ms="forever"),
          "script[1].validity_ms: invalid literal for int()"),
+        # a token that expires before it is issued, which the contract rejects
+        (lambda c: c["script"][1].update(validity_ms=-5),
+         "script[1].validity_ms: must be >= 0, got -5"),
         # non-finite times would never be reached or have no order
         (lambda c: c["script"][2].update(at="inf"), "script[2].at: must be a finite time"),
         (lambda c: c["script"][2].update(at="nan"), "script[2].at: must be a finite time"),
@@ -205,6 +208,7 @@ class TestScenario:
     ], ids=["issue-without-rules", "string-delay", "nodes-object", "zero-interval",
             "inverted-delay-range", "one-element-delay-range", "unknown-action",
             "unknown-profile-key", "string-at", "string-drop-rate", "string-validity",
+            "negative-validity",
             "infinite-at", "nan-string-at", "json-nan-at", "overflowing-at",
             "infinite-delay", "infinite-timeout", "negative-timeout", "numeric-service",
             "relative-service", "nul-in-service", "nul-in-node-name", "policy-not-object",

@@ -44,9 +44,11 @@ def zone_contracts_factory(supervisor):
 class TestSubmit:
     def test_first_transaction_enters_pool(self):
         chain, supervisor, _ = fresh_chain()
-        receipt = submit(chain, supervisor, "vzone", "create_vzone", ("zone-a",))
-        assert chain.pending_count == 1
-        assert len(receipt) == 64
+        digest = submit(chain, supervisor, "vzone", "create_vzone", ("zone-a",))
+        assert len(digest) == 64
+        assert chain.get_receipt(digest) is None
+        chain.produce_next_block()
+        assert chain.get_receipt(digest).ok
 
     def test_pending_receipt_status(self):
         chain, supervisor, _ = fresh_chain()
@@ -108,7 +110,8 @@ class TestSubmit:
             counters[i] += 1
         for k, i in enumerate(schedule):
             submit(chain, senders[i], "vzone", "create_vzone", (f"z{k}",))
-        pool = chain.pending_transactions()
+        chain.produce_next_block()
+        pool = chain.latest_block.transactions
         assert len(pool) == 10
         assert [(tx.sender.hex, tx.nonce) for tx in pool] == expected_nonces
 
@@ -423,9 +426,9 @@ class TestGasAccounting:
         rows = list(csv.DictReader(io.StringIO(report)))
         summed_gas = sum(int(row["gas"]) for row in rows)
         summed_usd = sum(Decimal(row["fee_usd"]) for row in rows)
-        summary = bench.chain.gas_summary()
-        assert summary["total_gas"] == summed_gas
-        assert summary["total_fee_usd"] == summed_usd
+        entries = bench.chain.gas_entries()
+        assert sum(entry.gas for entry in entries) == summed_gas
+        assert sum(entry.fee_usd for entry in entries) == summed_usd
 
     @settings(max_examples=100, deadline=None)
     @given(ops=st.lists(st.tuples(st.sampled_from(["issue_token", "a,b", 'say "hi"', "",
@@ -523,7 +526,6 @@ class TestReceiptMatchesTwoRecordReference:
         def rows(entries):
             return [(e.tx_digest, e.op, e.gas, str(e.fee_etc), str(e.fee_usd)) for e in entries]
         assert rows(chain.gas_entries()) == rows(reference.gas_entries())
-        assert chain.gas_summary() == reference.gas_summary()
         assert chain.gas_report_text() == reference.gas_report_text()
 
 
@@ -572,12 +574,12 @@ class TestInvariants:
             t.start()
         for t in threads:
             t.join()
-        pool = chain.pending_transactions()
+        chain.produce_next_block()
+        pool = chain.latest_block.transactions
         assert len(pool) == 200
         for sender in senders:
             nonces = [tx.nonce for tx in pool if tx.sender == sender]
             assert nonces == list(range(50))
-        chain.produce_next_block()
         assert chain.verify_stored_digests()
 
     def test_gas_conservation_report_vs_blocks(self, bench):
@@ -585,7 +587,7 @@ class TestInvariants:
         bench.apply(bench.master, "captoken", "revoke_token", (bench.client.hex,))
         block_gas = sum(tx.gas_used for block in bench.chain.blocks
                         for tx in block.transactions)
-        assert bench.chain.gas_summary()["total_gas"] == block_gas
+        assert sum(entry.gas for entry in bench.chain.gas_entries()) == block_gas
 
 
 addresses = st.binary(min_size=20, max_size=20).map(Address)
