@@ -18,6 +18,7 @@ import json
 import threading
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
+from operator import itemgetter
 from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 from .address import Address
@@ -433,10 +434,13 @@ class Chain:
         cells = CsvCells()
         tails: dict[tuple, str] = {}
         rows = ["tx_digest,op,gas,fee_etc,fee_usd\n"]
-        for tx_digest, op, _, _, _, gas, fee_etc, fee_usd in self._receipts.values():
-            key = (op, gas, fee_etc, fee_usd)
+        # the dict keys are the digests; itemgetter builds each (op, gas, fees) key
+        # in C, where unpacking a Receipt (a tuple subclass) takes a slow path
+        for tx_digest, key in zip(self._receipts, map(itemgetter(1, 5, 6, 7),
+                                                      self._receipts.values())):
             tail = tails.get(key)
             if tail is None:
+                op, gas, fee_etc, fee_usd = key
                 tail = tails[key] = f"{cells[op]},{gas!s},{fee_etc!s},{fee_usd!s}\n"
             rows.append(f"{tx_digest},{tail}")
         stream.write("".join(rows))

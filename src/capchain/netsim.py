@@ -19,7 +19,11 @@ from __future__ import annotations
 import heapq
 import random
 import statistics
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import itemgetter
 from typing import Iterator, NamedTuple, Optional
 
 from .encoding import CsvCells
@@ -353,13 +357,20 @@ def run_overhead_bench(seed: int, requests: int = 100
 # ---------------------------------------------------------------------------
 
 def _fmt(value: float) -> str:
-    text = f"{value:.6f}".rstrip("0").rstrip(".")
+    """A number with at most six decimals and no trailing zeros: ``250.0`` prints
+    ``250``, ``-0.0`` prints ``-0``. An integer-valued float other than a zero
+    prints its digits through ``%d``, which writes the same text faster."""
+    if type(value) is float and value.is_integer() and value:
+        return "%d" % value
+    text = ("%.6f" % value).rstrip("0").rstrip(".")
     return text if text else "0"
 
 
 MEASUREMENT_COLUMNS = ["request_id", "at_ms", "requester", "provider", "method",
                        "uri", "outcome", "stage", "reason", "cache_hit",
                        "block_height", "total_ms"]
+
+_HIT_CELLS = {None: "", True: "true", False: "false"}
 
 
 def write_measurements_csv(measurements: list[Measurement], stream) -> None:
@@ -369,11 +380,10 @@ def write_measurements_csv(measurements: list[Measurement], stream) -> None:
     rows = [",".join(MEASUREMENT_COLUMNS) + "\n"]
     for (request_id, at_ms, requester, provider, method, uri, outcome, stage, reason,
          cache_hit, block_height, total_ms, _) in measurements:
-        hit = "" if cache_hit is None else str(cache_hit).lower()
         rows.append(
             f"{request_id},{_fmt(at_ms)},{cells[requester]},{cells[provider]},"
             f"{cells[method]},{cells[uri]},{cells[outcome]},{cells[stage or '']},"
-            f"{cells[reason or '']},{hit},{block_height},{_fmt(total_ms)}\n")
+            f"{cells[reason or '']},{_HIT_CELLS[cache_hit]},{block_height},{_fmt(total_ms)}\n")
     stream.write("".join(rows))
 
 
@@ -399,51 +409,104 @@ def write_stage_traces_csv(measurements: list[Measurement], stream) -> None:
 
 def summarize(measurements: list[Measurement]) -> dict:
     """Counts, latency statistics, per-stage statistics and the steady-state
-    access-control share, gathered in one pass over the measurements.
+    access-control share.
 
     A request's access-control share is its authentication plus validation
     stage time (every stage but ``token_fetch``) over its total; the first
     request and requests without a trace or with a zero total have none.
+
+    Rows share a few trace objects, so each distinct trace (by identity)
+    gives its stage durations and access-control sum once, weighted by its
+    row count. The statistics equal those of the row-ordered lists: a mean
+    is ``fsum`` over the values, in any order, and a median depends on row
+    order only where it lands among equal values that print differently
+    (``0``, ``0.0``, ``-0.0``). Such a stage, or one with a NaN or a value
+    large enough to overflow ``fsum`` in some orders, is taken row by row.
     """
-    totals: list[float] = []
-    outcomes: list[str] = []
-    hits = flagged = 0
-    per_stage: dict[str, list[float]] = {stage: [] for stage in PIPELINE_STAGES}
-    steady_shares: list[float] = []
-    for _, _, _, _, _, _, outcome, _, _, cache_hit, _, total_ms, trace in measurements:
-        totals.append(total_ms)
-        outcomes.append(outcome)
-        if cache_hit is not None:
-            flagged += 1
-            hits += bool(cache_hit)
-        if trace is not None:
-            ac_ms: list[float] = []
-            for record in trace.records:
-                per_stage[record.stage].append(record.duration_ms)
-                if record.stage != "token_fetch":
-                    ac_ms.append(record.duration_ms)
-            if total_ms and len(totals) > 1:
-                steady_shares.append(sum(ac_ms) / total_ms)
+    outcomes = list(map(itemgetter(6), measurements))
+    cache_hits = list(map(itemgetter(9), measurements))
+    totals = list(map(itemgetter(11), measurements))
+    traces = list(map(itemgetter(12), measurements))
+    ids = list(map(id, traces))
+    trace_of = dict(zip(ids, traces))   # ids stay distinct: ``traces`` holds every trace
+    per_stage: dict[str, list[tuple[float, int]]] = {stage: [] for stage in PIPELINE_STAGES}
+    ac_ms: dict[int, float] = {}
+    for key, rows in Counter(ids).items():
+        trace = trace_of[key]
+        if trace is None:
+            continue
+        for record in trace.records:
+            per_stage[record.stage].append((record.duration_ms, rows))
+        ac_ms[key] = sum(r.duration_ms for r in trace.records if r.stage != "token_fetch")
+    steady_shares = [ac / total_ms for ac, total_ms in zip(map(ac_ms.get, ids[1:]), totals[1:])
+                     if ac is not None and total_ms]
     steady = totals[1:] if len(totals) > 1 else totals
+    flagged = len(cache_hits) - cache_hits.count(None)
+    hits = cache_hits.count(True)
+    mean_total = statistics.fmean(totals) if totals else 0.0
+    median_total, steady_median = _total_medians(totals, mean_total) if totals else (0.0, 0.0)
     summary = {
         "requests": len(measurements),
         "grants": outcomes.count("grant"),
         "denials": outcomes.count("deny"),
         "timeouts": outcomes.count("timeout"),
-        "mean_total_ms": statistics.fmean(totals) if totals else 0.0,
-        "median_total_ms": statistics.median(totals) if totals else 0.0,
+        "mean_total_ms": mean_total,
+        "median_total_ms": median_total,
         "first_request_ms": totals[0] if totals else 0.0,
         "steady_mean_ms": statistics.fmean(steady) if steady else 0.0,
-        "steady_median_ms": statistics.median(steady) if steady else 0.0,
+        "steady_median_ms": steady_median,
         "cache_hits": hits,
         "cache_hit_rate": hits / flagged if flagged else 0.0,
         "steady_ac_share": statistics.fmean(steady_shares) if steady_shares else 0.0,
-        "stage_mean_ms": {stage: (statistics.fmean(values) if values else 0.0)
-                          for stage, values in per_stage.items()},
-        "stage_median_ms": {stage: (statistics.median(values) if values else 0.0)
-                            for stage, values in per_stage.items()},
     }
+    stage_stats = {stage: _stage_stats(stage, counted, traces)
+                   for stage, counted in per_stage.items()}
+    summary["stage_mean_ms"] = {stage: mean for stage, (mean, _) in stage_stats.items()}
+    summary["stage_median_ms"] = {stage: median for stage, (_, median) in stage_stats.items()}
     return summary
+
+
+def _total_medians(totals: list[float], mean: float) -> tuple[float, float]:
+    """``statistics.median`` of the totals and of the steady totals (all but
+    the first, unless it is the only one), from one sort. ``mean`` is the
+    totals' ``fmean``, which is NaN if and only if a total is."""
+    if mean != mean:   # NaN compares false both ways, so the sort has no order to reuse
+        return statistics.median(totals), statistics.median(totals[1:] or totals)
+    ordered = sorted(totals)
+    median = statistics.median(ordered)   # re-sorting a sorted list is one linear pass
+    if len(ordered) > 1:
+        # a stable sort puts totals[0] first among its equals, so the rest is
+        # exactly sorted(totals[1:])
+        del ordered[bisect_left(ordered, totals[0])]
+    return median, statistics.median(ordered)
+
+
+#: ``fsum`` cannot overflow while the absolute values add up to less than this.
+_FSUM_SAFE = 2.0 ** 1000
+
+
+def _stage_stats(stage: str, counted: list[tuple[float, int]],
+                 traces: list[Optional[StageTrace]]) -> tuple[float, float]:
+    """``(fmean, median)`` of one stage's durations over the rows, from
+    ``(duration, rows)`` pairs of distinct traces; row by row from ``traces``
+    where row order could change the result."""
+    if not counted:
+        return 0.0, 0.0
+    ordered = sorted(counted, key=itemgetter(0))
+    ends = list(accumulate(rows for _, rows in ordered))   # past each value's last copy
+    n = ends[-1]
+    low, high = (ordered[bisect_right(ends, position)][0] for position in ((n - 1) // 2, n // 2))
+    limit = _FSUM_SAFE / n
+    # a NaN has no place in the order; a huge value may overflow fsum in one order only
+    if all(-limit < duration < limit for duration, _ in counted) and all(
+            len({repr(d) for d, _ in counted if d == middle}) == 1 for middle in (low, high)):
+        values: list[float] = []
+        for duration, rows in counted:
+            values += [duration] * rows
+        return statistics.fmean(values), high if n % 2 else (low + high) / 2
+    values = [record.duration_ms for trace in traces if trace is not None
+              for record in trace.records if record.stage == stage]
+    return statistics.fmean(values), statistics.median(values)
 
 
 def ac_overhead_ms(with_ac: list[Measurement], without_ac: list[Measurement]) -> float:

@@ -10,8 +10,9 @@ So is ``reference_jsonify``, the argument walk that turned ``Address``
 objects into hex before encoding, which the encoder's own hook replaced.
 The wire dicts and report writers at the end are the ones the assembled
 texts replaced: dicts handed whole to ``canonical_json``, rows handed
-whole to ``csv.writer``, statistics gathered one list at a time. They
-share ``netsim._fmt``, the one float formatter, with the package.
+whole to ``csv.writer``, statistics gathered one list at a time, numbers
+formatted by ``reference_fmt``, the one-line formatter that ``netsim._fmt``
+extends with a fast path.
 Then come the script parser that formatted every event's path and checked
 its nodes through helpers, and the event loop that pushed every script
 event through the heap and built each request's records by keyword, and
@@ -36,7 +37,7 @@ from capchain.enforcement import (PIPELINE_STAGES, Decision, ServiceRequest, Sta
                                   StageTrace, match_access_rule, verify_conditions,
                                   verify_token_status)
 from capchain.ledger import Chain, ContractRejection, LedgerError, NoGasRecordedError
-from capchain.netsim import MEASUREMENT_COLUMNS, Measurement, SimulationResult, _fmt
+from capchain.netsim import MEASUREMENT_COLUMNS, Measurement, SimulationResult
 from capchain.scenario import (ACTIONS, EXPECTS, MAX_BLOCKS, RULE_ERRORS, AccessRule, Advance,
                                Issue, Register, Request, TokenChange, _check, _fail, _node,
                                _number, _objects, link)
@@ -301,15 +302,20 @@ def reference_block_wire(block):
 # Report writers (a csv.writer row per line, one list per statistic)
 # ---------------------------------------------------------------------------
 
+def reference_fmt(value):
+    """Six decimals with trailing zeros and point dropped; ``-0.0`` keeps its sign."""
+    return f"{value:.6f}".rstrip("0").rstrip(".") or "0"
+
+
 def reference_write_measurements_csv(measurements, stream):
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(MEASUREMENT_COLUMNS)
     for m in measurements:
         writer.writerow([
-            m.request_id, _fmt(m.at_ms), m.requester, m.provider, m.method, m.uri,
+            m.request_id, reference_fmt(m.at_ms), m.requester, m.provider, m.method, m.uri,
             m.outcome, m.stage or "", m.reason or "",
             "" if m.cache_hit is None else str(m.cache_hit).lower(),
-            m.block_height, _fmt(m.total_ms),
+            m.block_height, reference_fmt(m.total_ms),
         ])
 
 
@@ -321,7 +327,7 @@ def reference_write_stage_traces_csv(measurements, stream):
             continue
         for record in m.trace.records:
             writer.writerow([m.request_id, record.stage, record.outcome,
-                             _fmt(record.duration_ms)])
+                             reference_fmt(record.duration_ms)])
 
 
 def reference_write_gas_report(entries, stream):

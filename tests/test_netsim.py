@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import io
+import math
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from capchain.encoding import CsvCells
 from capchain.enforcement import PIPELINE_STAGES, StageRecord, StageTrace
-from capchain.netsim import (PROFILE_DELAYS, Measurement, Simulation,
+from capchain.netsim import (PROFILE_DELAYS, Measurement, Simulation, _fmt,
                              ac_overhead_ms, latency_bench_config,
                              run_latency_bench, run_overhead_bench, run_scenario,
                              summarize, write_measurements_csv,
@@ -16,7 +17,7 @@ from capchain.netsim import (PROFILE_DELAYS, Measurement, Simulation,
 from capchain.scenario import PROFILES, ScenarioError
 
 from harness import render_artifacts
-from reference_models import (reference_run, reference_summarize,
+from reference_models import (reference_fmt, reference_run, reference_summarize,
                               reference_write_measurements_csv,
                               reference_write_stage_traces_csv)
 
@@ -375,16 +376,64 @@ def overflowing_share(request_id):
                        StageTrace((StageRecord("identity_auth", "pass", 338651590.0),)))
 
 
+def fetch_row(request_id, total_ms, trace):
+    return Measurement(request_id, 0.0, "c", "p", "GET", "/", "grant", None, None, True, 1,
+                       total_ms, trace)
+
+
+def fetch_trace(duration):
+    return StageTrace((StageRecord("token_fetch", "pass", duration),))
+
+
+# three shared traces whose token_fetch zeros print differently; the rows use
+# them in an order other than their first appearance, so the token_fetch median
+# (the middle of -1.0, then 0.0, -0.0, 0, -0.0, 0.0 in row order, then 5.0) is
+# the int 0, where first-appearance order would give -0.0
+ZERO_A, ZERO_B, ZERO_C = fetch_trace(0.0), fetch_trace(-0.0), fetch_trace(0)
+MIXED_ZERO_MEDIAN = [fetch_row(i, 1.0, trace) for i, trace in enumerate(
+    [ZERO_A, ZERO_B, ZERO_C, ZERO_B, ZERO_A, fetch_trace(5.0), fetch_trace(-1.0)])]
+# the first total has an equal twin of the other sign, and the steady median
+# lands on the twin: -0.0, not the first request's 0.0
+TWIN_FIRST_TOTAL = [fetch_row(i, total, ZERO_A) for i, total in
+                    enumerate([0.0, 5.0, -0.0, -1.0])]
+# NaN totals and durations leave a sort without order: only the row-ordered
+# lists give statistics.median's answers (a steady median of 1.0, a token_fetch
+# median of NaN)
+NAN_ORDER = [fetch_row(i, total, trace) for i, (total, trace) in enumerate(
+    [(2.0, fetch_trace(1.0)), (math.nan, fetch_trace(math.nan)), (1.0, fetch_trace(1.0)),
+     (math.nan, None)])]
+# fsum adds 1e308, -1e308, 1e308 in row order, but overflows on 1e308 + 1e308
+BIG, MINUS_BIG = fetch_trace(1e308), fetch_trace(-1e308)
+OVERFLOW_IN_ONE_ORDER = [fetch_row(i, 1.0, trace) for i, trace in enumerate([BIG, MINUS_BIG, BIG])]
+
+# zeros of both signs and types, a value below the sixth decimal, halfway
+# cases, integers floats hold exactly and the first ones they do not, a
+# subnormal, infinities, NaN, then any integer-valued or other float
+fmt_values = st.sampled_from([0.0, -0.0, 0, -1e-7, 5e-7, -5e-7, 2.5e-7, 1.5e-6, 2**53 - 1,
+                              2**53 + 1, float(2**53 - 1), 2.0**53, 2.0**53 + 2, 5e-324,
+                              -5e-324, math.inf, -math.inf, math.nan]) \
+    | st.integers(min_value=-10**300, max_value=10**300).map(float) | st.floats()
+
+
 class TestReportWritersMatchReference:
     @settings(max_examples=200, deadline=None)
     @given(rows=measurements())
     @example(rows=[overflowing_share(1), overflowing_share(2), overflowing_share(3)])
+    @example(rows=MIXED_ZERO_MEDIAN)
+    @example(rows=TWIN_FIRST_TOTAL)
+    @example(rows=NAN_ORDER)
+    @example(rows=OVERFLOW_IN_ONE_ORDER)
     def test_writers_are_byte_equal_to_csv_writer_rows(self, rows):
         assert written(write_measurements_csv, rows) == \
             written(reference_write_measurements_csv, rows)
         assert written(write_stage_traces_csv, rows) == \
             written(reference_write_stage_traces_csv, rows)
         assert summarized(summarize, rows) == summarized(reference_summarize, rows)
+
+    @settings(max_examples=500, deadline=None)
+    @given(value=fmt_values)
+    def test_fmt_writes_what_the_one_line_formatter_writes(self, value):
+        assert _fmt(value) == reference_fmt(value)
 
     def test_zero_durations_keep_their_sign(self):
         records = [StageRecord("token_fetch", "pass", value) for value in (0.0, -0.0, 0, -0.0)]
