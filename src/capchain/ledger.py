@@ -82,6 +82,8 @@ class Contract:
         raise NotImplementedError
 
     def view(self, op: str, args: tuple = ()) -> Any:
+        """Read confirmed state. A view may return a record the contract holds,
+        not a copy, so callers must not mutate what it returns."""
         raise NotImplementedError
 
     def dump_state(self) -> dict:

@@ -17,7 +17,7 @@ from typing import Optional
 
 from .address import Address
 from .ledger import Chain
-from .tokens import AccessRule, TokenContract
+from .tokens import TokenContract
 from .zones import NODE_TYPE_NONE, ZoneContract
 
 
@@ -167,11 +167,11 @@ class DomainMaster:
 
     # -- issuance -------------------------------------------------------------------------
 
-    def issue_capability(self, subject: Address, rules: tuple[AccessRule, ...],
+    def issue_capability(self, subject: Address, rules: list[dict],
                          validity_ms: int, now: int) -> PendingIssue:
+        """Submit a token for ``subject``; ``rules`` are wire dicts, submitted as they are."""
         digest = self.chain.submit(self.address, TokenContract.name, "issue_token",
-                                   (subject.hex, [rule.wire() for rule in rules],
-                                    now, now + validity_ms))
+                                   (subject.hex, rules, now, now + validity_ms))
         self._pending_issues[subject] = digest
         return PendingIssue(subject, digest)
 

@@ -212,8 +212,7 @@ class Simulation:
         else:
             # supervisor-issued tokens go straight to the contract
             self.chain.submit(event.master.vid, "captoken", "issue_token",
-                              (subject.hex, [r.wire() for r in event.rules],
-                               at, at + event.validity_ms))
+                              (subject.hex, event.rules, at, at + event.validity_ms))
 
     def _handle_token_change(self, event: TokenChange) -> None:
         sender, subject, op = event.master.vid, event.subject.vid.hex, event.op

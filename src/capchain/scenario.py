@@ -11,6 +11,7 @@ but a JSON boolean is not a number.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from dataclasses import dataclass, fields
 from operator import itemgetter
@@ -18,7 +19,7 @@ from typing import Any, NamedTuple, NoReturn, Union
 
 from .address import Address, AddressFactory
 from .master import RegistrationPolicy
-from .tokens import RULE_ERRORS, AccessRule, Action
+from .tokens import RULE_ERRORS, Action, rule_wire
 
 ROLES = ("supervisor", "master", "satellite", "ground", "client")
 POLICY_KINDS = ("allow_all", "allowlist", "denylist", "attribute")
@@ -111,8 +112,9 @@ def link(a: str, b: str) -> tuple[str, str]:
 # a request can wait (its timeout or a delay); ``channels`` are keyed by ``link``.
 Topology = namedtuple("Topology", "seed block_interval_ms access_control timeout_ms "
                       "latest_at_ms registration_policy nodes supervisor channels")
-# Script events start with ``(at, index)`` and name nodes by NodeSpec. An Issue by
-# a non-master goes to the contract directly; a TokenChange is a revoke, suspend,
+# Script events start with ``(at, index)`` and name nodes by NodeSpec. An Issue's
+# ``rules`` are the list of wire dicts ``rule_wire`` returned; an Issue by a
+# non-master goes to the contract directly. A TokenChange is a revoke, suspend,
 # restore or revoke_rules, whose ``rules`` go to the contract unparsed.
 Request = namedtuple("Request", "at index requester provider channel method uri expect")
 Register = namedtuple("Register", "at index node master attributes")
@@ -215,8 +217,9 @@ def _parse_profile(value: Any, path: str) -> ProcessingProfile:
     _check(isinstance(value, dict), path, "profile",
            "must be a preset (%s) or an object of costs, got %r", ", ".join(PROFILES), value)
     for cost, ms in value.items():
-        _check(cost in COSTS and type(ms) in (int, float) and not ms < 0, path,
-               f"profile.{cost}", "must be a cost (%s) of a number >= 0, got %r",
+        # NaN fails the comparison; an int beyond the largest float would overflow the sums
+        _check(cost in COSTS and type(ms) in (int, float) and 0 <= ms <= sys.float_info.max,
+               path, f"profile.{cost}", "must be a cost (%s) of a number >= 0, got %r",
                ", ".join(COSTS), ms)
     return ProcessingProfile(**value)
 
@@ -348,8 +351,9 @@ def parse_script(script: Any, topology: Topology) -> list[Event]:
     return events
 
 
-def _parse_rules(rules: Any, i: int) -> tuple[AccessRule, ...]:
-    """Event ``i``'s rules as the token contract reads them, by ``AccessRule.from_wire``."""
+def _parse_rules(rules: Any, i: int) -> list[dict]:
+    """Event ``i``'s rules as the token contract reads them, by ``rule_wire``: the
+    wire dicts that go to the contract as they are."""
     _check(isinstance(rules, list), i, "rules", "must be a list of rules, got %r", rules)
     parsed = []
     for j, rule in enumerate(rules):
@@ -358,7 +362,7 @@ def _parse_rules(rules: Any, i: int) -> tuple[AccessRule, ...]:
         if rule.get("action") not in ACTIONS:
             _fail(f"script[{i}].rules[{j}]", "action", f"{rule.get('action')!r} is not an action")
         try:
-            parsed.append(AccessRule.from_wire(rule))
+            parsed.append(rule_wire(rule))
         except RULE_ERRORS as exc:
             _fail(f"script[{i}].rules[{j}]", "", f"is not a rule ({type(exc).__name__}: {exc})")
-    return tuple(parsed)
+    return parsed

@@ -10,6 +10,12 @@ Wire field names are fixed by the token interchange format (``vid``,
 ``expireddate``, ``authorization``, ``action``, ``resource``,
 ``conditions``) and must round-trip byte-stably through
 ``canonical_token_json``.
+
+``rule_wire`` is the one reader of rules on the run path: it checks a rule
+body and returns its canonical wire dict, which the scenario parser keeps,
+the master submits and the contract stores. The contract holds each token
+as its wire dict and serves views from it. ``AccessRule``, ``Condition``
+and ``CapabilityToken`` are the typed round-trip form of the same data.
 """
 
 from __future__ import annotations
@@ -39,10 +45,11 @@ class ConditionKind(str, Enum):
     LOCATION_TAG = "location_tag"
 
 
-def _decoder(enum: type[Enum]) -> Callable[[Any], Any]:
-    """``enum(value)`` as one dict lookup; a non-member raises the same
-    ``ValueError`` as the ``Enum`` call, unhashable values included."""
-    members = {member.value: member for member in enum}
+def _decoder(enum: type[Enum], to_value: bool = False) -> Callable[[Any], Any]:
+    """``enum(value)`` as one dict lookup, or with ``to_value`` that member's
+    value; a non-member raises the same ``ValueError`` as the ``Enum`` call,
+    unhashable values included."""
+    members = {member.value: member.value if to_value else member for member in enum}
 
     def decode(value: Any) -> Any:
         try:
@@ -55,6 +62,35 @@ def _decoder(enum: type[Enum]) -> Callable[[Any], Any]:
 
 decode_action = _decoder(Action)
 decode_condition_kind = _decoder(ConditionKind)
+# the wire readers' decoders give the wire value itself: a member's ``.value`` is a slow read
+_action_value = _decoder(Action, to_value=True)
+_condition_kind_value = _decoder(ConditionKind, to_value=True)
+_TIME_WINDOW, _WEEKDAY = ConditionKind.TIME_WINDOW.value, ConditionKind.WEEKDAY.value
+
+
+# The checks of a rule's values, each written once: ``rule_wire`` and the typed
+# classes' ``__post_init__`` both call them.
+
+def _check_window(start_ms: Any, end_ms: Any) -> None:
+    times = (start_ms, end_ms)
+    if not all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in times) \
+            or not start_ms < end_ms:
+        raise ValueError("time_window requires numbers start_ms < end_ms")
+
+
+def _check_days(days: tuple) -> None:
+    if not days or any(type(d) is not int or not 0 <= d <= 6 for d in days):
+        raise ValueError("weekday requires a nonempty set of int days 0..6")
+
+
+def _check_tag(tag: Any) -> None:
+    if not (isinstance(tag, str) and tag):
+        raise ValueError("location_tag requires a nonempty string tag")
+
+
+def _check_resource(resource: Any) -> None:
+    if not resource or not resource.startswith("/"):
+        raise ValueError("resource must be a nonempty path starting with '/'")
 
 
 @dataclass(frozen=True)
@@ -77,16 +113,11 @@ class Condition:
 
     def __post_init__(self) -> None:
         if self.kind == ConditionKind.TIME_WINDOW:
-            times = (self.start_ms, self.end_ms)
-            if not all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in times) \
-                    or not times[0] < times[1]:
-                raise ValueError("time_window requires numbers start_ms < end_ms")
+            _check_window(self.start_ms, self.end_ms)
         elif self.kind == ConditionKind.WEEKDAY:
-            if not self.days or any(type(d) is not int or not 0 <= d <= 6 for d in self.days):
-                raise ValueError("weekday requires a nonempty set of int days 0..6")
+            _check_days(self.days)
         elif self.kind == ConditionKind.LOCATION_TAG:
-            if not (isinstance(self.tag, str) and self.tag):
-                raise ValueError("location_tag requires a nonempty string tag")
+            _check_tag(self.tag)
         else:
             raise ValueError(f"unknown condition kind {self.kind!r}")
 
@@ -107,8 +138,50 @@ class Condition:
         return cls(kind, tag=body["tag"])
 
 
-#: What ``AccessRule.from_wire`` raises for a body that is not a rule.
+#: What ``rule_wire`` and ``AccessRule.from_wire`` raise for a body that is not a rule.
 RULE_ERRORS = (TypeError, ValueError, KeyError, AttributeError)
+
+
+def _conditions(rule: dict) -> list:
+    """A rule body's conditions: a list, or none when the key is absent."""
+    conditions = rule.get("conditions", [])
+    if not isinstance(conditions, list):
+        raise TypeError(f"conditions must be a list, got {type(conditions).__name__}")
+    return conditions
+
+
+def _condition_wire(body: dict) -> dict:
+    kind = _condition_kind_value(body["kind"])
+    if kind == _TIME_WINDOW:
+        start_ms, end_ms = body["start_ms"], body["end_ms"]
+        _check_window(start_ms, end_ms)
+        return {"kind": kind, "start_ms": start_ms, "end_ms": end_ms}
+    if kind == _WEEKDAY:
+        days = tuple(body["days"])
+        _check_days(days)
+        return {"kind": kind, "days": sorted(days)}
+    tag = body["tag"]
+    _check_tag(tag)
+    return {"kind": kind, "tag": tag}
+
+
+def rule_wire(body: dict) -> dict:
+    """The rule a wire body names, in its canonical wire form; the one reader
+    of rules for the scenario parser and the token contract.
+
+    The result is a new dict of ``action``, ``resource`` and ``conditions``,
+    each condition with its ``kind`` and that kind's fields only, weekday
+    ``days`` sorted; other keys are dropped, and nothing in it is shared with
+    ``body`` but immutable values. It equals ``AccessRule.from_wire(body).wire()``
+    and raises what that raises: one of ``RULE_ERRORS`` for a body that is not
+    a rule. A bad condition is reported before a bad resource, as there.
+    """
+    conditions = _conditions(body)
+    action = _action_value(body["action"])
+    resource = body["resource"]
+    conditions = [_condition_wire(condition) for condition in conditions]
+    _check_resource(resource)
+    return {"action": action, "resource": resource, "conditions": conditions}
 
 
 @dataclass(frozen=True)
@@ -120,8 +193,7 @@ class AccessRule:
     conditions: tuple[Condition, ...] = ()
 
     def __post_init__(self) -> None:
-        if not self.resource or not self.resource.startswith("/"):
-            raise ValueError("resource must be a nonempty path starting with '/'")
+        _check_resource(self.resource)
 
     def wire(self) -> dict:
         return {
@@ -132,12 +204,9 @@ class AccessRule:
 
     @classmethod
     def from_wire(cls, body: dict) -> "AccessRule":
-        """The rule a wire body names; the one reader of rules for the scenario
-        parser and the token contract. Raises one of ``RULE_ERRORS`` for a
-        body that is not a rule."""
-        conditions = body.get("conditions", [])
-        if not isinstance(conditions, list):
-            raise TypeError(f"conditions must be a list, got {type(conditions).__name__}")
+        """The typed rule a wire body names; raises one of ``RULE_ERRORS`` for
+        a body that is not a rule, as ``rule_wire`` does."""
+        conditions = _conditions(body)
         return cls(
             action=decode_action(body["action"]),
             resource=body["resource"],
@@ -195,6 +264,12 @@ class TokenContract(Contract):
     confirmed member of the issuing master's zone. Token ids are globally
     monotone and never reused, including across re-issuance.
 
+    Each token is held as its wire dict, built once when it is issued from
+    rules read by ``rule_wire``, so it shares nothing with the transaction
+    args. ``get_token`` and ``dump_state`` return the held dicts themselves.
+    A mutation stores a new dict and never edits a held one, so a view a
+    reader keeps stays the snapshot it was; readers must not edit it.
+
     Every mutation also stamps its subject with the next change number,
     so a reader can ask which subjects changed after a number it saw
     (``changes_since``) instead of refetching every token it holds. The
@@ -206,7 +281,7 @@ class TokenContract(Contract):
     def __init__(self, supervisor: Address, zones: ZoneContract):
         self.supervisor = supervisor
         self._zones = zones
-        self._tokens: dict[Address, CapabilityToken] = {}
+        self._tokens: dict[Address, dict] = {}   # subject -> its token's wire dict
         self._next_id = 1
         # subject -> number of its last change, oldest first; one entry per subject
         self._last_change: dict[Address, int] = {}
@@ -257,26 +332,25 @@ class TokenContract(Contract):
         if not issue_date <= expired_date:
             raise ContractRejection("invalid-dates", "issue date after expiry date")
         try:
-            authorization = [AccessRule.from_wire(rule) for rule in rules]
+            authorization = [rule_wire(rule) for rule in rules]
         except RULE_ERRORS as exc:
             raise ContractRejection("invalid-rule", str(exc))
-        token = CapabilityToken(
-            vid=subject,
-            vzone_master=self._zones.get_vzone(subject_record.vzone_id).master,
-            id=self._next_id,
-            initialized=True,
-            is_valid=True,
-            issue_date=issue_date,
-            expired_date=expired_date,
-            authorization=authorization,
-        )
+        token_id = self._next_id
+        self._store(subject, {
+            "vid": subject.hex,
+            "VZone_master": self._zones.get_vzone(subject_record.vzone_id).master.hex,
+            "id": token_id,
+            "initialized": True,
+            "isValid": True,
+            "issuedate": issue_date,
+            "expireddate": expired_date,
+            "authorization": authorization,
+        })
         self._next_id += 1
-        self._tokens[subject] = token
-        self._changed(subject)
-        return token.id
+        return token_id
 
-    def _authorize_revocation(self, sender: Address, token: CapabilityToken) -> None:
-        if sender != self.supervisor and sender != token.vzone_master:
+    def _authorize_revocation(self, sender: Address, token: dict) -> None:
+        if sender != self.supervisor and sender.hex != token["VZone_master"]:
             raise ContractRejection("unauthorized",
                                     "only the supervisor or the issuing master may revoke")
 
@@ -287,22 +361,20 @@ class TokenContract(Contract):
             return False
         self._authorize_revocation(sender, token)
         targets = {(rule["action"], rule["resource"]) for rule in rules}
-        kept = [rule for rule in token.authorization
-                if (rule.action.value, rule.resource) not in targets]
-        removed = len(token.authorization) - len(kept)
-        token.authorization = kept
-        if removed:
-            self._changed(subject)
-        return removed > 0
+        authorization = token["authorization"]
+        kept = [rule for rule in authorization
+                if (rule["action"], rule["resource"]) not in targets]
+        if len(kept) == len(authorization):
+            return False
+        self._store(subject, {**token, "authorization": kept})
+        return True
 
     def revoke_token(self, sender: Address, subject: Address) -> bool:
         token = self._tokens.get(subject)
         if token is None:
             return False
         self._authorize_revocation(sender, token)
-        token.authorization = []
-        token.is_valid = False
-        self._changed(subject)
+        self._store(subject, {**token, "isValid": False, "authorization": []})
         return True
 
     def set_token_validity(self, sender: Address, subject: Address, valid: bool) -> bool:
@@ -310,11 +382,12 @@ class TokenContract(Contract):
         if token is None:
             return False
         self._authorize_revocation(sender, token)
-        token.is_valid = valid
-        self._changed(subject)
+        self._store(subject, {**token, "isValid": valid})
         return True
 
-    def _changed(self, subject: Address) -> None:
+    def _store(self, subject: Address, token: dict) -> None:
+        """Hold ``token`` as the subject's and stamp the subject as changed."""
+        self._tokens[subject] = token
         self._change_number += 1
         self._last_change.pop(subject, None)   # reinsert as the newest entry
         self._last_change[subject] = self._change_number
@@ -322,11 +395,10 @@ class TokenContract(Contract):
     # -- views -----------------------------------------------------------------------
 
     def get_token(self, subject: Address) -> Optional[dict]:
-        """Token wire data for a subject, or None if never issued."""
+        """The held token wire dict of a subject, or None if never issued; not to be edited."""
         if not isinstance(subject, Address):
             raise TypeError(f"get_token takes an Address, got {type(subject).__name__}")
-        token = self._tokens.get(subject)
-        return token.wire() if token is not None else None
+        return self._tokens.get(subject)
 
     def changes_since(self, cursor: int) -> tuple[int, list[Address]]:
         """The latest change number and the subjects changed after ``cursor``.
@@ -345,5 +417,5 @@ class TokenContract(Contract):
         return {
             "supervisor": self.supervisor.hex,
             "next_id": self._next_id,
-            "tokens": {subject.hex: token.wire() for subject, token in self._tokens.items()},
+            "tokens": {subject.hex: token for subject, token in self._tokens.items()},
         }

@@ -44,9 +44,11 @@ def change_first_tx(**fields):
 
 
 class Bench:
-    """A chain with zone and token contracts plus a confirmed zone."""
+    """A chain with zone and token contracts plus a confirmed zone; ``token_contract``
+    is the token contract's class."""
 
-    def __init__(self, seed=1234, zone_id="zone-a", block_interval_ms=15000):
+    def __init__(self, seed=1234, zone_id="zone-a", block_interval_ms=15000,
+                 token_contract=TokenContract):
         factory = AddressFactory(seed)
         self.supervisor = factory.new_address()
         self.master = factory.new_address()
@@ -56,7 +58,7 @@ class Bench:
         self.factory = factory
         self.zone_id = zone_id
         self.zones = ZoneContract(self.supervisor)
-        self.tokens = TokenContract(self.supervisor, self.zones)
+        self.tokens = token_contract(self.supervisor, self.zones)
         self.chain = Chain(
             ChainConfig(supervisor=self.supervisor, block_interval_ms=block_interval_ms),
             [self.zones, self.tokens],

@@ -19,9 +19,13 @@ event through the heap and built each request's records by keyword, and
 the pipeline that built a fresh record and decision per stage; they share
 the package's check helpers, handlers and stage checks. Then come the value
 types that interning and memoising replaced: the frozen-dataclass address
-and the fee computation done afresh for every transaction. Last is the
+and the fee computation done afresh for every transaction. Then comes the
 chain that stored two frozen records per transaction, a receipt and a gas
-entry, before ``Receipt`` carried the gas and fees itself.
+entry, before ``Receipt`` carried the gas and fees itself. Last are the
+typed rules that were the one rule reader before ``tokens.rule_wire``, with
+their checks inline, and the token contract that held them in a
+``CapabilityToken`` per subject, edited it in place and rebuilt its wire
+dict on every view.
 """
 
 import csv
@@ -38,9 +42,12 @@ from capchain.enforcement import (PIPELINE_STAGES, Decision, ServiceRequest, Sta
                                   verify_token_status)
 from capchain.ledger import Chain, ContractRejection, LedgerError, NoGasRecordedError
 from capchain.netsim import MEASUREMENT_COLUMNS, Measurement, SimulationResult
-from capchain.scenario import (ACTIONS, EXPECTS, MAX_BLOCKS, RULE_ERRORS, AccessRule, Advance,
-                               Issue, Register, Request, TokenChange, _check, _fail, _node,
-                               _number, _objects, link)
+from capchain.scenario import (ACTIONS, EXPECTS, MAX_BLOCKS, RULE_ERRORS, Advance, Issue,
+                               Register, Request, TokenChange, _check, _fail, _node, _number,
+                               _objects, link)
+from capchain.tokens import (Action, CapabilityToken, ConditionKind, TokenContract,
+                             decode_action, decode_condition_kind)
+from capchain.zones import NODE_TYPE_NONE
 
 ZERO_HEX = "0x" + "00" * 20
 
@@ -441,6 +448,8 @@ def reference_parse_script(script, topology):
 
 
 def _reference_parse_rules(rules, path):
+    """Each rule decoded into a typed rule, then turned back into the wire dict
+    that the master submitted."""
     _check(isinstance(rules, list), path, "rules", "must be a list of rules, got %r", rules)
     parsed = []
     for j, rule in enumerate(rules):
@@ -449,10 +458,10 @@ def _reference_parse_rules(rules, path):
         _check(rule.get("action") in ACTIONS, where, "action", "%r is not an action",
                rule.get("action"))
         try:
-            parsed.append(AccessRule.from_wire(rule))
+            parsed.append(ReferenceAccessRule.from_wire(rule).wire())
         except RULE_ERRORS as exc:
             _fail(where, "", f"is not a rule ({type(exc).__name__}: {exc})")
-    return tuple(parsed)
+    return parsed
 
 
 # ---------------------------------------------------------------------------
@@ -694,3 +703,154 @@ class ReferenceChain(Chain):
         buffer = io.StringIO()
         reference_write_gas_report(self.gas_entries(), buffer)
         return buffer.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# Typed rules and the token contract that held them (a rule decoded into
+# frozen dataclasses with inline checks, a token rebuilt into a dict per view)
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ReferenceCondition:
+    """``tokens.Condition`` with its checks written inline."""
+
+    kind: ConditionKind
+    start_ms: object = None
+    end_ms: object = None
+    days: tuple = ()
+    tag: str = ""
+
+    def __post_init__(self):
+        if self.kind == ConditionKind.TIME_WINDOW:
+            times = (self.start_ms, self.end_ms)
+            if not all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in times) \
+                    or not times[0] < times[1]:
+                raise ValueError("time_window requires numbers start_ms < end_ms")
+        elif self.kind == ConditionKind.WEEKDAY:
+            if not self.days or any(type(d) is not int or not 0 <= d <= 6 for d in self.days):
+                raise ValueError("weekday requires a nonempty set of int days 0..6")
+        elif self.kind == ConditionKind.LOCATION_TAG:
+            if not (isinstance(self.tag, str) and self.tag):
+                raise ValueError("location_tag requires a nonempty string tag")
+        else:
+            raise ValueError(f"unknown condition kind {self.kind!r}")
+
+    def wire(self):
+        if self.kind == ConditionKind.TIME_WINDOW:
+            return {"kind": self.kind.value, "start_ms": self.start_ms, "end_ms": self.end_ms}
+        if self.kind == ConditionKind.WEEKDAY:
+            return {"kind": self.kind.value, "days": sorted(self.days)}
+        return {"kind": self.kind.value, "tag": self.tag}
+
+    @classmethod
+    def from_wire(cls, body):
+        kind = decode_condition_kind(body["kind"])
+        if kind == ConditionKind.TIME_WINDOW:
+            return cls(kind, start_ms=body["start_ms"], end_ms=body["end_ms"])
+        if kind == ConditionKind.WEEKDAY:
+            return cls(kind, days=tuple(body["days"]))
+        return cls(kind, tag=body["tag"])
+
+
+@dataclass(frozen=True)
+class ReferenceAccessRule:
+    """``tokens.AccessRule`` as the one reader of rules, before ``rule_wire``."""
+
+    action: Action
+    resource: str
+    conditions: tuple = ()
+
+    def __post_init__(self):
+        if not self.resource or not self.resource.startswith("/"):
+            raise ValueError("resource must be a nonempty path starting with '/'")
+
+    def wire(self):
+        return {"action": self.action.value, "resource": self.resource,
+                "conditions": [c.wire() for c in self.conditions]}
+
+    @classmethod
+    def from_wire(cls, body):
+        conditions = body.get("conditions", [])
+        if not isinstance(conditions, list):
+            raise TypeError(f"conditions must be a list, got {type(conditions).__name__}")
+        return cls(action=decode_action(body["action"]), resource=body["resource"],
+                   conditions=tuple(ReferenceCondition.from_wire(c) for c in conditions))
+
+
+class ReferenceTokenContract(TokenContract):
+    """``TokenContract`` holding a ``CapabilityToken`` of typed rules per subject,
+    edited in place by each mutation (``_store`` re-holds the same object and
+    stamps the change), and building a fresh wire dict per view."""
+
+    def issue_token(self, sender, subject, rules, issue_date, expired_date):
+        sender_zone = self._sender_zone(sender)
+        subject_record = self._zones.get_vnode(subject)
+        if subject_record.node_type == NODE_TYPE_NONE:
+            raise ContractRejection("subject-not-in-zone", "subject has no zone membership")
+        if sender != self.supervisor and subject_record.vzone_id != sender_zone:
+            raise ContractRejection("subject-not-in-zone",
+                                    "subject belongs to a different zone than the issuer")
+        if not issue_date <= expired_date:
+            raise ContractRejection("invalid-dates", "issue date after expiry date")
+        try:
+            authorization = [ReferenceAccessRule.from_wire(rule) for rule in rules]
+        except RULE_ERRORS as exc:
+            raise ContractRejection("invalid-rule", str(exc))
+        token = CapabilityToken(
+            vid=subject, vzone_master=self._zones.get_vzone(subject_record.vzone_id).master,
+            id=self._next_id, initialized=True, is_valid=True, issue_date=issue_date,
+            expired_date=expired_date, authorization=authorization)
+        self._next_id += 1
+        self._store(subject, token)
+        return token.id
+
+    def _authorize_revocation(self, sender, token):
+        if sender != self.supervisor and sender != token.vzone_master:
+            raise ContractRejection("unauthorized",
+                                    "only the supervisor or the issuing master may revoke")
+
+    def revoke_access_rights(self, sender, subject, rules):
+        token = self._tokens.get(subject)
+        if token is None:
+            return False
+        self._authorize_revocation(sender, token)
+        targets = {(rule["action"], rule["resource"]) for rule in rules}
+        kept = [rule for rule in token.authorization
+                if (rule.action.value, rule.resource) not in targets]
+        removed = len(token.authorization) - len(kept)
+        token.authorization = kept
+        if removed:
+            self._store(subject, token)
+        return removed > 0
+
+    def revoke_token(self, sender, subject):
+        token = self._tokens.get(subject)
+        if token is None:
+            return False
+        self._authorize_revocation(sender, token)
+        token.authorization = []
+        token.is_valid = False
+        self._store(subject, token)
+        return True
+
+    def set_token_validity(self, sender, subject, valid):
+        token = self._tokens.get(subject)
+        if token is None:
+            return False
+        self._authorize_revocation(sender, token)
+        token.is_valid = valid
+        self._store(subject, token)
+        return True
+
+    def get_token(self, subject):
+        if not isinstance(subject, Address):
+            raise TypeError(f"get_token takes an Address, got {type(subject).__name__}")
+        token = self._tokens.get(subject)
+        return token.wire() if token is not None else None
+
+    def dump_state(self):
+        return {
+            "supervisor": self.supervisor.hex,
+            "next_id": self._next_id,
+            "tokens": {subject.hex: token.wire() for subject, token in self._tokens.items()},
+        }

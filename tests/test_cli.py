@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -205,6 +206,13 @@ class TestScenario:
          "block_interval_ms: must be a number, got True"),
         (lambda c: c["nodes"][3].update(profile={"identity_auth": True}),
          "nodes[3].profile.identity_auth: must be a cost"),
+        # costs that are not finite, written as NaN and Infinity, or beyond any float
+        (lambda c: c["nodes"][3].update(profile={"identity_auth": math.nan}),
+         "nodes[3].profile.identity_auth: must be a cost"),
+        (lambda c: c["nodes"][3].update(profile={"identity_auth": math.inf}),
+         "nodes[3].profile.identity_auth: must be a cost"),
+        (lambda c: c["nodes"][3].update(profile={"identity_auth": 10**400}),
+         "nodes[3].profile.identity_auth: must be a cost"),
     ], ids=["issue-without-rules", "string-delay", "nodes-object", "zero-interval",
             "inverted-delay-range", "one-element-delay-range", "unknown-action",
             "unknown-profile-key", "string-at", "string-drop-rate", "string-validity",
@@ -218,7 +226,7 @@ class TestScenario:
             "unknown-expect", "zero-expect", "empty-expect", "numeric-tag", "float-day",
             "bool-day", "bool-start", "string-conditions", "object-conditions", "bool-at",
             "bool-validity", "bool-seed", "bool-timeout", "bool-drop-rate", "bool-interval",
-            "bool-cost"])
+            "bool-cost", "nan-cost", "infinite-cost", "overflowing-cost"])
     def test_malformed_scenario_field_fails(self, tmp_path, capsys, mutate, named):
         config = json.loads((SCENARIOS / "registration_and_revocation.json").read_text())
         mutate(config)

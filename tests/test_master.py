@@ -3,9 +3,8 @@ import pytest
 from capchain.master import (DeniedRegistration, DomainMaster, DuplicateRegistration,
                              IssuanceRejected, MasterError, RegistrationFailed,
                              RegistrationPolicy, RegistrationRequest)
-from capchain.tokens import AccessRule, Action
 
-GET_DATA = AccessRule(Action.GET, "/api/data")
+GET_DATA = {"action": "GET", "resource": "/api/data", "conditions": []}
 
 
 def make_master(bench, **kwargs):
@@ -94,7 +93,7 @@ class TestRegistration:
 class TestIssuance:
     def test_grant_becomes_queryable_token(self, bench):
         master = make_master(bench)
-        master.issue_capability(bench.client, (GET_DATA,), 60000, now=1000)
+        master.issue_capability(bench.client, [GET_DATA], 60000, now=1000)
         assert master.poll_issue(bench.client) is None
         bench.chain.produce_next_block()
         receipt = master.poll_issue(bench.client)
@@ -106,7 +105,7 @@ class TestIssuance:
 
     def test_cross_zone_rejection_propagates(self, bench):
         master = make_master(bench)
-        master.issue_capability(bench.outsider, (GET_DATA,), 60000, now=0)
+        master.issue_capability(bench.outsider, [GET_DATA], 60000, now=0)
         bench.chain.produce_next_block()
         with pytest.raises(IssuanceRejected) as err:
             master.poll_issue(bench.outsider)

@@ -358,11 +358,12 @@ def written(write, rows):
 
 
 def summarized(summarize_rows, rows):
-    """The summary's repr and text, or the type of the ``OverflowError`` raised
-    when generated rows whose stages far exceed their totals overflow ``fmean``."""
+    """The summary's repr and text, or the type of the error ``fmean`` raises on
+    generated rows whose stages far exceed their totals: an ``OverflowError``
+    when the shares overflow, a ``ValueError`` when they hold both infinities."""
     try:
         summary = summarize_rows(rows)
-    except OverflowError as exc:
+    except (OverflowError, ValueError) as exc:
         return type(exc)
     text = io.StringIO()
     write_summary_text(summary, text)
@@ -402,6 +403,11 @@ TWIN_FIRST_TOTAL = [fetch_row(i, total, ZERO_A) for i, total in
 NAN_ORDER = [fetch_row(i, total, trace) for i, (total, trace) in enumerate(
     [(2.0, fetch_trace(1.0)), (math.nan, fetch_trace(math.nan)), (1.0, fetch_trace(1.0)),
      (math.nan, None)])]
+# access-control shares of +inf and -inf: one trace's 52,613 ms over a tiny total
+# and over a tiny negative one, which fsum cannot add
+LONG_AUTH = StageTrace((StageRecord("identity_auth", "pass", 52613.0),))
+OPPOSITE_INFINITE_SHARES = [fetch_row(i, total, LONG_AUTH) for i, total in
+                            enumerate([1.0, 2.92e-304, -2.2e-309])]
 # fsum adds 1e308, -1e308, 1e308 in row order, but overflows on 1e308 + 1e308
 BIG, MINUS_BIG = fetch_trace(1e308), fetch_trace(-1e308)
 OVERFLOW_IN_ONE_ORDER = [fetch_row(i, 1.0, trace) for i, trace in enumerate([BIG, MINUS_BIG, BIG])]
@@ -423,6 +429,7 @@ class TestReportWritersMatchReference:
     @example(rows=TWIN_FIRST_TOTAL)
     @example(rows=NAN_ORDER)
     @example(rows=OVERFLOW_IN_ONE_ORDER)
+    @example(rows=OPPOSITE_INFINITE_SHARES)
     def test_writers_are_byte_equal_to_csv_writer_rows(self, rows):
         assert written(write_measurements_csv, rows) == \
             written(reference_write_measurements_csv, rows)

@@ -1,4 +1,6 @@
+import copy
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -6,9 +8,12 @@ from hypothesis import strategies as st
 
 from capchain.encoding import canonical_json
 from capchain.ledger import ContractRejection
-from capchain.tokens import (AccessRule, Action, CapabilityToken, Condition,
+from capchain.tokens import (RULE_ERRORS, AccessRule, Action, CapabilityToken, Condition,
                              ConditionKind, canonical_token_json, decode_action,
-                             decode_condition_kind)
+                             decode_condition_kind, rule_wire)
+
+from chainbench import Bench
+from reference_models import ReferenceAccessRule, ReferenceTokenContract
 
 RULE_GET = {"action": "GET", "resource": "/api/data", "conditions": []}
 RULE_POST = {"action": "POST", "resource": "/api/upload", "conditions": []}
@@ -160,8 +165,9 @@ class TestIssue:
 
     @pytest.mark.parametrize("name", sorted(MISREAD_RULES))
     def test_misread_rule_rejected(self, bench, name):
-        with pytest.raises((TypeError, ValueError)):
-            AccessRule.from_wire(MISREAD_RULES[name])
+        for read in (rule_wire, AccessRule.from_wire):
+            with pytest.raises((TypeError, ValueError)):
+                read(MISREAD_RULES[name])
         receipt = bench.apply(bench.master, "captoken", "issue_token",
                               (bench.client.hex, [MISREAD_RULES[name]], 0, 10**9))
         assert (receipt.status, receipt.error) == ("rejected", "invalid-rule")
@@ -288,3 +294,166 @@ class TestRegistryInvariants:
     def test_unknown_op_rejected(self, bench):
         with pytest.raises(ContractRejection):
             bench.tokens.execute(bench.master, "transfer_token", ())
+
+
+# rule bodies: mostly rules, with every field also given a value of the wrong
+# kind or left out, unknown keys, and weekday days unsorted or repeated
+ACTIONS = [action.value for action in Action]
+numbers = st.sampled_from([0, 1, 5, 1.5, -1, 9 * 3_600_000, math.nan, math.inf, True,
+                           False, "0", None])
+days = st.lists(st.integers(0, 6), min_size=1, max_size=7) \
+    | st.lists(st.sampled_from([0, 3, 6, 7, -1, 1.0, True, False, "1"]), max_size=4) \
+    | st.sampled_from(["12", 3, None, {0: "x"}])
+good_conditions = st.one_of(
+    st.builds(lambda start, length: {"kind": "time_window", "start_ms": start,
+                                     "end_ms": start + length},
+              st.integers(0, 86_400_000), st.integers(1, 86_400_000)),
+    st.builds(lambda days: {"kind": "weekday", "days": days},
+              st.lists(st.integers(0, 6), min_size=1, max_size=9)),
+    st.builds(lambda tag: {"kind": "location_tag", "tag": tag}, st.text(min_size=1, max_size=4)))
+any_conditions = st.fixed_dictionaries({}, optional={
+    "kind": st.sampled_from(["time_window", "weekday", "location_tag", "nope", 1, None,
+                             ["weekday"]]),
+    "start_ms": numbers, "end_ms": numbers, "days": days,
+    "tag": st.sampled_from(["lab", "", 5, ["lab"], None])}) \
+    | st.sampled_from([[], "weekday", 3, None])
+extra_keys = st.dictionaries(st.sampled_from(["note", "kind2", "id"]), st.integers(), max_size=2)
+conditions = (good_conditions | any_conditions).flatmap(
+    lambda c: extra_keys.map(lambda extra: {**extra, **c}) if isinstance(c, dict) else st.just(c))
+good_rules = st.builds(
+    lambda action, resource, conds: {"action": action, "resource": resource, "conditions": conds},
+    st.sampled_from(ACTIONS),
+    st.sampled_from(["/api/data", "/api/upload", "/"]),
+    st.lists(good_conditions, max_size=3))
+any_rules = st.fixed_dictionaries({}, optional={
+    "action": st.sampled_from([*ACTIONS, "FLY", "get", "", 1, None, ["GET"]]),
+    "resource": st.sampled_from(["/api/data", "/", "api/data", "", 7, 0, None, ["/x"]]),
+    "conditions": st.lists(conditions, max_size=3) | st.sampled_from(["", {}, 7, None])}) \
+    | st.sampled_from([[], "GET", 3, None, *MISREAD_RULES.values()])
+rules = (good_rules | any_rules).flatmap(
+    lambda r: extra_keys.map(lambda extra: {**extra, **r}) if isinstance(r, dict) else st.just(r))
+
+
+def read(reader, body):
+    """The rule a reader returns as its repr (which tells 1 from 1.0 and True),
+    or the type and message of the exception it raises."""
+    try:
+        return repr(reader(body))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def containers(value):
+    """The ids of every dict and list in ``value``, itself included."""
+    if isinstance(value, (dict, list)):
+        yield id(value)
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from containers(item)
+
+
+class TestRuleWireMatchesReference:
+    @settings(max_examples=500, deadline=None)
+    @given(body=rules)
+    def test_rule_wire_reads_what_the_typed_rule_read(self, body):
+        expected = read(lambda b: ReferenceAccessRule.from_wire(b).wire(), body)
+        assert read(rule_wire, body) == expected
+        assert read(lambda b: AccessRule.from_wire(b).wire(), body) == expected
+        if isinstance(expected, tuple):
+            assert issubclass(expected[0], RULE_ERRORS)
+        else:
+            assert not set(containers(rule_wire(body))) & set(containers(body))
+
+    def test_weekday_days_are_sorted_and_unknown_keys_dropped(self):
+        body = {"action": "GET", "resource": "/api/data", "note": 1,
+                "conditions": [{"kind": "weekday", "days": [4, 0, 4], "tag": "lab"}]}
+        assert rule_wire(body) == {"action": "GET", "resource": "/api/data", "conditions": [
+            {"kind": "weekday", "days": [0, 4, 4]}]}
+        assert rule_wire({"action": "PUT", "resource": "/"}) == \
+            {"action": "PUT", "resource": "/", "conditions": []}
+
+
+SENDERS = ("supervisor", "master", "provider", "client", "outsider")
+SUBJECTS = ("client", "provider", "outsider", "master")
+# mostly a master's or the supervisor's transaction on a zone member's token
+senders = st.sampled_from(["master", "supervisor"]) | st.sampled_from(SENDERS)
+subjects = st.sampled_from(["client", "provider"]) | st.sampled_from(SUBJECTS)
+# the issued rules, a rule not issued, and two revocation targets that are not rules
+targets = st.lists(st.sampled_from([RULE_GET, RULE_POST, RULE_GET, RULE_POST,
+                                    {"action": "GET", "resource": "/api/upload"}, {}, "GET"]),
+                   min_size=1, max_size=2)
+token_ops = st.lists(st.one_of(
+    st.tuples(st.just("issue_token"), senders, subjects,
+              st.lists(good_rules, min_size=1, max_size=3)
+              | st.lists(rules, max_size=2) | st.sampled_from(["GET", 5]),
+              st.integers(0, 3), st.integers(2, 5)),
+    st.tuples(st.just("revoke_access_rights"), senders, subjects, targets),
+    st.tuples(st.just("revoke_token"), senders, subjects),
+    st.tuples(st.just("set_token_validity"), senders, subjects,
+              st.sampled_from([True, False, 0, 1, "", "no"]))),
+    max_size=12)
+
+
+def token_views(bench):
+    """Every subject's token and the whole state, as reprs."""
+    return ([repr(bench.tokens.get_token(getattr(bench, name))) for name in SUBJECTS],
+            repr(bench.tokens.dump_state()), bench.tokens.changes_since(0))
+
+
+class TestContractMatchesReference:
+    """The contract that holds wire dicts against the one that held typed tokens."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(ops=token_ops)
+    def test_receipts_views_and_state_match(self, ops):
+        live, reference = Bench(), Bench(token_contract=ReferenceTokenContract)
+        assert token_views(live) == token_views(reference)
+        # tokens for the random transactions to change
+        issued = [("issue_token", "master", subject, [RULE_GET, RULE_POST], 0, 10**9)
+                  for subject in ("client", "provider")]
+        for op, sender, subject, *rest in issued + ops:
+            kept = [(view, copy.deepcopy(view)) for view in
+                    (live.tokens.get_token(getattr(live, name)) for name in SUBJECTS)]
+            receipts = [bench.apply(getattr(bench, sender), "captoken", op,
+                                    (getattr(bench, subject).hex, *copy.deepcopy(rest)))
+                        for bench in (live, reference)]
+            assert [(r.status, r.result, r.error) for r in receipts[:1]] == \
+                [(r.status, r.result, r.error) for r in receipts[1:]]
+            assert token_views(live) == token_views(reference)
+            # a view taken before the transaction is the snapshot it was
+            assert all(view == snapshot for view, snapshot in kept)
+
+
+class TestHeldTokens:
+    RULE_ON_WEEKDAYS = {"action": "GET", "resource": "/api/data",
+                        "conditions": [{"kind": "weekday", "days": [4, 0]}]}
+
+    @pytest.mark.parametrize("op,args", [
+        ("issue_token", lambda b: (b.client.hex, [RULE_POST], 1, 10**9)),
+        ("revoke_access_rights", lambda b: (b.client.hex, [RULE_GET])),
+        ("revoke_token", lambda b: (b.client.hex,)),
+        ("set_token_validity", lambda b: (b.client.hex, False)),
+    ])
+    def test_a_view_taken_before_a_mutation_is_unchanged_after_it(self, bench, op, args):
+        bench.issue_client_token(rules=[self.RULE_ON_WEEKDAYS, RULE_POST])
+        view, state = bench.tokens.get_token(bench.client), bench.tokens.dump_state()
+        snapshot = copy.deepcopy((view, state))
+        receipt = bench.apply(bench.master, "captoken", op, args(bench))
+        assert receipt.ok and receipt.result
+        assert (view, state) == snapshot
+        assert bench.tokens.get_token(bench.client) != view
+
+    def test_views_are_the_held_dict(self, bench):
+        bench.issue_client_token()
+        token = bench.tokens.get_token(bench.client)
+        assert bench.tokens.get_token(bench.client) is token
+        assert bench.tokens.dump_state()["tokens"][bench.client.hex] is token
+
+    def test_held_token_shares_nothing_with_the_transaction_args(self, bench):
+        rules = [dict(self.RULE_ON_WEEKDAYS, note="x")]
+        bench.issue_client_token(rules=rules)
+        token = bench.tokens.get_token(bench.client)
+        rules[0]["resource"] = "/other"
+        rules[0]["conditions"][0]["days"].append(6)
+        rules.append(RULE_POST)
+        assert token["authorization"] == [{"action": "GET", "resource": "/api/data",
+                                           "conditions": [{"kind": "weekday", "days": [0, 4]}]}]
