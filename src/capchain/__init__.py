@@ -16,13 +16,13 @@ Subpackage map:
 from .address import Address, AddressFactory, ZERO_ADDRESS
 from .ledger import (Block, Chain, ChainConfig, ContractRejection, Transaction,
                      replay_chain)
-from .tokens import AccessRule, Action, CapabilityToken, Condition, ConditionKind
+from .tokens import Action, CapabilityToken, ConditionKind
 from .zones import VirtualZone, VNodeRecord
 
 __all__ = [
     "Address", "AddressFactory", "ZERO_ADDRESS",
     "Block", "Chain", "ChainConfig", "ContractRejection", "Transaction", "replay_chain",
-    "AccessRule", "Action", "CapabilityToken", "Condition", "ConditionKind",
+    "Action", "CapabilityToken", "ConditionKind",
     "VirtualZone", "VNodeRecord",
 ]
 

@@ -7,7 +7,7 @@ import io
 import json
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Any, Iterable, Optional
 
 from .address import Address
 from .encoding import canonical_json
@@ -26,37 +26,60 @@ def _fail(message: str, detail: str = "") -> int:
     return 1
 
 
-def _ensure_out(path: str) -> Path:
-    out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+#: How deep a scenario file, or the args of a transaction in a chain export, may
+#: nest arrays and objects. A scenario's deepest field, a weekday's ``days``, sits
+#: at depth 8. The bound is far below the interpreter's recursion limit, which a
+#: later encoding or error message of a deep value would otherwise reach.
+MAX_NESTING = 64
 
 
-def _write(path: Path, text: str) -> None:
-    path.write_text(text, encoding="utf-8")
+_CONTAINERS = (list, tuple, dict)
 
 
-def _write_run_artifacts(out: Path, simulation: Simulation, result, fmt: str) -> None:
-    buffer = io.StringIO()
-    write_measurements_csv(result.measurements, buffer)
-    _write(out / "measurements.csv", buffer.getvalue())
+def _nesting_depth(values: Iterable[Any]) -> int:
+    """How deep the deepest of ``values`` nests lists and dicts: 0 for a scalar,
+    1 for a flat list. One level at a time, so no input can exhaust the stack."""
+    depth, level = 0, [value for value in values if isinstance(value, _CONTAINERS)]
+    while level:
+        depth += 1
+        level = [item for value in level
+                 for item in (value.values() if isinstance(value, dict) else value)
+                 if isinstance(item, _CONTAINERS)]
+    return depth
 
-    buffer = io.StringIO()
-    write_stage_traces_csv(result.measurements, buffer)
-    _write(out / "stage_traces.csv", buffer.getvalue())
 
+def _write_out(out: str, files: dict[str, str]) -> Optional[int]:
+    """Write ``files`` into the directory ``out``, made if missing; the exit code
+    of an ``invalid-out`` failure if that cannot be done."""
+    try:
+        directory = Path(out)
+        directory.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            (directory / name).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        return _fail("invalid-out", str(exc))
+    return None
+
+
+def _run_artifacts(simulation: Simulation, result, fmt: str) -> dict[str, str]:
+    """The texts of the five files a run writes, by file name."""
+    measurements, traces, summary_text = io.StringIO(), io.StringIO(), io.StringIO()
+    write_measurements_csv(result.measurements, measurements)
+    write_stage_traces_csv(result.measurements, traces)
     summary = summarize(result.measurements)
-    buffer = io.StringIO()
     if fmt == "csv":
-        buffer.write("key,value\n")
+        summary_text.write("key,value\n")
         for key, value in summary_rows(summary):
-            buffer.write(f"{key},{value}\n")
+            summary_text.write(f"{key},{value}\n")
     else:
-        write_summary_text(summary, buffer)
-    _write(out / ("summary.csv" if fmt == "csv" else "summary.txt"), buffer.getvalue())
-
-    _write(out / "chain.jsonl", simulation.chain.export_chain_text())
-    _write(out / "gas_report.csv", simulation.chain.gas_report_text())
+        write_summary_text(summary, summary_text)
+    return {
+        "measurements.csv": measurements.getvalue(),
+        "stage_traces.csv": traces.getvalue(),
+        "summary.csv" if fmt == "csv" else "summary.txt": summary_text.getvalue(),
+        "chain.jsonl": simulation.chain.export_chain_text(),
+        "gas_report.csv": simulation.chain.gas_report_text(),
+    }
 
 
 def demo_config(seed: int, block_interval_ms: int) -> dict:
@@ -93,7 +116,10 @@ def demo_config(seed: int, block_interval_ms: int) -> dict:
 
 
 def run_demo(seed: int, block_interval_ms: int, out: Optional[str]) -> int:
-    simulation, _ = run_scenario(demo_config(seed, block_interval_ms))
+    try:
+        simulation, _ = run_scenario(demo_config(seed, block_interval_ms))
+    except ScenarioError as exc:
+        return _fail("scenario-error", str(exc))
     now = 2 * block_interval_ms
     client = simulation.nodes["sat-client"].vid
     sat = simulation.providers["sat-provider"]
@@ -121,9 +147,10 @@ def run_demo(seed: int, block_interval_ms: int, out: Optional[str]) -> int:
     for name, expected, actual, detail in rows:
         print(f"{name:<{width}}  {expected:<8}  {actual:<6}  {detail}")
     if out:
-        directory = _ensure_out(out)
-        _write(directory / "chain.jsonl", simulation.chain.export_chain_text())
-        _write(directory / "gas_report.csv", simulation.chain.gas_report_text())
+        error = _write_out(out, {"chain.jsonl": simulation.chain.export_chain_text(),
+                                 "gas_report.csv": simulation.chain.gas_report_text()})
+        if error:
+            return error
     failed = [r[0] for r in rows if r[1] != r[2]]
     if failed:
         return _fail("demo-case-mismatch", ", ".join(failed))
@@ -137,11 +164,14 @@ def run_scenario_command(path: str, seed: Optional[int], block_interval_ms: Opti
         return _fail("file-not-found", str(config_path))
     try:
         config = json.loads(config_path.read_text(encoding="utf-8"))
-    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8; deep nesting
+    except (OSError, ValueError, RecursionError) as exc:  # a directory; bad JSON or UTF-8
         return _fail("invalid-scenario-file", str(exc))
     if not isinstance(config, dict):
         return _fail("invalid-scenario-file",
                      f"top level must be an object, got {type(config).__name__}")
+    if _nesting_depth([config]) > MAX_NESTING:
+        return _fail("invalid-scenario-file",
+                     f"arrays and objects nest deeper than {MAX_NESTING} levels")
     if seed is not None:
         config["seed"] = seed
     if block_interval_ms is not None:
@@ -152,11 +182,12 @@ def run_scenario_command(path: str, seed: Optional[int], block_interval_ms: Opti
         simulation, result = run_scenario(config)
     except ScenarioError as exc:
         return _fail("scenario-error", str(exc))
-    directory = _ensure_out(out)
-    _write_run_artifacts(directory, simulation, result, fmt)
+    error = _write_out(out, _run_artifacts(simulation, result, fmt))
+    if error:
+        return error
     print(f"requests: {len(result.measurements)}  "
           f"expectation failures: {len(result.expectation_failures)}")
-    print(f"artifacts written to {directory}")
+    print(f"artifacts written to {Path(out)}")
     if result.expectation_failures:
         for failure in result.expectation_failures:
             sys.stderr.write(failure + "\n")
@@ -167,8 +198,7 @@ def run_scenario_command(path: str, seed: Optional[int], block_interval_ms: Opti
 
 def run_bench(profile: str, seed: int, requests: int, out: str, fmt: str) -> int:
     simulation, result = run_latency_bench(profile, seed, requests)
-    directory = _ensure_out(out)
-    _write_run_artifacts(directory, simulation, result, fmt)
+    files = _run_artifacts(simulation, result, fmt)
     summary = summarize(result.measurements)
     with_ac, without_ac = run_overhead_bench(seed, requests)
     overhead = ac_overhead_ms(with_ac.measurements, without_ac.measurements)
@@ -180,7 +210,10 @@ def run_bench(profile: str, seed: int, requests: int, out: str, fmt: str) -> int
         f"cache_hits: {summary['cache_hits']} of {summary['requests']}",
         f"enforcement_overhead_ms: {overhead}",
     ]
-    _write(directory / "overhead_summary.txt", "\n".join(lines) + "\n")
+    files["overhead_summary.txt"] = "\n".join(lines) + "\n"
+    error = _write_out(out, files)
+    if error:
+        return error
     for line in lines:
         print(line)
     return 0
@@ -190,11 +223,14 @@ def run_inspect(path: str, supervisor_hex: Optional[str]) -> int:
     chain_path = Path(path)
     if not chain_path.exists():
         return _fail("file-not-found", str(chain_path))
-    with open(chain_path, encoding="utf-8") as handle:
-        try:
+    try:
+        with open(chain_path, encoding="utf-8") as handle:
             blocks = read_chain(handle)
-        except (ChainFileError, UnicodeDecodeError) as exc:
-            return _fail("invalid-chain-file", str(exc))
+    except (OSError, ChainFileError, UnicodeDecodeError) as exc:  # OSError: a directory
+        return _fail("invalid-chain-file", str(exc))
+    if _nesting_depth(tx.args for block in blocks for tx in block.transactions) > MAX_NESTING:
+        return _fail("invalid-chain-file",
+                     f"transaction args nest arrays and objects deeper than {MAX_NESTING} levels")
     if supervisor_hex:
         try:
             supervisor = Address.from_hex(supervisor_hex)

@@ -365,9 +365,8 @@ def _fmt(value: float) -> str:
     return text if text else "0"
 
 
-MEASUREMENT_COLUMNS = ["request_id", "at_ms", "requester", "provider", "method",
-                       "uri", "outcome", "stage", "reason", "cache_hit",
-                       "block_height", "total_ms"]
+#: The measurements CSV header: every ``Measurement`` field but its trace.
+MEASUREMENT_COLUMNS = [name for name in Measurement._fields if name != "trace"]
 
 _HIT_CELLS = {None: "", True: "true", False: "false"}
 

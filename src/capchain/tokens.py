@@ -11,11 +11,11 @@ Wire field names are fixed by the token interchange format (``vid``,
 ``conditions``) and must round-trip byte-stably through
 ``canonical_token_json``.
 
-``rule_wire`` is the one reader of rules on the run path: it checks a rule
-body and returns its canonical wire dict, which the scenario parser keeps,
-the master submits and the contract stores. The contract holds each token
-as its wire dict and serves views from it. ``AccessRule``, ``Condition``
-and ``CapabilityToken`` are the typed round-trip form of the same data.
+``rule_wire`` is the one reader of rules: it checks a rule body and
+returns its canonical wire dict, which the scenario parser keeps, the
+master submits and the contract stores. The contract holds each token as
+its wire dict and serves views from it. ``CapabilityToken`` reads a whole
+token, its addresses typed and its rules the dicts ``rule_wire`` returns.
 """
 
 from __future__ import annotations
@@ -45,13 +45,13 @@ class ConditionKind(str, Enum):
     LOCATION_TAG = "location_tag"
 
 
-def _decoder(enum: type[Enum], to_value: bool = False) -> Callable[[Any], Any]:
-    """``enum(value)`` as one dict lookup, or with ``to_value`` that member's
-    value; a non-member raises the same ``ValueError`` as the ``Enum`` call,
+def _decoder(enum: type[Enum]) -> Callable[[Any], str]:
+    """``enum(value).value`` as one dict lookup (a member's ``.value`` is a slow
+    read); a non-member raises the same ``ValueError`` as the ``Enum`` call,
     unhashable values included."""
-    members = {member.value: member.value if to_value else member for member in enum}
+    members = {member.value: member.value for member in enum}
 
-    def decode(value: Any) -> Any:
+    def decode(value: Any) -> str:
         try:
             return members[value]
         except (KeyError, TypeError):   # TypeError: an unhashable value
@@ -60,42 +60,17 @@ def _decoder(enum: type[Enum], to_value: bool = False) -> Callable[[Any], Any]:
     return decode
 
 
-decode_action = _decoder(Action)
-decode_condition_kind = _decoder(ConditionKind)
-# the wire readers' decoders give the wire value itself: a member's ``.value`` is a slow read
-_action_value = _decoder(Action, to_value=True)
-_condition_kind_value = _decoder(ConditionKind, to_value=True)
+_action_value = _decoder(Action)
+_condition_kind_value = _decoder(ConditionKind)
 _TIME_WINDOW, _WEEKDAY = ConditionKind.TIME_WINDOW.value, ConditionKind.WEEKDAY.value
 
-
-# The checks of a rule's values, each written once: ``rule_wire`` and the typed
-# classes' ``__post_init__`` both call them.
-
-def _check_window(start_ms: Any, end_ms: Any) -> None:
-    times = (start_ms, end_ms)
-    if not all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in times) \
-            or not start_ms < end_ms:
-        raise ValueError("time_window requires numbers start_ms < end_ms")
+#: What ``rule_wire``, and so ``CapabilityToken.from_wire``, raises for a body
+#: that is not a rule.
+RULE_ERRORS = (TypeError, ValueError, KeyError, AttributeError)
 
 
-def _check_days(days: tuple) -> None:
-    if not days or any(type(d) is not int or not 0 <= d <= 6 for d in days):
-        raise ValueError("weekday requires a nonempty set of int days 0..6")
-
-
-def _check_tag(tag: Any) -> None:
-    if not (isinstance(tag, str) and tag):
-        raise ValueError("location_tag requires a nonempty string tag")
-
-
-def _check_resource(resource: Any) -> None:
-    if not resource or not resource.startswith("/"):
-        raise ValueError("resource must be a nonempty path starting with '/'")
-
-
-@dataclass(frozen=True)
-class Condition:
-    """One context constraint.
+def _condition_wire(body: dict) -> dict:
+    """One context constraint in its canonical wire form.
 
     time_window: ``start_ms``/``end_ms`` are milliseconds of day, numbers
     but not bools, start < end.
@@ -104,118 +79,50 @@ class Condition:
     Monday at midnight).
     location_tag: ``tag`` is a nonempty string, a provider-side location label.
     """
-
-    kind: ConditionKind
-    start_ms: Optional[int] = None
-    end_ms: Optional[int] = None
-    days: tuple[int, ...] = ()
-    tag: str = ""
-
-    def __post_init__(self) -> None:
-        if self.kind == ConditionKind.TIME_WINDOW:
-            _check_window(self.start_ms, self.end_ms)
-        elif self.kind == ConditionKind.WEEKDAY:
-            _check_days(self.days)
-        elif self.kind == ConditionKind.LOCATION_TAG:
-            _check_tag(self.tag)
-        else:
-            raise ValueError(f"unknown condition kind {self.kind!r}")
-
-    def wire(self) -> dict:
-        if self.kind == ConditionKind.TIME_WINDOW:
-            return {"kind": self.kind.value, "start_ms": self.start_ms, "end_ms": self.end_ms}
-        if self.kind == ConditionKind.WEEKDAY:
-            return {"kind": self.kind.value, "days": sorted(self.days)}
-        return {"kind": self.kind.value, "tag": self.tag}
-
-    @classmethod
-    def from_wire(cls, body: dict) -> "Condition":
-        kind = decode_condition_kind(body["kind"])
-        if kind == ConditionKind.TIME_WINDOW:
-            return cls(kind, start_ms=body["start_ms"], end_ms=body["end_ms"])
-        if kind == ConditionKind.WEEKDAY:
-            return cls(kind, days=tuple(body["days"]))
-        return cls(kind, tag=body["tag"])
-
-
-#: What ``rule_wire`` and ``AccessRule.from_wire`` raise for a body that is not a rule.
-RULE_ERRORS = (TypeError, ValueError, KeyError, AttributeError)
-
-
-def _conditions(rule: dict) -> list:
-    """A rule body's conditions: a list, or none when the key is absent."""
-    conditions = rule.get("conditions", [])
-    if not isinstance(conditions, list):
-        raise TypeError(f"conditions must be a list, got {type(conditions).__name__}")
-    return conditions
-
-
-def _condition_wire(body: dict) -> dict:
     kind = _condition_kind_value(body["kind"])
     if kind == _TIME_WINDOW:
-        start_ms, end_ms = body["start_ms"], body["end_ms"]
-        _check_window(start_ms, end_ms)
+        start_ms, end_ms = times = body["start_ms"], body["end_ms"]
+        if not all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in times) \
+                or not start_ms < end_ms:
+            raise ValueError("time_window requires numbers start_ms < end_ms")
         return {"kind": kind, "start_ms": start_ms, "end_ms": end_ms}
     if kind == _WEEKDAY:
         days = tuple(body["days"])
-        _check_days(days)
+        if not days or any(type(d) is not int or not 0 <= d <= 6 for d in days):
+            raise ValueError("weekday requires a nonempty set of int days 0..6")
         return {"kind": kind, "days": sorted(days)}
     tag = body["tag"]
-    _check_tag(tag)
+    if not (isinstance(tag, str) and tag):
+        raise ValueError("location_tag requires a nonempty string tag")
     return {"kind": kind, "tag": tag}
 
 
 def rule_wire(body: dict) -> dict:
-    """The rule a wire body names, in its canonical wire form; the one reader
-    of rules for the scenario parser and the token contract.
+    """The rule a wire body names, in its canonical wire form: one
+    (action, resource, conditions) grant inside a token.
 
     The result is a new dict of ``action``, ``resource`` and ``conditions``,
     each condition with its ``kind`` and that kind's fields only, weekday
     ``days`` sorted; other keys are dropped, and nothing in it is shared with
-    ``body`` but immutable values. It equals ``AccessRule.from_wire(body).wire()``
-    and raises what that raises: one of ``RULE_ERRORS`` for a body that is not
-    a rule. A bad condition is reported before a bad resource, as there.
+    ``body`` but immutable values. A body that is not a rule raises one of
+    ``RULE_ERRORS``; a bad condition is reported before a bad resource.
     """
-    conditions = _conditions(body)
+    conditions = body.get("conditions", [])   # none when the key is absent
+    if not isinstance(conditions, list):
+        raise TypeError(f"conditions must be a list, got {type(conditions).__name__}")
     action = _action_value(body["action"])
     resource = body["resource"]
     conditions = [_condition_wire(condition) for condition in conditions]
-    _check_resource(resource)
+    if not resource or not resource.startswith("/"):
+        raise ValueError("resource must be a nonempty path starting with '/'")
     return {"action": action, "resource": resource, "conditions": conditions}
-
-
-@dataclass(frozen=True)
-class AccessRule:
-    """One (action, resource, conditions) grant inside a token."""
-
-    action: Action
-    resource: str
-    conditions: tuple[Condition, ...] = ()
-
-    def __post_init__(self) -> None:
-        _check_resource(self.resource)
-
-    def wire(self) -> dict:
-        return {
-            "action": self.action.value,
-            "resource": self.resource,
-            "conditions": [c.wire() for c in self.conditions],
-        }
-
-    @classmethod
-    def from_wire(cls, body: dict) -> "AccessRule":
-        """The typed rule a wire body names; raises one of ``RULE_ERRORS`` for
-        a body that is not a rule, as ``rule_wire`` does."""
-        conditions = _conditions(body)
-        return cls(
-            action=decode_action(body["action"]),
-            resource=body["resource"],
-            conditions=tuple(Condition.from_wire(c) for c in conditions),
-        )
 
 
 @dataclass
 class CapabilityToken:
+    """A whole token read from its wire dict; each rule is the dict ``rule_wire``
+    returns, so ``from_wire(body).wire()`` is the canonical form of ``body``."""
+
     vid: Address
     vzone_master: Address
     id: int
@@ -223,7 +130,7 @@ class CapabilityToken:
     is_valid: bool
     issue_date: int
     expired_date: int
-    authorization: list[AccessRule] = field(default_factory=list)
+    authorization: list[dict] = field(default_factory=list)
 
     def wire(self) -> dict:
         return {
@@ -234,7 +141,7 @@ class CapabilityToken:
             "isValid": self.is_valid,
             "issuedate": self.issue_date,
             "expireddate": self.expired_date,
-            "authorization": [rule.wire() for rule in self.authorization],
+            "authorization": list(self.authorization),
         }
 
     @classmethod
@@ -247,7 +154,7 @@ class CapabilityToken:
             is_valid=body["isValid"],
             issue_date=body["issuedate"],
             expired_date=body["expireddate"],
-            authorization=[AccessRule.from_wire(r) for r in body["authorization"]],
+            authorization=[rule_wire(rule) for rule in body["authorization"]],
         )
 
 

@@ -21,11 +21,14 @@ the package's check helpers, handlers and stage checks. Then come the value
 types that interning and memoising replaced: the frozen-dataclass address
 and the fee computation done afresh for every transaction. Then comes the
 chain that stored two frozen records per transaction, a receipt and a gas
-entry, before ``Receipt`` carried the gas and fees itself. Last are the
-typed rules that were the one rule reader before ``tokens.rule_wire``, with
-their checks inline, and the token contract that held them in a
-``CapabilityToken`` per subject, edited it in place and rebuilt its wire
-dict on every view.
+entry, before ``Receipt`` carried the gas and fees itself. Last is the
+typed token model that ``tokens.rule_wire`` and the wire-dict contract
+replaced: rules and conditions as frozen dataclasses with their checks
+inline, decoded by the ``Enum`` calls, and a ``ReferenceCapabilityToken``
+holding them, none of which shares code with ``capchain.tokens`` but its
+two enums; then the token contract that held one such token per subject,
+edited it in place and rebuilt its wire dict on every view (it inherits
+the dispatch, the change index and the issuer check from ``TokenContract``).
 """
 
 import csv
@@ -33,7 +36,7 @@ import heapq
 import io
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 
 from capchain.address import Address
@@ -45,8 +48,7 @@ from capchain.netsim import MEASUREMENT_COLUMNS, Measurement, SimulationResult
 from capchain.scenario import (ACTIONS, EXPECTS, MAX_BLOCKS, RULE_ERRORS, Advance, Issue,
                                Register, Request, TokenChange, _check, _fail, _node, _number,
                                _objects, link)
-from capchain.tokens import (Action, CapabilityToken, ConditionKind, TokenContract,
-                             decode_action, decode_condition_kind)
+from capchain.tokens import Action, ConditionKind, TokenContract
 from capchain.zones import NODE_TYPE_NONE
 
 ZERO_HEX = "0x" + "00" * 20
@@ -712,7 +714,7 @@ class ReferenceChain(Chain):
 
 @dataclass(frozen=True)
 class ReferenceCondition:
-    """``tokens.Condition`` with its checks written inline."""
+    """One context constraint, typed, with its checks written inline."""
 
     kind: ConditionKind
     start_ms: object = None
@@ -744,7 +746,7 @@ class ReferenceCondition:
 
     @classmethod
     def from_wire(cls, body):
-        kind = decode_condition_kind(body["kind"])
+        kind = ConditionKind(body["kind"])
         if kind == ConditionKind.TIME_WINDOW:
             return cls(kind, start_ms=body["start_ms"], end_ms=body["end_ms"])
         if kind == ConditionKind.WEEKDAY:
@@ -754,7 +756,8 @@ class ReferenceCondition:
 
 @dataclass(frozen=True)
 class ReferenceAccessRule:
-    """``tokens.AccessRule`` as the one reader of rules, before ``rule_wire``."""
+    """One typed (action, resource, conditions) grant: the one reader of rules
+    before ``rule_wire``."""
 
     action: Action
     resource: str
@@ -773,12 +776,51 @@ class ReferenceAccessRule:
         conditions = body.get("conditions", [])
         if not isinstance(conditions, list):
             raise TypeError(f"conditions must be a list, got {type(conditions).__name__}")
-        return cls(action=decode_action(body["action"]), resource=body["resource"],
+        return cls(action=Action(body["action"]), resource=body["resource"],
                    conditions=tuple(ReferenceCondition.from_wire(c) for c in conditions))
 
 
+@dataclass
+class ReferenceCapabilityToken:
+    """A whole token holding typed rules, its wire dict rebuilt on every call."""
+
+    vid: Address
+    vzone_master: Address
+    id: int
+    initialized: bool
+    is_valid: bool
+    issue_date: int
+    expired_date: int
+    authorization: list = field(default_factory=list)
+
+    def wire(self):
+        return {
+            "vid": self.vid.hex,
+            "VZone_master": self.vzone_master.hex,
+            "id": self.id,
+            "initialized": self.initialized,
+            "isValid": self.is_valid,
+            "issuedate": self.issue_date,
+            "expireddate": self.expired_date,
+            "authorization": [rule.wire() for rule in self.authorization],
+        }
+
+    @classmethod
+    def from_wire(cls, body):
+        return cls(
+            vid=Address.from_hex(body["vid"]),
+            vzone_master=Address.from_hex(body["VZone_master"]),
+            id=body["id"],
+            initialized=body["initialized"],
+            is_valid=body["isValid"],
+            issue_date=body["issuedate"],
+            expired_date=body["expireddate"],
+            authorization=[ReferenceAccessRule.from_wire(r) for r in body["authorization"]],
+        )
+
+
 class ReferenceTokenContract(TokenContract):
-    """``TokenContract`` holding a ``CapabilityToken`` of typed rules per subject,
+    """``TokenContract`` holding a ``ReferenceCapabilityToken`` per subject,
     edited in place by each mutation (``_store`` re-holds the same object and
     stamps the change), and building a fresh wire dict per view."""
 
@@ -796,7 +838,7 @@ class ReferenceTokenContract(TokenContract):
             authorization = [ReferenceAccessRule.from_wire(rule) for rule in rules]
         except RULE_ERRORS as exc:
             raise ContractRejection("invalid-rule", str(exc))
-        token = CapabilityToken(
+        token = ReferenceCapabilityToken(
             vid=subject, vzone_master=self._zones.get_vzone(subject_record.vzone_id).master,
             id=self._next_id, initialized=True, is_valid=True, issue_date=issue_date,
             expired_date=expired_date, authorization=authorization)

@@ -421,6 +421,127 @@ class TestInspect:
         assert "height 1" in err["detail"]
 
 
+def one_error_line(capsys):
+    """The ``{"error","detail"}`` object of the one line a failed command wrote to stderr."""
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    body = json.loads(err[0])
+    assert set(body) == {"error", "detail"}
+    return body
+
+
+SAMPLE = str(SCENARIOS / "registration_and_revocation.json")
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["demo", "--seed", "1", "--block-interval-ms", "0"], "scenario-error"),
+    (["scenario", "a-directory"], "invalid-scenario-file"),
+    (["inspect", "a-directory"], "invalid-chain-file"),
+    (["scenario", SAMPLE, "--out", "a-file"], "invalid-out"),
+    (["demo", "--seed", "1", "--out", "a-file"], "invalid-out"),
+    (["bench", "--seed", "1", "--requests", "2", "--out", "a-file"], "invalid-out"),
+    (["bench", "--seed", "1", "--requests", "2", "--out", "a-file/out"], "invalid-out"),
+], ids=["demo-zero-interval", "scenario-directory", "inspect-directory", "scenario-out-file",
+        "demo-out-file", "bench-out-file", "bench-out-under-file"])
+def test_bad_argument_exits_with_one_error_line(tmp_path, capsys, monkeypatch, argv, error):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a-directory").mkdir()
+    (tmp_path / "a-file").write_text("")
+    assert main(argv) == 1
+    assert one_error_line(capsys)["error"] == error
+
+
+NESTED = json.dumps("@nested@")
+
+
+def nested(text, depth):
+    """``text`` with its ``NESTED`` string replaced by an array nested ``depth`` deep."""
+    return text.replace(NESTED, "[" * depth + "]" * depth)
+
+
+def deepest_json_loads():
+    """The deepest array ``json.loads`` accepts when called from here."""
+    accepted, refused = 1, 100_000
+    while refused - accepted > 1:
+        depth = (accepted + refused) // 2
+        try:
+            json.loads(nested(NESTED, depth))
+            accepted = depth
+        except RecursionError:
+            refused = depth
+    return accepted
+
+
+def sample_with_revoke_rules():
+    """The sample scenario plus a ``revoke_rules`` event whose rules are ``NESTED``,
+    at depth 4 of the file."""
+    config = json.loads(Path(SAMPLE).read_text())
+    config["script"].append({"at": 17000, "op": "revoke_rules", "master": "master",
+                             "subject": "client", "rules": "@nested@"})
+    return json.dumps(config)
+
+
+def demo_chain_with_nested_args(tmp_path, capsys):
+    """The demo chain's text with its first transaction's args ``NESTED``, at depth 4 of
+    their line."""
+    lines = demo_chain(tmp_path, capsys).read_text().splitlines()
+    body = json.loads(lines[1])
+    body["txs"][0]["args"] = "@nested@"
+    lines[1] = json.dumps(body)
+    return "\n".join(lines) + "\n"
+
+
+class TestDeepNesting:
+    """A file nested up to the depth ``json.loads`` accepts must still run or exit 1
+    with one error line: encoding a deep value, or the repr in an error message,
+    recurses from deeper in the stack than the parser did."""
+
+    def sweep(self, tmp_path, capsys, argv, text):
+        path = tmp_path / "input"
+        top = deepest_json_loads()
+        for depth in range(top + 2, top - 30, -1):   # depth of the whole file
+            path.write_text(nested(text, depth - 3))
+            code = main([*argv[:1], str(path), *argv[1:]])   # raises nothing
+            if code:
+                assert code == 1
+                one_error_line(capsys)
+            capsys.readouterr()
+
+    def test_scenario_sweep(self, tmp_path, capsys):
+        self.sweep(tmp_path, capsys, ["scenario", "--out", str(tmp_path / "o")],
+                   sample_with_revoke_rules())
+
+    def test_inspect_sweep(self, tmp_path, capsys):
+        self.sweep(tmp_path, capsys, ["inspect"], demo_chain_with_nested_args(tmp_path, capsys))
+
+    @pytest.mark.parametrize("depth,code", [(64, 0), (65, 1)])
+    def test_scenario_nesting_bound(self, tmp_path, capsys, depth, code):
+        path = tmp_path / "scenario.json"
+        path.write_text(nested(sample_with_revoke_rules(), depth - 3))
+        assert main(["scenario", str(path), "--out", str(tmp_path / "o")]) == code
+        if code:
+            assert one_error_line(capsys) == {
+                "error": "invalid-scenario-file",
+                "detail": "arrays and objects nest deeper than 64 levels"}
+
+    @pytest.mark.parametrize("depth,code", [(64, 0), (65, 1)])
+    def test_inspect_nesting_bound(self, tmp_path, capsys, depth, code):
+        # resealed, so the chain replays whenever its args are within the bound
+        chain_file = demo_chain(tmp_path, capsys)
+        blocks = read_chain(io.StringIO(chain_file.read_text()))
+        value = []
+        for _ in range(depth - 2):
+            value = [value]
+        blocks = reseal(blocks, 1, change_first_tx(args=(value,)))   # args nested ``depth`` deep
+        chain_file.write_text("".join(canonical_json(reference_block_wire(b)) + "\n"
+                                       for b in blocks))
+        assert main(["inspect", str(chain_file)]) == code
+        if code:
+            assert one_error_line(capsys) == {
+                "error": "invalid-chain-file",
+                "detail": "transaction args nest arrays and objects deeper than 64 levels"}
+
+
 def test_full_refetch_sync_gives_the_same_artifacts(tmp_path, capsys, monkeypatch):
     def run(label):
         out = tmp_path / label

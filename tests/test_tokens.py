@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 
 from capchain.encoding import canonical_json
 from capchain.ledger import ContractRejection
-from capchain.tokens import (RULE_ERRORS, AccessRule, Action, CapabilityToken, Condition,
-                             ConditionKind, canonical_token_json, decode_action,
-                             decode_condition_kind, rule_wire)
+from capchain.tokens import (RULE_ERRORS, Action, CapabilityToken, ConditionKind,
+                             _action_value, _condition_kind_value, canonical_token_json,
+                             rule_wire)
 
 from chainbench import Bench
-from reference_models import ReferenceAccessRule, ReferenceTokenContract
+from reference_models import (ReferenceAccessRule, ReferenceCapabilityToken,
+                              ReferenceTokenContract)
 
 RULE_GET = {"action": "GET", "resource": "/api/data", "conditions": []}
 RULE_POST = {"action": "POST", "resource": "/api/upload", "conditions": []}
@@ -40,31 +41,41 @@ MISREAD_RULES = {
 
 class TestWireFormats:
     def test_condition_validation(self):
-        with pytest.raises(ValueError):
-            Condition(ConditionKind.TIME_WINDOW, start_ms=5, end_ms=5)
-        with pytest.raises(ValueError):
-            Condition(ConditionKind.WEEKDAY, days=())
-        with pytest.raises(ValueError):
-            Condition(ConditionKind.WEEKDAY, days=(7,))
-        with pytest.raises(ValueError):
-            Condition(ConditionKind.LOCATION_TAG, tag="")
+        for condition, message in [
+            ({"kind": "time_window", "start_ms": 5, "end_ms": 5},
+             "time_window requires numbers start_ms < end_ms"),
+            ({"kind": "weekday", "days": []}, "weekday requires a nonempty set of int days 0..6"),
+            ({"kind": "weekday", "days": [7]}, "weekday requires a nonempty set of int days 0..6"),
+            ({"kind": "location_tag", "tag": ""}, "location_tag requires a nonempty string tag"),
+            ({"kind": "altitude"}, "'altitude' is not a valid ConditionKind"),
+        ]:
+            with pytest.raises(ValueError) as raised:
+                rule_wire(rule_with(conditions=[condition]))
+            assert str(raised.value) == message
 
     def test_rule_validation(self):
-        with pytest.raises(ValueError):
-            AccessRule(Action.GET, "api/data")
-        with pytest.raises(ValueError):
-            AccessRule(Action.GET, "")
+        for resource in ("api/data", ""):
+            with pytest.raises(ValueError) as raised:
+                rule_wire(rule_with(resource=resource))
+            assert str(raised.value) == "resource must be a nonempty path starting with '/'"
+        # a bad condition is reported before a bad resource
+        with pytest.raises(ValueError) as raised:
+            rule_wire(rule_with(resource="", conditions=[{"kind": "weekday", "days": []}]))
+        assert str(raised.value) == "weekday requires a nonempty set of int days 0..6"
 
     def test_rule_round_trip(self):
-        rule = AccessRule(Action.GET, "/api/data", (
-            Condition(ConditionKind.TIME_WINDOW, start_ms=9 * 3600000, end_ms=17 * 3600000),
-            Condition(ConditionKind.WEEKDAY, days=(0, 1, 2, 3, 4)),
-            Condition(ConditionKind.LOCATION_TAG, tag="ground-station-1"),
-        ))
-        assert AccessRule.from_wire(rule.wire()) == rule
+        rule = rule_with(conditions=[
+            {"kind": "time_window", "start_ms": 9 * 3600000, "end_ms": 17 * 3600000},
+            {"kind": "weekday", "days": [4, 0, 1, 2, 3]},
+            {"kind": "location_tag", "tag": "ground-station-1"},
+        ])
+        wire = rule_wire(rule)
+        assert wire["conditions"][1]["days"] == [0, 1, 2, 3, 4]
+        assert rule_wire(wire) == wire
+        assert rule_wire(json.loads(canonical_json(wire))) == wire
 
-    @pytest.mark.parametrize("enum,decode", [(Action, decode_action),
-                                             (ConditionKind, decode_condition_kind)])
+    @pytest.mark.parametrize("enum,decode", [(Action, _action_value),
+                                             (ConditionKind, _condition_kind_value)])
     @settings(max_examples=200, deadline=None)
     @given(value=st.one_of(
         st.sampled_from([*Action, *ConditionKind, *(m.value for m in Action),
@@ -80,7 +91,7 @@ class TestWireFormats:
                 decode(value)
             assert str(raised.value) == str(exc)
         else:
-            assert decode(value) is expected
+            assert decode(value) is expected.value
 
     def test_token_wire_field_names(self, bench):
         bench.issue_client_token(rules=[RULE_GET])
@@ -165,7 +176,7 @@ class TestIssue:
 
     @pytest.mark.parametrize("name", sorted(MISREAD_RULES))
     def test_misread_rule_rejected(self, bench, name):
-        for read in (rule_wire, AccessRule.from_wire):
+        for read in (rule_wire, ReferenceAccessRule.from_wire):
             with pytest.raises((TypeError, ValueError)):
                 read(MISREAD_RULES[name])
         receipt = bench.apply(bench.master, "captoken", "issue_token",
@@ -333,6 +344,19 @@ any_rules = st.fixed_dictionaries({}, optional={
 rules = (good_rules | any_rules).flatmap(
     lambda r: extra_keys.map(lambda extra: {**extra, **r}) if isinstance(r, dict) else st.just(r))
 
+# token bodies: the rules above in tokens with good or bad addresses, up to two keys left out
+TOKEN_KEYS = ("vid", "VZone_master", "id", "initialized", "isValid", "issuedate",
+              "expireddate", "authorization")
+addresses = st.sampled_from(["0x" + "11" * 20, "0X" + "ab" * 20]) \
+    | st.sampled_from(["0x12", "0x" + "zz" * 20, "", 5, None, ["0x"]])
+tokens = st.fixed_dictionaries({
+    "vid": addresses, "VZone_master": addresses, "id": st.integers(1, 9),
+    "initialized": st.booleans(), "isValid": st.booleans(),
+    "issuedate": st.integers(0, 9), "expireddate": st.integers(0, 9),
+    "authorization": st.lists(rules, max_size=3) | st.sampled_from(["", "GET", 5, None, {}]),
+}).flatmap(lambda body: st.sets(st.sampled_from(TOKEN_KEYS), max_size=2).map(
+    lambda missing: {key: value for key, value in body.items() if key not in missing}))
+
 
 def read(reader, body):
     """The rule a reader returns as its repr (which tells 1 from 1.0 and True),
@@ -357,7 +381,6 @@ class TestRuleWireMatchesReference:
     def test_rule_wire_reads_what_the_typed_rule_read(self, body):
         expected = read(lambda b: ReferenceAccessRule.from_wire(b).wire(), body)
         assert read(rule_wire, body) == expected
-        assert read(lambda b: AccessRule.from_wire(b).wire(), body) == expected
         if isinstance(expected, tuple):
             assert issubclass(expected[0], RULE_ERRORS)
         else:
@@ -370,6 +393,14 @@ class TestRuleWireMatchesReference:
             {"kind": "weekday", "days": [0, 4, 4]}]}
         assert rule_wire({"action": "PUT", "resource": "/"}) == \
             {"action": "PUT", "resource": "/", "conditions": []}
+
+
+class TestTokenMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(body=tokens)
+    def test_token_from_wire_reads_what_the_typed_token_read(self, body):
+        assert read(lambda b: CapabilityToken.from_wire(b).wire(), body) == \
+            read(lambda b: ReferenceCapabilityToken.from_wire(b).wire(), body)
 
 
 SENDERS = ("supervisor", "master", "provider", "client", "outsider")
