@@ -82,6 +82,12 @@ def _run_artifacts(simulation: Simulation, result, fmt: str) -> dict[str, str]:
     }
 
 
+#: How long the demo's token is valid. Its requests run at twice the block
+#: interval, so a longer interval than half of this would find the token expired.
+DEMO_TOKEN_VALIDITY_MS = 86_400_000
+MAX_DEMO_BLOCK_INTERVAL_MS = DEMO_TOKEN_VALIDITY_MS // 2
+
+
 def demo_config(seed: int, block_interval_ms: int) -> dict:
     """The five-node reference testbed: two satellites, a ground site,
     one domain master, one supervisor (who also owns a second zone for
@@ -109,13 +115,18 @@ def demo_config(seed: int, block_interval_ms: int) -> dict:
         "script": [
             {"at": 100, "op": "issue", "master": "master", "subject": "sat-client",
              "rules": [{"action": "GET", "resource": "/api/data", "conditions": []}],
-             "validity_ms": 86_400_000},
+             "validity_ms": DEMO_TOKEN_VALIDITY_MS},
             {"at": 2 * block_interval_ms, "op": "advance"},
         ],
     }
 
 
 def run_demo(seed: int, block_interval_ms: int, out: Optional[str]) -> int:
+    if block_interval_ms > MAX_DEMO_BLOCK_INTERVAL_MS:
+        return _fail("invalid-block-interval",
+                     f"--block-interval-ms must be at most {MAX_DEMO_BLOCK_INTERVAL_MS}, half "
+                     f"the demo token's {DEMO_TOKEN_VALIDITY_MS} ms validity; "
+                     f"got {block_interval_ms}")
     try:
         simulation, _ = run_scenario(demo_config(seed, block_interval_ms))
     except ScenarioError as exc:
@@ -197,6 +208,8 @@ def run_scenario_command(path: str, seed: Optional[int], block_interval_ms: Opti
 
 
 def run_bench(profile: str, seed: int, requests: int, out: str, fmt: str) -> int:
+    if requests < 1:
+        return _fail("invalid-requests", f"--requests must be at least 1, got {requests}")
     simulation, result = run_latency_bench(profile, seed, requests)
     files = _run_artifacts(simulation, result, fmt)
     summary = summarize(result.measurements)
@@ -228,7 +241,11 @@ def run_inspect(path: str, supervisor_hex: Optional[str]) -> int:
             blocks = read_chain(handle)
     except (OSError, ChainFileError, UnicodeDecodeError) as exc:  # OSError: a directory
         return _fail("invalid-chain-file", str(exc))
-    if _nesting_depth(tx.args for block in blocks for tx in block.transactions) > MAX_NESTING:
+    # canonical args text nests no deeper than it has opening brackets, so only
+    # a text with more than the bound is decoded and walked
+    deep = [tx.args_text for block in blocks for tx in block.transactions
+            if tx.args_text.count("[") + tx.args_text.count("{") > MAX_NESTING]
+    if _nesting_depth(map(json.loads, deep)) > MAX_NESTING:
         return _fail("invalid-chain-file",
                      f"transaction args nest arrays and objects deeper than {MAX_NESTING} levels")
     if supervisor_hex:

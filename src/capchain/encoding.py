@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from json.encoder import encode_basestring_ascii
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from types import SimpleNamespace
 from typing import Any
 
@@ -35,6 +35,13 @@ def _encode_address(value: Any) -> str:
 
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True,
                             default=_encode_address)
+# The C encoder (CPython's ``_json``) that ``_ENCODER.encode`` builds afresh on
+# every call, built once. It gets no markers dict, which only detects a value
+# that contains itself: such a value raises ``RecursionError`` here, not ``ValueError``.
+_C_ENCODER = c_make_encoder(None, _ENCODER.default, encode_basestring_ascii,
+                            _ENCODER.indent, _ENCODER.key_separator,
+                            _ENCODER.item_separator, _ENCODER.sort_keys, _ENCODER.skipkeys,
+                            _ENCODER.allow_nan)
 
 
 def canonical_json(obj: Any) -> str:
@@ -43,7 +50,7 @@ def canonical_json(obj: Any) -> str:
     An ``Address`` anywhere in ``obj`` is written as its 0x-prefixed hex;
     any other type JSON lacks raises ``TypeError``.
     """
-    return _ENCODER.encode(obj)
+    return "".join(_C_ENCODER(obj, 0))
 
 
 #: ``canonical_json`` of a ``str``: the encoder's own string writer, called

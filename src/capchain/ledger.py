@@ -138,7 +138,15 @@ class ChainConfig:
             raise ValueError("eth_price_usd must be nonnegative")
 
 
-@dataclass(slots=True)
+def _decode(text: str) -> Any:
+    """The value of a canonical JSON text, which has no whitespace to skip."""
+    return _DECODER.raw_decode(text)[0]
+
+
+_DECODER = json.JSONDecoder()
+
+
+@dataclass(init=False, eq=False)
 class Transaction:
     """A contract call queued by a sender.
 
@@ -146,27 +154,53 @@ class Transaction:
     The transaction digest covers the submitted call only, not the gas,
     so a digest identifies the same call before and after application.
 
-    The args are encoded once, on first use, and the canonical texts of
-    the call and of its wire form are assembled around that encoding:
-    the keys ``args < contract < gas < nonce < op < sender`` are already
-    in sorted order. The cached text is not an init field, so
-    ``dataclasses.replace`` encodes the new args afresh; args must not be
-    mutated in place once the transaction is submitted.
+    A transaction holds the canonical JSON text of its args, encoded once
+    when it is built, and not the args themselves: ``args`` decodes the
+    text on each read, so addresses come back as hex and arrays as lists.
+    Equality, the digest and the wire texts read the text, so two calls
+    are equal when their args encode alike: ``(1,)`` and ``[1]`` do, and
+    ``1``, ``1.0`` and ``True`` do not. ``args`` is listed as a field so
+    that ``dataclasses.replace`` reads it and encodes the new args afresh.
     """
 
+    __slots__ = ("sender", "contract", "op", "args_text", "nonce", "gas_used")
     sender: Address
     contract: str
     op: str
     args: tuple
     nonce: int
-    gas_used: int = 0
-    _args_text: Optional[str] = field(default=None, init=False, repr=False, compare=False)
+    gas_used: int
+
+    def __init__(self, sender: Address, contract: str, op: str, args: tuple, nonce: int,
+                 gas_used: int = 0):
+        self.sender = sender
+        self.contract = contract
+        self.op = op
+        self.args_text = canonical_json(args)
+        self.nonce = nonce
+        self.gas_used = gas_used
+
+    @property
+    def args(self) -> tuple:
+        return tuple(_decode(self.args_text))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.args_text == other.args_text and self.nonce == other.nonce
+                and self.gas_used == other.gas_used and self.sender == other.sender
+                and self.contract == other.contract and self.op == other.op)
 
     def _text(self, gas: str) -> str:
-        args = self._args_text
-        if args is None:
-            args = self._args_text = canonical_json(self.args)
-        return (f'{{"args":{args},"contract":{canonical_str(self.contract)},{gas}'
+        """The canonical call text with ``gas`` spliced in before ``nonce``: the
+        keys ``args < contract < gas < nonce < op < sender`` sort in that order."""
+        return (f'{{"args":{self.args_text},"contract":{canonical_str(self.contract)},{gas}'
+                f'"nonce":{self.nonce},"op":{canonical_str(self.op)},'
+                f'"sender":"{self.sender.hex}"}}')
+
+    def _halves(self) -> tuple[str, str]:
+        """``_text`` split where the gas goes, for a caller that needs both texts."""
+        return (f'{{"args":{self.args_text},"contract":{canonical_str(self.contract)},',
                 f'"nonce":{self.nonce},"op":{canonical_str(self.op)},'
                 f'"sender":"{self.sender.hex}"}}')
 
@@ -182,24 +216,13 @@ class Transaction:
     def digest(self) -> str:
         return sha256_hex(self.call_text())
 
-    @classmethod
-    def from_wire(cls, body: dict) -> "Transaction":
-        return cls(
-            sender=Address.from_hex(_field(body, "sender", str)),
-            contract=_field(body, "contract", str),
-            op=_field(body, "op", str),
-            args=tuple(_field(body, "args", list)),
-            nonce=_field(body, "nonce", int),
-            gas_used=_field(body, "gas", int) if "gas" in body else 0,
-        )
-
 
 def _block_text(head: str, height: int, timestamp: int, parent_digest: str,
-                transactions: Iterable[Transaction]) -> str:
-    """Canonical JSON of a block body, ``head`` spliced in before ``height``."""
-    txs = ",".join([tx.wire_text() for tx in transactions])
+                tx_texts: list[str]) -> str:
+    """Canonical JSON of a block body from its transactions' wire texts, ``head``
+    spliced in before ``height``."""
     return (f'{{{head}"height":{height},"parent":{canonical_str(parent_digest)},'
-            f'"timestamp":{timestamp},"txs":[{txs}]}}')
+            f'"timestamp":{timestamp},"txs":[{",".join(tx_texts)}]}}')
 
 
 @dataclass(frozen=True)
@@ -214,22 +237,14 @@ class Block:
     def compute_digest(height: int, timestamp: int, parent_digest: str,
                        transactions: Iterable[Transaction]) -> str:
         """SHA-256 of the body: height, parent, timestamp, txs (no digest key)."""
-        return sha256_hex(_block_text("", height, timestamp, parent_digest, transactions))
+        return sha256_hex(_block_text("", height, timestamp, parent_digest,
+                                      [tx.wire_text() for tx in transactions]))
 
     def wire_text(self) -> str:
         """The export line: ``digest`` sorts first, so it goes in front of the body."""
         return _block_text(f'"digest":{canonical_str(self.digest)},', self.height,
-                           self.timestamp, self.parent_digest, self.transactions)
-
-    @classmethod
-    def from_wire(cls, body: dict) -> "Block":
-        return cls(
-            height=_field(body, "height", int),
-            timestamp=_field(body, "timestamp", int),
-            parent_digest=_field(body, "parent", str),
-            transactions=tuple(Transaction.from_wire(t) for t in _field(body, "txs", list)),
-            digest=_field(body, "digest", str),
-        )
+                           self.timestamp, self.parent_digest,
+                           [tx.wire_text() for tx in self.transactions])
 
 
 #: The empty block every chain starts from.
@@ -282,7 +297,8 @@ class Chain:
         self._contracts: dict[str, Contract] = {}
         for contract in contracts:
             self.deploy(contract)
-        self._pending: list[tuple[Transaction, str]] = []   # (tx, its digest)
+        # (tx, its digest, its args): execute reads the args as submitted
+        self._pending: list[tuple[Transaction, str, Any]] = []
         self._next_nonce: dict[Address, int] = {}
         self._receipts: dict[str, Receipt] = {}   # by tx digest, in apply order
         self._fee_memo: dict[tuple[int, Decimal, Decimal], tuple[Decimal, Decimal]] = {}
@@ -326,40 +342,57 @@ class Chain:
 
     # -- writes ----------------------------------------------------------------
 
-    def submit_transaction(self, tx: Transaction) -> str:
-        """Queue ``tx``; returns its digest. Pending until ``get_receipt`` finds it."""
+    def submit_transaction(self, tx: Transaction, args: Any = None) -> str:
+        """Queue ``tx``; returns its digest. Pending until ``get_receipt`` finds it.
+
+        ``args`` are the args ``tx`` was built from, if the caller holds
+        them: the pool keeps them for ``execute``. Without them the pool
+        keeps ``tx.args``, decoded from the text."""
         with self._write_lock:
-            if tx.contract not in self._contracts:
-                raise ContractNotFoundError(f"unknown contract {tx.contract!r}")
-            expected = self._next_nonce.get(tx.sender, 0)
-            if tx.nonce != expected:
-                raise NonceMismatchError(
-                    f"sender {tx.sender.hex} nonce {tx.nonce}, expected {expected}"
-                )
-            self._next_nonce[tx.sender] = expected + 1
+            self._admit(tx)
             digest = tx.digest
-            self._pending.append((tx, digest))
+            self._pending.append((tx, digest, tx.args if args is None else args))
             return digest
 
     def submit(self, sender: Address, contract: str, op: str, args: tuple) -> str:
-        """Queue a call with the sender's next nonce; returns the tx digest."""
+        """Queue a call with the sender's next nonce; returns the tx digest.
+        The call is encoded once here and never decoded."""
         tx = Transaction(sender, contract, op, args, self.next_nonce(sender))
-        return self.submit_transaction(tx)
+        return self.submit_transaction(tx, args)
+
+    def _admit(self, tx: Transaction) -> None:
+        """Take ``tx``'s nonce; raise unless its contract exists and the nonce is next."""
+        if tx.contract not in self._contracts:
+            raise ContractNotFoundError(f"unknown contract {tx.contract!r}")
+        expected = self._next_nonce.get(tx.sender, 0)
+        if tx.nonce != expected:
+            raise NonceMismatchError(
+                f"sender {tx.sender.hex} nonce {tx.nonce}, expected {expected}"
+            )
+        self._next_nonce[tx.sender] = expected + 1
+
+    def _parent_at(self, now: int, force: bool) -> Block:
+        """The parent of a block sealed at ``now``; raise if it may not be sealed."""
+        last = self._blocks[-1]
+        if now < last.timestamp:
+            raise IntervalNotElapsedError(
+                f"block at {now} ms precedes its parent at {last.timestamp} ms")
+        due = last.timestamp + self.config.block_interval_ms
+        if not force and now < due:
+            raise IntervalNotElapsedError(f"block due at {due} ms, now {now} ms")
+        return last
 
     def produce_block(self, now: int, force: bool = False) -> Block:
-        """Seal the pending pool into a block and apply it to contract state."""
+        """Seal the pending pool into a block and apply it to contract state.
+
+        A sealed transaction keeps its args text only: the pool's args
+        are dropped with the pool."""
         with self._write_lock:
-            last = self._blocks[-1]
-            if now < last.timestamp:
-                raise IntervalNotElapsedError(
-                    f"block at {now} ms precedes its parent at {last.timestamp} ms")
-            due = last.timestamp + self.config.block_interval_ms
-            if not force and now < due:
-                raise IntervalNotElapsedError(f"block due at {due} ms, now {now} ms")
+            last = self._parent_at(now, force)
             applied: list[Transaction] = []
             height = last.height + 1
-            for tx, digest in self._pending:
-                self._apply(tx, digest)
+            for tx, digest, args in self._pending:
+                tx.gas_used = self._apply(tx, digest, args)
                 applied.append(tx)
             self._pending.clear()
             block = Block(
@@ -376,13 +409,13 @@ class Chain:
         """Produce a block at exactly the next interval boundary."""
         return self.produce_block(self.latest_block.timestamp + self.config.block_interval_ms)
 
-    def _apply(self, tx: Transaction, digest: str) -> None:
+    def _apply(self, tx: Transaction, digest: str, args: Any) -> int:
+        """Execute ``tx`` with ``args`` and record its receipt; returns its gas."""
         contract = self._contracts[tx.contract]
         gas = self.config.gas_table.get(tx.op, self.config.default_op_gas)
-        tx.gas_used = gas
         status, result, error = "ok", None, None
         try:
-            result = contract.execute(tx.sender, tx.op, tx.args)
+            result = contract.execute(tx.sender, tx.op, args)
         except ContractRejection as rejection:
             status, error = "rejected", rejection.code
         except (TypeError, ValueError, KeyError, IndexError):
@@ -391,6 +424,36 @@ class Chain:
         fee_etc, fee_usd = self._fees(gas)
         self._receipts[digest] = Receipt(digest, tx.op, status, result, error, gas,
                                          fee_etc, fee_usd)
+        return gas
+
+    def _reseal(self, block: Block) -> bool:
+        """Apply an imported ``block`` as ``produce_block`` would seal its
+        transactions at its timestamp; whether the seal equals ``block``.
+
+        The contract, nonce and timestamp checks raise as submit and
+        produce do. Then height, parent link, each transaction's re-derived
+        gas and the block digest must match. The resealed block would hold
+        the same calls with that gas, so the chain keeps ``block`` itself.
+        Each args text is decoded once, for ``execute``, and the call text
+        (for the receipt's digest) and the wire text (for the block digest)
+        share one formatting of the call.
+        """
+        with self._write_lock:
+            for tx in block.transactions:
+                self._admit(tx)
+            last = self._parent_at(block.timestamp, force=True)
+            same = block.height == last.height + 1 and block.parent_digest == last.digest
+            wires = []
+            for tx in block.transactions:
+                head, tail = tx._halves()
+                gas = self._apply(tx, sha256_hex(head + tail), tuple(_decode(tx.args_text)))
+                same = same and gas == tx.gas_used
+                wires.append(f'{head}"gas":{gas},{tail}')
+            if not same or block.digest != sha256_hex(_block_text(
+                    "", block.height, block.timestamp, block.parent_digest, wires)):
+                return False
+            self._blocks.append(block)
+            return True
 
     # -- receipts and gas --------------------------------------------------------
 
@@ -486,14 +549,47 @@ def _check_block(parent: Block, block: Block) -> None:
         raise CorruptChainError(f"block digest mismatch at height {block.height}")
 
 
+_TX_KEYS = itemgetter("sender", "contract", "op", "args", "nonce")
+
+
+def _read_tx(body: Any) -> Transaction:
+    """The transaction of a decoded ``txs`` entry, its args encoded once."""
+    try:
+        sender, contract, op, args, nonce = _TX_KEYS(body)
+        gas = body.get("gas", 0)
+    except (KeyError, TypeError):   # not a dict, or a key missing
+        sender = None
+    if not (type(sender) is str and type(contract) is str and type(op) is str
+            and type(args) is list and type(nonce) is int and type(gas) is int):
+        # name the first bad field, in the order of the keys in an export
+        sender = _field(body, "sender", str)
+        Address.from_hex(sender)   # a bad address is named before the fields after it
+        contract, op = _field(body, "contract", str), _field(body, "op", str)
+        args, nonce = _field(body, "args", list), _field(body, "nonce", int)
+        gas = _field(body, "gas", int) if "gas" in body else 0
+    return Transaction(Address.from_hex(sender), contract, op, args, nonce, gas)
+
+
+def _read_block(body: Any) -> Block:
+    height = _field(body, "height", int)
+    timestamp = _field(body, "timestamp", int)
+    parent = _field(body, "parent", str)
+    transactions = tuple(map(_read_tx, _field(body, "txs", list)))
+    return Block(height, timestamp, parent, transactions, _field(body, "digest", str))
+
+
 def read_chain(stream: io.TextIOBase) -> list[Block]:
-    """Parse a chain export; raises ``ChainFileError`` naming the first bad line."""
+    """Parse a chain export; raises ``ChainFileError`` naming the first bad line.
+
+    Each line is decoded once and its fields are checked in place; each
+    transaction keeps the canonical text of its args, and the decoded
+    line is dropped."""
     blocks = []
     for number, line in enumerate(stream, 1):
         line = line.strip()
         if line:
             try:
-                blocks.append(Block.from_wire(json.loads(line)))
+                blocks.append(_read_block(json.loads(line)))
             except (ValueError, RecursionError) as exc:  # RecursionError: deep nesting
                 raise ChainFileError(f"line {number}: not a block object: {exc}") from exc
     return blocks
@@ -501,25 +597,21 @@ def read_chain(stream: io.TextIOBase) -> list[Block]:
 
 def replay_chain(config: ChainConfig, blocks: list[Block],
                  contract_factory: Callable[[], Iterable[Contract]]) -> Chain:
-    """Rebuild a chain by resubmitting and resealing every block of an export.
+    """Rebuild a chain by re-applying every block of an export, in one pass.
 
-    ``submit_transaction`` and ``produce_block`` enforce the nonce,
-    contract and timestamp rules and re-derive gas; the resealed block
-    must then equal the imported one in every field: height, parent
-    link, timestamp, each transaction with its gas, and digest. Any
-    discrepancy raises ``CorruptChainError``.
+    Each block is checked as resubmitting its transactions and resealing
+    them would check it: the nonce, contract and timestamp rules, then
+    height, parent link, each transaction's re-derived gas and the
+    digest. Any discrepancy raises ``CorruptChainError``.
     """
     if not blocks or blocks[0] != GENESIS:
         raise CorruptChainError("chain must start with the genesis block")
     chain = Chain(config, contract_factory())
     for block in blocks[1:]:
         try:
-            for tx in block.transactions:
-                chain.submit_transaction(
-                    Transaction(tx.sender, tx.contract, tx.op, tx.args, tx.nonce))
-            sealed = chain.produce_block(block.timestamp, force=True)
+            same = chain._reseal(block)
         except LedgerError as exc:
             raise CorruptChainError(f"invalid block at height {block.height}: {exc}") from exc
-        if sealed != block:
+        if not same:
             raise CorruptChainError(f"block at height {block.height} differs from its replay")
     return chain

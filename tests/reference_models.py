@@ -29,11 +29,16 @@ holding them, none of which shares code with ``capchain.tokens`` but its
 two enums; then the token contract that held one such token per subject,
 edited it in place and rebuilt its wire dict on every view (it inherits
 the dispatch, the change index and the issuer check from ``TokenContract``).
+Last come the transaction that held its args and cached their text on first
+use, the export reader that built each one through a checked-field helper,
+and the replay that resubmitted a copy of every transaction and resealed
+the block through ``Chain.submit_transaction`` and ``Chain.produce_block``.
 """
 
 import csv
 import heapq
 import io
+import json
 import math
 import statistics
 from dataclasses import dataclass, field
@@ -43,7 +48,9 @@ from capchain.address import Address
 from capchain.enforcement import (PIPELINE_STAGES, Decision, ServiceRequest, StageRecord,
                                   StageTrace, match_access_rule, verify_conditions,
                                   verify_token_status)
-from capchain.ledger import Chain, ContractRejection, LedgerError, NoGasRecordedError
+from capchain.encoding import canonical_json, canonical_str, sha256_hex
+from capchain.ledger import (GENESIS, Block, Chain, ChainFileError, ContractRejection,
+                             CorruptChainError, LedgerError, NoGasRecordedError)
 from capchain.netsim import MEASUREMENT_COLUMNS, Measurement, SimulationResult
 from capchain.scenario import (ACTIONS, EXPECTS, MAX_BLOCKS, RULE_ERRORS, Advance, Issue,
                                Register, Request, TokenChange, _check, _fail, _node, _number,
@@ -672,13 +679,12 @@ class ReferenceChain(Chain):
         super().__init__(config, contracts)
         self._gas_log = {}
 
-    def _apply(self, tx, digest):
+    def _apply(self, tx, digest, args):
         height = self.height + 1   # the block being sealed
         contract = self._contracts[tx.contract]
         gas = self.config.gas_table.get(tx.op, self.config.default_op_gas)
-        tx.gas_used = gas
         try:
-            result = contract.execute(tx.sender, tx.op, tx.args)
+            result = contract.execute(tx.sender, tx.op, args)
             receipt = ReferenceReceipt(digest, tx.sender, tx.op, "ok", result, None, gas,
                                        height)
         except ContractRejection as rejection:
@@ -691,6 +697,7 @@ class ReferenceChain(Chain):
         self._gas_log[digest] = ReferenceGasEntry(
             digest, tx.op, gas,
             *reference_fees(gas, self.config.gas_price_etc, self.config.eth_price_usd))
+        return gas
 
     def account_gas(self, tx_digest):
         entry = self._gas_log.get(tx_digest)
@@ -896,3 +903,100 @@ class ReferenceTokenContract(TokenContract):
             "next_id": self._next_id,
             "tokens": {subject.hex: token.wire() for subject, token in self._tokens.items()},
         }
+
+
+# ---------------------------------------------------------------------------
+# Replay by resubmitting (a transaction holding its args, a reader checking
+# one field per call, a second transaction per replayed one)
+# ---------------------------------------------------------------------------
+
+@dataclass(slots=True)
+class ReferenceTransaction:
+    """A transaction holding its args; their canonical text is cached on first use."""
+
+    sender: Address
+    contract: str
+    op: str
+    args: tuple
+    nonce: int
+    gas_used: int = 0
+    _args_text: object = field(default=None, init=False, repr=False, compare=False)
+
+    def _text(self, gas):
+        args = self._args_text
+        if args is None:
+            args = self._args_text = canonical_json(self.args)
+        return (f'{{"args":{args},"contract":{canonical_str(self.contract)},{gas}'
+                f'"nonce":{self.nonce},"op":{canonical_str(self.op)},'
+                f'"sender":"{self.sender.hex}"}}')
+
+    def call_text(self):
+        return self._text("")
+
+    def wire_text(self):
+        return self._text(f'"gas":{self.gas_used},')
+
+    @property
+    def digest(self):
+        return sha256_hex(self.call_text())
+
+
+def _reference_field(body, key, kind):
+    if not isinstance(body, dict) or key not in body:
+        raise ValueError(f"missing {key!r}")
+    value = body[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"{key!r} must be {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
+def reference_tx_from_wire(body):
+    return ReferenceTransaction(
+        sender=Address.from_hex(_reference_field(body, "sender", str)),
+        contract=_reference_field(body, "contract", str),
+        op=_reference_field(body, "op", str),
+        args=tuple(_reference_field(body, "args", list)),
+        nonce=_reference_field(body, "nonce", int),
+        gas_used=_reference_field(body, "gas", int) if "gas" in body else 0,
+    )
+
+
+def reference_block_from_wire(body):
+    return Block(
+        height=_reference_field(body, "height", int),
+        timestamp=_reference_field(body, "timestamp", int),
+        parent_digest=_reference_field(body, "parent", str),
+        transactions=tuple(reference_tx_from_wire(t)
+                           for t in _reference_field(body, "txs", list)),
+        digest=_reference_field(body, "digest", str),
+    )
+
+
+def reference_read_chain(stream):
+    blocks = []
+    for number, line in enumerate(stream, 1):
+        line = line.strip()
+        if line:
+            try:
+                blocks.append(reference_block_from_wire(json.loads(line)))
+            except (ValueError, RecursionError) as exc:
+                raise ChainFileError(f"line {number}: not a block object: {exc}") from exc
+    return blocks
+
+
+def reference_replay_chain(config, blocks, contract_factory):
+    """Resubmit a copy of every transaction, reseal, and compare the sealed block."""
+    if not blocks or blocks[0] != GENESIS:
+        raise CorruptChainError("chain must start with the genesis block")
+    chain = Chain(config, contract_factory())
+    for block in blocks[1:]:
+        try:
+            for tx in block.transactions:
+                chain.submit_transaction(
+                    ReferenceTransaction(tx.sender, tx.contract, tx.op, tx.args, tx.nonce))
+            sealed = chain.produce_block(block.timestamp, force=True)
+        except LedgerError as exc:
+            raise CorruptChainError(f"invalid block at height {block.height}: {exc}") from exc
+        if sealed != block:
+            raise CorruptChainError(f"block at height {block.height} differs from its replay")
+    return chain

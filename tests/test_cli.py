@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from capchain import cli, ledger
 from capchain.cli import main
 from capchain.encoding import canonical_json
 from capchain.enforcement import TokenCache
@@ -409,6 +410,28 @@ class TestInspect:
         assert main(["inspect", str(chain_file), "--supervisor", "0x12"]) == 1
         assert failure(capsys)["error"] == "invalid-supervisor"
 
+    def test_inspect_decodes_each_args_text_once(self, tmp_path, capsys, monkeypatch):
+        # the nesting bound walks no transaction whose text has 64 brackets or fewer,
+        # so only replay decodes, once per transaction
+        chain_file = demo_chain(tmp_path, capsys)
+        texts = [tx.args_text for block in read_chain(io.StringIO(chain_file.read_text()))
+                 for tx in block.transactions]
+        decoded, walked = [], []
+        decode, depth = ledger._decode, cli._nesting_depth
+
+        def counting_decode(text):
+            decoded.append(text)
+            return decode(text)
+
+        def recording_depth(values):
+            walked.extend(values)
+            return depth(walked)
+
+        monkeypatch.setattr(ledger, "_decode", counting_decode)
+        monkeypatch.setattr(cli, "_nesting_depth", recording_depth)
+        assert main(["inspect", str(chain_file)]) == 0
+        assert decoded == texts and walked == []
+
     def test_inspect_rejects_resealed_forged_gas(self, tmp_path, capsys):
         chain_file = demo_chain(tmp_path, capsys)
         blocks = read_chain(io.StringIO(chain_file.read_text()))
@@ -441,14 +464,35 @@ SAMPLE = str(SCENARIOS / "registration_and_revocation.json")
     (["demo", "--seed", "1", "--out", "a-file"], "invalid-out"),
     (["bench", "--seed", "1", "--requests", "2", "--out", "a-file"], "invalid-out"),
     (["bench", "--seed", "1", "--requests", "2", "--out", "a-file/out"], "invalid-out"),
+    (["bench", "--seed", "1", "--requests", "0"], "invalid-requests"),
+    (["bench", "--seed", "1", "--requests", "-1"], "invalid-requests"),
+    (["demo", "--seed", "1", "--block-interval-ms", "43200001"], "invalid-block-interval"),
+    (["demo", "--seed", "1", "--block-interval-ms", "1000000000000"],
+     "invalid-block-interval"),
 ], ids=["demo-zero-interval", "scenario-directory", "inspect-directory", "scenario-out-file",
-        "demo-out-file", "bench-out-file", "bench-out-under-file"])
+        "demo-out-file", "bench-out-file", "bench-out-under-file", "bench-zero-requests",
+        "bench-negative-requests", "demo-interval-over-limit", "demo-huge-interval"])
 def test_bad_argument_exits_with_one_error_line(tmp_path, capsys, monkeypatch, argv, error):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "a-directory").mkdir()
     (tmp_path / "a-file").write_text("")
     assert main(argv) == 1
     assert one_error_line(capsys)["error"] == error
+
+
+def test_refused_arguments_write_nothing_and_name_the_limit(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["bench", "--seed", "1", "--requests", "0"]) == 1
+    assert "at least 1" in one_error_line(capsys)["detail"]
+    assert main(["demo", "--seed", "1", "--block-interval-ms", "43200001",
+                 "--out", "demo"]) == 1
+    assert "43200000" in one_error_line(capsys)["detail"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_demo_runs_at_the_interval_limit(capsys):
+    assert main(["demo", "--seed", "42", "--block-interval-ms", "43200000"]) == 0
+    assert "pass      pass    granted" in capsys.readouterr().out
 
 
 NESTED = json.dumps("@nested@")

@@ -1,27 +1,35 @@
 import csv
 import dataclasses
 import io
+import itertools
+import json
 import random
 from decimal import Decimal
+from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from capchain import ledger
 from capchain.address import Address, AddressFactory
 from capchain.encoding import ZERO_DIGEST, canonical_json, digest_of, sha256_hex
-from capchain.ledger import (DEFAULT_GAS_TABLE, Block, Chain, ChainConfig,
+from capchain.ledger import (DEFAULT_GAS_TABLE, Block, Chain, ChainConfig, ChainFileError,
                              ContractNotFoundError, CorruptChainError,
                              IntervalNotElapsedError, NoGasRecordedError,
                              NonceMismatchError, Receipt, Transaction, read_chain,
                              replay_chain)
+from capchain.netsim import run_scenario
 from capchain.tokens import TokenContract
 from capchain.zones import NODE_TYPE_NONE, ZoneContract
 
 from chainbench import Bench, change_first_tx, reseal, submit
-from reference_models import (ReferenceChain, reference_block_body, reference_block_wire,
-                              reference_call_wire, reference_jsonify, reference_tx_wire,
-                              reference_fees, reference_write_gas_report)
+from reference_models import (ReferenceChain, ReferenceTransaction, reference_block_body,
+                              reference_block_wire, reference_call_wire, reference_jsonify,
+                              reference_read_chain, reference_replay_chain,
+                              reference_tx_wire, reference_fees, reference_write_gas_report)
+from workloads import WORKLOADS
 
 
 def fresh_chain(seed=42, block_interval_ms=15000, **config_kwargs):
@@ -72,6 +80,18 @@ class TestSubmit:
         chain.produce_next_block()
         assert hashed == [0, 1, 2]
         assert all(chain.get_receipt(d).ok for d in digests)
+
+    def test_unencodable_args_leave_the_nonce_untaken(self):
+        # the args are encoded before the nonce is taken, so the export has no gap
+        chain, supervisor, _ = fresh_chain()
+        with pytest.raises(TypeError):
+            submit(chain, supervisor, "vzone", "create_vzone", ({1, 2},))
+        assert chain.next_nonce(supervisor) == 0
+        submit(chain, supervisor, "vzone", "create_vzone", ("zone-a",))
+        chain.produce_next_block()
+        replayed = replay_chain(chain.config, read_chain(io.StringIO(chain.export_chain_text())),
+                                zone_contracts_factory(supervisor))
+        assert replayed.state_digest() == chain.state_digest()
 
     def test_duplicate_submission_rejected(self):
         chain, supervisor, _ = fresh_chain()
@@ -621,7 +641,8 @@ class TestEncoder:
     @given(value=json_values, args=st.lists(json_values, max_size=4).map(tuple),
            sender=addresses, nonce=st.integers(min_value=0))
     def test_encoder_matches_reference_walk(self, value, args, sender, nonce):
-        assert canonical_json(value) == canonical_json(reference_jsonify(value))
+        assert canonical_json(value) == canonical_json(reference_jsonify(value)) == \
+            json.dumps(reference_jsonify(value), sort_keys=True, separators=(",", ":"))
         tx = Transaction(sender, "vzone", "join_vzone", args, nonce, gas_used=64733)
         call = {"sender": sender.hex, "contract": "vzone", "op": "join_vzone",
                 "args": reference_jsonify(args), "nonce": nonce}
@@ -680,6 +701,12 @@ class TestEncoder:
         with pytest.raises(CorruptChainError, match="at height 2"):
             replay_chain(bench.chain.config, blocks, zone_contracts_factory(bench.supervisor))
 
+    def test_a_value_that_contains_itself_is_refused(self):
+        value = []
+        value.append(value)
+        with pytest.raises(RecursionError):
+            canonical_json(value)
+
     @pytest.mark.parametrize("value", [{1, 2}, Decimal("1.5"), [Decimal("2")],
                                        {"rules": ({"days": {0}},)}])
     def test_types_json_lacks_are_rejected_both_ways(self, value):
@@ -687,3 +714,254 @@ class TestEncoder:
             canonical_json(value)
         with pytest.raises(TypeError):
             canonical_json(reference_jsonify(value))
+
+
+class TestTransactionMatchesReference:
+    """The text-backed transaction against the one that held its args."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(tx=transactions)
+    def test_texts_digest_and_export_equal_the_reference(self, tx):
+        args = tx.args
+        ref = ReferenceTransaction(tx.sender, tx.contract, tx.op, args, tx.nonce, tx.gas_used)
+        assert (tx.call_text(), tx.wire_text(), tx.digest) == \
+            (ref.call_text(), ref.wire_text(), ref.digest)
+        head, tail = tx._halves()
+        assert head + tail == tx.call_text()
+        assert f'{head}"gas":{tx.gas_used},{tail}' == tx.wire_text()
+        assert canonical_json(tx.args) == tx.args_text
+        block = Block(3, 45000, ZERO_DIGEST, (tx,), "d" * 64)
+        assert block.wire_text() == canonical_json(reference_block_wire(
+            Block(3, 45000, ZERO_DIGEST, (ref,), "d" * 64)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), args=st.lists(wire_args, max_size=3).map(tuple),
+           gas=st.integers(min_value=0))
+    def test_equal_exactly_when_the_reference_wire_texts_are(self, data, args, gas):
+        other = data.draw(st.just(args) | st.just(list(args))
+                          | st.lists(wire_args, max_size=3).map(tuple))
+        other_gas = data.draw(st.just(gas) | st.integers(min_value=0))
+        sender = Address(b"\x01" * 20)
+        left = Transaction(sender, "vzone", "join_vzone", args, 4, gas)
+        right = Transaction(sender, "vzone", "join_vzone", other, 4, other_gas)
+        expected = (ReferenceTransaction(sender, "vzone", "join_vzone", args, 4, gas).wire_text()
+                    == ReferenceTransaction(sender, "vzone", "join_vzone", other, 4,
+                                            other_gas).wire_text())
+        assert (left == right) == (right == left) == expected
+
+    def test_equality_reads_the_canonical_text(self):
+        sender = Address(b"\x01" * 20)
+
+        def both(args):
+            return (Transaction(sender, "vzone", "op", args, 0),
+                    ReferenceTransaction(sender, "vzone", "op", args, 0))
+
+        (tuple_tx, tuple_ref), (list_tx, list_ref) = both(((1,),)), both(([1],))
+        assert tuple_tx == list_tx and tuple_ref != list_ref
+        numbers = [both((value,)) for value in (1, 1.0, True)]
+        assert all(a[0] != b[0] and a[1] == b[1]
+                   for a, b in [(numbers[0], numbers[1]), (numbers[1], numbers[2]),
+                                (numbers[0], numbers[2])])
+
+    def test_args_are_decoded_on_demand_and_not_held(self, bench):
+        tx = Transaction(bench.master, "vzone", "join_vzone", ("zone-a", bench.client), 0)
+        assert tx.args == ("zone-a", bench.client.hex)
+        assert tx.args is not tx.args
+        assert not hasattr(tx, "__dict__")
+        assert "args" not in Transaction.__slots__
+
+
+def count_calls(monkeypatch, owner, name):
+    """Replace ``owner.name`` by a wrapper that counts its calls; the list of calls."""
+    calls, original = [], getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+class TestDecodeCounts:
+    def test_run_path_never_decodes(self, monkeypatch):
+        decoded = count_calls(monkeypatch, ledger, "_decode")
+        bench = Bench()
+        bench.issue_client_token()
+        bench.apply(bench.master, "captoken", "revoke_token", (bench.client.hex,))
+        assert decoded == []
+
+    def test_replay_decodes_each_args_text_once_and_builds_no_transaction(self, bench,
+                                                                          monkeypatch):
+        bench.issue_client_token()
+        blocks = read_chain(io.StringIO(bench.chain.export_chain_text()))
+        decoded = count_calls(monkeypatch, ledger, "_decode")
+        built = count_calls(monkeypatch, Transaction, "__init__")
+        replayed = replay_chain(bench.chain.config, blocks,
+                                zone_contracts_factory(bench.supervisor))
+        texts = [tx.args_text for block in blocks for tx in block.transactions]
+        assert [call[0] for call in decoded] == texts
+        assert built == []
+        assert replayed.state_digest() == bench.chain.state_digest()
+
+
+SAMPLE_SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / \
+    "registration_and_revocation.json"
+EXPORTS = ("hot_reads", "idle_sync", "churn", "sample")
+
+
+@lru_cache(maxsize=None)
+def export(name):
+    """The lines of an export and its supervisor: a workload at scale 0.05, or the sample."""
+    config = (json.loads(SAMPLE_SCENARIO.read_text()) if name == "sample"
+              else WORKLOADS[name](7, 0.05))
+    simulation, _ = run_scenario(config)
+    return tuple(simulation.chain.export_chain_text().splitlines()), simulation.supervisor.vid
+
+
+export_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.floats(allow_nan=False,
+                                                                     allow_infinity=False)
+    | st.text(max_size=4) | st.sampled_from(["vzone", "captoken", "nope", "0x" + "ab" * 20]),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=5)
+MUTATIONS = ("gas", "nonce", "arg", "digest", "field-type", "missing-key", "spacing")
+
+
+@st.composite
+def mutated_exports(draw):
+    """An export's text with one or two mutations of one block, and its supervisor.
+    A resealed block is re-hashed and every later block relinked, so the mutations
+    reach replay's checks."""
+    name = draw(st.sampled_from(EXPORTS))
+    lines, supervisor = export(name)
+    lines = list(lines)
+    index = draw(st.integers(0, len(lines) - 1))
+    body = json.loads(lines[index])
+    txs = body["txs"]
+    tx = txs[draw(st.integers(0, len(txs) - 1))] if txs else None
+    kinds = draw(st.lists(st.sampled_from(MUTATIONS), min_size=1, max_size=2))
+    for kind in kinds:
+        target = tx if tx is not None and draw(st.booleans()) else body
+        if kind in ("gas", "nonce") and isinstance(target.get(kind), int):
+            target[kind] += draw(st.sampled_from([-1, 1, 1000]))
+        elif kind == "arg" and isinstance(target.get("args"), list):
+            position = draw(st.integers(0, len(target["args"])))
+            target["args"][position:position + 1] = [draw(export_values)]
+        elif kind == "digest":
+            body["digest"] = draw(st.sampled_from([json.loads(line)["digest"]
+                                                   for line in lines]) | st.text(max_size=3))
+        elif kind == "field-type" and target:
+            target[draw(st.sampled_from(sorted(target)))] = draw(export_values)
+        elif kind == "missing-key" and target:
+            del target[draw(st.sampled_from(sorted(target)))]
+    if "spacing" in kinds:
+        separators = draw(st.sampled_from([(", ", ": "), (" ,", " :"), (",", ":")]))
+        lines[index] = " " + json.dumps(body, separators=separators) + "  "
+    elif draw(st.booleans()):   # reseal
+        bodies = [body] + [json.loads(line) for line in lines[index + 1:]]
+        for offset, each in enumerate(bodies):
+            if offset:
+                each["parent"] = bodies[offset - 1].get("digest")
+            each["digest"] = sha256_hex(canonical_json(
+                {key: value for key, value in each.items() if key != "digest"}))
+        lines[index:] = [json.dumps(each) for each in bodies]
+    else:
+        lines[index] = json.dumps(body)
+    return "\n".join(lines) + "\n", supervisor
+
+
+def replay_outcome(read, replay, text, supervisor):
+    """What reading and replaying ``text`` gives: the blocks read, then the error's
+    type and message, or the replayed state digest and export."""
+    try:
+        blocks = read(io.StringIO(text))
+    except Exception as exc:   # compared with the reference's, type and message
+        return "read", type(exc), str(exc)
+    read_blocks = [(b.height, b.timestamp, b.parent_digest, b.digest,
+                    [(tx.sender, tx.contract, tx.op, canonical_json(tx.args), tx.nonce,
+                      tx.gas_used) for tx in b.transactions]) for b in blocks]
+    try:
+        chain = replay(ChainConfig(supervisor=supervisor), blocks,
+                       zone_contracts_factory(supervisor))
+    except Exception as exc:
+        return "replay", read_blocks, type(exc), str(exc)
+    return "ok", read_blocks, chain.state_digest(), chain.export_chain_text()
+
+
+TX_KEYS = ("sender", "contract", "op", "args", "nonce", "gas")
+BLOCK_KEYS = ("height", "timestamp", "parent", "txs", "digest")
+BAD_VALUES = (None, True, 0, 1.5, "x", [], {})
+#: faults that pass the reader and reach replay's checks once the block is resealed
+REPLAY_FAULTS = {
+    "nonce": lambda body, tx: tx.update(nonce=tx["nonce"] + 1),
+    "contract": lambda body, tx: tx.update(contract="nope"),
+    "gas": lambda body, tx: tx.update(gas=tx["gas"] + 1),
+    "sender": lambda body, tx: tx.update(sender="0x" + "ab" * 20),
+    "timestamp": lambda body, tx: body.update(timestamp=-1),
+    "height": lambda body, tx: body.update(height=body["height"] + 1),
+    "parent": lambda body, tx: body.update(parent="0" * 64),
+}
+
+
+def field_faults():
+    """(name, edit, reseal): every bad type and missing key of a block and of its
+    first transaction, pairs of them, and pairs of faults that only replay sees."""
+    def setting(target, key, value):
+        def edit(body, tx):
+            (tx if target == "tx" else body)[key] = value
+        return edit
+
+    def deleting(target, key):
+        def edit(body, tx):
+            del (tx if target == "tx" else body)[key]
+        return edit
+
+    single = [(f"{target}.{key}={value!r}", setting(target, key, value))
+              for target, keys in (("tx", TX_KEYS), ("block", BLOCK_KEYS))
+              for key in keys for value in BAD_VALUES]
+    single += [(f"{target}.{key} missing", deleting(target, key))
+               for target, keys in (("tx", TX_KEYS), ("block", BLOCK_KEYS)) for key in keys]
+    for (first, edit), (second, other) in itertools.combinations(single[::3], 2):
+        yield f"{first} and {second}", (lambda e, o: lambda b, t: (e(b, t), o(b, t)))(
+            edit, other), False
+    yield from ((name, edit, False) for name, edit in single)
+    for first, second in itertools.permutations(REPLAY_FAULTS, 2):
+        edit, other = REPLAY_FAULTS[first], REPLAY_FAULTS[second]
+        yield f"{first} and {second}", (lambda e, o: lambda b, t: (e(b, t), o(b, t)))(
+            edit, other), True
+
+
+class TestReplayMatchesReference:
+    def test_each_field_fault_is_named_alike(self):
+        lines, supervisor = export("sample")
+        for name, edit, reseal in field_faults():
+            body = json.loads(lines[2])   # height 2 at 15,000 ms, one transaction
+            edit(body, body["txs"][0])
+            if reseal:
+                body["digest"] = sha256_hex(canonical_json(
+                    {key: value for key, value in body.items() if key != "digest"}))
+            text = "\n".join([*lines[:2], json.dumps(body), *lines[3:]]) + "\n"
+            outcome = replay_outcome(read_chain, replay_chain, text, supervisor)
+            assert outcome == replay_outcome(reference_read_chain, reference_replay_chain,
+                                             text, supervisor), name
+
+    @pytest.mark.parametrize("name", EXPORTS)
+    def test_unchanged_exports_replay_alike(self, name):
+        lines, supervisor = export(name)
+        text = "\n".join(lines) + "\n"
+        outcome = replay_outcome(read_chain, replay_chain, text, supervisor)
+        assert outcome[0] == "ok" and outcome[3] == text
+        assert outcome == replay_outcome(reference_read_chain, reference_replay_chain, text,
+                                         supervisor)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=mutated_exports())
+    def test_mutated_exports_replay_or_fail_alike(self, case):
+        text, supervisor = case
+        outcome = replay_outcome(read_chain, replay_chain, text, supervisor)
+        assert outcome == replay_outcome(reference_read_chain, reference_replay_chain, text,
+                                         supervisor)
+        if outcome[0] != "ok":
+            assert outcome[-2] in (ChainFileError, CorruptChainError)
