@@ -7,7 +7,7 @@ import io
 import json
 import sys
 from pathlib import Path
-from typing import Any, Iterable, Optional
+from typing import Optional
 
 from .address import Address
 from .encoding import canonical_json
@@ -16,7 +16,7 @@ from .ledger import ChainConfig, ChainFileError, CorruptChainError, read_chain, 
 from .netsim import (Simulation, ac_overhead_ms, run_latency_bench, run_overhead_bench,
                      run_scenario, summarize, summary_rows, write_measurements_csv,
                      write_stage_traces_csv, write_summary_text)
-from .scenario import ScenarioError
+from .scenario import MAX_NESTING, ScenarioError, nesting_depth
 from .tokens import TokenContract
 from .zones import ZoneContract
 
@@ -24,28 +24,6 @@ from .zones import ZoneContract
 def _fail(message: str, detail: str = "") -> int:
     sys.stderr.write(canonical_json({"error": message, "detail": detail}) + "\n")
     return 1
-
-
-#: How deep a scenario file, or the args of a transaction in a chain export, may
-#: nest arrays and objects. A scenario's deepest field, a weekday's ``days``, sits
-#: at depth 8. The bound is far below the interpreter's recursion limit, which a
-#: later encoding or error message of a deep value would otherwise reach.
-MAX_NESTING = 64
-
-
-_CONTAINERS = (list, tuple, dict)
-
-
-def _nesting_depth(values: Iterable[Any]) -> int:
-    """How deep the deepest of ``values`` nests lists and dicts: 0 for a scalar,
-    1 for a flat list. One level at a time, so no input can exhaust the stack."""
-    depth, level = 0, [value for value in values if isinstance(value, _CONTAINERS)]
-    while level:
-        depth += 1
-        level = [item for value in level
-                 for item in (value.values() if isinstance(value, dict) else value)
-                 if isinstance(item, _CONTAINERS)]
-    return depth
 
 
 def _write_out(out: str, files: dict[str, str]) -> Optional[int]:
@@ -180,7 +158,7 @@ def run_scenario_command(path: str, seed: Optional[int], block_interval_ms: Opti
     if not isinstance(config, dict):
         return _fail("invalid-scenario-file",
                      f"top level must be an object, got {type(config).__name__}")
-    if _nesting_depth([config]) > MAX_NESTING:
+    if nesting_depth([config]) > MAX_NESTING:
         return _fail("invalid-scenario-file",
                      f"arrays and objects nest deeper than {MAX_NESTING} levels")
     if seed is not None:
@@ -245,7 +223,7 @@ def run_inspect(path: str, supervisor_hex: Optional[str]) -> int:
     # a text with more than the bound is decoded and walked
     deep = [tx.args_text for block in blocks for tx in block.transactions
             if tx.args_text.count("[") + tx.args_text.count("{") > MAX_NESTING]
-    if _nesting_depth(map(json.loads, deep)) > MAX_NESTING:
+    if nesting_depth(map(json.loads, deep)) > MAX_NESTING:
         return _fail("invalid-chain-file",
                      f"transaction args nest arrays and objects deeper than {MAX_NESTING} levels")
     if supervisor_hex:

@@ -143,10 +143,12 @@ def verify_conditions(rule: dict, now: float,
 # Token cache
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CacheEntry:
+class CacheEntry(NamedTuple):
+    """A cached token, the time it was put and the cache epoch it was put in."""
+
     token: dict
-    synced_at: float
+    put_at: float
+    epoch: int
 
 
 class TokenCache:
@@ -160,6 +162,14 @@ class TokenCache:
     the latest change number and the subjects whose tokens changed after
     ``cursor``. ``cursor`` is the last change number a sync completed
     through; it starts at 0, so the first sync refetches every entry.
+
+    A sync costs O(changed subjects), not O(entries held): it refetches
+    the changed entries, then bumps ``epoch`` and sets the one cache-wide
+    ``synced_at``, and writes no other entry. An entry's last sync
+    (``entry_synced_at``) is its own ``put_at`` if it was put in the
+    current epoch, else the cache's ``synced_at``. That is exactly the
+    time of its last put or completed sync, whichever came later in call
+    order, whatever ``now`` each call was given.
     """
 
     def __init__(self, block_interval_ms: int,
@@ -168,34 +178,45 @@ class TokenCache:
         self.changes = changes
         self.entries: dict[Address, CacheEntry] = {}
         self.cursor = 0
+        self.epoch = 0          # completed syncs
+        self.synced_at = 0.0    # ``now`` of the last completed sync
+
+    def entry_synced_at(self, subject: Address) -> float:
+        """When the held entry of ``subject`` was last put or synced."""
+        _, put_at, epoch = self.entries[subject]
+        return put_at if epoch == self.epoch else self.synced_at
 
     def get(self, subject: Address, now: float) -> Optional[CacheEntry]:
         entry = self.entries.get(subject)
         if entry is None:
             return None
-        if now - entry.synced_at > self.block_interval_ms:
+        # entry_synced_at, inline on the request path
+        if now - (entry[1] if entry[2] == self.epoch else self.synced_at) \
+                > self.block_interval_ms:
             del self.entries[subject]
             return None
         return entry
 
     def put(self, subject: Address, token: dict, now: float) -> None:
-        self.entries[subject] = CacheEntry(token=token, synced_at=now)
+        self.entries[subject] = tuple.__new__(CacheEntry, (token, now, self.epoch))
 
     def sync(self, fetch, now: float, height: int) -> int:
         """Refetch the entries changed since the last sync; returns replaced-entry count.
 
-        Every other entry is unchanged on the chain and is only marked
-        synced at ``now``. An unreachable change feed leaves nothing to
-        trust, so every entry is evicted (fail-closed) and the cursor stays.
+        Every other entry is unchanged on the chain and is synced at
+        ``now`` by the epoch bump alone. An unreachable change feed leaves
+        nothing to trust, so every entry is evicted (fail-closed) and the
+        cursor stays.
         """
         try:
             latest, changed = self.changes(self.cursor)
         except (OSError, LedgerError):
             self.entries.clear()
             return 0
+        entries = self.entries
         refreshed = 0
         for subject in changed:
-            entry = self.entries.get(subject)
+            entry = entries.get(subject)
             if entry is None:
                 continue
             try:
@@ -203,12 +224,14 @@ class TokenCache:
             except (OSError, LedgerError):
                 token = None
             if token is None:
-                del self.entries[subject]   # fail-closed: force a re-query next time
-            elif token != entry.token:
-                entry.token = token
+                del entries[subject]   # fail-closed: force a re-query next time
+            elif token != entry[0]:
+                # keeps its put time and epoch, so a fetch that raises later in
+                # this loop leaves its sync time as it was
+                entries[subject] = tuple.__new__(CacheEntry, (token, entry[1], entry[2]))
                 refreshed += 1
-        for entry in self.entries.values():
-            entry.synced_at = now
+        self.epoch += 1
+        self.synced_at = now
         self.cursor = latest
         return refreshed
 
@@ -243,6 +266,8 @@ class ServiceProvider:
         self.cache = TokenCache(
             chain.config.block_interval_ms,
             lambda cursor: chain.query_state(TokenContract.name, "changes_since", (cursor,)))
+        self._fetch_token = \
+            lambda subject: chain.query_state(TokenContract.name, "get_token", (subject,))
         self.contract_queries = 0
         self._own_record: VNodeRecord = self._query_vnode(address)
 
@@ -279,7 +304,7 @@ class ServiceProvider:
         if entry is not None:
             return entry.token, True
         self.contract_queries += 1
-        token = self.chain.query_state(TokenContract.name, "get_token", (subject,))
+        token = self._fetch_token(subject)
         if token is not None:
             self.cache.put(subject, token, now)
         return token, False
@@ -337,9 +362,5 @@ class ServiceProvider:
     def sync_cache(self, now: float) -> int:
         """Sync cached tokens with confirmed state; once per block interval."""
         self.refresh_membership()
-
-        def fetch(subject: Address):
-            return self.chain.query_state(TokenContract.name, "get_token", (subject,))
-
-        return self.cache.sync(fetch, now, self.chain.height)
+        return self.cache.sync(self._fetch_token, now, self.chain.height)
 

@@ -422,8 +422,9 @@ class Chain:
             # malformed call payloads reject rather than halt production
             status, error = "rejected", "invalid-args"
         fee_etc, fee_usd = self._fees(gas)
-        self._receipts[digest] = Receipt(digest, tx.op, status, result, error, gas,
-                                         fee_etc, fee_usd)
+        # tuple.__new__ skips the named tuple's generated __new__ and its frame
+        self._receipts[digest] = tuple.__new__(Receipt, (digest, tx.op, status, result, error,
+                                                         gas, fee_etc, fee_usd))
         return gas
 
     def _reseal(self, block: Block) -> bool:

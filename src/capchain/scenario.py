@@ -15,7 +15,7 @@ import sys
 from collections import namedtuple
 from dataclasses import dataclass, fields
 from operator import itemgetter
-from typing import Any, NamedTuple, NoReturn, Union
+from typing import Any, Iterable, NamedTuple, NoReturn, Union
 
 from .address import Address, AddressFactory
 from .master import RegistrationPolicy
@@ -31,6 +31,28 @@ EXPECTS = ("grant", "deny", "timeout", None)
 #: event is due: at the default 15 s interval ``at: 1e9`` writes 66,669 blocks
 #: and ``1e300`` would never end. The largest benchmark workload spans 43.
 MAX_BLOCKS = 100_000
+
+
+#: How deep a scenario file, or the args of a transaction in a chain export, may
+#: nest arrays and objects. A scenario's deepest field, a weekday's ``days``, sits
+#: at depth 8. The bound is far below the interpreter's recursion limit, which a
+#: later encoding or error message of a deep value would otherwise reach.
+#: ``parse_script`` applies it to the values it passes on unparsed.
+MAX_NESTING = 64
+
+_CONTAINERS = (list, tuple, dict)
+
+
+def nesting_depth(values: Iterable[Any]) -> int:
+    """How deep the deepest of ``values`` nests lists and dicts: 0 for a scalar,
+    1 for a flat list. One level at a time, so no input can exhaust the stack."""
+    depth, level = 0, [value for value in values if isinstance(value, _CONTAINERS)]
+    while level:
+        depth += 1
+        level = [item for value in level
+                 for item in (value.values() if isinstance(value, dict) else value)
+                 if isinstance(item, _CONTAINERS)]
+    return depth
 
 
 class ScenarioError(Exception):
@@ -329,6 +351,8 @@ def parse_script(script: Any, topology: Topology) -> list[Event]:
             _check(master.role == "master", i, "master", "%r is not a master", master.name)
             _check(isinstance(attributes, dict), i, "attributes",
                    "must be an object, got %r", attributes)
+            if attributes:
+                _shallow(attributes, i, "attributes")
             event = new(Register, (at, i, node, master, attributes))
         elif op in ("issue", "revoke", "revoke_rules", "suspend", "restore"):
             master = _node(nodes, event.get("master"), i, "master")
@@ -339,16 +363,25 @@ def parse_script(script: Any, topology: Topology) -> list[Event]:
                 _check(validity >= 0, i, "validity_ms", "must be >= 0, got %r", validity)
                 event = new(Issue, (at, i, master, subject, _parse_rules(rules, i), validity))
             else:
-                _check(op != "revoke_rules" or isinstance(rules, list), i, "rules",
-                       "must be a list, got %r", rules)
-                event = new(TokenChange, (at, i, op, master, subject,
-                                          rules if op == "revoke_rules" else None))
+                if op == "revoke_rules":
+                    _check(isinstance(rules, list), i, "rules", "must be a list, got %r", rules)
+                    _shallow(rules, i, "rules")
+                else:
+                    rules = None
+                event = new(TokenChange, (at, i, op, master, subject, rules))
         else:
             _check(op == "advance", i, "op", "unknown op %r", op)
             event = new(Advance, (at, i))
         events.append(event)
     events.sort(key=itemgetter(0))   # stable: equal times keep index order
     return events
+
+
+def _shallow(value: Union[list, dict], i: int, key: str) -> None:
+    """Fail unless event ``i``'s ``key``, which goes on unparsed, nests within
+    ``MAX_NESTING``. The check walks only this value, not the whole script."""
+    if nesting_depth([value]) > MAX_NESTING:
+        _fail(i, key, f"arrays and objects nest deeper than {MAX_NESTING} levels")
 
 
 def _parse_rules(rules: Any, i: int) -> list[dict]:

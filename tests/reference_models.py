@@ -4,10 +4,13 @@ These deliberately share no code with the package: state is plain dicts
 keyed by hex strings, and each operation is a straight-line transcription
 of the zone lifecycle guards. The enforcement oracle evaluates the whole
 decision directly instead of going through a staged pipeline object.
-The token cache reference is the exception: it is the full-refetch sync
-that the change-driven ``TokenCache.sync`` replaced, run on a real cache.
-So is ``reference_jsonify``, the argument walk that turned ``Address``
-objects into hex before encoding, which the encoder's own hook replaced.
+The token caches are the exception (they key by ``Address``, as the
+package's cache does): ``ReferenceTokenCache`` is the change-driven cache
+that wrote a sync stamp into every entry it held, which the epoch-stamped
+``TokenCache`` replaced, and ``FullRefetchTokenCache`` is the sync before
+it, which refetched every entry. So is ``reference_jsonify``, the argument
+walk that turned ``Address`` objects into hex before encoding, which the
+encoder's own hook replaced.
 The wire dicts and report writers at the end are the ones the assembled
 texts replaced: dicts handed whole to ``canonical_json``, rows handed
 whole to ``csv.writer``, statistics gathered one list at a time, numbers
@@ -239,29 +242,89 @@ def oracle_status_reason(token, now):
 
 
 # ---------------------------------------------------------------------------
-# Token cache sync (full refetch)
+# Token caches (one sync stamp per entry)
 # ---------------------------------------------------------------------------
 
-def full_refetch_sync(cache, fetch, now, height):
-    """Refetch every cached token from confirmed state; returns replaced-entry count.
+@dataclass
+class ReferenceCacheEntry:
+    token: dict
+    synced_at: float
 
-    Same signature as ``TokenCache.sync``, so it can stand in for it.
+
+class ReferenceTokenCache:
+    """The change-driven token cache that stamped every entry on every sync.
+
+    Same interface as ``TokenCache``: ``sync`` refetches the subjects the
+    change feed names, then writes ``now`` into every entry it holds.
     """
-    refreshed = 0
-    for subject in list(cache.entries):
+
+    def __init__(self, block_interval_ms, changes):
+        self.block_interval_ms = block_interval_ms
+        self.changes = changes
+        self.entries = {}
+        self.cursor = 0
+
+    def entry_synced_at(self, subject):
+        return self.entries[subject].synced_at
+
+    def get(self, subject, now):
+        entry = self.entries.get(subject)
+        if entry is None:
+            return None
+        if now - entry.synced_at > self.block_interval_ms:
+            del self.entries[subject]
+            return None
+        return entry
+
+    def put(self, subject, token, now):
+        self.entries[subject] = ReferenceCacheEntry(token=token, synced_at=now)
+
+    def sync(self, fetch, now, height):
         try:
-            token = fetch(subject)
+            latest, changed = self.changes(self.cursor)
         except (OSError, LedgerError):
-            token = None
-        if token is None:
-            del cache.entries[subject]
-            continue
-        entry = cache.entries[subject]
-        if token != entry.token:
-            entry.token = token
-            refreshed += 1
-        entry.synced_at = now
-    return refreshed
+            self.entries.clear()
+            return 0
+        refreshed = 0
+        for subject in changed:
+            entry = self.entries.get(subject)
+            if entry is None:
+                continue
+            try:
+                token = fetch(subject)
+            except (OSError, LedgerError):
+                token = None
+            if token is None:
+                del self.entries[subject]
+            elif token != entry.token:
+                entry.token = token
+                refreshed += 1
+        for entry in self.entries.values():
+            entry.synced_at = now
+        self.cursor = latest
+        return refreshed
+
+
+class FullRefetchTokenCache(ReferenceTokenCache):
+    """The sync before the change feed: every held entry is refetched and
+    stamped, and the feed is never read."""
+
+    def sync(self, fetch, now, height):
+        refreshed = 0
+        for subject in list(self.entries):
+            try:
+                token = fetch(subject)
+            except (OSError, LedgerError):
+                token = None
+            if token is None:
+                del self.entries[subject]
+                continue
+            entry = self.entries[subject]
+            if token != entry.token:
+                entry.token = token
+                refreshed += 1
+            entry.synced_at = now
+        return refreshed
 
 
 # ---------------------------------------------------------------------------

@@ -10,15 +10,14 @@ from pathlib import Path
 
 import pytest
 
-from capchain import cli, ledger
+from capchain import cli, enforcement, ledger
 from capchain.cli import main
 from capchain.encoding import canonical_json
-from capchain.enforcement import TokenCache
 from capchain.ledger import read_chain
 from capchain.netsim import latency_bench_config
 
 from chainbench import change_first_tx, reseal
-from reference_models import full_refetch_sync, reference_block_wire
+from reference_models import FullRefetchTokenCache, reference_block_wire
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 SRC = SCENARIOS.parent / "src"
@@ -417,7 +416,7 @@ class TestInspect:
         texts = [tx.args_text for block in read_chain(io.StringIO(chain_file.read_text()))
                  for tx in block.transactions]
         decoded, walked = [], []
-        decode, depth = ledger._decode, cli._nesting_depth
+        decode, depth = ledger._decode, cli.nesting_depth
 
         def counting_decode(text):
             decoded.append(text)
@@ -428,7 +427,7 @@ class TestInspect:
             return depth(walked)
 
         monkeypatch.setattr(ledger, "_decode", counting_decode)
-        monkeypatch.setattr(cli, "_nesting_depth", recording_depth)
+        monkeypatch.setattr(cli, "nesting_depth", recording_depth)
         assert main(["inspect", str(chain_file)]) == 0
         assert decoded == texts and walked == []
 
@@ -596,7 +595,7 @@ def test_full_refetch_sync_gives_the_same_artifacts(tmp_path, capsys, monkeypatc
         return files, capsys.readouterr().out.replace(str(out), "")
 
     change_driven = run("change-driven")
-    monkeypatch.setattr(TokenCache, "sync", full_refetch_sync)
+    monkeypatch.setattr(enforcement, "TokenCache", FullRefetchTokenCache)
     assert run("full-refetch") == change_driven
 
 

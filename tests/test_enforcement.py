@@ -14,8 +14,8 @@ from capchain.netsim import Measurement, write_stage_traces_csv
 from capchain.tokens import MS_PER_DAY
 
 from chainbench import Bench
-from reference_models import (full_refetch_sync, oracle_authorize, oracle_status_reason,
-                              reference_authorize)
+from reference_models import (FullRefetchTokenCache, ReferenceTokenCache, oracle_authorize,
+                              oracle_status_reason, reference_authorize)
 
 PAPER_REQUESTER = "0xaa09c6d65908e54bf695748812c51d8f2ceea0f5"
 
@@ -416,6 +416,45 @@ def fixed_feed(*results):
     return changes, cursors
 
 
+def served(entry):
+    """The token a cache's ``get`` served, or None."""
+    return None if entry is None else entry.token
+
+
+def held(cache):
+    """Each subject a cache holds, with its token and effective sync time."""
+    return {subject: (entry.token, cache.entry_synced_at(subject))
+            for subject, entry in cache.entries.items()}
+
+
+class ReadRecordingDict(dict):
+    """A dict that records every read of its keys or entries."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.reads = []
+
+    def get(self, key, default=None):
+        self.reads.append(key)
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.reads.append(key)
+        return super().__getitem__(key)
+
+    def __iter__(self):
+        self.reads.append("iter")
+        return super().__iter__()
+
+    def values(self):
+        self.reads.append("values")
+        return super().values()
+
+    def items(self):
+        self.reads.append("items")
+        return super().items()
+
+
 class TestChangeFeed:
     def test_only_changed_entries_are_refetched(self, bench):
         a, b = bench.factory.new_addresses(2)
@@ -435,7 +474,38 @@ class TestChangeFeed:
         assert cursors == [0, 3]
         assert cache.entries[a].token["isValid"] is False
         assert cache.entries[b].token == token_wire()
-        assert {e.synced_at for e in cache.entries.values()} == {300}
+        assert {cache.entry_synced_at(subject) for subject in cache.entries} == {300}
+
+    def test_sync_with_no_changes_reads_no_entry(self, bench):
+        a, b = bench.factory.new_addresses(2)
+        changes, _ = fixed_feed((0, []))
+        cache = TokenCache(15000, changes)
+        cache.put(a, token_wire(), now=100)
+        cache.put(b, token_wire(), now=100)
+        cache.entries = entries = ReadRecordingDict(cache.entries)
+
+        def fetch(subject):
+            raise AssertionError("nothing changed, so nothing is fetched")
+
+        assert cache.sync(fetch, now=200, height=1) == 0
+        assert entries.reads == []
+        assert cache.entry_synced_at(a) == cache.entry_synced_at(b) == 200
+
+    def test_effective_sync_time_follows_call_order(self, bench):
+        a, b = bench.factory.new_addresses(2)
+        changes, _ = fixed_feed((0, []), (0, []))
+        cache = TokenCache(100, changes)
+        cache.put(a, token_wire(), now=1000)
+        assert cache.get(a, now=1100) is not None        # exactly one interval: served
+        assert cache.get(a, now=1100.5) is None          # past it: evicted
+        cache.put(a, token_wire(), now=1000)
+        cache.sync(lambda subject: token_wire(), now=500, height=1)   # time went back
+        assert cache.entry_synced_at(a) == 500
+        cache.put(b, token_wire(), now=400)              # put after that sync
+        assert (cache.entry_synced_at(a), cache.entry_synced_at(b)) == (500, 400)
+        assert cache.get(a, now=600) is not None and cache.get(b, now=600) is None
+        cache.sync(lambda subject: token_wire(), now=700, height=2)
+        assert cache.entry_synced_at(a) == 700
 
     @pytest.mark.parametrize("error", [ConnectionError("chain replica unavailable"),
                                        ContractNotFoundError("unknown contract")])
@@ -530,7 +600,7 @@ def test_change_driven_sync_matches_full_refetch(steps):
         return bench.chain.query_state("captoken", "get_token", (subject,))
 
     interval = bench.chain.config.block_interval_ms
-    cache, reference = TokenCache(interval, changes), TokenCache(interval, changes)
+    cache, reference = TokenCache(interval, changes), FullRefetchTokenCache(interval, changes)
     for step in steps:
         for op, index, choice, sender in step["ops"]:
             bench.submit(getattr(bench, sender), "captoken", op,
@@ -539,7 +609,7 @@ def test_change_driven_sync_matches_full_refetch(steps):
         for index in sorted(step["requests"]):
             subject = subjects[index]
             entry = cache.get(subject, now)
-            assert entry == reference.get(subject, now)
+            assert served(entry) == served(reference.get(subject, now))
             token = fetch(subject) if entry is None else None
             if token is not None:
                 cache.put(subject, token, now)
@@ -562,10 +632,78 @@ def test_change_driven_sync_matches_full_refetch(steps):
             return fetch(subject)
 
         height = bench.chain.height
-        assert cache.sync(flaky_fetch, now, height) == \
-            full_refetch_sync(reference, flaky_fetch, now, height)
-        assert cache.entries == reference.entries
+        assert cache.sync(flaky_fetch, now, height) == reference.sync(flaky_fetch, now, height)
+        assert held(cache) == held(reference)
         outage.clear()
+
+
+CACHE_INTERVAL = 10
+# small times against a small interval, in any order: now may go back, and
+# ``now - stamp == CACHE_INTERVAL`` comes up often
+cache_times = st.integers(0, 4 * CACHE_INTERVAL)
+cache_subjects = st.integers(0, SUBJECTS - 1)
+cache_calls = st.lists(st.one_of(
+    st.tuples(st.just("put"), cache_subjects, st.integers(0, 2), cache_times),
+    st.tuples(st.just("get"), cache_subjects, cache_times),
+    # the chain's token of a subject changes to a version, or None: gone
+    st.tuples(st.just("change"), cache_subjects, st.sampled_from((0, 1, 2, None))),
+    # the feed works, is out ("outage": evicts) or has a bug (raises); fetches of
+    # the "flaky" subjects fail (evict), and a fetch of "bug" raises
+    st.tuples(st.just("sync"), cache_times, st.sampled_from(("ok", "outage", "feed-bug")),
+              st.sets(cache_subjects), st.one_of(st.none(), cache_subjects)),
+), max_size=30)
+
+
+@settings(max_examples=400, deadline=None)
+@given(calls=cache_calls)
+# a fetch bug raised after an entry was replaced in the same sync: that entry
+# keeps the sync time it had, as the per-entry stamps left it
+@example(calls=[("put", 0, 0, 5), ("put", 1, 0, 5), ("change", 0, 1), ("change", 1, 1),
+                ("sync", 20, "ok", set(), 0)])
+def test_epoch_cache_matches_per_entry_stamps(calls):
+    versions = dict.fromkeys(range(SUBJECTS), 0)
+    log = []          # the subjects in change order; a change number is an index + 1
+    sync = {}
+
+    def changes(cursor):
+        if sync["feed"] == "outage":
+            raise ConnectionError("chain replica unavailable")
+        if sync["feed"] == "feed-bug":
+            raise AttributeError("bug in feed")
+        return len(log), list(dict.fromkeys(reversed(log[cursor:])))
+
+    def fetch(subject):
+        if subject == sync["bug"]:
+            raise AttributeError("bug in fetch")
+        if subject in sync["flaky"]:
+            raise ConnectionError("chain replica unavailable")
+        version = versions[subject]
+        return None if version is None else {"subject": subject, "version": version}
+
+    cache = TokenCache(CACHE_INTERVAL, changes)
+    reference = ReferenceTokenCache(CACHE_INTERVAL, changes)
+    for call in calls:
+        if call[0] == "put":
+            _, subject, version, now = call
+            cache.put(subject, {"subject": subject, "version": version}, now)
+            reference.put(subject, {"subject": subject, "version": version}, now)
+        elif call[0] == "get":
+            _, subject, now = call
+            assert served(cache.get(subject, now)) == served(reference.get(subject, now))
+        elif call[0] == "change":
+            _, subject, versions[subject] = call
+            log.append(subject)
+        else:
+            _, now, sync["feed"], sync["flaky"], sync["bug"] = call
+            outcomes = []
+            for each in (cache, reference):
+                try:
+                    outcomes.append(each.sync(fetch, now, 0))
+                except AttributeError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1]
+        assert held(cache) == held(reference)
+        assert cache.cursor == reference.cursor
 
 
 class TestEndToEndOracle:

@@ -965,3 +965,37 @@ class TestReplayMatchesReference:
                                          supervisor)
         if outcome[0] != "ok":
             assert outcome[-2] in (ChainFileError, CorruptChainError)
+
+
+def test_replay_of_deeply_nested_args_raises_no_recursion_error(bench):
+    # replay decodes a transaction's args text, which read_chain has already
+    # decoded three levels deeper (the line, its txs, the tx). So the deepest
+    # args read_chain accepts (the limit differs between Python versions)
+    # replay to a CorruptChainError, never a RecursionError
+    bench.issue_client_token()
+    lines = bench.chain.export_chain_text().splitlines()
+    body = json.loads(lines[1])
+    body["txs"][0]["args"] = ["args"]
+    head, tail = canonical_json(body).split('["args"]')
+
+    def export(depth):
+        return io.StringIO("\n".join([lines[0], head + "[" * depth + "]" * depth + tail]
+                                     + lines[2:]))
+
+    def reads(depth):
+        try:
+            read_chain(export(depth))
+        except ChainFileError:
+            return False
+        return True
+
+    low, high = 64, 128   # read_chain accepts ``low`` and refuses ``high``
+    while reads(high) and high < 2**16:
+        low, high = high, 2 * high
+    while high - low > 1:
+        middle = (low + high) // 2
+        low, high = (middle, high) if reads(middle) else (low, middle)
+    for depth in range(low - 20, low + 1):
+        with pytest.raises(CorruptChainError, match="differs from its replay"):
+            replay_chain(bench.chain.config, read_chain(export(depth)),
+                         zone_contracts_factory(bench.supervisor))

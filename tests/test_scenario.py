@@ -20,7 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capchain.cli import main
-from capchain.scenario import ScenarioError, parse_script, parse_topology
+from capchain.netsim import run_scenario
+from capchain.scenario import MAX_NESTING, ScenarioError, parse_script, parse_topology
 
 from reference_models import reference_parse_script
 from workloads import WORKLOADS
@@ -172,3 +173,33 @@ def test_parse_script_equals_reference_on_full_workloads(name):
     topology = parse_topology(config)
     assert repr(parse_script(config["script"], topology)) == \
         repr(reference_parse_script(config["script"], topology))
+
+
+def nested(depth):
+    """A list that nests ``depth`` levels deep: ``[[...[]...]]``."""
+    value = []
+    for _ in range(depth - 1):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize("key", ["rules", "attributes"])
+@pytest.mark.parametrize("depth", [64, 65, 2000])
+def test_unparsed_values_nest_within_the_bound(key, depth):
+    # the two values the parser passes on unparsed; a library caller gets a
+    # ScenarioError, not a RecursionError from encoding or reporting them
+    config = copy.deepcopy(BASES[0])
+    issue = next(event for event in config["script"] if event["op"] == "issue")
+    event = {"at": issue["at"], "master": issue["master"]}
+    if key == "rules":
+        event.update(op="revoke_rules", subject=issue["subject"], rules=nested(depth))
+    else:
+        event.update(op="register", node=issue["subject"], attributes={"a": nested(depth - 1)})
+    config["script"].append(event)
+    index = len(config["script"]) - 1
+    if depth <= MAX_NESTING:
+        run_scenario(config)
+    else:
+        with pytest.raises(ScenarioError, match=re.escape(
+                f"script[{index}].{key}: arrays and objects nest deeper than 64 levels")):
+            run_scenario(config)
