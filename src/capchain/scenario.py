@@ -2,10 +2,11 @@
 
 ``parse_topology`` reads the settings, registration policy, nodes and
 channels; ``parse_script`` reads the timed events and resolves the nodes
-and channel each names. Every error names its JSON path, e.g.
-``script[1].rules[0].action: 'FLY' is not an action``. Unknown keys are
-ignored; numbers convert as ``int()`` and ``float()`` do, so ``"15000"`` works,
-but a JSON boolean is not a number.
+and channel each names. Both check each item once, inline, and build its
+path text only when a check fails. Every error names its JSON path, e.g.
+``script[1].rules[0].action: 'FLY' is not an action``, and shows the value at
+fault by ``_shown``. Unknown keys are ignored; numbers convert as ``int()``
+and ``float()`` do, so ``"15000"`` works, but a JSON boolean is not a number.
 """
 
 from __future__ import annotations
@@ -146,6 +147,15 @@ Advance = namedtuple("Advance", "at index")
 Event = Union[Request, Register, Issue, TokenChange, Advance]
 
 
+def _shown(value: Any) -> str:
+    """``repr(value)`` for an error message, unless ``value`` nests deeper than
+    ``MAX_NESTING``: such a repr could exhaust the stack, so the text names the
+    type and the bound instead. Called only once a check has failed."""
+    if nesting_depth([value]) > MAX_NESTING:
+        return f"<{type(value).__name__} nested deeper than {MAX_NESTING} levels>"
+    return repr(value)
+
+
 def _fail(path: Union[str, int], key: str, reason: str) -> NoReturn:
     """Raise ``path.key: reason``. An int path is the index of a script event,
     so the script checks build their ``script[i]`` text only when one fails."""
@@ -154,16 +164,17 @@ def _fail(path: Union[str, int], key: str, reason: str) -> NoReturn:
     raise ScenarioError(f"{path}.{key}: {reason}" if path and key else f"{path}{key}: {reason}")
 
 
-def _check(ok: Any, path: Union[str, int], key: str, reason: str, *args: Any) -> None:
-    """``_fail`` unless ``ok``; per-node and per-request checks are inline ``if``s."""
+def _check(ok: Any, path: Union[str, int], key: str, reason: str, *values: Any) -> None:
+    """``_fail`` unless ``ok``, with each of ``values`` shown by ``_shown`` at a
+    ``%s`` of ``reason``; per-node and per-request checks are inline ``if``s."""
     if not ok:
-        _fail(path, key, reason % args)
+        _fail(path, key, reason % tuple(map(_shown, values)))
 
 
 def _number(value: Any, kind: type, path: Union[str, int], key: str) -> Any:
     """``kind(value)``; a JSON boolean is not a number, though ``int(True)`` is 1."""
     if value.__class__ is bool:
-        _fail(path, key, f"must be a number, got {value!r}")
+        _fail(path, key, f"must be a number, got {_shown(value)}")
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:   # OverflowError: int(inf)
@@ -171,32 +182,16 @@ def _number(value: Any, kind: type, path: Union[str, int], key: str) -> Any:
 
 
 def _objects(value: Any, path: str) -> list[dict]:
-    _check(isinstance(value, list), path, "", "must be a list of objects, got %r", value)
+    _check(isinstance(value, list), path, "", "must be a list of objects, got %s", value)
     for i, item in enumerate(value):
         if not isinstance(item, dict):
-            _fail(f"{path}[{i}]", "", f"must be an object, got {item!r}")
+            _fail(f"{path}[{i}]", "", f"must be an object, got {_shown(item)}")
     return value
-
-
-def _text(value: Any, path: str, key: str) -> str:
-    """A string without NUL, which the CSV reports cannot hold on Python 3.10."""
-    if not isinstance(value, str) or "\0" in value:
-        _fail(path, key, f"must be a string without NUL, got {value!r}")
-    return value
-
-
-def _texts(values: Any, path: str, key: str) -> tuple[str, ...]:
-    if not isinstance(values, list):
-        _fail(path, key, f"must be a list, got {values!r}")
-    for i, value in enumerate(values):
-        if not isinstance(value, str) or "\0" in value:
-            _text(value, path, f"{key}[{i}]")
-    return tuple(values)
 
 
 def _node(nodes: dict[str, NodeSpec], value: Any, path: Union[str, int], key: str) -> NodeSpec:
     if not (isinstance(value, str) and value in nodes):
-        _fail(path, key, f"unknown node {value!r}")
+        _fail(path, key, f"unknown node {_shown(value)}")
     return nodes[value]
 
 
@@ -205,109 +200,166 @@ def parse_topology(config: dict) -> Topology:
     _check("seed" in config, "", "seed", "is required")
     seed = _number(config["seed"], int, "", "seed")
     interval = _number(config.get("block_interval_ms", 15000), int, "", "block_interval_ms")
-    _check(interval >= 1, "", "block_interval_ms", "must be >= 1, got %r", interval)
+    _check(interval >= 1, "", "block_interval_ms", "must be >= 1, got %s", interval)
     # event times are floats, so the horizon must be one
     horizon = _number(MAX_BLOCKS * interval, float, "", "block_interval_ms")
     access_control = config.get("access_control", True)
     _check(isinstance(access_control, bool), "", "access_control",
-           "must be true or false, got %r", access_control)
+           "must be true or false, got %s", access_control)
     timeout = _number(config.get("timeout_ms", 30000), float, "", "timeout_ms")
-    _check(0 <= timeout <= horizon, "", "timeout_ms", "must be a number from 0 to the "
-           "horizon of %d blocks (%g ms), got %r", MAX_BLOCKS, horizon, timeout)
+    if not 0 <= timeout <= horizon:
+        _fail("", "timeout_ms", f"must be a number from 0 to the horizon of {MAX_BLOCKS} "
+              f"blocks ({horizon:g} ms), got {_shown(timeout)}")
     policy = config.get("registration_policy", {})
     _check(isinstance(policy, dict), "", "registration_policy",
-           "must be an object, got %r", policy)
+           "must be an object, got %s", policy)
     kind, vids, required = (policy.get("kind", "allow_all"), policy.get("vids", []),
                             policy.get("required_attributes", {}))
-    _check(kind in POLICY_KINDS, "registration_policy", "kind", "must be one of %s, got %r",
-           ", ".join(POLICY_KINDS), kind)
+    if kind not in POLICY_KINDS:
+        _fail("registration_policy", "kind",
+              f"must be one of {', '.join(POLICY_KINDS)}, got {_shown(kind)}")
     _check(isinstance(vids, list) and all(isinstance(vid, str) for vid in vids),
-           "registration_policy", "vids", "must be a list of hex strings, got %r", vids)
+           "registration_policy", "vids", "must be a list of hex strings, got %s", vids)
+    hexes = []
+    for i, vid in enumerate(vids):   # as ``Address.hex`` spells it, so any spelling matches
+        try:
+            hexes.append(Address.from_hex(vid).hex)
+        except ValueError as exc:
+            _fail("registration_policy", f"vids[{i}]", f"{_shown(vid)} is not an address ({exc})")
     _check(isinstance(required, dict), "registration_policy", "required_attributes",
-           "must be an object, got %r", required)
+           "must be an object, got %s", required)
     nodes, supervisor = _parse_nodes(config.get("nodes", []), seed)
     channels, longest_delay = _parse_channels(config.get("channels", []), nodes, horizon)
     return Topology(seed, interval, access_control, timeout,
                     horizon - max(timeout, longest_delay),
-                    RegistrationPolicy(kind, frozenset(vids), tuple(sorted(required.items()))),
+                    RegistrationPolicy(kind, frozenset(hexes), tuple(sorted(required.items()))),
                     nodes, supervisor, channels)
 
 
-def _parse_profile(value: Any, path: str) -> ProcessingProfile:
-    if value is None or isinstance(value, str) and value in PROFILES:
-        return PROFILES["none" if value is None else value]
-    _check(isinstance(value, dict), path, "profile",
-           "must be a preset (%s) or an object of costs, got %r", ", ".join(PROFILES), value)
+#: A node's ``profile`` when it names a preset or is absent (``None``).
+_PRESETS: dict[Any, ProcessingProfile] = {None: PROFILES["none"], **PROFILES}
+
+
+def _parse_profile(value: Any, i: int) -> ProcessingProfile:
+    """Node ``i``'s ``profile`` when it is not a preset: an object of costs."""
+    if not isinstance(value, dict):
+        _fail(f"nodes[{i}]", "profile", f"must be a preset ({', '.join(PROFILES)}) or an "
+              f"object of costs, got {_shown(value)}")
     for cost, ms in value.items():
         # NaN fails the comparison; an int beyond the largest float would overflow the sums
-        _check(cost in COSTS and type(ms) in (int, float) and 0 <= ms <= sys.float_info.max,
-               path, f"profile.{cost}", "must be a cost (%s) of a number >= 0, got %r",
-               ", ".join(COSTS), ms)
+        if not (cost in COSTS and type(ms) in (int, float) and 0 <= ms <= sys.float_info.max):
+            _fail(f"nodes[{i}]", f"profile.{cost}", f"must be a cost ({', '.join(COSTS)}) of "
+                  f"a number >= 0, got {_shown(ms)}")
     return ProcessingProfile(**value)
 
 
+def _texts(values: Any, i: int, key: str) -> tuple[str, ...]:
+    """Node ``i``'s list ``key`` of strings without NUL, which the CSV reports
+    cannot hold on Python 3.10."""
+    if not isinstance(values, list):
+        _fail(f"nodes[{i}]", key, f"must be a list, got {_shown(values)}")
+    for j, value in enumerate(values):
+        if not isinstance(value, str) or "\0" in value:
+            _fail(f"nodes[{i}]", f"{key}[{j}]",
+                  f"must be a string without NUL, got {_shown(value)}")
+    return tuple(values)
+
+
 def _parse_nodes(specs: Any, seed: int) -> tuple[dict[str, NodeSpec], NodeSpec]:
+    """The nodes keyed by name, each with the next vid the seed draws, in node
+    order, and the supervisor. The checks are inline ``if``s that build the
+    ``nodes[i]`` path only when one fails."""
     _check(_objects(specs, "nodes"), "", "nodes", "must list at least one node")
-    factory = AddressFactory(seed)
+    new, new_address = tuple.__new__, AddressFactory(seed).new_address
     nodes: dict[str, NodeSpec] = {}
     zones: set[str] = set()
+    supervisors: list[NodeSpec] = []
     for i, spec in enumerate(specs):
-        path = f"nodes[{i}]"
-        name = spec.get("name")
+        get = spec.get
+        name, role, zone = get("name"), get("role", "client"), get("zone", "")
         if not (name and isinstance(name, str) and "\0" not in name):
-            _fail(path, "name", f"must be a nonempty string without NUL, got {name!r}")
+            _fail(f"nodes[{i}]", "name",
+                  f"must be a nonempty string without NUL, got {_shown(name)}")
         if name in nodes:
-            _fail(path, "name", f"duplicate node name {name!r}")
-        role = spec.get("role", "client")
+            _fail(f"nodes[{i}]", "name", f"duplicate node name {_shown(name)}")
         if role not in ROLES:
-            _fail(path, "role", f"unknown role {role!r}")
-        zone = _text(spec.get("zone", ""), path, "zone")
+            _fail(f"nodes[{i}]", "role", f"unknown role {_shown(role)}")
+        if not isinstance(zone, str) or "\0" in zone:
+            _fail(f"nodes[{i}]", "zone", f"must be a string without NUL, got {_shown(zone)}")
         if zone or role == "master":
-            _check(zone, path, "zone", "a master must own a zone")
-            _check(role in ("master", "supervisor"), path, "zone",
-                   "only masters or the supervisor own zones")
-            _check(zone not in zones, path, "zone", "zone %r owned by more than one node", zone)
+            if not zone:
+                _fail(f"nodes[{i}]", "zone", "a master must own a zone")
+            if role not in ("master", "supervisor"):
+                _fail(f"nodes[{i}]", "zone", "only masters or the supervisor own zones")
+            if zone in zones:
+                _fail(f"nodes[{i}]", "zone", f"zone {_shown(zone)} owned by more than one node")
             zones.add(zone)
-        services = _texts(spec.get("services", []), path, "services")
+        services = _texts(spec["services"], i, "services") if "services" in spec else ()
         for j, uri in enumerate(services):
-            _check(uri.startswith("/"), path, f"services[{j}]", "must start with '/', got %r", uri)
-        nodes[name] = NodeSpec(
-            name, role, factory.new_address(), _parse_profile(spec.get("profile"), path),
-            services, zone, _texts(spec.get("members", []), path, "members"),
-            _text(spec.get("location", ""), path, "location"))
-    supervisors = [node for node in nodes.values() if node.role == "supervisor"]
-    _check(len(supervisors) == 1, "", "nodes", "exactly one supervisor required, found %d",
+            if not uri.startswith("/"):
+                _fail(f"nodes[{i}]", f"services[{j}]", f"must start with '/', got {_shown(uri)}")
+        profile = get("profile")
+        try:
+            profile = _PRESETS[profile]
+        except (KeyError, TypeError):   # TypeError: an unhashable profile, such as an object
+            profile = _parse_profile(profile, i)
+        members = _texts(spec["members"], i, "members") if "members" in spec else ()
+        location = get("location", "")
+        if not isinstance(location, str) or "\0" in location:
+            _fail(f"nodes[{i}]", "location",
+                  f"must be a string without NUL, got {_shown(location)}")
+        node = nodes[name] = new(NodeSpec, (name, role, new_address(), profile, services,
+                                            zone, members, location))
+        if role == "supervisor":
+            supervisors.append(node)
+    _check(len(supervisors) == 1, "", "nodes", "exactly one supervisor required, found %s",
            len(supervisors))
     for i, node in enumerate(nodes.values()):
         for j, member in enumerate(node.members):
             if member not in nodes:
-                _fail(f"nodes[{i}]", f"members[{j}]", f"unknown node {member!r}")
+                _fail(f"nodes[{i}]", f"members[{j}]", f"unknown node {_shown(member)}")
     return nodes, supervisors[0]
 
 
 def _parse_channels(specs: Any, nodes: dict[str, NodeSpec], horizon: float
                     ) -> tuple[dict[tuple[str, str], ChannelSpec], float]:
-    """The channels keyed by ``link``, and the longest one-way delay."""
+    """The channels keyed by ``link``, and the longest one-way delay. The checks
+    are inline ``if``s that build the ``channels[i]`` path only when one fails."""
+    new = tuple.__new__
+    names = {name: name for name in nodes}   # an endpoint's check and its key text at once
     channels: dict[tuple[str, str], ChannelSpec] = {}
     longest = 0.0
     for i, spec in enumerate(_objects(specs, "channels")):
-        path = f"channels[{i}]"
-        key = link(_node(nodes, spec.get("a"), path, "a").name,
-                   _node(nodes, spec.get("b"), path, "b").name)
-        drop_rate = _number(spec.get("drop_rate", 0.0), float, path, "drop_rate")
+        get = spec.get
+        a, b = get("a"), get("b")
+        try:
+            a = names[a]
+        except (KeyError, TypeError):   # TypeError: an unhashable name
+            _fail(f"channels[{i}]", "a", f"unknown node {_shown(a)}")
+        try:
+            b = names[b]
+        except (KeyError, TypeError):
+            _fail(f"channels[{i}]", "b", f"unknown node {_shown(b)}")
+        drop_rate = get("drop_rate", 0.0)
+        if drop_rate.__class__ is not float:
+            drop_rate = _number(drop_rate, float, f"channels[{i}]", "drop_rate")
         if not 0 <= drop_rate < 1:
-            _fail(path, "drop_rate", f"must be in [0, 1), got {drop_rate!r}")
-        given = spec.get("one_way_delay_ms", 0.0)
+            _fail(f"channels[{i}]", "drop_rate", f"must be in [0, 1), got {_shown(drop_rate)}")
+        given = get("one_way_delay_ms", 0.0)
         delay = tuple(given) if isinstance(given, list) else given
         low, high = delay if isinstance(delay, tuple) and len(delay) == 2 else (delay, delay)
         if not (type(low) in (int, float) and type(high) in (int, float)
                 and 0 <= low <= high <= horizon):
-            _fail(path, "one_way_delay_ms", f"must be a number or a range [low, high] with "
-                  f"0 <= low <= high <= the horizon ({horizon:g} ms), got {given!r}")
+            _fail(f"channels[{i}]", "one_way_delay_ms", f"must be a number or a range [low, "
+                  f"high] with 0 <= low <= high <= the horizon ({horizon:g} ms), got "
+                  f"{_shown(given)}")
+        key = (a, b) if a <= b else (b, a)   # link(a, b)
         if key in channels:
-            _fail(path, "", f"duplicate channel between {key[0]!r} and {key[1]!r}")
-        channels[key] = ChannelSpec(delay, drop_rate)
-        longest = max(longest, high)
+            _fail(f"channels[{i}]", "", f"duplicate channel between {_shown(key[0])} and "
+                  f"{_shown(key[1])}")
+        channels[key] = new(ChannelSpec, (delay, drop_rate))
+        if high > longest:
+            longest = high
     return channels, longest
 
 
@@ -321,36 +373,37 @@ def parse_script(script: Any, topology: Topology) -> list[Event]:
         at = _number(event.get("at", 0), float, i, "at")
         if not -math.inf < at <= latest:   # NaN fails too
             _fail(i, "at", f"must be a finite time of at most {latest:g} ms (the horizon "
-                  f"of {MAX_BLOCKS} blocks less the longest wait), got {at!r}")
+                  f"of {MAX_BLOCKS} blocks less the longest wait), got {_shown(at)}")
         op = event.get("op")
         if op == "request":
             a, b = event.get("requester"), event.get("provider")
             try:
                 requester = nodes[a]
             except (KeyError, TypeError):   # TypeError: an unhashable name
-                _fail(i, "requester", f"unknown node {a!r}")
+                _fail(i, "requester", f"unknown node {_shown(a)}")
             try:
                 provider = nodes[b]
             except (KeyError, TypeError):
-                _fail(i, "provider", f"unknown node {b!r}")
+                _fail(i, "provider", f"unknown node {_shown(b)}")
             uri, method, expect = event.get("uri"), event.get("method"), event.get("expect")
             if uri not in provider.services:
-                _fail(i, "uri", f"{provider.name!r} does not serve {uri!r}")
+                _fail(i, "uri", f"{_shown(provider.name)} does not serve {_shown(uri)}")
             if method not in ACTIONS:
-                _fail(i, "method", f"unknown method {method!r}")
+                _fail(i, "method", f"unknown method {_shown(method)}")
             if expect not in EXPECTS:
-                _fail(i, "expect", f"must be grant, deny, timeout or null, got {expect!r}")
+                _fail(i, "expect", f"must be grant, deny, timeout or null, got {_shown(expect)}")
             channel = channels.get(link(a, b))
             if channel is None:
-                _fail(i, "", f"no channel between {requester.name!r} and {provider.name!r}")
+                _fail(i, "", f"no channel between {_shown(requester.name)} and "
+                      f"{_shown(provider.name)}")
             event = new(Request, (at, i, requester, provider, channel, method, uri, expect))
         elif op == "register":
             node = _node(nodes, event.get("node"), i, "node")
             master = _node(nodes, event.get("master"), i, "master")
             attributes = event.get("attributes", {})
-            _check(master.role == "master", i, "master", "%r is not a master", master.name)
+            _check(master.role == "master", i, "master", "%s is not a master", master.name)
             _check(isinstance(attributes, dict), i, "attributes",
-                   "must be an object, got %r", attributes)
+                   "must be an object, got %s", attributes)
             if attributes:
                 _shallow(attributes, i, "attributes")
             event = new(Register, (at, i, node, master, attributes))
@@ -360,17 +413,17 @@ def parse_script(script: Any, topology: Topology) -> list[Event]:
             rules = event.get("rules")
             if op == "issue":
                 validity = _number(event.get("validity_ms", 3_600_000), int, i, "validity_ms")
-                _check(validity >= 0, i, "validity_ms", "must be >= 0, got %r", validity)
+                _check(validity >= 0, i, "validity_ms", "must be >= 0, got %s", validity)
                 event = new(Issue, (at, i, master, subject, _parse_rules(rules, i), validity))
             else:
                 if op == "revoke_rules":
-                    _check(isinstance(rules, list), i, "rules", "must be a list, got %r", rules)
+                    _check(isinstance(rules, list), i, "rules", "must be a list, got %s", rules)
                     _shallow(rules, i, "rules")
                 else:
                     rules = None
                 event = new(TokenChange, (at, i, op, master, subject, rules))
         else:
-            _check(op == "advance", i, "op", "unknown op %r", op)
+            _check(op == "advance", i, "op", "unknown op %s", op)
             event = new(Advance, (at, i))
         events.append(event)
     events.sort(key=itemgetter(0))   # stable: equal times keep index order
@@ -387,13 +440,14 @@ def _shallow(value: Union[list, dict], i: int, key: str) -> None:
 def _parse_rules(rules: Any, i: int) -> list[dict]:
     """Event ``i``'s rules as the token contract reads them, by ``rule_wire``: the
     wire dicts that go to the contract as they are."""
-    _check(isinstance(rules, list), i, "rules", "must be a list of rules, got %r", rules)
+    _check(isinstance(rules, list), i, "rules", "must be a list of rules, got %s", rules)
     parsed = []
     for j, rule in enumerate(rules):
         if not isinstance(rule, dict):
-            _fail(f"script[{i}].rules[{j}]", "", f"must be an object, got {rule!r}")
+            _fail(f"script[{i}].rules[{j}]", "", f"must be an object, got {_shown(rule)}")
         if rule.get("action") not in ACTIONS:
-            _fail(f"script[{i}].rules[{j}]", "action", f"{rule.get('action')!r} is not an action")
+            _fail(f"script[{i}].rules[{j}]", "action",
+                  f"{_shown(rule.get('action'))} is not an action")
         try:
             parsed.append(rule_wire(rule))
         except RULE_ERRORS as exc:

@@ -17,10 +17,12 @@ whole to ``csv.writer``, statistics gathered one list at a time, numbers
 formatted by ``reference_fmt``, the one-line formatter that ``netsim._fmt``
 extends with a fast path.
 Then come the script parser that formatted every event's path and checked
-its nodes through helpers, and the event loop that pushed every script
-event through the heap and built each request's records by keyword, and
-the pipeline that built a fresh record and decision per stage; they share
-the package's check helpers, handlers and stage checks. Then come the value
+its nodes through helpers, the topology parser that did the same for every
+node and channel and kept the registration vids as given, the event loop
+that pushed every script event through the heap and built each request's
+records by keyword, and the pipeline that built a fresh record and decision
+per stage; they share the package's check helpers, handlers and stage
+checks. Then come the value
 types that interning and memoising replaced: the frozen-dataclass address
 and the fee computation done afresh for every transaction. Then comes the
 chain that stored two frozen records per transaction, a receipt and a gas
@@ -44,20 +46,23 @@ import io
 import json
 import math
 import statistics
+import sys
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 
-from capchain.address import Address
+from capchain.address import Address, AddressFactory
 from capchain.enforcement import (PIPELINE_STAGES, Decision, ServiceRequest, StageRecord,
                                   StageTrace, match_access_rule, verify_conditions,
                                   verify_token_status)
 from capchain.encoding import canonical_json, canonical_str, sha256_hex
 from capchain.ledger import (GENESIS, Block, Chain, ChainFileError, ContractRejection,
                              CorruptChainError, LedgerError, NoGasRecordedError)
+from capchain.master import RegistrationPolicy
 from capchain.netsim import MEASUREMENT_COLUMNS, Measurement, SimulationResult
-from capchain.scenario import (ACTIONS, EXPECTS, MAX_BLOCKS, RULE_ERRORS, Advance, Issue,
-                               Register, Request, TokenChange, _check, _fail, _node, _number,
-                               _objects, link)
+from capchain.scenario import (ACTIONS, COSTS, EXPECTS, MAX_BLOCKS, POLICY_KINDS, PROFILES,
+                               ROLES, RULE_ERRORS, Advance, ChannelSpec, Issue, NodeSpec,
+                               ProcessingProfile, Register, Request, TokenChange, Topology,
+                               _check, _fail, _node, _number, _objects, link)
 from capchain.tokens import Action, ConditionKind, TokenContract
 from capchain.zones import NODE_TYPE_NONE
 
@@ -493,9 +498,9 @@ def reference_parse_script(script, topology):
             node = _node(nodes, event.get("node"), path, "node")
             master = _node(nodes, event.get("master"), path, "master")
             attributes = event.get("attributes", {})
-            _check(master.role == "master", path, "master", "%r is not a master", master.name)
+            _check(master.role == "master", path, "master", "%s is not a master", master.name)
             _check(isinstance(attributes, dict), path, "attributes",
-                   "must be an object, got %r", attributes)
+                   "must be an object, got %s", attributes)
             event = Register(at, i, node, master, attributes)
         elif op in ("issue", "revoke", "revoke_rules", "suspend", "restore"):
             master = _node(nodes, event.get("master"), path, "master")
@@ -503,16 +508,16 @@ def reference_parse_script(script, topology):
             rules = event.get("rules")
             if op == "issue":
                 validity = _number(event.get("validity_ms", 3_600_000), int, path, "validity_ms")
-                _check(validity >= 0, path, "validity_ms", "must be >= 0, got %r", validity)
+                _check(validity >= 0, path, "validity_ms", "must be >= 0, got %s", validity)
                 event = Issue(at, i, master, subject, _reference_parse_rules(rules, path),
                               validity)
             else:
                 _check(op != "revoke_rules" or isinstance(rules, list), path, "rules",
-                       "must be a list, got %r", rules)
+                       "must be a list, got %s", rules)
                 event = TokenChange(at, i, op, master, subject,
                                     rules if op == "revoke_rules" else None)
         else:
-            _check(op == "advance", path, "op", "unknown op %r", op)
+            _check(op == "advance", path, "op", "unknown op %s", op)
             event = Advance(at, i)
         events.append(event)
     events.sort(key=lambda event: event.at)   # stable: equal times keep index order
@@ -522,18 +527,150 @@ def reference_parse_script(script, topology):
 def _reference_parse_rules(rules, path):
     """Each rule decoded into a typed rule, then turned back into the wire dict
     that the master submitted."""
-    _check(isinstance(rules, list), path, "rules", "must be a list of rules, got %r", rules)
+    _check(isinstance(rules, list), path, "rules", "must be a list of rules, got %s", rules)
     parsed = []
     for j, rule in enumerate(rules):
         where = f"{path}.rules[{j}]"
-        _check(isinstance(rule, dict), where, "", "must be an object, got %r", rule)
-        _check(rule.get("action") in ACTIONS, where, "action", "%r is not an action",
+        _check(isinstance(rule, dict), where, "", "must be an object, got %s", rule)
+        _check(rule.get("action") in ACTIONS, where, "action", "%s is not an action",
                rule.get("action"))
         try:
             parsed.append(ReferenceAccessRule.from_wire(rule).wire())
         except RULE_ERRORS as exc:
             _fail(where, "", f"is not a rule ({type(exc).__name__}: {exc})")
     return parsed
+
+
+# ---------------------------------------------------------------------------
+# Topology parser (a path text per node and channel, checks through helpers)
+# ---------------------------------------------------------------------------
+
+def reference_parse_topology(config):
+    """``scenario.parse_topology`` formatting ``nodes[i]`` and ``channels[i]`` for
+    every node and channel, checking each field through a helper, building each
+    spec through its named tuple's constructor and keeping the registration
+    policy's vids as the texts the scenario gave."""
+    _check("seed" in config, "", "seed", "is required")
+    seed = _number(config["seed"], int, "", "seed")
+    interval = _number(config.get("block_interval_ms", 15000), int, "", "block_interval_ms")
+    _check(interval >= 1, "", "block_interval_ms", "must be >= 1, got %s", interval)
+    horizon = _number(MAX_BLOCKS * interval, float, "", "block_interval_ms")
+    access_control = config.get("access_control", True)
+    _check(isinstance(access_control, bool), "", "access_control",
+           "must be true or false, got %s", access_control)
+    timeout = _number(config.get("timeout_ms", 30000), float, "", "timeout_ms")
+    _check(0 <= timeout <= horizon, "", "timeout_ms", f"must be a number from 0 to the "
+           f"horizon of {MAX_BLOCKS} blocks ({horizon:g} ms), got %s", timeout)
+    policy = config.get("registration_policy", {})
+    _check(isinstance(policy, dict), "", "registration_policy",
+           "must be an object, got %s", policy)
+    kind, vids, required = (policy.get("kind", "allow_all"), policy.get("vids", []),
+                            policy.get("required_attributes", {}))
+    _check(kind in POLICY_KINDS, "registration_policy", "kind",
+           f"must be one of {', '.join(POLICY_KINDS)}, got %s", kind)
+    _check(isinstance(vids, list) and all(isinstance(vid, str) for vid in vids),
+           "registration_policy", "vids", "must be a list of hex strings, got %s", vids)
+    _check(isinstance(required, dict), "registration_policy", "required_attributes",
+           "must be an object, got %s", required)
+    nodes, supervisor = _reference_parse_nodes(config.get("nodes", []), seed)
+    channels, longest_delay = _reference_parse_channels(config.get("channels", []), nodes,
+                                                        horizon)
+    return Topology(seed, interval, access_control, timeout,
+                    horizon - max(timeout, longest_delay),
+                    RegistrationPolicy(kind, frozenset(vids), tuple(sorted(required.items()))),
+                    nodes, supervisor, channels)
+
+
+def _reference_text(value, path, key):
+    if not isinstance(value, str) or "\0" in value:
+        _fail(path, key, f"must be a string without NUL, got {value!r}")
+    return value
+
+
+def _reference_texts(values, path, key):
+    if not isinstance(values, list):
+        _fail(path, key, f"must be a list, got {values!r}")
+    for i, value in enumerate(values):
+        if not isinstance(value, str) or "\0" in value:
+            _reference_text(value, path, f"{key}[{i}]")
+    return tuple(values)
+
+
+def _reference_parse_profile(value, path):
+    if value is None or isinstance(value, str) and value in PROFILES:
+        return PROFILES["none" if value is None else value]
+    _check(isinstance(value, dict), path, "profile",
+           f"must be a preset ({', '.join(PROFILES)}) or an object of costs, got %s", value)
+    for cost, ms in value.items():
+        _check(cost in COSTS and type(ms) in (int, float) and 0 <= ms <= sys.float_info.max,
+               path, f"profile.{cost}", f"must be a cost ({', '.join(COSTS)}) of a number "
+               f">= 0, got %s", ms)
+    return ProcessingProfile(**value)
+
+
+def _reference_parse_nodes(specs, seed):
+    _check(_objects(specs, "nodes"), "", "nodes", "must list at least one node")
+    factory = AddressFactory(seed)
+    nodes = {}
+    zones = set()
+    for i, spec in enumerate(specs):
+        path = f"nodes[{i}]"
+        name = spec.get("name")
+        if not (name and isinstance(name, str) and "\0" not in name):
+            _fail(path, "name", f"must be a nonempty string without NUL, got {name!r}")
+        if name in nodes:
+            _fail(path, "name", f"duplicate node name {name!r}")
+        role = spec.get("role", "client")
+        if role not in ROLES:
+            _fail(path, "role", f"unknown role {role!r}")
+        zone = _reference_text(spec.get("zone", ""), path, "zone")
+        if zone or role == "master":
+            _check(zone, path, "zone", "a master must own a zone")
+            _check(role in ("master", "supervisor"), path, "zone",
+                   "only masters or the supervisor own zones")
+            _check(zone not in zones, path, "zone", "zone %s owned by more than one node", zone)
+            zones.add(zone)
+        services = _reference_texts(spec.get("services", []), path, "services")
+        for j, uri in enumerate(services):
+            _check(uri.startswith("/"), path, f"services[{j}]", "must start with '/', got %s",
+                   uri)
+        nodes[name] = NodeSpec(
+            name, role, factory.new_address(),
+            _reference_parse_profile(spec.get("profile"), path), services, zone,
+            _reference_texts(spec.get("members", []), path, "members"),
+            _reference_text(spec.get("location", ""), path, "location"))
+    supervisors = [node for node in nodes.values() if node.role == "supervisor"]
+    _check(len(supervisors) == 1, "", "nodes", "exactly one supervisor required, found %s",
+           len(supervisors))
+    for i, node in enumerate(nodes.values()):
+        for j, member in enumerate(node.members):
+            if member not in nodes:
+                _fail(f"nodes[{i}]", f"members[{j}]", f"unknown node {member!r}")
+    return nodes, supervisors[0]
+
+
+def _reference_parse_channels(specs, nodes, horizon):
+    channels = {}
+    longest = 0.0
+    for i, spec in enumerate(_objects(specs, "channels")):
+        path = f"channels[{i}]"
+        key = link(_node(nodes, spec.get("a"), path, "a").name,
+                   _node(nodes, spec.get("b"), path, "b").name)
+        drop_rate = _number(spec.get("drop_rate", 0.0), float, path, "drop_rate")
+        if not 0 <= drop_rate < 1:
+            _fail(path, "drop_rate", f"must be in [0, 1), got {drop_rate!r}")
+        given = spec.get("one_way_delay_ms", 0.0)
+        delay = tuple(given) if isinstance(given, list) else given
+        low, high = delay if isinstance(delay, tuple) and len(delay) == 2 else (delay, delay)
+        if not (type(low) in (int, float) and type(high) in (int, float)
+                and 0 <= low <= high <= horizon):
+            _fail(path, "one_way_delay_ms", f"must be a number or a range [low, high] with "
+                  f"0 <= low <= high <= the horizon ({horizon:g} ms), got {given!r}")
+        if key in channels:
+            _fail(path, "", f"duplicate channel between {key[0]!r} and {key[1]!r}")
+        channels[key] = ChannelSpec(delay, drop_rate)
+        longest = max(longest, high)
+    return channels, longest
 
 
 # ---------------------------------------------------------------------------

@@ -213,6 +213,10 @@ class TestScenario:
          "nodes[3].profile.identity_auth: must be a cost"),
         (lambda c: c["nodes"][3].update(profile={"identity_auth": 10**400}),
          "nodes[3].profile.identity_auth: must be a cost"),
+        # a vid that no address spells, which could never match a node
+        (lambda c: c["registration_policy"].update(kind="denylist",
+                                                   vids=["0x" + "ab" * 20, "not-an-address"]),
+         "registration_policy.vids[1]: 'not-an-address' is not an address"),
     ], ids=["issue-without-rules", "string-delay", "nodes-object", "zero-interval",
             "inverted-delay-range", "one-element-delay-range", "unknown-action",
             "unknown-profile-key", "string-at", "string-drop-rate", "string-validity",
@@ -226,7 +230,7 @@ class TestScenario:
             "unknown-expect", "zero-expect", "empty-expect", "numeric-tag", "float-day",
             "bool-day", "bool-start", "string-conditions", "object-conditions", "bool-at",
             "bool-validity", "bool-seed", "bool-timeout", "bool-drop-rate", "bool-interval",
-            "bool-cost", "nan-cost", "infinite-cost", "overflowing-cost"])
+            "bool-cost", "nan-cost", "infinite-cost", "overflowing-cost", "non-address-vid"])
     def test_malformed_scenario_field_fails(self, tmp_path, capsys, mutate, named):
         config = json.loads((SCENARIOS / "registration_and_revocation.json").read_text())
         mutate(config)

@@ -4,13 +4,16 @@ Mutations of the sample scenario and of the benchmark workloads (at a small
 scale) must either run and write the artifacts, or exit 1 with exactly one
 ``{"error","detail"}`` line; a ``scenario-error`` detail starts with the JSON
 path of the field at fault. The CLI never raises. The same mutations drive
-``parse_script`` against ``reference_parse_script``, the parser it replaced.
+``parse_script`` against ``reference_parse_script``, the parser it replaced,
+and generated topologies with one or two bad fields drive ``parse_topology``
+against ``reference_parse_topology``.
 """
 
 import contextlib
 import copy
 import io
 import json
+import math
 import re
 import tempfile
 from pathlib import Path
@@ -20,10 +23,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capchain.cli import main
-from capchain.netsim import run_scenario
-from capchain.scenario import MAX_NESTING, ScenarioError, parse_script, parse_topology
+from capchain.netsim import Simulation, run_scenario
+from capchain.scenario import (COSTS, MAX_NESTING, PROFILES, ScenarioError, parse_script,
+                               parse_topology)
 
-from reference_models import reference_parse_script
+from reference_models import reference_parse_script, reference_parse_topology
 from workloads import WORKLOADS
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -203,3 +207,224 @@ def test_unparsed_values_nest_within_the_bound(key, depth):
         with pytest.raises(ScenarioError, match=re.escape(
                 f"script[{index}].{key}: arrays and objects nest deeper than 64 levels")):
             run_scenario(config)
+
+
+# -- the topology parser against the one it replaced ------------------------------
+
+NAMES = st.text(alphabet="abz-09", min_size=1, max_size=4)
+VIDS = st.binary(min_size=20, max_size=20).map(lambda raw: "0x" + raw.hex())
+MS = st.one_of(st.integers(0, 500), st.floats(0, 500, allow_nan=False), st.just(-0.0))
+PROFILE_VALUES = st.one_of(
+    st.sampled_from([None, *PROFILES]),
+    st.dictionaries(st.sampled_from(COSTS), MS, max_size=3))
+
+
+@st.composite
+def topologies(draw):
+    """A topology that both parsers accept: a supervisor, masters owning zones,
+    providers and clients under generated names, and channels between distinct
+    pairs, some with ``a`` and ``b`` in reverse order. Vids are lower-case hex,
+    which both parsers keep as the same text."""
+    masters, providers, clients = (draw(st.integers(1, 2)), draw(st.integers(0, 3)),
+                                   draw(st.integers(0, 3)))
+    names = draw(st.lists(NAMES, min_size=1 + masters + providers + clients,
+                          max_size=1 + masters + providers + clients, unique=True))
+    nodes = [{"name": names[0], "role": "supervisor"}]
+    if draw(st.booleans()):
+        nodes[0]["zone"] = "zone-s"
+    for k, name in enumerate(names[1:1 + masters]):
+        nodes.append({"name": name, "role": "master", "zone": f"zone-{k}",
+                      "members": draw(st.lists(st.sampled_from(names), max_size=3))})
+    for name in names[1 + masters:1 + masters + providers]:
+        nodes.append({"name": name, "role": draw(st.sampled_from(["satellite", "ground"])),
+                      "profile": draw(PROFILE_VALUES),
+                      "services": draw(st.lists(st.sampled_from(["/a", "/b/c", "/"]),
+                                                max_size=2)),
+                      "location": draw(st.sampled_from(["", "orbit-a"]))})
+    for name in names[1 + masters + providers:]:
+        nodes.append({"name": name, "role": "client"})
+        if draw(st.booleans()):
+            nodes[-1]["profile"] = draw(PROFILE_VALUES)
+    for node in nodes:   # spelt out, the defaults are fields that a mutation can hit
+        if draw(st.booleans()):
+            for key, default in (("zone", ""), ("services", []), ("members", []),
+                                 ("location", ""), ("profile", None)):
+                node.setdefault(key, default)
+    nodes = draw(st.permutations(nodes))
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
+    channels = []
+    for a, b in draw(st.lists(st.sampled_from(pairs), unique=True, max_size=6)):
+        if draw(st.booleans()):
+            a, b = b, a
+        low, high = sorted([draw(MS), draw(MS)])
+        channel = {"a": a, "b": b, "one_way_delay_ms": draw(st.sampled_from(
+            [low, [low, high]]))}
+        if draw(st.booleans()):
+            channel["drop_rate"] = draw(st.one_of(
+                st.floats(0, 0.99), st.sampled_from([0, -0.0, "0.25"])))
+        channels.append(channel)
+    config = {"seed": draw(st.integers(0, 2**32)), "nodes": nodes, "channels": channels}
+    for key, values in (("block_interval_ms", st.integers(1, 20000)),
+                        ("timeout_ms", st.integers(0, 40000)),
+                        ("access_control", st.booleans())):
+        if draw(st.booleans()):
+            config[key] = draw(values)
+    if draw(st.booleans()):
+        config["registration_policy"] = {
+            "kind": draw(st.sampled_from(["allow_all", "allowlist", "denylist", "attribute"])),
+            "vids": draw(st.lists(VIDS, max_size=3)),
+            "required_attributes": draw(st.dictionaries(NAMES, NAMES, max_size=2))}
+    return config
+
+
+#: Values of the wrong type or range for some field: JSON booleans, null, the
+#: non-finite floats, numeric strings, negatives, lists, objects and NUL strings.
+BAD_VALUES = [True, False, None, math.nan, math.inf, -math.inf, "7", "2.5", "-3", -1, -0.5,
+              0, "", "a\0b", [], ["x"], {}, {"x": 1}, "satellite", "master", "supervisor"]
+
+
+def bad_field(config, data):
+    """Give one field a bad value, drop it, or wrap it in a list. A vid never
+    becomes another string, which the reference parser would keep as text and the
+    parser reads as an address."""
+    keys, value = data.draw(st.sampled_from(locations(config)))
+    parent = config
+    for key in keys[:-1]:
+        parent = parent[key]
+    own = [value + "\0"] * 4 if isinstance(value, str) else []   # a NUL in this very text
+    new = data.draw(st.sampled_from(BAD_VALUES + [DROP, [value]] + own))
+    if keys[:2] == ("registration_policy", "vids") and len(keys) == 3 \
+            and isinstance(new, str):
+        new = DROP
+    if new is DROP:
+        del parent[keys[-1]]
+    else:
+        parent[keys[-1]] = new
+
+
+def shape_fault(config, data):
+    """A fault in the topology's shape: a duplicate name, zone or channel (the
+    copy maybe with ``a`` and ``b`` reversed), an unknown or unhashable member or
+    endpoint, a NUL in a node's text, or no supervisor or two. Nothing changes
+    once ``bad_field`` has broken the node or channel list itself."""
+    nodes, channels = config.get("nodes"), config.get("channels")
+    if not (isinstance(nodes, list) and isinstance(channels, list) and nodes
+            and all(isinstance(item, dict) for item in nodes + channels)):
+        return
+    node = data.draw(st.sampled_from(nodes))
+    fault = data.draw(st.sampled_from(["name", "zone", "channel", "member", "endpoint",
+                                       "unhashable", "nul", "no-supervisor", "supervisors"]))
+    if fault == "name":
+        node["name"] = data.draw(st.sampled_from(nodes)).get("name")
+    elif fault == "zone":
+        owners = [each for each in nodes if each.get("role") in ("master", "supervisor")]
+        node = data.draw(st.sampled_from(owners or nodes))
+        node["zone"] = data.draw(st.sampled_from(
+            [each["zone"] for each in nodes if each is not node and each.get("zone")]
+            + ["zone-x"]))
+    elif fault == "channel" and channels:
+        copied = dict(data.draw(st.sampled_from(channels)))
+        if data.draw(st.booleans()):
+            copied["a"], copied["b"] = copied.get("b"), copied.get("a")
+        channels.insert(data.draw(st.integers(0, len(channels))), copied)
+    elif fault == "member":
+        members = node.get("members")
+        node["members"] = (members if isinstance(members, list) else []) + [
+            data.draw(st.sampled_from(["ghost", 5, ["x"]]))]
+    elif fault == "endpoint" and channels:
+        data.draw(st.sampled_from(channels))[data.draw(st.sampled_from("ab"))] = "ghost"
+    elif fault == "unhashable":
+        target = data.draw(st.sampled_from([node] + channels))
+        key = "name" if target is node else data.draw(st.sampled_from("ab"))
+        target[key] = data.draw(st.sampled_from([[target.get(key)], {"x": target.get(key)}]))
+    elif fault == "nul":
+        key = data.draw(st.sampled_from(["name", "zone", "location", "services", "members"]))
+        text = "/\0" if key == "services" else f"{node.get('name')}\0"
+        node[key] = [text] if key in ("services", "members") else text
+    elif fault == "no-supervisor":
+        for each in nodes:
+            if each.get("role") == "supervisor":
+                each["role"] = "client"
+                each.pop("zone", None)
+    elif fault == "supervisors":
+        node["role"] = "supervisor"
+
+
+def topology_outcome(parse, config):
+    """The topology with every field's type in view (the ``repr`` of the settings,
+    the policy with its vids sorted, the node specs and the channel dict in key
+    order, which tell ``3`` from ``3.0`` and ``-0.0`` from ``0.0``), or the error."""
+    try:
+        topology = parse(config)
+    except ScenarioError as exc:
+        return f"ScenarioError: {exc}"
+    policy = topology.registration_policy
+    return repr((topology[:5], policy.kind, sorted(policy.vids), policy.required_attributes,
+                 list(topology.nodes.items()), topology.supervisor,
+                 sorted(topology.channels.items())))
+
+
+@settings(max_examples=600, deadline=None)
+@given(config=topologies(), count=st.sampled_from([0, 1, 1, 2]), data=st.data())
+def test_parse_topology_equals_reference(config, count, data):
+    for _ in range(count):
+        data.draw(st.sampled_from([bad_field, shape_fault]))(config, data)
+    assert topology_outcome(parse_topology, config) == \
+        topology_outcome(reference_parse_topology, config)
+
+
+@pytest.mark.parametrize("name", ["sample"] + sorted(WORKLOADS))
+def test_parse_topology_equals_reference_on_full_inputs(name):
+    config = BASES[0] if name == "sample" else WORKLOADS[name](7, scale=1)
+    assert topology_outcome(parse_topology, config) == \
+        topology_outcome(reference_parse_topology, config)
+
+
+# -- values nested past the bound, and the vids -----------------------------------
+
+DEEP = 3000   # past the interpreter's recursion limit, where a repr would fail
+
+
+@pytest.mark.parametrize("place,named", [
+    (lambda c: c["nodes"][2].update(role=nested(DEEP)),
+     "nodes[2].role: unknown role <list nested deeper than 64 levels>"),
+    (lambda c: c["channels"][0].update(one_way_delay_ms={"x": nested(DEEP)}),
+     "channels[0].one_way_delay_ms: must be a number or a range [low, high] with 0 <= low "
+     "<= high <= the horizon (1.5e+09 ms), got <dict nested deeper than 64 levels>"),
+    (lambda c: c["registration_policy"].update(vids=[nested(DEEP)]),
+     "registration_policy.vids: must be a list of hex strings, got <list nested deeper "
+     "than 64 levels>"),
+    (lambda c: c["script"][0].update(op=nested(DEEP)),
+     "script[0].op: unknown op <list nested deeper than 64 levels>"),
+    (lambda c: c["nodes"][3].update(profile=[nested(DEEP)]),
+     "nodes[3].profile: must be a preset (satellite, ground, satellite_query, none) or an "
+     "object of costs, got <list nested deeper than 64 levels>"),
+], ids=["role", "delay", "vid", "op", "profile"])
+def test_a_deep_value_is_named_by_type_in_the_error(place, named):
+    # a library caller gets the ScenarioError, not a RecursionError from repr
+    config = copy.deepcopy(BASES[0])
+    place(config)
+    with pytest.raises(ScenarioError) as caught:
+        Simulation(config).run()
+    assert str(caught.value) == named
+
+
+def test_a_value_within_the_bound_is_shown_whole():
+    config = copy.deepcopy(BASES[0])
+    config["nodes"][2]["role"] = nested(MAX_NESTING)
+    with pytest.raises(ScenarioError, match=re.escape(
+            f"nodes[2].role: unknown role {nested(MAX_NESTING)!r}")):
+        Simulation(config)
+
+
+@pytest.mark.parametrize("spell", [lambda text: "0x" + text[2:].upper(), str.upper,
+                                   str.lower, lambda text: text[2:]],
+                         ids=["upper-digits", "upper", "lower", "unprefixed"])
+def test_a_listed_vid_matches_in_any_spelling(spell):
+    config = copy.deepcopy(BASES[0])
+    client = parse_topology(config).nodes["client"].vid.hex
+    config["registration_policy"] = {"kind": "denylist", "vids": [spell(client)]}
+    registrations = run_scenario(config)[1].registrations
+    assert [r["status"] for r in registrations] == ["denied"]
+    config["registration_policy"]["kind"] = "allowlist"
+    assert [r["status"] for r in run_scenario(config)[1].registrations] == ["confirmed"]
