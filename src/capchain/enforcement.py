@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, NamedTuple, Optional
 
-from .address import Address
+from .address import ZERO_ADDRESS, Address
 from .ledger import Chain, LedgerError
 from .tokens import MS_PER_DAY, ConditionKind, TokenContract
 from .zones import NODE_TYPE_NONE, VNodeRecord, ZoneContract
@@ -81,6 +81,8 @@ class Decision:
 
 
 GRANTED = Decision(granted=True)
+
+_VZONE = ZoneContract.name
 
 
 # ---------------------------------------------------------------------------
@@ -268,33 +270,29 @@ class ServiceProvider:
             lambda cursor: chain.query_state(TokenContract.name, "changes_since", (cursor,)))
         self._fetch_token = \
             lambda subject: chain.query_state(TokenContract.name, "get_token", (subject,))
-        self.contract_queries = 0
-        self._own_record: VNodeRecord = self._query_vnode(address)
-
-    def _query_vnode(self, addr: Address) -> VNodeRecord:
-        self.contract_queries += 1
-        return self.chain.query_state(ZoneContract.name, "get_vnode", (addr,))
+        self.contract_queries = 1   # the provider's own record, read here
+        self._own_record: VNodeRecord = chain.query_state(_VZONE, "get_vnode", (address,))
 
     def refresh_membership(self) -> None:
-        self._own_record = self.chain.query_state(
-            ZoneContract.name, "get_vnode", (self.address,))
+        self._own_record = self.chain.query_state(_VZONE, "get_vnode", (self.address,))
 
     # -- stage 0: identity authentication -------------------------------------
 
     def authenticate(self, requester: Address) -> tuple[bool, Optional[str]]:
         """Same-zone check: two contract queries (requester Vnode, then VZone)."""
-        requester_record = self._query_vnode(requester)
-        if self._own_record.node_type == NODE_TYPE_NONE or \
-                requester_record.node_type == NODE_TYPE_NONE:
+        query = self.chain.query_state
+        self.contract_queries += 1
+        requester_record = query(_VZONE, "get_vnode", (requester,))
+        own = self._own_record
+        if own.node_type == NODE_TYPE_NONE or requester_record.node_type == NODE_TYPE_NONE:
             return False, "not-member"
-        if requester_record.vzone_id != self._own_record.vzone_id:
+        zone_id = own.vzone_id
+        if requester_record.vzone_id != zone_id:
             return False, "zone-mismatch"
         self.contract_queries += 1
-        zone = self.chain.query_state(ZoneContract.name, "get_vzone",
-                                      (self._own_record.vzone_id,))
-        if zone.master.is_zero:
+        if query(_VZONE, "get_vzone", (zone_id,)).master is ZERO_ADDRESS:   # interned
             return False, "zone-revoked"
-        return True, None
+        return True, None   # a constant: every success returns this one tuple
 
     # -- stage 1: token fetch ----------------------------------------------------
 

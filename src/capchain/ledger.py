@@ -331,9 +331,11 @@ class Chain:
 
     def query_state(self, contract: str, op: str, args: tuple = ()) -> Any:
         """Read-only view of confirmed state; never sees the pending pool."""
-        if contract not in self._contracts:
-            raise ContractNotFoundError(f"unknown contract {contract!r}")
-        return self._contracts[contract].view(op, args)
+        try:
+            target = self._contracts[contract]
+        except KeyError:
+            raise ContractNotFoundError(f"unknown contract {contract!r}") from None
+        return target.view(op, args)
 
     def contract(self, name: str) -> Contract:
         if name not in self._contracts:

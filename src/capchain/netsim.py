@@ -34,6 +34,9 @@ from .scenario import Event, Issue, Register, Request, TokenChange, parse_script
 from .tokens import TokenContract
 from .zones import ZoneContract
 
+# a named tuple from its fields in order, without its generated __new__ and its frame
+_new = tuple.__new__
+
 #: One-way channel delay paired with each preset (ms).
 PROFILE_DELAYS: dict[str, float] = {
     "satellite": 5.0,
@@ -81,8 +84,6 @@ class Simulation:
         self._build_chain()
         self._bootstrap()
         self._build_services()
-        self._seq = 0
-        self._request_counter = 0
 
     # -- topology construction ---------------------------------------------------
 
@@ -119,18 +120,18 @@ class Simulation:
                     registration_policy=self.topology.registration_policy,
                 )
         self.providers: dict[str, ServiceProvider] = {}
+        # what an arrival reads of its provider, in one tuple per provider name
+        self._endpoints: dict[str, tuple[ServiceProvider, float, float, str]] = {}
         for node in self.nodes.values():
             if node.services:
-                self.providers[node.name] = ServiceProvider(
+                provider = self.providers[node.name] = ServiceProvider(
                     node.vid, self.chain,
                     stage_costs=node.profile.stage_costs(),
                 )
+                self._endpoints[node.name] = (provider, node.profile.data_parse,
+                                              node.profile.service_handler, node.location)
 
     # -- event loop ---------------------------------------------------------------------
-
-    def _push(self, queue: list, at: float, kind: str, payload: object) -> None:
-        self._seq += 1
-        heapq.heappush(queue, (at, self._seq, kind, payload))
 
     def run(self) -> SimulationResult:
         """Play the script, producing a block every ``block_interval_ms``.
@@ -143,26 +144,47 @@ class Simulation:
         """
         script = parse_script(self._script, self.topology)
         result = SimulationResult([], [], [], [])
-        queue: list = []
-        self._push(queue, float(self.topology.block_interval_ms), "block", None)
-        pop = heapq.heappop
+        # the chain's height, kept up to date by the block events, which alone
+        # produce blocks in the loop: a measurement reads this attribute rather
+        # than call the ``Chain.height`` property
+        self._height = self.chain.height
+        interval, timeout_ms = self.topology.block_interval_ms, self.topology.timeout_ms
+        draw = self.rng.random
+        # read through the module when the run starts, so a stand-in for it is used
+        push, pop = heapq.heappush, heapq.heappop
+        seq = 1   # push order, which orders generated events at equal times
+        queue: list = [(float(interval), seq, "block", None)]
+        request_id = 0
         position, count = 0, len(script)
         while True:
             if position < count and (not queue or script[position][0] <= queue[0][0]):
                 event = script[position]
                 position += 1
-                if event.__class__ is Request:
-                    self._handle_request(event, queue, result)
-                else:
+                if event.__class__ is not Request:
                     self._handle_script(event, result)
+                    continue
+                # send the request: it arrives after the channel's delay, or is dropped
+                request_id += 1
+                seq += 1
+                delay, drop_rate = event.channel
+                if drop_rate and draw() < drop_rate:
+                    self._record(event, request_id, result, "timeout", timeout_ms,
+                                 "message-dropped")
+                    push(queue, (event.at + timeout_ms, seq, "complete", None))
+                    continue
+                if isinstance(delay, tuple):
+                    low, high = delay
+                    delay = low + (high - low) * draw()   # the body of ``rng.uniform``
+                push(queue, (event.at + delay, seq, "arrival", (event, request_id, delay)))
             elif queue:
                 at, _, kind, payload = pop(queue)
-                if kind == "block":
+                if kind == "arrival":
+                    self._handle_arrival(at, payload, result)
+                elif kind == "block":
                     self._handle_block(at, result)
                     if position < count or queue:
-                        self._push(queue, at + self.topology.block_interval_ms, "block", None)
-                elif kind == "arrival":
-                    self._handle_arrival(at, payload, result)
+                        seq += 1
+                        push(queue, (at + interval, seq, "block", None))
                 # a "complete" only extends the horizon
             else:
                 break
@@ -183,7 +205,7 @@ class Simulation:
         # an Advance only extends the horizon
 
     def _handle_block(self, at: float, result: SimulationResult) -> None:
-        self.chain.produce_block(int(at))
+        self._height = self.chain.produce_block(int(at)).height
         for provider in self.providers.values():
             provider.sync_cache(at)
         self._poll_masters(result)
@@ -225,57 +247,48 @@ class Simulation:
             self.chain.submit(sender, "captoken", "set_token_validity",
                               (subject, op == "restore"))
 
-    def _handle_request(self, event: Request, queue: list, result: SimulationResult) -> None:
-        """Send the request: it arrives after the channel's delay, or is dropped.
-
-        The in-flight payload is ``(event, request_id, delay)``; a dropped
-        request has no delay.
-        """
-        self._request_counter += 1
-        delay, drop_rate = event.channel
-        if drop_rate and self.rng.random() < drop_rate:
-            self._record((event, self._request_counter, None), result,
-                         "timeout", self.topology.timeout_ms, reason="message-dropped")
-            self._push(queue, event.at + self.topology.timeout_ms, "complete", None)
-            return
-        if isinstance(delay, tuple):
-            delay = self.rng.uniform(*delay)
-        self._push(queue, event.at + delay, "arrival", (event, self._request_counter, delay))
-
     def _handle_arrival(self, at: float, flight: tuple, result: SimulationResult) -> None:
-        event, _, delay = flight
-        provider_node = event.provider
-        profile = provider_node.profile
-        transport = 2 * delay
-        if self.topology.access_control:
-            # tuple.__new__ skips the named tuple's generated __new__ and its frame
-            decision, trace = self.providers[provider_node.name].authorize(tuple.__new__(
-                ServiceRequest, (event.requester.vid, event.method, event.uri, at,
-                                 provider_node.location)))
-            processing = profile.data_parse + trace.stage_ms
-            if decision.granted:
-                processing += profile.service_handler
-            self._record(flight, result, "grant" if decision.granted else "deny",
-                         processing + transport, decision.stage, decision.reason, trace)
+        """Serve a request that reached its provider. The in-flight payload is
+        ``(event, request_id, one-way delay)``."""
+        event, request_id, delay = flight
+        provider, data_parse, service_handler, location = self._endpoints[event.provider.name]
+        if not self.topology.access_control:
+            self._record(event, request_id, result, "grant",
+                         data_parse + service_handler + 2 * delay)
+            return
+        decision, trace = provider.authorize(_new(
+            ServiceRequest, (event.requester.vid, event.method, event.uri, at, location)))
+        # each total adds its terms left to right in the module docstring's order
+        if decision.granted:
+            outcome, total_ms = "grant", data_parse + trace.stage_ms + service_handler + 2 * delay
         else:
-            self._record(flight, result, "grant",
-                         profile.data_parse + profile.service_handler + transport)
-
-    def _record(self, flight: tuple, result: SimulationResult, outcome: str,
-                total_ms: float, stage: Optional[str] = None,
-                reason: Optional[str] = None, trace: Optional[StageTrace] = None) -> None:
-        """Append the request's measurement and check its scripted expectation."""
-        event, request_id, _ = flight
-        result.measurements.append(tuple.__new__(Measurement, (
+            outcome, total_ms = "deny", data_parse + trace.stage_ms + 2 * delay
+        stage = decision.stage
+        result.measurements.append(_new(Measurement, (
             request_id, event.at, event.requester.name, event.provider.name, event.method,
-            event.uri, outcome, stage, reason, None if trace is None else trace.cache_hit,
-            self.chain.height, total_ms, trace)))
+            event.uri, outcome, stage, decision.reason, trace.cache_hit, self._height,
+            total_ms, trace)))
         expected = event.expect
         if expected and outcome != expected:
-            result.expectation_failures.append(
-                f"request {request_id} (event {event.index}): "
-                f"expected {expected}, got {outcome}"
-                + (f" at {stage}" if stage else ""))
+            self._missed(result, event, request_id, outcome, stage)
+
+    def _record(self, event: Request, request_id: int, result: SimulationResult,
+                outcome: str, total_ms: float, reason: Optional[str] = None) -> None:
+        """Append the measurement of a request that no pipeline checked: one that
+        was dropped, or served without access control."""
+        result.measurements.append(_new(Measurement, (
+            request_id, event.at, event.requester.name, event.provider.name, event.method,
+            event.uri, outcome, None, reason, None, self._height, total_ms, None)))
+        if event.expect and outcome != event.expect:
+            self._missed(result, event, request_id, outcome, None)
+
+    @staticmethod
+    def _missed(result: SimulationResult, event: Request, request_id: int, outcome: str,
+                stage: Optional[str]) -> None:
+        """Note that a request's outcome is not the one its script event expects."""
+        result.expectation_failures.append(
+            f"request {request_id} (event {event.index}): "
+            f"expected {event.expect}, got {outcome}" + (f" at {stage}" if stage else ""))
 
     def _drain(self, result: SimulationResult) -> None:
         """Confirm whatever is still pending after the last scripted event."""

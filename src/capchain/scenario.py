@@ -33,6 +33,9 @@ EXPECTS = ("grant", "deny", "timeout", None)
 #: and ``1e300`` would never end. The largest benchmark workload spans 43.
 MAX_BLOCKS = 100_000
 
+#: Every int strictly between minus this and this converts to a float.
+_FLOAT_INTS = 2 ** 1023
+
 
 #: How deep a scenario file, or the args of a transaction in a chain export, may
 #: nest arrays and objects. A scenario's deepest field, a weekday's ``days``, sits
@@ -370,7 +373,11 @@ def parse_script(script: Any, topology: Topology) -> list[Event]:
     new = tuple.__new__   # a named tuple from its fields in order, without its __new__
     events: list[Event] = []
     for i, event in enumerate(_objects(script, "script")):
-        at = _number(event.get("at", 0), float, i, "at")
+        at = event.get("at", 0)
+        if at.__class__ is int and -_FLOAT_INTS < at < _FLOAT_INTS:
+            at = float(at)   # what ``_number`` returns for it, without its frame
+        elif at.__class__ is not float:
+            at = _number(at, float, i, "at")
         if not -math.inf < at <= latest:   # NaN fails too
             _fail(i, "at", f"must be a finite time of at most {latest:g} ms (the horizon "
                   f"of {MAX_BLOCKS} blocks less the longest wait), got {_shown(at)}")
@@ -392,7 +399,7 @@ def parse_script(script: Any, topology: Topology) -> list[Event]:
                 _fail(i, "method", f"unknown method {_shown(method)}")
             if expect not in EXPECTS:
                 _fail(i, "expect", f"must be grant, deny, timeout or null, got {_shown(expect)}")
-            channel = channels.get(link(a, b))
+            channel = channels.get((a, b) if a <= b else (b, a))   # link(a, b)
             if channel is None:
                 _fail(i, "", f"no channel between {_shown(requester.name)} and "
                       f"{_shown(provider.name)}")

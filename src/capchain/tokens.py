@@ -48,14 +48,17 @@ class ConditionKind(str, Enum):
 def _decoder(enum: type[Enum]) -> Callable[[Any], str]:
     """``enum(value).value`` as one dict lookup (a member's ``.value`` is a slow
     read); a non-member raises the same ``ValueError`` as the ``Enum`` call,
-    unhashable values included."""
+    except that a list, tuple or dict is shown by its type: its ``repr`` could
+    nest deep enough to exhaust the stack."""
     members = {member.value: member.value for member in enum}
 
     def decode(value: Any) -> str:
         try:
             return members[value]
         except (KeyError, TypeError):   # TypeError: an unhashable value
-            raise ValueError(f"{value!r} is not a valid {enum.__qualname__}") from None
+            shown = f"<{type(value).__name__}>" if isinstance(value, (list, tuple, dict)) \
+                else repr(value)
+            raise ValueError(f"{shown} is not a valid {enum.__qualname__}") from None
 
     return decode
 

@@ -18,11 +18,11 @@ formatted by ``reference_fmt``, the one-line formatter that ``netsim._fmt``
 extends with a fast path.
 Then come the script parser that formatted every event's path and checked
 its nodes through helpers, the topology parser that did the same for every
-node and channel and kept the registration vids as given, the event loop
+node and channel, the event loop
 that pushed every script event through the heap and built each request's
 records by keyword, and the pipeline that built a fresh record and decision
-per stage; they share the package's check helpers, handlers and stage
-checks. Then come the value
+per stage, authenticating through a query helper per record; they share the
+package's check helpers, handlers and stage checks. Then come the value
 types that interning and memoising replaced: the frozen-dataclass address
 and the fee computation done afresh for every transaction. Then comes the
 chain that stored two frozen records per transaction, a receipt and a gas
@@ -43,6 +43,7 @@ the block through ``Chain.submit_transaction`` and ``Chain.produce_block``.
 import csv
 import heapq
 import io
+import itertools
 import json
 import math
 import statistics
@@ -64,7 +65,7 @@ from capchain.scenario import (ACTIONS, COSTS, EXPECTS, MAX_BLOCKS, POLICY_KINDS
                                ProcessingProfile, Register, Request, TokenChange, Topology,
                                _check, _fail, _node, _number, _objects, link)
 from capchain.tokens import Action, ConditionKind, TokenContract
-from capchain.zones import NODE_TYPE_NONE
+from capchain.zones import NODE_TYPE_NONE, ZoneContract
 
 ZERO_HEX = "0x" + "00" * 20
 
@@ -547,9 +548,8 @@ def _reference_parse_rules(rules, path):
 
 def reference_parse_topology(config):
     """``scenario.parse_topology`` formatting ``nodes[i]`` and ``channels[i]`` for
-    every node and channel, checking each field through a helper, building each
-    spec through its named tuple's constructor and keeping the registration
-    policy's vids as the texts the scenario gave."""
+    every node and channel, checking each field through a helper and building each
+    spec through its named tuple's constructor."""
     _check("seed" in config, "", "seed", "is required")
     seed = _number(config["seed"], int, "", "seed")
     interval = _number(config.get("block_interval_ms", 15000), int, "", "block_interval_ms")
@@ -570,6 +570,7 @@ def reference_parse_topology(config):
            f"must be one of {', '.join(POLICY_KINDS)}, got %s", kind)
     _check(isinstance(vids, list) and all(isinstance(vid, str) for vid in vids),
            "registration_policy", "vids", "must be a list of hex strings, got %s", vids)
+    hexes = [_reference_vid_hex(vid, i) for i, vid in enumerate(vids)]
     _check(isinstance(required, dict), "registration_policy", "required_attributes",
            "must be an object, got %s", required)
     nodes, supervisor = _reference_parse_nodes(config.get("nodes", []), seed)
@@ -577,8 +578,16 @@ def reference_parse_topology(config):
                                                         horizon)
     return Topology(seed, interval, access_control, timeout,
                     horizon - max(timeout, longest_delay),
-                    RegistrationPolicy(kind, frozenset(vids), tuple(sorted(required.items()))),
+                    RegistrationPolicy(kind, frozenset(hexes), tuple(sorted(required.items()))),
                     nodes, supervisor, channels)
+
+
+def _reference_vid_hex(vid, i):
+    """Registration vid ``i`` as ``Address.hex`` spells it."""
+    try:
+        return Address.from_hex(vid).hex
+    except ValueError as exc:
+        _fail("registration_policy", f"vids[{i}]", f"{vid!r} is not an address ({exc})")
 
 
 def _reference_text(value, path, key):
@@ -680,43 +689,47 @@ def _reference_parse_channels(specs, nodes, horizon):
 def reference_run(simulation):
     """``Simulation.run`` with the script read by ``reference_parse_script`` and
     pushed onto the heap, in index order and ahead of the first block, so
-    ``(at, seq)`` alone orders them; requests go through the keyword-built
-    records below."""
+    ``(at, seq)`` alone orders them; every event goes through ``push``, a
+    ranged delay is drawn by ``rng.uniform``, and requests go through the
+    keyword-built records below."""
     result = SimulationResult([], [], [], [])
     queue = []
+    seq, request_ids = itertools.count(1), itertools.count(1)
+
+    def push(at, kind, payload):
+        heapq.heappush(queue, (at, next(seq), kind, payload))
+
     script = reference_parse_script(simulation._script, simulation.topology)
     for event in sorted(script, key=lambda event: event.index):
-        simulation._push(queue, event.at, "script", event)
-    simulation._push(queue, float(simulation.topology.block_interval_ms), "block", None)
+        push(event.at, "script", event)
+    push(float(simulation.topology.block_interval_ms), "block", None)
     while queue:
         at, _, kind, payload = heapq.heappop(queue)
         if kind == "block":
             simulation._handle_block(at, result)
             if queue:
-                simulation._push(queue, at + simulation.topology.block_interval_ms, "block", None)
+                push(at + simulation.topology.block_interval_ms, "block", None)
         elif kind == "arrival":
             _reference_arrival(simulation, at, payload, result)
         elif kind == "script" and type(payload) is Request:
-            _reference_request(simulation, payload, queue, result)
+            _reference_request(simulation, payload, next(request_ids), push, result)
         elif kind == "script":
             simulation._handle_script(payload, result)
     simulation._drain(result)
     return result
 
 
-def _reference_request(simulation, event, queue, result):
-    simulation._request_counter += 1
+def _reference_request(simulation, event, request_id, push, result):
     delay, drop_rate = event.channel
     timeout_ms = simulation.topology.timeout_ms
     if drop_rate and simulation.rng.random() < drop_rate:
-        _reference_record(simulation, event, simulation._request_counter, result,
+        _reference_record(simulation, event, request_id, result,
                           "timeout", timeout_ms, reason="message-dropped")
-        simulation._push(queue, event.at + timeout_ms, "complete", None)
+        push(event.at + timeout_ms, "complete", None)
         return
     if isinstance(delay, tuple):
         delay = simulation.rng.uniform(*delay)
-    simulation._push(queue, event.at + delay, "arrival",
-                     (event, simulation._request_counter, delay))
+    push(event.at + delay, "arrival", (event, request_id, delay))
 
 
 def _reference_arrival(simulation, at, flight, result):
@@ -754,9 +767,32 @@ def _reference_record(simulation, event, request_id, result, outcome, total_ms,
 # Enforcement pipeline (a new record per stage and a new trace per call)
 # ---------------------------------------------------------------------------
 
+def reference_authenticate(provider, requester):
+    """``ServiceProvider.authenticate`` reading the requester's record through a
+    counting query helper and testing a revoked zone's master by ``is_zero``;
+    counts into ``provider.contract_queries`` as the provider does."""
+    def query_vnode(addr):
+        provider.contract_queries += 1
+        return provider.chain.query_state(ZoneContract.name, "get_vnode", (addr,))
+
+    requester_record = query_vnode(requester)
+    if provider._own_record.node_type == NODE_TYPE_NONE or \
+            requester_record.node_type == NODE_TYPE_NONE:
+        return False, "not-member"
+    if requester_record.vzone_id != provider._own_record.vzone_id:
+        return False, "zone-mismatch"
+    provider.contract_queries += 1
+    zone = provider.chain.query_state(ZoneContract.name, "get_vzone",
+                                      (provider._own_record.vzone_id,))
+    if zone.master.is_zero:
+        return False, "zone-revoked"
+    return True, None
+
+
 def reference_authorize(provider, stage_costs, request):
-    """``ServiceProvider.authorize`` pricing each stage from ``stage_costs`` as it
-    runs and building a fresh trace per call; missing keys cost zero."""
+    """``ServiceProvider.authorize`` authenticating through ``reference_authenticate``,
+    pricing each stage from ``stage_costs`` as it runs and building a fresh trace
+    per call; missing keys cost zero."""
     records = []
     hit = None
 
@@ -771,7 +807,7 @@ def reference_authorize(provider, stage_costs, request):
     def passed(stage, duration):
         records.append(StageRecord(stage, "pass", duration))
 
-    ok, reason = provider.authenticate(request.requester)
+    ok, reason = reference_authenticate(provider, request.requester)
     if not ok:
         return deny("identity_auth", reason, cost("identity_auth"))
     passed("identity_auth", cost("identity_auth"))
@@ -919,6 +955,14 @@ class ReferenceChain(Chain):
 # frozen dataclasses with inline checks, a token rebuilt into a dict per view)
 # ---------------------------------------------------------------------------
 
+def _reference_member(enum, value):
+    """``enum(value)``, but a list, tuple or dict, never a member, is named by its
+    type, as ``tokens`` names it: the repr of a deep one would exhaust the stack."""
+    if isinstance(value, (list, tuple, dict)):
+        raise ValueError(f"<{type(value).__name__}> is not a valid {enum.__qualname__}")
+    return enum(value)
+
+
 @dataclass(frozen=True)
 class ReferenceCondition:
     """One context constraint, typed, with its checks written inline."""
@@ -953,7 +997,7 @@ class ReferenceCondition:
 
     @classmethod
     def from_wire(cls, body):
-        kind = ConditionKind(body["kind"])
+        kind = _reference_member(ConditionKind, body["kind"])
         if kind == ConditionKind.TIME_WINDOW:
             return cls(kind, start_ms=body["start_ms"], end_ms=body["end_ms"])
         if kind == ConditionKind.WEEKDAY:
@@ -983,7 +1027,7 @@ class ReferenceAccessRule:
         conditions = body.get("conditions", [])
         if not isinstance(conditions, list):
             raise TypeError(f"conditions must be a list, got {type(conditions).__name__}")
-        return cls(action=Action(body["action"]), resource=body["resource"],
+        return cls(action=_reference_member(Action, body["action"]), resource=body["resource"],
                    conditions=tuple(ReferenceCondition.from_wire(c) for c in conditions))
 
 

@@ -772,17 +772,29 @@ class TestAuthorizeMatchesReference:
     @settings(max_examples=100, deadline=None)
     @given(costs=stage_costs, rules=st.none() | token_rules,
            expires=st.sampled_from([2000, 10**12]), requests=st.lists(pipeline_requests,
-                                                                      max_size=6))
+                                                                      max_size=6),
+           serving=st.sampled_from(["provider", "outsider"]), zone_b=st.booleans(),
+           revoked=st.booleans())
     # in stage order the grant path sums to 0.6000000000000001, in reverse to 0.6
     @example(costs={"identity_auth": 0.1, "token_fetch_miss": 0.2, "token_status": 0.3},
              rules=[RULE_GET], expires=10**12,
-             requests=[("client", "GET", "/api/data", 100, "", False)])
-    def test_shared_records_equal_fresh_records(self, costs, rules, expires, requests):
+             requests=[("client", "GET", "/api/data", 100, "", False)],
+             serving="provider", zone_b=False, revoked=False)
+    def test_shared_records_equal_fresh_records(self, costs, rules, expires, requests,
+                                                serving, zone_b, revoked):
+        """``serving`` is the node that serves; the outsider is no member unless
+        ``zone_b`` puts it in a zone of its own, and ``revoked`` revokes zone-a."""
         bench = Bench()
         if rules is not None:
             bench.issue_client_token(rules=rules, expired_date=expires)
-        provider = ServiceProvider(bench.provider, bench.chain, stage_costs=costs)
-        reference = ServiceProvider(bench.provider, bench.chain, stage_costs=costs)
+        if zone_b:
+            bench.apply(bench.supervisor, "vzone", "create_vzone", ("zone-b",))
+            bench.apply(bench.supervisor, "vzone", "join_vzone", ("zone-b", bench.outsider.hex))
+        if revoked:
+            bench.apply(bench.master, "vzone", "revoke_vzone", (bench.zone_id,))
+        node = getattr(bench, serving)
+        provider = ServiceProvider(node, bench.chain, stage_costs=costs)
+        reference = ServiceProvider(node, bench.chain, stage_costs=costs)
         for who, method, uri, now, location, sync in requests:
             if sync:
                 assert provider.sync_cache(now) == reference.sync_cache(now)

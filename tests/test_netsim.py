@@ -465,19 +465,22 @@ LOOP_RULES = [[RULE_GET],
               [{"action": "GET", "resource": "/api/data", "conditions": [
                   {"kind": "time_window", "start_ms": 0, "end_ms": 2500}]}]]
 # requester/provider pairs with a channel; sat-client--ground-provider drops half
-# its messages, outsider--sat-provider has no delay, so arrivals tie with script times
+# its messages, outsider--sat-provider has no delay, so arrivals tie with script times,
+# and outsider--ground-provider both draws its delay from a range and drops
 LOOP_LINKS = [("sat-client", "sat-provider"), ("sat-client", "ground-provider"),
-              ("outsider", "sat-provider")]
+              ("outsider", "sat-provider"), ("outsider", "ground-provider")]
 
 
-def loop_config(script):
+def loop_config(script, access_control=True):
     config = base_config(seed=5, block_interval_ms=LOOP_INTERVAL_MS, timeout_ms=2500,
-                         script=script)
+                         access_control=access_control, script=script)
     config["nodes"][3]["location"] = "orbit"
     config["nodes"].append({"name": "outsider", "role": "client"})
     config["channels"][0]["one_way_delay_ms"] = [0.5, 1500.0]
     config["channels"][1]["drop_rate"] = 0.5
     config["channels"].append({"a": "outsider", "b": "sat-provider"})
+    config["channels"].append({"a": "outsider", "b": "ground-provider",
+                               "one_way_delay_ms": [0.25, 900.0], "drop_rate": 0.3})
     return config
 
 
@@ -506,11 +509,11 @@ loop_events = st.one_of(
 
 class TestEventLoopMatchesReference:
     @settings(max_examples=100, deadline=None)
-    @given(script=st.lists(loop_events, max_size=14))
-    def test_merged_script_and_heap_order_equals_one_heap(self, script):
-        simulation = Simulation(loop_config(script))
+    @given(script=st.lists(loop_events, max_size=14), access_control=st.booleans())
+    def test_merged_script_and_heap_order_equals_one_heap(self, script, access_control):
+        simulation = Simulation(loop_config(script, access_control))
         result = simulation.run()
-        reference = Simulation(loop_config(script))
+        reference = Simulation(loop_config(script, access_control))
         expected = reference_run(reference)
         # repr tells -0.0 from 0.0 and 1000 from 1000.0
         assert repr(result) == repr(expected)
