@@ -210,6 +210,7 @@ class TokenCache:
         nothing to trust, so every entry is evicted (fail-closed) and the
         cursor stays.
         """
+        # ``height`` is unread; it stays while the benchmark's tracer passes it positionally.
         try:
             latest, changed = self.changes(self.cursor)
         except (OSError, LedgerError):

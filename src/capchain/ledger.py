@@ -50,10 +50,6 @@ class ChainFileError(LedgerError):
     """A chain export line is not a block object."""
 
 
-class NoGasRecordedError(LedgerError):
-    """Gas accounting requested for a transaction that was never applied."""
-
-
 class ContractRejection(Exception):
     """Raised by a contract to reject a transaction without state change.
 
@@ -191,26 +187,22 @@ class Transaction:
                 and self.gas_used == other.gas_used and self.sender == other.sender
                 and self.contract == other.contract and self.op == other.op)
 
-    def _text(self, gas: str) -> str:
-        """The canonical call text with ``gas`` spliced in before ``nonce``: the
-        keys ``args < contract < gas < nonce < op < sender`` sort in that order."""
-        return (f'{{"args":{self.args_text},"contract":{canonical_str(self.contract)},{gas}'
-                f'"nonce":{self.nonce},"op":{canonical_str(self.op)},'
-                f'"sender":"{self.sender.hex}"}}')
-
     def _halves(self) -> tuple[str, str]:
-        """``_text`` split where the gas goes, for a caller that needs both texts."""
+        """The canonical call text split where the gas goes: the keys
+        ``args < contract < gas < nonce < op < sender`` sort in that order."""
         return (f'{{"args":{self.args_text},"contract":{canonical_str(self.contract)},',
                 f'"nonce":{self.nonce},"op":{canonical_str(self.op)},'
                 f'"sender":"{self.sender.hex}"}}')
 
     def call_text(self) -> str:
         """Canonical JSON of the call: sender, contract, op, args, nonce."""
-        return self._text("")
+        head, tail = self._halves()
+        return head + tail
 
     def wire_text(self) -> str:
         """Canonical JSON of the call plus its gas, as a block carries it."""
-        return self._text(f'"gas":{self.gas_used},')
+        head, tail = self._halves()
+        return f'{head}"gas":{self.gas_used},{tail}'
 
     @property
     def digest(self) -> str:
@@ -481,13 +473,6 @@ class Chain:
                                           fee_usd or fee_usd.copy_abs())
         return fees
 
-    def account_gas(self, tx_digest: str) -> Receipt:
-        """The receipt of an applied transaction, its fees priced when it was applied."""
-        receipt = self._receipts.get(tx_digest)
-        if receipt is None:
-            raise NoGasRecordedError(f"transaction {tx_digest} not applied in any block")
-        return receipt
-
     def gas_entries(self) -> tuple[Receipt, ...]:
         return tuple(self._receipts.values())
 
@@ -529,27 +514,6 @@ class Chain:
             "contracts": {name: c.dump_state() for name, c in self._contracts.items()},
             "nonces": {addr.hex: n for addr, n in self._next_nonce.items()},
         })
-
-    def verify_stored_digests(self) -> bool:
-        """Recompute every stored block digest; append-only self check."""
-        try:
-            for parent, block in zip(self._blocks, self._blocks[1:]):
-                _check_block(parent, block)
-        except CorruptChainError:
-            return False
-        return self._blocks[0] == GENESIS
-
-
-def _check_block(parent: Block, block: Block) -> None:
-    """Raise ``CorruptChainError`` unless ``block`` links to ``parent``."""
-    if block.height != parent.height + 1:
-        raise CorruptChainError(f"height gap: {parent.height} -> {block.height}")
-    elif block.parent_digest != parent.digest:
-        raise CorruptChainError(f"parent digest mismatch at height {block.height}")
-    recomputed = Block.compute_digest(
-        block.height, block.timestamp, block.parent_digest, block.transactions)
-    if recomputed != block.digest:
-        raise CorruptChainError(f"block digest mismatch at height {block.height}")
 
 
 _TX_KEYS = itemgetter("sender", "contract", "op", "args", "nonce")

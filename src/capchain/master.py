@@ -4,10 +4,11 @@ A master owns one zone. It admits registrations through a
 ``RegistrationPolicy`` and submits the zone join for each admitted
 entity, and it submits token issuances for the rules it is given.
 
-Registration and issuance are two-phase because confirmation takes a
-block: the submitting call returns a pending handle, and the matching
-``poll_*`` call yields the result only once the transaction is in a
-confirmed block.
+Each submitting call returns the transaction digest. The chain's
+receipt is the one record of the outcome: once the transaction is in a
+confirmed block, the matching ``poll_*`` call reads that receipt and
+returns the outcome as a dict (``confirmed`` or ``rejected``, with a
+reason); while it is pending, ``poll_*`` returns None.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .address import Address
-from .ledger import Chain
+from .ledger import Chain, Receipt
 from .tokens import TokenContract
 from .zones import NODE_TYPE_NONE, ZoneContract
 
@@ -33,49 +34,11 @@ class DuplicateRegistration(MasterError):
     """Applicant already holds a confirmed zone membership."""
 
 
-class RegistrationFailed(MasterError):
-    """The confirmed join transaction returned false (duplicate/foreign membership)."""
-
-
-class IssuanceRejected(MasterError):
-    """The token contract rejected the issuance transaction."""
-
-    def __init__(self, cause: str):
-        self.cause = cause
-        super().__init__(f"issuance rejected: {cause}")
-
-
 @dataclass(frozen=True)
 class RegistrationRequest:
     vid: Address
     display_name: str
     attributes: dict[str, str] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class Ticket:
-    """Registration receipt: membership is recorded on-chain, this is the stub."""
-    vid: Address
-    group_id: str
-
-
-@dataclass(frozen=True)
-class PendingRegistration:
-    vid: Address
-    tx_digest: str
-
-
-@dataclass(frozen=True)
-class PendingIssue:
-    subject: Address
-    tx_digest: str
-
-
-@dataclass(frozen=True)
-class IssueReceipt:
-    subject: Address
-    contract: str
-    token_id: int
 
 
 class ProfileStore:
@@ -132,7 +95,8 @@ class DomainMaster:
 
     # -- registration ----------------------------------------------------------------
 
-    def register_entity(self, request: RegistrationRequest) -> PendingRegistration:
+    def register_entity(self, request: RegistrationRequest) -> str:
+        """Submit the zone join for an admitted ``request``; returns the tx digest."""
         if not self.owns_zone():
             raise MasterError(f"master does not own a confirmed zone {self.zone_id!r}")
         if not self.registration_policy.permits(request):
@@ -145,50 +109,50 @@ class DomainMaster:
         digest = self.chain.submit(self.address, ZoneContract.name, "join_vzone",
                                    (self.zone_id, request.vid.hex))
         self._pending_joins[request.vid] = digest
-        return PendingRegistration(request.vid, digest)
+        return digest
 
-    def poll_registration(self, vid: Address) -> Optional[Ticket]:
-        """Ticket once the join is confirmed; None while pending.
-
-        Raises RegistrationFailed when the confirmed join returned false
-        (the node already belonged to some zone at application time).
-        """
-        digest = self._pending_joins.get(vid)
-        if digest is None:
-            return None
-        receipt = self.chain.get_receipt(digest)
+    def poll_registration(self, vid: Address) -> Optional[dict]:
+        """The outcome of ``vid``'s join once confirmed, None while pending. A join
+        that did not return true is rejected: the node was in some zone by then."""
+        receipt = self._confirmed(self._pending_joins, vid)
         if receipt is None:
             return None
-        del self._pending_joins[vid]
-        if not receipt.ok or receipt.result is not True:
-            raise RegistrationFailed(
-                f"join for {vid.hex} was not accepted (duplicate or foreign membership)")
-        return Ticket(vid, self.zone_id)
+        if receipt.ok and receipt.result is True:
+            return {"vid": vid.hex, "status": "confirmed", "group_id": self.zone_id}
+        return {"vid": vid.hex, "status": "rejected",
+                "reason": f"join for {vid.hex} was not accepted "
+                          "(duplicate or foreign membership)"}
 
     # -- issuance -------------------------------------------------------------------------
 
     def issue_capability(self, subject: Address, rules: list[dict],
-                         validity_ms: int, now: int) -> PendingIssue:
-        """Submit a token for ``subject``; ``rules`` are wire dicts, submitted as they are."""
+                         validity_ms: int, now: int) -> str:
+        """Submit a token for ``subject``; returns the tx digest. ``rules`` go as they are."""
         digest = self.chain.submit(self.address, TokenContract.name, "issue_token",
                                    (subject.hex, rules, now, now + validity_ms))
         self._pending_issues[subject] = digest
-        return PendingIssue(subject, digest)
+        return digest
 
-    def poll_issue(self, subject: Address) -> Optional[IssueReceipt]:
-        """Issue receipt (contract id + token id) once confirmed; None while pending."""
-        digest = self._pending_issues.get(subject)
-        if digest is None:
-            return None
-        receipt = self.chain.get_receipt(digest)
+    def poll_issue(self, subject: Address) -> Optional[dict]:
+        """The outcome of ``subject``'s issuance once confirmed, with the token
+        id or the contract's rejection code; None while pending."""
+        receipt = self._confirmed(self._pending_issues, subject)
         if receipt is None:
             return None
-        del self._pending_issues[subject]
-        if not receipt.ok:
-            raise IssuanceRejected(receipt.error or "rejected")
-        return IssueReceipt(subject, TokenContract.name, receipt.result)
+        if receipt.ok:
+            return {"subject": subject.hex, "status": "confirmed", "token_id": receipt.result}
+        return {"subject": subject.hex, "status": "rejected", "reason": receipt.error}
 
     # -- pending transactions ----------------------------------------------------------
+
+    def _confirmed(self, pending: dict[Address, str], key: Address) -> Optional[Receipt]:
+        """The receipt of ``key``'s pending transaction, which then stops pending;
+        None while it awaits its block or when ``key`` has none."""
+        digest = pending.get(key)
+        receipt = None if digest is None else self.chain.get_receipt(digest)
+        if receipt is not None:
+            del pending[key]
+        return receipt
 
     @property
     def has_pending(self) -> bool:
@@ -198,30 +162,12 @@ class DomainMaster:
     def poll_all(self) -> tuple[list[dict], list[dict]]:
         """Poll every pending join, then every pending issuance, once.
 
-        Returns ``(registrations, issues)``: one outcome record for each
+        Returns ``(registrations, issues)``: the outcome of each
         transaction now in a confirmed block, in submission order.
         Unconfirmed ones stay pending.
         """
-        registrations: list[dict] = []
-        for vid in list(self._pending_joins):
-            try:
-                ticket = self.poll_registration(vid)
-            except RegistrationFailed as exc:
-                registrations.append({"vid": vid.hex, "status": "rejected",
-                                      "reason": str(exc)})
-                continue
-            if ticket is not None:
-                registrations.append({"vid": vid.hex, "status": "confirmed",
-                                      "group_id": ticket.group_id})
-        issues: list[dict] = []
-        for subject in list(self._pending_issues):
-            try:
-                receipt = self.poll_issue(subject)
-            except IssuanceRejected as exc:
-                issues.append({"subject": subject.hex, "status": "rejected",
-                               "reason": exc.cause})
-                continue
-            if receipt is not None:
-                issues.append({"subject": subject.hex, "status": "confirmed",
-                               "token_id": receipt.token_id})
+        registrations = [outcome for vid in list(self._pending_joins)
+                         if (outcome := self.poll_registration(vid)) is not None]
+        issues = [outcome for subject in list(self._pending_issues)
+                  if (outcome := self.poll_issue(subject)) is not None]
         return registrations, issues

@@ -8,14 +8,15 @@ resource path under zero or more context conditions.
 Wire field names are fixed by the token interchange format (``vid``,
 ``VZone_master``, ``id``, ``initialized``, ``isValid``, ``issuedate``,
 ``expireddate``, ``authorization``, ``action``, ``resource``,
-``conditions``) and must round-trip byte-stably through
-``canonical_token_json``.
+``conditions``). A token's text is ``encoding.canonical_json`` of its
+wire dict, and it round-trips byte-stably.
 
 ``rule_wire`` is the one reader of rules: it checks a rule body and
 returns its canonical wire dict, which the scenario parser keeps, the
-master submits and the contract stores. The contract holds each token as
-its wire dict and serves views from it. ``CapabilityToken`` reads a whole
-token, its addresses typed and its rules the dicts ``rule_wire`` returns.
+master submits and the contract stores. ``TokenContract`` holds each
+token as its wire dict and serves views from it. ``CapabilityToken``
+reads a whole token, its addresses typed and its rules the dicts
+``rule_wire`` returns.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from enum import Enum
 from typing import Any, Callable, Optional
 
 from .address import Address
-from .encoding import canonical_json
 from .ledger import Contract, ContractRejection
 from .zones import NODE_TYPE_MASTER, NODE_TYPE_NONE, ZoneContract
 
@@ -159,11 +159,6 @@ class CapabilityToken:
             expired_date=body["expireddate"],
             authorization=[rule_wire(rule) for rule in body["authorization"]],
         )
-
-
-def canonical_token_json(token_wire: dict) -> str:
-    """Canonical rendering: sorted keys, compact separators, byte-stable."""
-    return canonical_json(token_wire)
 
 
 class TokenContract(Contract):

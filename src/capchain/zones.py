@@ -72,8 +72,6 @@ class ZoneContract(Contract):
             return self.get_vzone(args[0])
         if op == "get_certificate":
             return self.get_certificate(args[0])
-        if op == "dangling_followers":
-            return self.dangling_followers()
         raise ContractRejection("unknown-view", f"zone contract has no view {op!r}")
 
     # -- mutations (confirmed transactions only) ---------------------------------
@@ -163,15 +161,6 @@ class ZoneContract(Contract):
                 "node_type": record.node_type,
             },
         }
-
-    def dangling_followers(self) -> list[str]:
-        """Followers whose zone currently has no master (cleanup aid for operators)."""
-        out = []
-        for addr, record in self._nodes.items():
-            if record.node_type == NODE_TYPE_FOLLOWER:
-                if self._zone_master(record.vzone_id).is_zero:
-                    out.append(addr.hex)
-        return sorted(out)
 
     def dump_state(self) -> dict:
         zones = {

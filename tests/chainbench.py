@@ -35,6 +35,16 @@ def reseal(blocks, height, change):
     return blocks
 
 
+def digests_and_links_hold(blocks):
+    """Whether each block after the first links to its parent by height and
+    digest, and each stored digest is that of its body."""
+    return all(block.height == parent.height + 1 and block.parent_digest == parent.digest
+               and block.digest == Block.compute_digest(block.height, block.timestamp,
+                                                        block.parent_digest,
+                                                        block.transactions)
+               for parent, block in zip(blocks, blocks[1:]))
+
+
 def change_first_tx(**fields):
     """A ``reseal`` change that replaces fields of a block's first transaction."""
     def change(block):

@@ -57,7 +57,7 @@ from capchain.enforcement import (PIPELINE_STAGES, Decision, ServiceRequest, Sta
                                   verify_token_status)
 from capchain.encoding import canonical_json, canonical_str, sha256_hex
 from capchain.ledger import (GENESIS, Block, Chain, ChainFileError, ContractRejection,
-                             CorruptChainError, LedgerError, NoGasRecordedError)
+                             CorruptChainError, LedgerError)
 from capchain.master import RegistrationPolicy
 from capchain.netsim import MEASUREMENT_COLUMNS, Measurement, SimulationResult
 from capchain.scenario import (ACTIONS, COSTS, EXPECTS, MAX_BLOCKS, POLICY_KINDS, PROFILES,
@@ -934,12 +934,6 @@ class ReferenceChain(Chain):
             digest, tx.op, gas,
             *reference_fees(gas, self.config.gas_price_etc, self.config.eth_price_usd))
         return gas
-
-    def account_gas(self, tx_digest):
-        entry = self._gas_log.get(tx_digest)
-        if entry is None:
-            raise NoGasRecordedError(f"transaction {tx_digest} not applied in any block")
-        return entry
 
     def gas_entries(self):
         return tuple(self._gas_log.values())

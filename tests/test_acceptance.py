@@ -19,7 +19,7 @@ from capchain.netsim import (ac_overhead_ms, latency_bench_config,
                              run_latency_bench, run_overhead_bench, run_scenario,
                              summarize, write_measurements_csv,
                              write_stage_traces_csv, write_summary_text)
-from capchain.tokens import CapabilityToken, canonical_token_json
+from capchain.tokens import CapabilityToken
 from capchain.zones import ZoneContract
 
 from chainbench import Bench
@@ -275,9 +275,9 @@ def test_criterion_8_token_serialization():
     certificate = bench.zones.get_certificate(bench.client)
     zone_dump = bench.zones.dump_state()
 
-    token_text = canonical_token_json(token_wire)
+    token_text = canonical_json(token_wire)
     round_tripped = CapabilityToken.from_wire(json.loads(token_text))
-    byte_stable = canonical_token_json(round_tripped.wire()) == token_text
+    byte_stable = canonical_json(round_tripped.wire()) == token_text
     cert_stable = canonical_json(json.loads(canonical_json(certificate))) \
         == canonical_json(certificate)
 

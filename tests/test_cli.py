@@ -662,6 +662,23 @@ def test_cli_artifacts_are_pinned(tmp_path, capsys, case):
     assert written == CLI_ARTIFACT_SHA256[case]
 
 
+# sha256 of what ``capchain inspect`` prints for the chain each command exports
+INSPECT_STDOUT_SHA256 = {
+    ("scenario", "text"): "25fa83194c8394fcd77fb9cd4960db93d022700a0964148d816fee863929e79e",
+    ("demo",): "2ca2798ed9d20b6116022885b69ac34499313f1990edb0f7b6906c521314036f",
+}
+
+
+@pytest.mark.parametrize("case", sorted(INSPECT_STDOUT_SHA256), ids="-".join)
+def test_inspect_stdout_is_pinned(tmp_path, capsys, case):
+    out = tmp_path / "out"
+    assert main(cli_command(case, str(out))) == 0
+    capsys.readouterr()
+    assert main(["inspect", str(out / "chain.jsonl")]) == 0
+    printed = capsys.readouterr().out.encode()
+    assert hashlib.sha256(printed).hexdigest() == INSPECT_STDOUT_SHA256[case]
+
+
 def test_fresh_interpreters_write_identical_artifacts(tmp_path):
     # Addresses hash by identity and strings by PYTHONHASHSEED, so set and hash
     # order differ between processes; reruns in one process share both and

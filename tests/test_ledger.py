@@ -17,14 +17,14 @@ from capchain.address import Address, AddressFactory
 from capchain.encoding import ZERO_DIGEST, canonical_json, digest_of, sha256_hex
 from capchain.ledger import (DEFAULT_GAS_TABLE, Block, Chain, ChainConfig, ChainFileError,
                              ContractNotFoundError, CorruptChainError,
-                             IntervalNotElapsedError, NoGasRecordedError,
+                             IntervalNotElapsedError,
                              NonceMismatchError, Receipt, Transaction, read_chain,
                              replay_chain)
 from capchain.netsim import run_scenario
 from capchain.tokens import TokenContract
 from capchain.zones import NODE_TYPE_NONE, ZoneContract
 
-from chainbench import Bench, change_first_tx, reseal, submit
+from chainbench import Bench, change_first_tx, digests_and_links_hold, reseal, submit
 from reference_models import (ReferenceChain, ReferenceTransaction, reference_block_body,
                               reference_block_wire, reference_call_wire, reference_jsonify,
                               reference_read_chain, reference_replay_chain,
@@ -40,6 +40,14 @@ def fresh_chain(seed=42, block_interval_ms=15000, **config_kwargs):
     config = ChainConfig(supervisor=supervisor,
                          block_interval_ms=block_interval_ms, **config_kwargs)
     return Chain(config, [zones, tokens]), supervisor, factory
+
+
+def replays(chain):
+    """Whether ``chain``'s export reads back and replays to its own export and state."""
+    replayed = replay_chain(chain.config, read_chain(io.StringIO(chain.export_chain_text())),
+                            zone_contracts_factory(chain.config.supervisor))
+    return (replayed.export_chain_text() == chain.export_chain_text()
+            and replayed.state_digest() == chain.state_digest())
 
 
 def zone_contracts_factory(supervisor):
@@ -192,8 +200,7 @@ class TestProduceBlock:
         assert len(issue_txs) == 100
         assert sum(tx.gas_used for tx in issue_txs) == 100 * 159544
         for tx in issue_txs:
-            entry = bench.chain.account_gas(tx.digest)
-            assert entry.fee_usd == Decimal("0.22")
+            assert bench.chain.get_receipt(tx.digest).fee_usd == Decimal("0.22")
 
 
 class TestQueryState:
@@ -325,18 +332,17 @@ class TestReplay:
     def test_corruption_fails_replay_and_stored_digest_check(self, bench, corruption):
         bench.issue_client_token()
         blocks = CORRUPTIONS[corruption](list(bench.chain.blocks))
+        assert not digests_and_links_hold(blocks)
+        exported = "".join(block.wire_text() + "\n" for block in blocks)
         with pytest.raises(CorruptChainError):
-            replay_chain(bench.chain.config, blocks,
+            replay_chain(bench.chain.config, read_chain(io.StringIO(exported)),
                          zone_contracts_factory(bench.supervisor))
-        bench.chain._blocks = blocks
-        assert not bench.chain.verify_stored_digests()
 
     @pytest.mark.parametrize("corruption", sorted(RESEALED_CORRUPTIONS))
     def test_resealed_corruption_fails_replay(self, bench, corruption):
         bench.issue_client_token()
         blocks = reseal(list(bench.chain.blocks), 2, RESEALED_CORRUPTIONS[corruption])
-        bench.chain._blocks = list(blocks)
-        assert bench.chain.verify_stored_digests()
+        assert digests_and_links_hold(blocks)
         with pytest.raises(CorruptChainError, match="at height 2"):
             replay_chain(bench.chain.config, blocks,
                          zone_contracts_factory(bench.supervisor))
@@ -361,8 +367,7 @@ class TestReplay:
 
 class TestGasAccounting:
     def test_token_assignment_fee_at_defaults(self, bench):
-        receipt = bench.issue_client_token()
-        entry = bench.chain.account_gas(receipt.tx_digest)
+        entry = bench.issue_client_token()
         assert entry.gas == 159544
         assert entry.fee_etc == Decimal("0.0010211")
         assert entry.fee_usd == Decimal("0.22")
@@ -379,8 +384,7 @@ class TestGasAccounting:
         bench = Bench()
         bench.chain.config.eth_price_usd = Decimal("0")
         receipt = bench.issue_client_token()
-        entry = bench.chain.account_gas(receipt.tx_digest)
-        assert entry.fee_usd == Decimal("0.00")
+        assert bench.chain.get_receipt(receipt.tx_digest).fee_usd == Decimal("0.00")
 
     @settings(max_examples=150, deadline=None)
     @given(calls=st.lists(st.tuples(
@@ -400,11 +404,11 @@ class TestGasAccounting:
             direct = reference_fees(gas, gas_price, eth_price)
             assert fees == direct and list(map(str, fees)) == list(map(str, direct))
 
-    def test_account_gas_keeps_the_prices_in_force_when_applied(self, bench):
+    def test_receipt_keeps_the_prices_in_force_when_applied(self, bench):
         receipt = bench.issue_client_token()
         bench.chain.config.eth_price_usd = Decimal("1000")
         [logged] = [e for e in bench.chain.gas_entries() if e.tx_digest == receipt.tx_digest]
-        assert bench.chain.account_gas(receipt.tx_digest) == logged
+        assert bench.chain.get_receipt(receipt.tx_digest) == logged
         assert logged.fee_usd == Decimal("0.22")
 
     def test_a_rejected_revoke_has_one_receipt_priced_when_applied(self, bench):
@@ -420,16 +424,16 @@ class TestGasAccounting:
                                   Decimal("0.04"))
         assert [r for r in bench.chain.gas_entries() if r.tx_digest == receipt.tx_digest] \
             == [receipt]
-        assert bench.chain.account_gas(receipt.tx_digest) is receipt
+        assert bench.chain.get_receipt(receipt.tx_digest) is receipt
         pending = bench.submit(other, "captoken", "revoke_token", (bench.client.hex,))
-        with pytest.raises(NoGasRecordedError):
-            bench.chain.account_gas(pending)
+        assert bench.chain.get_receipt(pending) is None
 
     def test_unapplied_tx_has_no_gas(self, bench):
         digest = bench.submit(bench.master, "captoken", "issue_token",
                               (bench.client.hex, [], 0, 10**9))
-        with pytest.raises(NoGasRecordedError):
-            bench.chain.account_gas(digest)
+        assert bench.chain.get_receipt(digest) is None
+        bench.chain.produce_next_block()
+        assert bench.chain.get_receipt(digest).gas == 159544
 
     def test_report_total_matches_independent_summation(self, bench):
         rng = random.Random(3)
@@ -532,11 +536,11 @@ class TestReceiptMatchesTwoRecordReference:
                         each.config.gas_price_etc, each.config.eth_price_usd = step[1]
                     each.produce_next_block()
         assert chain.export_chain_text() == reference.export_chain_text()
+        entries = {entry.tx_digest: entry for entry in reference.gas_entries()}
         for block in chain.blocks:
             for tx in block.transactions:
                 receipt, expected = chain.get_receipt(tx.digest), reference.get_receipt(tx.digest)
-                entry = reference.account_gas(tx.digest)
-                assert chain.account_gas(tx.digest) is receipt
+                entry = entries[tx.digest]
                 assert (receipt.status, receipt.error, receipt.result, receipt.ok) == \
                     (expected.status, expected.error, expected.result, expected.ok)
                 assert receipt.gas == expected.gas_used == entry.gas
@@ -553,7 +557,7 @@ class TestInvariants:
     def test_append_only_digests_verify(self, bench):
         bench.issue_client_token()
         bench.chain.produce_next_block()
-        assert bench.chain.verify_stored_digests()
+        assert replays(bench.chain)
         assert bench.chain.blocks[0].parent_digest == ZERO_DIGEST
 
     def test_identical_histories_are_bit_identical(self):
@@ -600,7 +604,7 @@ class TestInvariants:
         for sender in senders:
             nonces = [tx.nonce for tx in pool if tx.sender == sender]
             assert nonces == list(range(50))
-        assert chain.verify_stored_digests()
+        assert replays(chain)
 
     def test_gas_conservation_report_vs_blocks(self, bench):
         bench.issue_client_token()

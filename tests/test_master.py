@@ -1,8 +1,7 @@
 import pytest
 
 from capchain.master import (DeniedRegistration, DomainMaster, DuplicateRegistration,
-                             IssuanceRejected, MasterError, RegistrationFailed,
-                             RegistrationPolicy, RegistrationRequest)
+                             MasterError, RegistrationPolicy, RegistrationRequest)
 
 GET_DATA = {"action": "GET", "resource": "/api/data", "conditions": []}
 
@@ -19,22 +18,22 @@ class TestRegistration:
     def test_allow_all_policy_yields_ticket_after_block(self, bench):
         master = make_master(bench)
         vid = fresh_vid(bench)
-        pending = master.register_entity(RegistrationRequest(vid, "node-x"))
-        assert master.poll_registration(vid) is None  # unconfirmed: no ticket
+        digest = master.register_entity(RegistrationRequest(vid, "node-x"))
+        assert master.poll_registration(vid) is None  # unconfirmed: no outcome
         bench.chain.produce_next_block()
-        ticket = master.poll_registration(vid)
-        assert ticket is not None
-        assert ticket.group_id == bench.zone_id
-        assert pending.vid == vid
+        assert master.poll_registration(vid) == {
+            "vid": vid.hex, "status": "confirmed", "group_id": bench.zone_id}
+        assert bench.chain.get_receipt(digest).result is True
+        assert master.poll_registration(vid) is None  # polled once, no longer pending
 
     def test_ticket_matches_confirmed_vnode_record(self, bench):
         master = make_master(bench)
         vid = fresh_vid(bench)
         master.register_entity(RegistrationRequest(vid, "node-x"))
         bench.chain.produce_next_block()
-        ticket = master.poll_registration(vid)
+        outcome = master.poll_registration(vid)
         record = bench.zones.get_vnode(vid)
-        assert (ticket.vid, ticket.group_id) == (vid, record.vzone_id)
+        assert (outcome["vid"], outcome["group_id"]) == (vid.hex, record.vzone_id)
 
     def test_foreign_membership_surfaces_on_poll(self, bench):
         master = make_master(bench)
@@ -49,8 +48,7 @@ class TestRegistration:
         bench.submit(bench.supervisor, "vzone", "join_vzone", ("zone-b", vid2.hex))
         master.register_entity(RegistrationRequest(vid2, "node-y"))
         bench.chain.produce_next_block()
-        with pytest.raises(RegistrationFailed):
-            master.poll_registration(vid2)
+        assert master.poll_registration(vid2)["status"] == "rejected"
 
     def test_confirmed_member_rejected_as_duplicate(self, bench):
         master = make_master(bench)
@@ -93,13 +91,13 @@ class TestRegistration:
 class TestIssuance:
     def test_grant_becomes_queryable_token(self, bench):
         master = make_master(bench)
-        master.issue_capability(bench.client, [GET_DATA], 60000, now=1000)
+        digest = master.issue_capability(bench.client, [GET_DATA], 60000, now=1000)
         assert master.poll_issue(bench.client) is None
-        bench.chain.produce_next_block()
-        receipt = master.poll_issue(bench.client)
-        assert receipt.contract == "captoken"
+        [tx] = bench.chain.produce_next_block().transactions
+        outcome = master.poll_issue(bench.client)
+        assert (tx.digest, tx.contract) == (digest, "captoken")
         token = bench.tokens.get_token(bench.client)
-        assert token["id"] == receipt.token_id
+        assert token["id"] == outcome["token_id"]
         assert token["issuedate"] == 1000
         assert token["expireddate"] == 61000
 
@@ -107,6 +105,35 @@ class TestIssuance:
         master = make_master(bench)
         master.issue_capability(bench.outsider, [GET_DATA], 60000, now=0)
         bench.chain.produce_next_block()
-        with pytest.raises(IssuanceRejected) as err:
-            master.poll_issue(bench.outsider)
-        assert err.value.cause == "subject-not-in-zone"
+        assert master.poll_issue(bench.outsider) == {
+            "subject": bench.outsider.hex, "status": "rejected",
+            "reason": "subject-not-in-zone"}
+
+
+class TestPollAll:
+    def test_outcome_records_of_each_kind(self, bench):
+        """The exact dicts ``poll_all`` yields: pending stays out, then a
+        confirmed and a rejected join, a confirmed and a rejected issuance."""
+        master = make_master(bench)
+        joined, foreign = fresh_vid(bench), fresh_vid(bench)
+        bench.apply(bench.supervisor, "vzone", "create_vzone", ("zone-b",))
+        master.register_entity(RegistrationRequest(joined, "node-x"))
+        # the foreign join sits ahead of the master's in the pool, so it wins
+        bench.submit(bench.supervisor, "vzone", "join_vzone", ("zone-b", foreign.hex))
+        master.register_entity(RegistrationRequest(foreign, "node-y"))
+        master.issue_capability(bench.client, [GET_DATA], 60000, now=1000)
+        master.issue_capability(bench.outsider, [GET_DATA], 60000, now=1000)
+        assert master.poll_all() == ([], [])
+        assert master.has_pending
+        bench.chain.produce_next_block()
+        assert bench.tokens.get_token(bench.client)["id"] == 1
+        assert master.poll_all() == (
+            [{"vid": joined.hex, "status": "confirmed", "group_id": "zone-a"},
+             {"vid": foreign.hex, "status": "rejected",
+              "reason": f"join for {foreign.hex} was not accepted "
+                        "(duplicate or foreign membership)"}],
+            [{"subject": bench.client.hex, "status": "confirmed", "token_id": 1},
+             {"subject": bench.outsider.hex, "status": "rejected",
+              "reason": "subject-not-in-zone"}])
+        assert not master.has_pending
+        assert master.poll_all() == ([], [])

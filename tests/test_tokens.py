@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from capchain.encoding import canonical_json
 from capchain.ledger import ContractRejection
 from capchain.tokens import (RULE_ERRORS, Action, CapabilityToken, ConditionKind,
-                             _action_value, _condition_kind_value, canonical_token_json,
-                             rule_wire)
+                             _action_value, _condition_kind_value, rule_wire)
 
 from chainbench import Bench
 from reference_models import (ReferenceAccessRule, ReferenceCapabilityToken,
@@ -111,9 +110,9 @@ class TestWireFormats:
                  RULE_POST]
         bench.issue_client_token(rules=rules)
         wire = bench.tokens.get_token(bench.client)
-        text = canonical_token_json(wire)
+        text = canonical_json(wire)
         token = CapabilityToken.from_wire(json.loads(text))
-        assert canonical_token_json(token.wire()) == text
+        assert canonical_json(token.wire()) == text
         # canonical form has sorted keys and no insignificant whitespace
         assert text == canonical_json(json.loads(text))
         assert ": " not in text and ", " not in text
@@ -225,11 +224,11 @@ class TestPartialRevocation:
 
     def test_absent_rule_returns_false_without_change(self, bench):
         bench.issue_client_token(rules=[RULE_POST])
-        before = canonical_token_json(bench.tokens.get_token(bench.client))
+        before = canonical_json(bench.tokens.get_token(bench.client))
         receipt = bench.apply(bench.master, "captoken", "revoke_access_rights",
                               (bench.client.hex, [RULE_GET]))
         assert receipt.result is False
-        assert canonical_token_json(bench.tokens.get_token(bench.client)) == before
+        assert canonical_json(bench.tokens.get_token(bench.client)) == before
 
     def test_follower_revocation_unauthorized(self, bench):
         bench.issue_client_token()

@@ -213,9 +213,10 @@ class TestViewsAndDump:
         _, master, nodes, zones = make_world()
         zones.create_vzone(master, "zone-a")
         zones.join_vzone(master, "zone-a", nodes[0])
-        assert zones.dangling_followers() == []
         zones.revoke_vzone(master, "zone-a")
-        assert zones.dangling_followers() == [nodes[0].hex]
+        # the follower keeps its record, and its zone has no master
+        assert zones.get_vnode(nodes[0]) == VNodeRecord(nodes[0], "zone-a", NODE_TYPE_FOLLOWER)
+        assert zones.get_vzone("zone-a").master.is_zero
 
 
 # --- model equivalence -------------------------------------------------------
