@@ -5,9 +5,10 @@ Every digest in the ledger and every exported artifact goes through
 states that serialize to the same bytes are considered identical, so
 determinism of the whole system reduces to determinism of these bytes.
 
-Addresses stay objects inside the process; this encoder is the one
-place that writes them as hex, which is where bytes leave the process
-(transactions, exports, digests).
+The encoder takes JSON types only; any other type, an ``Address``
+included, raises ``TypeError``. Callers write an address as its hex
+where bytes leave the process (transactions, exports, digests), so a
+call's args are the same text live and on replay.
 
 The CSV reports keep the ``csv`` module as the one judge of how a cell is
 quoted; ``CsvCells`` asks it once per distinct cell.
@@ -22,19 +23,10 @@ from json.encoder import c_make_encoder, encode_basestring_ascii
 from types import SimpleNamespace
 from typing import Any
 
-from .address import Address
-
 ZERO_DIGEST = "0" * 64
 
 
-def _encode_address(value: Any) -> str:
-    if isinstance(value, Address):
-        return value.hex
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True,
-                            default=_encode_address)
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True)
 # The C encoder (CPython's ``_json``) that ``_ENCODER.encode`` builds afresh on
 # every call, built once. It gets no markers dict, which only detects a value
 # that contains itself: such a value raises ``RecursionError`` here, not ``ValueError``.
@@ -47,8 +39,7 @@ _C_ENCODER = c_make_encoder(None, _ENCODER.default, encode_basestring_ascii,
 def canonical_json(obj: Any) -> str:
     """Render ``obj`` as canonical JSON (sorted keys, no insignificant whitespace).
 
-    An ``Address`` anywhere in ``obj`` is written as its 0x-prefixed hex;
-    any other type JSON lacks raises ``TypeError``.
+    Any type JSON lacks, an ``Address`` included, raises ``TypeError``.
     """
     return "".join(_C_ENCODER(obj, 0))
 

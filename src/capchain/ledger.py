@@ -8,7 +8,8 @@ bit-reproducible.
 
 Time is virtual milliseconds from scenario start; wall-clock time is
 never consulted. Gas is charged per operation from a fixed table and
-converted to fees with a configured gas price and ETC/USD rate.
+converted to fees at a fixed gas price and ETC/USD rate, so an export
+holds everything that decides a receipt.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import io
 import json
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from operator import itemgetter
 from typing import Any, Callable, Iterable, NamedTuple, Optional
@@ -112,8 +113,18 @@ DEFAULT_GAS_PRICE_ETC = Decimal("6.4E-9")
 
 DEFAULT_ETH_PRICE_USD = Decimal("212.77")
 
-_ETC_QUANTUM = Decimal("1E-7")
-_USD_QUANTUM = Decimal("0.01")
+
+def _priced(gas: int) -> tuple[int, Decimal, Decimal]:
+    """``gas`` with its ETC and USD fees, rounded half up to 1E-7 ETC and 0.01 USD."""
+    raw_etc = gas * DEFAULT_GAS_PRICE_ETC
+    return (gas, raw_etc.quantize(Decimal("1E-7"), rounding=ROUND_HALF_UP),
+            (raw_etc * DEFAULT_ETH_PRICE_USD).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
+
+
+#: ``(gas, fee_etc, fee_usd)`` of each op, and ``_OTHER_OP_FEES`` of any op
+#: missing from the gas table: the op alone decides a transaction's cost.
+_OP_FEES = {op: _priced(gas) for op, gas in DEFAULT_GAS_TABLE.items()}
+_OTHER_OP_FEES = _priced(DEFAULT_OP_GAS)
 
 
 @dataclass
@@ -122,16 +133,10 @@ class ChainConfig:
 
     supervisor: Address
     block_interval_ms: int = 15000
-    gas_table: dict[str, int] = field(default_factory=lambda: dict(DEFAULT_GAS_TABLE))
-    default_op_gas: int = DEFAULT_OP_GAS
-    gas_price_etc: Decimal = DEFAULT_GAS_PRICE_ETC
-    eth_price_usd: Decimal = DEFAULT_ETH_PRICE_USD
 
     def __post_init__(self) -> None:
         if self.block_interval_ms < 1:
             raise ValueError("block_interval_ms must be >= 1")
-        if self.eth_price_usd < 0:
-            raise ValueError("eth_price_usd must be nonnegative")
 
 
 def _decode(text: str) -> Any:
@@ -152,7 +157,7 @@ class Transaction:
 
     A transaction holds the canonical JSON text of its args, encoded once
     when it is built, and not the args themselves: ``args`` decodes the
-    text on each read, so addresses come back as hex and arrays as lists.
+    text on each read, so arrays come back as lists.
     Equality, the digest and the wire texts read the text, so two calls
     are equal when their args encode alike: ``(1,)`` and ``[1]`` do, and
     ``1``, ``1.0`` and ``True`` do not. ``args`` is listed as a field so
@@ -248,8 +253,8 @@ class Receipt(NamedTuple):
 
     ``status`` is ``"ok"`` with the contract's ``result``, or
     ``"rejected"`` with the rejection code in ``error``. A rejected
-    transaction still pays its gas. The fees are ``gas`` priced at the
-    gas and ETC prices in force when the transaction was applied.
+    transaction still pays its gas. The gas and fees are those of ``op``
+    in the fixed gas table at the fixed gas and ETC prices.
     """
 
     tx_digest: str
@@ -293,7 +298,6 @@ class Chain:
         self._pending: list[tuple[Transaction, str, Any]] = []
         self._next_nonce: dict[Address, int] = {}
         self._receipts: dict[str, Receipt] = {}   # by tx digest, in apply order
-        self._fee_memo: dict[tuple[int, Decimal, Decimal], tuple[Decimal, Decimal]] = {}
         self._write_lock = threading.Lock()
         self._blocks: list[Block] = [GENESIS]
 
@@ -343,8 +347,8 @@ class Chain:
         them: the pool keeps them for ``execute``. Without them the pool
         keeps ``tx.args``, decoded from the text."""
         with self._write_lock:
+            digest = tx.digest   # raises for a call JSON cannot encode, before the nonce
             self._admit(tx)
-            digest = tx.digest
             self._pending.append((tx, digest, tx.args if args is None else args))
             return digest
 
@@ -406,7 +410,7 @@ class Chain:
     def _apply(self, tx: Transaction, digest: str, args: Any) -> int:
         """Execute ``tx`` with ``args`` and record its receipt; returns its gas."""
         contract = self._contracts[tx.contract]
-        gas = self.config.gas_table.get(tx.op, self.config.default_op_gas)
+        gas, fee_etc, fee_usd = _OP_FEES.get(tx.op, _OTHER_OP_FEES)
         status, result, error = "ok", None, None
         try:
             result = contract.execute(tx.sender, tx.op, args)
@@ -415,7 +419,6 @@ class Chain:
         except (TypeError, ValueError, KeyError, IndexError):
             # malformed call payloads reject rather than halt production
             status, error = "rejected", "invalid-args"
-        fee_etc, fee_usd = self._fees(gas)
         # tuple.__new__ skips the named tuple's generated __new__ and its frame
         self._receipts[digest] = tuple.__new__(Receipt, (digest, tx.op, status, result, error,
                                                          gas, fee_etc, fee_usd))
@@ -455,46 +458,25 @@ class Chain:
     def get_receipt(self, tx_digest: str) -> Optional[Receipt]:
         return self._receipts.get(tx_digest)
 
-    def _fees(self, gas: int) -> tuple[Decimal, Decimal]:
-        """The rounded ETC and USD fees of ``gas``, computed once per distinct
-        ``(gas, gas price, ETC price)``: the prices may change between blocks.
-
-        Prices key by value, so ``Decimal("6.40E-9")`` shares the entry of
-        ``6.4E-9`` and a ``-0`` price that of ``0``. Their rounded fees are
-        equal and print alike, because a fee that rounds to zero is unsigned:
-        ``0E-7``, never ``-0E-7``."""
-        key = (gas, self.config.gas_price_etc, self.config.eth_price_usd)
-        fees = self._fee_memo.get(key)
-        if fees is None:
-            raw_etc = gas * key[1]
-            fee_etc = raw_etc.quantize(_ETC_QUANTUM, rounding=ROUND_HALF_UP)
-            fee_usd = (raw_etc * key[2]).quantize(_USD_QUANTUM, rounding=ROUND_HALF_UP)
-            fees = self._fee_memo[key] = (fee_etc or fee_etc.copy_abs(),
-                                          fee_usd or fee_usd.copy_abs())
-        return fees
-
     def gas_entries(self) -> tuple[Receipt, ...]:
         return tuple(self._receipts.values())
 
     def write_gas_report(self, stream: io.TextIOBase) -> None:
-        """One CSV row per applied transaction; each distinct row tail is formatted once.
+        """One CSV row per applied transaction; each op's row tail is formatted once,
+        since the op alone decides the gas and fees.
 
         The digest is hex and the numbers print without separators or
-        quotes, so only ``op`` needs the ``csv`` module's quoting. Fees
-        equal in value print alike: ``_fees`` fixes their exponent and
-        writes zero unsigned.
+        quotes, so only ``op`` needs the ``csv`` module's quoting.
         """
         cells = CsvCells()
-        tails: dict[tuple, str] = {}
+        tails: dict[str, str] = {}
         rows = ["tx_digest,op,gas,fee_etc,fee_usd\n"]
-        # the dict keys are the digests; itemgetter builds each (op, gas, fees) key
-        # in C, where unpacking a Receipt (a tuple subclass) takes a slow path
-        for tx_digest, key in zip(self._receipts, map(itemgetter(1, 5, 6, 7),
-                                                      self._receipts.values())):
-            tail = tails.get(key)
+        # the dict keys are the digests; itemgetter reads each receipt's op in C
+        for tx_digest, op in zip(self._receipts, map(itemgetter(1), self._receipts.values())):
+            tail = tails.get(op)
             if tail is None:
-                op, gas, fee_etc, fee_usd = key
-                tail = tails[key] = f"{cells[op]},{gas!s},{fee_etc!s},{fee_usd!s}\n"
+                gas, fee_etc, fee_usd = _OP_FEES.get(op, _OTHER_OP_FEES)
+                tail = tails[op] = f"{cells[op]},{gas!s},{fee_etc!s},{fee_usd!s}\n"
             rows.append(f"{tx_digest},{tail}")
         stream.write("".join(rows))
 

@@ -4,11 +4,11 @@ A master owns one zone. It admits registrations through a
 ``RegistrationPolicy`` and submits the zone join for each admitted
 entity, and it submits token issuances for the rules it is given.
 
-Each submitting call returns the transaction digest. The chain's
-receipt is the one record of the outcome: once the transaction is in a
-confirmed block, the matching ``poll_*`` call reads that receipt and
-returns the outcome as a dict (``confirmed`` or ``rejected``, with a
-reason); while it is pending, ``poll_*`` returns None.
+Each submitting call returns the transaction digest, which keys the
+submission while it is pending. The chain's receipt is the one record
+of its outcome: once the transaction is in a confirmed block, ``poll_*``
+of the digest reads that receipt and returns the outcome as a dict
+(``confirmed`` or ``rejected``, with a reason), or None while pending.
 """
 
 from __future__ import annotations
@@ -84,8 +84,8 @@ class DomainMaster:
         self.chain = chain
         self.store = ProfileStore()
         self.registration_policy = registration_policy or RegistrationPolicy()
-        self._pending_joins: dict[Address, str] = {}     # vid -> tx digest
-        self._pending_issues: dict[Address, str] = {}    # subject -> tx digest
+        # tx digest -> (is an issuance, vid or subject), in submission order
+        self._pending: dict[str, tuple[bool, Address]] = {}
 
     # -- helpers -----------------------------------------------------------------
 
@@ -108,13 +108,13 @@ class DomainMaster:
         self.store.upsert(request)
         digest = self.chain.submit(self.address, ZoneContract.name, "join_vzone",
                                    (self.zone_id, request.vid.hex))
-        self._pending_joins[request.vid] = digest
+        self._pending[digest] = (False, request.vid)
         return digest
 
-    def poll_registration(self, vid: Address) -> Optional[dict]:
-        """The outcome of ``vid``'s join once confirmed, None while pending. A join
+    def poll_registration(self, digest: str) -> Optional[dict]:
+        """The outcome of join ``digest`` once confirmed, None while pending. A join
         that did not return true is rejected: the node was in some zone by then."""
-        receipt = self._confirmed(self._pending_joins, vid)
+        vid, receipt = self._confirmed(digest, False)
         if receipt is None:
             return None
         if receipt.ok and receipt.result is True:
@@ -130,13 +130,13 @@ class DomainMaster:
         """Submit a token for ``subject``; returns the tx digest. ``rules`` go as they are."""
         digest = self.chain.submit(self.address, TokenContract.name, "issue_token",
                                    (subject.hex, rules, now, now + validity_ms))
-        self._pending_issues[subject] = digest
+        self._pending[digest] = (True, subject)
         return digest
 
-    def poll_issue(self, subject: Address) -> Optional[dict]:
-        """The outcome of ``subject``'s issuance once confirmed, with the token
-        id or the contract's rejection code; None while pending."""
-        receipt = self._confirmed(self._pending_issues, subject)
+    def poll_issue(self, digest: str) -> Optional[dict]:
+        """The outcome of issuance ``digest`` once confirmed, with the token id
+        or the contract's rejection code; None while pending."""
+        subject, receipt = self._confirmed(digest, True)
         if receipt is None:
             return None
         if receipt.ok:
@@ -145,19 +145,19 @@ class DomainMaster:
 
     # -- pending transactions ----------------------------------------------------------
 
-    def _confirmed(self, pending: dict[Address, str], key: Address) -> Optional[Receipt]:
-        """The receipt of ``key``'s pending transaction, which then stops pending;
-        None while it awaits its block or when ``key`` has none."""
-        digest = pending.get(key)
-        receipt = None if digest is None else self.chain.get_receipt(digest)
+    def _confirmed(self, digest: str, issue: bool) -> tuple[Optional[Address], Optional[Receipt]]:
+        """The vid or subject of pending join ``digest`` (issuance, if ``issue``) and,
+        once confirmed, its receipt, and it stops pending; else the receipt is None."""
+        is_issue, key = self._pending.get(digest, (None, None))
+        receipt = self.chain.get_receipt(digest) if is_issue is issue else None
         if receipt is not None:
-            del pending[key]
-        return receipt
+            del self._pending[digest]
+        return key, receipt
 
     @property
     def has_pending(self) -> bool:
         """True while a submitted join or issuance awaits its block."""
-        return bool(self._pending_joins or self._pending_issues)
+        return bool(self._pending)
 
     def poll_all(self) -> tuple[list[dict], list[dict]]:
         """Poll every pending join, then every pending issuance, once.
@@ -166,8 +166,8 @@ class DomainMaster:
         transaction now in a confirmed block, in submission order.
         Unconfirmed ones stay pending.
         """
-        registrations = [outcome for vid in list(self._pending_joins)
-                         if (outcome := self.poll_registration(vid)) is not None]
-        issues = [outcome for subject in list(self._pending_issues)
-                  if (outcome := self.poll_issue(subject)) is not None]
+        registrations = [outcome for digest, (issue, _) in list(self._pending.items())
+                         if not issue and (outcome := self.poll_registration(digest))]
+        issues = [outcome for digest, (issue, _) in list(self._pending.items())
+                  if issue and (outcome := self.poll_issue(digest))]
         return registrations, issues

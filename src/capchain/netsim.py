@@ -102,12 +102,12 @@ class Simulation:
         submit = self.chain.submit
         for node in self.nodes.values():
             if node.role == "master":
-                submit(supervisor, "vzone", "set_master_allowlist", (node.vid.hex, True))
+                submit(supervisor, ZoneContract.name, "set_master_allowlist", (node.vid.hex, True))
         for node in self.nodes.values():
             if node.zone:
-                submit(node.vid, "vzone", "create_vzone", (node.zone,))
+                submit(node.vid, ZoneContract.name, "create_vzone", (node.zone,))
                 for member in node.members:
-                    submit(node.vid, "vzone", "join_vzone",
+                    submit(node.vid, ZoneContract.name, "join_vzone",
                            (node.zone, self.nodes[member].vid.hex))
         self.chain.produce_block(0, force=True)
 
@@ -233,18 +233,18 @@ class Simulation:
             master.issue_capability(subject, event.rules, event.validity_ms, at)
         else:
             # supervisor-issued tokens go straight to the contract
-            self.chain.submit(event.master.vid, "captoken", "issue_token",
+            self.chain.submit(event.master.vid, TokenContract.name, "issue_token",
                               (subject.hex, event.rules, at, at + event.validity_ms))
 
     def _handle_token_change(self, event: TokenChange) -> None:
         sender, subject, op = event.master.vid, event.subject.vid.hex, event.op
         if op == "revoke":
-            self.chain.submit(sender, "captoken", "revoke_token", (subject,))
+            self.chain.submit(sender, TokenContract.name, "revoke_token", (subject,))
         elif op == "revoke_rules":
-            self.chain.submit(sender, "captoken", "revoke_access_rights",
+            self.chain.submit(sender, TokenContract.name, "revoke_access_rights",
                               (subject, event.rules))
         else:
-            self.chain.submit(sender, "captoken", "set_token_validity",
+            self.chain.submit(sender, TokenContract.name, "set_token_validity",
                               (subject, op == "restore"))
 
     def _handle_arrival(self, at: float, flight: tuple, result: SimulationResult) -> None:

@@ -111,7 +111,7 @@ def rule_wire(body: dict) -> dict:
     ``RULE_ERRORS``; a bad condition is reported before a bad resource.
     """
     conditions = body.get("conditions", [])   # none when the key is absent
-    if not isinstance(conditions, list):
+    if not isinstance(conditions, (list, tuple)):   # replay reads a tuple as a list
         raise TypeError(f"conditions must be a list, got {type(conditions).__name__}")
     action = _action_value(body["action"])
     resource = body["resource"]
@@ -197,6 +197,9 @@ class TokenContract(Contract):
     def execute(self, sender: Address, op: str, args: tuple):
         if op == "issue_token":
             subject, rules, issue_date, expired_date = args
+            if not (isinstance(issue_date, (int, float))
+                    and isinstance(expired_date, (int, float))):
+                raise TypeError("token dates must be numbers")   # (1,) <= [2] fails live only
             return self.issue_token(sender, Address.from_hex(subject),
                                     list(rules), issue_date, expired_date)
         if op == "revoke_access_rights":
@@ -266,6 +269,8 @@ class TokenContract(Contract):
             return False
         self._authorize_revocation(sender, token)
         targets = {(rule["action"], rule["resource"]) for rule in rules}
+        if not all(isinstance(part, str) for target in targets for part in target):
+            raise TypeError("a revoked rule names its action and resource by strings")
         authorization = token["authorization"]
         kept = [rule for rule in authorization
                 if (rule["action"], rule["resource"]) not in targets]

@@ -35,6 +35,13 @@ class VNodeRecord:
     node_type: int
 
 
+def _zone_id(value: object) -> str:
+    """A zone id of call args, or ``TypeError``: replay reads a tuple id as an unhashable list."""
+    if not isinstance(value, str):
+        raise TypeError(f"zone id must be a string, got {type(value).__name__}")
+    return value
+
+
 class ZoneContract(Contract):
     """State machine for zone creation, revocation, joining and leaving.
 
@@ -54,13 +61,13 @@ class ZoneContract(Contract):
 
     def execute(self, sender: Address, op: str, args: tuple):
         if op == "create_vzone":
-            return self.create_vzone(sender, args[0])
+            return self.create_vzone(sender, _zone_id(args[0]))
         if op == "revoke_vzone":
-            return self.revoke_vzone(sender, args[0])
+            return self.revoke_vzone(sender, _zone_id(args[0]))
         if op == "join_vzone":
-            return self.join_vzone(sender, args[0], Address.from_hex(args[1]))
+            return self.join_vzone(sender, _zone_id(args[0]), Address.from_hex(args[1]))
         if op == "leave_vzone":
-            return self.leave_vzone(sender, args[0], Address.from_hex(args[1]))
+            return self.leave_vzone(sender, _zone_id(args[0]), Address.from_hex(args[1]))
         if op == "set_master_allowlist":
             return self.set_master_allowlist(sender, Address.from_hex(args[0]), bool(args[1]))
         raise ContractRejection("unknown-op", f"zone contract has no operation {op!r}")

@@ -9,8 +9,8 @@ package's cache does): ``ReferenceTokenCache`` is the change-driven cache
 that wrote a sync stamp into every entry it held, which the epoch-stamped
 ``TokenCache`` replaced, and ``FullRefetchTokenCache`` is the sync before
 it, which refetched every entry. So is ``reference_jsonify``, the argument
-walk that turned ``Address`` objects into hex before encoding, which the
-encoder's own hook replaced.
+walk that turned tuples into lists before encoding, which the encoder does
+itself.
 The wire dicts and report writers at the end are the ones the assembled
 texts replaced: dicts handed whole to ``canonical_json``, rows handed
 whole to ``csv.writer``, statistics gathered one list at a time, numbers
@@ -56,8 +56,9 @@ from capchain.enforcement import (PIPELINE_STAGES, Decision, ServiceRequest, Sta
                                   StageTrace, match_access_rule, verify_conditions,
                                   verify_token_status)
 from capchain.encoding import canonical_json, canonical_str, sha256_hex
-from capchain.ledger import (GENESIS, Block, Chain, ChainFileError, ContractRejection,
-                             CorruptChainError, LedgerError)
+from capchain.ledger import (DEFAULT_ETH_PRICE_USD, DEFAULT_GAS_PRICE_ETC, DEFAULT_GAS_TABLE,
+                             DEFAULT_OP_GAS, GENESIS, Block, Chain, ChainFileError,
+                             ContractRejection, CorruptChainError, LedgerError)
 from capchain.master import RegistrationPolicy
 from capchain.netsim import MEASUREMENT_COLUMNS, Measurement, SimulationResult
 from capchain.scenario import (ACTIONS, COSTS, EXPECTS, MAX_BLOCKS, POLICY_KINDS, PROFILES,
@@ -339,8 +340,6 @@ class FullRefetchTokenCache(ReferenceTokenCache):
 
 def reference_jsonify(value):
     """Normalize argument structures to plain JSON types."""
-    if isinstance(value, Address):
-        return value.hex
     if isinstance(value, (list, tuple)):
         return [reference_jsonify(v) for v in value]
     if isinstance(value, dict):
@@ -866,15 +865,10 @@ class ReferenceAddress:
 
 
 def reference_fees(gas, gas_price_etc, eth_price_usd):
-    """``Chain._fees`` without its memo: two quantizes per call, zero unsigned."""
+    """The ETC and USD fees of ``gas`` at the given prices, two quantizes per call."""
     raw_etc = gas * gas_price_etc
-    fee_etc = raw_etc.quantize(Decimal("1E-7"), rounding=ROUND_HALF_UP)
-    fee_usd = (raw_etc * eth_price_usd).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP)
-    if fee_etc == 0:
-        fee_etc = Decimal("0E-7")
-    if fee_usd == 0:
-        fee_usd = Decimal("0.00")
-    return fee_etc, fee_usd
+    return (raw_etc.quantize(Decimal("1E-7"), rounding=ROUND_HALF_UP),
+            (raw_etc * eth_price_usd).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
 
 
 # ---------------------------------------------------------------------------
@@ -918,7 +912,7 @@ class ReferenceChain(Chain):
     def _apply(self, tx, digest, args):
         height = self.height + 1   # the block being sealed
         contract = self._contracts[tx.contract]
-        gas = self.config.gas_table.get(tx.op, self.config.default_op_gas)
+        gas = DEFAULT_GAS_TABLE.get(tx.op, DEFAULT_OP_GAS)
         try:
             result = contract.execute(tx.sender, tx.op, args)
             receipt = ReferenceReceipt(digest, tx.sender, tx.op, "ok", result, None, gas,
@@ -932,7 +926,7 @@ class ReferenceChain(Chain):
         self._receipts[digest] = receipt
         self._gas_log[digest] = ReferenceGasEntry(
             digest, tx.op, gas,
-            *reference_fees(gas, self.config.gas_price_etc, self.config.eth_price_usd))
+            *reference_fees(gas, DEFAULT_GAS_PRICE_ETC, DEFAULT_ETH_PRICE_USD))
         return gas
 
     def gas_entries(self):

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from capchain import ledger
 from capchain.address import Address, AddressFactory
 from capchain.encoding import ZERO_DIGEST, canonical_json, digest_of, sha256_hex
-from capchain.ledger import (DEFAULT_GAS_TABLE, Block, Chain, ChainConfig, ChainFileError,
+from capchain.ledger import (DEFAULT_ETH_PRICE_USD, DEFAULT_GAS_PRICE_ETC, DEFAULT_GAS_TABLE,
+                             DEFAULT_OP_GAS, Block, Chain, ChainConfig, ChainFileError,
                              ContractNotFoundError, CorruptChainError,
                              IntervalNotElapsedError,
                              NonceMismatchError, Receipt, Transaction, read_chain,
@@ -32,13 +33,12 @@ from reference_models import (ReferenceChain, ReferenceTransaction, reference_bl
 from workloads import WORKLOADS
 
 
-def fresh_chain(seed=42, block_interval_ms=15000, **config_kwargs):
+def fresh_chain(seed=42, block_interval_ms=15000):
     factory = AddressFactory(seed)
     supervisor = factory.new_address()
     zones = ZoneContract(supervisor)
     tokens = TokenContract(supervisor, zones)
-    config = ChainConfig(supervisor=supervisor,
-                         block_interval_ms=block_interval_ms, **config_kwargs)
+    config = ChainConfig(supervisor=supervisor, block_interval_ms=block_interval_ms)
     return Chain(config, [zones, tokens]), supervisor, factory
 
 
@@ -100,6 +100,15 @@ class TestSubmit:
         replayed = replay_chain(chain.config, read_chain(io.StringIO(chain.export_chain_text())),
                                 zone_contracts_factory(supervisor))
         assert replayed.state_digest() == chain.state_digest()
+
+    def test_an_unencodable_op_leaves_the_nonce_untaken(self):
+        chain, supervisor, _ = fresh_chain()
+        with pytest.raises(TypeError):
+            submit(chain, supervisor, "vzone", 5, ())
+        assert chain.next_nonce(supervisor) == 0
+        submit(chain, supervisor, "vzone", "create_vzone", ("zone-a",))
+        chain.produce_next_block()
+        assert replays(chain)
 
     def test_duplicate_submission_rejected(self):
         chain, supervisor, _ = fresh_chain()
@@ -372,44 +381,19 @@ class TestGasAccounting:
         assert entry.fee_etc == Decimal("0.0010211")
         assert entry.fee_usd == Decimal("0.22")
 
-    def test_reported_average_gas_reproduces_published_etc_fee(self):
+    def test_each_op_is_priced_at_the_constants(self, bench):
         # the published 0.0010853 ETC figure corresponds to the reported
         # *average* gas of ~169576 units at the same 6.4e-9 price
-        chain, _, _ = fresh_chain(
-            gas_table={"issue_token": 169576})
-        fee_etc, _ = chain._fees(169576)
-        assert fee_etc == Decimal("0.0010853")
-
-    def test_zero_price_configuration(self):
-        bench = Bench()
-        bench.chain.config.eth_price_usd = Decimal("0")
-        receipt = bench.issue_client_token()
-        assert bench.chain.get_receipt(receipt.tx_digest).fee_usd == Decimal("0.00")
-
-    @settings(max_examples=150, deadline=None)
-    @given(calls=st.lists(st.tuples(
-        st.sampled_from([0, 21000, 159544]) | st.integers(-10**6, 10**9),
-        # equal prices written differently, signed zeros, and random prices
-        st.sampled_from([Decimal("6.4E-9"), Decimal("6.40E-9"), Decimal("0"), Decimal("-0")])
-        | st.decimals("-1E-6", "1E-6", places=12),
-        st.sampled_from([Decimal("212.77"), Decimal("212.770"), Decimal("0"), Decimal("-0")])
-        | st.decimals("0", "5000", places=2)), min_size=1, max_size=24))
-    @example(calls=[(21000, Decimal("-0"), Decimal("212.77")),
-                    (21000, Decimal("0"), Decimal("212.77"))])
-    def test_memoised_fees_equal_the_direct_computation(self, calls):
-        chain, _, _ = fresh_chain()
-        for gas, gas_price, eth_price in calls:   # the prices may change between calls
-            chain.config.gas_price_etc, chain.config.eth_price_usd = gas_price, eth_price
-            fees = chain._fees(gas)
-            direct = reference_fees(gas, gas_price, eth_price)
-            assert fees == direct and list(map(str, fees)) == list(map(str, direct))
-
-    def test_receipt_keeps_the_prices_in_force_when_applied(self, bench):
-        receipt = bench.issue_client_token()
-        bench.chain.config.eth_price_usd = Decimal("1000")
-        [logged] = [e for e in bench.chain.gas_entries() if e.tx_digest == receipt.tx_digest]
-        assert bench.chain.get_receipt(receipt.tx_digest) == logged
-        assert logged.fee_usd == Decimal("0.22")
+        assert reference_fees(169576, DEFAULT_GAS_PRICE_ETC, DEFAULT_ETH_PRICE_USD)[0] == \
+            Decimal("0.0010853")
+        # a call pays its op's gas whether it succeeds or not; "mint" is in no table
+        for op in sorted(DEFAULT_GAS_TABLE) + ["mint"]:
+            receipt = bench.apply(bench.master, "vzone", op, ())
+            gas = DEFAULT_GAS_TABLE.get(op, DEFAULT_OP_GAS)
+            fees = reference_fees(gas, DEFAULT_GAS_PRICE_ETC, DEFAULT_ETH_PRICE_USD)
+            assert (receipt.op, receipt.gas, str(receipt.fee_etc), str(receipt.fee_usd)) == \
+                (op, gas, *map(str, fees))
+        assert bench.chain.get_receipt(receipt.tx_digest) in bench.chain.gas_entries()
 
     def test_a_rejected_revoke_has_one_receipt_priced_when_applied(self, bench):
         bench.issue_client_token()
@@ -417,8 +401,6 @@ class TestGasAccounting:
         bench.apply(bench.supervisor, "vzone", "set_master_allowlist", (other.hex, True))
         bench.apply(other, "vzone", "create_vzone", ("zone-b",))
         receipt = bench.apply(other, "captoken", "revoke_token", (bench.client.hex,))
-        bench.chain.config.gas_price_etc = Decimal("1E-6")   # prices after the fact
-        bench.chain.config.eth_price_usd = Decimal("1000")
         assert receipt == Receipt(receipt.tx_digest, "revoke_token", "rejected", None,
                                   "unauthorized", 31877, Decimal("0.0002040"),
                                   Decimal("0.04"))
@@ -457,17 +439,12 @@ class TestGasAccounting:
     @settings(max_examples=100, deadline=None)
     @given(ops=st.lists(st.tuples(st.sampled_from(["issue_token", "a,b", 'say "hi"', "",
                                                    "line\nbreak", "cr\r", "é"]),
-                                  st.booleans()), max_size=12),
-           gas_table=st.dictionaries(st.sampled_from(["issue_token", "a,b", ""]),
-                                     st.integers(-10**6, 10**9), max_size=3),
-           prices=st.lists(st.tuples(st.decimals("0", "1E-6", places=12),
-                                     st.decimals("0", "5000", places=2)), min_size=1))
-    def test_gas_report_matches_csv_writer_rows(self, ops, gas_table, prices):
-        chain, supervisor, _ = fresh_chain(gas_table=gas_table)
-        for i, (op, seal) in enumerate(ops):
+                                  st.booleans()), max_size=12))
+    def test_gas_report_matches_csv_writer_rows(self, ops):
+        chain, supervisor, _ = fresh_chain()
+        for op, seal in ops:
             submit(chain, supervisor, "vzone", op, ())
             if seal:
-                chain.config.gas_price_etc, chain.config.eth_price_usd = prices[i % len(prices)]
                 chain.produce_next_block()
         chain.produce_next_block()
         expected = io.StringIO()
@@ -499,13 +476,6 @@ chain_calls = st.one_of(
     st.tuples(st.just("captoken"), st.sampled_from(["issue_token", "revoke_token"]),
               st.sampled_from([(), ("not-hex",)])),
 )
-# equal prices written differently, and prices whose fees round to a signed zero
-price_changes = st.tuples(
-    st.sampled_from([Decimal("6.4E-9"), Decimal("6.40E-9"), Decimal("0"), Decimal("-0"),
-                     Decimal("1E-12"), Decimal("-1E-12")])
-    | st.decimals("-1E-6", "1E-6", places=12),
-    st.sampled_from([Decimal("212.77"), Decimal("0"), Decimal("-0")])
-    | st.decimals("0", "5000", places=2))
 
 
 class TestReceiptMatchesTwoRecordReference:
@@ -514,26 +484,16 @@ class TestReceiptMatchesTwoRecordReference:
     @settings(max_examples=150, deadline=None)
     @given(steps=st.lists(st.tuples(st.just("tx"), st.integers(0, len(ACTORS) - 1),
                                     chain_calls)
-                          | st.tuples(st.just("seal"), price_changes), max_size=30),
-           dropped=st.sets(st.sampled_from(sorted(DEFAULT_GAS_TABLE))))
-    @example(steps=[("tx", 0, ("vzone", "mint", ())),
-                    ("seal", (Decimal("1E-12"), Decimal("212.77"))),
-                    ("tx", 0, ("vzone", "mint", ())),
-                    ("seal", (Decimal("-1E-12"), Decimal("0")))], dropped=set())
-    def test_receipts_fees_and_report_equal_the_reference(self, steps, dropped):
-        gas_table = {op: gas for op, gas in DEFAULT_GAS_TABLE.items() if op not in dropped}
-        chains = []
-        for build in (Chain, ReferenceChain):
-            config = ChainConfig(supervisor=ACTORS[0], gas_table=dict(gas_table))
-            chains.append(build(config, zone_contracts_factory(ACTORS[0])()))
+                          | st.tuples(st.just("seal")), max_size=30))
+    def test_receipts_fees_and_report_equal_the_reference(self, steps):
+        chains = [build(ChainConfig(supervisor=ACTORS[0]), zone_contracts_factory(ACTORS[0])())
+                  for build in (Chain, ReferenceChain)]
         chain, reference = chains
-        for step in steps + [("seal", None)]:
+        for step in steps + [("seal",)]:
             for each in chains:
                 if step[0] == "tx":
                     each.submit(ACTORS[step[1]], *step[2])
                 else:
-                    if step[1] is not None:
-                        each.config.gas_price_etc, each.config.eth_price_usd = step[1]
                     each.produce_next_block()
         assert chain.export_chain_text() == reference.export_chain_text()
         entries = {entry.tx_digest: entry for entry in reference.gas_entries()}
@@ -614,9 +574,97 @@ class TestInvariants:
         assert sum(entry.gas for entry in bench.chain.gas_entries()) == block_gas
 
 
+# Bench()'s actors in the order it draws them: supervisor, master, provider,
+# client, outsider
+BENCH_ACTORS = AddressFactory(1234).new_addresses(5)
+
+
+def wrapped(values):
+    """``values``, and half as often one of them alone in a tuple or a list."""
+    return st.one_of(values, values, st.tuples(values),
+                     st.lists(values, min_size=1, max_size=1))
+
+
+# each address as a library caller might pass it: the object, or its hex in either case
+bench_addresses = wrapped(st.sampled_from(
+    [form for a in BENCH_ACTORS for form in (a, a.hex, a.hex.upper())]))
+flags = wrapped(st.sampled_from([True, 1, 1.0, False, 0, 0.0]))
+dates = wrapped(st.sampled_from([0, 1, 1.0, True, 10**9]))
+bench_zones = wrapped(st.sampled_from(["zone-a", "zone-b"]))
+weekdays = st.fixed_dictionaries({"kind": st.just("weekday"),
+                                  "days": st.sampled_from([[0, 1], (0, 1), (True,), [1.0]])})
+library_rules = st.fixed_dictionaries({
+    "action": wrapped(st.sampled_from(["GET", "PUT"])),
+    "resource": wrapped(st.just("/api/data")),
+    "conditions": st.lists(weekdays, max_size=1) | st.lists(weekdays, max_size=1).map(tuple)})
+rule_sequences = st.lists(library_rules, max_size=2) \
+    | st.lists(library_rules, max_size=2).map(tuple)
+library_calls = st.one_of(
+    st.tuples(st.just("vzone"), st.just("set_master_allowlist"),
+              st.tuples(bench_addresses, flags)),
+    st.tuples(st.just("vzone"), st.sampled_from(["create_vzone", "revoke_vzone"]),
+              st.tuples(bench_zones)),
+    st.tuples(st.just("vzone"), st.sampled_from(["join_vzone", "leave_vzone"]),
+              st.tuples(bench_zones, bench_addresses)),
+    st.tuples(st.just("captoken"), st.just("issue_token"),
+              st.tuples(bench_addresses, rule_sequences, dates, dates)),
+    st.tuples(st.just("captoken"), st.just("revoke_access_rights"),
+              st.tuples(bench_addresses, rule_sequences)),
+    st.tuples(st.just("captoken"), st.just("revoke_token"), st.tuples(bench_addresses)),
+    st.tuples(st.just("captoken"), st.just("set_token_validity"),
+              st.tuples(bench_addresses, flags)),
+)
+CLIENT_HEX = BENCH_ACTORS[3].hex
+GET_DATA = {"action": "GET", "resource": "/api/data", "conditions": []}
+
+
+class TestLiveRunAndReplayAgree:
+    """A library call runs on replay as it ran live, or ``submit`` refuses it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(steps=st.lists(st.tuples(st.integers(0, len(BENCH_ACTORS) - 1), library_calls)
+                          | st.none(), max_size=12))
+    # an Address arg: live it was rejected invalid-args, its replay joined the node
+    @example(steps=[(1, ("vzone", "join_vzone", ("zone-a", BENCH_ACTORS[4])))])
+    # a tuple of conditions: live it was rejected invalid-rule, its replay issued
+    @example(steps=[(1, ("captoken", "issue_token",
+                         (CLIENT_HEX, [dict(GET_DATA, conditions=())], 0, 10**9)))])
+    # dates a tuple and a list: live their comparison failed invalid-args, replay issued
+    @example(steps=[(1, ("captoken", "issue_token", (CLIENT_HEX, [GET_DATA], (1,), [2])))])
+    # a tuple zone id: live it created a zone that state_digest could not encode
+    @example(steps=[(0, ("vzone", "create_vzone", (("z",),)))])
+    # a tuple action: live it revoked nothing, its replay was rejected invalid-args
+    @example(steps=[(1, ("captoken", "issue_token", (CLIENT_HEX, [GET_DATA], 0, 10**9))),
+                    (1, ("captoken", "revoke_access_rights",
+                         (CLIENT_HEX, [dict(GET_DATA, action=("GET",))])))])
+    def test_live_and_replayed_digests_and_receipts_are_equal(self, steps):
+        bench = Bench()
+        assert [bench.supervisor, bench.master, bench.provider, bench.client,
+                bench.outsider] == BENCH_ACTORS
+        digests = []
+        for step in steps + [None]:   # None seals a block
+            if step is None:
+                bench.chain.produce_next_block()
+                continue
+            sender, (contract, op, args) = BENCH_ACTORS[step[0]], step[1]
+            nonce = bench.chain.next_nonce(sender)
+            try:
+                digests.append(bench.submit(sender, contract, op, args))
+            except TypeError:   # refused: an Address is no JSON value
+                assert bench.chain.next_nonce(sender) == nonce
+        live = bench.chain
+        replayed = replay_chain(live.config, read_chain(io.StringIO(live.export_chain_text())),
+                                zone_contracts_factory(bench.supervisor))
+        assert live.state_digest() == replayed.state_digest()
+        for digest in digests:
+            ran, reran = live.get_receipt(digest), replayed.get_receipt(digest)
+            assert (ran.status, ran.error, ran.result) == (reran.status, reran.error,
+                                                           reran.result)
+
+
 addresses = st.binary(min_size=20, max_size=20).map(Address)
 json_values = st.recursive(
-    st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=8), addresses),
+    st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=8)),
     lambda children: st.one_of(st.lists(children, max_size=4),
                                st.lists(children, max_size=4).map(tuple),
                                st.dictionaries(st.text(max_size=8), children, max_size=4)),
@@ -629,7 +677,7 @@ wire_strings = st.text(st.sampled_from('a"\\/\x00\x1f\n\t\x7fé€\U0001f600'), 
 wire_args = st.recursive(
     st.one_of(st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False,
                                                                  allow_infinity=False),
-              wire_strings, addresses),
+              wire_strings),
     lambda children: st.one_of(
         st.lists(children, max_size=3),
         st.dictionaries(st.sampled_from(["nonce", "gas", "args", "digest", "txs"])
@@ -719,6 +767,15 @@ class TestEncoder:
         with pytest.raises(TypeError):
             canonical_json(reference_jsonify(value))
 
+    def test_an_address_arg_is_refused_before_its_nonce_is_taken(self, bench):
+        with pytest.raises(TypeError):
+            canonical_json([bench.zone_id, bench.outsider])
+        nonce = bench.chain.next_nonce(bench.master)
+        with pytest.raises(TypeError):
+            bench.submit(bench.master, "vzone", "join_vzone", (bench.zone_id, bench.outsider))
+        assert bench.chain.next_nonce(bench.master) == nonce
+        assert bench.chain.produce_next_block().transactions == ()
+
 
 class TestTransactionMatchesReference:
     """The text-backed transaction against the one that held its args."""
@@ -768,7 +825,7 @@ class TestTransactionMatchesReference:
                                 (numbers[0], numbers[2])])
 
     def test_args_are_decoded_on_demand_and_not_held(self, bench):
-        tx = Transaction(bench.master, "vzone", "join_vzone", ("zone-a", bench.client), 0)
+        tx = Transaction(bench.master, "vzone", "join_vzone", ("zone-a", bench.client.hex), 0)
         assert tx.args == ("zone-a", bench.client.hex)
         assert tx.args is not tx.args
         assert not hasattr(tx, "__dict__")

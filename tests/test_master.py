@@ -19,19 +19,20 @@ class TestRegistration:
         master = make_master(bench)
         vid = fresh_vid(bench)
         digest = master.register_entity(RegistrationRequest(vid, "node-x"))
-        assert master.poll_registration(vid) is None  # unconfirmed: no outcome
+        assert master.poll_registration(digest) is None  # unconfirmed: no outcome
         bench.chain.produce_next_block()
-        assert master.poll_registration(vid) == {
+        assert master.poll_issue(digest) is None  # a join is not an issuance
+        assert master.poll_registration(digest) == {
             "vid": vid.hex, "status": "confirmed", "group_id": bench.zone_id}
         assert bench.chain.get_receipt(digest).result is True
-        assert master.poll_registration(vid) is None  # polled once, no longer pending
+        assert master.poll_registration(digest) is None  # polled once, no longer pending
 
     def test_ticket_matches_confirmed_vnode_record(self, bench):
         master = make_master(bench)
         vid = fresh_vid(bench)
-        master.register_entity(RegistrationRequest(vid, "node-x"))
+        digest = master.register_entity(RegistrationRequest(vid, "node-x"))
         bench.chain.produce_next_block()
-        outcome = master.poll_registration(vid)
+        outcome = master.poll_registration(digest)
         record = bench.zones.get_vnode(vid)
         assert (outcome["vid"], outcome["group_id"]) == (vid.hex, record.vzone_id)
 
@@ -46,9 +47,9 @@ class TestRegistration:
         # pool order: master's join ran first and won; redo with reversed order
         vid2 = fresh_vid(bench)
         bench.submit(bench.supervisor, "vzone", "join_vzone", ("zone-b", vid2.hex))
-        master.register_entity(RegistrationRequest(vid2, "node-y"))
+        digest = master.register_entity(RegistrationRequest(vid2, "node-y"))
         bench.chain.produce_next_block()
-        assert master.poll_registration(vid2)["status"] == "rejected"
+        assert master.poll_registration(digest)["status"] == "rejected"
 
     def test_confirmed_member_rejected_as_duplicate(self, bench):
         master = make_master(bench)
@@ -92,9 +93,10 @@ class TestIssuance:
     def test_grant_becomes_queryable_token(self, bench):
         master = make_master(bench)
         digest = master.issue_capability(bench.client, [GET_DATA], 60000, now=1000)
-        assert master.poll_issue(bench.client) is None
+        assert master.poll_issue(digest) is None
         [tx] = bench.chain.produce_next_block().transactions
-        outcome = master.poll_issue(bench.client)
+        assert master.poll_registration(digest) is None  # an issuance is not a join
+        outcome = master.poll_issue(digest)
         assert (tx.digest, tx.contract) == (digest, "captoken")
         token = bench.tokens.get_token(bench.client)
         assert token["id"] == outcome["token_id"]
@@ -103,9 +105,9 @@ class TestIssuance:
 
     def test_cross_zone_rejection_propagates(self, bench):
         master = make_master(bench)
-        master.issue_capability(bench.outsider, [GET_DATA], 60000, now=0)
+        digest = master.issue_capability(bench.outsider, [GET_DATA], 60000, now=0)
         bench.chain.produce_next_block()
-        assert master.poll_issue(bench.outsider) == {
+        assert master.poll_issue(digest) == {
             "subject": bench.outsider.hex, "status": "rejected",
             "reason": "subject-not-in-zone"}
 
@@ -137,3 +139,23 @@ class TestPollAll:
               "reason": "subject-not-in-zone"}])
         assert not master.has_pending
         assert master.poll_all() == ([], [])
+
+    def test_two_submissions_for_one_key_are_two_outcomes(self, bench):
+        """Within one block interval, one fresh vid registers twice and one
+        subject gets two issuances: each submission has its own outcome."""
+        master = make_master(bench)
+        vid = fresh_vid(bench)
+        master.register_entity(RegistrationRequest(vid, "node-x"))
+        master.register_entity(RegistrationRequest(vid, "node-x"))
+        master.issue_capability(bench.client, [GET_DATA], 60000, now=1000)
+        master.issue_capability(bench.client, [GET_DATA], 90000, now=1000)
+        bench.chain.produce_next_block()
+        assert master.poll_all() == (
+            [{"vid": vid.hex, "status": "confirmed", "group_id": "zone-a"},
+             {"vid": vid.hex, "status": "rejected",
+              "reason": f"join for {vid.hex} was not accepted "
+                        "(duplicate or foreign membership)"}],
+            [{"subject": bench.client.hex, "status": "confirmed", "token_id": 1},
+             {"subject": bench.client.hex, "status": "confirmed", "token_id": 2}])
+        assert not master.has_pending
+        assert bench.tokens.get_token(bench.client)["expireddate"] == 91000
