@@ -11,13 +11,13 @@ from typing import Optional
 
 from .address import Address
 from .encoding import canonical_json
-from .enforcement import ServiceRequest
+from .enforcement import ServiceProvider, ServiceRequest
 from .ledger import ChainConfig, ChainFileError, CorruptChainError, read_chain, replay_chain
 from .netsim import (Simulation, ac_overhead_ms, run_latency_bench, run_overhead_bench,
                      run_scenario, summarize, summary_rows, write_measurements_csv,
                      write_stage_traces_csv, write_summary_text)
 from .scenario import MAX_NESTING, ScenarioError, nesting_depth
-from .tokens import TokenContract
+from .tokens import TokenContract, contracts
 from .zones import ZoneContract
 
 
@@ -99,6 +99,22 @@ def demo_config(seed: int, block_interval_ms: int) -> dict:
     }
 
 
+def _authenticated(provider: ServiceProvider, client: Address) -> tuple[str, str]:
+    """A demo case's outcome and detail: ``provider`` authenticates ``client``."""
+    ok, reason = provider.authenticate(client)
+    return "pass" if ok else "deny", reason or "same VZoneID"
+
+
+def _authorized(provider: ServiceProvider, client: Address, method: str,
+                now: int) -> tuple[str, str]:
+    """A demo case's outcome and detail: ``provider`` authorizes a ``method``
+    request of ``/api/data`` by ``client`` at ``now``."""
+    decision, _ = provider.authorize(ServiceRequest(client, method, "/api/data", now))
+    if decision.granted:
+        return "pass", "granted"
+    return "deny", f"{decision.stage}/{decision.reason}"
+
+
 def run_demo(seed: int, block_interval_ms: int, out: Optional[str]) -> int:
     if block_interval_ms > MAX_DEMO_BLOCK_INTERVAL_MS:
         return _fail("invalid-block-interval",
@@ -114,22 +130,11 @@ def run_demo(seed: int, block_interval_ms: int, out: Optional[str]) -> int:
     sat = simulation.providers["sat-provider"]
     ground = simulation.providers["ground-provider"]
 
-    ok, reason = sat.authenticate(client)
-    case1 = ("pass" if ok else "deny", reason or "same VZoneID")
-    ok, reason = ground.authenticate(client)
-    case2 = ("pass" if ok else "deny", reason or "same VZoneID")
-    decision, _ = sat.authorize(ServiceRequest(client, "GET", "/api/data", now))
-    case3 = ("pass" if decision.granted else "deny",
-             "granted" if decision.granted else f"{decision.stage}/{decision.reason}")
-    decision, _ = sat.authorize(ServiceRequest(client, "PUT", "/api/data", now))
-    case4 = ("pass" if decision.granted else "deny",
-             "granted" if decision.granted else f"{decision.stage}/{decision.reason}")
-
     rows = [
-        ("same-zone authentication", "pass", *case1),
-        ("cross-zone authentication", "deny", *case2),
-        ("granted GET /api/data", "pass", *case3),
-        ("ungranted PUT /api/data", "deny", *case4),
+        ("same-zone authentication", "pass", *_authenticated(sat, client)),
+        ("cross-zone authentication", "deny", *_authenticated(ground, client)),
+        ("granted GET /api/data", "pass", *_authorized(sat, client, "GET", now)),
+        ("ungranted PUT /api/data", "deny", *_authorized(sat, client, "PUT", now)),
     ]
     width = max(len(r[0]) for r in rows)
     print(f"{'case':<{width}}  expected  actual  detail")
@@ -146,9 +151,9 @@ def run_demo(seed: int, block_interval_ms: int, out: Optional[str]) -> int:
     return 0
 
 
-def run_scenario_command(path: str, seed: Optional[int], block_interval_ms: Optional[int],
+def run_scenario_command(file: str, seed: Optional[int], block_interval_ms: Optional[int],
                          out: str, fmt: str) -> int:
-    config_path = Path(path)
+    config_path = Path(file)
     if not config_path.exists():
         return _fail("file-not-found", str(config_path))
     try:
@@ -210,8 +215,8 @@ def run_bench(profile: str, seed: int, requests: int, out: str, fmt: str) -> int
     return 0
 
 
-def run_inspect(path: str, supervisor_hex: Optional[str]) -> int:
-    chain_path = Path(path)
+def run_inspect(file: str, supervisor_hex: Optional[str]) -> int:
+    chain_path = Path(file)
     if not chain_path.exists():
         return _fail("file-not-found", str(chain_path))
     try:
@@ -239,22 +244,18 @@ def run_inspect(path: str, supervisor_hex: Optional[str]) -> int:
             return _fail("supervisor-required",
                          "chain has no transactions; pass --supervisor")
         supervisor = senders[0]
-
-    def contracts():
-        zones = ZoneContract(supervisor)
-        return [zones, TokenContract(supervisor, zones)]
-
     try:
-        chain = replay_chain(ChainConfig(supervisor=supervisor), blocks, contracts)
+        chain = replay_chain(ChainConfig(supervisor=supervisor), blocks,
+                             lambda: contracts(supervisor))
     except CorruptChainError as exc:
         return _fail("corrupt-chain", str(exc))
     tx_count = sum(len(b.transactions) for b in blocks)
     print(f"height: {chain.height}  blocks: {len(blocks)}  transactions: {tx_count}")
     print(f"supervisor: {supervisor.hex}")
     print("zones:")
-    print(json.dumps(chain.contract("vzone").dump_state(), indent=2, sort_keys=True))
+    print(json.dumps(chain.contract(ZoneContract.name).dump_state(), indent=2, sort_keys=True))
     print("tokens:")
-    print(json.dumps(chain.contract("captoken").dump_state(), indent=2, sort_keys=True))
+    print(json.dumps(chain.contract(TokenContract.name).dump_state(), indent=2, sort_keys=True))
     return 0
 
 
@@ -265,43 +266,40 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     demo = sub.add_parser("demo", help="run the five-node reference demo")
+    demo.set_defaults(run=run_demo)
     demo.add_argument("--seed", type=int, required=True)
     demo.add_argument("--block-interval-ms", type=int, default=15000)
     demo.add_argument("--out", default=None)
 
     scenario = sub.add_parser("scenario", help="run a scenario file and emit reports")
+    scenario.set_defaults(run=run_scenario_command)
     scenario.add_argument("file")
     scenario.add_argument("--seed", type=int, default=None)
     scenario.add_argument("--block-interval-ms", type=int, default=None)
     scenario.add_argument("--out", default="capchain-out")
-    scenario.add_argument("--format", choices=("csv", "text"), default="text")
+    scenario.add_argument("--format", dest="fmt", choices=("csv", "text"), default="text")
 
     bench = sub.add_parser("bench", help="latency benchmark for a processing profile")
+    bench.set_defaults(run=run_bench)
     bench.add_argument("--profile", choices=("satellite", "ground"), default="satellite")
     bench.add_argument("--seed", type=int, required=True)
     bench.add_argument("--requests", type=int, default=100)
     bench.add_argument("--out", default="capchain-out")
-    bench.add_argument("--format", choices=("csv", "text"), default="text")
+    bench.add_argument("--format", dest="fmt", choices=("csv", "text"), default="text")
 
     inspect = sub.add_parser("inspect", help="replay a chain export and dump state")
+    inspect.set_defaults(run=run_inspect)
     inspect.add_argument("file")
-    inspect.add_argument("--supervisor", default=None)
+    inspect.add_argument("--supervisor", dest="supervisor_hex", metavar="SUPERVISOR")
 
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command == "demo":
-        return run_demo(args.seed, args.block_interval_ms, args.out)
-    if args.command == "scenario":
-        return run_scenario_command(args.file, args.seed, args.block_interval_ms,
-                                    args.out, args.format)
-    if args.command == "bench":
-        return run_bench(args.profile, args.seed, args.requests, args.out, args.format)
-    if args.command == "inspect":
-        return run_inspect(args.file, args.supervisor)
-    return 2
+    args = vars(build_parser().parse_args(argv))
+    del args["command"]
+    # each subcommand binds its function, whose parameters are its arguments' names
+    return args.pop("run")(**args)
 
 
 if __name__ == "__main__":

@@ -49,10 +49,8 @@ def canonical_json(obj: Any) -> str:
 canonical_str = encode_basestring_ascii
 
 
-def sha256_hex(data: str | bytes) -> str:
-    if isinstance(data, str):
-        data = data.encode("utf-8")
-    return hashlib.sha256(data).hexdigest()
+def sha256_hex(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def digest_of(obj: Any) -> str:

@@ -161,8 +161,8 @@ class TokenCache:
     to the contract (fail-closed).
 
     ``changes(cursor)`` is the token contract's change feed: it returns
-    the latest change number and the subjects whose tokens changed after
-    ``cursor``. ``cursor`` is the last change number a sync completed
+    the number of changes so far and the subjects whose tokens changed
+    after the first ``cursor``. ``cursor`` is the number a sync completed
     through; it starts at 0, so the first sync refetches every entry.
 
     A sync costs O(changed subjects), not O(entries held): it refetches

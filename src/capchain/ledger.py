@@ -461,7 +461,7 @@ class Chain:
     def gas_entries(self) -> tuple[Receipt, ...]:
         return tuple(self._receipts.values())
 
-    def write_gas_report(self, stream: io.TextIOBase) -> None:
+    def gas_report_text(self) -> str:
         """One CSV row per applied transaction; each op's row tail is formatted once,
         since the op alone decides the gas and fees.
 
@@ -478,12 +478,7 @@ class Chain:
                 gas, fee_etc, fee_usd = _OP_FEES.get(op, _OTHER_OP_FEES)
                 tail = tails[op] = f"{cells[op]},{gas!s},{fee_etc!s},{fee_usd!s}\n"
             rows.append(f"{tx_digest},{tail}")
-        stream.write("".join(rows))
-
-    def gas_report_text(self) -> str:
-        buffer = io.StringIO()
-        self.write_gas_report(buffer)
-        return buffer.getvalue()
+        return "".join(rows)
 
     # -- export / import / replay -----------------------------------------------
 

@@ -87,17 +87,12 @@ class DomainMaster:
         # tx digest -> (is an issuance, vid or subject), in submission order
         self._pending: dict[str, tuple[bool, Address]] = {}
 
-    # -- helpers -----------------------------------------------------------------
-
-    def owns_zone(self) -> bool:
-        zone = self.chain.query_state(ZoneContract.name, "get_vzone", (self.zone_id,))
-        return zone.master == self.address
-
     # -- registration ----------------------------------------------------------------
 
     def register_entity(self, request: RegistrationRequest) -> str:
         """Submit the zone join for an admitted ``request``; returns the tx digest."""
-        if not self.owns_zone():
+        zone = self.chain.query_state(ZoneContract.name, "get_vzone", (self.zone_id,))
+        if zone.master != self.address:
             raise MasterError(f"master does not own a confirmed zone {self.zone_id!r}")
         if not self.registration_policy.permits(request):
             raise DeniedRegistration(f"policy rejected {request.vid.hex}")

@@ -31,7 +31,7 @@ from .enforcement import ServiceProvider, ServiceRequest, StageTrace, PIPELINE_S
 from .ledger import Chain, ChainConfig
 from .master import DomainMaster, MasterError, RegistrationRequest
 from .scenario import Event, Issue, Register, Request, TokenChange, parse_script, parse_topology
-from .tokens import TokenContract
+from .tokens import TokenContract, contracts
 from .zones import ZoneContract
 
 # a named tuple from its fields in order, without its generated __new__ and its frame
@@ -81,20 +81,12 @@ class Simulation:
         self.supervisor = topology.supervisor
         self._script = config.get("script", [])
         self.rng = random.Random(topology.seed ^ 0x6E65747369)  # distinct stream from vids
-        self._build_chain()
+        self.zone_contract, self.token_contract = pair = contracts(self.supervisor.vid)
+        self.chain = Chain(ChainConfig(self.supervisor.vid, topology.block_interval_ms), pair)
         self._bootstrap()
         self._build_services()
 
     # -- topology construction ---------------------------------------------------
-
-    def _build_chain(self) -> None:
-        chain_config = ChainConfig(
-            supervisor=self.supervisor.vid,
-            block_interval_ms=self.topology.block_interval_ms,
-        )
-        self.zone_contract = ZoneContract(self.supervisor.vid)
-        self.token_contract = TokenContract(self.supervisor.vid, self.zone_contract)
-        self.chain = Chain(chain_config, [self.zone_contract, self.token_contract])
 
     def _bootstrap(self) -> None:
         """Allowlist masters, create zones, join configured members; seal at t=0."""
@@ -113,16 +105,15 @@ class Simulation:
 
     def _build_services(self) -> None:
         self.masters: dict[str, DomainMaster] = {}
+        self.providers: dict[str, ServiceProvider] = {}
+        # what an arrival reads of its provider, in one tuple per provider name
+        self._endpoints: dict[str, tuple[ServiceProvider, float, float, str]] = {}
         for node in self.nodes.values():
             if node.role == "master":
                 self.masters[node.name] = DomainMaster(
                     node.vid, node.zone, self.chain,
                     registration_policy=self.topology.registration_policy,
                 )
-        self.providers: dict[str, ServiceProvider] = {}
-        # what an arrival reads of its provider, in one tuple per provider name
-        self._endpoints: dict[str, tuple[ServiceProvider, float, float, str]] = {}
-        for node in self.nodes.values():
             if node.services:
                 provider = self.providers[node.name] = ServiceProvider(
                     node.vid, self.chain,

@@ -12,7 +12,6 @@ and ``float()`` do, so ``"15000"`` works, but a JSON boolean is not a number.
 from __future__ import annotations
 
 import math
-import sys
 from collections import namedtuple
 from dataclasses import dataclass, fields
 from operator import itemgetter
@@ -32,6 +31,11 @@ EXPECTS = ("grant", "deny", "timeout", None)
 #: event is due: at the default 15 s interval ``at: 1e9`` writes 66,669 blocks
 #: and ``1e300`` would never end. The largest benchmark workload spans 43.
 MAX_BLOCKS = 100_000
+
+#: The longest block interval. The loop keeps block times as floats, and every
+#: one it can reach, up to MAX_BLOCKS + 1 intervals, must be an integer a float
+#: holds exactly, or a block lands below the chain's integer due time.
+MAX_BLOCK_INTERVAL_MS = 2 ** 53 // (MAX_BLOCKS + 1)
 
 #: Every int strictly between minus this and this converts to a float.
 _FLOAT_INTS = 2 ** 1023
@@ -129,13 +133,8 @@ class NodeSpec(NamedTuple):
 ChannelSpec = namedtuple("ChannelSpec", "one_way_delay_ms drop_rate")
 
 
-def link(a: str, b: str) -> tuple[str, str]:
-    """Key of the channel between nodes ``a`` and ``b``: the names in sorted order."""
-    return (a, b) if a <= b else (b, a)
-
-
 # ``latest_at_ms`` is the horizon, MAX_BLOCKS block intervals, less the longest
-# a request can wait (its timeout or a delay); ``channels`` are keyed by ``link``.
+# a request can wait (its timeout or a delay); a channel's key is its ends' names, sorted.
 Topology = namedtuple("Topology", "seed block_interval_ms access_control timeout_ms "
                       "latest_at_ms registration_policy nodes supervisor channels")
 # Script events start with ``(at, index)`` and name nodes by NodeSpec. An Issue's
@@ -203,9 +202,9 @@ def parse_topology(config: dict) -> Topology:
     _check("seed" in config, "", "seed", "is required")
     seed = _number(config["seed"], int, "", "seed")
     interval = _number(config.get("block_interval_ms", 15000), int, "", "block_interval_ms")
-    _check(interval >= 1, "", "block_interval_ms", "must be >= 1, got %s", interval)
-    # event times are floats, so the horizon must be one
-    horizon = _number(MAX_BLOCKS * interval, float, "", "block_interval_ms")
+    _check(1 <= interval <= MAX_BLOCK_INTERVAL_MS, "", "block_interval_ms",
+           f"must be >= 1 and at most {MAX_BLOCK_INTERVAL_MS}, got %s", interval)
+    horizon = float(MAX_BLOCKS * interval)   # exact, within the bound
     access_control = config.get("access_control", True)
     _check(isinstance(access_control, bool), "", "access_control",
            "must be true or false, got %s", access_control)
@@ -231,7 +230,7 @@ def parse_topology(config: dict) -> Topology:
             _fail("registration_policy", f"vids[{i}]", f"{_shown(vid)} is not an address ({exc})")
     _check(isinstance(required, dict), "registration_policy", "required_attributes",
            "must be an object, got %s", required)
-    nodes, supervisor = _parse_nodes(config.get("nodes", []), seed)
+    nodes, supervisor = _parse_nodes(config.get("nodes", []), seed, horizon)
     channels, longest_delay = _parse_channels(config.get("channels", []), nodes, horizon)
     return Topology(seed, interval, access_control, timeout,
                     horizon - max(timeout, longest_delay),
@@ -243,16 +242,16 @@ def parse_topology(config: dict) -> Topology:
 _PRESETS: dict[Any, ProcessingProfile] = {None: PROFILES["none"], **PROFILES}
 
 
-def _parse_profile(value: Any, i: int) -> ProcessingProfile:
+def _parse_profile(value: Any, i: int, horizon: float) -> ProcessingProfile:
     """Node ``i``'s ``profile`` when it is not a preset: an object of costs."""
     if not isinstance(value, dict):
         _fail(f"nodes[{i}]", "profile", f"must be a preset ({', '.join(PROFILES)}) or an "
               f"object of costs, got {_shown(value)}")
     for cost, ms in value.items():
-        # NaN fails the comparison; an int beyond the largest float would overflow the sums
-        if not (cost in COSTS and type(ms) in (int, float) and 0 <= ms <= sys.float_info.max):
-            _fail(f"nodes[{i}]", f"profile.{cost}", f"must be a cost ({', '.join(COSTS)}) of "
-                  f"a number >= 0, got {_shown(ms)}")
+        # NaN fails the comparison; a cost within the horizon keeps every sum finite
+        if not (cost in COSTS and type(ms) in (int, float) and 0 <= ms <= horizon):
+            _fail(f"nodes[{i}]", f"profile.{cost}", f"must be a cost ({', '.join(COSTS)}), at "
+                  f"most the horizon ({horizon:g} ms), of a number >= 0, got {_shown(ms)}")
     return ProcessingProfile(**value)
 
 
@@ -268,7 +267,7 @@ def _texts(values: Any, i: int, key: str) -> tuple[str, ...]:
     return tuple(values)
 
 
-def _parse_nodes(specs: Any, seed: int) -> tuple[dict[str, NodeSpec], NodeSpec]:
+def _parse_nodes(specs: Any, seed: int, horizon: float) -> tuple[dict[str, NodeSpec], NodeSpec]:
     """The nodes keyed by name, each with the next vid the seed draws, in node
     order, and the supervisor. The checks are inline ``if``s that build the
     ``nodes[i]`` path only when one fails."""
@@ -305,7 +304,7 @@ def _parse_nodes(specs: Any, seed: int) -> tuple[dict[str, NodeSpec], NodeSpec]:
         try:
             profile = _PRESETS[profile]
         except (KeyError, TypeError):   # TypeError: an unhashable profile, such as an object
-            profile = _parse_profile(profile, i)
+            profile = _parse_profile(profile, i, horizon)
         members = _texts(spec["members"], i, "members") if "members" in spec else ()
         location = get("location", "")
         if not isinstance(location, str) or "\0" in location:
@@ -356,7 +355,7 @@ def _parse_channels(specs: Any, nodes: dict[str, NodeSpec], horizon: float
             _fail(f"channels[{i}]", "one_way_delay_ms", f"must be a number or a range [low, "
                   f"high] with 0 <= low <= high <= the horizon ({horizon:g} ms), got "
                   f"{_shown(given)}")
-        key = (a, b) if a <= b else (b, a)   # link(a, b)
+        key = (a, b) if a <= b else (b, a)   # a channel's key: its ends' names, sorted
         if key in channels:
             _fail(f"channels[{i}]", "", f"duplicate channel between {_shown(key[0])} and "
                   f"{_shown(key[1])}")
@@ -399,7 +398,7 @@ def parse_script(script: Any, topology: Topology) -> list[Event]:
                 _fail(i, "method", f"unknown method {_shown(method)}")
             if expect not in EXPECTS:
                 _fail(i, "expect", f"must be grant, deny, timeout or null, got {_shown(expect)}")
-            channel = channels.get((a, b) if a <= b else (b, a))   # link(a, b)
+            channel = channels.get((a, b) if a <= b else (b, a))   # the channel's key
             if channel is None:
                 _fail(i, "", f"no channel between {_shown(requester.name)} and "
                       f"{_shown(provider.name)}")

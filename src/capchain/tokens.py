@@ -175,10 +175,10 @@ class TokenContract(Contract):
     A mutation stores a new dict and never edits a held one, so a view a
     reader keeps stays the snapshot it was; readers must not edit it.
 
-    Every mutation also stamps its subject with the next change number,
-    so a reader can ask which subjects changed after a number it saw
+    Every mutation also appends its subject to a log of changes, so a
+    reader can ask which subjects changed after the log length it saw
     (``changes_since``) instead of refetching every token it holds. The
-    change index is bookkeeping, not state: it is outside ``dump_state``.
+    log is bookkeeping, not state: it is outside ``dump_state``.
     """
 
     name = "captoken"
@@ -188,9 +188,7 @@ class TokenContract(Contract):
         self._zones = zones
         self._tokens: dict[Address, dict] = {}   # subject -> its token's wire dict
         self._next_id = 1
-        # subject -> number of its last change, oldest first; one entry per subject
-        self._last_change: dict[Address, int] = {}
-        self._change_number = 0
+        self._changes: list[Address] = []   # the subject of each mutation, oldest first
 
     # -- ledger protocol -------------------------------------------------------
 
@@ -296,11 +294,9 @@ class TokenContract(Contract):
         return True
 
     def _store(self, subject: Address, token: dict) -> None:
-        """Hold ``token`` as the subject's and stamp the subject as changed."""
+        """Hold ``token`` as the subject's and log the subject as changed."""
         self._tokens[subject] = token
-        self._change_number += 1
-        self._last_change.pop(subject, None)   # reinsert as the newest entry
-        self._last_change[subject] = self._change_number
+        self._changes.append(subject)
 
     # -- views -----------------------------------------------------------------------
 
@@ -311,17 +307,13 @@ class TokenContract(Contract):
         return self._tokens.get(subject)
 
     def changes_since(self, cursor: int) -> tuple[int, list[Address]]:
-        """The latest change number and the subjects changed after ``cursor``.
+        """The number of changes so far and the subjects changed after the first
+        ``cursor`` changes.
 
         Subjects come newest first, each once. Pass the returned number
         as the next cursor; cursor 0 names every subject ever changed.
         """
-        changed = []
-        for subject, number in reversed(self._last_change.items()):
-            if number <= cursor:
-                break
-            changed.append(subject)
-        return self._change_number, changed
+        return len(self._changes), list(dict.fromkeys(reversed(self._changes[cursor:])))
 
     def dump_state(self) -> dict:
         return {
@@ -329,3 +321,9 @@ class TokenContract(Contract):
             "next_id": self._next_id,
             "tokens": {subject.hex: token for subject, token in self._tokens.items()},
         }
+
+
+def contracts(supervisor: Address) -> list[Contract]:
+    """The zone contract and the token contract that reads it, as a chain hosts them."""
+    zones = ZoneContract(supervisor)
+    return [zones, TokenContract(supervisor, zones)]

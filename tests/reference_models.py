@@ -33,7 +33,9 @@ inline, decoded by the ``Enum`` calls, and a ``ReferenceCapabilityToken``
 holding them, none of which shares code with ``capchain.tokens`` but its
 two enums; then the token contract that held one such token per subject,
 edited it in place and rebuilt its wire dict on every view (it inherits
-the dispatch, the change index and the issuer check from ``TokenContract``).
+the dispatch, the change log and the issuer check from ``TokenContract``),
+and the token contract that also kept the recency index the change log
+replaced: one number per subject, read newest first back to a cursor.
 Last come the transaction that held its args and cached their text on first
 use, the export reader that built each one through a checked-field helper,
 and the replay that resubmitted a copy of every transaction and resealed
@@ -47,7 +49,6 @@ import itertools
 import json
 import math
 import statistics
-import sys
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 
@@ -64,7 +65,7 @@ from capchain.netsim import MEASUREMENT_COLUMNS, Measurement, SimulationResult
 from capchain.scenario import (ACTIONS, COSTS, EXPECTS, MAX_BLOCKS, POLICY_KINDS, PROFILES,
                                ROLES, RULE_ERRORS, Advance, ChannelSpec, Issue, NodeSpec,
                                ProcessingProfile, Register, Request, TokenChange, Topology,
-                               _check, _fail, _node, _number, _objects, link)
+                               _check, _fail, _node, _number, _objects)
 from capchain.tokens import Action, ConditionKind, TokenContract
 from capchain.zones import NODE_TYPE_NONE, ZoneContract
 
@@ -467,6 +468,11 @@ def reference_summarize(measurements):
 # Script parser (a path text per event, nodes checked through ``_node``)
 # ---------------------------------------------------------------------------
 
+def link(a, b):
+    """Key of the channel between nodes ``a`` and ``b``: the names in sorted order."""
+    return (a, b) if a <= b else (b, a)
+
+
 def reference_parse_script(script, topology):
     """``scenario.parse_script`` formatting ``script[i]`` for every event and
     every rule, looking up nodes through ``_node`` and building each event
@@ -552,8 +558,12 @@ def reference_parse_topology(config):
     _check("seed" in config, "", "seed", "is required")
     seed = _number(config["seed"], int, "", "seed")
     interval = _number(config.get("block_interval_ms", 15000), int, "", "block_interval_ms")
-    _check(interval >= 1, "", "block_interval_ms", "must be >= 1, got %s", interval)
-    horizon = _number(MAX_BLOCKS * interval, float, "", "block_interval_ms")
+    # every block time the loop reaches, up to MAX_BLOCKS + 1 intervals, is an
+    # integer of at most 2**53, which a float holds exactly
+    longest = 2 ** 53 // (MAX_BLOCKS + 1)
+    _check(1 <= interval <= longest, "", "block_interval_ms",
+           f"must be >= 1 and at most {longest}, got %s", interval)
+    horizon = float(MAX_BLOCKS * interval)
     access_control = config.get("access_control", True)
     _check(isinstance(access_control, bool), "", "access_control",
            "must be true or false, got %s", access_control)
@@ -572,7 +582,7 @@ def reference_parse_topology(config):
     hexes = [_reference_vid_hex(vid, i) for i, vid in enumerate(vids)]
     _check(isinstance(required, dict), "registration_policy", "required_attributes",
            "must be an object, got %s", required)
-    nodes, supervisor = _reference_parse_nodes(config.get("nodes", []), seed)
+    nodes, supervisor = _reference_parse_nodes(config.get("nodes", []), seed, horizon)
     channels, longest_delay = _reference_parse_channels(config.get("channels", []), nodes,
                                                         horizon)
     return Topology(seed, interval, access_control, timeout,
@@ -604,19 +614,19 @@ def _reference_texts(values, path, key):
     return tuple(values)
 
 
-def _reference_parse_profile(value, path):
+def _reference_parse_profile(value, path, horizon):
     if value is None or isinstance(value, str) and value in PROFILES:
         return PROFILES["none" if value is None else value]
     _check(isinstance(value, dict), path, "profile",
            f"must be a preset ({', '.join(PROFILES)}) or an object of costs, got %s", value)
     for cost, ms in value.items():
-        _check(cost in COSTS and type(ms) in (int, float) and 0 <= ms <= sys.float_info.max,
-               path, f"profile.{cost}", f"must be a cost ({', '.join(COSTS)}) of a number "
-               f">= 0, got %s", ms)
+        _check(cost in COSTS and type(ms) in (int, float) and 0 <= ms <= horizon,
+               path, f"profile.{cost}", f"must be a cost ({', '.join(COSTS)}), at most the "
+               f"horizon ({horizon:g} ms), of a number >= 0, got %s", ms)
     return ProcessingProfile(**value)
 
 
-def _reference_parse_nodes(specs, seed):
+def _reference_parse_nodes(specs, seed, horizon):
     _check(_objects(specs, "nodes"), "", "nodes", "must list at least one node")
     factory = AddressFactory(seed)
     nodes = {}
@@ -644,7 +654,7 @@ def _reference_parse_nodes(specs, seed):
                    uri)
         nodes[name] = NodeSpec(
             name, role, factory.new_address(),
-            _reference_parse_profile(spec.get("profile"), path), services, zone,
+            _reference_parse_profile(spec.get("profile"), path, horizon), services, zone,
             _reference_texts(spec.get("members", []), path, "members"),
             _reference_text(spec.get("location", ""), path, "location"))
     supervisors = [node for node in nodes.values() if node.role == "supervisor"]
@@ -1061,7 +1071,7 @@ class ReferenceCapabilityToken:
 class ReferenceTokenContract(TokenContract):
     """``TokenContract`` holding a ``ReferenceCapabilityToken`` per subject,
     edited in place by each mutation (``_store`` re-holds the same object and
-    stamps the change), and building a fresh wire dict per view."""
+    logs the change), and building a fresh wire dict per view."""
 
     def issue_token(self, sender, subject, rules, issue_date, expired_date):
         sender_zone = self._sender_zone(sender)
@@ -1135,6 +1145,31 @@ class ReferenceTokenContract(TokenContract):
             "next_id": self._next_id,
             "tokens": {subject.hex: token.wire() for subject, token in self._tokens.items()},
         }
+
+
+class RecencyIndexTokenContract(TokenContract):
+    """``TokenContract`` that also keeps the change index its log replaced: each
+    subject once, at the number of its last change, oldest first.
+    ``reference_changes_since`` walks it newest first and stops at the cursor."""
+
+    def __init__(self, supervisor, zones):
+        super().__init__(supervisor, zones)
+        self._last_change = {}
+        self._change_number = 0
+
+    def _store(self, subject, token):
+        super()._store(subject, token)
+        self._change_number += 1
+        self._last_change.pop(subject, None)   # reinsert as the newest entry
+        self._last_change[subject] = self._change_number
+
+    def reference_changes_since(self, cursor):
+        changed = []
+        for subject, number in reversed(self._last_change.items()):
+            if number <= cursor:
+                break
+            changed.append(subject)
+        return self._change_number, changed
 
 
 # ---------------------------------------------------------------------------

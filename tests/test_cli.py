@@ -213,6 +213,9 @@ class TestScenario:
          "nodes[3].profile.identity_auth: must be a cost"),
         (lambda c: c["nodes"][3].update(profile={"identity_auth": 10**400}),
          "nodes[3].profile.identity_auth: must be a cost"),
+        # a float cost past the horizon, whose totals overflowed the summary's mean
+        (lambda c: c["nodes"][3].update(profile={"identity_auth": 1e308}),
+         "nodes[3].profile.identity_auth: must be a cost"),
         # a vid that no address spells, which could never match a node
         (lambda c: c["registration_policy"].update(kind="denylist",
                                                    vids=["0x" + "ab" * 20, "not-an-address"]),
@@ -230,7 +233,8 @@ class TestScenario:
             "unknown-expect", "zero-expect", "empty-expect", "numeric-tag", "float-day",
             "bool-day", "bool-start", "string-conditions", "object-conditions", "bool-at",
             "bool-validity", "bool-seed", "bool-timeout", "bool-drop-rate", "bool-interval",
-            "bool-cost", "nan-cost", "infinite-cost", "overflowing-cost", "non-address-vid"])
+            "bool-cost", "nan-cost", "infinite-cost", "overflowing-cost", "huge-cost",
+            "non-address-vid"])
     def test_malformed_scenario_field_fails(self, tmp_path, capsys, mutate, named):
         config = json.loads((SCENARIOS / "registration_and_revocation.json").read_text())
         mutate(config)
@@ -472,9 +476,12 @@ SAMPLE = str(SCENARIOS / "registration_and_revocation.json")
     (["demo", "--seed", "1", "--block-interval-ms", "43200001"], "invalid-block-interval"),
     (["demo", "--seed", "1", "--block-interval-ms", "1000000000000"],
      "invalid-block-interval"),
+    # block times past 2**53 ms, which a float rounds below the chain's due time
+    (["scenario", SAMPLE, "--block-interval-ms", "9007199254740993"], "scenario-error"),
 ], ids=["demo-zero-interval", "scenario-directory", "inspect-directory", "scenario-out-file",
         "demo-out-file", "bench-out-file", "bench-out-under-file", "bench-zero-requests",
-        "bench-negative-requests", "demo-interval-over-limit", "demo-huge-interval"])
+        "bench-negative-requests", "demo-interval-over-limit", "demo-huge-interval",
+        "scenario-huge-interval"])
 def test_bad_argument_exits_with_one_error_line(tmp_path, capsys, monkeypatch, argv, error):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "a-directory").mkdir()
@@ -667,6 +674,14 @@ INSPECT_STDOUT_SHA256 = {
     ("scenario", "text"): "25fa83194c8394fcd77fb9cd4960db93d022700a0964148d816fee863929e79e",
     ("demo",): "2ca2798ed9d20b6116022885b69ac34499313f1990edb0f7b6906c521314036f",
 }
+
+# sha256 of the four-case table ``capchain demo --seed 42`` prints
+DEMO_STDOUT_SHA256 = "9f80395ade8e39a77adfe3c26db2d8c07e18f48ec56abae23bf0968bbb87ed95"
+
+
+def test_demo_stdout_is_pinned(capsys):
+    assert main(["demo", "--seed", "42"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == DEMO_STDOUT_SHA256
 
 
 @pytest.mark.parametrize("case", sorted(INSPECT_STDOUT_SHA256), ids="-".join)

@@ -12,8 +12,8 @@ from capchain.tokens import (RULE_ERRORS, Action, CapabilityToken, ConditionKind
                              _action_value, _condition_kind_value, rule_wire)
 
 from chainbench import Bench
-from reference_models import (ReferenceAccessRule, ReferenceCapabilityToken,
-                              ReferenceTokenContract)
+from reference_models import (RecencyIndexTokenContract, ReferenceAccessRule,
+                              ReferenceCapabilityToken, ReferenceTokenContract)
 
 RULE_GET = {"action": "GET", "resource": "/api/data", "conditions": []}
 RULE_POST = {"action": "POST", "resource": "/api/upload", "conditions": []}
@@ -456,6 +456,25 @@ class TestContractMatchesReference:
             assert token_views(live) == token_views(reference)
             # a view taken before the transaction is the snapshot it was
             assert all(view == snapshot for view, snapshot in kept)
+
+
+class TestChangeLogMatchesRecencyIndex:
+    """The log of changed subjects against the recency index it replaced, through
+    rejected transactions and revocations that remove nothing."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(ops=token_ops)
+    def test_changes_since_matches_the_index_at_every_cursor(self, ops):
+        bench = Bench(token_contract=RecencyIndexTokenContract)
+        issued = [("issue_token", "master", subject, [RULE_GET, RULE_POST], 0, 10**9)
+                  for subject in ("client", "provider")]
+        for op, sender, subject, *rest in issued + ops:
+            bench.apply(getattr(bench, sender), "captoken", op,
+                        (getattr(bench, subject).hex, *rest))
+            latest, _ = bench.tokens.reference_changes_since(0)
+            for cursor in range(latest + 2):   # one past the latest names nothing
+                assert bench.tokens.changes_since(cursor) == \
+                    bench.tokens.reference_changes_since(cursor)
 
 
 class TestHeldTokens:
