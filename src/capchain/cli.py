@@ -39,12 +39,12 @@ def _write_out(out: str, files: dict[str, str]) -> Optional[int]:
     return None
 
 
-def _run_artifacts(simulation: Simulation, result, fmt: str) -> dict[str, str]:
-    """The texts of the five files a run writes, by file name."""
+def _run_artifacts(simulation: Simulation, result, summary: dict, fmt: str) -> dict[str, str]:
+    """The texts of the five files a run writes, by file name; ``summary`` is
+    ``summarize`` of the run's rows."""
     measurements, traces, summary_text = io.StringIO(), io.StringIO(), io.StringIO()
     write_measurements_csv(result.measurements, measurements)
     write_stage_traces_csv(result.measurements, traces)
-    summary = summarize(result.measurements)
     if fmt == "csv":
         summary_text.write("key,value\n")
         for key, value in summary_rows(summary):
@@ -173,10 +173,13 @@ def run_scenario_command(file: str, seed: Optional[int], block_interval_ms: Opti
     if "seed" not in config:
         return _fail("seed-required", "pass --seed or set 'seed' in the scenario file")
     try:
-        simulation, result = run_scenario(config)
+        simulation = Simulation(config)
+        del config   # the run parses the script, then holds no more of the file
+        result = simulation.run()
     except ScenarioError as exc:
         return _fail("scenario-error", str(exc))
-    error = _write_out(out, _run_artifacts(simulation, result, fmt))
+    error = _write_out(out, _run_artifacts(simulation, result,
+                                           summarize(result.measurements), fmt))
     if error:
         return error
     print(f"requests: {len(result.measurements)}  "
@@ -194,8 +197,8 @@ def run_bench(profile: str, seed: int, requests: int, out: str, fmt: str) -> int
     if requests < 1:
         return _fail("invalid-requests", f"--requests must be at least 1, got {requests}")
     simulation, result = run_latency_bench(profile, seed, requests)
-    files = _run_artifacts(simulation, result, fmt)
     summary = summarize(result.measurements)
+    files = _run_artifacts(simulation, result, summary, fmt)
     with_ac, without_ac = run_overhead_bench(seed, requests)
     overhead = ac_overhead_ms(with_ac.measurements, without_ac.measurements)
     lines = [

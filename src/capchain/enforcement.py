@@ -38,6 +38,9 @@ COST_KEYS = {
 
 
 class ServiceRequest(NamedTuple):
+    """What ``ServiceProvider.authorize`` reads, in order; it unpacks its request
+    by position, so the simulator passes a plain tuple in this order."""
+
     requester: Address
     method: str                # REST action name: GET/POST/PUT/DELETE
     uri: str                   # Request-URI path
@@ -146,7 +149,8 @@ def verify_conditions(rule: dict, now: float,
 # ---------------------------------------------------------------------------
 
 class CacheEntry(NamedTuple):
-    """A cached token, the time it was put and the cache epoch it was put in."""
+    """A cached token, the time it was put and the cache epoch it was put in: the
+    field order of the plain tuples ``TokenCache`` holds."""
 
     token: dict
     put_at: float
@@ -178,7 +182,7 @@ class TokenCache:
                  changes: Callable[[int], tuple[int, list[Address]]]):
         self.block_interval_ms = block_interval_ms
         self.changes = changes
-        self.entries: dict[Address, CacheEntry] = {}
+        self.entries: dict[Address, tuple] = {}   # in ``CacheEntry`` order
         self.cursor = 0
         self.epoch = 0          # completed syncs
         self.synced_at = 0.0    # ``now`` of the last completed sync
@@ -188,7 +192,7 @@ class TokenCache:
         _, put_at, epoch = self.entries[subject]
         return put_at if epoch == self.epoch else self.synced_at
 
-    def get(self, subject: Address, now: float) -> Optional[CacheEntry]:
+    def get(self, subject: Address, now: float) -> Optional[tuple]:
         entry = self.entries.get(subject)
         if entry is None:
             return None
@@ -200,7 +204,7 @@ class TokenCache:
         return entry
 
     def put(self, subject: Address, token: dict, now: float) -> None:
-        self.entries[subject] = tuple.__new__(CacheEntry, (token, now, self.epoch))
+        self.entries[subject] = (token, now, self.epoch)
 
     def sync(self, fetch, now: float, height: int) -> int:
         """Refetch the entries changed since the last sync; returns replaced-entry count.
@@ -231,7 +235,7 @@ class TokenCache:
             elif token != entry[0]:
                 # keeps its put time and epoch, so a fetch that raises later in
                 # this loop leaves its sync time as it was
-                entries[subject] = tuple.__new__(CacheEntry, (token, entry[1], entry[2]))
+                entries[subject] = (token, entry[1], entry[2])
                 refreshed += 1
         self.epoch += 1
         self.synced_at = now
@@ -301,7 +305,7 @@ class ServiceProvider:
                              now: float) -> tuple[Optional[dict], bool]:
         entry = self.cache.get(subject, now)
         if entry is not None:
-            return entry.token, True
+            return entry[0], True
         self.contract_queries += 1
         token = self._fetch_token(subject)
         if token is not None:

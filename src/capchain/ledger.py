@@ -255,6 +255,11 @@ class Receipt(NamedTuple):
     ``"rejected"`` with the rejection code in ``error``. A rejected
     transaction still pays its gas. The gas and fees are those of ``op``
     in the fixed gas table at the fixed gas and ETC prices.
+
+    The chain stores each receipt as a plain tuple in this order. Every
+    field is an atom (a contract result is an int, a bool or None), so
+    the collector stops tracking the stored tuple; ``get_receipt`` and
+    ``gas_entries`` name its fields on read.
     """
 
     tx_digest: str
@@ -297,7 +302,7 @@ class Chain:
         # (tx, its digest, its args): execute reads the args as submitted
         self._pending: list[tuple[Transaction, str, Any]] = []
         self._next_nonce: dict[Address, int] = {}
-        self._receipts: dict[str, Receipt] = {}   # by tx digest, in apply order
+        self._receipts: dict[str, tuple] = {}   # by tx digest, in apply and Receipt order
         self._write_lock = threading.Lock()
         self._blocks: list[Block] = [GENESIS]
 
@@ -419,9 +424,7 @@ class Chain:
         except (TypeError, ValueError, KeyError, IndexError):
             # malformed call payloads reject rather than halt production
             status, error = "rejected", "invalid-args"
-        # tuple.__new__ skips the named tuple's generated __new__ and its frame
-        self._receipts[digest] = tuple.__new__(Receipt, (digest, tx.op, status, result, error,
-                                                         gas, fee_etc, fee_usd))
+        self._receipts[digest] = (digest, tx.op, status, result, error, gas, fee_etc, fee_usd)
         return gas
 
     def _reseal(self, block: Block) -> bool:
@@ -456,10 +459,11 @@ class Chain:
     # -- receipts and gas --------------------------------------------------------
 
     def get_receipt(self, tx_digest: str) -> Optional[Receipt]:
-        return self._receipts.get(tx_digest)
+        row = self._receipts.get(tx_digest)
+        return None if row is None else Receipt._make(row)
 
     def gas_entries(self) -> tuple[Receipt, ...]:
-        return tuple(self._receipts.values())
+        return tuple(map(Receipt._make, self._receipts.values()))
 
     def gas_report_text(self) -> str:
         """One CSV row per applied transaction; each op's row tail is formatted once,

@@ -27,15 +27,12 @@ from operator import itemgetter
 from typing import Iterator, NamedTuple, Optional
 
 from .encoding import CsvCells
-from .enforcement import ServiceProvider, ServiceRequest, StageTrace, PIPELINE_STAGES
+from .enforcement import ServiceProvider, StageTrace, PIPELINE_STAGES
 from .ledger import Chain, ChainConfig
 from .master import DomainMaster, MasterError, RegistrationRequest
-from .scenario import Event, Issue, Register, Request, TokenChange, parse_script, parse_topology
+from .scenario import Event, Issue, Register, TokenChange, parse_script, parse_topology
 from .tokens import TokenContract, contracts
 from .zones import ZoneContract
-
-# a named tuple from its fields in order, without its generated __new__ and its frame
-_new = tuple.__new__
 
 #: One-way channel delay paired with each preset (ms).
 PROFILE_DELAYS: dict[str, float] = {
@@ -47,7 +44,11 @@ PROFILE_DELAYS: dict[str, float] = {
 
 
 class Measurement(NamedTuple):
-    """One request's outcome, its timing breakdown and its provider's shared trace."""
+    """One request's outcome, its timing breakdown and its provider's shared trace.
+
+    The field order of the rows a run records: each row is a plain tuple, which
+    builds faster than the named tuple, and ``Measurement._make(row)`` names its
+    fields."""
 
     request_id: int
     at_ms: float
@@ -66,7 +67,7 @@ class Measurement(NamedTuple):
 
 @dataclass
 class SimulationResult:
-    measurements: list[Measurement]
+    measurements: list[tuple]   # rows in ``Measurement`` order
     registrations: list[dict]
     issues: list[dict]
     expectation_failures: list[str]
@@ -134,6 +135,9 @@ class Simulation:
         is left.
         """
         script = parse_script(self._script, self.topology)
+        # release the raw script: a second run parses no event and fails at its
+        # first block, which the chain is already past
+        self._script = []
         result = SimulationResult([], [], [], [])
         # the chain's height, kept up to date by the block events, which alone
         # produce blocks in the loop: a measurement reads this attribute rather
@@ -151,22 +155,24 @@ class Simulation:
             if position < count and (not queue or script[position][0] <= queue[0][0]):
                 event = script[position]
                 position += 1
-                if event.__class__ is not Request:
+                if event.__class__ is not tuple:
                     self._handle_script(event, result)
                     continue
-                # send the request: it arrives after the channel's delay, or is dropped
+                # send the request, a plain tuple in ``Request`` order: it arrives
+                # after the channel's delay, or is dropped
                 request_id += 1
                 seq += 1
-                delay, drop_rate = event.channel
+                at = event[0]
+                delay, drop_rate = event[4]
                 if drop_rate and draw() < drop_rate:
                     self._record(event, request_id, result, "timeout", timeout_ms,
                                  "message-dropped")
-                    push(queue, (event.at + timeout_ms, seq, "complete", None))
+                    push(queue, (at + timeout_ms, seq, "complete", None))
                     continue
                 if isinstance(delay, tuple):
                     low, high = delay
                     delay = low + (high - low) * draw()   # the body of ``rng.uniform``
-                push(queue, (event.at + delay, seq, "arrival", (event, request_id, delay)))
+                push(queue, (at + delay, seq, "arrival", (event, request_id, delay)))
             elif queue:
                 at, _, kind, payload = pop(queue)
                 if kind == "arrival":
@@ -185,7 +191,7 @@ class Simulation:
     # -- event handlers ------------------------------------------------------------------
 
     def _handle_script(self, event: Event, result: SimulationResult) -> None:
-        """Run a script event other than a ``Request``, which ``run`` sends itself."""
+        """Run a script event other than a request, which ``run`` sends itself."""
         kind = type(event)
         if kind is Register:
             self._handle_register(event, result)
@@ -240,46 +246,48 @@ class Simulation:
 
     def _handle_arrival(self, at: float, flight: tuple, result: SimulationResult) -> None:
         """Serve a request that reached its provider. The in-flight payload is
-        ``(event, request_id, one-way delay)``."""
-        event, request_id, delay = flight
-        provider, data_parse, service_handler, location = self._endpoints[event.provider.name]
+        ``(request, request_id, one-way delay)``; the request, the row and what
+        ``authorize`` is passed are plain tuples in ``Request``, ``Measurement``
+        and ``ServiceRequest`` order."""
+        request, request_id, delay = flight
+        sent_at, index, requester, provider, _, method, uri, expect = request
+        service, data_parse, service_handler, location = self._endpoints[provider.name]
         if not self.topology.access_control:
-            self._record(event, request_id, result, "grant",
+            self._record(request, request_id, result, "grant",
                          data_parse + service_handler + 2 * delay)
             return
-        decision, trace = provider.authorize(_new(
-            ServiceRequest, (event.requester.vid, event.method, event.uri, at, location)))
+        decision, trace = service.authorize((requester.vid, method, uri, at, location))
         # each total adds its terms left to right in the module docstring's order
         if decision.granted:
             outcome, total_ms = "grant", data_parse + trace.stage_ms + service_handler + 2 * delay
         else:
             outcome, total_ms = "deny", data_parse + trace.stage_ms + 2 * delay
         stage = decision.stage
-        result.measurements.append(_new(Measurement, (
-            request_id, event.at, event.requester.name, event.provider.name, event.method,
-            event.uri, outcome, stage, decision.reason, trace.cache_hit, self._height,
-            total_ms, trace)))
-        expected = event.expect
-        if expected and outcome != expected:
-            self._missed(result, event, request_id, outcome, stage)
+        result.measurements.append((
+            request_id, sent_at, requester.name, provider.name, method, uri, outcome, stage,
+            decision.reason, trace.cache_hit, self._height, total_ms, trace))
+        if expect and outcome != expect:
+            self._missed(result, index, expect, request_id, outcome, stage)
 
-    def _record(self, event: Request, request_id: int, result: SimulationResult,
+    def _record(self, request: tuple, request_id: int, result: SimulationResult,
                 outcome: str, total_ms: float, reason: Optional[str] = None) -> None:
-        """Append the measurement of a request that no pipeline checked: one that
-        was dropped, or served without access control."""
-        result.measurements.append(_new(Measurement, (
-            request_id, event.at, event.requester.name, event.provider.name, event.method,
-            event.uri, outcome, None, reason, None, self._height, total_ms, None)))
-        if event.expect and outcome != event.expect:
-            self._missed(result, event, request_id, outcome, None)
+        """Append the row of a request that no pipeline checked: one that was
+        dropped, or served without access control."""
+        sent_at, index, requester, provider, _, method, uri, expect = request
+        result.measurements.append((
+            request_id, sent_at, requester.name, provider.name, method, uri, outcome, None,
+            reason, None, self._height, total_ms, None))
+        if expect and outcome != expect:
+            self._missed(result, index, expect, request_id, outcome, None)
 
     @staticmethod
-    def _missed(result: SimulationResult, event: Request, request_id: int, outcome: str,
-                stage: Optional[str]) -> None:
-        """Note that a request's outcome is not the one its script event expects."""
+    def _missed(result: SimulationResult, index: int, expect: str, request_id: int,
+                outcome: str, stage: Optional[str]) -> None:
+        """Note that the outcome of the request of script event ``index`` is not
+        the ``expect`` it names."""
         result.expectation_failures.append(
-            f"request {request_id} (event {event.index}): "
-            f"expected {event.expect}, got {outcome}" + (f" at {stage}" if stage else ""))
+            f"request {request_id} (event {index}): "
+            f"expected {expect}, got {outcome}" + (f" at {stage}" if stage else ""))
 
     def _drain(self, result: SimulationResult) -> None:
         """Confirm whatever is still pending after the last scripted event."""

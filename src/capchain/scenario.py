@@ -137,7 +137,9 @@ ChannelSpec = namedtuple("ChannelSpec", "one_way_delay_ms drop_rate")
 # a request can wait (its timeout or a delay); a channel's key is its ends' names, sorted.
 Topology = namedtuple("Topology", "seed block_interval_ms access_control timeout_ms "
                       "latest_at_ms registration_policy nodes supervisor channels")
-# Script events start with ``(at, index)`` and name nodes by NodeSpec. An Issue's
+# Script events start with ``(at, index)`` and name nodes by NodeSpec. A request
+# is a plain tuple in ``Request._fields`` order, which ``Simulation.run`` tells
+# from the named tuples of the other events by its exact type. An Issue's
 # ``rules`` are the list of wire dicts ``rule_wire`` returned; an Issue by a
 # non-master goes to the contract directly. A TokenChange is a revoke, suspend,
 # restore or revoke_rules, whose ``rules`` go to the contract unparsed.
@@ -146,7 +148,7 @@ Register = namedtuple("Register", "at index node master attributes")
 Issue = namedtuple("Issue", "at index master subject rules validity_ms")
 TokenChange = namedtuple("TokenChange", "at index op master subject rules")
 Advance = namedtuple("Advance", "at index")
-Event = Union[Request, Register, Issue, TokenChange, Advance]
+Event = Union[tuple, Register, Issue, TokenChange, Advance]   # tuple: a request
 
 
 def _shown(value: Any) -> str:
@@ -367,7 +369,8 @@ def _parse_channels(specs: Any, nodes: dict[str, NodeSpec], horizon: float
 
 def parse_script(script: Any, topology: Topology) -> list[Event]:
     """The script's events in the order they run: by ``at``, then by index. A request
-    is a few dict reads and one positional tuple; ``_fail`` takes the index ``i``."""
+    is a few dict reads and one plain tuple in ``Request._fields`` order; ``_fail``
+    takes the index ``i``."""
     nodes, channels, latest = topology.nodes, topology.channels, topology.latest_at_ms
     new = tuple.__new__   # a named tuple from its fields in order, without its __new__
     events: list[Event] = []
@@ -402,7 +405,7 @@ def parse_script(script: Any, topology: Topology) -> list[Event]:
             if channel is None:
                 _fail(i, "", f"no channel between {_shown(requester.name)} and "
                       f"{_shown(provider.name)}")
-            event = new(Request, (at, i, requester, provider, channel, method, uri, expect))
+            event = (at, i, requester, provider, channel, method, uri, expect)
         elif op == "register":
             node = _node(nodes, event.get("node"), i, "node")
             master = _node(nodes, event.get("master"), i, "master")

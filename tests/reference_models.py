@@ -258,6 +258,11 @@ class ReferenceCacheEntry:
     token: dict
     synced_at: float
 
+    def __getitem__(self, index):
+        """The token at index 0, where ``TokenCache`` holds it in ``CacheEntry``
+        order: the provider reads a served token by position."""
+        return (self.token,)[index]
+
 
 class ReferenceTokenCache:
     """The change-driven token cache that stamped every entry on every sync.
@@ -938,6 +943,9 @@ class ReferenceChain(Chain):
             digest, tx.op, gas,
             *reference_fees(gas, DEFAULT_GAS_PRICE_ETC, DEFAULT_ETH_PRICE_USD))
         return gas
+
+    def get_receipt(self, tx_digest):
+        return self._receipts.get(tx_digest)
 
     def gas_entries(self):
         return tuple(self._gas_log.values())

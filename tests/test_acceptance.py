@@ -15,7 +15,7 @@ from capchain.address import AddressFactory
 from capchain.cli import demo_config
 from capchain.encoding import canonical_json
 from capchain.enforcement import ServiceProvider, ServiceRequest
-from capchain.netsim import (ac_overhead_ms, latency_bench_config,
+from capchain.netsim import (Measurement, ac_overhead_ms, latency_bench_config,
                              run_latency_bench, run_overhead_bench, run_scenario,
                              summarize, write_measurements_csv,
                              write_stage_traces_csv, write_summary_text)
@@ -208,7 +208,7 @@ def test_criterion_4_revocation_propagation():
         config = latency_bench_config("none", seed=seed)
         config["script"] = script
         _, result = run_scenario(config)
-        for m in result.measurements:
+        for m in map(Measurement._make, result.measurements):
             if m.outcome == "grant" and m.at_ms >= confirm_at + interval:
                 late_grants += 1
     report(4, "confirmed revocations deny within one block interval",
@@ -240,7 +240,7 @@ def test_criterion_6_cache_behavior_shape():
     _, result = run_latency_bench("satellite", seed=7, requests=100)
     summary = summarize(result.measurements)
     first_slower = summary["first_request_ms"] > summary["steady_median_ms"]
-    hits = sum(1 for m in result.measurements if m.cache_hit)
+    hits = sum(1 for m in map(Measurement._make, result.measurements) if m.cache_hit)
     report(6, "cold start is slower and warm requests hit the cache",
            first_slower and hits >= 98,
            f"first={summary['first_request_ms']:.0f}ms "

@@ -340,6 +340,17 @@ class TestBench:
         summary = (out_dir / "summary.txt").read_text()
         assert "steady_mean_ms: 250" in summary
 
+    def test_bench_summarizes_its_run_once(self, tmp_path, capsys, monkeypatch):
+        summarize, calls = cli.summarize, []
+
+        def counting_summarize(measurements):
+            calls.append(len(measurements))
+            return summarize(measurements)
+
+        monkeypatch.setattr(cli, "summarize", counting_summarize)
+        assert main(["bench", "--seed", "42", "--out", str(tmp_path / "bench")]) == 0
+        assert calls == [100]
+
     def test_ground_bench(self, tmp_path, capsys):
         assert main(["bench", "--profile", "ground", "--seed", "42",
                      "--out", str(tmp_path / "bench")]) == 0

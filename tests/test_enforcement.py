@@ -418,12 +418,12 @@ def fixed_feed(*results):
 
 def served(entry):
     """The token a cache's ``get`` served, or None."""
-    return None if entry is None else entry.token
+    return None if entry is None else entry[0]
 
 
 def held(cache):
     """Each subject a cache holds, with its token and effective sync time."""
-    return {subject: (entry.token, cache.entry_synced_at(subject))
+    return {subject: (entry[0], cache.entry_synced_at(subject))
             for subject, entry in cache.entries.items()}
 
 
@@ -472,8 +472,8 @@ class TestChangeFeed:
         assert cache.sync(fetch, now=300, height=2) == 0
         assert fetched == [a]
         assert cursors == [0, 3]
-        assert cache.entries[a].token["isValid"] is False
-        assert cache.entries[b].token == token_wire()
+        assert cache.entries[a][0]["isValid"] is False
+        assert cache.entries[b][0] == token_wire()
         assert {cache.entry_synced_at(subject) for subject in cache.entries} == {300}
 
     def test_sync_with_no_changes_reads_no_entry(self, bench):
@@ -524,7 +524,7 @@ class TestChangeFeed:
         cache.put(bench.client, token_wire(), now=100)
         with pytest.raises(AttributeError):
             cache.sync(lambda subject: token_wire(), now=200, height=1)
-        assert cache.entries[bench.client].token == token_wire()
+        assert cache.entries[bench.client][0] == token_wire()
 
     def test_contract_reports_changed_subjects_once_newest_first(self, bench):
         a, b = bench.factory.new_addresses(2)

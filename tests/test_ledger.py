@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import gc
 import io
 import itertools
 import json
@@ -406,9 +407,26 @@ class TestGasAccounting:
                                   Decimal("0.04"))
         assert [r for r in bench.chain.gas_entries() if r.tx_digest == receipt.tx_digest] \
             == [receipt]
-        assert bench.chain.get_receipt(receipt.tx_digest) is receipt
+        assert bench.chain.get_receipt(receipt.tx_digest) == receipt
         pending = bench.submit(other, "captoken", "revoke_token", (bench.client.hex,))
         assert bench.chain.get_receipt(pending) is None
+
+    def test_stored_receipts_are_untracked_by_the_collector(self):
+        # a run's receipts (int and bool results), a rejection (None), and the replay's
+        simulation, _ = run_scenario(WORKLOADS["churn"](7, scale=0.05))
+        chain = simulation.chain
+        outsider = AddressFactory(99).new_address()
+        chain.submit(outsider, TokenContract.name, "revoke_token", ())   # invalid-args
+        chain.produce_next_block()
+        replayed = replay_chain(chain.config,
+                                read_chain(io.StringIO(chain.export_chain_text())),
+                                zone_contracts_factory(chain.config.supervisor))
+        gc.collect()
+        for each in (chain, replayed):
+            rows = list(each._receipts.values())
+            assert {type(row) for row in rows} == {tuple}
+            assert {row[2] for row in rows} == {"ok", "rejected"}
+            assert not any(map(gc.is_tracked, rows))
 
     def test_unapplied_tx_has_no_gas(self, bench):
         digest = bench.submit(bench.master, "captoken", "issue_token",

@@ -14,14 +14,21 @@ from capchain.netsim import (PROFILE_DELAYS, Measurement, Simulation, _fmt,
                              run_latency_bench, run_overhead_bench, run_scenario,
                              summarize, write_measurements_csv,
                              write_stage_traces_csv, write_summary_text)
-from capchain.scenario import PROFILES, ScenarioError
+from capchain.ledger import IntervalNotElapsedError
+from capchain.scenario import PROFILES, Request, ScenarioError, parse_script
 
 from harness import render_artifacts
-from reference_models import (reference_fmt, reference_run, reference_summarize,
+from reference_models import (reference_fmt, reference_parse_script, reference_run,
+                              reference_summarize,
                               reference_write_measurements_csv,
                               reference_write_stage_traces_csv)
 
 RULE_GET = {"action": "GET", "resource": "/api/data", "conditions": []}
+
+
+def named(result):
+    """A run's rows, which are plain tuples, as ``Measurement``s."""
+    return list(map(Measurement._make, result.measurements))
 
 
 def base_config(seed=42, **overrides):
@@ -92,6 +99,19 @@ class TestBuildTopology:
 
 
 class TestRunScenario:
+    def test_a_second_run_fails_at_its_first_block_and_runs_no_event(self, monkeypatch):
+        simulation = Simulation(latency_bench_config("satellite", seed=42, requests=5))
+        simulation.run()
+        height, ran = simulation.chain.height, []
+        for handler in ("_handle_script", "_handle_arrival", "_record"):
+            monkeypatch.setattr(simulation, handler,
+                                lambda *args, name=handler: ran.append(name))
+        # the script, released by the first run, would issue a token before the block
+        with pytest.raises(IntervalNotElapsedError):
+            simulation.run()
+        assert ran == []
+        assert simulation.chain.height == height
+
     def test_empty_script_yields_no_measurements(self):
         _, result = run_scenario(base_config())
         assert result.measurements == []
@@ -100,9 +120,10 @@ class TestRunScenario:
         config = latency_bench_config("satellite", seed=42, requests=100)
         _, result = run_scenario(config)
         assert len(result.measurements) == 100
-        assert result.measurements[0].cache_hit is False
-        assert all(m.cache_hit for m in result.measurements[1:])
-        assert all(m.outcome == "grant" for m in result.measurements)
+        rows = named(result)
+        assert rows[0].cache_hit is False
+        assert all(m.cache_hit for m in rows[1:])
+        assert all(m.outcome == "grant" for m in rows)
 
     def test_script_event_with_unknown_node_fails_with_index(self):
         config = base_config(script=[
@@ -138,10 +159,10 @@ class TestRunScenario:
                        "subject": "sat-client"})
         _, result = run_scenario(base_config(script=script))
         confirm_at = 30000  # next block after the revoke submission
-        for m in result.measurements:
+        for m in named(result):
             if m.at_ms >= confirm_at + interval:
                 assert m.outcome == "deny"
-        late_grants = [m for m in result.measurements
+        late_grants = [m for m in named(result)
                        if m.outcome == "grant" and m.at_ms > confirm_at]
         assert late_grants == []
 
@@ -181,8 +202,9 @@ class TestRunScenario:
              "provider": "sat-provider", "method": "GET", "uri": "/api/data"},
         ]
         _, result = run_scenario(config)
-        assert result.measurements[0].outcome == "timeout"
-        assert result.measurements[0].total_ms == 4000
+        row = Measurement._make(result.measurements[0])
+        assert row.outcome == "timeout"
+        assert row.total_ms == 4000
 
 
 class TestLatencyModel:
@@ -215,7 +237,7 @@ class TestLatencyModel:
         _, result = run_latency_bench("satellite", seed=13, requests=20)
         profile = PROFILES["satellite"]
         delay = PROFILE_DELAYS["satellite"]
-        for m in result.measurements:
+        for m in named(result):
             stage_sum = sum(r.duration_ms for r in m.trace.records)
             expected = (profile.data_parse + stage_sum
                         + profile.service_handler + 2 * delay)
@@ -507,6 +529,13 @@ loop_events = st.one_of(
     st.builds(lambda at: {"at": at, "op": "advance"}, loop_times))
 
 
+def fields_of(result):
+    """``repr`` of a run's result with each row as a plain tuple of its fields, so
+    rows compare by their fields; ``repr`` tells -0.0 from 0.0 and 1000 from 1000.0."""
+    return repr(dataclasses.replace(
+        result, measurements=[tuple(row) for row in result.measurements]))
+
+
 class TestEventLoopMatchesReference:
     @settings(max_examples=100, deadline=None)
     @given(script=st.lists(loop_events, max_size=14), access_control=st.booleans())
@@ -515,8 +544,7 @@ class TestEventLoopMatchesReference:
         result = simulation.run()
         reference = Simulation(loop_config(script, access_control))
         expected = reference_run(reference)
-        # repr tells -0.0 from 0.0 and 1000 from 1000.0
-        assert repr(result) == repr(expected)
+        assert fields_of(result) == fields_of(expected)
         assert render_artifacts(simulation, result) == render_artifacts(reference, expected)
         assert simulation.chain.height == reference.chain.height
 
@@ -532,6 +560,29 @@ class TestEventLoopMatchesReference:
         result = simulation.run()
         # both script events at 1000 ran before the block at 1000, which confirmed
         # the registration and the issuance; the arrival at 1000 ran after it
-        assert [(m.at_ms, m.outcome, m.block_height) for m in result.measurements] == \
+        assert [(m.at_ms, m.outcome, m.block_height) for m in named(result)] == \
             [(1000.0, "grant", 2)]
-        assert repr(result) == repr(reference_run(Simulation(loop_config(script))))
+        assert fields_of(result) == fields_of(reference_run(Simulation(loop_config(script))))
+
+    def test_requests_and_rows_are_exact_tuples_of_the_reference_fields(self):
+        # every link, one of which drops half its messages, and a revocation midway
+        script = [{"at": 0, "op": "register", "node": "outsider", "master": "master"},
+                  {"at": 100, "op": "issue", "master": "master", "subject": "outsider",
+                   "rules": [RULE_GET]},
+                  {"at": 2500, "op": "revoke", "master": "master", "subject": "outsider"}]
+        script += [{"at": 1000 + 150 * k, "op": "request", "requester": requester,
+                    "provider": provider, "method": "GET", "uri": "/api/data",
+                    "expect": "grant"}
+                   for k in range(16) for requester, provider in LOOP_LINKS]
+        simulation, reference = Simulation(loop_config(script)), Simulation(loop_config(script))
+        events = parse_script(script, simulation.topology)
+        expected_events = reference_parse_script(script, simulation.topology)
+        assert [type(event) for event in events] == \
+            [tuple if type(event) is Request else type(event) for event in expected_events]
+        assert [Request._make(event) if type(event) is tuple else event
+                for event in events] == expected_events
+        result, expected = simulation.run(), reference_run(reference)
+        assert {type(row) for row in result.measurements} == {tuple}
+        assert {row.outcome for row in expected.measurements} == {"grant", "deny", "timeout"}
+        assert [Measurement._make(row) for row in result.measurements] == expected.measurements
+        assert result.expectation_failures == expected.expectation_failures
