@@ -214,12 +214,16 @@ class Transaction:
         return sha256_hex(self.call_text())
 
 
-def _block_text(head: str, height: int, timestamp: int, parent_digest: str,
-                tx_texts: list[str]) -> str:
-    """Canonical JSON of a block body from its transactions' wire texts, ``head``
-    spliced in before ``height``."""
-    return (f'{{{head}"height":{height},"parent":{canonical_str(parent_digest)},'
+def _sealed(height: int, timestamp: int, parent_digest: str, tx_texts: list[str],
+            digest: Optional[str] = None) -> tuple:
+    """``(height, timestamp, parent, digest, line)`` of a block from its transactions'
+    wire texts, atoms the collector stops tracking. ``digest`` hashes the canonical body
+    unless given; the export ``line`` puts it in front of that body (its key sorts first)."""
+    body = (f'{{"height":{height},"parent":{canonical_str(parent_digest)},'
             f'"timestamp":{timestamp},"txs":[{",".join(tx_texts)}]}}')
+    digest = sha256_hex(body) if digest is None else digest
+    return (height, timestamp, parent_digest, digest,
+            f'{{"digest":{canonical_str(digest)},{body[1:]}')
 
 
 @dataclass(frozen=True)
@@ -234,14 +238,13 @@ class Block:
     def compute_digest(height: int, timestamp: int, parent_digest: str,
                        transactions: Iterable[Transaction]) -> str:
         """SHA-256 of the body: height, parent, timestamp, txs (no digest key)."""
-        return sha256_hex(_block_text("", height, timestamp, parent_digest,
-                                      [tx.wire_text() for tx in transactions]))
+        return _sealed(height, timestamp, parent_digest,
+                       [tx.wire_text() for tx in transactions])[3]
 
     def wire_text(self) -> str:
-        """The export line: ``digest`` sorts first, so it goes in front of the body."""
-        return _block_text(f'"digest":{canonical_str(self.digest)},', self.height,
-                           self.timestamp, self.parent_digest,
-                           [tx.wire_text() for tx in self.transactions])
+        """The export line, with the block's own digest."""
+        return _sealed(self.height, self.timestamp, self.parent_digest,
+                       [tx.wire_text() for tx in self.transactions], self.digest)[4]
 
 
 #: The empty block every chain starts from.
@@ -292,6 +295,9 @@ class Chain:
     Writes (submit / produce) are funneled through one lock so the module
     can be shared by multiple logical processes; confirmed-state reads
     need no coordination because state only changes inside produce.
+
+    Sealed blocks are stored as ``_sealed`` tuples, not as ``Block``s: export
+    joins their lines, and ``blocks`` and ``latest_block`` decode them per call.
     """
 
     def __init__(self, config: ChainConfig, contracts: Iterable[Contract] = ()):
@@ -304,7 +310,7 @@ class Chain:
         self._next_nonce: dict[Address, int] = {}
         self._receipts: dict[str, tuple] = {}   # by tx digest, in apply and Receipt order
         self._write_lock = threading.Lock()
-        self._blocks: list[Block] = [GENESIS]
+        self._blocks: list[tuple] = [_sealed(0, 0, ZERO_DIGEST, [])]   # genesis
 
     # -- deployment and reads ------------------------------------------------
 
@@ -317,15 +323,15 @@ class Chain:
 
     @property
     def blocks(self) -> tuple[Block, ...]:
-        return tuple(self._blocks)
+        return tuple(_read_block(_decode(row[4])) for row in self._blocks)
 
     @property
     def latest_block(self) -> Block:
-        return self._blocks[-1]
+        return _read_block(_decode(self._blocks[-1][4]))
 
     @property
     def height(self) -> int:
-        return self._blocks[-1].height
+        return self._blocks[-1][0]
 
     def next_nonce(self, sender: Address) -> int:
         return self._next_nonce.get(sender, 0)
@@ -374,43 +380,35 @@ class Chain:
             )
         self._next_nonce[tx.sender] = expected + 1
 
-    def _parent_at(self, now: int, force: bool) -> Block:
-        """The parent of a block sealed at ``now``; raise if it may not be sealed."""
-        last = self._blocks[-1]
-        if now < last.timestamp:
+    def _parent_at(self, now: int, force: bool) -> tuple[int, str]:
+        """The parent's height and digest for a block sealed at ``now``, if it may be."""
+        height, timestamp, _, digest, _ = self._blocks[-1]
+        if now < timestamp:
             raise IntervalNotElapsedError(
-                f"block at {now} ms precedes its parent at {last.timestamp} ms")
-        due = last.timestamp + self.config.block_interval_ms
+                f"block at {now} ms precedes its parent at {timestamp} ms")
+        due = timestamp + self.config.block_interval_ms
         if not force and now < due:
             raise IntervalNotElapsedError(f"block due at {due} ms, now {now} ms")
-        return last
+        return height, digest
 
     def produce_block(self, now: int, force: bool = False) -> Block:
         """Seal the pending pool into a block and apply it to contract state.
 
-        A sealed transaction keeps its args text only: the pool's args
-        are dropped with the pool."""
+        The chain keeps the block's line only: the returned ``Block`` is a
+        snapshot, and the pool's args are dropped with the pool."""
         with self._write_lock:
-            last = self._parent_at(now, force)
-            applied: list[Transaction] = []
-            height = last.height + 1
+            parent_height, parent = self._parent_at(now, force)
+            applied = tuple(tx for tx, _, _ in self._pending)
             for tx, digest, args in self._pending:
                 tx.gas_used = self._apply(tx, digest, args)
-                applied.append(tx)
             self._pending.clear()
-            block = Block(
-                height=height,
-                timestamp=now,
-                parent_digest=last.digest,
-                transactions=tuple(applied),
-                digest=Block.compute_digest(height, now, last.digest, applied),
-            )
-            self._blocks.append(block)
-            return block
+            row = _sealed(parent_height + 1, now, parent, [tx.wire_text() for tx in applied])
+            self._blocks.append(row)
+            return Block(row[0], now, parent, applied, row[3])
 
     def produce_next_block(self) -> Block:
         """Produce a block at exactly the next interval boundary."""
-        return self.produce_block(self.latest_block.timestamp + self.config.block_interval_ms)
+        return self.produce_block(self._blocks[-1][1] + self.config.block_interval_ms)
 
     def _apply(self, tx: Transaction, digest: str, args: Any) -> int:
         """Execute ``tx`` with ``args`` and record its receipt; returns its gas."""
@@ -433,27 +431,27 @@ class Chain:
 
         The contract, nonce and timestamp checks raise as submit and
         produce do. Then height, parent link, each transaction's re-derived
-        gas and the block digest must match. The resealed block would hold
-        the same calls with that gas, so the chain keeps ``block`` itself.
-        Each args text is decoded once, for ``execute``, and the call text
-        (for the receipt's digest) and the wire text (for the block digest)
-        share one formatting of the call.
+        gas and the block digest must match. The chain stores the line it
+        resealed, not the one it read, so a re-spaced export replays to the
+        canonical chain. Each args text is decoded once, for ``execute``,
+        and the call text (for the receipt's digest) and the wire text (for
+        the block digest) share one formatting of the call.
         """
         with self._write_lock:
             for tx in block.transactions:
                 self._admit(tx)
-            last = self._parent_at(block.timestamp, force=True)
-            same = block.height == last.height + 1 and block.parent_digest == last.digest
+            parent_height, parent = self._parent_at(block.timestamp, force=True)
+            same = block.height == parent_height + 1 and block.parent_digest == parent
             wires = []
             for tx in block.transactions:
                 head, tail = tx._halves()
                 gas = self._apply(tx, sha256_hex(head + tail), tuple(_decode(tx.args_text)))
                 same = same and gas == tx.gas_used
                 wires.append(f'{head}"gas":{gas},{tail}')
-            if not same or block.digest != sha256_hex(_block_text(
-                    "", block.height, block.timestamp, block.parent_digest, wires)):
+            row = _sealed(block.height, block.timestamp, parent, wires)
+            if not same or row[3] != block.digest:
                 return False
-            self._blocks.append(block)
+            self._blocks.append(row)
             return True
 
     # -- receipts and gas --------------------------------------------------------
@@ -487,8 +485,9 @@ class Chain:
     # -- export / import / replay -----------------------------------------------
 
     def export_chain_text(self) -> str:
-        """One block per line: height, timestamp, parent, txs, digest."""
-        return "\n".join([block.wire_text() for block in self._blocks]) + "\n"
+        """One block per line: height, timestamp, parent, txs, digest. The empty last
+        item ends the text with a newline without copying the joined text again."""
+        return "\n".join([*map(itemgetter(4), self._blocks), ""])
 
     def state_digest(self) -> str:
         return digest_of({

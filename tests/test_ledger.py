@@ -17,8 +17,8 @@ from capchain import ledger
 from capchain.address import Address, AddressFactory
 from capchain.encoding import ZERO_DIGEST, canonical_json, digest_of, sha256_hex
 from capchain.ledger import (DEFAULT_ETH_PRICE_USD, DEFAULT_GAS_PRICE_ETC, DEFAULT_GAS_TABLE,
-                             DEFAULT_OP_GAS, Block, Chain, ChainConfig, ChainFileError,
-                             ContractNotFoundError, CorruptChainError,
+                             DEFAULT_OP_GAS, GENESIS, Block, Chain, ChainConfig,
+                             ChainFileError, ContractNotFoundError, CorruptChainError,
                              IntervalNotElapsedError,
                              NonceMismatchError, Receipt, Transaction, read_chain,
                              replay_chain)
@@ -584,12 +584,40 @@ class TestInvariants:
             assert nonces == list(range(50))
         assert replays(chain)
 
+    def test_no_sealed_transaction_outlives_its_block(self):
+        # the chain stores each block as a tuple of atoms; a sealed transaction
+        # lives only as long as the Block that produce_block returned, on the
+        # live chain and on its replay. Other tests' objects are told apart by
+        # this bench's own addresses.
+        bench = Bench(seed=2026)
+        bench.issue_client_token()
+        bench.apply(bench.master, "captoken", "revoke_token", (bench.client.hex,))
+        assert len(bench.chain.produce_next_block().transactions) == 0
+        replayed = replay_chain(bench.chain.config,
+                                read_chain(io.StringIO(bench.chain.export_chain_text())),
+                                zone_contracts_factory(bench.supervisor))
+        ours = {bench.supervisor, bench.master}
+        gc.collect()
+        assert [tx for tx in gc.get_objects()
+                if type(tx) is Transaction and tx.sender in ours] == []
+        for chain in (bench.chain, replayed):
+            assert len(chain._blocks) == 5
+            assert {type(row) for row in chain._blocks} == {tuple}
+            assert not any(map(gc.is_tracked, chain._blocks))
+
     def test_gas_conservation_report_vs_blocks(self, bench):
         bench.issue_client_token()
         bench.apply(bench.master, "captoken", "revoke_token", (bench.client.hex,))
         block_gas = sum(tx.gas_used for block in bench.chain.blocks
                         for tx in block.transactions)
         assert sum(entry.gas for entry in bench.chain.gas_entries()) == block_gas
+
+
+def fields(block):
+    """A block's fields, with each transaction's as it would export them."""
+    return (block.height, block.timestamp, block.parent_digest, block.digest,
+            [(tx.sender, tx.contract, tx.op, tx.args_text, tx.nonce, tx.gas_used)
+             for tx in block.transactions])
 
 
 # Bench()'s actors in the order it draws them: supervisor, master, provider,
@@ -736,12 +764,56 @@ class TestEncoder:
         block = Block(height, timestamp, parent, tuple(txs), digest)
         assert block.wire_text() == canonical_json(reference_block_wire(block))
 
-    def test_export_equals_reference_encoding_of_every_block(self, bench):
+    def test_export_equals_reference_encoding_of_every_block(self, monkeypatch):
+        # The chain keeps each block as its export line, and ``blocks`` decodes
+        # those lines. The blocks ``produce_block`` returned hold the live
+        # transactions: the export must be their reference encoding, and the
+        # decoded blocks must equal them, on the live chain and on its replay.
+        sealed, produce = [GENESIS], Chain.produce_block
+
+        def recording(chain, now, force=False):
+            block = produce(chain, now, force)
+            assert fields(chain.latest_block) == fields(block)
+            assert chain.height == block.height == len(sealed)
+            sealed.append(block)
+            return block
+
+        monkeypatch.setattr(Chain, "produce_block", recording)
+        bench = Bench()
         bench.issue_client_token()
         bench.apply(bench.master, "vzone", "join_vzone", (bench.zone_id, {"nonce": 1}))
-        assert bench.chain.export_chain_text() == "".join(
-            canonical_json(reference_block_wire(block)) + "\n"
-            for block in bench.chain.blocks)
+        bench.chain.produce_next_block()   # an empty block
+        assert len(sealed) == 5
+        expected = "".join(canonical_json(reference_block_wire(b)) + "\n" for b in sealed)
+        assert bench.chain.export_chain_text() == expected
+        assert list(map(fields, bench.chain.blocks)) == list(map(fields, sealed))
+        read = read_chain(io.StringIO(expected))
+        for height in range(len(sealed)):
+            replayed = replay_chain(bench.chain.config, read[:height + 1],
+                                    zone_contracts_factory(bench.supervisor))
+            assert replayed.height == height
+            assert fields(replayed.latest_block) == fields(sealed[height])
+        assert replayed.export_chain_text() == expected
+        assert list(map(fields, replayed.blocks)) == list(map(fields, sealed))
+
+    @pytest.mark.parametrize("name", ("sample", "churn"))
+    def test_a_respaced_export_replays_to_the_canonical_export(self, name):
+        # default separators and every object's keys in reverse order: the
+        # reader takes any spacing, and replay keeps the line it resealed
+        lines, supervisor = export(name)
+        canonical = "\n".join(lines) + "\n"
+        respaced = "".join(json.dumps(json.loads(line, object_pairs_hook=lambda pairs:
+                                                 dict(reversed(pairs)))) + "\n"
+                           for line in lines)
+        assert respaced != canonical and json.loads(respaced.splitlines()[1]) == \
+            json.loads(lines[1])
+        replayed = replay_chain(ChainConfig(supervisor=supervisor),
+                                read_chain(io.StringIO(respaced)),
+                                zone_contracts_factory(supervisor))
+        assert replayed.export_chain_text() == canonical
+        assert replayed.state_digest() == replay_chain(
+            ChainConfig(supervisor=supervisor), read_chain(io.StringIO(canonical)),
+            zone_contracts_factory(supervisor)).state_digest()
 
     def test_replaced_args_are_encoded_afresh(self, bench):
         tx = Transaction(bench.master, "vzone", "create_vzone", ("zone-a",), 0)
