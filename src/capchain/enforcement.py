@@ -19,7 +19,7 @@ from typing import Callable, Mapping, NamedTuple, Optional
 
 from .address import ZERO_ADDRESS, Address
 from .ledger import Chain, LedgerError
-from .tokens import MS_PER_DAY, ConditionKind, TokenContract
+from .tokens import MS_PER_DAY, TokenContract
 from .zones import NODE_TYPE_NONE, VNodeRecord, ZoneContract
 
 PIPELINE_STAGES = ("identity_auth", "token_fetch", "token_status", "rule_match",
@@ -117,20 +117,15 @@ def match_access_rule(token: dict, method: str, uri: str) -> Optional[dict]:
     return None
 
 
-# the condition kinds' wire values, bound once rather than read through the enum per call
-_TIME_WINDOW, _WEEKDAY, _LOCATION_TAG = (
-    ConditionKind.TIME_WINDOW.value, ConditionKind.WEEKDAY.value, ConditionKind.LOCATION_TAG.value)
-
-
 def condition_satisfied(condition: dict, now: float, location_tag: str) -> bool:
     kind = condition["kind"]
-    if kind == _TIME_WINDOW:
+    if kind == "time_window":
         ms_of_day = now % MS_PER_DAY
         return condition["start_ms"] <= ms_of_day < condition["end_ms"]
-    if kind == _WEEKDAY:
+    if kind == "weekday":
         day = int(now // MS_PER_DAY) % 7
         return day in condition["days"]
-    if kind == _LOCATION_TAG:
+    if kind == "location_tag":
         return location_tag == condition["tag"]
     return False
 
@@ -275,7 +270,6 @@ class ServiceProvider:
             lambda cursor: chain.query_state(TokenContract.name, "changes_since", (cursor,)))
         self._fetch_token = \
             lambda subject: chain.query_state(TokenContract.name, "get_token", (subject,))
-        self.contract_queries = 1   # the provider's own record, read here
         self._own_record: VNodeRecord = chain.query_state(_VZONE, "get_vnode", (address,))
 
     def refresh_membership(self) -> None:
@@ -286,7 +280,6 @@ class ServiceProvider:
     def authenticate(self, requester: Address) -> tuple[bool, Optional[str]]:
         """Same-zone check: two contract queries (requester Vnode, then VZone)."""
         query = self.chain.query_state
-        self.contract_queries += 1
         requester_record = query(_VZONE, "get_vnode", (requester,))
         own = self._own_record
         if own.node_type == NODE_TYPE_NONE or requester_record.node_type == NODE_TYPE_NONE:
@@ -294,7 +287,6 @@ class ServiceProvider:
         zone_id = own.vzone_id
         if requester_record.vzone_id != zone_id:
             return False, "zone-mismatch"
-        self.contract_queries += 1
         if query(_VZONE, "get_vzone", (zone_id,)).master is ZERO_ADDRESS:   # interned
             return False, "zone-revoked"
         return True, None   # a constant: every success returns this one tuple
@@ -306,7 +298,6 @@ class ServiceProvider:
         entry = self.cache.get(subject, now)
         if entry is not None:
             return entry[0], True
-        self.contract_queries += 1
         token = self._fetch_token(subject)
         if token is not None:
             self.cache.put(subject, token, now)

@@ -7,13 +7,15 @@ seals blocks on a virtual-clock interval, which makes every run
 bit-reproducible.
 
 Time is virtual milliseconds from scenario start; wall-clock time is
-never consulted. Gas is charged per operation from a fixed table and
-converted to fees at a fixed gas price and ETC/USD rate, so an export
-holds everything that decides a receipt.
+never consulted. Gas is charged per operation at the constant the hosted
+contract's op table (``Contract.OPS``) lists, and converted to fees at a
+fixed gas price and ETC/USD rate, so an export holds everything that
+decides a receipt.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import threading
@@ -71,12 +73,24 @@ class Contract:
     as hex, as exports carry them); ``view`` args are in-process objects
     (an ``Address``, never its hex). ``dump_state`` must be a pure
     function of the confirmed state so replays can be compared byte-for-byte.
+
+    ``OPS`` maps each op ``execute`` runs to ``(gas, run)``: the gas a call
+    pays, succeeding or not, and ``run(contract, sender, args)``, which
+    decodes the wire args and applies the op. ``Chain.deploy`` prices the
+    listed ops. A subclass binds ``execute = Contract.execute`` in its own
+    class dict, where the benchmark's tracer wraps it. Views stay ``if op ==``
+    chains: they are the request path (2.05 queries per request on the
+    hot_reads benchmark), where a table lookup measured slower.
     """
 
     name: str = ""
+    OPS: dict[str, tuple[int, Callable[[Any, Address, Any], Any]]] = {}
 
     def execute(self, sender: Address, op: str, args: tuple) -> Any:
-        raise NotImplementedError
+        entry = self.OPS.get(op)
+        if entry is None:
+            raise ContractRejection("unknown-op", f"{self.name} contract has no operation {op!r}")
+        return entry[1](self, sender, args)
 
     def view(self, op: str, args: tuple = ()) -> Any:
         """Read confirmed state. A view may return a record the contract holds,
@@ -87,23 +101,7 @@ class Contract:
         raise NotImplementedError
 
 
-# Per-operation gas, in units. The token assignment cost is calibrated to
-# the reported 159544-unit figure; the rest are fixed constants chosen to
-# be stable across runs, since only the token assignment has a published
-# reference value.
-DEFAULT_GAS_TABLE: dict[str, int] = {
-    "create_vzone": 88421,
-    "revoke_vzone": 44216,
-    "join_vzone": 64733,
-    "leave_vzone": 29850,
-    "set_master_allowlist": 45102,
-    "issue_token": 159544,
-    "revoke_access_rights": 52077,
-    "revoke_token": 31877,
-    "set_token_validity": 29444,
-}
-
-#: Fallback gas for operations missing from the table.
+#: Gas of an op that no deployed contract lists.
 DEFAULT_OP_GAS = 21000
 
 #: Gas price in ETC per unit. 6.4e-9 reproduces the published fee figures:
@@ -114,6 +112,7 @@ DEFAULT_GAS_PRICE_ETC = Decimal("6.4E-9")
 DEFAULT_ETH_PRICE_USD = Decimal("212.77")
 
 
+@functools.cache   # a handful of gas constants, priced once each per process
 def _priced(gas: int) -> tuple[int, Decimal, Decimal]:
     """``gas`` with its ETC and USD fees, rounded half up to 1E-7 ETC and 0.01 USD."""
     raw_etc = gas * DEFAULT_GAS_PRICE_ETC
@@ -121,9 +120,7 @@ def _priced(gas: int) -> tuple[int, Decimal, Decimal]:
             (raw_etc * DEFAULT_ETH_PRICE_USD).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
 
 
-#: ``(gas, fee_etc, fee_usd)`` of each op, and ``_OTHER_OP_FEES`` of any op
-#: missing from the gas table: the op alone decides a transaction's cost.
-_OP_FEES = {op: _priced(gas) for op, gas in DEFAULT_GAS_TABLE.items()}
+#: ``(gas, fee_etc, fee_usd)`` of an op no deployed contract lists.
 _OTHER_OP_FEES = _priced(DEFAULT_OP_GAS)
 
 
@@ -257,7 +254,7 @@ class Receipt(NamedTuple):
     ``status`` is ``"ok"`` with the contract's ``result``, or
     ``"rejected"`` with the rejection code in ``error``. A rejected
     transaction still pays its gas. The gas and fees are those of ``op``
-    in the fixed gas table at the fixed gas and ETC prices.
+    in its contract's ``OPS`` at the fixed gas and ETC prices.
 
     The chain stores each receipt as a plain tuple in this order. Every
     field is an atom (a contract result is an int, a bool or None), so
@@ -303,6 +300,7 @@ class Chain:
     def __init__(self, config: ChainConfig, contracts: Iterable[Contract] = ()):
         self.config = config
         self._contracts: dict[str, Contract] = {}
+        self._op_fees: dict[str, tuple] = {}   # op -> (gas, fee_etc, fee_usd) of its contract
         for contract in contracts:
             self.deploy(contract)
         # (tx, its digest, its args): execute reads the args as submitted
@@ -319,7 +317,11 @@ class Chain:
             raise ValueError("contract must carry a name")
         if contract.name in self._contracts:
             raise ValueError(f"contract {contract.name!r} already deployed")
+        priced = [op for op in contract.OPS if op in self._op_fees]
+        if priced:
+            raise ValueError(f"op {priced[0]!r} already priced by a deployed contract")
         self._contracts[contract.name] = contract
+        self._op_fees.update((op, _priced(gas)) for op, (gas, _) in contract.OPS.items())
 
     @property
     def blocks(self) -> tuple[Block, ...]:
@@ -413,7 +415,7 @@ class Chain:
     def _apply(self, tx: Transaction, digest: str, args: Any) -> int:
         """Execute ``tx`` with ``args`` and record its receipt; returns its gas."""
         contract = self._contracts[tx.contract]
-        gas, fee_etc, fee_usd = _OP_FEES.get(tx.op, _OTHER_OP_FEES)
+        gas, fee_etc, fee_usd = self._op_fees.get(tx.op, _OTHER_OP_FEES)
         status, result, error = "ok", None, None
         try:
             result = contract.execute(tx.sender, tx.op, args)
@@ -477,7 +479,7 @@ class Chain:
         for tx_digest, op in zip(self._receipts, map(itemgetter(1), self._receipts.values())):
             tail = tails.get(op)
             if tail is None:
-                gas, fee_etc, fee_usd = _OP_FEES.get(op, _OTHER_OP_FEES)
+                gas, fee_etc, fee_usd = self._op_fees.get(op, _OTHER_OP_FEES)
                 tail = tails[op] = f"{cells[op]},{gas!s},{fee_etc!s},{fee_usd!s}\n"
             rows.append(f"{tx_digest},{tail}")
         return "".join(rows)

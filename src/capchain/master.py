@@ -37,7 +37,6 @@ class DuplicateRegistration(MasterError):
 @dataclass(frozen=True)
 class RegistrationRequest:
     vid: Address
-    display_name: str
     attributes: dict[str, str] = field(default_factory=dict)
 
 

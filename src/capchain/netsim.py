@@ -215,7 +215,7 @@ class Simulation:
 
     def _handle_register(self, event: Register, result: SimulationResult) -> None:
         node, master = event.node, event.master.name
-        request = RegistrationRequest(node.vid, node.name, event.attributes)
+        request = RegistrationRequest(node.vid, event.attributes)
         try:
             self.masters[master].register_entity(request)
         except MasterError as exc:

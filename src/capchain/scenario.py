@@ -19,11 +19,10 @@ from typing import Any, Iterable, NamedTuple, NoReturn, Union
 
 from .address import Address, AddressFactory
 from .master import RegistrationPolicy
-from .tokens import RULE_ERRORS, Action, rule_wire
+from .tokens import ACTIONS, RULE_ERRORS, rule_wire
 
 ROLES = ("supervisor", "master", "satellite", "ground", "client")
 POLICY_KINDS = ("allow_all", "allowlist", "denylist", "attribute")
-ACTIONS = tuple(action.value for action in Action)
 #: A request's ``expect``: an outcome it must reach, or null (or absent) for none.
 EXPECTS = ("grant", "deny", "timeout", None)
 

@@ -22,7 +22,6 @@ reads a whole token, its addresses typed and its rules the dicts
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Any, Callable, Optional
 
 from .address import Address
@@ -32,25 +31,17 @@ from .zones import NODE_TYPE_MASTER, NODE_TYPE_NONE, ZoneContract
 MS_PER_DAY = 86_400_000
 
 
-class Action(str, Enum):
-    GET = "GET"
-    POST = "POST"
-    PUT = "PUT"
-    DELETE = "DELETE"
+#: The wire names of a rule's REST actions and of its condition kinds.
+ACTIONS = ("GET", "POST", "PUT", "DELETE")
+CONDITION_KINDS = ("time_window", "weekday", "location_tag")
 
 
-class ConditionKind(str, Enum):
-    TIME_WINDOW = "time_window"
-    WEEKDAY = "weekday"
-    LOCATION_TAG = "location_tag"
-
-
-def _decoder(enum: type[Enum]) -> Callable[[Any], str]:
-    """``enum(value).value`` as one dict lookup (a member's ``.value`` is a slow
-    read); a non-member raises the same ``ValueError`` as the ``Enum`` call,
-    except that a list, tuple or dict is shown by its type: its ``repr`` could
-    nest deep enough to exhaust the stack."""
-    members = {member.value: member.value for member in enum}
+def _decoder(names: tuple[str, ...], kind: str) -> Callable[[Any], str]:
+    """The one of ``names`` a value equals, as one dict lookup; any other value
+    raises ``ValueError("<repr> is not a valid <kind>")``, except that a list,
+    tuple or dict is shown by its type: its ``repr`` could nest deep enough to
+    exhaust the stack."""
+    members = dict(zip(names, names))
 
     def decode(value: Any) -> str:
         try:
@@ -58,14 +49,13 @@ def _decoder(enum: type[Enum]) -> Callable[[Any], str]:
         except (KeyError, TypeError):   # TypeError: an unhashable value
             shown = f"<{type(value).__name__}>" if isinstance(value, (list, tuple, dict)) \
                 else repr(value)
-            raise ValueError(f"{shown} is not a valid {enum.__qualname__}") from None
+            raise ValueError(f"{shown} is not a valid {kind}") from None
 
     return decode
 
 
-_action_value = _decoder(Action)
-_condition_kind_value = _decoder(ConditionKind)
-_TIME_WINDOW, _WEEKDAY = ConditionKind.TIME_WINDOW.value, ConditionKind.WEEKDAY.value
+_action_value = _decoder(ACTIONS, "Action")
+_condition_kind_value = _decoder(CONDITION_KINDS, "ConditionKind")
 
 #: What ``rule_wire``, and so ``CapabilityToken.from_wire``, raises for a body
 #: that is not a rule.
@@ -83,13 +73,13 @@ def _condition_wire(body: dict) -> dict:
     location_tag: ``tag`` is a nonempty string, a provider-side location label.
     """
     kind = _condition_kind_value(body["kind"])
-    if kind == _TIME_WINDOW:
+    if kind == "time_window":
         start_ms, end_ms = times = body["start_ms"], body["end_ms"]
         if not all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in times) \
                 or not start_ms < end_ms:
             raise ValueError("time_window requires numbers start_ms < end_ms")
         return {"kind": kind, "start_ms": start_ms, "end_ms": end_ms}
-    if kind == _WEEKDAY:
+    if kind == "weekday":
         days = tuple(body["days"])
         if not days or any(type(d) is not int or not 0 <= d <= 6 for d in days):
             raise ValueError("weekday requires a nonempty set of int days 0..6")
@@ -169,6 +159,10 @@ class TokenContract(Contract):
     confirmed member of the issuing master's zone. Token ids are globally
     monotone and never reused, including across re-issuance.
 
+    ``OPS`` prices the four mutations: the token assignment's gas is
+    calibrated to the reported 159544-unit figure, the rest are fixed
+    constants chosen to be stable across runs.
+
     Each token is held as its wire dict, built once when it is issued from
     rules read by ``rule_wire``, so it shares nothing with the transaction
     args. ``get_token`` and ``dump_state`` return the held dicts themselves.
@@ -191,22 +185,19 @@ class TokenContract(Contract):
         self._changes: list[Address] = []   # the subject of each mutation, oldest first
 
     # -- ledger protocol -------------------------------------------------------
+    # issue_token's dates are args[2:], so any count of args but four is a TypeError
 
-    def execute(self, sender: Address, op: str, args: tuple):
-        if op == "issue_token":
-            subject, rules, issue_date, expired_date = args
-            if not (isinstance(issue_date, (int, float))
-                    and isinstance(expired_date, (int, float))):
-                raise TypeError("token dates must be numbers")   # (1,) <= [2] fails live only
-            return self.issue_token(sender, Address.from_hex(subject),
-                                    list(rules), issue_date, expired_date)
-        if op == "revoke_access_rights":
-            return self.revoke_access_rights(sender, Address.from_hex(args[0]), list(args[1]))
-        if op == "revoke_token":
-            return self.revoke_token(sender, Address.from_hex(args[0]))
-        if op == "set_token_validity":
-            return self.set_token_validity(sender, Address.from_hex(args[0]), bool(args[1]))
-        raise ContractRejection("unknown-op", f"token contract has no operation {op!r}")
+    OPS = {
+        "issue_token": (159544, lambda self, sender, args: self.issue_token(
+            sender, Address.from_hex(args[0]), list(args[1]), *args[2:])),
+        "revoke_access_rights": (52077, lambda self, sender, args: self.revoke_access_rights(
+            sender, Address.from_hex(args[0]), list(args[1]))),
+        "revoke_token": (31877, lambda self, sender, args:
+                         self.revoke_token(sender, Address.from_hex(args[0]))),
+        "set_token_validity": (29444, lambda self, sender, args: self.set_token_validity(
+            sender, Address.from_hex(args[0]), bool(args[1]))),
+    }
+    execute = Contract.execute
 
     def view(self, op: str, args: tuple = ()):
         if op == "get_token":
@@ -228,6 +219,8 @@ class TokenContract(Contract):
 
     def issue_token(self, sender: Address, subject: Address, rules: list[dict],
                     issue_date: int, expired_date: int) -> int:
+        if not (isinstance(issue_date, (int, float)) and isinstance(expired_date, (int, float))):
+            raise TypeError("token dates must be numbers")   # (1,) <= [2] fails live only
         sender_zone = self._sender_zone(sender)
         subject_record = self._zones.get_vnode(subject)
         if subject_record.node_type == NODE_TYPE_NONE:

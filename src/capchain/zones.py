@@ -47,6 +47,9 @@ class ZoneContract(Contract):
 
     The supervisor address has override rights everywhere; ordinary
     masters must be on the supervisor-managed allowlist to create zones.
+    ``OPS`` prices the five mutations at fixed constants chosen to be
+    stable across runs, since only the token assignment has a published
+    reference value.
     """
 
     name = "vzone"
@@ -59,18 +62,19 @@ class ZoneContract(Contract):
 
     # -- ledger protocol -------------------------------------------------------
 
-    def execute(self, sender: Address, op: str, args: tuple):
-        if op == "create_vzone":
-            return self.create_vzone(sender, _zone_id(args[0]))
-        if op == "revoke_vzone":
-            return self.revoke_vzone(sender, _zone_id(args[0]))
-        if op == "join_vzone":
-            return self.join_vzone(sender, _zone_id(args[0]), Address.from_hex(args[1]))
-        if op == "leave_vzone":
-            return self.leave_vzone(sender, _zone_id(args[0]), Address.from_hex(args[1]))
-        if op == "set_master_allowlist":
-            return self.set_master_allowlist(sender, Address.from_hex(args[0]), bool(args[1]))
-        raise ContractRejection("unknown-op", f"zone contract has no operation {op!r}")
+    OPS = {
+        "create_vzone": (88421, lambda self, sender, args:
+                         self.create_vzone(sender, _zone_id(args[0]))),
+        "revoke_vzone": (44216, lambda self, sender, args:
+                         self.revoke_vzone(sender, _zone_id(args[0]))),
+        "join_vzone": (64733, lambda self, sender, args:
+                       self.join_vzone(sender, _zone_id(args[0]), Address.from_hex(args[1]))),
+        "leave_vzone": (29850, lambda self, sender, args:
+                        self.leave_vzone(sender, _zone_id(args[0]), Address.from_hex(args[1]))),
+        "set_master_allowlist": (45102, lambda self, sender, args: self.set_master_allowlist(
+            sender, Address.from_hex(args[0]), bool(args[1]))),
+    }
+    execute = Contract.execute
 
     def view(self, op: str, args: tuple = ()):
         if op == "get_vnode":

@@ -29,9 +29,10 @@ chain that stored two frozen records per transaction, a receipt and a gas
 entry, before ``Receipt`` carried the gas and fees itself. Last is the
 typed token model that ``tokens.rule_wire`` and the wire-dict contract
 replaced: rules and conditions as frozen dataclasses with their checks
-inline, decoded by the ``Enum`` calls, and a ``ReferenceCapabilityToken``
-holding them, none of which shares code with ``capchain.tokens`` but its
-two enums; then the token contract that held one such token per subject,
+inline, decoded by the calls of the ``Action`` and ``ConditionKind`` enums
+that the wire-name tuples replaced, and a ``ReferenceCapabilityToken``
+holding them, none of which shares code with ``capchain.tokens``; then the
+token contract that held one such token per subject,
 edited it in place and rebuilt its wire dict on every view (it inherits
 the dispatch, the change log and the issuer check from ``TokenContract``),
 and the token contract that also kept the recency index the change log
@@ -51,14 +52,15 @@ import math
 import statistics
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
+from enum import Enum
 
 from capchain.address import Address, AddressFactory
 from capchain.enforcement import (PIPELINE_STAGES, Decision, ServiceRequest, StageRecord,
                                   StageTrace, match_access_rule, verify_conditions,
                                   verify_token_status)
 from capchain.encoding import canonical_json, canonical_str, sha256_hex
-from capchain.ledger import (DEFAULT_ETH_PRICE_USD, DEFAULT_GAS_PRICE_ETC, DEFAULT_GAS_TABLE,
-                             DEFAULT_OP_GAS, GENESIS, Block, Chain, ChainFileError,
+from capchain.ledger import (DEFAULT_ETH_PRICE_USD, DEFAULT_GAS_PRICE_ETC, DEFAULT_OP_GAS,
+                             GENESIS, Block, Chain, ChainFileError,
                              ContractRejection, CorruptChainError, LedgerError)
 from capchain.master import RegistrationPolicy
 from capchain.netsim import MEASUREMENT_COLUMNS, Measurement, SimulationResult
@@ -66,10 +68,24 @@ from capchain.scenario import (ACTIONS, COSTS, EXPECTS, MAX_BLOCKS, POLICY_KINDS
                                ROLES, RULE_ERRORS, Advance, ChannelSpec, Issue, NodeSpec,
                                ProcessingProfile, Register, Request, TokenChange, Topology,
                                _check, _fail, _node, _number, _objects)
-from capchain.tokens import Action, ConditionKind, TokenContract
+from capchain.tokens import TokenContract
 from capchain.zones import NODE_TYPE_NONE, ZoneContract
 
 ZERO_HEX = "0x" + "00" * 20
+
+#: Each contract op's gas, written out here rather than read from the
+#: contracts' ``OPS``: the token assignment is the paper's 159544 units.
+REFERENCE_GAS_TABLE = {
+    "create_vzone": 88421,
+    "revoke_vzone": 44216,
+    "join_vzone": 64733,
+    "leave_vzone": 29850,
+    "set_master_allowlist": 45102,
+    "issue_token": 159544,
+    "revoke_access_rights": 52077,
+    "revoke_token": 31877,
+    "set_token_validity": 29444,
+}
 
 MS_PER_DAY = 86_400_000
 
@@ -783,10 +799,8 @@ def _reference_record(simulation, event, request_id, result, outcome, total_ms,
 
 def reference_authenticate(provider, requester):
     """``ServiceProvider.authenticate`` reading the requester's record through a
-    counting query helper and testing a revoked zone's master by ``is_zero``;
-    counts into ``provider.contract_queries`` as the provider does."""
+    query helper and testing a revoked zone's master by ``is_zero``."""
     def query_vnode(addr):
-        provider.contract_queries += 1
         return provider.chain.query_state(ZoneContract.name, "get_vnode", (addr,))
 
     requester_record = query_vnode(requester)
@@ -795,7 +809,6 @@ def reference_authenticate(provider, requester):
         return False, "not-member"
     if requester_record.vzone_id != provider._own_record.vzone_id:
         return False, "zone-mismatch"
-    provider.contract_queries += 1
     zone = provider.chain.query_state(ZoneContract.name, "get_vzone",
                                       (provider._own_record.vzone_id,))
     if zone.master.is_zero:
@@ -927,7 +940,7 @@ class ReferenceChain(Chain):
     def _apply(self, tx, digest, args):
         height = self.height + 1   # the block being sealed
         contract = self._contracts[tx.contract]
-        gas = DEFAULT_GAS_TABLE.get(tx.op, DEFAULT_OP_GAS)
+        gas = REFERENCE_GAS_TABLE.get(tx.op, DEFAULT_OP_GAS)
         try:
             result = contract.execute(tx.sender, tx.op, args)
             receipt = ReferenceReceipt(digest, tx.sender, tx.op, "ok", result, None, gas,
@@ -960,6 +973,19 @@ class ReferenceChain(Chain):
 # Typed rules and the token contract that held them (a rule decoded into
 # frozen dataclasses with inline checks, a token rebuilt into a dict per view)
 # ---------------------------------------------------------------------------
+
+class Action(str, Enum):
+    GET = "GET"
+    POST = "POST"
+    PUT = "PUT"
+    DELETE = "DELETE"
+
+
+class ConditionKind(str, Enum):
+    TIME_WINDOW = "time_window"
+    WEEKDAY = "weekday"
+    LOCATION_TAG = "location_tag"
+
 
 def _reference_member(enum, value):
     """``enum(value)``, but a list, tuple or dict, never a member, is named by its
@@ -1082,6 +1108,8 @@ class ReferenceTokenContract(TokenContract):
     logs the change), and building a fresh wire dict per view."""
 
     def issue_token(self, sender, subject, rules, issue_date, expired_date):
+        if not (isinstance(issue_date, (int, float)) and isinstance(expired_date, (int, float))):
+            raise TypeError("token dates must be numbers")
         sender_zone = self._sender_zone(sender)
         subject_record = self._zones.get_vnode(subject)
         if subject_record.node_type == NODE_TYPE_NONE:

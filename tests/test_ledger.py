@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 from capchain import ledger
 from capchain.address import Address, AddressFactory
 from capchain.encoding import ZERO_DIGEST, canonical_json, digest_of, sha256_hex
-from capchain.ledger import (DEFAULT_ETH_PRICE_USD, DEFAULT_GAS_PRICE_ETC, DEFAULT_GAS_TABLE,
-                             DEFAULT_OP_GAS, GENESIS, Block, Chain, ChainConfig,
+from capchain.ledger import (DEFAULT_ETH_PRICE_USD, DEFAULT_GAS_PRICE_ETC, DEFAULT_OP_GAS,
+                             GENESIS, Block, Chain, ChainConfig, Contract,
                              ChainFileError, ContractNotFoundError, CorruptChainError,
                              IntervalNotElapsedError,
                              NonceMismatchError, Receipt, Transaction, read_chain,
@@ -27,7 +27,8 @@ from capchain.tokens import TokenContract
 from capchain.zones import NODE_TYPE_NONE, ZoneContract
 
 from chainbench import Bench, change_first_tx, digests_and_links_hold, reseal, submit
-from reference_models import (ReferenceChain, ReferenceTransaction, reference_block_body,
+from reference_models import (REFERENCE_GAS_TABLE, ReferenceChain, ReferenceTransaction,
+                              reference_block_body,
                               reference_block_wire, reference_call_wire, reference_jsonify,
                               reference_read_chain, reference_replay_chain,
                               reference_tx_wire, reference_fees, reference_write_gas_report)
@@ -388,13 +389,34 @@ class TestGasAccounting:
         assert reference_fees(169576, DEFAULT_GAS_PRICE_ETC, DEFAULT_ETH_PRICE_USD)[0] == \
             Decimal("0.0010853")
         # a call pays its op's gas whether it succeeds or not; "mint" is in no table
-        for op in sorted(DEFAULT_GAS_TABLE) + ["mint"]:
+        for op in sorted(REFERENCE_GAS_TABLE) + ["mint"]:
             receipt = bench.apply(bench.master, "vzone", op, ())
-            gas = DEFAULT_GAS_TABLE.get(op, DEFAULT_OP_GAS)
+            gas = REFERENCE_GAS_TABLE.get(op, DEFAULT_OP_GAS)
             fees = reference_fees(gas, DEFAULT_GAS_PRICE_ETC, DEFAULT_ETH_PRICE_USD)
             assert (receipt.op, receipt.gas, str(receipt.fee_etc), str(receipt.fee_usd)) == \
                 (op, gas, *map(str, fees))
         assert bench.chain.get_receipt(receipt.tx_digest) in bench.chain.gas_entries()
+
+    def test_contract_op_tables_list_the_reference_gas_and_share_no_op(self):
+        listed = {**ZoneContract.OPS, **TokenContract.OPS}
+        assert len(listed) == len(ZoneContract.OPS) + len(TokenContract.OPS)
+        assert {op: gas for op, (gas, _) in listed.items()} == REFERENCE_GAS_TABLE
+        chain, supervisor, _ = fresh_chain()
+
+        class Minter(Contract):
+            name = "minter"
+            OPS = {"mint": (1, None), "revoke_token": (2, None)}
+
+        with pytest.raises(ValueError, match="'revoke_token' already priced"):
+            chain.deploy(Minter())
+        with pytest.raises(ContractNotFoundError):
+            chain.contract("minter")
+        # the refused contract priced nothing: neither its shared op nor its own
+        for op in ("revoke_token", "mint"):
+            chain.submit(supervisor, "vzone", op, ())
+        chain.produce_next_block()
+        assert [receipt.gas for receipt in chain.gas_entries()] == \
+            [REFERENCE_GAS_TABLE["revoke_token"], DEFAULT_OP_GAS]
 
     def test_a_rejected_revoke_has_one_receipt_priced_when_applied(self, bench):
         bench.issue_client_token()
@@ -487,7 +509,7 @@ chain_calls = st.one_of(
     st.tuples(st.just("captoken"), st.just("revoke_token"), st.tuples(actor_hex)),
     st.tuples(st.just("captoken"), st.just("set_token_validity"),
               st.tuples(actor_hex, st.booleans())),
-    # ops missing from the gas table, then malformed args
+    # ops no contract lists, then malformed args
     st.tuples(st.sampled_from(["vzone", "captoken"]), st.sampled_from(["mint", ""]),
               st.just(())),
     st.tuples(st.just("vzone"), st.just("join_vzone"), st.tuples(zone_ids, st.just(6))),

@@ -18,7 +18,7 @@ class TestRegistration:
     def test_allow_all_policy_yields_ticket_after_block(self, bench):
         master = make_master(bench)
         vid = fresh_vid(bench)
-        digest = master.register_entity(RegistrationRequest(vid, "node-x"))
+        digest = master.register_entity(RegistrationRequest(vid))
         assert master.poll_registration(digest) is None  # unconfirmed: no outcome
         bench.chain.produce_next_block()
         assert master.poll_issue(digest) is None  # a join is not an issuance
@@ -30,7 +30,7 @@ class TestRegistration:
     def test_ticket_matches_confirmed_vnode_record(self, bench):
         master = make_master(bench)
         vid = fresh_vid(bench)
-        digest = master.register_entity(RegistrationRequest(vid, "node-x"))
+        digest = master.register_entity(RegistrationRequest(vid))
         bench.chain.produce_next_block()
         outcome = master.poll_registration(digest)
         record = bench.zones.get_vnode(vid)
@@ -41,20 +41,20 @@ class TestRegistration:
         vid = fresh_vid(bench)
         bench.apply(bench.supervisor, "vzone", "create_vzone", ("zone-b",))
         # join submitted before the foreign membership confirms
-        master.register_entity(RegistrationRequest(vid, "node-x"))
+        master.register_entity(RegistrationRequest(vid))
         bench.submit(bench.supervisor, "vzone", "join_vzone", ("zone-b", vid.hex))
         bench.chain.produce_next_block()
         # pool order: master's join ran first and won; redo with reversed order
         vid2 = fresh_vid(bench)
         bench.submit(bench.supervisor, "vzone", "join_vzone", ("zone-b", vid2.hex))
-        digest = master.register_entity(RegistrationRequest(vid2, "node-y"))
+        digest = master.register_entity(RegistrationRequest(vid2))
         bench.chain.produce_next_block()
         assert master.poll_registration(digest)["status"] == "rejected"
 
     def test_confirmed_member_rejected_as_duplicate(self, bench):
         master = make_master(bench)
         with pytest.raises(DuplicateRegistration):
-            master.register_entity(RegistrationRequest(bench.client, "dup"))
+            master.register_entity(RegistrationRequest(bench.client))
 
     def test_denylist_policy_blocks_without_transaction(self, bench):
         vid = fresh_vid(bench)
@@ -62,7 +62,7 @@ class TestRegistration:
             kind="denylist", vids=frozenset({vid.hex})))
         nonce_before = bench.chain.next_nonce(bench.master)
         with pytest.raises(DeniedRegistration):
-            master.register_entity(RegistrationRequest(vid, "node-x"))
+            master.register_entity(RegistrationRequest(vid))
         assert bench.chain.next_nonce(bench.master) == nonce_before
 
     def test_allowlist_policy(self, bench):
@@ -70,15 +70,15 @@ class TestRegistration:
         refused = fresh_vid(bench)
         master = make_master(bench, registration_policy=RegistrationPolicy(
             kind="allowlist", vids=frozenset({allowed.hex})))
-        master.register_entity(RegistrationRequest(allowed, "ok"))
+        master.register_entity(RegistrationRequest(allowed))
         with pytest.raises(DeniedRegistration):
-            master.register_entity(RegistrationRequest(refused, "no"))
+            master.register_entity(RegistrationRequest(refused))
 
     def test_attribute_policy(self, bench):
         master = make_master(bench, registration_policy=RegistrationPolicy(
             kind="attribute", required_attributes=(("device", "sensor"),)))
-        good = RegistrationRequest(fresh_vid(bench), "a", {"device": "sensor"})
-        bad = RegistrationRequest(fresh_vid(bench), "b", {"device": "router"})
+        good = RegistrationRequest(fresh_vid(bench), {"device": "sensor"})
+        bad = RegistrationRequest(fresh_vid(bench), {"device": "router"})
         master.register_entity(good)
         with pytest.raises(DeniedRegistration):
             master.register_entity(bad)
@@ -86,7 +86,7 @@ class TestRegistration:
     def test_master_without_confirmed_zone(self, bench):
         stray = DomainMaster(bench.outsider, "zone-q", bench.chain)
         with pytest.raises(MasterError):
-            stray.register_entity(RegistrationRequest(fresh_vid(bench), "x"))
+            stray.register_entity(RegistrationRequest(fresh_vid(bench)))
 
 
 class TestIssuance:
@@ -119,10 +119,10 @@ class TestPollAll:
         master = make_master(bench)
         joined, foreign = fresh_vid(bench), fresh_vid(bench)
         bench.apply(bench.supervisor, "vzone", "create_vzone", ("zone-b",))
-        master.register_entity(RegistrationRequest(joined, "node-x"))
+        master.register_entity(RegistrationRequest(joined))
         # the foreign join sits ahead of the master's in the pool, so it wins
         bench.submit(bench.supervisor, "vzone", "join_vzone", ("zone-b", foreign.hex))
-        master.register_entity(RegistrationRequest(foreign, "node-y"))
+        master.register_entity(RegistrationRequest(foreign))
         master.issue_capability(bench.client, [GET_DATA], 60000, now=1000)
         master.issue_capability(bench.outsider, [GET_DATA], 60000, now=1000)
         assert master.poll_all() == ([], [])
@@ -145,8 +145,8 @@ class TestPollAll:
         subject gets two issuances: each submission has its own outcome."""
         master = make_master(bench)
         vid = fresh_vid(bench)
-        master.register_entity(RegistrationRequest(vid, "node-x"))
-        master.register_entity(RegistrationRequest(vid, "node-x"))
+        master.register_entity(RegistrationRequest(vid))
+        master.register_entity(RegistrationRequest(vid))
         master.issue_capability(bench.client, [GET_DATA], 60000, now=1000)
         master.issue_capability(bench.client, [GET_DATA], 90000, now=1000)
         bench.chain.produce_next_block()

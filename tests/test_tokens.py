@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 
 from capchain.encoding import canonical_json
 from capchain.ledger import ContractRejection
-from capchain.tokens import (RULE_ERRORS, Action, CapabilityToken, ConditionKind,
-                             _action_value, _condition_kind_value, rule_wire)
+from capchain.tokens import (RULE_ERRORS, CapabilityToken, _action_value,
+                             _condition_kind_value, rule_wire)
 
 from chainbench import Bench
-from reference_models import (RecencyIndexTokenContract, ReferenceAccessRule,
-                              ReferenceCapabilityToken, ReferenceTokenContract)
+from reference_models import (Action, ConditionKind, RecencyIndexTokenContract,
+                              ReferenceAccessRule, ReferenceCapabilityToken,
+                              ReferenceTokenContract)
 
 RULE_GET = {"action": "GET", "resource": "/api/data", "conditions": []}
 RULE_POST = {"action": "POST", "resource": "/api/upload", "conditions": []}
