@@ -13,9 +13,9 @@ from .address import Address
 from .encoding import canonical_json
 from .enforcement import ServiceProvider, ServiceRequest
 from .ledger import ChainConfig, ChainFileError, CorruptChainError, read_chain, replay_chain
-from .netsim import (Simulation, ac_overhead_ms, run_latency_bench, run_overhead_bench,
-                     run_scenario, summarize, summary_rows, write_measurements_csv,
-                     write_stage_traces_csv, write_summary_text)
+from .netsim import (PROFILE_DELAYS, Simulation, ac_overhead_ms, run_latency_bench,
+                     run_overhead_bench, run_scenario, summarize, summary_rows,
+                     write_measurements_csv, write_stage_traces_csv, write_summary_text)
 from .scenario import MAX_NESTING, ScenarioError, nesting_depth
 from .tokens import TokenContract, contracts
 from .zones import ZoneContract
@@ -86,9 +86,9 @@ def demo_config(seed: int, block_interval_ms: int) -> dict:
         ],
         "channels": [
             {"name": "satcom-x", "a": "sat-client", "b": "sat-provider",
-             "one_way_delay_ms": 5.0},
+             "one_way_delay_ms": PROFILE_DELAYS["satellite"]},
             {"name": "downlink", "a": "sat-client", "b": "ground-provider",
-             "one_way_delay_ms": 3.75},
+             "one_way_delay_ms": PROFILE_DELAYS["ground"]},
         ],
         "script": [
             {"at": 100, "op": "issue", "master": "master", "subject": "sat-client",
@@ -101,8 +101,8 @@ def demo_config(seed: int, block_interval_ms: int) -> dict:
 
 def _authenticated(provider: ServiceProvider, client: Address) -> tuple[str, str]:
     """A demo case's outcome and detail: ``provider`` authenticates ``client``."""
-    ok, reason = provider.authenticate(client)
-    return "pass" if ok else "deny", reason or "same VZoneID"
+    reason = provider.authenticate(client)
+    return ("pass", "same VZoneID") if reason is None else ("deny", reason)
 
 
 def _authorized(provider: ServiceProvider, client: Address, method: str,

@@ -10,6 +10,9 @@ block interval, refetching only the tokens the contract reports changed;
 entries that miss a sync go stale and fall back to a direct contract
 query (fail-closed). Stage durations come from a deterministic cost
 model supplied by the harness, so traces are exactly reproducible.
+
+Each check returns its denial reason, or None when it passes; a denial's
+stage is recorded once, on its ``Decision``.
 """
 
 from __future__ import annotations
@@ -58,10 +61,10 @@ class StageRecord:
 @dataclass(frozen=True)
 class StageTrace:
     """One path through the pipeline. ``stage_ms`` sums the record durations in
-    stage order; transport is per request and stays out of the trace."""
+    stage order; transport is per request and stays out of the trace. A denied
+    path ends in its failing record; its stage is the ``Decision``'s."""
 
     records: tuple[StageRecord, ...]
-    aborted_at: Optional[str] = None
     cache_hit: Optional[bool] = None
     stage_ms: float = field(init=False)
 
@@ -92,17 +95,17 @@ _VZONE = ZoneContract.name
 # Pure validation steps (operate on token wire dicts)
 # ---------------------------------------------------------------------------
 
-def verify_token_status(token: dict, now: float) -> tuple[bool, Optional[str]]:
-    """Flag and date-window check; reason names the first failing field."""
+def verify_token_status(token: dict, now: float) -> Optional[str]:
+    """Flag and date-window check: the first failing field, or None."""
     if not token["initialized"]:
-        return False, "initialized"
+        return "initialized"
     if not token["isValid"]:
-        return False, "isValid"
+        return "isValid"
     if not token["issuedate"] <= now:
-        return False, "issuedate"
+        return "issuedate"
     if not now < token["expireddate"]:
-        return False, "expireddate"
-    return True, None
+        return "expireddate"
+    return None
 
 
 def match_access_rule(token: dict, method: str, uri: str) -> Optional[dict]:
@@ -130,13 +133,13 @@ def condition_satisfied(condition: dict, now: float, location_tag: str) -> bool:
     return False
 
 
-def verify_conditions(rule: dict, now: float,
-                      location_tag: str) -> tuple[bool, Optional[str]]:
-    """All conditions must hold (conjunctive); an empty list is satisfied."""
+def verify_conditions(rule: dict, now: float, location_tag: str) -> Optional[str]:
+    """The kind of the first condition that fails, or None: all must hold
+    (conjunctive), and an empty list is satisfied."""
     for condition in rule.get("conditions", []):
         if not condition_satisfied(condition, now, location_tag):
-            return False, condition["kind"]
-    return True, None
+            return condition["kind"]
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +267,6 @@ class ServiceProvider:
                         for key, stage in COST_KEYS.items()}
         self._granted = {hit: (GRANTED, self._path(hit)) for hit in (True, False)}
         self._denials: dict[tuple[Optional[bool], str, str], tuple[Decision, StageTrace]] = {}
-        self._decisions: dict[Decision, Decision] = {}   # one denial per stage and reason
         self.cache = TokenCache(
             chain.config.block_interval_ms,
             lambda cursor: chain.query_state(TokenContract.name, "changes_since", (cursor,)))
@@ -277,19 +279,20 @@ class ServiceProvider:
 
     # -- stage 0: identity authentication -------------------------------------
 
-    def authenticate(self, requester: Address) -> tuple[bool, Optional[str]]:
-        """Same-zone check: two contract queries (requester Vnode, then VZone)."""
+    def authenticate(self, requester: Address) -> Optional[str]:
+        """Same-zone check: two contract queries (requester Vnode, then VZone);
+        the denial reason, or None."""
         query = self.chain.query_state
         requester_record = query(_VZONE, "get_vnode", (requester,))
         own = self._own_record
         if own.node_type == NODE_TYPE_NONE or requester_record.node_type == NODE_TYPE_NONE:
-            return False, "not-member"
+            return "not-member"
         zone_id = own.vzone_id
         if requester_record.vzone_id != zone_id:
-            return False, "zone-mismatch"
+            return "zone-mismatch"
         if query(_VZONE, "get_vzone", (zone_id,)).master is ZERO_ADDRESS:   # interned
-            return False, "zone-revoked"
-        return True, None   # a constant: every success returns this one tuple
+            return "zone-revoked"
+        return None
 
     # -- stage 1: token fetch ----------------------------------------------------
 
@@ -307,8 +310,8 @@ class ServiceProvider:
 
     def authorize(self, request: ServiceRequest) -> tuple[Decision, StageTrace]:
         requester, method, uri, now, location_tag = request
-        ok, reason = self.authenticate(requester)
-        if not ok:
+        reason = self.authenticate(requester)
+        if reason is not None:
             return self._deny(None, "identity_auth", reason)
 
         token, hit = self.fetch_or_cache_token(requester, now)
@@ -316,16 +319,16 @@ class ServiceProvider:
             return self._deny(hit, "token_fetch_hit" if hit else "token_fetch_miss",
                               "token-absent")
 
-        ok, reason = verify_token_status(token, now)
-        if not ok:
+        reason = verify_token_status(token, now)
+        if reason is not None:
             return self._deny(hit, "token_status", reason)
 
         rule = match_access_rule(token, method, uri)
         if rule is None:
             return self._deny(hit, "rule_match", "no-matching-rule")
 
-        ok, reason = verify_conditions(rule, now, location_tag)
-        if not ok:
+        reason = verify_conditions(rule, now, location_tag)
+        if reason is not None:
             return self._deny(hit, "condition_check", reason)
         return self._granted[hit]
 
@@ -334,21 +337,20 @@ class ServiceProvider:
         keys = ("identity_auth", "token_fetch_hit" if hit else "token_fetch_miss",
                 "token_status", "rule_match", "condition_check")
         if failed is None:
-            return StageTrace(tuple(self._passed[key] for key in keys), None, hit)
+            return StageTrace(tuple(self._passed[key] for key in keys), hit)
         passed = keys[:keys.index(failed)]
-        record = self._failed[failed]
-        return StageTrace(tuple(self._passed[key] for key in passed) + (record,),
-                          record.stage, hit)
+        return StageTrace(tuple(self._passed[key] for key in passed) + (self._failed[failed],),
+                          hit)
 
     def _deny(self, hit: Optional[bool], key: str,
               reason: str) -> tuple[Decision, StageTrace]:
-        """The shared denial pair of the path failing at cost key ``key``."""
+        """The shared denial pair of the path failing at cost key ``key``; the
+        decision's stage is that of the trace's failing record."""
         pair = self._denials.get((hit, key, reason))
         if pair is None:
             trace = self._path(hit, key)
-            decision = Decision(granted=False, stage=trace.aborted_at, reason=reason)
             pair = self._denials[hit, key, reason] = \
-                (self._decisions.setdefault(decision, decision), trace)
+                (Decision(False, trace.records[-1].stage, reason), trace)
         return pair
 
     # -- cache synchronization ---------------------------------------------------------

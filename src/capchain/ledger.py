@@ -249,17 +249,18 @@ GENESIS = Block(0, 0, ZERO_DIGEST, (), Block.compute_digest(0, 0, ZERO_DIGEST, (
 
 
 class Receipt(NamedTuple):
-    """The one record of an applied transaction: its outcome and its gas.
+    """An applied transaction's outcome, with the gas and fees its op pays.
 
     ``status`` is ``"ok"`` with the contract's ``result``, or
     ``"rejected"`` with the rejection code in ``error``. A rejected
     transaction still pays its gas. The gas and fees are those of ``op``
     in its contract's ``OPS`` at the fixed gas and ETC prices.
 
-    The chain stores each receipt as a plain tuple in this order. Every
-    field is an atom (a contract result is an int, a bool or None), so
-    the collector stops tracking the stored tuple; ``get_receipt`` and
-    ``gas_entries`` name its fields on read.
+    The chain stores only the outcome, the first five fields, as a plain
+    tuple of atoms (a contract result is an int, a bool or None), which the
+    collector stops tracking. The fees follow from the op and are no second
+    record: ``get_receipt`` and ``gas_entries`` append the op's
+    ``(gas, fee_etc, fee_usd)`` and name the fields on read.
     """
 
     tx_digest: str
@@ -301,12 +302,13 @@ class Chain:
         self.config = config
         self._contracts: dict[str, Contract] = {}
         self._op_fees: dict[str, tuple] = {}   # op -> (gas, fee_etc, fee_usd) of its contract
+        # by tx digest, in apply order: (tx_digest, op, status, result, error)
+        self._receipts: dict[str, tuple] = {}
         for contract in contracts:
             self.deploy(contract)
         # (tx, its digest, its args): execute reads the args as submitted
         self._pending: list[tuple[Transaction, str, Any]] = []
         self._next_nonce: dict[Address, int] = {}
-        self._receipts: dict[str, tuple] = {}   # by tx digest, in apply and Receipt order
         self._write_lock = threading.Lock()
         self._blocks: list[tuple] = [_sealed(0, 0, ZERO_DIGEST, [])]   # genesis
 
@@ -317,6 +319,8 @@ class Chain:
             raise ValueError("contract must carry a name")
         if contract.name in self._contracts:
             raise ValueError(f"contract {contract.name!r} already deployed")
+        if self._receipts:   # a receipt's fees are read from the ops' prices
+            raise ValueError("contracts deploy before the first transaction is applied")
         priced = [op for op in contract.OPS if op in self._op_fees]
         if priced:
             raise ValueError(f"op {priced[0]!r} already priced by a deployed contract")
@@ -415,7 +419,6 @@ class Chain:
     def _apply(self, tx: Transaction, digest: str, args: Any) -> int:
         """Execute ``tx`` with ``args`` and record its receipt; returns its gas."""
         contract = self._contracts[tx.contract]
-        gas, fee_etc, fee_usd = self._op_fees.get(tx.op, _OTHER_OP_FEES)
         status, result, error = "ok", None, None
         try:
             result = contract.execute(tx.sender, tx.op, args)
@@ -424,8 +427,8 @@ class Chain:
         except (TypeError, ValueError, KeyError, IndexError):
             # malformed call payloads reject rather than halt production
             status, error = "rejected", "invalid-args"
-        self._receipts[digest] = (digest, tx.op, status, result, error, gas, fee_etc, fee_usd)
-        return gas
+        self._receipts[digest] = (digest, tx.op, status, result, error)
+        return self._op_fees.get(tx.op, _OTHER_OP_FEES)[0]
 
     def _reseal(self, block: Block) -> bool:
         """Apply an imported ``block`` as ``produce_block`` would seal its
@@ -460,10 +463,14 @@ class Chain:
 
     def get_receipt(self, tx_digest: str) -> Optional[Receipt]:
         row = self._receipts.get(tx_digest)
-        return None if row is None else Receipt._make(row)
+        return None if row is None else self._receipt(row)
 
     def gas_entries(self) -> tuple[Receipt, ...]:
-        return tuple(map(Receipt._make, self._receipts.values()))
+        return tuple(map(self._receipt, self._receipts.values()))
+
+    def _receipt(self, row: tuple) -> Receipt:
+        """The stored outcome ``row`` with its op's gas and fees."""
+        return Receipt._make(row + self._op_fees.get(row[1], _OTHER_OP_FEES))
 
     def gas_report_text(self) -> str:
         """One CSV row per applied transaction; each op's row tail is formatted once,

@@ -132,7 +132,8 @@ class Simulation:
         script. The heap holds only generated events (blocks, request
         arrivals, timeouts), in push order at equal times, and at equal
         times a script event runs first. Blocks continue while any event
-        is left.
+        is left, so the block after the last submission seals it and its
+        poll reads the outcome; nothing submits during a block's sync or poll.
         """
         script = parse_script(self._script, self.topology)
         # release the raw script: a second run parses no event and fails at its
@@ -185,7 +186,6 @@ class Simulation:
                 # a "complete" only extends the horizon
             else:
                 break
-        self._drain(result)
         return result
 
     # -- event handlers ------------------------------------------------------------------
@@ -205,9 +205,6 @@ class Simulation:
         self._height = self.chain.produce_block(int(at)).height
         for provider in self.providers.values():
             provider.sync_cache(at)
-        self._poll_masters(result)
-
-    def _poll_masters(self, result: SimulationResult) -> None:
         for name, master in self.masters.items():
             registrations, issues = master.poll_all()
             result.registrations += [dict(r, master=name) for r in registrations]
@@ -289,14 +286,6 @@ class Simulation:
             f"request {request_id} (event {index}): "
             f"expected {expect}, got {outcome}" + (f" at {stage}" if stage else ""))
 
-    def _drain(self, result: SimulationResult) -> None:
-        """Confirm whatever is still pending after the last scripted event."""
-        rounds = 0
-        while rounds < 2 and any(m.has_pending for m in self.masters.values()):
-            self.chain.produce_next_block()
-            self._poll_masters(result)
-            rounds += 1
-
 
 def run_scenario(config: dict) -> tuple[Simulation, SimulationResult]:
     simulation = Simulation(config)
@@ -308,7 +297,6 @@ def run_scenario(config: dict) -> tuple[Simulation, SimulationResult]:
 # ---------------------------------------------------------------------------
 
 def latency_bench_config(profile_name: str, seed: int, requests: int = 100,
-                         block_interval_ms: int = 15000,
                          access_control: bool = True) -> dict:
     """Warmed request stream between one client and one provider.
 
@@ -317,6 +305,7 @@ def latency_bench_config(profile_name: str, seed: int, requests: int = 100,
     is a cold cache miss and the rest are hits.
     """
     delay = PROFILE_DELAYS[profile_name]
+    block_interval_ms = 15000
     start = block_interval_ms + 1000
     script: list[dict] = [
         {"at": 100, "op": "issue", "master": "master", "subject": "client",

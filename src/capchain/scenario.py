@@ -128,7 +128,8 @@ class NodeSpec(NamedTuple):
     location: str = ""
 
 
-# A link's one-way delay, a constant or a uniform ``(low, high)`` range.
+# A link's one-way delay, a constant or a uniform ``(low, high)`` range: the field
+# order of the plain tuple each channel is, which the collector stops tracking.
 ChannelSpec = namedtuple("ChannelSpec", "one_way_delay_ms drop_rate")
 
 
@@ -325,12 +326,12 @@ def _parse_nodes(specs: Any, seed: int, horizon: float) -> tuple[dict[str, NodeS
 
 
 def _parse_channels(specs: Any, nodes: dict[str, NodeSpec], horizon: float
-                    ) -> tuple[dict[tuple[str, str], ChannelSpec], float]:
-    """The channels keyed by ``link``, and the longest one-way delay. The checks
-    are inline ``if``s that build the ``channels[i]`` path only when one fails."""
-    new = tuple.__new__
+                    ) -> tuple[dict[tuple[str, str], tuple], float]:
+    """The channels keyed by ``link``, in ``ChannelSpec`` order, and the longest one-way
+    delay. The checks are inline ``if``s that build the ``channels[i]`` path only when
+    one fails."""
     names = {name: name for name in nodes}   # an endpoint's check and its key text at once
-    channels: dict[tuple[str, str], ChannelSpec] = {}
+    channels: dict[tuple[str, str], tuple] = {}
     longest = 0.0
     for i, spec in enumerate(_objects(specs, "channels")):
         get = spec.get
@@ -360,7 +361,7 @@ def _parse_channels(specs: Any, nodes: dict[str, NodeSpec], horizon: float
         if key in channels:
             _fail(f"channels[{i}]", "", f"duplicate channel between {_shown(key[0])} and "
                   f"{_shown(key[1])}")
-        channels[key] = new(ChannelSpec, (delay, drop_rate))
+        channels[key] = (delay, drop_rate)
         if high > longest:
             longest = high
     return channels, longest

@@ -13,10 +13,10 @@ wire dict, and it round-trips byte-stably.
 
 ``rule_wire`` is the one reader of rules: it checks a rule body and
 returns its canonical wire dict, which the scenario parser keeps, the
-master submits and the contract stores. ``TokenContract`` holds each
-token as its wire dict and serves views from it. ``CapabilityToken``
-reads a whole token, its addresses typed and its rules the dicts
-``rule_wire`` returns.
+master submits and the contract stores. ``_token_wire`` is the one writer
+of a whole token's wire dict. ``TokenContract`` holds each token as that
+dict and serves views from it. ``CapabilityToken`` reads a whole token,
+its addresses typed and its rules the dicts ``rule_wire`` returns.
 """
 
 from __future__ import annotations
@@ -111,6 +111,14 @@ def rule_wire(body: dict) -> dict:
     return {"action": action, "resource": resource, "conditions": conditions}
 
 
+def _token_wire(vid: Address, vzone_master: Address, token_id: int, initialized: bool,
+                is_valid: bool, issue_date: int, expired_date: int, authorization: list) -> dict:
+    """A token's wire dict; ``authorization`` is held as it is passed."""
+    return {"vid": vid.hex, "VZone_master": vzone_master.hex, "id": token_id,
+            "initialized": initialized, "isValid": is_valid, "issuedate": issue_date,
+            "expireddate": expired_date, "authorization": authorization}
+
+
 @dataclass
 class CapabilityToken:
     """A whole token read from its wire dict; each rule is the dict ``rule_wire``
@@ -126,16 +134,9 @@ class CapabilityToken:
     authorization: list[dict] = field(default_factory=list)
 
     def wire(self) -> dict:
-        return {
-            "vid": self.vid.hex,
-            "VZone_master": self.vzone_master.hex,
-            "id": self.id,
-            "initialized": self.initialized,
-            "isValid": self.is_valid,
-            "issuedate": self.issue_date,
-            "expireddate": self.expired_date,
-            "authorization": list(self.authorization),
-        }
+        return _token_wire(self.vid, self.vzone_master, self.id, self.initialized,
+                           self.is_valid, self.issue_date, self.expired_date,
+                           list(self.authorization))
 
     @classmethod
     def from_wire(cls, body: dict) -> "CapabilityToken":
@@ -235,16 +236,9 @@ class TokenContract(Contract):
         except RULE_ERRORS as exc:
             raise ContractRejection("invalid-rule", str(exc))
         token_id = self._next_id
-        self._store(subject, {
-            "vid": subject.hex,
-            "VZone_master": self._zones.get_vzone(subject_record.vzone_id).master.hex,
-            "id": token_id,
-            "initialized": True,
-            "isValid": True,
-            "issuedate": issue_date,
-            "expireddate": expired_date,
-            "authorization": authorization,
-        })
+        master = self._zones.get_vzone(subject_record.vzone_id).master
+        self._store(subject, _token_wire(subject, master, token_id, True, True, issue_date,
+                                         expired_date, authorization))
         self._next_id += 1
         return token_id
 

@@ -707,7 +707,7 @@ def _reference_parse_channels(specs, nodes, horizon):
                   f"0 <= low <= high <= the horizon ({horizon:g} ms), got {given!r}")
         if key in channels:
             _fail(path, "", f"duplicate channel between {key[0]!r} and {key[1]!r}")
-        channels[key] = ChannelSpec(delay, drop_rate)
+        channels[key] = tuple(ChannelSpec(one_way_delay_ms=delay, drop_rate=drop_rate))
         longest = max(longest, high)
     return channels, longest
 
@@ -745,7 +745,6 @@ def reference_run(simulation):
             _reference_request(simulation, payload, next(request_ids), push, result)
         elif kind == "script":
             simulation._handle_script(payload, result)
-    simulation._drain(result)
     return result
 
 
@@ -806,14 +805,14 @@ def reference_authenticate(provider, requester):
     requester_record = query_vnode(requester)
     if provider._own_record.node_type == NODE_TYPE_NONE or \
             requester_record.node_type == NODE_TYPE_NONE:
-        return False, "not-member"
+        return "not-member"
     if requester_record.vzone_id != provider._own_record.vzone_id:
-        return False, "zone-mismatch"
+        return "zone-mismatch"
     zone = provider.chain.query_state(ZoneContract.name, "get_vzone",
                                       (provider._own_record.vzone_id,))
     if zone.master.is_zero:
-        return False, "zone-revoked"
-    return True, None
+        return "zone-revoked"
+    return None
 
 
 def reference_authorize(provider, stage_costs, request):
@@ -829,13 +828,13 @@ def reference_authorize(provider, stage_costs, request):
     def deny(stage, reason, duration):
         records.append(StageRecord(stage, "fail", duration))
         return (Decision(granted=False, stage=stage, reason=reason),
-                StageTrace(tuple(records), aborted_at=stage, cache_hit=hit))
+                StageTrace(tuple(records), cache_hit=hit))
 
     def passed(stage, duration):
         records.append(StageRecord(stage, "pass", duration))
 
-    ok, reason = reference_authenticate(provider, request.requester)
-    if not ok:
+    reason = reference_authenticate(provider, request.requester)
+    if reason is not None:
         return deny("identity_auth", reason, cost("identity_auth"))
     passed("identity_auth", cost("identity_auth"))
 
@@ -845,8 +844,8 @@ def reference_authorize(provider, stage_costs, request):
         return deny("token_fetch", "token-absent", fetch_cost)
     passed("token_fetch", fetch_cost)
 
-    ok, reason = verify_token_status(token, request.now)
-    if not ok:
+    reason = verify_token_status(token, request.now)
+    if reason is not None:
         return deny("token_status", reason, cost("token_status"))
     passed("token_status", cost("token_status"))
 
@@ -855,8 +854,8 @@ def reference_authorize(provider, stage_costs, request):
         return deny("rule_match", "no-matching-rule", cost("rule_match"))
     passed("rule_match", cost("rule_match"))
 
-    ok, reason = verify_conditions(rule, request.now, request.location_tag)
-    if not ok:
+    reason = verify_conditions(rule, request.now, request.location_tag)
+    if reason is not None:
         return deny("condition_check", reason, cost("condition_check"))
     passed("condition_check", cost("condition_check"))
 

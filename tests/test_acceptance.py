@@ -174,8 +174,8 @@ def test_criterion_3_four_case_demo():
     sat = simulation.providers["sat-provider"]
     ground = simulation.providers["ground-provider"]
     outcomes = [
-        "pass" if sat.authenticate(client)[0] else "deny",
-        "pass" if ground.authenticate(client)[0] else "deny",
+        "pass" if sat.authenticate(client) is None else "deny",
+        "pass" if ground.authenticate(client) is None else "deny",
         "pass" if sat.authorize(
             ServiceRequest(client, "GET", "/api/data", now))[0].granted else "deny",
         "pass" if sat.authorize(

@@ -278,10 +278,24 @@ RESEALED_CORRUPTIONS = {
 }
 
 
+def _in_block_2(change):
+    """A corruption that makes ``change`` to block 2; the block keeps its digest,
+    which then no longer hashes its body."""
+    def corrupt(blocks):
+        blocks[2] = change(blocks[2])
+        return blocks
+    return corrupt
+
+
 CORRUPTIONS = {
     "tampered-payload": _tamper_first_payload,
     "height-gap": lambda blocks: blocks[:1] + blocks[2:],
     "broken-parent-link": _relink_last_block,
+    # a replay that reseals each block and compares only the digests accepts these
+    "stale-digest-gas": _in_block_2(change_first_tx(gas_used=1)),
+    "stale-digest-height": _in_block_2(lambda block: dataclasses.replace(block, height=7)),
+    "stale-digest-parent": _in_block_2(
+        lambda block: dataclasses.replace(block, parent_digest="ff" * 32)),
 }
 
 
@@ -417,6 +431,12 @@ class TestGasAccounting:
         chain.produce_next_block()
         assert [receipt.gas for receipt in chain.gas_entries()] == \
             [REFERENCE_GAS_TABLE["revoke_token"], DEFAULT_OP_GAS]
+        # a receipt's fees are read from its op's price, so once a receipt is
+        # stored no contract may price an op afresh, not even an unpriced one
+        Minter.OPS = {"mint": (1, None)}
+        with pytest.raises(ValueError, match="before the first transaction"):
+            chain.deploy(Minter())
+        assert chain.gas_entries()[1].gas == DEFAULT_OP_GAS
 
     def test_a_rejected_revoke_has_one_receipt_priced_when_applied(self, bench):
         bench.issue_client_token()
@@ -446,7 +466,9 @@ class TestGasAccounting:
         gc.collect()
         for each in (chain, replayed):
             rows = list(each._receipts.values())
-            assert {type(row) for row in rows} == {tuple}
+            # the outcome only: the gas and fees are the op's, added on read
+            assert {type(row) for row in rows} == {tuple} and {len(row) for row in rows} == {5}
+            assert [row + each._op_fees[row[1]] for row in rows] == list(each.gas_entries())
             assert {row[2] for row in rows} == {"ok", "rejected"}
             assert not any(map(gc.is_tracked, rows))
 

@@ -1,7 +1,9 @@
 import csv
 import dataclasses
 import io
+import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,6 +24,7 @@ from reference_models import (reference_fmt, reference_parse_script, reference_r
                               reference_summarize,
                               reference_write_measurements_csv,
                               reference_write_stage_traces_csv)
+from workloads import WORKLOADS
 
 RULE_GET = {"action": "GET", "resource": "/api/data", "conditions": []}
 
@@ -111,6 +114,19 @@ class TestRunScenario:
             simulation.run()
         assert ran == []
         assert simulation.chain.height == height
+
+    @pytest.mark.parametrize("name", ["sample"] + sorted(WORKLOADS))
+    def test_the_loop_seals_and_polls_every_submission(self, name):
+        # the run loop is the only block producer: the block after the last
+        # submission must seal it, and that block's poll must read its outcome
+        sample = Path(__file__).resolve().parent.parent / "scenarios" / \
+            "registration_and_revocation.json"
+        config = json.loads(sample.read_text()) if name == "sample" \
+            else WORKLOADS[name](7, scale=0.05)
+        simulation = Simulation(config)
+        result = simulation.run()
+        assert result.issues and not simulation.chain._pending
+        assert not any(master.has_pending for master in simulation.masters.values())
 
     def test_empty_script_yields_no_measurements(self):
         _, result = run_scenario(base_config())
@@ -333,7 +349,6 @@ stage_traces = st.builds(
     records=st.lists(st.builds(StageRecord, st.sampled_from(PIPELINE_STAGES),
                                st.sampled_from(["pass", "fail"]), st.just(0) | report_floats),
                      max_size=5).map(tuple),
-    aborted_at=st.none() | st.sampled_from(PIPELINE_STAGES),
     cache_hit=st.none() | st.booleans())
 
 

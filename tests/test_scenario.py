@@ -11,6 +11,7 @@ against ``reference_parse_topology``.
 
 import contextlib
 import copy
+import gc
 import io
 import json
 import math
@@ -383,6 +384,15 @@ def test_parse_topology_equals_reference_on_full_inputs(name):
     config = BASES[0] if name == "sample" else WORKLOADS[name](7, scale=1)
     assert topology_outcome(parse_topology, config) == \
         topology_outcome(reference_parse_topology, config)
+
+
+def test_channels_are_plain_tuples_the_collector_stops_tracking():
+    # idle_sync's 3,000 channels live as long as the run; a named tuple stays tracked
+    channels = list(parse_topology(WORKLOADS["idle_sync"](7)).channels.values())
+    gc.collect()
+    gc.collect()
+    assert len(channels) == 3000 and {type(channel) for channel in channels} == {tuple}
+    assert not any(map(gc.is_tracked, channels))
 
 
 # -- values nested past the bound, and the vids -----------------------------------
