@@ -6,9 +6,12 @@ first failure:
     identity_auth -> token_fetch -> token_status -> rule_match -> condition_check
 
 Token data is read from a provider-local cache that is synced once per
-block interval, refetching only the tokens the contract reports changed;
+block interval, refetching only the tokens the chain's change feed names;
 entries that miss a sync go stale and fall back to a direct contract
-query (fail-closed). Stage durations come from a deterministic cost
+query (fail-closed). Identity is held the same way: each sync re-reads the
+provider's own record and its zone's status, and drops each requester
+record the zone feed names, so a warm request at the synced height reads
+no contract. Stage durations come from a deterministic cost
 model supplied by the harness, so traces are exactly reproducible.
 
 Each check returns its denial reason, or None when it passes; a denial's
@@ -162,13 +165,15 @@ class TokenCache:
     interval old; anything older is evicted so the next request goes back
     to the contract (fail-closed).
 
-    ``changes(cursor)`` is the token contract's change feed: it returns
-    the number of changes so far and the subjects whose tokens changed
-    after the first ``cursor``. ``cursor`` is the number a sync completed
-    through; it starts at 0, so the first sync refetches every entry.
+    ``changes(cursor)`` is the token change feed (``Chain.changes_since``):
+    it returns the latest height and a dict of the subjects whose tokens
+    changed in the blocks after height ``cursor``, each mapped to its place,
+    newest first. ``cursor`` is the height a sync completed through; it
+    starts at 0, so the first sync refetches every entry the chain changed.
 
-    A sync costs O(changed subjects), not O(entries held): it refetches
-    the changed entries, then bumps ``epoch`` and sets the one cache-wide
+    A sync costs O(fewer of entries held and changed subjects): it walks
+    whichever is smaller to find the held entries the feed names and
+    refetches them, then bumps ``epoch`` and sets the one cache-wide
     ``synced_at``, and writes no other entry. An entry's last sync
     (``entry_synced_at``) is its own ``put_at`` if it was put in the
     current epoch, else the cache's ``synced_at``. That is exactly the
@@ -177,7 +182,7 @@ class TokenCache:
     """
 
     def __init__(self, block_interval_ms: int,
-                 changes: Callable[[int], tuple[int, list[Address]]]):
+                 changes: Callable[[int], tuple[int, dict]]):
         self.block_interval_ms = block_interval_ms
         self.changes = changes
         self.entries: dict[Address, tuple] = {}   # in ``CacheEntry`` order
@@ -207,10 +212,12 @@ class TokenCache:
     def sync(self, fetch, now: float, height: int) -> int:
         """Refetch the entries changed since the last sync; returns replaced-entry count.
 
-        Every other entry is unchanged on the chain and is synced at
-        ``now`` by the epoch bump alone. An unreachable change feed leaves
-        nothing to trust, so every entry is evicted (fail-closed) and the
-        cursor stays.
+        Fetches run newest change first, whichever side the sync walked, so
+        a fetch that raises other than ``OSError`` or ``LedgerError`` leaves
+        the newer changes refetched and the older ones as they were. Every
+        other entry is unchanged on the chain and is synced at ``now`` by
+        the epoch bump alone. An unreachable change feed leaves nothing to
+        trust, so every entry is evicted (fail-closed) and the cursor stays.
         """
         # ``height`` is unread; it stays while the benchmark's tracer passes it positionally.
         try:
@@ -219,6 +226,9 @@ class TokenCache:
             self.entries.clear()
             return 0
         entries = self.entries
+        if len(changed) > len(entries):
+            changed = sorted([subject for subject in entries if subject in changed],
+                             key=changed.__getitem__)
         refreshed = 0
         for subject in changed:
             entry = entries.get(subject)
@@ -267,30 +277,54 @@ class ServiceProvider:
                         for key, stage in COST_KEYS.items()}
         self._granted = {hit: (GRANTED, self._path(hit)) for hit in (True, False)}
         self._denials: dict[tuple[Optional[bool], str, str], tuple[Decision, StageTrace]] = {}
-        self.cache = TokenCache(
-            chain.config.block_interval_ms,
-            lambda cursor: chain.query_state(TokenContract.name, "changes_since", (cursor,)))
+        self.cache = TokenCache(chain.config.block_interval_ms,
+                                lambda cursor: chain.changes_since(TokenContract.name, cursor))
         self._fetch_token = \
             lambda subject: chain.query_state(TokenContract.name, "get_token", (subject,))
-        self._own_record: VNodeRecord = chain.query_state(_VZONE, "get_vnode", (address,))
+        # identity as of chain height ``_identity_height``: the provider's own
+        # record, whether its zone is revoked, and each requester record read since
+        self._requesters: dict[Address, VNodeRecord] = {}
+        self._identity_height = chain.height
+        self.refresh_membership()
 
     def refresh_membership(self) -> None:
-        self._own_record = self.chain.query_state(_VZONE, "get_vnode", (self.address,))
+        """Re-read the provider's own record and its zone's status, and drop each held
+        requester record that the zone feed names since the last refresh."""
+        query = self.chain.query_state
+        own = self._own_record = query(_VZONE, "get_vnode", (self.address,))
+        self._zone_revoked = query(_VZONE, "get_vzone", (own.vzone_id,)).master is ZERO_ADDRESS
+        self._identity_height, changed = self.chain.changes_since(_VZONE, self._identity_height)
+        requesters = self._requesters
+        for node in (changed if len(changed) <= len(requesters)
+                     else [node for node in requesters if node in changed]):
+            requesters.pop(node, None)
 
     # -- stage 0: identity authentication -------------------------------------
 
     def authenticate(self, requester: Address) -> Optional[str]:
-        """Same-zone check: two contract queries (requester Vnode, then VZone);
-        the denial reason, or None."""
-        query = self.chain.query_state
-        requester_record = query(_VZONE, "get_vnode", (requester,))
+        """Same-zone check of the requester's record against the provider's own;
+        the denial reason, or None.
+
+        At the height of the last refresh, the requester's record is read
+        from the contract once and then held, and the zone's status is the
+        one the refresh read. At any other height (a block sealed without a
+        sync) both are read from the contract and nothing is held.
+        """
+        chain = self.chain
+        synced = chain.height == self._identity_height
+        record = self._requesters.get(requester) if synced else None
+        if record is None:
+            record = chain.query_state(_VZONE, "get_vnode", (requester,))
+            if synced:
+                self._requesters[requester] = record
         own = self._own_record
-        if own.node_type == NODE_TYPE_NONE or requester_record.node_type == NODE_TYPE_NONE:
+        if own.node_type == NODE_TYPE_NONE or record.node_type == NODE_TYPE_NONE:
             return "not-member"
-        zone_id = own.vzone_id
-        if requester_record.vzone_id != zone_id:
+        if record.vzone_id != own.vzone_id:
             return "zone-mismatch"
-        if query(_VZONE, "get_vzone", (zone_id,)).master is ZERO_ADDRESS:   # interned
+        revoked = self._zone_revoked if synced else chain.query_state(
+            _VZONE, "get_vzone", (own.vzone_id,)).master is ZERO_ADDRESS   # interned
+        if revoked:
             return "zone-revoked"
         return None
 
@@ -356,7 +390,7 @@ class ServiceProvider:
     # -- cache synchronization ---------------------------------------------------------
 
     def sync_cache(self, now: float) -> int:
-        """Sync cached tokens with confirmed state; once per block interval."""
+        """Sync held identity and cached tokens with confirmed state; once per block."""
         self.refresh_membership()
         return self.cache.sync(self._fetch_token, now, self.chain.height)
 

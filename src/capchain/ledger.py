@@ -79,12 +79,20 @@ class Contract:
     decodes the wire args and applies the op. ``Chain.deploy`` prices the
     listed ops. A subclass binds ``execute = Contract.execute`` in its own
     class dict, where the benchmark's tracer wraps it. Views stay ``if op ==``
-    chains: they are the request path (2.05 queries per request on the
-    hot_reads benchmark), where a table lookup measured slower.
+    chains: they are the request path, where a table lookup measured slower,
+    though a provider holds what a request reads per block (0.136 queries per
+    request on the hot_reads benchmark).
+
+    A mutation appends the key of each record it writes, an ``Address`` or a
+    string, to ``changed``; the chain takes them into its change feed as each
+    block seals (``Chain.changes_since``).
     """
 
     name: str = ""
     OPS: dict[str, tuple[int, Callable[[Any, Address, Any], Any]]] = {}
+
+    def __init__(self) -> None:
+        self.changed: list = []   # keys written since the last seal, oldest first
 
     def execute(self, sender: Address, op: str, args: tuple) -> Any:
         entry = self.OPS.get(op)
@@ -296,11 +304,18 @@ class Chain:
 
     Sealed blocks are stored as ``_sealed`` tuples, not as ``Block``s: export
     joins their lines, and ``blocks`` and ``latest_block`` decode them per call.
+    The change feed holds, per contract, a ``(height, *keys)`` row for each block
+    that wrote one of its records: the keys newest first, each once, an
+    ``Address`` held as its raw bytes, so the row is a flat tuple of atoms that
+    the collector stops tracking at its first look (a nested one can take two).
     """
 
     def __init__(self, config: ChainConfig, contracts: Iterable[Contract] = ()):
         self.config = config
         self._contracts: dict[str, Contract] = {}
+        self._feed: dict[str, list[tuple]] = {}
+        # (contract, height) -> the answer of changes_since, until the next seal
+        self._feed_answers: dict[tuple[str, int], tuple[int, dict]] = {}
         self._op_fees: dict[str, tuple] = {}   # op -> (gas, fee_etc, fee_usd) of its contract
         # by tx digest, in apply order: (tx_digest, op, status, result, error)
         self._receipts: dict[str, tuple] = {}
@@ -325,6 +340,7 @@ class Chain:
         if priced:
             raise ValueError(f"op {priced[0]!r} already priced by a deployed contract")
         self._contracts[contract.name] = contract
+        self._feed[contract.name] = []
         self._op_fees.update((op, _priced(gas)) for op, (gas, _) in contract.OPS.items())
 
     @property
@@ -354,6 +370,33 @@ class Chain:
         if name not in self._contracts:
             raise ContractNotFoundError(f"unknown contract {name!r}")
         return self._contracts[name]
+
+    def changes_since(self, contract: str, height: int) -> tuple[int, dict]:
+        """``(latest height, changed)``: ``changed`` maps each key of a ``contract``
+        record written in the blocks after ``height`` to its place, newest first;
+        its keys come in that order, each once. Pass the latest height as the
+        next cursor; height 0 names every key ever written.
+
+        The answer is computed once per ``(contract, height)`` until the next
+        block seals, and every reader at that cursor shares it: none may edit it.
+        It is computed under the write lock, so no seal lands halfway through it.
+        """
+        answer = self._feed_answers.get((contract, height))
+        if answer is None:
+            try:
+                feed = self._feed[contract]
+            except KeyError:
+                raise ContractNotFoundError(f"unknown contract {contract!r}") from None
+            with self._write_lock:
+                start = len(feed)
+                while start and feed[start - 1][0] > height:
+                    start -= 1
+                newest_first = dict.fromkeys(key for row in reversed(feed[start:])
+                                             for key in row[1:])
+                answer = self._feed_answers[contract, height] = (self.height, {
+                    (Address(key) if key.__class__ is bytes else key): place
+                    for place, key in enumerate(newest_first)})
+        return answer
 
     # -- writes ----------------------------------------------------------------
 
@@ -410,6 +453,7 @@ class Chain:
             self._pending.clear()
             row = _sealed(parent_height + 1, now, parent, [tx.wire_text() for tx in applied])
             self._blocks.append(row)
+            self._take_changes(row[0])
             return Block(row[0], now, parent, applied, row[3])
 
     def produce_next_block(self) -> Block:
@@ -457,7 +501,19 @@ class Chain:
             if not same or row[3] != block.digest:
                 return False
             self._blocks.append(row)
+            self._take_changes(row[0])
             return True
+
+    def _take_changes(self, height: int) -> None:
+        """Take the keys each contract reported into the feed, as the block at ``height``'s."""
+        for name, contract in self._contracts.items():
+            changed = contract.changed
+            if changed:
+                self._feed[name].append((height, *[
+                    key.raw if key.__class__ is Address else key
+                    for key in dict.fromkeys(reversed(changed))]))
+                changed.clear()
+        self._feed_answers.clear()
 
     # -- receipts and gas --------------------------------------------------------
 

@@ -15,8 +15,10 @@ wire dict, and it round-trips byte-stably.
 returns its canonical wire dict, which the scenario parser keeps, the
 master submits and the contract stores. ``_token_wire`` is the one writer
 of a whole token's wire dict. ``TokenContract`` holds each token as that
-dict and serves views from it. ``CapabilityToken`` reads a whole token,
-its addresses typed and its rules the dicts ``rule_wire`` returns.
+dict and serves views from it. It keeps no log of changes: each mutation
+reports its subject, and the chain's change feed (``Chain.changes_since``)
+holds them per block. ``CapabilityToken`` reads a whole token, its
+addresses typed and its rules the dicts ``rule_wire`` returns.
 """
 
 from __future__ import annotations
@@ -169,21 +171,19 @@ class TokenContract(Contract):
     args. ``get_token`` and ``dump_state`` return the held dicts themselves.
     A mutation stores a new dict and never edits a held one, so a view a
     reader keeps stays the snapshot it was; readers must not edit it.
-
-    Every mutation also appends its subject to a log of changes, so a
-    reader can ask which subjects changed after the log length it saw
-    (``changes_since``) instead of refetching every token it holds. The
-    log is bookkeeping, not state: it is outside ``dump_state``.
+    Every mutation reports its subject in ``changed``, so a reader asks the
+    chain's change feed which subjects changed after the height it synced
+    (``Chain.changes_since``) instead of refetching every token it holds.
     """
 
     name = "captoken"
 
     def __init__(self, supervisor: Address, zones: ZoneContract):
+        super().__init__()
         self.supervisor = supervisor
         self._zones = zones
         self._tokens: dict[Address, dict] = {}   # subject -> its token's wire dict
         self._next_id = 1
-        self._changes: list[Address] = []   # the subject of each mutation, oldest first
 
     # -- ledger protocol -------------------------------------------------------
     # issue_token's dates are args[2:], so any count of args but four is a TypeError
@@ -203,8 +203,6 @@ class TokenContract(Contract):
     def view(self, op: str, args: tuple = ()):
         if op == "get_token":
             return self.get_token(args[0])
-        if op == "changes_since":
-            return self.changes_since(args[0])
         raise ContractRejection("unknown-view", f"token contract has no view {op!r}")
 
     # -- mutations ----------------------------------------------------------------
@@ -281,9 +279,9 @@ class TokenContract(Contract):
         return True
 
     def _store(self, subject: Address, token: dict) -> None:
-        """Hold ``token`` as the subject's and log the subject as changed."""
+        """Hold ``token`` as the subject's and report the subject as changed."""
         self._tokens[subject] = token
-        self._changes.append(subject)
+        self.changed.append(subject)
 
     # -- views -----------------------------------------------------------------------
 
@@ -292,15 +290,6 @@ class TokenContract(Contract):
         if not isinstance(subject, Address):
             raise TypeError(f"get_token takes an Address, got {type(subject).__name__}")
         return self._tokens.get(subject)
-
-    def changes_since(self, cursor: int) -> tuple[int, list[Address]]:
-        """The number of changes so far and the subjects changed after the first
-        ``cursor`` changes.
-
-        Subjects come newest first, each once. Pass the returned number
-        as the next cursor; cursor 0 names every subject ever changed.
-        """
-        return len(self._changes), list(dict.fromkeys(reversed(self._changes[cursor:])))
 
     def dump_state(self) -> dict:
         return {

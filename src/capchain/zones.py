@@ -49,12 +49,14 @@ class ZoneContract(Contract):
     masters must be on the supervisor-managed allowlist to create zones.
     ``OPS`` prices the five mutations at fixed constants chosen to be
     stable across runs, since only the token assignment has a published
-    reference value.
+    reference value. Each mutation reports the zone ids and node addresses
+    of the records it writes in ``changed``; the allowlist is no record.
     """
 
     name = "vzone"
 
     def __init__(self, supervisor: Address):
+        super().__init__()
         self.supervisor = supervisor
         self._zones: dict[str, VirtualZone] = {}
         self._nodes: dict[Address, VNodeRecord] = {}
@@ -100,6 +102,7 @@ class ZoneContract(Contract):
         uid = zone.uid if zone is not None else 0
         self._zones[zone_id] = VirtualZone(zone_id, sender, uid + 1)
         self._nodes[sender] = VNodeRecord(sender, zone_id, NODE_TYPE_MASTER)
+        self.changed += (zone_id, sender)
         return True
 
     def revoke_vzone(self, sender: Address, zone_id: str) -> bool:
@@ -112,6 +115,7 @@ class ZoneContract(Contract):
             return False
         self._zones[zone_id] = VirtualZone(zone_id, ZERO_ADDRESS, zone.uid + 1)
         self._nodes[zone.master] = VNodeRecord(zone.master, "", NODE_TYPE_NONE)
+        self.changed += (zone_id, zone.master)
         return True
 
     def join_vzone(self, sender: Address, zone_id: str, node: Address) -> bool:
@@ -121,6 +125,7 @@ class ZoneContract(Contract):
         if record is not None and record.node_type != NODE_TYPE_NONE:
             return False
         self._nodes[node] = VNodeRecord(node, zone_id, NODE_TYPE_FOLLOWER)
+        self.changed.append(node)
         return True
 
     def leave_vzone(self, sender: Address, zone_id: str, node: Address) -> bool:
@@ -130,6 +135,7 @@ class ZoneContract(Contract):
         if record is None or record.node_type != NODE_TYPE_FOLLOWER:
             return False
         self._nodes[node] = VNodeRecord(node, "", NODE_TYPE_NONE)
+        self.changed.append(node)
         return True
 
     def set_master_allowlist(self, sender: Address, addr: Address, allowed: bool) -> bool:

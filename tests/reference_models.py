@@ -1104,7 +1104,7 @@ class ReferenceCapabilityToken:
 class ReferenceTokenContract(TokenContract):
     """``TokenContract`` holding a ``ReferenceCapabilityToken`` per subject,
     edited in place by each mutation (``_store`` re-holds the same object and
-    logs the change), and building a fresh wire dict per view."""
+    reports the change), and building a fresh wire dict per view."""
 
     def issue_token(self, sender, subject, rules, issue_date, expired_date):
         if not (isinstance(issue_date, (int, float)) and isinstance(expired_date, (int, float))):
@@ -1182,10 +1182,30 @@ class ReferenceTokenContract(TokenContract):
         }
 
 
+class ChangeLogTokenContract(TokenContract):
+    """``TokenContract`` that also keeps the log the chain's change feed replaced:
+    the subject of every mutation, oldest first, for the chain's whole life.
+    ``reference_changes_since(cursor)`` is the removed ``changes_since`` view:
+    the number of mutations so far and the subjects changed after the first
+    ``cursor``, newest first, each once."""
+
+    def __init__(self, supervisor, zones):
+        super().__init__(supervisor, zones)
+        self._changes = []
+
+    def _store(self, subject, token):
+        super()._store(subject, token)
+        self._changes.append(subject)
+
+    def reference_changes_since(self, cursor):
+        return len(self._changes), list(dict.fromkeys(reversed(self._changes[cursor:])))
+
+
 class RecencyIndexTokenContract(TokenContract):
-    """``TokenContract`` that also keeps the change index its log replaced: each
-    subject once, at the number of its last change, oldest first.
-    ``reference_changes_since`` walks it newest first and stops at the cursor."""
+    """``TokenContract`` that also keeps the change index the per-mutation log
+    replaced: each subject once, at the number of its last change, oldest first.
+    ``reference_changes_since`` walks it newest first and stops at the cursor, a
+    number of mutations as for ``ChangeLogTokenContract``."""
 
     def __init__(self, supervisor, zones):
         super().__init__(supervisor, zones)

@@ -15,7 +15,8 @@ from capchain.tokens import MS_PER_DAY
 
 from chainbench import Bench
 from reference_models import (FullRefetchTokenCache, ReferenceTokenCache, oracle_authorize,
-                              oracle_status_reason, reference_authorize)
+                              oracle_status_reason, reference_authenticate,
+                              reference_authorize)
 
 PAPER_REQUESTER = "0xaa09c6d65908e54bf695748812c51d8f2ceea0f5"
 
@@ -75,11 +76,55 @@ class TestAuthenticate:
         provider.refresh_membership()
         assert provider.authenticate(bench.client) == "zone-revoked"
 
-    def test_two_contract_queries_per_authentication(self, bench):
+    def test_cold_request_reads_the_requester_and_warm_reads_nothing(self, bench):
         provider = provider_for(bench)
         queries = count_queries(bench.chain)
-        provider.authenticate(bench.client)
+        assert provider.authenticate(bench.client) is None
+        assert queries == [1]   # the requester's record; the zone was read at refresh
+        assert provider.authenticate(bench.client) is None
+        assert queries == [1]   # held at the synced height
+        assert provider.authenticate(bench.outsider) == "not-member"
+        assert provider.authenticate(bench.outsider) == "not-member"
         assert queries == [2]
+
+    def test_a_block_without_a_sync_reads_the_contract_and_holds_nothing(self, bench):
+        provider = provider_for(bench)
+        provider.authenticate(bench.client)
+        bench.apply(bench.master, "vzone", "leave_vzone", (bench.zone_id, bench.client.hex))
+        queries = count_queries(bench.chain)
+        assert provider.authenticate(bench.client) == "not-member"
+        bench.apply(bench.master, "vzone", "join_vzone", (bench.zone_id, bench.client.hex))
+        assert provider.authenticate(bench.client) is None
+        assert provider.authenticate(bench.client) is None
+        assert queries == [1 + 2 + 2]   # the zone too, once a record passes
+        provider.sync_cache(now=100)
+        queries[0] = 0
+        assert provider.authenticate(bench.client) is None
+        assert provider.authenticate(bench.client) is None
+        assert queries == [1]
+
+    def test_sync_drops_the_requesters_the_zone_feed_names(self, bench):
+        other = bench.factory.new_address()
+        bench.apply(bench.master, "vzone", "join_vzone", (bench.zone_id, other.hex))
+        provider = provider_for(bench)
+        assert provider.authenticate(bench.client) is None
+        assert provider.authenticate(other) is None
+        bench.apply(bench.master, "vzone", "leave_vzone", (bench.zone_id, other.hex))
+        provider.sync_cache(now=100)
+        queries = count_queries(bench.chain)
+        assert provider.authenticate(bench.client) is None
+        assert provider.authenticate(other) == "not-member"
+        assert queries == [1]   # the client's record was kept, the other's re-read
+
+    def test_sync_drops_a_named_requester_among_fewer_held_records(self, bench):
+        provider = provider_for(bench)
+        assert provider.authenticate(bench.client) is None   # the one held record
+        for node in bench.factory.new_addresses(3):
+            bench.submit(bench.master, "vzone", "join_vzone", (bench.zone_id, node.hex))
+        bench.submit(bench.master, "vzone", "leave_vzone", (bench.zone_id, bench.client.hex))
+        bench.chain.produce_next_block()
+        provider.sync_cache(now=100)   # four named nodes: it walks its one record
+        assert provider.authenticate(bench.client) == "not-member"
 
 
 class TestTokenFetch:
@@ -532,18 +577,29 @@ class TestChangeFeed:
         bench.submit(bench.master, "captoken", "revoke_access_rights",
                      (b.hex, [RULE_POST]))                                # removes nothing
         bench.chain.produce_next_block()
-        assert bench.tokens.changes_since(0) == (3, [a, b])
-        assert bench.tokens.changes_since(1) == (3, [a, b])
-        assert bench.tokens.changes_since(2) == (3, [a])
-        assert bench.tokens.changes_since(3) == (3, [])
+
+        def feed(contract, height):
+            latest, changed = bench.chain.changes_since(contract, height)
+            assert list(changed.values()) == list(range(len(changed)))
+            return latest, list(changed)
+
+        assert feed("captoken", 0) == feed("captoken", 2) == (3, [a, b])
+        assert feed("captoken", 3) == feed("captoken", 4) == (3, [])
         bench.submit(bench.master, "captoken", "revoke_access_rights", (a.hex, [RULE_GET]))
         bench.submit(bench.master, "captoken", "set_token_validity", (b.hex, False))
         bench.submit(bench.master, "captoken", "revoke_token", (a.hex,))
         bench.chain.produce_next_block()
-        assert bench.tokens.changes_since(3) == (6, [a, b])
-        assert bench.tokens.changes_since(4) == (6, [a, b])
-        assert bench.tokens.changes_since(5) == (6, [a])
+        assert feed("captoken", 3) == feed("captoken", 0) == (4, [a, b])
+        # the zone feed: the setup block's zone and nodes, then the block that joined a, b
+        assert feed("vzone", 1) == (4, [b, a]) and feed("vzone", 2) == (4, [])
+        assert feed("vzone", 0) == (4, [b, a, bench.client, bench.provider, bench.master,
+                                        bench.zone_id])
         assert bench.tokens.dump_state().keys() == {"supervisor", "next_id", "tokens"}
+        # every reader at one cursor shares one answer until the next block seals
+        assert bench.chain.changes_since("captoken", 3) is bench.chain.changes_since(
+            "captoken", 3)
+        with pytest.raises(ContractNotFoundError):
+            bench.chain.changes_since("nonesuch", 0)
 
 
 SUBJECTS = 3
@@ -588,7 +644,7 @@ def test_change_driven_sync_matches_full_refetch(steps):
     def changes(cursor):
         if outage:
             raise ConnectionError("chain replica unavailable")
-        return bench.chain.query_state("captoken", "changes_since", (cursor,))
+        return bench.chain.changes_since("captoken", cursor)
 
     def fetch(subject):
         return bench.chain.query_state("captoken", "get_token", (subject,))
@@ -617,7 +673,7 @@ def test_change_driven_sync_matches_full_refetch(steps):
             failing = set()
         else:
             # an unchanged entry is not refetched, so only a changed one can fail
-            _, changed = bench.tokens.changes_since(cache.cursor)
+            _, changed = bench.chain.changes_since("captoken", cache.cursor)
             failing = {subjects[i] for i in step["sync"]} & set(changed)
 
         def flaky_fetch(subject):
@@ -654,6 +710,11 @@ cache_calls = st.lists(st.one_of(
 # keeps the sync time it had, as the per-entry stamps left it
 @example(calls=[("put", 0, 0, 5), ("put", 1, 0, 5), ("change", 0, 1), ("change", 1, 1),
                 ("sync", 20, "ok", set(), 0)])
+# more changed subjects than held entries, so the sync walks the entries, put in
+# the order 1, 0: it still fetches newest change first, so 0 is replaced before
+# the bug in 1's fetch
+@example(calls=[("put", 1, 0, 5), ("put", 0, 0, 5), ("change", 1, 1), ("change", 2, 1),
+                ("change", 0, 1), ("sync", 8, "ok", set(), 1)])
 def test_epoch_cache_matches_per_entry_stamps(calls):
     versions = dict.fromkeys(range(SUBJECTS), 0)
     log = []          # the subjects in change order; a change number is an index + 1
@@ -664,7 +725,8 @@ def test_epoch_cache_matches_per_entry_stamps(calls):
             raise ConnectionError("chain replica unavailable")
         if sync["feed"] == "feed-bug":
             raise AttributeError("bug in feed")
-        return len(log), list(dict.fromkeys(reversed(log[cursor:])))
+        newest_first = dict.fromkeys(reversed(log[cursor:]))
+        return len(log), {subject: place for place, subject in enumerate(newest_first)}
 
     def fetch(subject):
         if subject == sync["bug"]:
@@ -762,6 +824,24 @@ token_rules = st.lists(st.sampled_from([
 ]), max_size=3)
 
 
+# -- identity held per block against fresh reads per request --------------------
+
+SERVING = ("provider", "client", "outsider")
+IDENTITY_NODES = ("master", "provider", "client", "outsider", "stranger")
+ZONE_OPS = ("join_vzone", "leave_vzone", "create_vzone", "revoke_vzone")
+identity_steps = st.lists(st.one_of(
+    # a zone op by the supervisor or zone-a's master; create and revoke read no node
+    st.tuples(st.just("op"), st.sampled_from(ZONE_OPS), st.sampled_from(["zone-a", "zone-b"]),
+              st.sampled_from(IDENTITY_NODES), st.sampled_from(["supervisor", "master"])),
+    # seal the pool; True: every provider syncs after it, False: none does, as a
+    # library caller that produces a block without a sync leaves them
+    st.tuples(st.just("block"), st.booleans()),
+    st.tuples(st.just("sync"), st.sampled_from(SERVING)),
+    # a request by every node to every provider
+    st.tuples(st.just("requests"), st.sampled_from(["GET", "PUT"])),
+), max_size=30)
+
+
 class TestAuthorizeMatchesReference:
     @settings(max_examples=100, deadline=None)
     @given(costs=stage_costs, rules=st.none() | token_rules,
@@ -805,7 +885,77 @@ class TestAuthorizeMatchesReference:
             assert repr(got) == repr(expected)
             assert repr(got[1].stage_ms) == repr(
                 sum(record.duration_ms for record in expected[1].records))
-        assert provider_queries == reference_queries
+        assert provider_queries <= reference_queries
+
+    @settings(max_examples=300, deadline=None)
+    @given(steps=identity_steps)
+    # a follower leaves in a block no provider syncs after, then one syncs
+    @example(steps=[("requests", "GET"),
+                    ("op", "leave_vzone", "zone-a", "client", "master"), ("block", False),
+                    ("requests", "GET"), ("sync", "provider"), ("requests", "GET")])
+    # a node no zone held joins one in a synced block
+    @example(steps=[("requests", "GET"),
+                    ("op", "join_vzone", "zone-a", "stranger", "supervisor"), ("block", True),
+                    ("requests", "GET")])
+    # the zone is revoked and its master creates it again, each in a synced block
+    # and then in blocks no provider syncs after
+    @example(steps=[("requests", "GET"),
+                    ("op", "revoke_vzone", "zone-a", "client", "master"), ("block", True),
+                    ("requests", "GET"),
+                    ("op", "create_vzone", "zone-a", "master", "master"), ("block", True),
+                    ("requests", "GET"),
+                    ("op", "revoke_vzone", "zone-a", "client", "master"), ("block", False),
+                    ("requests", "GET"),
+                    ("op", "create_vzone", "zone-a", "master", "master"), ("block", False),
+                    ("requests", "GET")])
+    def test_held_identity_equals_fresh_reads(self, steps):
+        """Zone ops, blocks with and without the syncs after them, and requests:
+        each authentication and decision equals the reference's, which reads both
+        zone records per request, and makes no more contract queries."""
+        bench = Bench()
+        stranger = bench.factory.new_address()
+        for node in ("client", "provider"):
+            bench.submit(bench.master, "captoken", "issue_token",
+                         (getattr(bench, node).hex, [RULE_GET], 0, 10**12))
+        bench.chain.produce_next_block()
+        providers = {node: (ServiceProvider(getattr(bench, node), bench.chain),
+                            ServiceProvider(getattr(bench, node), bench.chain))
+                     for node in SERVING}
+        queries = count_queries(bench.chain)
+
+        def counted(call, *args):
+            before = queries[0]
+            return call(*args), queries[0] - before
+
+        def sync(node, now):
+            held, fresh = providers[node]
+            assert held.sync_cache(now) == fresh.sync_cache(now)
+
+        now = bench.chain.latest_block.timestamp
+        for step in steps:
+            if step[0] == "op":
+                _, op, zone, node, sender = step
+                node = stranger if node == "stranger" else getattr(bench, node)
+                args = (zone,) if op in ("create_vzone", "revoke_vzone") else (zone, node.hex)
+                bench.submit(getattr(bench, sender), "vzone", op, args)
+            elif step[0] == "block":
+                now = bench.chain.produce_next_block().timestamp
+                if step[1]:
+                    for node in SERVING:
+                        sync(node, now)
+            elif step[0] == "sync":
+                sync(step[1], now)
+            else:
+                for node, who in itertools.product(SERVING, IDENTITY_NODES):
+                    held, fresh = providers[node]
+                    requester = stranger if who == "stranger" else getattr(bench, who)
+                    reason, held_queries = counted(held.authenticate, requester)
+                    expected, fresh_queries = counted(reference_authenticate, fresh, requester)
+                    assert reason == expected and held_queries <= fresh_queries
+                    request = ServiceRequest(requester, step[1], "/api/data", now=now + 1)
+                    got, held_queries = counted(held.authorize, request)
+                    expected, fresh_queries = counted(reference_authorize, fresh, {}, request)
+                    assert repr(got) == repr(expected) and held_queries <= fresh_queries
 
     def test_records_and_decisions_are_shared_between_requests(self, bench):
         bench.issue_client_token()

@@ -575,6 +575,61 @@ class TestReceiptMatchesTwoRecordReference:
         assert chain.gas_report_text() == reference.gas_report_text()
 
 
+def feed_answers(chain):
+    """Each contract's change feed at every height, as ``(latest, [(key, place)])``."""
+    return {name: [(latest, list(changed.items()))
+                   for latest, changed in (chain.changes_since(name, height)
+                                           for height in range(chain.height + 2))]
+            for name in ("vzone", "captoken")}
+
+
+def held_records(chain):
+    """Each contract's records by key: zones and nodes, and tokens."""
+    zones, tokens = chain.contract("vzone"), chain.contract("captoken")
+    return {"vzone": {**zones._zones, **zones._nodes}, "captoken": dict(tokens._tokens)}
+
+
+class TestChangeFeed:
+    """The per-block feed of changed keys: sound against the records it covers,
+    held as atoms, and answered alike by a replay."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(steps=st.lists(st.tuples(st.just("tx"), st.integers(0, len(ACTORS) - 1),
+                                    chain_calls)
+                          | st.tuples(st.just("seal")), max_size=30))
+    def test_each_block_names_every_record_it_changed(self, steps):
+        chain = Chain(ChainConfig(supervisor=ACTORS[0]), zone_contracts_factory(ACTORS[0])())
+        for step in steps + [("seal",)]:
+            if step[0] == "tx":
+                chain.submit(ACTORS[step[1]], *step[2])
+                continue
+            before = held_records(chain)
+            chain.produce_next_block()
+            for name, records in held_records(chain).items():
+                changed = {key for key in before[name].keys() | records.keys()
+                           if before[name].get(key) != records.get(key)}
+                latest, named = chain.changes_since(name, chain.height - 1)
+                assert latest == chain.height and changed <= named.keys()
+        replayed = replay_chain(chain.config,
+                                read_chain(io.StringIO(chain.export_chain_text())),
+                                zone_contracts_factory(ACTORS[0]))
+        assert feed_answers(replayed) == feed_answers(chain)
+
+    @pytest.mark.parametrize("name", ["hot_reads", "churn"])
+    def test_a_run_and_its_replay_hold_one_feed_of_atoms(self, name):
+        simulation, _ = run_scenario(WORKLOADS[name](7, scale=0.05))
+        chain = simulation.chain
+        replayed = replay_chain(chain.config,
+                                read_chain(io.StringIO(chain.export_chain_text())),
+                                zone_contracts_factory(chain.config.supervisor))
+        assert feed_answers(replayed) == feed_answers(chain)
+        gc.collect()
+        for each in (chain, replayed):
+            rows = [row for feed in each._feed.values() for row in feed]
+            assert rows and not any(map(gc.is_tracked, rows))
+            assert all(contract.changed == [] for contract in each._contracts.values())
+
+
 class TestInvariants:
     def test_append_only_digests_verify(self, bench):
         bench.issue_client_token()
@@ -627,6 +682,41 @@ class TestInvariants:
             nonces = [tx.nonce for tx in pool if tx.sender == sender]
             assert nonces == list(range(50))
         assert replays(chain)
+
+    def test_feed_readers_racing_seals_never_miss_a_change(self):
+        import sys
+        import threading
+        chain, supervisor, _ = fresh_chain()
+        zones = [f"zone-{k}" for k in range(1, 301)]   # block k creates zone-k
+        stop, misses = threading.Event(), []
+
+        def reader(lag):
+            cursor = 0
+            while not stop.is_set():
+                latest, changed = chain.changes_since("vzone", cursor)
+                missed = [zones[k - 1] for k in range(cursor + 1, latest + 1)
+                          if zones[k - 1] not in changed]
+                if missed:
+                    misses.append((cursor, latest, missed))
+                    return
+                cursor = max(0, latest - lag)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader, args=(lag,)) for lag in (0, 0, 1, 3)]
+            for thread in threads:
+                thread.start()
+            for zone in zones:
+                chain.submit(supervisor, "vzone", "create_vzone", (zone,))
+                chain.produce_next_block()
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert misses == []
 
     def test_no_sealed_transaction_outlives_its_block(self):
         # the chain stores each block as a tuple of atoms; a sealed transaction

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 
 from capchain.encoding import canonical_json
 from capchain.ledger import ContractRejection
-from capchain.tokens import (RULE_ERRORS, CapabilityToken, _action_value,
+from capchain.tokens import (RULE_ERRORS, CapabilityToken, TokenContract, _action_value,
                              _condition_kind_value, rule_wire)
 
 from chainbench import Bench
-from reference_models import (Action, ConditionKind, RecencyIndexTokenContract,
-                              ReferenceAccessRule, ReferenceCapabilityToken,
-                              ReferenceTokenContract)
+from reference_models import (Action, ChangeLogTokenContract, ConditionKind,
+                              RecencyIndexTokenContract, ReferenceAccessRule,
+                              ReferenceCapabilityToken, ReferenceTokenContract)
 
 RULE_GET = {"action": "GET", "resource": "/api/data", "conditions": []}
 RULE_POST = {"action": "POST", "resource": "/api/upload", "conditions": []}
@@ -432,7 +432,7 @@ token_ops = st.lists(st.one_of(
 def token_views(bench):
     """Every subject's token and the whole state, as reprs."""
     return ([repr(bench.tokens.get_token(getattr(bench, name))) for name in SUBJECTS],
-            repr(bench.tokens.dump_state()), bench.tokens.changes_since(0))
+            repr(bench.tokens.dump_state()), bench.chain.changes_since("captoken", 0))
 
 
 class TestContractMatchesReference:
@@ -459,23 +459,59 @@ class TestContractMatchesReference:
             assert all(view == snapshot for view, snapshot in kept)
 
 
+def assert_feed_matches(bench, mutations):
+    """The chain's token feed at every height against the reference contract's
+    answer at the mutation count ``mutations[height]`` that height sealed with."""
+    latest = bench.chain.height
+    assert len(mutations) == latest + 1
+    for height in range(latest + 2):   # one past the latest names nothing
+        _, subjects = bench.tokens.reference_changes_since(mutations[min(height, latest)])
+        got_latest, changed = bench.chain.changes_since("captoken", height)
+        assert got_latest == latest
+        assert list(changed) == subjects
+        assert list(changed.values()) == list(range(len(subjects)))
+
+
 class TestChangeLogMatchesRecencyIndex:
-    """The log of changed subjects against the recency index it replaced, through
-    rejected transactions and revocations that remove nothing."""
+    """The chain's feed of changed subjects against the per-mutation log and the
+    recency index it replaced, through rejected transactions and revocations
+    that remove nothing."""
 
     @settings(max_examples=150, deadline=None)
     @given(ops=token_ops)
     def test_changes_since_matches_the_index_at_every_cursor(self, ops):
         bench = Bench(token_contract=RecencyIndexTokenContract)
+        mutations = [0] * (bench.chain.height + 1)
         issued = [("issue_token", "master", subject, [RULE_GET, RULE_POST], 0, 10**9)
                   for subject in ("client", "provider")]
         for op, sender, subject, *rest in issued + ops:
             bench.apply(getattr(bench, sender), "captoken", op,
                         (getattr(bench, subject).hex, *rest))
-            latest, _ = bench.tokens.reference_changes_since(0)
-            for cursor in range(latest + 2):   # one past the latest names nothing
-                assert bench.tokens.changes_since(cursor) == \
-                    bench.tokens.reference_changes_since(cursor)
+            mutations.append(bench.tokens.reference_changes_since(0)[0])
+            assert_feed_matches(bench, mutations)
+
+    @settings(max_examples=150, deadline=None)
+    @given(ops=token_ops, seals=st.lists(st.booleans(), min_size=14, max_size=14))
+    def test_changes_since_matches_the_log_at_every_height(self, ops, seals):
+        """Several mutations per block, and blocks with none."""
+        bench = Bench(token_contract=ChangeLogTokenContract)
+        mutations = [0] * (bench.chain.height + 1)
+        issued = [("issue_token", "master", subject, [RULE_GET, RULE_POST], 0, 10**9)
+                  for subject in ("client", "provider")]
+        for (op, sender, subject, *rest), seal in zip(issued + ops, seals):
+            bench.submit(getattr(bench, sender), "captoken", op,
+                         (getattr(bench, subject).hex, *rest))
+            if seal:
+                bench.chain.produce_next_block()
+                mutations.append(bench.tokens.reference_changes_since(0)[0])
+        bench.chain.produce_next_block()
+        mutations.append(bench.tokens.reference_changes_since(0)[0])
+        bench.chain.produce_next_block()   # a block that changes nothing
+        mutations.append(mutations[-1])
+        assert_feed_matches(bench, mutations)
+        assert not hasattr(TokenContract, "changes_since")
+        with pytest.raises(ContractRejection, match="no view 'changes_since'"):
+            bench.chain.query_state("captoken", "changes_since", (0,))
 
 
 class TestHeldTokens:
