@@ -9,10 +9,11 @@ Token data is read from a provider-local cache that is synced once per
 block interval, refetching only the tokens the chain's change feed names;
 entries that miss a sync go stale and fall back to a direct contract
 query (fail-closed). Identity is held the same way: each sync re-reads the
-provider's own record and its zone's status, and drops each requester
-record the zone feed names, so a warm request at the synced height reads
-no contract. Stage durations come from a deterministic cost
-model supplied by the harness, so traces are exactly reproducible.
+provider's own record and its zone's status only if the zone feed names
+them, and drops each requester record the feed names, so a warm request
+at the synced height reads no contract. Stage durations come from a
+deterministic cost model supplied by the harness, so traces are exactly
+reproducible.
 
 Each check returns its denial reason, or None when it passes; a denial's
 stage is recorded once, on its ``Decision``.
@@ -285,15 +286,25 @@ class ServiceProvider:
         # record, whether its zone is revoked, and each requester record read since
         self._requesters: dict[Address, VNodeRecord] = {}
         self._identity_height = chain.height
-        self.refresh_membership()
+        self._own_record = chain.query_state(_VZONE, "get_vnode", (address,))
+        self._read_zone_status()
+
+    def _read_zone_status(self) -> None:
+        self._zone_revoked = self.chain.query_state(
+            _VZONE, "get_vzone", (self._own_record.vzone_id,)).master is ZERO_ADDRESS
 
     def refresh_membership(self) -> None:
-        """Re-read the provider's own record and its zone's status, and drop each held
-        requester record that the zone feed names since the last refresh."""
-        query = self.chain.query_state
-        own = self._own_record = query(_VZONE, "get_vnode", (self.address,))
-        self._zone_revoked = query(_VZONE, "get_vzone", (own.vzone_id,)).master is ZERO_ADDRESS
+        """Bring held identity to the latest height by the zone feed: re-read the
+        provider's own record if the feed names its address, its zone's status if
+        the feed names the zone or the own record was re-read, and drop each held
+        requester record the feed names. A block that wrote no zone record reads
+        no contract."""
         self._identity_height, changed = self.chain.changes_since(_VZONE, self._identity_height)
+        if self.address in changed:
+            self._own_record = self.chain.query_state(_VZONE, "get_vnode", (self.address,))
+            self._read_zone_status()
+        elif self._own_record.vzone_id in changed:
+            self._read_zone_status()
         requesters = self._requesters
         for node in (changed if len(changed) <= len(requesters)
                      else [node for node in requesters if node in changed]):

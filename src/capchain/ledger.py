@@ -65,6 +65,22 @@ class ContractRejection(Exception):
         super().__init__(message or code)
 
 
+class _Discard:
+    """A ``changed`` that keeps no key: ``append`` and ``+=`` drop what they are given."""
+
+    __slots__ = ()
+
+    def append(self, key: Any) -> None:
+        pass
+
+    def __iadd__(self, keys: Any) -> "_Discard":
+        return self
+
+
+#: The ``changed`` of every contract no chain hosts.
+DISCARD = _Discard()
+
+
 class Contract:
     """A state machine hosted on the chain.
 
@@ -85,14 +101,16 @@ class Contract:
 
     A mutation appends the key of each record it writes, an ``Address`` or a
     string, to ``changed``; the chain takes them into its change feed as each
-    block seals (``Chain.changes_since``).
+    block seals (``Chain.changes_since``). ``Chain.deploy`` gives the contract
+    that list; until then ``changed`` is ``DISCARD``, which keeps no key, since
+    no feed reads the keys of a contract outside a chain.
     """
 
     name: str = ""
     OPS: dict[str, tuple[int, Callable[[Any, Address, Any], Any]]] = {}
 
     def __init__(self) -> None:
-        self.changed: list = []   # keys written since the last seal, oldest first
+        self.changed: Any = DISCARD   # keys written since the last seal, oldest first
 
     def execute(self, sender: Address, op: str, args: tuple) -> Any:
         entry = self.OPS.get(op)
@@ -304,6 +322,8 @@ class Chain:
 
     Sealed blocks are stored as ``_sealed`` tuples, not as ``Block``s: export
     joins their lines, and ``blocks`` and ``latest_block`` decode them per call.
+    ``height`` is the last row's height, a plain attribute set where a row is
+    appended, since each request reads it.
     The change feed holds, per contract, a ``(height, *keys)`` row for each block
     that wrote one of its records: the keys newest first, each once, an
     ``Address`` held as its raw bytes, so the row is a flat tuple of atoms that
@@ -326,6 +346,7 @@ class Chain:
         self._next_nonce: dict[Address, int] = {}
         self._write_lock = threading.Lock()
         self._blocks: list[tuple] = [_sealed(0, 0, ZERO_DIGEST, [])]   # genesis
+        self.height = 0
 
     # -- deployment and reads ------------------------------------------------
 
@@ -341,6 +362,7 @@ class Chain:
             raise ValueError(f"op {priced[0]!r} already priced by a deployed contract")
         self._contracts[contract.name] = contract
         self._feed[contract.name] = []
+        contract.changed = []
         self._op_fees.update((op, _priced(gas)) for op, (gas, _) in contract.OPS.items())
 
     @property
@@ -350,10 +372,6 @@ class Chain:
     @property
     def latest_block(self) -> Block:
         return _read_block(_decode(self._blocks[-1][4]))
-
-    @property
-    def height(self) -> int:
-        return self._blocks[-1][0]
 
     def next_nonce(self, sender: Address) -> int:
         return self._next_nonce.get(sender, 0)
@@ -415,7 +433,7 @@ class Chain:
     def submit(self, sender: Address, contract: str, op: str, args: tuple) -> str:
         """Queue a call with the sender's next nonce; returns the tx digest.
         The call is encoded once here and never decoded."""
-        tx = Transaction(sender, contract, op, args, self.next_nonce(sender))
+        tx = Transaction(sender, contract, op, args, self._next_nonce.get(sender, 0))
         return self.submit_transaction(tx, args)
 
     def _admit(self, tx: Transaction) -> None:
@@ -453,6 +471,7 @@ class Chain:
             self._pending.clear()
             row = _sealed(parent_height + 1, now, parent, [tx.wire_text() for tx in applied])
             self._blocks.append(row)
+            self.height = row[0]
             self._take_changes(row[0])
             return Block(row[0], now, parent, applied, row[3])
 
@@ -501,6 +520,7 @@ class Chain:
             if not same or row[3] != block.digest:
                 return False
             self._blocks.append(row)
+            self.height = row[0]
             self._take_changes(row[0])
             return True
 

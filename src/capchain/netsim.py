@@ -140,10 +140,6 @@ class Simulation:
         # first block, which the chain is already past
         self._script = []
         result = SimulationResult([], [], [], [])
-        # the chain's height, kept up to date by the block events, which alone
-        # produce blocks in the loop: a measurement reads this attribute rather
-        # than call the ``Chain.height`` property
-        self._height = self.chain.height
         interval, timeout_ms = self.topology.block_interval_ms, self.topology.timeout_ms
         draw = self.rng.random
         # read through the module when the run starts, so a stand-in for it is used
@@ -202,7 +198,7 @@ class Simulation:
         # an Advance only extends the horizon
 
     def _handle_block(self, at: float, result: SimulationResult) -> None:
-        self._height = self.chain.produce_block(int(at)).height
+        self.chain.produce_block(int(at))
         for provider in self.providers.values():
             provider.sync_cache(at)
         for name, master in self.masters.items():
@@ -262,7 +258,7 @@ class Simulation:
         stage = decision.stage
         result.measurements.append((
             request_id, sent_at, requester.name, provider.name, method, uri, outcome, stage,
-            decision.reason, trace.cache_hit, self._height, total_ms, trace))
+            decision.reason, trace.cache_hit, self.chain.height, total_ms, trace))
         if expect and outcome != expect:
             self._missed(result, index, expect, request_id, outcome, stage)
 
@@ -273,7 +269,7 @@ class Simulation:
         sent_at, index, requester, provider, _, method, uri, expect = request
         result.measurements.append((
             request_id, sent_at, requester.name, provider.name, method, uri, outcome, None,
-            reason, None, self._height, total_ms, None))
+            reason, None, self.chain.height, total_ms, None))
         if expect and outcome != expect:
             self._missed(result, index, expect, request_id, outcome, None)
 

@@ -170,7 +170,7 @@ def _fail(path: Union[str, int], key: str, reason: str) -> NoReturn:
 
 def _check(ok: Any, path: Union[str, int], key: str, reason: str, *values: Any) -> None:
     """``_fail`` unless ``ok``, with each of ``values`` shown by ``_shown`` at a
-    ``%s`` of ``reason``; per-node and per-request checks are inline ``if``s."""
+    ``%s`` of ``reason``; per-node and per-event checks are inline ``if``s."""
     if not ok:
         _fail(path, key, reason % tuple(map(_shown, values)))
 
@@ -191,12 +191,6 @@ def _objects(value: Any, path: str) -> list[dict]:
         if not isinstance(item, dict):
             _fail(f"{path}[{i}]", "", f"must be an object, got {_shown(item)}")
     return value
-
-
-def _node(nodes: dict[str, NodeSpec], value: Any, path: Union[str, int], key: str) -> NodeSpec:
-    if not (isinstance(value, str) and value in nodes):
-        _fail(path, key, f"unknown node {_shown(value)}")
-    return nodes[value]
 
 
 def parse_topology(config: dict) -> Topology:
@@ -369,8 +363,8 @@ def _parse_channels(specs: Any, nodes: dict[str, NodeSpec], horizon: float
 
 def parse_script(script: Any, topology: Topology) -> list[Event]:
     """The script's events in the order they run: by ``at``, then by index. A request
-    is a few dict reads and one plain tuple in ``Request._fields`` order; ``_fail``
-    takes the index ``i``."""
+    is a few dict reads and one plain tuple in ``Request._fields`` order; each node an
+    event names is one ``nodes`` lookup, and ``_fail`` takes the index ``i``."""
     nodes, channels, latest = topology.nodes, topology.channels, topology.latest_at_ms
     new = tuple.__new__   # a named tuple from its fields in order, without its __new__
     events: list[Event] = []
@@ -407,26 +401,45 @@ def parse_script(script: Any, topology: Topology) -> list[Event]:
                       f"{_shown(provider.name)}")
             event = (at, i, requester, provider, channel, method, uri, expect)
         elif op == "register":
-            node = _node(nodes, event.get("node"), i, "node")
-            master = _node(nodes, event.get("master"), i, "master")
+            a, b = event.get("node"), event.get("master")
+            try:
+                node = nodes[a]
+            except (KeyError, TypeError):
+                _fail(i, "node", f"unknown node {_shown(a)}")
+            try:
+                master = nodes[b]
+            except (KeyError, TypeError):
+                _fail(i, "master", f"unknown node {_shown(b)}")
             attributes = event.get("attributes", {})
-            _check(master.role == "master", i, "master", "%s is not a master", master.name)
-            _check(isinstance(attributes, dict), i, "attributes",
-                   "must be an object, got %s", attributes)
+            if master.role != "master":
+                _fail(i, "master", f"{_shown(master.name)} is not a master")
+            if not isinstance(attributes, dict):
+                _fail(i, "attributes", f"must be an object, got {_shown(attributes)}")
             if attributes:
                 _shallow(attributes, i, "attributes")
             event = new(Register, (at, i, node, master, attributes))
         elif op in ("issue", "revoke", "revoke_rules", "suspend", "restore"):
-            master = _node(nodes, event.get("master"), i, "master")
-            subject = _node(nodes, event.get("subject"), i, "subject")
+            a, b = event.get("master"), event.get("subject")
+            try:
+                master = nodes[a]
+            except (KeyError, TypeError):
+                _fail(i, "master", f"unknown node {_shown(a)}")
+            try:
+                subject = nodes[b]
+            except (KeyError, TypeError):
+                _fail(i, "subject", f"unknown node {_shown(b)}")
             rules = event.get("rules")
             if op == "issue":
-                validity = _number(event.get("validity_ms", 3_600_000), int, i, "validity_ms")
-                _check(validity >= 0, i, "validity_ms", "must be >= 0, got %s", validity)
+                validity = event.get("validity_ms", 3_600_000)
+                if validity.__class__ is not int:   # an int is what ``_number`` returns for it
+                    validity = _number(validity, int, i, "validity_ms")
+                if validity < 0:
+                    _fail(i, "validity_ms", f"must be >= 0, got {_shown(validity)}")
                 event = new(Issue, (at, i, master, subject, _parse_rules(rules, i), validity))
             else:
                 if op == "revoke_rules":
-                    _check(isinstance(rules, list), i, "rules", "must be a list, got %s", rules)
+                    if not isinstance(rules, list):
+                        _fail(i, "rules", f"must be a list, got {_shown(rules)}")
                     _shallow(rules, i, "rules")
                 else:
                     rules = None
@@ -449,7 +462,8 @@ def _shallow(value: Union[list, dict], i: int, key: str) -> None:
 def _parse_rules(rules: Any, i: int) -> list[dict]:
     """Event ``i``'s rules as the token contract reads them, by ``rule_wire``: the
     wire dicts that go to the contract as they are."""
-    _check(isinstance(rules, list), i, "rules", "must be a list of rules, got %s", rules)
+    if not isinstance(rules, list):
+        _fail(i, "rules", f"must be a list of rules, got {_shown(rules)}")
     parsed = []
     for j, rule in enumerate(rules):
         if not isinstance(rule, dict):

@@ -59,6 +59,10 @@ def _decoder(names: tuple[str, ...], kind: str) -> Callable[[Any], str]:
 _action_value = _decoder(ACTIONS, "Action")
 _condition_kind_value = _decoder(CONDITION_KINDS, "ConditionKind")
 
+#: Each action's name by itself: ``rule_wire`` reads a known action with one
+#: lookup in its own frame, and calls ``_action_value`` only to raise.
+_ACTION_NAMES = dict(zip(ACTIONS, ACTIONS))
+
 #: What ``rule_wire``, and so ``CapabilityToken.from_wire``, raises for a body
 #: that is not a rule.
 RULE_ERRORS = (TypeError, ValueError, KeyError, AttributeError)
@@ -105,9 +109,12 @@ def rule_wire(body: dict) -> dict:
     conditions = body.get("conditions", [])   # none when the key is absent
     if not isinstance(conditions, (list, tuple)):   # replay reads a tuple as a list
         raise TypeError(f"conditions must be a list, got {type(conditions).__name__}")
-    action = _action_value(body["action"])
+    try:
+        action = _ACTION_NAMES[body["action"]]
+    except (KeyError, TypeError):   # no action, or one unknown or unhashable
+        action = _action_value(body["action"])
     resource = body["resource"]
-    conditions = [_condition_wire(condition) for condition in conditions]
+    conditions = [_condition_wire(condition) for condition in conditions] if conditions else []
     if not resource or not resource.startswith("/"):
         raise ValueError("resource must be a nonempty path starting with '/'")
     return {"action": action, "resource": resource, "conditions": conditions}

@@ -55,9 +55,9 @@ from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
 
 from capchain.address import Address, AddressFactory
-from capchain.enforcement import (PIPELINE_STAGES, Decision, ServiceRequest, StageRecord,
-                                  StageTrace, match_access_rule, verify_conditions,
-                                  verify_token_status)
+from capchain.enforcement import (PIPELINE_STAGES, Decision, ServiceProvider, ServiceRequest,
+                                  StageRecord, StageTrace, match_access_rule,
+                                  verify_conditions, verify_token_status)
 from capchain.encoding import canonical_json, canonical_str, sha256_hex
 from capchain.ledger import (DEFAULT_ETH_PRICE_USD, DEFAULT_GAS_PRICE_ETC, DEFAULT_OP_GAS,
                              GENESIS, Block, Chain, ChainFileError,
@@ -67,7 +67,7 @@ from capchain.netsim import MEASUREMENT_COLUMNS, Measurement, SimulationResult
 from capchain.scenario import (ACTIONS, COSTS, EXPECTS, MAX_BLOCKS, POLICY_KINDS, PROFILES,
                                ROLES, RULE_ERRORS, Advance, ChannelSpec, Issue, NodeSpec,
                                ProcessingProfile, Register, Request, TokenChange, Topology,
-                               _check, _fail, _node, _number, _objects)
+                               _check, _fail, _number, _objects, _shown)
 from capchain.tokens import TokenContract
 from capchain.zones import NODE_TYPE_NONE, ZoneContract
 
@@ -494,6 +494,13 @@ def link(a, b):
     return (a, b) if a <= b else (b, a)
 
 
+def _node(nodes, value, path, key):
+    """The node ``value`` names, checked as a string before it is looked up."""
+    if not (isinstance(value, str) and value in nodes):
+        _fail(path, key, f"unknown node {_shown(value)}")
+    return nodes[value]
+
+
 def reference_parse_script(script, topology):
     """``scenario.parse_script`` formatting ``script[i]`` for every event and
     every rule, looking up nodes through ``_node`` and building each event
@@ -813,6 +820,19 @@ def reference_authenticate(provider, requester):
     if zone.master.is_zero:
         return "zone-revoked"
     return None
+
+
+class RereadingIdentityProvider(ServiceProvider):
+    """``ServiceProvider`` re-reading its own zone record and its zone's status at
+    every refresh, whatever the zone feed names, as it did before the feed decided
+    which of the two to re-read."""
+
+    def refresh_membership(self):
+        super().refresh_membership()
+        query = self.chain.query_state
+        self._own_record = query(ZoneContract.name, "get_vnode", (self.address,))
+        self._zone_revoked = query(ZoneContract.name, "get_vzone",
+                                   (self._own_record.vzone_id,)).master.is_zero
 
 
 def reference_authorize(provider, stage_costs, request):

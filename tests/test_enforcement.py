@@ -14,7 +14,8 @@ from capchain.netsim import Measurement, write_stage_traces_csv
 from capchain.tokens import MS_PER_DAY
 
 from chainbench import Bench
-from reference_models import (FullRefetchTokenCache, ReferenceTokenCache, oracle_authorize,
+from reference_models import (FullRefetchTokenCache, ReferenceTokenCache,
+                              RereadingIdentityProvider, oracle_authorize,
                               oracle_status_reason, reference_authenticate,
                               reference_authorize)
 
@@ -86,6 +87,26 @@ class TestAuthenticate:
         assert provider.authenticate(bench.outsider) == "not-member"
         assert provider.authenticate(bench.outsider) == "not-member"
         assert queries == [2]
+
+    def test_a_sync_reads_only_the_zone_records_the_feed_names(self, bench):
+        provider = provider_for(bench)   # its token cache is empty: a sync fetches no token
+        queries = count_queries(bench.chain)
+        bench.issue_client_token()   # a block that writes no zone record
+        provider.sync_cache(now=100)
+        assert queries == [0]
+        bench.apply(bench.supervisor, "vzone", "create_vzone", ("zone-b",))   # another zone
+        bench.apply(bench.supervisor, "vzone", "join_vzone", ("zone-b", bench.outsider.hex))
+        provider.sync_cache(now=200)
+        assert queries == [0]
+        bench.apply(bench.master, "vzone", "revoke_vzone", (bench.zone_id,))
+        provider.sync_cache(now=300)
+        assert queries == [1]   # the zone
+        assert provider.authenticate(bench.client) == "zone-revoked"
+        bench.apply(bench.master, "vzone", "create_vzone", (bench.zone_id,))
+        bench.apply(bench.master, "vzone", "leave_vzone", (bench.zone_id, bench.provider.hex))
+        provider.sync_cache(now=400)
+        assert queries == [2 + 2]   # the client's record above, then its own and its zone
+        assert provider.authenticate(bench.client) == "not-member"
 
     def test_a_block_without_a_sync_reads_the_contract_and_holds_nothing(self, bench):
         provider = provider_for(bench)
@@ -908,10 +929,24 @@ class TestAuthorizeMatchesReference:
                     ("requests", "GET"),
                     ("op", "create_vzone", "zone-a", "master", "master"), ("block", False),
                     ("requests", "GET")])
+    # blocks that change only another zone
+    @example(steps=[("requests", "GET"),
+                    ("op", "create_vzone", "zone-b", "master", "supervisor"), ("block", True),
+                    ("requests", "GET"),
+                    ("op", "join_vzone", "zone-b", "stranger", "supervisor"), ("block", True),
+                    ("requests", "GET")])
+    # the provider leaves its zone and rejoins it, each in a synced block
+    @example(steps=[("requests", "GET"),
+                    ("op", "leave_vzone", "zone-a", "provider", "master"), ("block", True),
+                    ("requests", "GET"),
+                    ("op", "join_vzone", "zone-a", "provider", "master"), ("block", True),
+                    ("requests", "GET")])
     def test_held_identity_equals_fresh_reads(self, steps):
         """Zone ops, blocks with and without the syncs after them, and requests:
-        each authentication and decision equals the reference's, which reads both
-        zone records per request, and makes no more contract queries."""
+        each authentication and decision equals the reference's, which reads the
+        requester's record and the zone per request, and makes no more contract
+        queries. After each sync the held own record and zone status equal those
+        of a provider that re-reads both at every sync."""
         bench = Bench()
         stranger = bench.factory.new_address()
         for node in ("client", "provider"):
@@ -919,7 +954,7 @@ class TestAuthorizeMatchesReference:
                          (getattr(bench, node).hex, [RULE_GET], 0, 10**12))
         bench.chain.produce_next_block()
         providers = {node: (ServiceProvider(getattr(bench, node), bench.chain),
-                            ServiceProvider(getattr(bench, node), bench.chain))
+                            RereadingIdentityProvider(getattr(bench, node), bench.chain))
                      for node in SERVING}
         queries = count_queries(bench.chain)
 
@@ -930,6 +965,8 @@ class TestAuthorizeMatchesReference:
         def sync(node, now):
             held, fresh = providers[node]
             assert held.sync_cache(now) == fresh.sync_cache(now)
+            assert (held._own_record, held._zone_revoked) == \
+                (fresh._own_record, fresh._zone_revoked)
 
         now = bench.chain.latest_block.timestamp
         for step in steps:

@@ -214,6 +214,44 @@ class TestProduceBlock:
             assert bench.chain.get_receipt(tx.digest).fee_usd == Decimal("0.22")
 
 
+class TestHeight:
+    """``Chain.height`` is a plain attribute; it must name the last row however
+    that row was added, and stay put when a block is refused."""
+
+    @staticmethod
+    def current(chain):
+        return chain.height == chain._blocks[-1][0] == chain.latest_block.height
+
+    def test_height_follows_each_row_the_chain_appends(self):
+        chain, supervisor, _ = fresh_chain()
+        assert chain.height == 0 and self.current(chain)
+        submit(chain, supervisor, "vzone", "create_vzone", ("zone-a",))
+        chain.produce_next_block()
+        assert chain.height == 1 and self.current(chain)
+        chain.produce_block(chain.latest_block.timestamp + 1, force=True)
+        assert chain.height == 2 and self.current(chain)
+        with pytest.raises(IntervalNotElapsedError):
+            chain.produce_block(chain.latest_block.timestamp + 1)
+        assert chain.height == 2 and self.current(chain)
+        blocks = read_chain(io.StringIO(chain.export_chain_text()))
+        replayed = replay_chain(chain.config, blocks, zone_contracts_factory(supervisor))
+        assert replayed.height == 2 and self.current(replayed)
+
+    def test_a_refused_reseal_leaves_the_height(self):
+        chain, supervisor, _ = fresh_chain()
+        submit(chain, supervisor, "vzone", "create_vzone", ("zone-a",))
+        chain.produce_next_block()
+        chain.produce_next_block()
+        blocks = read_chain(io.StringIO(chain.export_chain_text()))
+        resealed = Chain(chain.config, zone_contracts_factory(supervisor)())
+        assert resealed._reseal(blocks[1]) and resealed.height == 1
+        assert not resealed._reseal(dataclasses.replace(blocks[2], digest=ZERO_DIGEST))
+        assert resealed.height == 1 and self.current(resealed)
+        with pytest.raises(IntervalNotElapsedError):   # a block before its parent
+            resealed._reseal(dataclasses.replace(blocks[2], timestamp=0))
+        assert resealed.height == 1 and self.current(resealed)
+
+
 class TestQueryState:
     def test_default_vnode_record(self):
         chain, _, factory = fresh_chain()

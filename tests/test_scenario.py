@@ -187,6 +187,57 @@ def test_parse_script_equals_reference_on_full_workloads(name):
         repr(reference_events(config["script"], topology))
 
 
+# Each token event and the register event of the sample, with one node it names
+# unknown, not a string or unhashable, or the issue's validity_ms of each JSON type
+# the parser converts or refuses.
+NODE_FIELDS = [("register", "node"), ("register", "master"), *[
+    (op, key) for op in ("issue", "revoke", "revoke_rules", "suspend", "restore")
+    for key in ("master", "subject")]]
+BAD_NAMES = ["nobody", "", 5, None, True, ["client"], {"name": "client"}]
+VALIDITIES = [True, -1, "5", "-1", 1.5, json.loads("1e400"), None, 0, "x"]
+
+
+def sample_event(op):
+    """The sample's event of ``op``; the token changes but revoke are written in."""
+    config = copy.deepcopy(BASES[0])
+    event = next((event for event in config["script"] if event["op"] == op), None)
+    if event is None:
+        event = {"at": 34000, "op": op, "master": "master", "subject": "client"}
+        if op == "revoke_rules":
+            event["rules"] = [{"action": "GET", "resource": "/api/data"}]
+        config["script"].append(event)
+    return config, event
+
+
+@pytest.mark.parametrize("value", BAD_NAMES, ids=repr)
+@pytest.mark.parametrize("op, key", NODE_FIELDS)
+def test_parse_script_equals_reference_on_bad_node_names(op, key, value):
+    config, event = sample_event(op)
+    event[key] = value
+    topology = parse_topology(config)
+    expected = parsed(reference_events, config["script"], topology)
+    assert expected.startswith("ScenarioError: ")
+    assert parsed(parse_script, config["script"], topology) == expected
+
+
+def test_parse_script_equals_reference_on_a_register_with_a_non_master():
+    config, event = sample_event("register")
+    event["master"] = "provider"
+    topology = parse_topology(config)
+    expected = parsed(reference_events, config["script"], topology)
+    assert expected == "ScenarioError: script[0].master: 'provider' is not a master"
+    assert parsed(parse_script, config["script"], topology) == expected
+
+
+@pytest.mark.parametrize("value", VALIDITIES, ids=repr)
+def test_parse_script_equals_reference_on_validity_ms(value):
+    config, event = sample_event("issue")
+    event["validity_ms"] = value
+    topology = parse_topology(config)
+    assert parsed(parse_script, config["script"], topology) == \
+        parsed(reference_events, config["script"], topology)
+
+
 def nested(depth, container=list):
     """A list (or ``container``) that nests ``depth`` levels deep: ``[[...[]...]]``."""
     value = container()

@@ -3,7 +3,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from capchain.encoding import canonical_json
@@ -342,7 +342,8 @@ good_rules = st.builds(
     st.sampled_from(["/api/data", "/api/upload", "/"]),
     st.lists(good_conditions, max_size=3))
 any_rules = st.fixed_dictionaries({}, optional={
-    "action": st.sampled_from([*ACTIONS, "FLY", "get", "", 1, None, ["GET"]]),
+    "action": st.sampled_from([*ACTIONS, "FLY", "get", "", 1, None, True, ["GET"],
+                               {"GET": 1}]),
     "resource": st.sampled_from(["/api/data", "/", "api/data", "", 7, 0, None, ["/x"]]),
     "conditions": st.lists(conditions, max_size=3) | st.sampled_from(["", {}, 7, None])}) \
     | st.sampled_from([[], "GET", 3, None, *MISREAD_RULES.values()])
@@ -380,11 +381,31 @@ def containers(value):
             yield from containers(item)
 
 
+def conditions_as(kind, body):
+    """``body`` with its conditions, if a list or a tuple, as a ``kind``. A library
+    caller may submit a tuple, which ``rule_wire`` accepts and replay decodes as
+    a list."""
+    if isinstance(body, dict) and isinstance(body.get("conditions"), (list, tuple)):
+        return {**body, "conditions": kind(body["conditions"])}
+    return body
+
+
 class TestRuleWireMatchesReference:
     @settings(max_examples=500, deadline=None)
-    @given(body=rules)
+    @given(body=rules | rules.map(lambda body: conditions_as(tuple, body)))
+    # conditions absent, empty as a list and as a tuple
+    @example(body={"action": "GET", "resource": "/api/data"})
+    @example(body={"action": "GET", "resource": "/api/data", "conditions": []})
+    @example(body={"action": "PUT", "resource": "/", "conditions": ()})
+    # no action, and actions that are not names: each is not a rule
+    @example(body={"resource": "/api/data", "conditions": []})
+    @example(body={"action": None, "resource": "/api/data", "conditions": []})
+    @example(body={"action": True, "resource": "/api/data", "conditions": []})
+    @example(body={"action": ["GET"], "resource": "/api/data", "conditions": []})
+    @example(body={"action": {"GET": 1}, "resource": "/api/data", "conditions": []})
     def test_rule_wire_reads_what_the_typed_rule_read(self, body):
-        expected = read(lambda b: ReferenceAccessRule.from_wire(b).wire(), body)
+        expected = read(lambda b: ReferenceAccessRule.from_wire(conditions_as(list, b)).wire(),
+                        body)
         assert read(rule_wire, body) == expected
         if isinstance(expected, tuple):
             assert issubclass(expected[0], RULE_ERRORS)

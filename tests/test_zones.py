@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capchain.address import AddressFactory, ZERO_ADDRESS
+from capchain.ledger import DISCARD, Chain, ChainConfig
 from capchain.zones import (NODE_TYPE_FOLLOWER, NODE_TYPE_MASTER, NODE_TYPE_NONE,
                             VirtualZone, VNodeRecord,
                             ZoneContract)
@@ -22,6 +23,28 @@ def make_world(extra_nodes=3):
     zones = ZoneContract(supervisor)
     zones.set_master_allowlist(supervisor, master, True)
     return supervisor, master, nodes, zones
+
+
+class TestStandalone:
+    def test_a_contract_no_chain_hosts_keeps_no_changed_key(self):
+        supervisor, master, _, zones = make_world()
+        assert zones.create_vzone(master, "zone-a")
+        for node in AddressFactory(FACTORY_SEED + 1).new_addresses(1000):
+            assert zones.join_vzone(master, "zone-a", node)
+        assert zones.changed is DISCARD
+        assert zones.revoke_vzone(supervisor, "zone-a")
+        assert zones.changed is DISCARD
+
+    def test_a_deployed_contract_keeps_its_keys_until_the_seal(self):
+        supervisor, master, nodes, zones = make_world()
+        chain = Chain(ChainConfig(supervisor=supervisor), [zones])
+        assert zones.changed == []
+        assert zones.create_vzone(master, "zone-a")
+        assert zones.join_vzone(master, "zone-a", nodes[0])
+        assert zones.changed == ["zone-a", master, nodes[0]]
+        chain.produce_next_block()
+        assert zones.changed == []
+        assert chain.changes_since("vzone", 0)[1] == {nodes[0]: 0, master: 1, "zone-a": 2}
 
 
 class TestCreate:
