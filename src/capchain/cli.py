@@ -242,11 +242,10 @@ def run_inspect(file: str, supervisor_hex: Optional[str]) -> int:
     else:
         # the bootstrap allowlist transaction is always first and always
         # sent by the supervisor
-        senders = [tx.sender for block in blocks for tx in block.transactions]
-        if not senders:
+        supervisor = next((tx.sender for block in blocks for tx in block.transactions), None)
+        if supervisor is None:
             return _fail("supervisor-required",
                          "chain has no transactions; pass --supervisor")
-        supervisor = senders[0]
     try:
         chain = replay_chain(ChainConfig(supervisor=supervisor), blocks,
                              lambda: contracts(supervisor))

@@ -21,10 +21,12 @@ import json
 import threading
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
+from hashlib import sha256
+from json.scanner import make_scanner
 from operator import itemgetter
 from typing import Any, Callable, Iterable, NamedTuple, Optional
 
-from .address import Address
+from .address import _FROM_HEX, Address
 from .encoding import (ZERO_DIGEST, CsvCells, canonical_json, canonical_str, digest_of,
                        sha256_hex)
 
@@ -164,10 +166,13 @@ class ChainConfig:
 
 def _decode(text: str) -> Any:
     """The value of a canonical JSON text, which has no whitespace to skip."""
-    return _DECODER.raw_decode(text)[0]
+    return _SCAN(text, 0)[0]
 
 
-_DECODER = json.JSONDecoder()
+#: The scanner (CPython's C one) that ``JSONDecoder.raw_decode`` calls, called
+#: without that frame. Every text it reads is one the chain encoded, so the
+#: ``StopIteration`` it raises for a text with no value never arises.
+_SCAN = make_scanner(json.JSONDecoder())
 
 
 @dataclass(init=False, eq=False)
@@ -217,7 +222,8 @@ class Transaction:
 
     def _halves(self) -> tuple[str, str]:
         """The canonical call text split where the gas goes: the keys
-        ``args < contract < gas < nonce < op < sender`` sort in that order."""
+        ``args < contract < gas < nonce < op < sender`` sort in that order.
+        ``Chain._reseal`` formats the same halves inline; the two must agree."""
         return (f'{{"args":{self.args_text},"contract":{canonical_str(self.contract)},',
                 f'"nonce":{self.nonce},"op":{canonical_str(self.op)},'
                 f'"sender":"{self.sender.hex}"}}')
@@ -437,7 +443,8 @@ class Chain:
         return self.submit_transaction(tx, args)
 
     def _admit(self, tx: Transaction) -> None:
-        """Take ``tx``'s nonce; raise unless its contract exists and the nonce is next."""
+        """Take ``tx``'s nonce; raise unless its contract exists and the nonce is next.
+        ``Chain._reseal`` runs the same checks inline, with the same error texts."""
         if tx.contract not in self._contracts:
             raise ContractNotFoundError(f"unknown contract {tx.contract!r}")
         expected = self._next_nonce.get(tx.sender, 0)
@@ -497,23 +504,43 @@ class Chain:
         """Apply an imported ``block`` as ``produce_block`` would seal its
         transactions at its timestamp; whether the seal equals ``block``.
 
-        The contract, nonce and timestamp checks raise as submit and
-        produce do. Then height, parent link, each transaction's re-derived
-        gas and the block digest must match. The chain stores the line it
-        resealed, not the one it read, so a re-spaced export replays to the
-        canonical chain. Each args text is decoded once, for ``execute``,
-        and the call text (for the receipt's digest) and the wire text (for
-        the block digest) share one formatting of the call.
+        The header comes first: the timestamp check raises as produce's
+        does, and a block whose height or parent link differs is refused
+        before any transaction is touched, so it leaves no state behind.
+        Then the contract and nonce checks raise as submit's do, taking the
+        nonces. Each transaction's re-derived gas and the block digest are
+        known only after the block is applied: a refusal on either leaves
+        the applied state, and ``replay_chain`` then drops the whole chain.
+        The chain stores the line it resealed, not the one it read, so a
+        re-spaced export replays to the canonical chain. Each args text is
+        decoded once, for ``execute``, and the call text (for the receipt's
+        digest) and the wire text (for the block digest) share one
+        formatting of the call.
         """
         with self._write_lock:
-            for tx in block.transactions:
-                self._admit(tx)
             parent_height, parent = self._parent_at(block.timestamp, force=True)
-            same = block.height == parent_height + 1 and block.parent_digest == parent
+            if block.height != parent_height + 1 or block.parent_digest != parent:
+                return False
+            contracts, next_nonce = self._contracts, self._next_nonce
+            for tx in block.transactions:   # ``_admit``, without a frame per transaction
+                if tx.contract not in contracts:
+                    raise ContractNotFoundError(f"unknown contract {tx.contract!r}")
+                sender = tx.sender
+                expected = next_nonce.get(sender, 0)
+                if tx.nonce != expected:
+                    raise NonceMismatchError(
+                        f"sender {sender.hex} nonce {tx.nonce}, expected {expected}")
+                next_nonce[sender] = expected + 1
+            same = True
             wires = []
             for tx in block.transactions:
-                head, tail = tx._halves()
-                gas = self._apply(tx, sha256_hex(head + tail), tuple(_decode(tx.args_text)))
+                # ``Transaction._halves``, formatted here without its frame
+                args_text = tx.args_text
+                head = f'{{"args":{args_text},"contract":{canonical_str(tx.contract)},'
+                tail = (f'"nonce":{tx.nonce},"op":{canonical_str(tx.op)},'
+                        f'"sender":"{tx.sender.hex}"}}')
+                gas = self._apply(tx, sha256(f"{head}{tail}".encode()).hexdigest(),
+                                  tuple(_decode(args_text)))
                 same = same and gas == tx.gas_used
                 wires.append(f'{head}"gas":{gas},{tail}')
             row = _sealed(block.height, block.timestamp, parent, wires)
@@ -599,7 +626,20 @@ def _read_tx(body: Any) -> Transaction:
         contract, op = _field(body, "contract", str), _field(body, "op", str)
         args, nonce = _field(body, "args", list), _field(body, "nonce", int)
         gas = _field(body, "gas", int) if "gas" in body else 0
-    return Transaction(Address.from_hex(sender), contract, op, args, nonce, gas)
+        return Transaction(Address.from_hex(sender), contract, op, args, nonce, gas)
+    # every field has its type: set what ``__init__`` sets, without its frame,
+    # and look the sender up as ``from_hex`` looks up a text it has checked before
+    tx = object.__new__(Transaction)
+    try:
+        tx.sender = _FROM_HEX[sender]
+    except KeyError:
+        tx.sender = Address.from_hex(sender)
+    tx.contract = contract
+    tx.op = op
+    tx.args_text = canonical_json(args)
+    tx.nonce = nonce
+    tx.gas_used = gas
+    return tx
 
 
 def _read_block(body: Any) -> Block:
@@ -632,9 +672,10 @@ def replay_chain(config: ChainConfig, blocks: list[Block],
     """Rebuild a chain by re-applying every block of an export, in one pass.
 
     Each block is checked as resubmitting its transactions and resealing
-    them would check it: the nonce, contract and timestamp rules, then
-    height, parent link, each transaction's re-derived gas and the
-    digest. Any discrepancy raises ``CorruptChainError``.
+    them would check it, header first: the timestamp, height and parent
+    link, then the nonce and contract rules, then each transaction's
+    re-derived gas and the digest. Any discrepancy raises
+    ``CorruptChainError``, and the chain built so far is dropped.
     """
     if not blocks or blocks[0] != GENESIS:
         raise CorruptChainError("chain must start with the genesis block")

@@ -455,8 +455,19 @@ def parse_script(script: Any, topology: Topology) -> list[Event]:
 def _shallow(value: Union[list, dict], i: int, key: str) -> None:
     """Fail unless event ``i``'s ``key``, which goes on unparsed, nests within
     ``MAX_NESTING``. The check walks only this value, not the whole script."""
-    if nesting_depth([value]) > MAX_NESTING:
+    if _nests_deeper(value, MAX_NESTING):
         _fail(i, key, f"arrays and objects nest deeper than {MAX_NESTING} levels")
+
+
+def _nests_deeper(value: Union[list, tuple, dict], levels: int) -> bool:
+    """Whether the container ``value`` nests lists and dicts more than ``levels``
+    deep, for ``levels`` >= 1: ``nesting_depth([value]) > levels``. It stops at
+    the first container ``levels`` down, so it recurses at most ``levels`` frames
+    deep, and an event's few rules cost a call per container, not a list per level."""
+    for item in (value.values() if isinstance(value, dict) else value):
+        if isinstance(item, _CONTAINERS) and (levels == 1 or _nests_deeper(item, levels - 1)):
+            return True
+    return False
 
 
 def _parse_rules(rules: Any, i: int) -> list[dict]:

@@ -1327,11 +1327,19 @@ def reference_read_chain(stream):
 
 
 def reference_replay_chain(config, blocks, contract_factory):
-    """Resubmit a copy of every transaction, reseal, and compare the sealed block."""
+    """Check each block's header against the chain's latest block, then resubmit a
+    copy of every transaction, reseal, and compare the sealed block."""
     if not blocks or blocks[0] != GENESIS:
         raise CorruptChainError("chain must start with the genesis block")
     chain = Chain(config, contract_factory())
     for block in blocks[1:]:
+        latest = chain.latest_block
+        if block.timestamp < latest.timestamp:
+            raise CorruptChainError(
+                f"invalid block at height {block.height}: block at {block.timestamp} ms "
+                f"precedes its parent at {latest.timestamp} ms")
+        if block.height != latest.height + 1 or block.parent_digest != latest.digest:
+            raise CorruptChainError(f"block at height {block.height} differs from its replay")
         try:
             for tx in block.transactions:
                 chain.submit_transaction(

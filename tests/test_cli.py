@@ -461,6 +461,45 @@ class TestInspect:
         assert err["error"] == "corrupt-chain"
         assert "height 1" in err["detail"]
 
+    @staticmethod
+    def sample_chain(tmp_path, capsys):
+        """The export of the sample scenario and what ``inspect`` prints for it."""
+        out = tmp_path / "sample"
+        assert main(["scenario", SAMPLE, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["inspect", str(out / "chain.jsonl")]) == 0
+        return out / "chain.jsonl", capsys.readouterr().out
+
+    def test_inspect_replays_a_respaced_export_alike(self, tmp_path, capsys):
+        # the export written back with Python's default separators replays to the
+        # state of the original and prints the same
+        chain_file, printed = self.sample_chain(tmp_path, capsys)
+        respaced = tmp_path / "respaced.jsonl"
+        respaced.write_text("".join(json.dumps(json.loads(line)) + "\n"
+                                    for line in chain_file.read_text().splitlines()))
+        assert respaced.read_text() != chain_file.read_text()
+        assert main(["inspect", str(respaced)]) == 0
+        assert capsys.readouterr().out == printed
+
+    def test_inspect_of_a_chain_without_transactions_needs_the_supervisor(self, tmp_path,
+                                                                          capsys):
+        chain_file, _ = self.sample_chain(tmp_path, capsys)
+        chain_file.write_text(chain_file.read_text().splitlines(keepends=True)[0])   # genesis
+        assert main(["inspect", str(chain_file)]) == 1
+        assert one_error_line(capsys)["error"] == "supervisor-required"
+        assert main(["inspect", str(chain_file), "--supervisor", "0x" + "ab" * 20]) == 0
+        assert capsys.readouterr().out.startswith("height: 0  blocks: 1  transactions: 0\n")
+
+    def test_inspect_rejects_a_forged_height(self, tmp_path, capsys):
+        # block 2's height altered, its digest left as exported
+        chain_file, _ = self.sample_chain(tmp_path, capsys)
+        lines = chain_file.read_text().splitlines(keepends=True)
+        forged = lines[2].replace('"height":2,', '"height":7,', 1)
+        assert forged != lines[2]
+        chain_file.write_text("".join([*lines[:2], forged, *lines[3:]]))
+        assert main(["inspect", str(chain_file)]) == 1
+        assert one_error_line(capsys)["error"] == "corrupt-chain"
+
 
 def one_error_line(capsys):
     """The ``{"error","detail"}`` object of the one line a failed command wrote to stderr."""

@@ -252,6 +252,51 @@ class TestHeight:
         assert resealed.height == 1 and self.current(resealed)
 
 
+class TestResealHeaderFirst:
+    """``_reseal`` checks a block's timestamp, height and parent before it takes a
+    nonce or applies a transaction, so a block refused on its header leaves nothing."""
+
+    @staticmethod
+    def chain_with_blocks():
+        chain, supervisor, factory = fresh_chain()
+        master = factory.new_address()
+        submit(chain, supervisor, "vzone", "set_master_allowlist", (master.hex, True))
+        chain.produce_next_block()
+        submit(chain, master, "vzone", "create_vzone", ("zone-a",))
+        submit(chain, supervisor, "vzone", "create_vzone", ("zone-b",))
+        submit(chain, master, "vzone", "join_vzone", ("zone-a", factory.new_address().hex))
+        chain.produce_next_block()
+        blocks = read_chain(io.StringIO(chain.export_chain_text()))
+        resealed = Chain(chain.config, zone_contracts_factory(supervisor)())
+        assert resealed._reseal(blocks[1])
+        return resealed, blocks, (supervisor, master)
+
+    @staticmethod
+    def state(chain, senders):
+        return (chain.state_digest(), [chain.next_nonce(sender) for sender in senders],
+                chain.gas_entries(), chain.export_chain_text(), chain.changes_since("vzone", 0))
+
+    @pytest.mark.parametrize("header", [{"height": 3}, {"height": 1},
+                                        {"parent_digest": "ff" * 32},
+                                        {"parent_digest": GENESIS.digest}])
+    def test_a_block_refused_on_height_or_parent_leaves_no_state(self, header):
+        resealed, blocks, senders = self.chain_with_blocks()
+        before = self.state(resealed, senders)
+        assert not resealed._reseal(dataclasses.replace(blocks[2], **header))
+        assert self.state(resealed, senders) == before
+        assert resealed._reseal(blocks[2])   # the true block still applies
+
+    def test_a_header_fault_wins_over_a_nonce_fault(self):
+        resealed, blocks, senders = self.chain_with_blocks()
+        before = self.state(resealed, senders)
+        replayed = [dataclasses.replace(tx, nonce=tx.nonce + 1) for tx in blocks[2].transactions]
+        assert not resealed._reseal(dataclasses.replace(blocks[2], height=7,
+                                                        transactions=tuple(replayed)))
+        assert self.state(resealed, senders) == before
+        with pytest.raises(NonceMismatchError):
+            resealed._reseal(dataclasses.replace(blocks[2], transactions=tuple(replayed)))
+
+
 class TestQueryState:
     def test_default_vnode_record(self):
         chain, _, factory = fresh_chain()
@@ -1288,6 +1333,22 @@ class TestReplayMatchesReference:
                                          supervisor)
         if outcome[0] != "ok":
             assert outcome[-2] in (ChainFileError, CorruptChainError)
+
+
+@pytest.mark.parametrize("name", EXPORTS)
+def test_read_transactions_equal_constructed_ones(name):
+    # read_chain sets a valid transaction's slots without ``__init__``; each must
+    # equal the one ``__init__`` builds from the same decoded fields
+    lines, _ = export(name)
+    blocks = read_chain(io.StringIO("\n".join(lines)))
+    for line, block in zip(lines, blocks, strict=True):
+        entries = json.loads(line)["txs"]
+        for entry, tx in zip(entries, block.transactions, strict=True):
+            built = Transaction(Address.from_hex(entry["sender"]), entry["contract"],
+                                entry["op"], entry["args"], entry["nonce"], entry["gas"])
+            assert type(tx) is Transaction
+            assert tx == built and tx.args_text == built.args_text
+            assert tx.digest == built.digest and tx.wire_text() == built.wire_text()
 
 
 def test_replay_of_deeply_nested_args_raises_no_recursion_error(bench):

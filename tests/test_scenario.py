@@ -26,7 +26,8 @@ from hypothesis import strategies as st
 from capchain.cli import main
 from capchain.netsim import Simulation, run_scenario
 from capchain.scenario import (COSTS, MAX_NESTING, PROFILES, Request, ScenarioError,
-                               parse_script, parse_topology)
+                               _nests_deeper, _shallow, nesting_depth, parse_script,
+                               parse_topology)
 
 from reference_models import reference_parse_script, reference_parse_topology
 from workloads import WORKLOADS
@@ -266,6 +267,36 @@ def test_unparsed_values_nest_within_the_bound(key, depth):
         with pytest.raises(ScenarioError, match=re.escape(
                 f"script[{index}].{key}: arrays and objects nest deeper than 64 levels")):
             run_scenario(config)
+
+
+@pytest.mark.parametrize("container", [list, tuple, dict])
+@pytest.mark.parametrize("siblings", [False, True])
+def test_shallow_passes_64_levels_and_fails_65(container, siblings):
+    def value(depth):
+        """``depth`` levels of ``container``; with siblings, the deep branch comes
+        last in a list after shallower ones."""
+        inner = container()
+        for _ in range(depth - 1 - siblings):
+            inner = {"k": inner} if container is dict else container([inner])
+        return [1, {"a": []}, inner] if siblings else inner
+
+    assert [nesting_depth([value(depth)]) for depth in (64, 65)] == [64, 65]
+    _shallow(value(MAX_NESTING), 3, "rules")
+    for depth in (MAX_NESTING + 1, 2000):
+        with pytest.raises(ScenarioError, match=re.escape(
+                "script[3].rules: arrays and objects nest deeper than 64 levels")):
+            _shallow(value(depth), 3, "rules")
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=st.recursive(
+    st.none() | st.integers() | st.text(max_size=2),
+    lambda children: st.lists(children, max_size=3) | st.tuples(children, children)
+    | st.dictionaries(st.text(max_size=2), children, max_size=3),
+    max_leaves=40).filter(lambda value: isinstance(value, (list, tuple, dict))),
+    bound=st.integers(1, 8))
+def test_shallow_check_agrees_with_nesting_depth(value, bound):
+    assert _nests_deeper(value, bound) == (nesting_depth([value]) > bound)
 
 
 # -- the topology parser against the one it replaced ------------------------------
