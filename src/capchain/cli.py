@@ -16,7 +16,7 @@ from .ledger import ChainConfig, ChainFileError, CorruptChainError, read_chain, 
 from .netsim import (PROFILE_DELAYS, Simulation, ac_overhead_ms, run_latency_bench,
                      run_overhead_bench, run_scenario, summarize, summary_rows,
                      write_measurements_csv, write_stage_traces_csv, write_summary_text)
-from .scenario import MAX_NESTING, ScenarioError, nesting_depth
+from .scenario import MAX_NESTING, ScenarioError, nests_deeper
 from .tokens import TokenContract, contracts
 from .zones import ZoneContract
 
@@ -163,7 +163,7 @@ def run_scenario_command(file: str, seed: Optional[int], block_interval_ms: Opti
     if not isinstance(config, dict):
         return _fail("invalid-scenario-file",
                      f"top level must be an object, got {type(config).__name__}")
-    if nesting_depth([config]) > MAX_NESTING:
+    if nests_deeper(config, MAX_NESTING):
         return _fail("invalid-scenario-file",
                      f"arrays and objects nest deeper than {MAX_NESTING} levels")
     if seed is not None:
@@ -231,7 +231,7 @@ def run_inspect(file: str, supervisor_hex: Optional[str]) -> int:
     # a text with more than the bound is decoded and walked
     deep = [tx.args_text for block in blocks for tx in block.transactions
             if tx.args_text.count("[") + tx.args_text.count("{") > MAX_NESTING]
-    if nesting_depth(map(json.loads, deep)) > MAX_NESTING:
+    if any(nests_deeper(json.loads(text), MAX_NESTING) for text in deep):
         return _fail("invalid-chain-file",
                      f"transaction args nest arrays and objects deeper than {MAX_NESTING} levels")
     if supervisor_hex:

@@ -21,7 +21,6 @@ import json
 import threading
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from hashlib import sha256
 from json.scanner import make_scanner
 from operator import itemgetter
 from typing import Any, Callable, Iterable, NamedTuple, Optional
@@ -222,8 +221,7 @@ class Transaction:
 
     def _halves(self) -> tuple[str, str]:
         """The canonical call text split where the gas goes: the keys
-        ``args < contract < gas < nonce < op < sender`` sort in that order.
-        ``Chain._reseal`` formats the same halves inline; the two must agree."""
+        ``args < contract < gas < nonce < op < sender`` sort in that order."""
         return (f'{{"args":{self.args_text},"contract":{canonical_str(self.contract)},',
                 f'"nonce":{self.nonce},"op":{canonical_str(self.op)},'
                 f'"sender":"{self.sender.hex}"}}')
@@ -432,7 +430,7 @@ class Chain:
         keeps ``tx.args``, decoded from the text."""
         with self._write_lock:
             digest = tx.digest   # raises for a call JSON cannot encode, before the nonce
-            self._admit(tx)
+            self._admit(tx, self._next_nonce)
             self._pending.append((tx, digest, tx.args if args is None else args))
             return digest
 
@@ -442,17 +440,18 @@ class Chain:
         tx = Transaction(sender, contract, op, args, self._next_nonce.get(sender, 0))
         return self.submit_transaction(tx, args)
 
-    def _admit(self, tx: Transaction) -> None:
-        """Take ``tx``'s nonce; raise unless its contract exists and the nonce is next.
-        ``Chain._reseal`` runs the same checks inline, with the same error texts."""
+    def _admit(self, tx: Transaction, taken: dict[Address, int]) -> None:
+        """Take ``tx``'s nonce into ``taken``; raise unless its contract exists and
+        the nonce is the sender's next: its entry in ``taken``, else in the chain's
+        ``_next_nonce`` (an entry taken is never 0)."""
         if tx.contract not in self._contracts:
             raise ContractNotFoundError(f"unknown contract {tx.contract!r}")
-        expected = self._next_nonce.get(tx.sender, 0)
+        expected = taken.get(tx.sender) or self._next_nonce.get(tx.sender, 0)
         if tx.nonce != expected:
             raise NonceMismatchError(
                 f"sender {tx.sender.hex} nonce {tx.nonce}, expected {expected}"
             )
-        self._next_nonce[tx.sender] = expected + 1
+        taken[tx.sender] = expected + 1
 
     def _parent_at(self, now: int, force: bool) -> tuple[int, str]:
         """The parent's height and digest for a block sealed at ``now``, if it may be."""
@@ -477,9 +476,7 @@ class Chain:
                 tx.gas_used = self._apply(tx, digest, args)
             self._pending.clear()
             row = _sealed(parent_height + 1, now, parent, [tx.wire_text() for tx in applied])
-            self._blocks.append(row)
-            self.height = row[0]
-            self._take_changes(row[0])
+            self._append(row)
             return Block(row[0], now, parent, applied, row[3])
 
     def produce_next_block(self) -> Block:
@@ -502,57 +499,48 @@ class Chain:
 
     def _reseal(self, block: Block) -> bool:
         """Apply an imported ``block`` as ``produce_block`` would seal its
-        transactions at its timestamp; whether the seal equals ``block``.
+        transactions at its timestamp, if the seal equals ``block``; whether it does.
 
-        The header comes first: the timestamp check raises as produce's
-        does, and a block whose height or parent link differs is refused
-        before any transaction is touched, so it leaves no state behind.
-        Then the contract and nonce checks raise as submit's do, taking the
-        nonces. Each transaction's re-derived gas and the block digest are
-        known only after the block is applied: a refusal on either leaves
-        the applied state, and ``replay_chain`` then drops the whole chain.
+        Every check comes before anything is applied, so a refused block leaves
+        state, nonces, receipts and the change feed as they were. The header
+        comes first: the timestamp check raises as produce's does, and a block
+        whose height or parent link differs is refused. Then the contract and
+        nonce checks raise as submit's do, taking the nonces into a dict of the
+        block's own. A call pays its op's gas whatever its outcome, so each
+        claimed gas and then the block digest are checked before any call runs.
         The chain stores the line it resealed, not the one it read, so a
-        re-spaced export replays to the canonical chain. Each args text is
-        decoded once, for ``execute``, and the call text (for the receipt's
-        digest) and the wire text (for the block digest) share one
-        formatting of the call.
+        re-spaced export replays to the canonical chain. Each call is formatted
+        once, for its digest and its wire text, and each args text is decoded
+        once, for ``execute``.
         """
         with self._write_lock:
             parent_height, parent = self._parent_at(block.timestamp, force=True)
             if block.height != parent_height + 1 or block.parent_digest != parent:
                 return False
-            contracts, next_nonce = self._contracts, self._next_nonce
-            for tx in block.transactions:   # ``_admit``, without a frame per transaction
-                if tx.contract not in contracts:
-                    raise ContractNotFoundError(f"unknown contract {tx.contract!r}")
-                sender = tx.sender
-                expected = next_nonce.get(sender, 0)
-                if tx.nonce != expected:
-                    raise NonceMismatchError(
-                        f"sender {sender.hex} nonce {tx.nonce}, expected {expected}")
-                next_nonce[sender] = expected + 1
-            same = True
-            wires = []
+            taken: dict[Address, int] = {}
+            op_fees, same, calls, wires = self._op_fees, True, [], []
             for tx in block.transactions:
-                # ``Transaction._halves``, formatted here without its frame
-                args_text = tx.args_text
-                head = f'{{"args":{args_text},"contract":{canonical_str(tx.contract)},'
-                tail = (f'"nonce":{tx.nonce},"op":{canonical_str(tx.op)},'
-                        f'"sender":"{tx.sender.hex}"}}')
-                gas = self._apply(tx, sha256(f"{head}{tail}".encode()).hexdigest(),
-                                  tuple(_decode(args_text)))
-                same = same and gas == tx.gas_used
-                wires.append(f'{head}"gas":{gas},{tail}')
-            row = _sealed(block.height, block.timestamp, parent, wires)
-            if not same or row[3] != block.digest:
+                self._admit(tx, taken)
+                head, tail = tx._halves()
+                same = same and tx.gas_used == op_fees.get(tx.op, _OTHER_OP_FEES)[0]
+                calls.append(head + tail)
+                wires.append(f'{head}"gas":{tx.gas_used},{tail}')
+            if not same:
                 return False
-            self._blocks.append(row)
-            self.height = row[0]
-            self._take_changes(row[0])
+            row = _sealed(block.height, block.timestamp, parent, wires)
+            if row[3] != block.digest:
+                return False
+            self._next_nonce.update(taken)
+            for tx, call in zip(block.transactions, calls):
+                self._apply(tx, sha256_hex(call), tuple(_decode(tx.args_text)))
+            self._append(row)
             return True
 
-    def _take_changes(self, height: int) -> None:
-        """Take the keys each contract reported into the feed, as the block at ``height``'s."""
+    def _append(self, row: tuple) -> None:
+        """Append the sealed ``row`` and take the keys each contract reported into
+        the feed, as the new block's."""
+        self._blocks.append(row)
+        self.height = height = row[0]
         for name, contract in self._contracts.items():
             changed = contract.changed
             if changed:
@@ -620,13 +608,13 @@ def _read_tx(body: Any) -> Transaction:
         sender = None
     if not (type(sender) is str and type(contract) is str and type(op) is str
             and type(args) is list and type(nonce) is int and type(gas) is int):
-        # name the first bad field, in the order of the keys in an export
-        sender = _field(body, "sender", str)
-        Address.from_hex(sender)   # a bad address is named before the fields after it
-        contract, op = _field(body, "contract", str), _field(body, "op", str)
-        args, nonce = _field(body, "args", list), _field(body, "nonce", int)
-        gas = _field(body, "gas", int) if "gas" in body else 0
-        return Transaction(Address.from_hex(sender), contract, op, args, nonce, gas)
+        # name the first bad field, in the order of the keys in an export; a
+        # decoded body that passes every check has the exact types tested above
+        Address.from_hex(_field(body, "sender", str))   # a bad address before later fields
+        for key, kind in (("contract", str), ("op", str), ("args", list), ("nonce", int)):
+            _field(body, key, kind)
+        if "gas" in body:
+            _field(body, "gas", int)
     # every field has its type: set what ``__init__`` sets, without its frame,
     # and look the sender up as ``from_hex`` looks up a text it has checked before
     tx = object.__new__(Transaction)
@@ -674,8 +662,9 @@ def replay_chain(config: ChainConfig, blocks: list[Block],
     Each block is checked as resubmitting its transactions and resealing
     them would check it, header first: the timestamp, height and parent
     link, then the nonce and contract rules, then each transaction's
-    re-derived gas and the digest. Any discrepancy raises
-    ``CorruptChainError``, and the chain built so far is dropped.
+    re-derived gas and the digest, all before the block is applied. Any
+    discrepancy raises ``CorruptChainError``, and the chain built so far
+    is dropped.
     """
     if not blocks or blocks[0] != GENESIS:
         raise CorruptChainError("chain must start with the genesis block")

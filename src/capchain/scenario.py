@@ -15,7 +15,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass, fields
 from operator import itemgetter
-from typing import Any, Iterable, NamedTuple, NoReturn, Union
+from typing import Any, NamedTuple, NoReturn, Union
 
 from .address import Address, AddressFactory
 from .master import RegistrationPolicy
@@ -50,16 +50,15 @@ MAX_NESTING = 64
 _CONTAINERS = (list, tuple, dict)
 
 
-def nesting_depth(values: Iterable[Any]) -> int:
-    """How deep the deepest of ``values`` nests lists and dicts: 0 for a scalar,
-    1 for a flat list. One level at a time, so no input can exhaust the stack."""
-    depth, level = 0, [value for value in values if isinstance(value, _CONTAINERS)]
-    while level:
-        depth += 1
-        level = [item for value in level
-                 for item in (value.values() if isinstance(value, dict) else value)
-                 if isinstance(item, _CONTAINERS)]
-    return depth
+def nests_deeper(value: Union[list, tuple, dict], levels: int) -> bool:
+    """Whether the container ``value`` nests lists, tuples and dicts more than
+    ``levels`` deep, for ``levels`` >= 1, where a flat list is 1 deep. It stops at
+    the first container ``levels`` down, so it recurses at most ``levels`` frames
+    deep, and an event's few rules cost a call per container, not a list per level."""
+    for item in (value.values() if isinstance(value, dict) else value):
+        if isinstance(item, _CONTAINERS) and (levels == 1 or nests_deeper(item, levels - 1)):
+            return True
+    return False
 
 
 class ScenarioError(Exception):
@@ -155,7 +154,7 @@ def _shown(value: Any) -> str:
     """``repr(value)`` for an error message, unless ``value`` nests deeper than
     ``MAX_NESTING``: such a repr could exhaust the stack, so the text names the
     type and the bound instead. Called only once a check has failed."""
-    if nesting_depth([value]) > MAX_NESTING:
+    if isinstance(value, _CONTAINERS) and nests_deeper(value, MAX_NESTING):
         return f"<{type(value).__name__} nested deeper than {MAX_NESTING} levels>"
     return repr(value)
 
@@ -455,19 +454,8 @@ def parse_script(script: Any, topology: Topology) -> list[Event]:
 def _shallow(value: Union[list, dict], i: int, key: str) -> None:
     """Fail unless event ``i``'s ``key``, which goes on unparsed, nests within
     ``MAX_NESTING``. The check walks only this value, not the whole script."""
-    if _nests_deeper(value, MAX_NESTING):
+    if nests_deeper(value, MAX_NESTING):
         _fail(i, key, f"arrays and objects nest deeper than {MAX_NESTING} levels")
-
-
-def _nests_deeper(value: Union[list, tuple, dict], levels: int) -> bool:
-    """Whether the container ``value`` nests lists and dicts more than ``levels``
-    deep, for ``levels`` >= 1: ``nesting_depth([value]) > levels``. It stops at
-    the first container ``levels`` down, so it recurses at most ``levels`` frames
-    deep, and an event's few rules cost a call per container, not a list per level."""
-    for item in (value.values() if isinstance(value, dict) else value):
-        if isinstance(item, _CONTAINERS) and (levels == 1 or _nests_deeper(item, levels - 1)):
-            return True
-    return False
 
 
 def _parse_rules(rules: Any, i: int) -> list[dict]:

@@ -16,6 +16,8 @@ texts replaced: dicts handed whole to ``canonical_json``, rows handed
 whole to ``csv.writer``, statistics gathered one list at a time, numbers
 formatted by ``reference_fmt``, the one-line formatter that ``netsim._fmt``
 extends with a fast path.
+Then comes the nesting walk that built a list per level, which the bounded
+recursion of ``scenario.nests_deeper`` replaced.
 Then come the script parser that formatted every event's path and checked
 its nodes through helpers, the topology parser that did the same for every
 node and channel, the event loop
@@ -483,6 +485,23 @@ def reference_summarize(measurements):
         "stage_median_ms": {stage: (statistics.median(values) if values else 0.0)
                             for stage, values in per_stage.items()},
     }
+
+
+# ---------------------------------------------------------------------------
+# Nesting walk (a list per level, which ``scenario.nests_deeper`` replaced)
+# ---------------------------------------------------------------------------
+
+def nesting_depth(values):
+    """How deep the deepest of ``values`` nests lists, tuples and dicts: 0 for a
+    scalar, 1 for a flat list. One level at a time, so no input can exhaust the stack."""
+    containers = (list, tuple, dict)
+    depth, level = 0, [value for value in values if isinstance(value, containers)]
+    while level:
+        depth += 1
+        level = [item for value in level
+                 for item in (value.values() if isinstance(value, dict) else value)
+                 if isinstance(item, containers)]
+    return depth
 
 
 # ---------------------------------------------------------------------------

@@ -169,6 +169,9 @@ class TestScenario:
          "script[1].rules[0]: is not a rule (AttributeError: "),
         (lambda c: c["script"][1]["rules"][0].update(conditions=7),
          "script[1].rules[0]: is not a rule (TypeError: "),
+        # an issue naming a subject that no node is
+        (lambda c: c["script"][1].update(subject="nobody"),
+         "script[1].subject: unknown node 'nobody'"),
         # revocations name their sender with "master" only
         (lambda c: c["script"][5].update(by=c["script"][5].pop("master")),
          "script[5].master: unknown node None"),
@@ -229,7 +232,8 @@ class TestScenario:
             "relative-service", "nul-in-service", "nul-in-node-name", "policy-not-object",
             "numeric-vids", "unknown-policy-kind", "required-attributes-list",
             "string-attributes", "string-access-control", "string-time-window",
-            "numeric-resource", "numeric-conditions", "by-alias", "capitalised-expect",
+            "numeric-resource", "numeric-conditions", "unknown-subject", "by-alias",
+            "capitalised-expect",
             "unknown-expect", "zero-expect", "empty-expect", "numeric-tag", "float-day",
             "bool-day", "bool-start", "string-conditions", "object-conditions", "bool-at",
             "bool-validity", "bool-seed", "bool-timeout", "bool-drop-rate", "bool-interval",
@@ -435,18 +439,18 @@ class TestInspect:
         texts = [tx.args_text for block in read_chain(io.StringIO(chain_file.read_text()))
                  for tx in block.transactions]
         decoded, walked = [], []
-        decode, depth = ledger._decode, cli.nesting_depth
+        decode, deeper = ledger._decode, cli.nests_deeper
 
         def counting_decode(text):
             decoded.append(text)
             return decode(text)
 
-        def recording_depth(values):
-            walked.extend(values)
-            return depth(walked)
+        def recording_deeper(value, levels):
+            walked.append(value)
+            return deeper(value, levels)
 
         monkeypatch.setattr(ledger, "_decode", counting_decode)
-        monkeypatch.setattr(cli, "nesting_depth", recording_depth)
+        monkeypatch.setattr(cli, "nests_deeper", recording_deeper)
         assert main(["inspect", str(chain_file)]) == 0
         assert decoded == texts and walked == []
 

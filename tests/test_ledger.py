@@ -254,7 +254,8 @@ class TestHeight:
 
 class TestResealHeaderFirst:
     """``_reseal`` checks a block's timestamp, height and parent before it takes a
-    nonce or applies a transaction, so a block refused on its header leaves nothing."""
+    nonce, and every gas and the digest before it applies a transaction, so a
+    block refused for any reason leaves nothing."""
 
     @staticmethod
     def chain_with_blocks():
@@ -295,6 +296,29 @@ class TestResealHeaderFirst:
         assert self.state(resealed, senders) == before
         with pytest.raises(NonceMismatchError):
             resealed._reseal(dataclasses.replace(blocks[2], transactions=tuple(replayed)))
+
+    @pytest.mark.parametrize("forge", ["gas", "digest"])
+    def test_a_block_refused_on_gas_or_digest_leaves_no_state(self, forge):
+        resealed, blocks, senders = self.chain_with_blocks()
+        before = self.state(resealed, senders)
+        if forge == "gas":   # the digest is the forged body's own: only the gas is false
+            forged = reseal(list(blocks), 2, change_first_tx(gas_used=1))[2]
+        else:
+            forged = dataclasses.replace(blocks[2], digest=ZERO_DIGEST)
+        assert not resealed._reseal(forged)
+        assert self.state(resealed, senders) == before
+        assert resealed._reseal(blocks[2])   # the true block still applies
+
+    def test_a_nonce_fault_in_the_last_transaction_leaves_no_state(self):
+        resealed, blocks, senders = self.chain_with_blocks()
+        before = self.state(resealed, senders)
+        *head, last = blocks[2].transactions
+        forged = dataclasses.replace(blocks[2], transactions=(
+            *head, dataclasses.replace(last, nonce=last.nonce + 1)))
+        with pytest.raises(NonceMismatchError):
+            resealed._reseal(forged)
+        assert self.state(resealed, senders) == before
+        assert resealed._reseal(blocks[2])   # the true block still applies
 
 
 class TestQueryState:

@@ -26,10 +26,9 @@ from hypothesis import strategies as st
 from capchain.cli import main
 from capchain.netsim import Simulation, run_scenario
 from capchain.scenario import (COSTS, MAX_NESTING, PROFILES, Request, ScenarioError,
-                               _nests_deeper, _shallow, nesting_depth, parse_script,
-                               parse_topology)
+                               _shallow, nests_deeper, parse_script, parse_topology)
 
-from reference_models import reference_parse_script, reference_parse_topology
+from reference_models import nesting_depth, reference_parse_script, reference_parse_topology
 from workloads import WORKLOADS
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -296,7 +295,7 @@ def test_shallow_passes_64_levels_and_fails_65(container, siblings):
     max_leaves=40).filter(lambda value: isinstance(value, (list, tuple, dict))),
     bound=st.integers(1, 8))
 def test_shallow_check_agrees_with_nesting_depth(value, bound):
-    assert _nests_deeper(value, bound) == (nesting_depth([value]) > bound)
+    assert nests_deeper(value, bound) == (nesting_depth([value]) > bound)
 
 
 # -- the topology parser against the one it replaced ------------------------------
