@@ -240,12 +240,13 @@ def run_inspect(file: str, supervisor_hex: Optional[str]) -> int:
         except ValueError as exc:
             return _fail("invalid-supervisor", str(exc))
     else:
-        # the bootstrap allowlist transaction is always first and always
-        # sent by the supervisor
-        supervisor = next((tx.sender for block in blocks for tx in block.transactions), None)
-        if supervisor is None:
+        # the supervisor sends the first transaction of the bootstrap block
+        # (height 1); a later block's first sender may be anyone
+        bootstrap = blocks[1].transactions if len(blocks) > 1 else ()
+        if not bootstrap:
             return _fail("supervisor-required",
-                         "chain has no transactions; pass --supervisor")
+                         "bootstrap block has no transactions; pass --supervisor")
+        supervisor = bootstrap[0].sender
     try:
         chain = replay_chain(ChainConfig(supervisor=supervisor), blocks,
                              lambda: contracts(supervisor))

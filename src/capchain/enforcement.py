@@ -5,15 +5,15 @@ first failure:
 
     identity_auth -> token_fetch -> token_status -> rule_match -> condition_check
 
-Token data is read from a provider-local cache that is synced once per
-block interval, refetching only the tokens the chain's change feed names;
-entries that miss a sync go stale and fall back to a direct contract
-query (fail-closed). Identity is held the same way: each sync re-reads the
-provider's own record and its zone's status only if the zone feed names
-them, and drops each requester record the feed names, so a warm request
-at the synced height reads no contract. Stage durations come from a
-deterministic cost model supplied by the harness, so traces are exactly
-reproducible.
+Tokens and identity are held by one rule: a provider serves what it holds
+only while the chain is at the height of its last sync, once per block.
+Each sync refetches only the tokens the chain's change feed names, re-reads
+the provider's own record and its zone's status only if the zone feed names
+them, and drops each requester record the feed names, so a warm request at
+the synced height reads no contract. At any other height (a block sealed
+without a sync) a request reads the contract and nothing is held
+(fail-closed). Stage durations come from a deterministic cost model
+supplied by the harness, so traces are exactly reproducible.
 
 Each check returns its denial reason, or None when it passes; a denial's
 stage is recorded once, on its ``Decision``.
@@ -150,77 +150,37 @@ def verify_conditions(rule: dict, now: float, location_tag: str) -> Optional[str
 # Token cache
 # ---------------------------------------------------------------------------
 
-class CacheEntry(NamedTuple):
-    """A cached token, the time it was put and the cache epoch it was put in: the
-    field order of the plain tuples ``TokenCache`` holds."""
-
-    token: dict
-    put_at: float
-    epoch: int
-
-
 class TokenCache:
-    """Provider-local token store, kept in step with the chain per block.
+    """Provider-local tokens, held as of chain height ``cursor``.
 
-    An entry is served only while its last sync is at most one block
-    interval old; anything older is evicted so the next request goes back
-    to the contract (fail-closed).
+    ``entries`` maps each held subject to its token wire dict. The provider
+    serves and holds them only while the chain is at ``cursor``; at any other
+    height (a block sealed without a sync) it reads the contract.
 
     ``changes(cursor)`` is the token change feed (``Chain.changes_since``):
     it returns the latest height and a dict of the subjects whose tokens
     changed in the blocks after height ``cursor``, each mapped to its place,
-    newest first. ``cursor`` is the height a sync completed through; it
-    starts at 0, so the first sync refetches every entry the chain changed.
-
-    A sync costs O(fewer of entries held and changed subjects): it walks
-    whichever is smaller to find the held entries the feed names and
-    refetches them, then bumps ``epoch`` and sets the one cache-wide
-    ``synced_at``, and writes no other entry. An entry's last sync
-    (``entry_synced_at``) is its own ``put_at`` if it was put in the
-    current epoch, else the cache's ``synced_at``. That is exactly the
-    time of its last put or completed sync, whichever came later in call
-    order, whatever ``now`` each call was given.
+    newest first. A sync costs O(fewer of entries held and changed
+    subjects): it walks whichever is smaller to find the held entries the
+    feed names, refetches them and moves ``cursor`` to the latest height.
     """
 
-    def __init__(self, block_interval_ms: int,
-                 changes: Callable[[int], tuple[int, dict]]):
-        self.block_interval_ms = block_interval_ms
+    def __init__(self, changes: Callable[[int], tuple[int, dict]], cursor: int):
         self.changes = changes
-        self.entries: dict[Address, tuple] = {}   # in ``CacheEntry`` order
-        self.cursor = 0
-        self.epoch = 0          # completed syncs
-        self.synced_at = 0.0    # ``now`` of the last completed sync
-
-    def entry_synced_at(self, subject: Address) -> float:
-        """When the held entry of ``subject`` was last put or synced."""
-        _, put_at, epoch = self.entries[subject]
-        return put_at if epoch == self.epoch else self.synced_at
-
-    def get(self, subject: Address, now: float) -> Optional[tuple]:
-        entry = self.entries.get(subject)
-        if entry is None:
-            return None
-        # entry_synced_at, inline on the request path
-        if now - (entry[1] if entry[2] == self.epoch else self.synced_at) \
-                > self.block_interval_ms:
-            del self.entries[subject]
-            return None
-        return entry
-
-    def put(self, subject: Address, token: dict, now: float) -> None:
-        self.entries[subject] = (token, now, self.epoch)
+        self.entries: dict[Address, dict] = {}
+        self.cursor = cursor
 
     def sync(self, fetch, now: float, height: int) -> int:
         """Refetch the entries changed since the last sync; returns replaced-entry count.
 
         Fetches run newest change first, whichever side the sync walked, so
         a fetch that raises other than ``OSError`` or ``LedgerError`` leaves
-        the newer changes refetched and the older ones as they were. Every
-        other entry is unchanged on the chain and is synced at ``now`` by
-        the epoch bump alone. An unreachable change feed leaves nothing to
+        the newer changes refetched and the older ones as they were, and the
+        cursor where it was. An unreachable change feed leaves nothing to
         trust, so every entry is evicted (fail-closed) and the cursor stays.
         """
-        # ``height`` is unread; it stays while the benchmark's tracer passes it positionally.
+        # ``now`` and ``height`` are unread; they stay while the benchmark's tracer
+        # passes them positionally.
         try:
             latest, changed = self.changes(self.cursor)
         except (OSError, LedgerError):
@@ -232,8 +192,8 @@ class TokenCache:
                              key=changed.__getitem__)
         refreshed = 0
         for subject in changed:
-            entry = entries.get(subject)
-            if entry is None:
+            held = entries.get(subject)
+            if held is None:
                 continue
             try:
                 token = fetch(subject)
@@ -241,13 +201,9 @@ class TokenCache:
                 token = None
             if token is None:
                 del entries[subject]   # fail-closed: force a re-query next time
-            elif token != entry[0]:
-                # keeps its put time and epoch, so a fetch that raises later in
-                # this loop leaves its sync time as it was
-                entries[subject] = (token, entry[1], entry[2])
+            elif token != held:
+                entries[subject] = token
                 refreshed += 1
-        self.epoch += 1
-        self.synced_at = now
         self.cursor = latest
         return refreshed
 
@@ -278,8 +234,8 @@ class ServiceProvider:
                         for key, stage in COST_KEYS.items()}
         self._granted = {hit: (GRANTED, self._path(hit)) for hit in (True, False)}
         self._denials: dict[tuple[Optional[bool], str, str], tuple[Decision, StageTrace]] = {}
-        self.cache = TokenCache(chain.config.block_interval_ms,
-                                lambda cursor: chain.changes_since(TokenContract.name, cursor))
+        self.cache = TokenCache(lambda cursor: chain.changes_since(TokenContract.name, cursor),
+                                chain.height)
         self._fetch_token = \
             lambda subject: chain.query_state(TokenContract.name, "get_token", (subject,))
         # identity as of chain height ``_identity_height``: the provider's own
@@ -341,14 +297,21 @@ class ServiceProvider:
 
     # -- stage 1: token fetch ----------------------------------------------------
 
-    def fetch_or_cache_token(self, subject: Address,
-                             now: float) -> tuple[Optional[dict], bool]:
-        entry = self.cache.get(subject, now)
-        if entry is not None:
-            return entry[0], True
-        token = self._fetch_token(subject)
+    def fetch_or_cache_token(self, subject: Address) -> tuple[Optional[dict], bool]:
+        """The subject's token, or None, and whether the cache served it.
+
+        At the height of the last sync, a token is read from the contract
+        once and then held. At any other height it is read from the
+        contract and nothing is held, as ``authenticate`` does.
+        """
+        cache = self.cache
+        synced = self.chain.height == cache.cursor
+        token = cache.entries.get(subject) if synced else None
         if token is not None:
-            self.cache.put(subject, token, now)
+            return token, True
+        token = self._fetch_token(subject)
+        if token is not None and synced:
+            cache.entries[subject] = token
         return token, False
 
     # -- full pipeline --------------------------------------------------------------
@@ -359,7 +322,7 @@ class ServiceProvider:
         if reason is not None:
             return self._deny(None, "identity_auth", reason)
 
-        token, hit = self.fetch_or_cache_token(requester, now)
+        token, hit = self.fetch_or_cache_token(requester)
         if token is None:
             return self._deny(hit, "token_fetch_hit" if hit else "token_fetch_miss",
                               "token-absent")

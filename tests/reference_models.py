@@ -5,10 +5,11 @@ keyed by hex strings, and each operation is a straight-line transcription
 of the zone lifecycle guards. The enforcement oracle evaluates the whole
 decision directly instead of going through a staged pipeline object.
 The token caches are the exception (they key by ``Address``, as the
-package's cache does): ``ReferenceTokenCache`` is the change-driven cache
-that wrote a sync stamp into every entry it held, which the epoch-stamped
-``TokenCache`` replaced, and ``FullRefetchTokenCache`` is the sync before
-it, which refetched every entry. So is ``reference_jsonify``, the argument
+package's cache does): ``ReferenceTokenCache`` is the change-driven sync
+that walked every change the feed names, which ``TokenCache``'s walk of
+the fewer of its entries and the changes replaced, and
+``FullRefetchTokenCache`` is the sync before the feed, which refetched
+every entry. So is ``reference_jsonify``, the argument
 walk that turned tuples into lists before encoding, which the encoder does
 itself.
 The wire dicts and report writers at the end are the ones the assembled
@@ -268,47 +269,25 @@ def oracle_status_reason(token, now):
 
 
 # ---------------------------------------------------------------------------
-# Token caches (one sync stamp per entry)
+# Token caches (walk every change, or refetch every entry)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ReferenceCacheEntry:
-    token: dict
-    synced_at: float
-
-    def __getitem__(self, index):
-        """The token at index 0, where ``TokenCache`` holds it in ``CacheEntry``
-        order: the provider reads a served token by position."""
-        return (self.token,)[index]
-
-
 class ReferenceTokenCache:
-    """The change-driven token cache that stamped every entry on every sync.
+    """The token cache whose sync walks every change the feed names.
 
-    Same interface as ``TokenCache``: ``sync`` refetches the subjects the
-    change feed names, then writes ``now`` into every entry it holds.
+    Same interface as ``TokenCache``: ``sync`` refetches each held subject
+    the change feed names, newest change first, however few entries are
+    held, then moves ``cursor`` to the feed's latest height.
     """
 
-    def __init__(self, block_interval_ms, changes):
-        self.block_interval_ms = block_interval_ms
+    def __init__(self, changes, cursor):
         self.changes = changes
         self.entries = {}
-        self.cursor = 0
+        self.cursor = cursor
 
-    def entry_synced_at(self, subject):
-        return self.entries[subject].synced_at
-
-    def get(self, subject, now):
-        entry = self.entries.get(subject)
-        if entry is None:
-            return None
-        if now - entry.synced_at > self.block_interval_ms:
-            del self.entries[subject]
-            return None
-        return entry
-
-    def put(self, subject, token, now):
-        self.entries[subject] = ReferenceCacheEntry(token=token, synced_at=now)
+    def walked(self, changed):
+        """The subjects a sync refetches if held, in fetch order."""
+        return list(changed)
 
     def sync(self, fetch, now, height):
         try:
@@ -317,9 +296,8 @@ class ReferenceTokenCache:
             self.entries.clear()
             return 0
         refreshed = 0
-        for subject in changed:
-            entry = self.entries.get(subject)
-            if entry is None:
+        for subject in self.walked(changed):
+            if subject not in self.entries:
                 continue
             try:
                 token = fetch(subject)
@@ -327,35 +305,20 @@ class ReferenceTokenCache:
                 token = None
             if token is None:
                 del self.entries[subject]
-            elif token != entry.token:
-                entry.token = token
+            elif token != self.entries[subject]:
+                self.entries[subject] = token
                 refreshed += 1
-        for entry in self.entries.values():
-            entry.synced_at = now
         self.cursor = latest
         return refreshed
 
 
 class FullRefetchTokenCache(ReferenceTokenCache):
-    """The sync before the change feed: every held entry is refetched and
-    stamped, and the feed is never read."""
+    """The sync before the change feed: every held entry is refetched. The
+    feed is read only for its latest height, so the cursor moves, and an
+    unreachable feed evicts, as ``TokenCache``'s do."""
 
-    def sync(self, fetch, now, height):
-        refreshed = 0
-        for subject in list(self.entries):
-            try:
-                token = fetch(subject)
-            except (OSError, LedgerError):
-                token = None
-            if token is None:
-                del self.entries[subject]
-                continue
-            entry = self.entries[subject]
-            if token != entry.token:
-                entry.token = token
-                refreshed += 1
-            entry.synced_at = now
-        return refreshed
+    def walked(self, changed):
+        return list(self.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -877,7 +840,7 @@ def reference_authorize(provider, stage_costs, request):
         return deny("identity_auth", reason, cost("identity_auth"))
     passed("identity_auth", cost("identity_auth"))
 
-    token, hit = provider.fetch_or_cache_token(request.requester, request.now)
+    token, hit = provider.fetch_or_cache_token(request.requester)
     fetch_cost = cost("token_fetch_hit" if hit else "token_fetch_miss")
     if token is None:
         return deny("token_fetch", "token-absent", fetch_cost)

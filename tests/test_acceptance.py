@@ -150,7 +150,7 @@ def test_criterion_2_authorization_truth_table():
                         token = dict(base_token, authorization=rules)
                     provider.cache.entries.clear()
                     if token is not None:
-                        provider.cache.put(requester, token, float(noon))
+                        provider.cache.entries[requester] = token
                     decision, trace = provider.authorize(
                         ServiceRequest(requester, "GET", "/api/data", now=noon))
                     outcome, stage, stages = oracle_authorize(

@@ -14,7 +14,7 @@ from capchain import cli, enforcement, ledger
 from capchain.cli import main
 from capchain.encoding import canonical_json
 from capchain.ledger import read_chain
-from capchain.netsim import latency_bench_config
+from capchain.netsim import latency_bench_config, run_scenario
 
 from chainbench import change_first_tx, reseal
 from reference_models import FullRefetchTokenCache, reference_block_wire
@@ -493,6 +493,29 @@ class TestInspect:
         assert one_error_line(capsys)["error"] == "supervisor-required"
         assert main(["inspect", str(chain_file), "--supervisor", "0x" + "ab" * 20]) == 0
         assert capsys.readouterr().out.startswith("height: 0  blocks: 1  transactions: 0\n")
+
+    def test_inspect_infers_the_supervisor_from_the_bootstrap_block_only(self, tmp_path,
+                                                                         capsys):
+        # no master, so the bootstrap block is empty, and the first transaction of
+        # the chain is the client's revoke, sealed in the block after it
+        config = {"seed": 7, "nodes": [{"name": "supervisor", "role": "supervisor"},
+                                       {"name": "client", "role": "client"}],
+                  "channels": [],
+                  "script": [{"at": 100, "op": "revoke", "master": "client",
+                              "subject": "client"}]}
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["scenario", str(scenario), "--out", str(out)]) == 0
+        capsys.readouterr()
+        chain_file = str(out / "chain.jsonl")
+        assert main(["inspect", chain_file]) == 1
+        assert one_error_line(capsys) == {
+            "error": "supervisor-required",
+            "detail": "bootstrap block has no transactions; pass --supervisor"}
+        supervisor = run_scenario(config)[0].supervisor.vid.hex
+        assert main(["inspect", chain_file, "--supervisor", supervisor]) == 0
+        assert f"supervisor: {supervisor}\n" in capsys.readouterr().out
 
     def test_inspect_rejects_a_forged_height(self, tmp_path, capsys):
         # block 2's height altered, its digest left as exported

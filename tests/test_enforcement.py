@@ -152,33 +152,53 @@ class TestTokenFetch:
     def test_first_request_misses_then_caches(self, bench):
         bench.issue_client_token()
         provider = provider_for(bench)
-        token, hit = provider.fetch_or_cache_token(bench.client, now=100)
+        token, hit = provider.fetch_or_cache_token(bench.client)
         assert token is not None and hit is False
         assert bench.client in provider.cache.entries
 
     def test_second_request_hits_without_contract_query(self, bench):
         bench.issue_client_token()
         provider = provider_for(bench)
-        provider.fetch_or_cache_token(bench.client, now=100)
+        provider.fetch_or_cache_token(bench.client)
         queries = count_queries(bench.chain)
-        token, hit = provider.fetch_or_cache_token(bench.client, now=200)
+        token, hit = provider.fetch_or_cache_token(bench.client)
         assert hit is True
         assert queries == [0]
 
     def test_unknown_subject_is_absent_and_uncached(self, bench):
         provider = provider_for(bench)
-        token, hit = provider.fetch_or_cache_token(bench.outsider, now=100)
+        token, hit = provider.fetch_or_cache_token(bench.outsider)
         assert token is None and hit is False
         assert bench.outsider not in provider.cache.entries
 
     def test_stale_entry_falls_back_to_contract(self, bench):
         bench.issue_client_token()
         provider = provider_for(bench)
-        provider.fetch_or_cache_token(bench.client, now=0)
-        # one full unsynced interval later the entry may no longer be served
-        token, hit = provider.fetch_or_cache_token(
-            bench.client, now=bench.chain.config.block_interval_ms + 1)
-        assert token is not None and hit is False
+        held, _ = provider.fetch_or_cache_token(bench.client)
+        bench.chain.produce_next_block()   # sealed without a sync: the entry is not served
+        queries = count_queries(bench.chain)
+        token, hit = provider.fetch_or_cache_token(bench.client)
+        assert token == held and hit is False and queries == [1]
+        assert provider.cache.entries[bench.client] is held   # nor replaced
+
+    def test_an_unsynced_block_sends_identity_and_tokens_to_the_contract(self, bench):
+        bench.issue_client_token()
+        provider = provider_for(bench)
+        bench.chain.produce_next_block()   # sealed without a sync
+        queries = count_queries(bench.chain)
+        request = ServiceRequest(bench.client, "GET", "/api/data", now=100)
+        for _ in range(2):
+            decision, trace = provider.authorize(request)
+            assert decision.granted and trace.cache_hit is False
+        # each request read the requester's record, the zone and the token; none is held
+        assert queries == [6]
+        assert provider._requesters == {} and provider.cache.entries == {}
+        provider.sync_cache(now=200)
+        assert provider.authorize(request)[1].cache_hit is False
+        assert queries == [8]   # the record and the token, read once more and held
+        assert provider.authorize(request)[1].cache_hit is True
+        assert queries == [8]
+        assert bench.client in provider._requesters and bench.client in provider.cache.entries
 
 
 class TestTokenStatus:
@@ -385,7 +405,7 @@ class TestCacheSync:
     def test_no_changes_refreshes_nothing(self, bench):
         bench.issue_client_token()
         provider = provider_for(bench)
-        provider.fetch_or_cache_token(bench.client, now=100)
+        provider.fetch_or_cache_token(bench.client)
         assert provider.sync_cache(now=200) == 0
 
     def test_revocation_propagates_at_sync(self, bench):
@@ -393,14 +413,20 @@ class TestCacheSync:
         provider = provider_for(bench)
         request = ServiceRequest(bench.client, "GET", "/api/data", now=100)
         assert provider.authorize(request)[0].granted
+        granted = provider.cache.entries[bench.client]
         bench.apply(bench.master, "captoken", "revoke_token", (bench.client.hex,))
-        # pre-sync the stale grant is still served from cache
-        assert provider.authorize(
-            ServiceRequest(bench.client, "GET", "/api/data", now=150))[0].granted
+        # before the sync the revoked token is read from the contract, and not held
+        decision, trace = provider.authorize(
+            ServiceRequest(bench.client, "GET", "/api/data", now=150))
+        assert not decision.granted and decision.stage == "token_status"
+        assert trace.cache_hit is False
+        assert provider.cache.entries == {bench.client: granted}
         assert provider.sync_cache(now=200) == 1
-        decision, _ = provider.authorize(
+        assert provider.cache.entries[bench.client]["isValid"] is False
+        decision, trace = provider.authorize(
             ServiceRequest(bench.client, "GET", "/api/data", now=250))
         assert not decision.granted and decision.stage == "token_status"
+        assert trace.cache_hit is True
 
     def test_partial_refresh_counts_changed_entries(self, bench):
         subjects = bench.factory.new_addresses(5)
@@ -414,7 +440,7 @@ class TestCacheSync:
         bench.chain.produce_next_block()
         provider = provider_for(bench)
         for subject in subjects:
-            provider.fetch_or_cache_token(subject, now=100)
+            provider.fetch_or_cache_token(subject)
         for subject in subjects[:3]:
             bench.submit(bench.master, "captoken", "issue_token",
                          (subject.hex, [RULE_POST], 0, 10**12))
@@ -424,7 +450,8 @@ class TestCacheSync:
     def test_failed_sync_fetch_evicts_entry(self, bench):
         bench.issue_client_token()
         provider = provider_for(bench)
-        provider.fetch_or_cache_token(bench.client, now=100)
+        provider.fetch_or_cache_token(bench.client)
+        bench.issue_client_token()   # a change the next sync refetches
 
         def broken_fetch(subject):
             raise ConnectionError("chain replica unavailable")
@@ -432,13 +459,15 @@ class TestCacheSync:
         provider.cache.sync(broken_fetch, now=200, height=bench.chain.height)
         assert bench.client not in provider.cache.entries
         # the next request falls back to a direct contract query
-        token, hit = provider.fetch_or_cache_token(bench.client, now=250)
+        token, hit = provider.fetch_or_cache_token(bench.client)
         assert token is not None and hit is False
 
     def test_sync_fetch_bug_propagates_instead_of_evicting(self, bench):
         bench.issue_client_token()
         provider = provider_for(bench)
-        provider.fetch_or_cache_token(bench.client, now=100)
+        provider.fetch_or_cache_token(bench.client)
+        cursor = provider.cache.cursor
+        bench.issue_client_token()
 
         def buggy_fetch(subject):
             raise AttributeError("bug in fetch")
@@ -446,6 +475,9 @@ class TestCacheSync:
         with pytest.raises(AttributeError):
             provider.cache.sync(buggy_fetch, now=200, height=bench.chain.height)
         assert bench.client in provider.cache.entries
+        # the cursor stays, so the entry kept is not served
+        assert provider.cache.cursor == cursor
+        assert provider.fetch_or_cache_token(bench.client)[1] is False
 
     def test_cache_transparency_against_direct_query(self, bench):
         bench.issue_client_token()
@@ -474,17 +506,6 @@ def fixed_feed(*results):
         return result
 
     return changes, cursors
-
-
-def served(entry):
-    """The token a cache's ``get`` served, or None."""
-    return None if entry is None else entry[0]
-
-
-def held(cache):
-    """Each subject a cache holds, with its token and effective sync time."""
-    return {subject: (entry[0], cache.entry_synced_at(subject))
-            for subject, entry in cache.entries.items()}
 
 
 class ReadRecordingDict(dict):
@@ -519,9 +540,8 @@ class TestChangeFeed:
     def test_only_changed_entries_are_refetched(self, bench):
         a, b = bench.factory.new_addresses(2)
         changes, cursors = fixed_feed((3, [a]), (3, []))
-        cache = TokenCache(15000, changes)
-        cache.put(a, token_wire(), now=100)
-        cache.put(b, token_wire(), now=100)
+        cache = TokenCache(changes, 0)
+        cache.entries.update({a: token_wire(), b: token_wire()})
         fetched = []
 
         def fetch(subject):
@@ -531,60 +551,42 @@ class TestChangeFeed:
         assert cache.sync(fetch, now=200, height=1) == 1
         assert cache.sync(fetch, now=300, height=2) == 0
         assert fetched == [a]
-        assert cursors == [0, 3]
-        assert cache.entries[a][0]["isValid"] is False
-        assert cache.entries[b][0] == token_wire()
-        assert {cache.entry_synced_at(subject) for subject in cache.entries} == {300}
+        assert cursors == [0, 3] and cache.cursor == 3
+        assert cache.entries[a]["isValid"] is False
+        assert cache.entries[b] == token_wire()
 
     def test_sync_with_no_changes_reads_no_entry(self, bench):
         a, b = bench.factory.new_addresses(2)
-        changes, _ = fixed_feed((0, []))
-        cache = TokenCache(15000, changes)
-        cache.put(a, token_wire(), now=100)
-        cache.put(b, token_wire(), now=100)
-        cache.entries = entries = ReadRecordingDict(cache.entries)
+        changes, _ = fixed_feed((4, []))
+        cache = TokenCache(changes, 0)
+        cache.entries = entries = ReadRecordingDict({a: token_wire(), b: token_wire()})
 
         def fetch(subject):
             raise AssertionError("nothing changed, so nothing is fetched")
 
         assert cache.sync(fetch, now=200, height=1) == 0
         assert entries.reads == []
-        assert cache.entry_synced_at(a) == cache.entry_synced_at(b) == 200
-
-    def test_effective_sync_time_follows_call_order(self, bench):
-        a, b = bench.factory.new_addresses(2)
-        changes, _ = fixed_feed((0, []), (0, []))
-        cache = TokenCache(100, changes)
-        cache.put(a, token_wire(), now=1000)
-        assert cache.get(a, now=1100) is not None        # exactly one interval: served
-        assert cache.get(a, now=1100.5) is None          # past it: evicted
-        cache.put(a, token_wire(), now=1000)
-        cache.sync(lambda subject: token_wire(), now=500, height=1)   # time went back
-        assert cache.entry_synced_at(a) == 500
-        cache.put(b, token_wire(), now=400)              # put after that sync
-        assert (cache.entry_synced_at(a), cache.entry_synced_at(b)) == (500, 400)
-        assert cache.get(a, now=600) is not None and cache.get(b, now=600) is None
-        cache.sync(lambda subject: token_wire(), now=700, height=2)
-        assert cache.entry_synced_at(a) == 700
+        assert cache.cursor == 4
 
     @pytest.mark.parametrize("error", [ConnectionError("chain replica unavailable"),
                                        ContractNotFoundError("unknown contract")])
     def test_unreachable_feed_evicts_everything(self, bench, error):
         changes, cursors = fixed_feed(error, (5, []))
-        cache = TokenCache(15000, changes)
-        cache.put(bench.client, token_wire(), now=100)
+        cache = TokenCache(changes, 0)
+        cache.entries[bench.client] = token_wire()
         assert cache.sync(lambda subject: token_wire(), now=200, height=1) == 0
-        assert cache.entries == {}
+        assert cache.entries == {} and cache.cursor == 0
         cache.sync(lambda subject: token_wire(), now=300, height=2)
         assert cursors == [0, 0]   # the failed sync did not advance the cursor
+        assert cache.cursor == 5
 
     def test_feed_bug_propagates_and_keeps_entries(self, bench):
         changes, _ = fixed_feed(AttributeError("bug in feed"))
-        cache = TokenCache(15000, changes)
-        cache.put(bench.client, token_wire(), now=100)
+        cache = TokenCache(changes, 0)
+        cache.entries[bench.client] = token_wire()
         with pytest.raises(AttributeError):
             cache.sync(lambda subject: token_wire(), now=200, height=1)
-        assert cache.entries[bench.client][0] == token_wire()
+        assert cache.entries[bench.client] == token_wire() and cache.cursor == 0
 
     def test_contract_reports_changed_subjects_once_newest_first(self, bench):
         a, b = bench.factory.new_addresses(2)
@@ -645,10 +647,10 @@ sync_steps = st.lists(st.fixed_dictionaries({
                               st.integers(0, 1),
                               st.sampled_from(("master", "supervisor", "outsider"))),
                     max_size=3),
-    # requests read the cache and fill it from the contract on a miss
-    "requests": subject_sets,
     # "skip": the block is sealed without a sync; a set: those subjects' fetches fail
     "sync": st.one_of(st.sampled_from(("skip", "ok", "outage")), subject_sets),
+    # requests after the sync read the cache, and fill it from the contract on a miss
+    "requests": subject_sets,
 }), min_size=1, max_size=8)
 
 
@@ -670,73 +672,74 @@ def test_change_driven_sync_matches_full_refetch(steps):
     def fetch(subject):
         return bench.chain.query_state("captoken", "get_token", (subject,))
 
-    interval = bench.chain.config.block_interval_ms
-    cache, reference = TokenCache(interval, changes), FullRefetchTokenCache(interval, changes)
+    # one provider serves from each cache
+    providers = provider_for(bench), provider_for(bench)
+    cache = providers[0].cache = TokenCache(changes, bench.chain.height)
+    reference = providers[1].cache = FullRefetchTokenCache(changes, bench.chain.height)
     for step in steps:
         for op, index, choice, sender in step["ops"]:
             bench.submit(getattr(bench, sender), "captoken", op,
                          token_op_args(op, subjects[index], choice))
         now = bench.chain.produce_next_block().timestamp
+        if step["sync"] != "skip":
+            if step["sync"] == "outage":
+                outage.append(True)
+                failing = set(subjects)
+            elif step["sync"] == "ok":
+                failing = set()
+            else:
+                # an unchanged entry is not refetched, so only a changed one can fail
+                _, changed = bench.chain.changes_since("captoken", cache.cursor)
+                failing = {subjects[i] for i in step["sync"]} & set(changed)
+
+            def flaky_fetch(subject):
+                if subject in failing:
+                    raise ConnectionError("chain replica unavailable")
+                return fetch(subject)
+
+            height = bench.chain.height
+            assert cache.sync(flaky_fetch, now, height) == \
+                reference.sync(flaky_fetch, now, height)
+            outage.clear()
+        assert cache.entries == reference.entries and cache.cursor == reference.cursor
+        held = dict(cache.entries)
+        hits = []
         for index in sorted(step["requests"]):
-            subject = subjects[index]
-            entry = cache.get(subject, now)
-            assert served(entry) == served(reference.get(subject, now))
-            token = fetch(subject) if entry is None else None
-            if token is not None:
-                cache.put(subject, token, now)
-                reference.put(subject, dict(token), now)
-        if step["sync"] == "skip":
-            continue
-        if step["sync"] == "outage":
-            outage.append(True)
-            failing = set(subjects)
-        elif step["sync"] == "ok":
-            failing = set()
-        else:
-            # an unchanged entry is not refetched, so only a changed one can fail
-            _, changed = bench.chain.changes_since("captoken", cache.cursor)
-            failing = {subjects[i] for i in step["sync"]} & set(changed)
-
-        def flaky_fetch(subject):
-            if subject in failing:
-                raise ConnectionError("chain replica unavailable")
-            return fetch(subject)
-
-        height = bench.chain.height
-        assert cache.sync(flaky_fetch, now, height) == reference.sync(flaky_fetch, now, height)
-        assert held(cache) == held(reference)
-        outage.clear()
+            token, hit = providers[0].fetch_or_cache_token(subjects[index])
+            assert (token, hit) == providers[1].fetch_or_cache_token(subjects[index])
+            assert token == fetch(subjects[index])   # the confirmed token, served or read
+            hits.append(hit)
+        if cache.cursor != bench.chain.height:
+            # a skipped or failed sync: every request read the contract, none was held
+            assert not any(hits) and cache.entries == held
+        assert cache.entries == reference.entries
 
 
-CACHE_INTERVAL = 10
-# small times against a small interval, in any order: now may go back, and
-# ``now - stamp == CACHE_INTERVAL`` comes up often
-cache_times = st.integers(0, 4 * CACHE_INTERVAL)
 cache_subjects = st.integers(0, SUBJECTS - 1)
 cache_calls = st.lists(st.one_of(
-    st.tuples(st.just("put"), cache_subjects, st.integers(0, 2), cache_times),
-    st.tuples(st.just("get"), cache_subjects, cache_times),
+    # a subject's token is held at a version, as a request on a miss holds it
+    st.tuples(st.just("put"), cache_subjects, st.integers(0, 2)),
     # the chain's token of a subject changes to a version, or None: gone
     st.tuples(st.just("change"), cache_subjects, st.sampled_from((0, 1, 2, None))),
     # the feed works, is out ("outage": evicts) or has a bug (raises); fetches of
     # the "flaky" subjects fail (evict), and a fetch of "bug" raises
-    st.tuples(st.just("sync"), cache_times, st.sampled_from(("ok", "outage", "feed-bug")),
+    st.tuples(st.just("sync"), st.sampled_from(("ok", "outage", "feed-bug")),
               st.sets(cache_subjects), st.one_of(st.none(), cache_subjects)),
 ), max_size=30)
 
 
 @settings(max_examples=400, deadline=None)
 @given(calls=cache_calls)
-# a fetch bug raised after an entry was replaced in the same sync: that entry
-# keeps the sync time it had, as the per-entry stamps left it
-@example(calls=[("put", 0, 0, 5), ("put", 1, 0, 5), ("change", 0, 1), ("change", 1, 1),
-                ("sync", 20, "ok", set(), 0)])
+# a fetch bug raised after an entry was replaced in the same sync: the
+# replacement stays, and the cursor does not move
+@example(calls=[("put", 0, 0), ("put", 1, 0), ("change", 0, 1), ("change", 1, 1),
+                ("sync", "ok", set(), 0)])
 # more changed subjects than held entries, so the sync walks the entries, put in
 # the order 1, 0: it still fetches newest change first, so 0 is replaced before
 # the bug in 1's fetch
-@example(calls=[("put", 1, 0, 5), ("put", 0, 0, 5), ("change", 1, 1), ("change", 2, 1),
-                ("change", 0, 1), ("sync", 8, "ok", set(), 1)])
-def test_epoch_cache_matches_per_entry_stamps(calls):
+@example(calls=[("put", 1, 0), ("put", 0, 0), ("change", 1, 1), ("change", 2, 1),
+                ("change", 0, 1), ("sync", "ok", set(), 1)])
+def test_walk_the_fewer_sync_matches_walking_every_change(calls):
     versions = dict.fromkeys(range(SUBJECTS), 0)
     log = []          # the subjects in change order; a change number is an index + 1
     sync = {}
@@ -757,29 +760,26 @@ def test_epoch_cache_matches_per_entry_stamps(calls):
         version = versions[subject]
         return None if version is None else {"subject": subject, "version": version}
 
-    cache = TokenCache(CACHE_INTERVAL, changes)
-    reference = ReferenceTokenCache(CACHE_INTERVAL, changes)
+    cache = TokenCache(changes, 0)
+    reference = ReferenceTokenCache(changes, 0)
     for call in calls:
         if call[0] == "put":
-            _, subject, version, now = call
-            cache.put(subject, {"subject": subject, "version": version}, now)
-            reference.put(subject, {"subject": subject, "version": version}, now)
-        elif call[0] == "get":
-            _, subject, now = call
-            assert served(cache.get(subject, now)) == served(reference.get(subject, now))
+            _, subject, version = call
+            for each in (cache, reference):
+                each.entries[subject] = {"subject": subject, "version": version}
         elif call[0] == "change":
             _, subject, versions[subject] = call
             log.append(subject)
         else:
-            _, now, sync["feed"], sync["flaky"], sync["bug"] = call
+            _, sync["feed"], sync["flaky"], sync["bug"] = call
             outcomes = []
             for each in (cache, reference):
                 try:
-                    outcomes.append(each.sync(fetch, now, 0))
+                    outcomes.append(each.sync(fetch, 0, 0))
                 except AttributeError as exc:
                     outcomes.append(str(exc))
             assert outcomes[0] == outcomes[1]
-        assert held(cache) == held(reference)
+        assert cache.entries == reference.entries
         assert cache.cursor == reference.cursor
 
 
@@ -799,7 +799,7 @@ class TestEndToEndOracle:
         for token in token_variants:
             provider.cache.entries.clear()
             if token is not None:
-                provider.cache.put(bench.client, token, now)
+                provider.cache.entries[bench.client] = token
             decision, trace = provider.authorize(
                 ServiceRequest(bench.client, "GET", "/api/data", now=now))
             outcome, stage, stages = oracle_authorize(
