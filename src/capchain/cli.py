@@ -13,8 +13,8 @@ from .address import Address
 from .encoding import canonical_json
 from .enforcement import ServiceProvider, ServiceRequest
 from .ledger import ChainConfig, ChainFileError, CorruptChainError, read_chain, replay_chain
-from .netsim import (PROFILE_DELAYS, Simulation, ac_overhead_ms, run_latency_bench,
-                     run_overhead_bench, run_scenario, summarize, summary_rows,
+from .netsim import (MAX_BENCH_REQUESTS, PROFILE_DELAYS, Simulation, ac_overhead_ms,
+                     run_latency_bench, run_overhead_bench, run_scenario, summarize, summary_rows,
                      write_measurements_csv, write_stage_traces_csv, write_summary_text)
 from .scenario import MAX_NESTING, ScenarioError, nests_deeper
 from .tokens import TokenContract, contracts
@@ -194,8 +194,9 @@ def run_scenario_command(file: str, seed: Optional[int], block_interval_ms: Opti
 
 
 def run_bench(profile: str, seed: int, requests: int, out: str, fmt: str) -> int:
-    if requests < 1:
-        return _fail("invalid-requests", f"--requests must be at least 1, got {requests}")
+    if not 1 <= requests <= MAX_BENCH_REQUESTS:   # before a request is built
+        return _fail("invalid-requests", f"--requests must be at least 1 and at most "
+                     f"{MAX_BENCH_REQUESTS}, got {requests}")
     simulation, result = run_latency_bench(profile, seed, requests)
     summary = summarize(result.measurements)
     files = _run_artifacts(simulation, result, summary, fmt)

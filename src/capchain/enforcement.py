@@ -6,14 +6,14 @@ first failure:
     identity_auth -> token_fetch -> token_status -> rule_match -> condition_check
 
 Tokens and identity are held by one rule: a provider serves what it holds
-only while the chain is at the height of its last sync, once per block.
-Each sync refetches only the tokens the chain's change feed names, re-reads
-the provider's own record and its zone's status only if the zone feed names
-them, and drops each requester record the feed names, so a warm request at
-the synced height reads no contract. At any other height (a block sealed
-without a sync) a request reads the contract and nothing is held
-(fail-closed). Stage durations come from a deterministic cost model
-supplied by the harness, so traces are exactly reproducible.
+only while the chain is at its cursor, which moves once per block when a
+whole sync completes. Each sync refetches only the tokens the chain's change
+feed names, re-reads the provider's own record and its zone's status only if
+the zone feed names them, and drops each requester record the feed names, so
+a warm request at the synced height reads no contract. At any other height
+a request reads the contract and nothing is held (fail-closed). Stage
+durations come from a deterministic cost model supplied by the harness, so
+traces are exactly reproducible.
 
 Each check returns its denial reason, or None when it passes; a denial's
 stage is recorded once, on its ``Decision``.
@@ -155,14 +155,14 @@ class TokenCache:
 
     ``entries`` maps each held subject to its token wire dict. The provider
     serves and holds them only while the chain is at ``cursor``; at any other
-    height (a block sealed without a sync) it reads the contract.
+    height it reads the contract.
 
     ``changes(cursor)`` is the token change feed (``Chain.changes_since``):
-    it returns the latest height and a dict of the subjects whose tokens
-    changed in the blocks after height ``cursor``, each mapped to its place,
-    newest first. A sync costs O(fewer of entries held and changed
-    subjects): it walks whichever is smaller to find the held entries the
-    feed names, refetches them and moves ``cursor`` to the latest height.
+    it returns the latest height and a dict naming, once each, the subjects
+    whose tokens changed in the blocks after height ``cursor``. A sync costs
+    O(fewer of entries held and changed subjects): it walks whichever is
+    smaller to find the held entries the feed names, refetches them and
+    moves ``cursor`` to the latest height.
     """
 
     def __init__(self, changes: Callable[[int], tuple[int, dict]], cursor: int):
@@ -173,35 +173,24 @@ class TokenCache:
     def sync(self, fetch, now: float, height: int) -> int:
         """Refetch the entries changed since the last sync; returns replaced-entry count.
 
-        Fetches run newest change first, whichever side the sync walked, so
-        a fetch that raises other than ``OSError`` or ``LedgerError`` leaves
-        the newer changes refetched and the older ones as they were, and the
-        cursor where it was. An unreachable change feed leaves nothing to
-        trust, so every entry is evicted (fail-closed) and the cursor stays.
+        A sync completes or writes nothing: if the feed or a fetch raises
+        ``OSError`` or ``LedgerError`` it returns 0, and any other exception
+        propagates, with the entries and the cursor as they were either way.
         """
         # ``now`` and ``height`` are unread; they stay while the benchmark's tracer
         # passes them positionally.
+        entries = self.entries
         try:
             latest, changed = self.changes(self.cursor)
+            walked, other = sorted((changed, entries), key=len)   # walk the fewer
+            fetched = [(subject, fetch(subject)) for subject in walked if subject in other]
         except (OSError, LedgerError):
-            self.entries.clear()
             return 0
-        entries = self.entries
-        if len(changed) > len(entries):
-            changed = sorted([subject for subject in entries if subject in changed],
-                             key=changed.__getitem__)
         refreshed = 0
-        for subject in changed:
-            held = entries.get(subject)
-            if held is None:
-                continue
-            try:
-                token = fetch(subject)
-            except (OSError, LedgerError):
-                token = None
+        for subject, token in fetched:
             if token is None:
-                del entries[subject]   # fail-closed: force a re-query next time
-            elif token != held:
+                del entries[subject]
+            elif token != entries[subject]:
                 entries[subject] = token
                 refreshed += 1
         self.cursor = latest
@@ -238,10 +227,9 @@ class ServiceProvider:
                                 chain.height)
         self._fetch_token = \
             lambda subject: chain.query_state(TokenContract.name, "get_token", (subject,))
-        # identity as of chain height ``_identity_height``: the provider's own
-        # record, whether its zone is revoked, and each requester record read since
+        # identity as of the cache's cursor: the provider's own record, whether
+        # its zone is revoked, and each requester record read since
         self._requesters: dict[Address, VNodeRecord] = {}
-        self._identity_height = chain.height
         self._own_record = chain.query_state(_VZONE, "get_vnode", (address,))
         self._read_zone_status()
 
@@ -250,16 +238,15 @@ class ServiceProvider:
             _VZONE, "get_vzone", (self._own_record.vzone_id,)).master is ZERO_ADDRESS
 
     def refresh_membership(self) -> None:
-        """Bring held identity to the latest height by the zone feed: re-read the
+        """Sync's identity step, by the zone feed since the cursor: re-read the
         provider's own record if the feed names its address, its zone's status if
         the feed names the zone or the own record was re-read, and drop each held
         requester record the feed names. A block that wrote no zone record reads
-        no contract."""
-        self._identity_height, changed = self.chain.changes_since(_VZONE, self._identity_height)
+        no contract. It moves no cursor; the token sync after it does."""
+        changed = self.chain.changes_since(_VZONE, self.cache.cursor)[1]
         if self.address in changed:
             self._own_record = self.chain.query_state(_VZONE, "get_vnode", (self.address,))
-            self._read_zone_status()
-        elif self._own_record.vzone_id in changed:
+        if self.address in changed or self._own_record.vzone_id in changed:
             self._read_zone_status()
         requesters = self._requesters
         for node in (changed if len(changed) <= len(requesters)
@@ -272,19 +259,21 @@ class ServiceProvider:
         """Same-zone check of the requester's record against the provider's own;
         the denial reason, or None.
 
-        At the height of the last refresh, the requester's record is read
-        from the contract once and then held, and the zone's status is the
-        one the refresh read. At any other height (a block sealed without a
-        sync) both are read from the contract and nothing is held.
+        At the synced height, the requester's record is read from the
+        contract once and then held, and the own record and the zone's
+        status are the ones the syncs read. At any other height (a block
+        sealed without a sync, or a sync that failed) all three are read
+        from the contract and nothing is held.
         """
         chain = self.chain
-        synced = chain.height == self._identity_height
+        synced = chain.height == self.cache.cursor
         record = self._requesters.get(requester) if synced else None
         if record is None:
             record = chain.query_state(_VZONE, "get_vnode", (requester,))
             if synced:
                 self._requesters[requester] = record
-        own = self._own_record
+        own = self._own_record if synced else \
+            chain.query_state(_VZONE, "get_vnode", (self.address,))
         if own.node_type == NODE_TYPE_NONE or record.node_type == NODE_TYPE_NONE:
             return "not-member"
         if record.vzone_id != own.vzone_id:
@@ -300,9 +289,8 @@ class ServiceProvider:
     def fetch_or_cache_token(self, subject: Address) -> tuple[Optional[dict], bool]:
         """The subject's token, or None, and whether the cache served it.
 
-        At the height of the last sync, a token is read from the contract
-        once and then held. At any other height it is read from the
-        contract and nothing is held, as ``authenticate`` does.
+        At the synced height a token is read from the contract once and then
+        held; at any other height it is read and not held, as in ``authenticate``.
         """
         cache = self.cache
         synced = self.chain.height == cache.cursor
@@ -363,8 +351,10 @@ class ServiceProvider:
 
     # -- cache synchronization ---------------------------------------------------------
 
-    def sync_cache(self, now: float) -> int:
-        """Sync held identity and cached tokens with confirmed state; once per block."""
+    def sync_cache(self) -> int:
+        """Sync held identity, then cached tokens, with confirmed state; once per
+        block. The cursor moves only when both complete; an identity step that
+        raises propagates, and nothing held is served until a sync completes."""
         self.refresh_membership()
-        return self.cache.sync(self._fetch_token, now, self.chain.height)
+        return self.cache.sync(self._fetch_token, 0.0, self.chain.height)
 

@@ -329,8 +329,8 @@ class Chain:
     ``height`` is the last row's height, a plain attribute set where a row is
     appended, since each request reads it.
     The change feed holds, per contract, a ``(height, *keys)`` row for each block
-    that wrote one of its records: the keys newest first, each once, an
-    ``Address`` held as its raw bytes, so the row is a flat tuple of atoms that
+    that wrote one of its records: each key once, an ``Address`` held as its
+    raw bytes, so the row is a flat tuple of atoms that
     the collector stops tracking at its first look (a nested one can take two).
     """
 
@@ -394,9 +394,9 @@ class Chain:
         return self._contracts[name]
 
     def changes_since(self, contract: str, height: int) -> tuple[int, dict]:
-        """``(latest height, changed)``: ``changed`` maps each key of a ``contract``
-        record written in the blocks after ``height`` to its place, newest first;
-        its keys come in that order, each once. Pass the latest height as the
+        """``(latest height, changed)``: ``changed`` is a dict whose keys name,
+        once each, the keys of the ``contract`` records written in the blocks
+        after ``height``; its values are None. Pass the latest height as the
         next cursor; height 0 names every key ever written.
 
         The answer is computed once per ``(contract, height)`` until the next
@@ -413,11 +413,9 @@ class Chain:
                 start = len(feed)
                 while start and feed[start - 1][0] > height:
                     start -= 1
-                newest_first = dict.fromkeys(key for row in reversed(feed[start:])
-                                             for key in row[1:])
-                answer = self._feed_answers[contract, height] = (self.height, {
-                    (Address(key) if key.__class__ is bytes else key): place
-                    for place, key in enumerate(newest_first)})
+                answer = self._feed_answers[contract, height] = (self.height, dict.fromkeys(
+                    Address(key) if key.__class__ is bytes else key
+                    for row in feed[start:] for key in row[1:]))
         return answer
 
     # -- writes ----------------------------------------------------------------
@@ -546,7 +544,7 @@ class Chain:
             if changed:
                 self._feed[name].append((height, *[
                     key.raw if key.__class__ is Address else key
-                    for key in dict.fromkeys(reversed(changed))]))
+                    for key in dict.fromkeys(changed)]))
                 changed.clear()
         self._feed_answers.clear()
 

@@ -30,7 +30,8 @@ from .encoding import CsvCells
 from .enforcement import ServiceProvider, StageTrace, PIPELINE_STAGES
 from .ledger import Chain, ChainConfig
 from .master import DomainMaster, MasterError, RegistrationRequest
-from .scenario import Event, Issue, Register, TokenChange, parse_script, parse_topology
+from .scenario import (DEFAULT_TIMEOUT_MS, MAX_BLOCKS, Event, Issue, Register, TokenChange,
+                       parse_script, parse_topology)
 from .tokens import TokenContract, contracts
 from .zones import ZoneContract
 
@@ -200,7 +201,7 @@ class Simulation:
     def _handle_block(self, at: float, result: SimulationResult) -> None:
         self.chain.produce_block(int(at))
         for provider in self.providers.values():
-            provider.sync_cache(at)
+            provider.sync_cache()
         for name, master in self.masters.items():
             registrations, issues = master.poll_all()
             result.registrations += [dict(r, master=name) for r in registrations]
@@ -292,6 +293,14 @@ def run_scenario(config: dict) -> tuple[Simulation, SimulationResult]:
 # Benchmark scenario builders
 # ---------------------------------------------------------------------------
 
+#: The latency bench's block interval and request times (a second after the first
+#: block, then one per spacing), and the most requests the scenario checks accept.
+BENCH_INTERVAL_MS, BENCH_SPACING_MS = 15000, 150
+BENCH_START_MS = BENCH_INTERVAL_MS + 1000
+MAX_BENCH_REQUESTS = (MAX_BLOCKS * BENCH_INTERVAL_MS - BENCH_START_MS
+                      - max(DEFAULT_TIMEOUT_MS, *PROFILE_DELAYS.values())) // BENCH_SPACING_MS + 1
+
+
 def latency_bench_config(profile_name: str, seed: int, requests: int = 100,
                          access_control: bool = True) -> dict:
     """Warmed request stream between one client and one provider.
@@ -301,21 +310,19 @@ def latency_bench_config(profile_name: str, seed: int, requests: int = 100,
     is a cold cache miss and the rest are hits.
     """
     delay = PROFILE_DELAYS[profile_name]
-    block_interval_ms = 15000
-    start = block_interval_ms + 1000
     script: list[dict] = [
         {"at": 100, "op": "issue", "master": "master", "subject": "client",
          "rules": [{"action": "GET", "resource": "/api/data", "conditions": []}],
          "validity_ms": 86_400_000},
     ]
     for k in range(requests):
-        script.append({"at": start + 150 * k, "op": "request",
+        script.append({"at": BENCH_START_MS + BENCH_SPACING_MS * k, "op": "request",
                        "requester": "client", "provider": "provider",
                        "method": "GET", "uri": "/api/data",
                        "expect": "grant" if access_control else None})
     return {
         "seed": seed,
-        "block_interval_ms": block_interval_ms,
+        "block_interval_ms": BENCH_INTERVAL_MS,
         "access_control": access_control,
         "nodes": [
             {"name": "supervisor", "role": "supervisor"},

@@ -36,6 +36,9 @@ MAX_BLOCKS = 100_000
 #: holds exactly, or a block lands below the chain's integer due time.
 MAX_BLOCK_INTERVAL_MS = 2 ** 53 // (MAX_BLOCKS + 1)
 
+#: How long a request waits for its response when a scenario sets no ``timeout_ms``.
+DEFAULT_TIMEOUT_MS = 30000
+
 #: Every int strictly between minus this and this converts to a float.
 _FLOAT_INTS = 2 ** 1023
 
@@ -203,7 +206,7 @@ def parse_topology(config: dict) -> Topology:
     access_control = config.get("access_control", True)
     _check(isinstance(access_control, bool), "", "access_control",
            "must be true or false, got %s", access_control)
-    timeout = _number(config.get("timeout_ms", 30000), float, "", "timeout_ms")
+    timeout = _number(config.get("timeout_ms", DEFAULT_TIMEOUT_MS), float, "", "timeout_ms")
     if not 0 <= timeout <= horizon:
         _fail("", "timeout_ms", f"must be a number from 0 to the horizon of {MAX_BLOCKS} "
               f"blocks ({horizon:g} ms), got {_shown(timeout)}")

@@ -275,9 +275,11 @@ def oracle_status_reason(token, now):
 class ReferenceTokenCache:
     """The token cache whose sync walks every change the feed names.
 
-    Same interface as ``TokenCache``: ``sync`` refetches each held subject
-    the change feed names, newest change first, however few entries are
-    held, then moves ``cursor`` to the feed's latest height.
+    Same interface as ``TokenCache``: ``sync`` refetches, on a copy of the
+    entries, each held subject the change feed names, however few entries
+    are held, and drops those whose token is gone. Only once every fetch has
+    returned does it keep the copy and move ``cursor`` to the feed's latest
+    height; a feed or fetch that raises leaves both as they were.
     """
 
     def __init__(self, changes, cursor):
@@ -286,36 +288,33 @@ class ReferenceTokenCache:
         self.cursor = cursor
 
     def walked(self, changed):
-        """The subjects a sync refetches if held, in fetch order."""
+        """The subjects a sync refetches if held."""
         return list(changed)
 
     def sync(self, fetch, now, height):
+        entries = dict(self.entries)
+        refreshed = 0
         try:
             latest, changed = self.changes(self.cursor)
-        except (OSError, LedgerError):
-            self.entries.clear()
-            return 0
-        refreshed = 0
-        for subject in self.walked(changed):
-            if subject not in self.entries:
-                continue
-            try:
+            for subject in self.walked(changed):
+                if subject not in entries:
+                    continue
                 token = fetch(subject)
-            except (OSError, LedgerError):
-                token = None
-            if token is None:
-                del self.entries[subject]
-            elif token != self.entries[subject]:
-                self.entries[subject] = token
-                refreshed += 1
-        self.cursor = latest
+                if token is None:
+                    del entries[subject]
+                elif token != entries[subject]:
+                    entries[subject] = token
+                    refreshed += 1
+        except (OSError, LedgerError):
+            return 0
+        self.entries, self.cursor = entries, latest
         return refreshed
 
 
 class FullRefetchTokenCache(ReferenceTokenCache):
     """The sync before the change feed: every held entry is refetched. The
     feed is read only for its latest height, so the cursor moves, and an
-    unreachable feed evicts, as ``TokenCache``'s do."""
+    unreachable feed fails the sync, as ``TokenCache``'s do."""
 
     def walked(self, changed):
         return list(self.entries)
@@ -786,19 +785,20 @@ def _reference_record(simulation, event, request_id, result, outcome, total_ms,
 # ---------------------------------------------------------------------------
 
 def reference_authenticate(provider, requester):
-    """``ServiceProvider.authenticate`` reading the requester's record through a
-    query helper and testing a revoked zone's master by ``is_zero``."""
+    """``ServiceProvider.authenticate`` reading the requester's record, the
+    provider's own and its zone from the contract on every call, through a
+    query helper, and testing a revoked zone's master by ``is_zero``."""
     def query_vnode(addr):
         return provider.chain.query_state(ZoneContract.name, "get_vnode", (addr,))
 
     requester_record = query_vnode(requester)
-    if provider._own_record.node_type == NODE_TYPE_NONE or \
+    own_record = query_vnode(provider.address)
+    if own_record.node_type == NODE_TYPE_NONE or \
             requester_record.node_type == NODE_TYPE_NONE:
         return "not-member"
-    if requester_record.vzone_id != provider._own_record.vzone_id:
+    if requester_record.vzone_id != own_record.vzone_id:
         return "zone-mismatch"
-    zone = provider.chain.query_state(ZoneContract.name, "get_vzone",
-                                      (provider._own_record.vzone_id,))
+    zone = provider.chain.query_state(ZoneContract.name, "get_vzone", (own_record.vzone_id,))
     if zone.master.is_zero:
         return "zone-revoked"
     return None

@@ -14,7 +14,9 @@ from capchain import cli, enforcement, ledger
 from capchain.cli import main
 from capchain.encoding import canonical_json
 from capchain.ledger import read_chain
-from capchain.netsim import latency_bench_config, run_scenario
+from capchain.netsim import (BENCH_SPACING_MS, BENCH_START_MS, MAX_BENCH_REQUESTS,
+                             latency_bench_config, run_scenario)
+from capchain.scenario import parse_topology
 
 from chainbench import change_first_tx, reseal
 from reference_models import FullRefetchTokenCache, reference_block_wire
@@ -550,6 +552,8 @@ SAMPLE = str(SCENARIOS / "registration_and_revocation.json")
     (["bench", "--seed", "1", "--requests", "2", "--out", "a-file/out"], "invalid-out"),
     (["bench", "--seed", "1", "--requests", "0"], "invalid-requests"),
     (["bench", "--seed", "1", "--requests", "-1"], "invalid-requests"),
+    # one request past the horizon: refused before a request is built
+    (["bench", "--seed", "1", "--requests", "9999695"], "invalid-requests"),
     (["demo", "--seed", "1", "--block-interval-ms", "43200001"], "invalid-block-interval"),
     (["demo", "--seed", "1", "--block-interval-ms", "1000000000000"],
      "invalid-block-interval"),
@@ -557,8 +561,8 @@ SAMPLE = str(SCENARIOS / "registration_and_revocation.json")
     (["scenario", SAMPLE, "--block-interval-ms", "9007199254740993"], "scenario-error"),
 ], ids=["demo-zero-interval", "scenario-directory", "inspect-directory", "scenario-out-file",
         "demo-out-file", "bench-out-file", "bench-out-under-file", "bench-zero-requests",
-        "bench-negative-requests", "demo-interval-over-limit", "demo-huge-interval",
-        "scenario-huge-interval"])
+        "bench-negative-requests", "bench-requests-past-horizon", "demo-interval-over-limit",
+        "demo-huge-interval", "scenario-huge-interval"])
 def test_bad_argument_exits_with_one_error_line(tmp_path, capsys, monkeypatch, argv, error):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "a-directory").mkdir()
@@ -571,10 +575,20 @@ def test_refused_arguments_write_nothing_and_name_the_limit(tmp_path, capsys, mo
     monkeypatch.chdir(tmp_path)
     assert main(["bench", "--seed", "1", "--requests", "0"]) == 1
     assert "at least 1" in one_error_line(capsys)["detail"]
+    assert main(["bench", "--seed", "1", "--requests", str(MAX_BENCH_REQUESTS + 1),
+                 "--out", "bench"]) == 1
+    assert f"at most {MAX_BENCH_REQUESTS}" in one_error_line(capsys)["detail"]
     assert main(["demo", "--seed", "1", "--block-interval-ms", "43200001",
                  "--out", "demo"]) == 1
     assert "43200000" in one_error_line(capsys)["detail"]
     assert list(tmp_path.iterdir()) == []
+
+
+def test_the_bench_request_limit_is_the_last_time_the_scenario_checks_accept():
+    latest = parse_topology(latency_bench_config("satellite", 1, 1)).latest_at_ms
+    last = BENCH_START_MS + BENCH_SPACING_MS * (MAX_BENCH_REQUESTS - 1)
+    assert last <= latest < last + BENCH_SPACING_MS
+    assert MAX_BENCH_REQUESTS == 9_999_694   # at the default timeout and MAX_BLOCKS
 
 
 def test_demo_runs_at_the_interval_limit(capsys):

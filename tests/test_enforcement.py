@@ -74,7 +74,7 @@ class TestAuthenticate:
     def test_revoked_zone_denies_former_followers(self, bench):
         provider = provider_for(bench)
         bench.apply(bench.master, "vzone", "revoke_vzone", (bench.zone_id,))
-        provider.refresh_membership()
+        provider.sync_cache()
         assert provider.authenticate(bench.client) == "zone-revoked"
 
     def test_cold_request_reads_the_requester_and_warm_reads_nothing(self, bench):
@@ -92,19 +92,19 @@ class TestAuthenticate:
         provider = provider_for(bench)   # its token cache is empty: a sync fetches no token
         queries = count_queries(bench.chain)
         bench.issue_client_token()   # a block that writes no zone record
-        provider.sync_cache(now=100)
+        provider.sync_cache()
         assert queries == [0]
         bench.apply(bench.supervisor, "vzone", "create_vzone", ("zone-b",))   # another zone
         bench.apply(bench.supervisor, "vzone", "join_vzone", ("zone-b", bench.outsider.hex))
-        provider.sync_cache(now=200)
+        provider.sync_cache()
         assert queries == [0]
         bench.apply(bench.master, "vzone", "revoke_vzone", (bench.zone_id,))
-        provider.sync_cache(now=300)
+        provider.sync_cache()
         assert queries == [1]   # the zone
         assert provider.authenticate(bench.client) == "zone-revoked"
         bench.apply(bench.master, "vzone", "create_vzone", (bench.zone_id,))
         bench.apply(bench.master, "vzone", "leave_vzone", (bench.zone_id, bench.provider.hex))
-        provider.sync_cache(now=400)
+        provider.sync_cache()
         assert queries == [2 + 2]   # the client's record above, then its own and its zone
         assert provider.authenticate(bench.client) == "not-member"
 
@@ -117,12 +117,54 @@ class TestAuthenticate:
         bench.apply(bench.master, "vzone", "join_vzone", (bench.zone_id, bench.client.hex))
         assert provider.authenticate(bench.client) is None
         assert provider.authenticate(bench.client) is None
-        assert queries == [1 + 2 + 2]   # the zone too, once a record passes
-        provider.sync_cache(now=100)
+        # both records each time, and the zone too once they pass
+        assert queries == [2 + 3 + 3]
+        provider.sync_cache()
         queries[0] = 0
         assert provider.authenticate(bench.client) is None
         assert provider.authenticate(bench.client) is None
         assert queries == [1]
+
+    def test_off_the_synced_height_the_own_record_is_read_from_the_contract(self, bench):
+        bench.issue_client_token()
+        provider = provider_for(bench)
+        request = ServiceRequest(bench.client, "GET", "/api/data", 1000.0)
+        assert provider.authorize(request)[0].granted
+        bench.apply(bench.master, "vzone", "leave_vzone", (bench.zone_id, bench.provider.hex))
+        # sealed without a sync: confirmed state gives the provider no zone
+        decision, _ = provider.authorize(request)
+        assert (decision.granted, decision.reason) == (False, "not-member")
+        assert provider.authenticate(bench.client) == "not-member"
+        provider.sync_cache()
+        assert provider.authorize(request)[0].reason == "not-member"
+
+    def test_an_identity_step_that_raises_leaves_identity_unserved(self, bench):
+        provider = provider_for(bench)
+        assert provider.authenticate(bench.client) is None   # held
+        bench.submit(bench.master, "vzone", "leave_vzone", (bench.zone_id, bench.client.hex))
+        # the provider leaves and rejoins, so the feed names it, but its record
+        # cannot be read
+        for op in ("leave_vzone", "join_vzone"):
+            bench.submit(bench.master, "vzone", op, (bench.zone_id, bench.provider.hex))
+        bench.chain.produce_next_block()
+        query = bench.chain.query_state
+
+        def unreachable_own_record(contract, op, args=()):
+            if args == (bench.provider,):
+                raise ConnectionError("chain replica unavailable")
+            return query(contract, op, args)
+
+        bench.chain.query_state = unreachable_own_record
+        cursor = provider.cache.cursor
+        with pytest.raises(ConnectionError):
+            provider.sync_cache()
+        bench.chain.query_state = query
+        assert provider.cache.cursor == cursor
+        # the client left in the block the sync did not complete
+        assert provider.authenticate(bench.client) == "not-member"
+        assert provider.sync_cache() == 0
+        assert provider.authenticate(bench.client) == "not-member"
+        assert bench.client in provider._requesters
 
     def test_sync_drops_the_requesters_the_zone_feed_names(self, bench):
         other = bench.factory.new_address()
@@ -131,7 +173,7 @@ class TestAuthenticate:
         assert provider.authenticate(bench.client) is None
         assert provider.authenticate(other) is None
         bench.apply(bench.master, "vzone", "leave_vzone", (bench.zone_id, other.hex))
-        provider.sync_cache(now=100)
+        provider.sync_cache()
         queries = count_queries(bench.chain)
         assert provider.authenticate(bench.client) is None
         assert provider.authenticate(other) == "not-member"
@@ -144,7 +186,7 @@ class TestAuthenticate:
             bench.submit(bench.master, "vzone", "join_vzone", (bench.zone_id, node.hex))
         bench.submit(bench.master, "vzone", "leave_vzone", (bench.zone_id, bench.client.hex))
         bench.chain.produce_next_block()
-        provider.sync_cache(now=100)   # four named nodes: it walks its one record
+        provider.sync_cache()   # four named nodes: it walks its one record
         assert provider.authenticate(bench.client) == "not-member"
 
 
@@ -190,14 +232,14 @@ class TestTokenFetch:
         for _ in range(2):
             decision, trace = provider.authorize(request)
             assert decision.granted and trace.cache_hit is False
-        # each request read the requester's record, the zone and the token; none is held
-        assert queries == [6]
-        assert provider._requesters == {} and provider.cache.entries == {}
-        provider.sync_cache(now=200)
-        assert provider.authorize(request)[1].cache_hit is False
-        assert queries == [8]   # the record and the token, read once more and held
-        assert provider.authorize(request)[1].cache_hit is True
+        # each request read both zone records, the zone and the token; none is held
         assert queries == [8]
+        assert provider._requesters == {} and provider.cache.entries == {}
+        provider.sync_cache()
+        assert provider.authorize(request)[1].cache_hit is False
+        assert queries == [10]   # the record and the token, read once more and held
+        assert provider.authorize(request)[1].cache_hit is True
+        assert queries == [10]
         assert bench.client in provider._requesters and bench.client in provider.cache.entries
 
 
@@ -392,12 +434,12 @@ class TestAuthorizePipeline:
         assert provider.authorize(request)[0].granted
         bench.apply(bench.master, "captoken", "set_token_validity",
                     (bench.client.hex, False))
-        provider.sync_cache(now=200)
+        provider.sync_cache()
         decision, _ = provider.authorize(request)
         assert not decision.granted and decision.reason == "isValid"
         bench.apply(bench.master, "captoken", "set_token_validity",
                     (bench.client.hex, True))
-        provider.sync_cache(now=300)
+        provider.sync_cache()
         assert provider.authorize(request)[0].granted
 
 
@@ -406,7 +448,7 @@ class TestCacheSync:
         bench.issue_client_token()
         provider = provider_for(bench)
         provider.fetch_or_cache_token(bench.client)
-        assert provider.sync_cache(now=200) == 0
+        assert provider.sync_cache() == 0
 
     def test_revocation_propagates_at_sync(self, bench):
         bench.issue_client_token()
@@ -421,7 +463,7 @@ class TestCacheSync:
         assert not decision.granted and decision.stage == "token_status"
         assert trace.cache_hit is False
         assert provider.cache.entries == {bench.client: granted}
-        assert provider.sync_cache(now=200) == 1
+        assert provider.sync_cache() == 1
         assert provider.cache.entries[bench.client]["isValid"] is False
         decision, trace = provider.authorize(
             ServiceRequest(bench.client, "GET", "/api/data", now=250))
@@ -445,39 +487,74 @@ class TestCacheSync:
             bench.submit(bench.master, "captoken", "issue_token",
                          (subject.hex, [RULE_POST], 0, 10**12))
         bench.chain.produce_next_block()
-        assert provider.sync_cache(now=200) == 3
+        assert provider.sync_cache() == 3
 
-    def test_failed_sync_fetch_evicts_entry(self, bench):
+    def test_a_failed_fetch_keeps_entries_and_cursor(self, bench):
         bench.issue_client_token()
         provider = provider_for(bench)
-        provider.fetch_or_cache_token(bench.client)
+        held, _ = provider.fetch_or_cache_token(bench.client)
+        cursor = provider.cache.cursor
         bench.issue_client_token()   # a change the next sync refetches
 
         def broken_fetch(subject):
             raise ConnectionError("chain replica unavailable")
 
-        provider.cache.sync(broken_fetch, now=200, height=bench.chain.height)
-        assert bench.client not in provider.cache.entries
-        # the next request falls back to a direct contract query
+        assert provider.cache.sync(broken_fetch, 200, bench.chain.height) == 0
+        assert provider.cache.entries == {bench.client: held}
+        assert provider.cache.cursor == cursor
+        # the entry kept is not served: the next request reads the new token
         token, hit = provider.fetch_or_cache_token(bench.client)
-        assert token is not None and hit is False
+        assert token["id"] != held["id"] and hit is False
+        assert provider.cache.entries == {bench.client: held}
+        assert provider.sync_cache() == 1
+        assert provider.cache.cursor == bench.chain.height
+        assert provider.fetch_or_cache_token(bench.client) == (token, True)
 
     def test_sync_fetch_bug_propagates_instead_of_evicting(self, bench):
         bench.issue_client_token()
+        other = bench.factory.new_address()
+        bench.apply(bench.master, "vzone", "join_vzone", (bench.zone_id, other.hex))
+        bench.apply(bench.master, "captoken", "issue_token", (other.hex, [RULE_GET], 0, 10**12))
         provider = provider_for(bench)
-        provider.fetch_or_cache_token(bench.client)
+        held = {subject: provider.fetch_or_cache_token(subject)[0]
+                for subject in (bench.client, other)}
         cursor = provider.cache.cursor
-        bench.issue_client_token()
+        for subject in (bench.client, other):   # both change
+            bench.submit(bench.master, "captoken", "set_token_validity", (subject.hex, False))
+        bench.chain.produce_next_block()
+        fetched = []
 
         def buggy_fetch(subject):
-            raise AttributeError("bug in fetch")
+            fetched.append(subject)
+            if len(fetched) == 2:
+                raise AttributeError("bug in fetch")
+            return provider._fetch_token(subject)
 
         with pytest.raises(AttributeError):
-            provider.cache.sync(buggy_fetch, now=200, height=bench.chain.height)
-        assert bench.client in provider.cache.entries
-        # the cursor stays, so the entry kept is not served
+            provider.cache.sync(buggy_fetch, 200, bench.chain.height)
+        # the token fetched before the bug was not written either
+        assert provider.cache.entries == held
+        # the cursor stays, so the entries kept are not served
         assert provider.cache.cursor == cursor
         assert provider.fetch_or_cache_token(bench.client)[1] is False
+
+    def test_a_feed_outage_serves_nothing_until_the_next_sync_completes(self, bench):
+        bench.issue_client_token()
+        provider = provider_for(bench)
+        held, _ = provider.fetch_or_cache_token(bench.client)
+        bench.chain.produce_next_block()
+        feed = provider.cache.changes
+
+        def unreachable(cursor):
+            raise ConnectionError("chain replica unavailable")
+
+        provider.cache.changes = unreachable
+        assert provider.sync_cache() == 0
+        assert provider.cache.entries == {bench.client: held}   # kept, not evicted
+        assert provider.fetch_or_cache_token(bench.client) == (held, False)
+        provider.cache.changes = feed
+        assert provider.sync_cache() == 0
+        assert provider.fetch_or_cache_token(bench.client) == (held, True)
 
     def test_cache_transparency_against_direct_query(self, bench):
         bench.issue_client_token()
@@ -487,7 +564,7 @@ class TestCacheSync:
         provider.authorize(request)
         bench.apply(bench.master, "captoken", "revoke_access_rights",
                     (bench.client.hex, [RULE_GET]))
-        provider.sync_cache(now=200)
+        provider.sync_cache()
         direct.cache.entries.clear()
         later = ServiceRequest(bench.client, "GET", "/api/data", now=250)
         assert provider.authorize(later)[0].granted \
@@ -570,25 +647,27 @@ class TestChangeFeed:
 
     @pytest.mark.parametrize("error", [ConnectionError("chain replica unavailable"),
                                        ContractNotFoundError("unknown contract")])
-    def test_unreachable_feed_evicts_everything(self, bench, error):
+    def test_unreachable_feed_keeps_entries_and_cursor(self, bench, error):
         changes, cursors = fixed_feed(error, (5, []))
         cache = TokenCache(changes, 0)
         cache.entries[bench.client] = token_wire()
         assert cache.sync(lambda subject: token_wire(), now=200, height=1) == 0
-        assert cache.entries == {} and cache.cursor == 0
+        assert cache.entries == {bench.client: token_wire()} and cache.cursor == 0
         cache.sync(lambda subject: token_wire(), now=300, height=2)
         assert cursors == [0, 0]   # the failed sync did not advance the cursor
-        assert cache.cursor == 5
+        assert cache.cursor == 5 and cache.entries == {bench.client: token_wire()}
 
     def test_feed_bug_propagates_and_keeps_entries(self, bench):
-        changes, _ = fixed_feed(AttributeError("bug in feed"))
+        changes, cursors = fixed_feed(AttributeError("bug in feed"), (5, [bench.client]))
         cache = TokenCache(changes, 0)
         cache.entries[bench.client] = token_wire()
         with pytest.raises(AttributeError):
             cache.sync(lambda subject: token_wire(), now=200, height=1)
         assert cache.entries[bench.client] == token_wire() and cache.cursor == 0
+        assert cache.sync(lambda subject: token_wire(is_valid=False), now=300, height=2) == 1
+        assert cursors == [0, 0] and cache.cursor == 5
 
-    def test_contract_reports_changed_subjects_once_newest_first(self, bench):
+    def test_contract_reports_each_changed_subject_once(self, bench):
         a, b = bench.factory.new_addresses(2)
         for subject in (a, b):
             bench.submit(bench.master, "vzone", "join_vzone", (bench.zone_id, subject.hex))
@@ -603,20 +682,20 @@ class TestChangeFeed:
 
         def feed(contract, height):
             latest, changed = bench.chain.changes_since(contract, height)
-            assert list(changed.values()) == list(range(len(changed)))
-            return latest, list(changed)
+            assert set(changed.values()) <= {None}   # a dict of names, with no ranks
+            return latest, set(changed)
 
-        assert feed("captoken", 0) == feed("captoken", 2) == (3, [a, b])
-        assert feed("captoken", 3) == feed("captoken", 4) == (3, [])
+        assert feed("captoken", 0) == feed("captoken", 2) == (3, {a, b})
+        assert feed("captoken", 3) == feed("captoken", 4) == (3, set())
         bench.submit(bench.master, "captoken", "revoke_access_rights", (a.hex, [RULE_GET]))
         bench.submit(bench.master, "captoken", "set_token_validity", (b.hex, False))
         bench.submit(bench.master, "captoken", "revoke_token", (a.hex,))
         bench.chain.produce_next_block()
-        assert feed("captoken", 3) == feed("captoken", 0) == (4, [a, b])
+        assert feed("captoken", 3) == feed("captoken", 0) == (4, {a, b})
         # the zone feed: the setup block's zone and nodes, then the block that joined a, b
-        assert feed("vzone", 1) == (4, [b, a]) and feed("vzone", 2) == (4, [])
-        assert feed("vzone", 0) == (4, [b, a, bench.client, bench.provider, bench.master,
-                                        bench.zone_id])
+        assert feed("vzone", 1) == (4, {a, b}) and feed("vzone", 2) == (4, set())
+        assert feed("vzone", 0) == (4, {a, b, bench.client, bench.provider, bench.master,
+                                        bench.zone_id})
         assert bench.tokens.dump_state().keys() == {"supervisor", "next_id", "tokens"}
         # every reader at one cursor shares one answer until the next block seals
         assert bench.chain.changes_since("captoken", 3) is bench.chain.changes_since(
@@ -697,10 +776,14 @@ def test_change_driven_sync_matches_full_refetch(steps):
                     raise ConnectionError("chain replica unavailable")
                 return fetch(subject)
 
-            height = bench.chain.height
+            height, before = bench.chain.height, dict(cache.entries)
             assert cache.sync(flaky_fetch, now, height) == \
                 reference.sync(flaky_fetch, now, height)
             outage.clear()
+            if cache.cursor == height:   # completed: each held token is the confirmed one
+                assert all(token == fetch(subject) for subject, token in cache.entries.items())
+            else:   # failed: nothing was written
+                assert cache.entries == before
         assert cache.entries == reference.entries and cache.cursor == reference.cursor
         held = dict(cache.entries)
         hits = []
@@ -721,24 +804,25 @@ cache_calls = st.lists(st.one_of(
     st.tuples(st.just("put"), cache_subjects, st.integers(0, 2)),
     # the chain's token of a subject changes to a version, or None: gone
     st.tuples(st.just("change"), cache_subjects, st.sampled_from((0, 1, 2, None))),
-    # the feed works, is out ("outage": evicts) or has a bug (raises); fetches of
-    # the "flaky" subjects fail (evict), and a fetch of "bug" raises
+    # the feed works, is out ("outage") or has a bug (raises); a fetch of a
+    # "failing" subject raises one error, an outage's (the sync returns 0) or a
+    # bug's (it propagates), so the outcome does not hang on the fetch order
     st.tuples(st.just("sync"), st.sampled_from(("ok", "outage", "feed-bug")),
-              st.sets(cache_subjects), st.one_of(st.none(), cache_subjects)),
+              st.sets(cache_subjects), st.sampled_from((ConnectionError, AttributeError))),
 ), max_size=30)
 
 
 @settings(max_examples=400, deadline=None)
 @given(calls=cache_calls)
-# a fetch bug raised after an entry was replaced in the same sync: the
-# replacement stays, and the cursor does not move
+# a fetch fails after another entry's token was fetched: neither entry is written
+# and the cursor does not move, whether the failure is an outage or a bug
 @example(calls=[("put", 0, 0), ("put", 1, 0), ("change", 0, 1), ("change", 1, 1),
-                ("sync", "ok", set(), 0)])
-# more changed subjects than held entries, so the sync walks the entries, put in
-# the order 1, 0: it still fetches newest change first, so 0 is replaced before
-# the bug in 1's fetch
+                ("sync", "ok", {1}, ConnectionError), ("sync", "ok", {0}, AttributeError),
+                ("sync", "ok", set(), ConnectionError)])
+# more changed subjects than held entries, so the sync walks the entries
 @example(calls=[("put", 1, 0), ("put", 0, 0), ("change", 1, 1), ("change", 2, 1),
-                ("change", 0, 1), ("sync", "ok", set(), 1)])
+                ("change", 0, None), ("sync", "ok", {2}, AttributeError),
+                ("sync", "ok", {1}, AttributeError), ("sync", "ok", set(), AttributeError)])
 def test_walk_the_fewer_sync_matches_walking_every_change(calls):
     versions = dict.fromkeys(range(SUBJECTS), 0)
     log = []          # the subjects in change order; a change number is an index + 1
@@ -749,14 +833,11 @@ def test_walk_the_fewer_sync_matches_walking_every_change(calls):
             raise ConnectionError("chain replica unavailable")
         if sync["feed"] == "feed-bug":
             raise AttributeError("bug in feed")
-        newest_first = dict.fromkeys(reversed(log[cursor:]))
-        return len(log), {subject: place for place, subject in enumerate(newest_first)}
+        return len(log), dict.fromkeys(log[cursor:])
 
     def fetch(subject):
-        if subject == sync["bug"]:
-            raise AttributeError("bug in fetch")
-        if subject in sync["flaky"]:
-            raise ConnectionError("chain replica unavailable")
+        if subject in sync["failing"]:
+            raise sync["error"]("fetch failed")
         version = versions[subject]
         return None if version is None else {"subject": subject, "version": version}
 
@@ -771,13 +852,16 @@ def test_walk_the_fewer_sync_matches_walking_every_change(calls):
             _, subject, versions[subject] = call
             log.append(subject)
         else:
-            _, sync["feed"], sync["flaky"], sync["bug"] = call
+            _, sync["feed"], sync["failing"], sync["error"] = call
             outcomes = []
             for each in (cache, reference):
+                before = dict(each.entries), each.cursor
                 try:
                     outcomes.append(each.sync(fetch, 0, 0))
                 except AttributeError as exc:
                     outcomes.append(str(exc))
+                if each.cursor != len(log):   # a sync that did not complete changed nothing
+                    assert (each.entries, each.cursor) == before
             assert outcomes[0] == outcomes[1]
         assert cache.entries == reference.entries
         assert cache.cursor == reference.cursor
@@ -893,7 +977,7 @@ class TestAuthorizeMatchesReference:
         queries, provider_queries, reference_queries = count_queries(bench.chain), 0, 0
         for who, method, uri, now, location, sync in requests:
             if sync:
-                assert provider.sync_cache(now) == reference.sync_cache(now)
+                assert provider.sync_cache() == reference.sync_cache()
             request = ServiceRequest(getattr(bench, who), method, uri, now=now,
                                      location_tag=location)
             before = queries[0]
@@ -935,6 +1019,10 @@ class TestAuthorizeMatchesReference:
                     ("requests", "GET"),
                     ("op", "join_vzone", "zone-b", "stranger", "supervisor"), ("block", True),
                     ("requests", "GET")])
+    # the provider leaves its zone in a block no provider syncs after
+    @example(steps=[("requests", "GET"),
+                    ("op", "leave_vzone", "zone-a", "provider", "master"), ("block", False),
+                    ("requests", "GET")])
     # the provider leaves its zone and rejoins it, each in a synced block
     @example(steps=[("requests", "GET"),
                     ("op", "leave_vzone", "zone-a", "provider", "master"), ("block", True),
@@ -962,9 +1050,9 @@ class TestAuthorizeMatchesReference:
             before = queries[0]
             return call(*args), queries[0] - before
 
-        def sync(node, now):
+        def sync(node):
             held, fresh = providers[node]
-            assert held.sync_cache(now) == fresh.sync_cache(now)
+            assert held.sync_cache() == fresh.sync_cache()
             assert (held._own_record, held._zone_revoked) == \
                 (fresh._own_record, fresh._zone_revoked)
 
@@ -979,9 +1067,9 @@ class TestAuthorizeMatchesReference:
                 now = bench.chain.produce_next_block().timestamp
                 if step[1]:
                     for node in SERVING:
-                        sync(node, now)
+                        sync(node)
             elif step[0] == "sync":
-                sync(step[1], now)
+                sync(step[1])
             else:
                 for node, who in itertools.product(SERVING, IDENTITY_NODES):
                     held, fresh = providers[node]

@@ -683,8 +683,8 @@ class TestReceiptMatchesTwoRecordReference:
 
 
 def feed_answers(chain):
-    """Each contract's change feed at every height, as ``(latest, [(key, place)])``."""
-    return {name: [(latest, list(changed.items()))
+    """Each contract's change feed at every height, as ``(latest, [key])``."""
+    return {name: [(latest, list(changed))
                    for latest, changed in (chain.changes_since(name, height)
                                            for height in range(chain.height + 2))]
             for name in ("vzone", "captoken")}

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from capchain.encoding import CsvCells
-from capchain.enforcement import PIPELINE_STAGES, StageRecord, StageTrace
+from capchain.enforcement import PIPELINE_STAGES, ServiceProvider, StageRecord, StageTrace
 from capchain.netsim import (PROFILE_DELAYS, Measurement, Simulation, _fmt,
                              ac_overhead_ms, latency_bench_config,
                              run_latency_bench, run_overhead_bench, run_scenario,
@@ -127,6 +127,25 @@ class TestRunScenario:
         result = simulation.run()
         assert result.issues and not simulation.chain._pending
         assert not any(master.has_pending for master in simulation.masters.values())
+
+    @pytest.mark.parametrize("name", ["sample"] + sorted(WORKLOADS))
+    def test_every_request_is_served_at_the_synced_height(self, name, monkeypatch):
+        # every provider syncs at every block and no sync fails, so the held
+        # records and tokens decide each request of a run
+        sample = Path(__file__).resolve().parent.parent / "scenarios" / \
+            "registration_and_revocation.json"
+        config = json.loads(sample.read_text()) if name == "sample" \
+            else WORKLOADS[name](7, scale=0.05)
+        authorize, calls = ServiceProvider.authorize, []
+
+        def synced_authorize(provider, request):
+            assert provider.chain.height == provider.cache.cursor
+            calls.append(request)
+            return authorize(provider, request)
+
+        monkeypatch.setattr(ServiceProvider, "authorize", synced_authorize)
+        _, result = run_scenario(config)
+        assert calls and len(calls) == len(result.measurements)
 
     def test_empty_script_yields_no_measurements(self):
         _, result = run_scenario(base_config())

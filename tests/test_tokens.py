@@ -489,8 +489,7 @@ def assert_feed_matches(bench, mutations):
         _, subjects = bench.tokens.reference_changes_since(mutations[min(height, latest)])
         got_latest, changed = bench.chain.changes_since("captoken", height)
         assert got_latest == latest
-        assert list(changed) == subjects
-        assert list(changed.values()) == list(range(len(subjects)))
+        assert changed.keys() == set(subjects)
 
 
 class TestChangeLogMatchesRecencyIndex:

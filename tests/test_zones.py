@@ -44,7 +44,7 @@ class TestStandalone:
         assert zones.changed == ["zone-a", master, nodes[0]]
         chain.produce_next_block()
         assert zones.changed == []
-        assert chain.changes_since("vzone", 0)[1] == {nodes[0]: 0, master: 1, "zone-a": 2}
+        assert chain.changes_since("vzone", 0)[1].keys() == {nodes[0], master, "zone-a"}
 
 
 class TestCreate:
