@@ -7,13 +7,14 @@ first failure:
 
 Tokens and identity are held by one rule: a provider serves what it holds
 only while the chain is at its cursor, which moves once per block when a
-whole sync completes. Each sync refetches only the tokens the chain's change
-feed names, re-reads the provider's own record and its zone's status only if
-the zone feed names them, and drops each requester record the feed names, so
-a warm request at the synced height reads no contract. At any other height
-a request reads the contract and nothing is held (fail-closed). Stage
-durations come from a deterministic cost model supplied by the harness, so
-traces are exactly reproducible.
+whole sync completes. Each sync refetches only the held tokens the chain's
+change feed names, and drops each held zone record (a node's, or a zone's)
+the zone feed names, so a warm request at the synced height reads no
+contract. A request reads through one map per kind: the held one at the
+synced height, and a fresh one, thrown away after the request, at any other
+height, so nothing is held off it (fail-closed). Stage durations come from
+a deterministic cost model supplied by the harness, so traces are exactly
+reproducible.
 
 Each check returns its denial reason, or None when it passes; a denial's
 stage is recorded once, on its ``Decision``.
@@ -27,7 +28,7 @@ from typing import Callable, Mapping, NamedTuple, Optional
 from .address import ZERO_ADDRESS, Address
 from .ledger import Chain, LedgerError
 from .tokens import MS_PER_DAY, TokenContract
-from .zones import NODE_TYPE_NONE, VNodeRecord, ZoneContract
+from .zones import NODE_TYPE_NONE, VirtualZone, VNodeRecord, ZoneContract
 
 PIPELINE_STAGES = ("identity_auth", "token_fetch", "token_status", "rule_match",
                    "condition_check")
@@ -227,31 +228,14 @@ class ServiceProvider:
                                 chain.height)
         self._fetch_token = \
             lambda subject: chain.query_state(TokenContract.name, "get_token", (subject,))
-        # identity as of the cache's cursor: the provider's own record, whether
-        # its zone is revoked, and each requester record read since
-        self._requesters: dict[Address, VNodeRecord] = {}
-        self._own_record = chain.query_state(_VZONE, "get_vnode", (address,))
-        self._read_zone_status()
+        # zone records as of the cache's cursor, keyed as the zone feed names
+        # them: a node address to its VNodeRecord, a zone id to its VirtualZone
+        self.zone_records: dict[Address | str, VNodeRecord | VirtualZone] = {}
 
-    def _read_zone_status(self) -> None:
-        self._zone_revoked = self.chain.query_state(
-            _VZONE, "get_vzone", (self._own_record.vzone_id,)).master is ZERO_ADDRESS
-
-    def refresh_membership(self) -> None:
-        """Sync's identity step, by the zone feed since the cursor: re-read the
-        provider's own record if the feed names its address, its zone's status if
-        the feed names the zone or the own record was re-read, and drop each held
-        requester record the feed names. A block that wrote no zone record reads
-        no contract. It moves no cursor; the token sync after it does."""
-        changed = self.chain.changes_since(_VZONE, self.cache.cursor)[1]
-        if self.address in changed:
-            self._own_record = self.chain.query_state(_VZONE, "get_vnode", (self.address,))
-        if self.address in changed or self._own_record.vzone_id in changed:
-            self._read_zone_status()
-        requesters = self._requesters
-        for node in (changed if len(changed) <= len(requesters)
-                     else [node for node in requesters if node in changed]):
-            requesters.pop(node, None)
+    def _read(self, held: dict, op: str, key: Address | str):
+        """The zone record ``op`` reads at ``key``, from the contract; held in ``held``."""
+        record = held[key] = self.chain.query_state(_VZONE, op, (key,))
+        return record
 
     # -- stage 0: identity authentication -------------------------------------
 
@@ -259,28 +243,22 @@ class ServiceProvider:
         """Same-zone check of the requester's record against the provider's own;
         the denial reason, or None.
 
-        At the synced height, the requester's record is read from the
-        contract once and then held, and the own record and the zone's
-        status are the ones the syncs read. At any other height (a block
-        sealed without a sync, or a sync that failed) all three are read
-        from the contract and nothing is held.
+        The requester's record, the own record and the zone are read through
+        one map: ``zone_records`` at the synced height, where each is read
+        from the contract once and then held until the zone feed names it,
+        and a fresh map, thrown away after the call, at any other height (a
+        block sealed without a sync, or a sync that failed).
         """
-        chain = self.chain
-        synced = chain.height == self.cache.cursor
-        record = self._requesters.get(requester) if synced else None
-        if record is None:
-            record = chain.query_state(_VZONE, "get_vnode", (requester,))
-            if synced:
-                self._requesters[requester] = record
-        own = self._own_record if synced else \
-            chain.query_state(_VZONE, "get_vnode", (self.address,))
+        held = self.zone_records if self.chain.height == self.cache.cursor else {}
+        # a record is never falsy: ``or`` reads only what ``held`` lacks
+        record = held.get(requester) or self._read(held, "get_vnode", requester)
+        own = held.get(self.address) or self._read(held, "get_vnode", self.address)
         if own.node_type == NODE_TYPE_NONE or record.node_type == NODE_TYPE_NONE:
             return "not-member"
         if record.vzone_id != own.vzone_id:
             return "zone-mismatch"
-        revoked = self._zone_revoked if synced else chain.query_state(
-            _VZONE, "get_vzone", (own.vzone_id,)).master is ZERO_ADDRESS   # interned
-        if revoked:
+        zone = held.get(own.vzone_id) or self._read(held, "get_vzone", own.vzone_id)
+        if zone.master is ZERO_ADDRESS:   # interned
             return "zone-revoked"
         return None
 
@@ -289,17 +267,17 @@ class ServiceProvider:
     def fetch_or_cache_token(self, subject: Address) -> tuple[Optional[dict], bool]:
         """The subject's token, or None, and whether the cache served it.
 
-        At the synced height a token is read from the contract once and then
-        held; at any other height it is read and not held, as in ``authenticate``.
+        Read through one map, as in ``authenticate``: the cache's entries at
+        the synced height, a fresh map thrown away after the call at any other.
         """
         cache = self.cache
-        synced = self.chain.height == cache.cursor
-        token = cache.entries.get(subject) if synced else None
+        held = cache.entries if self.chain.height == cache.cursor else {}
+        token = held.get(subject)
         if token is not None:
             return token, True
         token = self._fetch_token(subject)
-        if token is not None and synced:
-            cache.entries[subject] = token
+        if token is not None:
+            held[subject] = token
         return token, False
 
     # -- full pipeline --------------------------------------------------------------
@@ -352,9 +330,14 @@ class ServiceProvider:
     # -- cache synchronization ---------------------------------------------------------
 
     def sync_cache(self) -> int:
-        """Sync held identity, then cached tokens, with confirmed state; once per
-        block. The cursor moves only when both complete; an identity step that
-        raises propagates, and nothing held is served until a sync completes."""
-        self.refresh_membership()
+        """Sync held zone records, then cached tokens, with confirmed state; once
+        per block. The identity step reads the zone feed since the cursor and
+        drops each held record it names, walking whichever is fewer, the held
+        keys or the named ones; it reads no contract. The cursor moves only when
+        the token sync completes too; a zone feed read that raises propagates, and
+        nothing held is served until a sync completes."""
+        held = self.zone_records
+        named = self.chain.changes_since(_VZONE, self.cache.cursor)[1]
+        for key in named if len(named) <= len(held) else [key for key in held if key in named]:
+            held.pop(key, None)
         return self.cache.sync(self._fetch_token, 0.0, self.chain.height)
-

@@ -19,6 +19,7 @@ import functools
 import io
 import json
 import threading
+from collections import deque
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from json.scanner import make_scanner
@@ -66,20 +67,8 @@ class ContractRejection(Exception):
         super().__init__(message or code)
 
 
-class _Discard:
-    """A ``changed`` that keeps no key: ``append`` and ``+=`` drop what they are given."""
-
-    __slots__ = ()
-
-    def append(self, key: Any) -> None:
-        pass
-
-    def __iadd__(self, keys: Any) -> "_Discard":
-        return self
-
-
-#: The ``changed`` of every contract no chain hosts.
-DISCARD = _Discard()
+#: The ``changed`` of every contract no chain hosts: ``append`` and ``+=`` keep nothing.
+DISCARD = deque(maxlen=0)
 
 
 class Contract:
@@ -434,7 +423,9 @@ class Chain:
 
     def submit(self, sender: Address, contract: str, op: str, args: tuple) -> str:
         """Queue a call with the sender's next nonce; returns the tx digest.
-        The call is encoded once here and never decoded."""
+        The call is encoded once here and never decoded: the pool holds ``args``
+        by reference until the seal executes them, so editing them before then
+        runs live a call that the export, and so replay, does not carry."""
         tx = Transaction(sender, contract, op, args, self._next_nonce.get(sender, 0))
         return self.submit_transaction(tx, args)
 

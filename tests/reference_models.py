@@ -805,16 +805,13 @@ def reference_authenticate(provider, requester):
 
 
 class RereadingIdentityProvider(ServiceProvider):
-    """``ServiceProvider`` re-reading its own zone record and its zone's status at
-    every refresh, whatever the zone feed names, as it did before the feed decided
-    which of the two to re-read."""
+    """``ServiceProvider`` dropping every zone record it holds at each sync,
+    whatever the zone feed names, so that each record it holds was read after
+    the last sync, as before the feed decided which records to drop."""
 
-    def refresh_membership(self):
-        super().refresh_membership()
-        query = self.chain.query_state
-        self._own_record = query(ZoneContract.name, "get_vnode", (self.address,))
-        self._zone_revoked = query(ZoneContract.name, "get_vzone",
-                                   (self._own_record.vzone_id,)).master.is_zero
+    def sync_cache(self):
+        self.zone_records.clear()
+        return super().sync_cache()
 
 
 def reference_authorize(provider, stage_costs, request):

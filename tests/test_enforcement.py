@@ -12,6 +12,7 @@ from capchain.enforcement import (COST_KEYS, PIPELINE_STAGES, ServiceProvider,
 from capchain.ledger import ContractNotFoundError
 from capchain.netsim import Measurement, write_stage_traces_csv
 from capchain.tokens import MS_PER_DAY
+from capchain.zones import NODE_TYPE_NONE
 
 from chainbench import Bench
 from reference_models import (FullRefetchTokenCache, ReferenceTokenCache,
@@ -81,32 +82,61 @@ class TestAuthenticate:
         provider = provider_for(bench)
         queries = count_queries(bench.chain)
         assert provider.authenticate(bench.client) is None
-        assert queries == [1]   # the requester's record; the zone was read at refresh
+        assert queries == [3]   # the requester's record, the own record and the zone
         assert provider.authenticate(bench.client) is None
-        assert queries == [1]   # held at the synced height
+        assert queries == [3]   # held at the synced height
         assert provider.authenticate(bench.outsider) == "not-member"
         assert provider.authenticate(bench.outsider) == "not-member"
-        assert queries == [2]
+        assert queries == [4]   # the outsider's record, once
 
     def test_a_sync_reads_only_the_zone_records_the_feed_names(self, bench):
         provider = provider_for(bench)   # its token cache is empty: a sync fetches no token
+        assert provider.authenticate(bench.client) is None   # holds three records
         queries = count_queries(bench.chain)
         bench.issue_client_token()   # a block that writes no zone record
         provider.sync_cache()
+        assert provider.authenticate(bench.client) is None
         assert queries == [0]
         bench.apply(bench.supervisor, "vzone", "create_vzone", ("zone-b",))   # another zone
         bench.apply(bench.supervisor, "vzone", "join_vzone", ("zone-b", bench.outsider.hex))
         provider.sync_cache()
+        assert provider.authenticate(bench.client) is None
         assert queries == [0]
         bench.apply(bench.master, "vzone", "revoke_vzone", (bench.zone_id,))
         provider.sync_cache()
-        assert queries == [1]   # the zone
+        assert queries == [0]
         assert provider.authenticate(bench.client) == "zone-revoked"
+        assert queries == [1]   # the zone
         bench.apply(bench.master, "vzone", "create_vzone", (bench.zone_id,))
         bench.apply(bench.master, "vzone", "leave_vzone", (bench.zone_id, bench.provider.hex))
         provider.sync_cache()
-        assert queries == [2 + 2]   # the client's record above, then its own and its zone
+        assert queries == [1]
         assert provider.authenticate(bench.client) == "not-member"
+        assert queries == [1 + 1]   # its own record; the zone is not read for a non-member
+        assert provider.authenticate(bench.client) == "not-member"
+        assert queries == [2]
+
+    def test_a_sync_reads_no_contract_and_a_request_reads_what_the_feed_named(self, bench):
+        provider = provider_for(bench)
+        assert provider.authenticate(bench.client) is None   # holds three records
+        # the zone's master revokes and recreates it, and the provider leaves and
+        # rejoins: the feed names the zone, the master and the provider
+        bench.submit(bench.master, "vzone", "revoke_vzone", (bench.zone_id,))
+        bench.submit(bench.master, "vzone", "create_vzone", (bench.zone_id,))
+        for op in ("leave_vzone", "join_vzone"):
+            bench.submit(bench.master, "vzone", op, (bench.zone_id, bench.provider.hex))
+        bench.chain.produce_next_block()
+        read, query = [], bench.chain.query_state
+
+        def recorded(contract, op, args=()):
+            read.append(args[0])
+            return query(contract, op, args)
+
+        bench.chain.query_state = recorded
+        provider.sync_cache()
+        assert read == []
+        assert provider.authenticate(bench.client) is None
+        assert read == [bench.provider, bench.zone_id]   # not the client's record
 
     def test_a_block_without_a_sync_reads_the_contract_and_holds_nothing(self, bench):
         provider = provider_for(bench)
@@ -147,24 +177,25 @@ class TestAuthenticate:
         for op in ("leave_vzone", "join_vzone"):
             bench.submit(bench.master, "vzone", op, (bench.zone_id, bench.provider.hex))
         bench.chain.produce_next_block()
-        query = bench.chain.query_state
+        changes_since = bench.chain.changes_since
 
-        def unreachable_own_record(contract, op, args=()):
-            if args == (bench.provider,):
+        def unreachable_zone_feed(contract, height):
+            if contract == "vzone":
                 raise ConnectionError("chain replica unavailable")
-            return query(contract, op, args)
+            return changes_since(contract, height)
 
-        bench.chain.query_state = unreachable_own_record
-        cursor = provider.cache.cursor
+        bench.chain.changes_since = unreachable_zone_feed
+        cursor, held = provider.cache.cursor, dict(provider.zone_records)
         with pytest.raises(ConnectionError):
             provider.sync_cache()
-        bench.chain.query_state = query
-        assert provider.cache.cursor == cursor
+        bench.chain.changes_since = changes_since
+        assert provider.cache.cursor == cursor and provider.zone_records == held
         # the client left in the block the sync did not complete
         assert provider.authenticate(bench.client) == "not-member"
+        assert provider.zone_records == held   # read off the synced height, not held
         assert provider.sync_cache() == 0
         assert provider.authenticate(bench.client) == "not-member"
-        assert bench.client in provider._requesters
+        assert provider.zone_records[bench.client].node_type == NODE_TYPE_NONE
 
     def test_sync_drops_the_requesters_the_zone_feed_names(self, bench):
         other = bench.factory.new_address()
@@ -234,13 +265,14 @@ class TestTokenFetch:
             assert decision.granted and trace.cache_hit is False
         # each request read both zone records, the zone and the token; none is held
         assert queries == [8]
-        assert provider._requesters == {} and provider.cache.entries == {}
+        assert provider.zone_records == {} and provider.cache.entries == {}
         provider.sync_cache()
         assert provider.authorize(request)[1].cache_hit is False
-        assert queries == [10]   # the record and the token, read once more and held
+        assert queries == [12]   # the three records and the token, read once more and held
         assert provider.authorize(request)[1].cache_hit is True
-        assert queries == [10]
-        assert bench.client in provider._requesters and bench.client in provider.cache.entries
+        assert queries == [12]
+        assert set(provider.zone_records) == {bench.client, bench.provider, bench.zone_id}
+        assert bench.client in provider.cache.entries
 
 
 class TestTokenStatus:
@@ -1033,8 +1065,8 @@ class TestAuthorizeMatchesReference:
         """Zone ops, blocks with and without the syncs after them, and requests:
         each authentication and decision equals the reference's, which reads the
         requester's record and the zone per request, and makes no more contract
-        queries. After each sync the held own record and zone status equal those
-        of a provider that re-reads both at every sync."""
+        queries. After each sync every zone record held equals the contract's
+        view of its key, as for a provider that drops them all at every sync."""
         bench = Bench()
         stranger = bench.factory.new_address()
         for node in ("client", "provider"):
@@ -1044,6 +1076,7 @@ class TestAuthorizeMatchesReference:
         providers = {node: (ServiceProvider(getattr(bench, node), bench.chain),
                             RereadingIdentityProvider(getattr(bench, node), bench.chain))
                      for node in SERVING}
+        query = bench.chain.query_state
         queries = count_queries(bench.chain)
 
         def counted(call, *args):
@@ -1053,8 +1086,9 @@ class TestAuthorizeMatchesReference:
         def sync(node):
             held, fresh = providers[node]
             assert held.sync_cache() == fresh.sync_cache()
-            assert (held._own_record, held._zone_revoked) == \
-                (fresh._own_record, fresh._zone_revoked)
+            for key, record in held.zone_records.items():
+                op = "get_vnode" if isinstance(key, Address) else "get_vzone"
+                assert record == query("vzone", op, (key,))
 
         now = bench.chain.latest_block.timestamp
         for step in steps:
