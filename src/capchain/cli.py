@@ -13,7 +13,7 @@ from .address import Address
 from .encoding import canonical_json
 from .enforcement import ServiceProvider, ServiceRequest
 from .ledger import ChainConfig, ChainFileError, CorruptChainError, read_chain, replay_chain
-from .netsim import (MAX_BENCH_REQUESTS, PROFILE_DELAYS, Simulation, ac_overhead_ms,
+from .netsim import (MAX_BENCH_REQUESTS, PROFILE_DELAYS, Simulation, _fmt, ac_overhead_ms,
                      run_latency_bench, run_overhead_bench, run_scenario, summarize, summary_rows,
                      write_measurements_csv, write_stage_traces_csv, write_summary_text)
 from .scenario import MAX_NESTING, ScenarioError, nests_deeper
@@ -60,8 +60,10 @@ def _run_artifacts(simulation: Simulation, result, summary: dict, fmt: str) -> d
     }
 
 
-#: How long the demo's token is valid. Its requests run at twice the block
-#: interval, so a longer interval than half of this would find the token expired.
+#: When the demo issues its token, and how long the token is valid. Its requests
+#: run at twice the block interval, but never before the token's issue time, so
+#: a longer interval than half the validity would find the token expired.
+DEMO_ISSUE_AT_MS = 100
 DEMO_TOKEN_VALIDITY_MS = 86_400_000
 MAX_DEMO_BLOCK_INTERVAL_MS = DEMO_TOKEN_VALIDITY_MS // 2
 
@@ -91,7 +93,8 @@ def demo_config(seed: int, block_interval_ms: int) -> dict:
              "one_way_delay_ms": PROFILE_DELAYS["ground"]},
         ],
         "script": [
-            {"at": 100, "op": "issue", "master": "master", "subject": "sat-client",
+            {"at": DEMO_ISSUE_AT_MS, "op": "issue", "master": "master",
+             "subject": "sat-client",
              "rules": [{"action": "GET", "resource": "/api/data", "conditions": []}],
              "validity_ms": DEMO_TOKEN_VALIDITY_MS},
             {"at": 2 * block_interval_ms, "op": "advance"},
@@ -125,7 +128,7 @@ def run_demo(seed: int, block_interval_ms: int, out: Optional[str]) -> int:
         simulation, _ = run_scenario(demo_config(seed, block_interval_ms))
     except ScenarioError as exc:
         return _fail("scenario-error", str(exc))
-    now = 2 * block_interval_ms
+    now = max(2 * block_interval_ms, DEMO_ISSUE_AT_MS)
     client = simulation.nodes["sat-client"].vid
     sat = simulation.providers["sat-provider"]
     ground = simulation.providers["ground-provider"]
@@ -204,11 +207,11 @@ def run_bench(profile: str, seed: int, requests: int, out: str, fmt: str) -> int
     overhead = ac_overhead_ms(with_ac.measurements, without_ac.measurements)
     lines = [
         f"profile: {profile}",
-        f"steady_mean_ms: {summary['steady_mean_ms']}",
-        f"steady_ac_share: {summary['steady_ac_share']}",
-        f"first_request_ms: {summary['first_request_ms']}",
+        f"steady_mean_ms: {_fmt(summary['steady_mean_ms'])}",
+        f"steady_ac_share: {_fmt(summary['steady_ac_share'])}",
+        f"first_request_ms: {_fmt(summary['first_request_ms'])}",
         f"cache_hits: {summary['cache_hits']} of {summary['requests']}",
-        f"enforcement_overhead_ms: {overhead}",
+        f"enforcement_overhead_ms: {_fmt(overhead)}",
     ]
     files["overhead_summary.txt"] = "\n".join(lines) + "\n"
     error = _write_out(out, files)

@@ -30,7 +30,7 @@ from .encoding import CsvCells
 from .enforcement import ServiceProvider, StageTrace, PIPELINE_STAGES
 from .ledger import Chain, ChainConfig
 from .master import DomainMaster, MasterError, RegistrationRequest
-from .scenario import (DEFAULT_TIMEOUT_MS, MAX_BLOCKS, Event, Issue, Register, TokenChange,
+from .scenario import (DEFAULT_TIMEOUT_MS, MAX_BLOCKS, Call, Event, Issue, Register,
                        parse_script, parse_topology)
 from .tokens import TokenContract, contracts
 from .zones import ZoneContract
@@ -188,14 +188,17 @@ class Simulation:
     # -- event handlers ------------------------------------------------------------------
 
     def _handle_script(self, event: Event, result: SimulationResult) -> None:
-        """Run a script event other than a request, which ``run`` sends itself."""
+        """Run a script event other than a request, which ``run`` sends itself. A
+        Call is one submission to the token contract; an Issue goes through its
+        master, whose poll reads the outcome."""
         kind = type(event)
-        if kind is Register:
+        if kind is Call:
+            self.chain.submit(event.sender, TokenContract.name, event.op, event.args)
+        elif kind is Register:
             self._handle_register(event, result)
         elif kind is Issue:
-            self._handle_issue(event)
-        elif kind is TokenChange:
-            self._handle_token_change(event)
+            self.masters[event.master.name].issue_capability(
+                event.subject.vid, event.rules, event.validity_ms, int(event.at))
         # an Advance only extends the horizon
 
     def _handle_block(self, at: float, result: SimulationResult) -> None:
@@ -216,27 +219,6 @@ class Simulation:
             result.registrations.append(
                 {"vid": node.vid.hex, "master": master,
                  "status": "denied", "reason": str(exc)})
-
-    def _handle_issue(self, event: Issue) -> None:
-        at, subject = int(event.at), event.subject.vid
-        master = self.masters.get(event.master.name)
-        if master is not None:
-            master.issue_capability(subject, event.rules, event.validity_ms, at)
-        else:
-            # supervisor-issued tokens go straight to the contract
-            self.chain.submit(event.master.vid, TokenContract.name, "issue_token",
-                              (subject.hex, event.rules, at, at + event.validity_ms))
-
-    def _handle_token_change(self, event: TokenChange) -> None:
-        sender, subject, op = event.master.vid, event.subject.vid.hex, event.op
-        if op == "revoke":
-            self.chain.submit(sender, TokenContract.name, "revoke_token", (subject,))
-        elif op == "revoke_rules":
-            self.chain.submit(sender, TokenContract.name, "revoke_access_rights",
-                              (subject, event.rules))
-        else:
-            self.chain.submit(sender, TokenContract.name, "set_token_validity",
-                              (subject, op == "restore"))
 
     def _handle_arrival(self, at: float, flight: tuple, result: SimulationResult) -> None:
         """Serve a request that reached its provider. The in-flight payload is

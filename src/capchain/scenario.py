@@ -1,12 +1,13 @@
 """Scenario input: one parser from the JSON a user writes to typed specs.
 
 ``parse_topology`` reads the settings, registration policy, nodes and
-channels; ``parse_script`` reads the timed events and resolves the nodes
-and channel each names. Both check each item once, inline, and build its
-path text only when a check fails. Every error names its JSON path, e.g.
-``script[1].rules[0].action: 'FLY' is not an action``, and shows the value at
-fault by ``_shown``. Unknown keys are ignored; numbers convert as ``int()``
-and ``float()`` do, so ``"15000"`` works, but a JSON boolean is not a number.
+channels; ``parse_script`` reads the timed events, resolves the nodes and
+channel each names, and turns a token change into the call it makes. Both
+check each item once, inline, and build its path text only when a check fails.
+Every error names its JSON path, e.g. ``script[1].rules[0].action: 'FLY' is
+not an action``, and shows the value at fault by ``_shown``. Unknown keys are
+ignored; numbers convert as ``int()`` and ``float()`` do, so ``"15000"`` works,
+but a JSON boolean is not a number.
 """
 
 from __future__ import annotations
@@ -141,16 +142,22 @@ Topology = namedtuple("Topology", "seed block_interval_ms access_control timeout
                       "latest_at_ms registration_policy nodes supervisor channels")
 # Script events start with ``(at, index)`` and name nodes by NodeSpec. A request
 # is a plain tuple in ``Request._fields`` order, which ``Simulation.run`` tells
-# from the named tuples of the other events by its exact type. An Issue's
-# ``rules`` are the list of wire dicts ``rule_wire`` returned; an Issue by a
-# non-master goes to the contract directly. A TokenChange is a revoke, suspend,
-# restore or revoke_rules, whose ``rules`` go to the contract unparsed.
+# from the named tuples of the other events by its exact type. An Issue is one
+# by a master, whose ``rules`` are the list of wire dicts ``rule_wire`` returned.
+# A Call is what a revoke, suspend, restore, revoke_rules or an issue by any
+# other node submits to the token contract: its ``sender`` vid, its ``op`` and
+# its ``args``, in which a revoke_rules' ``rules`` go unparsed.
 Request = namedtuple("Request", "at index requester provider channel method uri expect")
 Register = namedtuple("Register", "at index node master attributes")
 Issue = namedtuple("Issue", "at index master subject rules validity_ms")
-TokenChange = namedtuple("TokenChange", "at index op master subject rules")
+Call = namedtuple("Call", "at index sender op args")
 Advance = namedtuple("Advance", "at index")
-Event = Union[tuple, Register, Issue, TokenChange, Advance]   # tuple: a request
+Event = Union[tuple, Register, Issue, Call, Advance]   # tuple: a request
+
+#: The two node keys each op names, in the order ``parse_script`` looks them up.
+_NODE_KEYS = {"request": ("requester", "provider"), "register": ("node", "master"),
+              **dict.fromkeys(("issue", "revoke", "revoke_rules", "suspend", "restore"),
+                              ("master", "subject"))}
 
 
 def _shown(value: Any) -> str:
@@ -364,9 +371,10 @@ def _parse_channels(specs: Any, nodes: dict[str, NodeSpec], horizon: float
 
 
 def parse_script(script: Any, topology: Topology) -> list[Event]:
-    """The script's events in the order they run: by ``at``, then by index. A request
-    is a few dict reads and one plain tuple in ``Request._fields`` order; each node an
-    event names is one ``nodes`` lookup, and ``_fail`` takes the index ``i``."""
+    """The script's events in the order they run: by ``at``, then by index. Each
+    event's two nodes are one ``nodes`` lookup each, under one ``try``; a request is
+    a few dict reads and one plain tuple in ``Request._fields`` order, and a token
+    change is the ``Call`` it makes. ``_fail`` takes the index ``i``."""
     nodes, channels, latest = topology.nodes, topology.channels, topology.latest_at_ms
     new = tuple.__new__   # a named tuple from its fields in order, without its __new__
     events: list[Event] = []
@@ -380,75 +388,63 @@ def parse_script(script: Any, topology: Topology) -> list[Event]:
             _fail(i, "at", f"must be a finite time of at most {latest:g} ms (the horizon "
                   f"of {MAX_BLOCKS} blocks less the longest wait), got {_shown(at)}")
         op = event.get("op")
+        try:
+            keys = _NODE_KEYS[op]
+        except (KeyError, TypeError):   # TypeError: an unhashable op
+            _check(op == "advance", i, "op", "unknown op %s", op)
+            events.append(new(Advance, (at, i)))
+            continue
+        a, b = event.get(keys[0]), event.get(keys[1])
+        try:
+            first, second = nodes[a], nodes[b]   # such as the requester and the provider
+        except (KeyError, TypeError):   # TypeError: an unhashable name
+            key, name = (keys[1], b) if isinstance(a, str) and a in nodes else (keys[0], a)
+            _fail(i, key, f"unknown node {_shown(name)}")
         if op == "request":
-            a, b = event.get("requester"), event.get("provider")
-            try:
-                requester = nodes[a]
-            except (KeyError, TypeError):   # TypeError: an unhashable name
-                _fail(i, "requester", f"unknown node {_shown(a)}")
-            try:
-                provider = nodes[b]
-            except (KeyError, TypeError):
-                _fail(i, "provider", f"unknown node {_shown(b)}")
             uri, method, expect = event.get("uri"), event.get("method"), event.get("expect")
-            if uri not in provider.services:
-                _fail(i, "uri", f"{_shown(provider.name)} does not serve {_shown(uri)}")
+            if uri not in second.services:
+                _fail(i, "uri", f"{_shown(second.name)} does not serve {_shown(uri)}")
             if method not in ACTIONS:
                 _fail(i, "method", f"unknown method {_shown(method)}")
             if expect not in EXPECTS:
                 _fail(i, "expect", f"must be grant, deny, timeout or null, got {_shown(expect)}")
             channel = channels.get((a, b) if a <= b else (b, a))   # the channel's key
             if channel is None:
-                _fail(i, "", f"no channel between {_shown(requester.name)} and "
-                      f"{_shown(provider.name)}")
-            event = (at, i, requester, provider, channel, method, uri, expect)
+                _fail(i, "", f"no channel between {_shown(first.name)} and "
+                      f"{_shown(second.name)}")
+            event = (at, i, first, second, channel, method, uri, expect)
         elif op == "register":
-            a, b = event.get("node"), event.get("master")
-            try:
-                node = nodes[a]
-            except (KeyError, TypeError):
-                _fail(i, "node", f"unknown node {_shown(a)}")
-            try:
-                master = nodes[b]
-            except (KeyError, TypeError):
-                _fail(i, "master", f"unknown node {_shown(b)}")
             attributes = event.get("attributes", {})
-            if master.role != "master":
-                _fail(i, "master", f"{_shown(master.name)} is not a master")
+            if second.role != "master":
+                _fail(i, "master", f"{_shown(second.name)} is not a master")
             if not isinstance(attributes, dict):
                 _fail(i, "attributes", f"must be an object, got {_shown(attributes)}")
             if attributes:
                 _shallow(attributes, i, "attributes")
-            event = new(Register, (at, i, node, master, attributes))
-        elif op in ("issue", "revoke", "revoke_rules", "suspend", "restore"):
-            a, b = event.get("master"), event.get("subject")
-            try:
-                master = nodes[a]
-            except (KeyError, TypeError):
-                _fail(i, "master", f"unknown node {_shown(a)}")
-            try:
-                subject = nodes[b]
-            except (KeyError, TypeError):
-                _fail(i, "subject", f"unknown node {_shown(b)}")
-            rules = event.get("rules")
-            if op == "issue":
-                validity = event.get("validity_ms", 3_600_000)
-                if validity.__class__ is not int:   # an int is what ``_number`` returns for it
-                    validity = _number(validity, int, i, "validity_ms")
-                if validity < 0:
-                    _fail(i, "validity_ms", f"must be >= 0, got {_shown(validity)}")
-                event = new(Issue, (at, i, master, subject, _parse_rules(rules, i), validity))
+            event = new(Register, (at, i, first, second, attributes))
+        elif op == "issue":
+            validity = event.get("validity_ms", 3_600_000)
+            if validity.__class__ is not int:   # an int is what ``_number`` returns for it
+                validity = _number(validity, int, i, "validity_ms")
+            if validity < 0:
+                _fail(i, "validity_ms", f"must be >= 0, got {_shown(validity)}")
+            rules = _parse_rules(event.get("rules"), i)
+            if first.role == "master":   # the master submits it and polls the outcome
+                event = new(Issue, (at, i, first, second, rules, validity))
             else:
-                if op == "revoke_rules":
-                    if not isinstance(rules, list):
-                        _fail(i, "rules", f"must be a list, got {_shown(rules)}")
-                    _shallow(rules, i, "rules")
-                else:
-                    rules = None
-                event = new(TokenChange, (at, i, op, master, subject, rules))
-        else:
-            _check(op == "advance", i, "op", "unknown op %s", op)
-            event = new(Advance, (at, i))
+                event = new(Call, (at, i, first.vid, "issue_token",
+                                   (second.vid.hex, rules, int(at), int(at) + validity)))
+        elif op == "revoke_rules":
+            rules = event.get("rules")
+            if not isinstance(rules, list):
+                _fail(i, "rules", f"must be a list, got {_shown(rules)}")
+            _shallow(rules, i, "rules")
+            event = new(Call, (at, i, first.vid, "revoke_access_rights", (second.vid.hex, rules)))
+        elif op == "revoke":
+            event = new(Call, (at, i, first.vid, "revoke_token", (second.vid.hex,)))
+        else:   # suspend or restore
+            event = new(Call, (at, i, first.vid, "set_token_validity",
+                               (second.vid.hex, op == "restore")))
         events.append(event)
     events.sort(key=itemgetter(0))   # stable: equal times keep index order
     return events

@@ -68,8 +68,8 @@ from capchain.ledger import (DEFAULT_ETH_PRICE_USD, DEFAULT_GAS_PRICE_ETC, DEFAU
 from capchain.master import RegistrationPolicy
 from capchain.netsim import MEASUREMENT_COLUMNS, Measurement, SimulationResult
 from capchain.scenario import (ACTIONS, COSTS, EXPECTS, MAX_BLOCKS, POLICY_KINDS, PROFILES,
-                               ROLES, RULE_ERRORS, Advance, ChannelSpec, Issue, NodeSpec,
-                               ProcessingProfile, Register, Request, TokenChange, Topology,
+                               ROLES, RULE_ERRORS, Advance, Call, ChannelSpec, Issue,
+                               NodeSpec, ProcessingProfile, Register, Request, Topology,
                                _check, _fail, _number, _objects, _shown)
 from capchain.tokens import TokenContract
 from capchain.zones import NODE_TYPE_NONE, ZoneContract
@@ -482,10 +482,23 @@ def _node(nodes, value, path, key):
     return nodes[value]
 
 
+#: What each token change calls on the token contract, given the subject's hex
+#: and the event's ``rules``: written out here rather than read from the parser,
+#: so the differential checks the op -> call mapping, not the table against itself.
+REFERENCE_TOKEN_CALLS = {
+    "revoke": lambda subject, rules: ("revoke_token", (subject,)),
+    "revoke_rules": lambda subject, rules: ("revoke_access_rights", (subject, rules)),
+    "suspend": lambda subject, rules: ("set_token_validity", (subject, False)),
+    "restore": lambda subject, rules: ("set_token_validity", (subject, True)),
+}
+
+
 def reference_parse_script(script, topology):
     """``scenario.parse_script`` formatting ``script[i]`` for every event and
     every rule, looking up nodes through ``_node`` and building each event
-    through its named tuple's constructor."""
+    through its named tuple's constructor; a token change, or an issue by a
+    node that is not a master, is the ``Call`` that ``REFERENCE_TOKEN_CALLS``
+    or the direct ``issue_token`` makes."""
     nodes, channels, latest = topology.nodes, topology.channels, topology.latest_at_ms
     events = []
     for i, event in enumerate(_objects(script, "script")):
@@ -524,13 +537,18 @@ def reference_parse_script(script, topology):
             if op == "issue":
                 validity = _number(event.get("validity_ms", 3_600_000), int, path, "validity_ms")
                 _check(validity >= 0, path, "validity_ms", "must be >= 0, got %s", validity)
-                event = Issue(at, i, master, subject, _reference_parse_rules(rules, path),
-                              validity)
+                rules = _reference_parse_rules(rules, path)
+                if master.role == "master":
+                    event = Issue(at, i, master, subject, rules, validity)
+                else:
+                    issued = int(at)
+                    event = Call(at, i, master.vid, "issue_token",
+                                 (subject.vid.hex, rules, issued, issued + validity))
             else:
                 _check(op != "revoke_rules" or isinstance(rules, list), path, "rules",
                        "must be a list, got %s", rules)
-                event = TokenChange(at, i, op, master, subject,
-                                    rules if op == "revoke_rules" else None)
+                event = Call(at, i, master.vid,
+                             *REFERENCE_TOKEN_CALLS[op](subject.vid.hex, rules))
         else:
             _check(op == "advance", path, "op", "unknown op %s", op)
             event = Advance(at, i)

@@ -341,8 +341,8 @@ class TestBench:
         assert main(["bench", "--profile", "satellite", "--seed", "42",
                      "--out", str(out_dir)]) == 0
         out = capsys.readouterr().out
-        assert "steady_mean_ms: 250.0" in out
-        assert "enforcement_overhead_ms: 9.0" in out
+        assert "steady_mean_ms: 250\n" in out
+        assert "enforcement_overhead_ms: 9\n" in out
         summary = (out_dir / "summary.txt").read_text()
         assert "steady_mean_ms: 250" in summary
 
@@ -360,7 +360,7 @@ class TestBench:
     def test_ground_bench(self, tmp_path, capsys):
         assert main(["bench", "--profile", "ground", "--seed", "42",
                      "--out", str(tmp_path / "bench")]) == 0
-        assert "steady_mean_ms: 60.0" in capsys.readouterr().out
+        assert "steady_mean_ms: 60\n" in capsys.readouterr().out
 
 
 def demo_chain(tmp_path, capsys):
@@ -584,6 +584,19 @@ def test_refused_arguments_write_nothing_and_name_the_limit(tmp_path, capsys, mo
     assert list(tmp_path.iterdir()) == []
 
 
+def test_a_channel_listed_twice_exits_with_one_error_line(tmp_path, capsys):
+    # the topology parser's error path that CI's "No unclosed resources" step
+    # also runs in a real process
+    config = json.loads(Path(SAMPLE).read_text())
+    config["channels"] *= 2
+    path = tmp_path / "twice-linked.json"
+    path.write_text(json.dumps(config))
+    assert main(["scenario", str(path), "--out", str(tmp_path / "out")]) == 1
+    body = one_error_line(capsys)
+    assert body["error"] == "scenario-error"
+    assert body["detail"] == "channels[1]: duplicate channel between 'client' and 'provider'"
+
+
 def test_the_bench_request_limit_is_the_last_time_the_scenario_checks_accept():
     latest = parse_topology(latency_bench_config("satellite", 1, 1)).latest_at_ms
     last = BENCH_START_MS + BENCH_SPACING_MS * (MAX_BENCH_REQUESTS - 1)
@@ -591,8 +604,10 @@ def test_the_bench_request_limit_is_the_last_time_the_scenario_checks_accept():
     assert MAX_BENCH_REQUESTS == 9_999_694   # at the default timeout and MAX_BLOCKS
 
 
-def test_demo_runs_at_the_interval_limit(capsys):
-    assert main(["demo", "--seed", "42", "--block-interval-ms", "43200000"]) == 0
+@pytest.mark.parametrize("interval", [1, 49, 50, 43_200_000])
+def test_demo_runs_at_the_interval_limit(capsys, interval):
+    # below 50 ms, twice the interval falls before the token's issue time of 100 ms
+    assert main(["demo", "--seed", "42", "--block-interval-ms", str(interval)]) == 0
     assert "pass      pass    granted" in capsys.readouterr().out
 
 
@@ -727,7 +742,7 @@ CLI_ARTIFACT_SHA256 = {
         "gas_report.csv": "2c2f780e0205539e4fd9e7831f354c75640739b0f1e67626a3dfaac5a08f90ae",
         "measurements.csv": "3e8ba4f678de385af6c030a0fc28b06e7ba1b8ab4d5f37399b99762fbd336409",
         "overhead_summary.txt":
-            "50dae4a71abc31f738f428563dcbffc923335a8b6e13c3e44c259abbd1f22abe",
+            "7223e85756c93ff89da43bb37cf9357309abbe03eee10c261b8bcc1446d4e4c9",
         "stage_traces.csv": "46380df1d5bcdea5679f2d0c6843961e35e7c951e7fd85e24a013affdcbe033f",
         "summary.txt": "31ee075bedb887e0738469c74ecc2bfb541310a98a4ffa366d773e7cca4abc68",
     },
@@ -736,7 +751,7 @@ CLI_ARTIFACT_SHA256 = {
         "gas_report.csv": "2c2f780e0205539e4fd9e7831f354c75640739b0f1e67626a3dfaac5a08f90ae",
         "measurements.csv": "338441914420dc287ac011ed01fd846ec9c7219304623466946d9639b8aa8a2d",
         "overhead_summary.txt":
-            "fe584c27b718a2518f70a7fc3e0f02515b9d35f77cf8752947ad689a152286e4",
+            "1c3f86b3d136c11474756469b0a3597feef16948a7ee013770e5767c02197fc4",
         "stage_traces.csv": "4c1b5f90dd5caa4756ff5b464159c24ff84e236064309903d7e24de20dd6069f",
         "summary.csv": "5a85981e2853df385e4ba40f7dfc8005c9a6c8b06d7a01cad0ad38539bd4bccb",
     },

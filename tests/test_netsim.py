@@ -220,6 +220,26 @@ class TestRunScenario:
         record = sim.zone_contract.get_vnode(sim.nodes["newcomer"].vid)
         assert record.vzone_id == "zone-a"
 
+    def test_a_supervisor_issue_goes_straight_to_the_token_contract(self):
+        # no master submits it, so no poll records an issuance outcome for it
+        script = [
+            {"at": 100, "op": "issue", "master": "supervisor", "subject": "sat-client",
+             "rules": [RULE_GET], "validity_ms": 10**7},
+            {"at": 16000, "op": "request", "requester": "sat-client",
+             "provider": "sat-provider", "method": "GET", "uri": "/api/data",
+             "expect": "grant"},
+        ]
+        sim, result = run_scenario(base_config(script=script))
+        supervisor, client = sim.nodes["supervisor"].vid, sim.nodes["sat-client"].vid
+        (tx,) = sim.chain.blocks[2].transactions   # sealed at 15000, after the bootstrap
+        assert (tx.sender, tx.contract, tx.op, tx.args) == \
+            (supervisor, "captoken", "issue_token", (client.hex, [RULE_GET], 100, 100 + 10**7))
+        assert sim.chain.get_receipt(tx.digest).status == "ok"
+        assert sim.token_contract.get_token(client)["authorization"] == [RULE_GET]
+        assert result.issues == []
+        assert [row.outcome for row in named(result)] == ["grant"]
+        assert result.expectation_failures == []
+
     def test_expectation_mismatch_reported(self):
         script = [{"at": 16000, "op": "request", "requester": "sat-client",
                    "provider": "sat-provider", "method": "GET",

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from capchain.cli import main
 from capchain.netsim import Simulation, run_scenario
-from capchain.scenario import (COSTS, MAX_NESTING, PROFILES, Request, ScenarioError,
+from capchain.scenario import (COSTS, MAX_NESTING, PROFILES, Call, Request, ScenarioError,
                                _shallow, nests_deeper, parse_script, parse_topology)
 
 from reference_models import nesting_depth, reference_parse_script, reference_parse_topology
@@ -227,6 +227,35 @@ def test_parse_script_equals_reference_on_a_register_with_a_non_master():
     expected = parsed(reference_events, config["script"], topology)
     assert expected == "ScenarioError: script[0].master: 'provider' is not a master"
     assert parsed(parse_script, config["script"], topology) == expected
+
+
+# Each event that goes straight to the token contract, with the call it makes:
+# the sender's vid (``0``: the master, ``1``: the supervisor), the op and the
+# args, in which ``"client"`` stands for the subject's hex.
+DIRECT_CALLS = [
+    ({"op": "revoke"}, 0, "revoke_token", ("client",)),
+    ({"op": "revoke_rules", "rules": [{"action": "PUT"}]}, 0, "revoke_access_rights",
+     ("client", [{"action": "PUT"}])),
+    ({"op": "suspend"}, 0, "set_token_validity", ("client", False)),
+    ({"op": "restore"}, 0, "set_token_validity", ("client", True)),
+    ({"op": "issue", "master": "supervisor", "validity_ms": 5000,
+      "rules": [{"action": "GET", "resource": "/api/data", "unknown": 1}]}, 1, "issue_token",
+     ("client", [{"action": "GET", "resource": "/api/data", "conditions": []}], 34000, 39000)),
+]
+
+
+@pytest.mark.parametrize("fields, sender, op, args", DIRECT_CALLS,
+                         ids=["revoke", "revoke_rules", "suspend", "restore", "supervisor-issue"])
+def test_a_direct_event_parses_to_the_call_it_makes(fields, sender, op, args):
+    config = copy.deepcopy(BASES[0])
+    config["script"] = [{"at": 34000.5, "master": "master", "subject": "client", **fields}]
+    topology = parse_topology(config)
+    vids = [topology.nodes["master"].vid, topology.nodes["supervisor"].vid]
+    client = topology.nodes["client"].vid.hex
+    args = tuple(client if arg == "client" else arg for arg in args)
+    expected = Call(34000.5, 0, vids[sender], op, args)
+    assert parse_script(config["script"], topology) == [expected]
+    assert reference_parse_script(config["script"], topology) == [expected]
 
 
 @pytest.mark.parametrize("value", VALIDITIES, ids=repr)
